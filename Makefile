@@ -1,14 +1,14 @@
 # Developer checks. `make check` is the full gate: static vetting, a
-# clean build, the whole suite under the race detector, and a short fuzz
+# clean build, the whole suite under the race detector, a short fuzz
 # smoke of every fuzz target (seed corpora under testdata/fuzz always run
-# as plain tests).
+# as plain tests), the load-replay smoke and the benchmark smoke.
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check build vet test race fuzz bench telemetry profile loadsmoke
+.PHONY: check build vet test race fuzz bench microbench telemetry profile loadsmoke benchsmoke
 
-check: vet build telemetry race fuzz loadsmoke
+check: vet build telemetry race fuzz loadsmoke benchsmoke
 
 build:
 	$(GO) build ./...
@@ -56,6 +56,13 @@ loadsmoke:
 	mkdir -p out
 	$(GO) run ./cmd/axmlload -self -clients 8 -requests 160 \
 		-trace-out out/loadsmoke_trace.jsonl -stats-out out/loadsmoke_stats.json
+
+# benchsmoke runs every workload of the repo's benchmark (BENCHMARK.json)
+# at tiny scale through the very command the benchmark declares, traced,
+# so a change to an API the frozen benchmark/ package calls — or an
+# answer that stops matching its oracle — fails the gate.
+benchsmoke:
+	bash benchmark/run.sh --workload all --scale tiny --seconds 1 --trace 1
 
 microbench:
 	$(GO) test -bench . -benchmem ./internal/pattern/

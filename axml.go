@@ -30,10 +30,10 @@ import (
 	"github.com/activexml/axml/internal/core"
 	"github.com/activexml/axml/internal/fguide"
 	"github.com/activexml/axml/internal/pattern"
+	"github.com/activexml/axml/internal/repo"
 	"github.com/activexml/axml/internal/schema"
 	"github.com/activexml/axml/internal/service"
 	"github.com/activexml/axml/internal/soap"
-	"github.com/activexml/axml/internal/store"
 	"github.com/activexml/axml/internal/subscribe"
 	"github.com/activexml/axml/internal/tree"
 )
@@ -194,10 +194,6 @@ type (
 	Stats = core.Stats
 	// Strategy selects the invocation policy.
 	Strategy = core.Strategy
-	// TraceEvent is one engine step, delivered through Options.Trace.
-	TraceEvent = core.TraceEvent
-	// TraceFunc receives engine trace events.
-	TraceFunc = core.TraceFunc
 	// RetryPolicy configures per-call retries, backoff and deadlines
 	// (Options.Retry; see doc/FAULTS.md).
 	RetryPolicy = core.RetryPolicy
@@ -326,15 +322,15 @@ func NewActivationController(doc *Document, reg *Registry) *ActivationController
 	return activation.NewController(doc, reg)
 }
 
-// Document repository (see internal/store).
+// Document repository (see internal/repo).
 type (
-	// Store is a file-backed repository of AXML documents with atomic
-	// writes.
-	Store = store.Store
+	// Repo is a file-backed repository of AXML documents, each persisted
+	// with its F-guide index through atomic, durable writes.
+	Repo = repo.Repo
 )
 
-// OpenStore prepares a document repository at dir.
-func OpenStore(dir string) (*Store, error) { return store.Open(dir) }
+// OpenRepo prepares a document repository at dir.
+func OpenRepo(dir string) (*Repo, error) { return repo.Open(dir) }
 
 // Result construction (see internal/construct).
 type (

@@ -7,7 +7,7 @@
 //	          [-strategy lazy-nfq-typed] [-schema schema.txt] [-provider http://host:port] \
 //	          [-push] [-layer] [-parallel] [-guide] [-stats] [-explain] [-out result.xml] \
 //	          [-retries 3] [-timeout 2s] [-best-effort] \
-//	          [-no-cache] [-cache-ttl 5m] [-workers 4] [-invoke-workers 4] [-no-incremental]
+//	          [-no-cache] [-cache-ttl 5m] [-invoke-workers 4] [-no-incremental]
 //	          [-plan cost] [-plan-budget 200ms]
 //
 // Planning (see doc/PLANNER.md): -plan=cost schedules each round's
@@ -25,8 +25,7 @@
 // servable (entries age on the evaluation's clock, so TTLs lapse on
 // virtual time in simulated runs). Relevance re-evaluation reuses a
 // persistent match memo across rounds (-no-incremental falls back to
-// from-scratch evaluation), -workers N evaluates a round's relevance
-// queries on N goroutines, and -invoke-workers N invokes up to N of a
+// from-scratch evaluation), and -invoke-workers N invokes up to N of a
 // round's independent relevant calls concurrently (implies -parallel;
 // results are identical to sequential invocation).
 //
@@ -98,7 +97,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		bestEffort = fs.Bool("best-effort", false, "record failed calls and keep evaluating instead of aborting")
 		noCache    = fs.Bool("no-cache", false, "disable service-response memoisation")
 		cacheTTL   = fs.Duration("cache-ttl", 0, "bound how long a cached response stays servable (0 = forever)")
-		workers    = fs.Int("workers", 0, "evaluate each round's relevance queries on this many goroutines (0/1 = sequential)")
 		invokeWork = fs.Int("invoke-workers", 0, "invoke up to this many independent calls of a round concurrently (implies -parallel; 0 = unbounded batches under -parallel, 1 = sequential)")
 		noIncr     = fs.Bool("no-incremental", false, "re-evaluate relevance queries from scratch each round")
 		planMode   = fs.String("plan", "off", "off|cost: plan each round's invocation batches from an in-run service profile (reorders and resizes work only; results are identical)")
@@ -146,7 +144,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	opt := core.Options{
 		Strategy: st, Push: *push, Layering: *layer, Parallel: *parallel,
 		UseGuide: *guide, RelaxJoins: *relax, MaxCalls: *maxCalls,
-		Incremental: !*noIncr, Workers: *workers, InvokeWorkers: *invokeWork,
+		Incremental: !*noIncr, InvokeWorkers: *invokeWork,
 		NoProject: *noProject,
 	}
 	if *retries > 0 || *timeout > 0 {

@@ -214,9 +214,9 @@ func TestPerfFlags(t *testing.T) {
 	want := results("-no-cache", "-no-incremental")
 	for _, extra := range [][]string{
 		{},
-		{"-workers", "4"},
+		{"-invoke-workers", "4"},
 		{"-no-incremental"},
-		{"-layer", "-workers", "8"},
+		{"-layer", "-invoke-workers", "8"},
 		{"-cache-ttl", "1m"},
 	} {
 		if got := results(extra...); got != want {

@@ -102,6 +102,12 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, stop <-ch
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	// Reject a bad mode before anything is created or opened: the
+	// -trace-out file and the -docs repository are side effects.
+	if *planMode != "off" && *planMode != "cost" {
+		fmt.Fprintf(stderr, "axmlserver: unknown -plan mode %q (want off or cost)\n", *planMode)
+		return 2
+	}
 
 	spec := workload.DefaultSpec()
 	spec.Hotels = *hotels
@@ -190,9 +196,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, stop <-ch
 		engine.Parallel = true
 		engine.InvokeWorkers = *invokeWork
 	}
-	switch *planMode {
-	case "off":
-	case "cost":
+	if *planMode == "cost" {
 		// One cost planner over the shared profiler serves every session:
 		// Config.Engine is copied into each session's options, and the
 		// planner is safe for concurrent use. Profiles persisted under
@@ -200,9 +204,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, stop <-ch
 		planner := plan.New(prof, plan.Options{SpeculativeBudget: *planBudget})
 		planner.Instrument(metrics)
 		engine.Planner = planner
-	default:
-		fmt.Fprintf(stderr, "axmlserver: unknown -plan mode %q (want off or cost)\n", *planMode)
-		return 2
 	}
 	mgr := session.NewManager(session.Config{
 		Registry:   sessionReg,

@@ -181,6 +181,24 @@ func TestBadAddr(t *testing.T) {
 	}
 }
 
+// TestBadPlanModeHasNoSideEffects: an unknown -plan mode is a usage
+// error (exit 2) caught before the trace file is created or the
+// document directory opened.
+func TestBadPlanModeHasNoSideEffects(t *testing.T) {
+	dir := t.TempDir()
+	traceFile, docsDir := filepath.Join(dir, "trace.jsonl"), filepath.Join(dir, "docs")
+	var out, errOut strings.Builder
+	code := run([]string{"-plan", "bogus", "-trace-out", traceFile, "-docs", docsDir}, &out, &errOut, nil, nil)
+	if code != 2 || !strings.Contains(errOut.String(), "unknown -plan mode") {
+		t.Fatalf("exit %d, want 2 with a usage error: %s", code, errOut.String())
+	}
+	for _, p := range []string{traceFile, docsDir} {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("%s exists after a rejected -plan mode (err=%v)", p, err)
+		}
+	}
+}
+
 const travelQuery = `/hotels/hotel[name="Best Western"][rating="*****"]/nearby//restaurant[rating="*****"][name=$X][address=$Y] -> $X, $Y`
 
 func postSessionQuery(t *testing.T, addr string, body string) (*http.Response, string) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"github.com/activexml/axml/internal/schema"
 	"github.com/activexml/axml/internal/service"
 	"github.com/activexml/axml/internal/soap"
+	"github.com/activexml/axml/internal/telemetry"
 	"github.com/activexml/axml/internal/workload"
 )
 
@@ -428,9 +430,8 @@ func E9(s Scale) (Table, error) {
 // E10 measures the incremental relevance engine: persistent cross-round
 // match memoization (the per-round NFQ re-evaluation visits the changed
 // region instead of the whole document), the service-response cache with
-// singleflight dedup, and the parallel detection pool. The from-scratch
-// and incremental runs must invoke the identical call sequence — only the
-// match work moves.
+// singleflight dedup. The from-scratch and incremental runs must invoke
+// the identical call sequence — only the match work moves.
 func E10(s Scale) (Table, error) {
 	t := Table{
 		ID:      "E10",
@@ -446,7 +447,6 @@ func E10(s Scale) (Table, error) {
 		{"scratch", core.Options{Strategy: core.LazyNFQ}, false},
 		{"incremental", core.Options{Strategy: core.LazyNFQ, Incremental: true}, false},
 		{"incr+cache", core.Options{Strategy: core.LazyNFQ, Incremental: true}, true},
-		{"incr+cache+pool", core.Options{Strategy: core.LazyNFQ, Incremental: true, Workers: 4}, true},
 	}
 	for _, hotels := range s.E10Sizes {
 		spec := workload.DefaultSpec()
@@ -562,19 +562,19 @@ func E11(s Scale) (Table, error) {
 		var baseWall time.Duration
 		var baseSig string
 		for i, workers := range s.E11Workers {
-			widest := 0
 			opt := core.Options{
 				Strategy: core.LazyNFQTyped, Schema: w.Schema,
 				Push: true, Layering: true, Parallel: true,
 				InvokeWorkers: workers,
-				Trace: func(ev core.TraceEvent) {
-					if ev.Kind == core.TraceInvoke && ev.Calls > widest {
-						widest = ev.Calls
-					}
-				},
 			}
 			opt.Clock = service.NewWallClock(false)
+			// The widest batch is read off the invoke spans, so the run
+			// is traced even when the scale carries no tracer.
 			opt.Metrics, opt.Tracer = s.Metrics, s.Tracer
+			if opt.Tracer == nil {
+				opt.Tracer = telemetry.NewTracer(0)
+			}
+			spansBefore := opt.Tracer.Len()
 			start := time.Now()
 			out, err := core.Evaluate(w.Doc.Clone(), w.Query, reg, opt)
 			wall := time.Since(start)
@@ -593,6 +593,19 @@ func E11(s Scale) (Table, error) {
 			} else if sig != baseSig {
 				srv.Close()
 				return t, fmt.Errorf("E11: %d workers changed the result set", workers)
+			}
+			widest := 0
+			for _, sp := range opt.Tracer.Spans(opt.Tracer.Len() - spansBefore) {
+				if sp.Name != "invoke" {
+					continue
+				}
+				batch, aerr := strconv.Atoi(sp.Attr("batch"))
+				if aerr != nil {
+					batch = 1 // a round's single call carries no batch attr
+				}
+				if batch > widest {
+					widest = batch
+				}
 			}
 			t.Rows = append(t.Rows, []string{
 				itoa(hotels), itoa(workers),

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sort"
+
 	"github.com/activexml/axml/internal/pattern"
 	"github.com/activexml/axml/internal/rewrite"
 	"github.com/activexml/axml/internal/schema"
@@ -40,7 +42,7 @@ func Relevant(doc *tree.Document, q *pattern.Pattern, sch *schema.Schema, mode s
 		for n := range names {
 			opt.Names = append(opt.Names, n)
 		}
-		sortStrings(opt.Names)
+		sort.Strings(opt.Names)
 	}
 	nfqs, err := rewrite.BuildAll(q, opt)
 	if err != nil {
@@ -57,22 +59,6 @@ func Relevant(doc *tree.Document, q *pattern.Pattern, sch *schema.Schema, mode s
 			out = append(out, c)
 		}
 	}
-	sortByID(out)
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out, nil
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
-func sortByID(ns []*tree.Node) {
-	for i := 1; i < len(ns); i++ {
-		for j := i; j > 0 && ns[j].ID < ns[j-1].ID; j-- {
-			ns[j], ns[j-1] = ns[j-1], ns[j]
-		}
-	}
 }

@@ -136,15 +136,6 @@ type Options struct {
 	// has no effect on guide-accelerated detection, which does not
 	// evaluate patterns over the full document in the first place.
 	Incremental bool
-	// Workers bounds the worker pool that evaluates a round's relevance
-	// queries concurrently; 0 or 1 means sequential detection. Each
-	// query keeps its own evaluator shard, so workers share nothing but
-	// the read-only document. With Workers > 1 every member query of the
-	// current layer is evaluated each round (the sequential path stops
-	// at the first query that retrieves a call), so RelevanceQueries and
-	// NodesVisited counters grow even though wall-clock detection time
-	// shrinks; the invoked call sequence is unchanged.
-	Workers int
 	// InvokeWorkers bounds the invocation pool: how many members of a
 	// parallel batch (the independent relevant calls one detection round
 	// yields, Section 4.4) are in flight concurrently. Values > 1 imply
@@ -154,18 +145,19 @@ type Options struct {
 	// so results, Stats and traces are identical for every pool width —
 	// only wall-clock time changes, by ≈ min(InvokeWorkers, batch width)
 	// over real transports. 1 runs batch members sequentially on the
-	// calling goroutine; 0 preserves the historical unbounded behaviour
-	// (one goroutine per batch member). Virtual-clock accounting is
-	// unaffected: a batch is always charged the max, not the sum, of its
-	// members' costs.
+	// calling goroutine; 0 is unbounded (one worker per batch member).
+	// A round with a single relevant call always runs inline, whatever
+	// the width. Virtual-clock accounting is unaffected: a batch is
+	// always charged the max, not the sum, of its members' costs.
 	InvokeWorkers int
 	// Planner, when set, decides per round how invocation batches
 	// execute: member-to-worker assignment, effective pool width (up to
 	// InvokeWorkers), whether to ship pushable subqueries per service,
-	// and which speculative calls fit a latency budget. A planner may
-	// only reorder and resize work — results are identical with and
-	// without one (see internal/plan). Nil keeps the static striped
-	// schedule documented on InvokeWorkers.
+	// and which speculative calls fit a latency budget. Only batches of
+	// two or more calls are shown to it. A planner may only reorder and
+	// resize work — results are identical with and without one (see
+	// internal/plan). Nil keeps the static striped schedule documented
+	// on InvokeWorkers.
 	Planner InvocationPlanner
 	// RelaxJoins uses the join-free relaxed NFQs of Section 6.1.
 	RelaxJoins bool
@@ -184,20 +176,14 @@ type Options struct {
 	// Clock receives the simulated latency charges; nil means a fresh
 	// SimClock, whose total is reported in Stats.VirtualTime.
 	Clock service.Clock
-	// Trace, when set, receives one event per layer start, relevance
-	// detection round and invocation — the engine's explain output.
-	// Handlers run synchronously and must not re-enter the engine.
-	// Events are emitted deterministically, ordered by (Layer, Round,
-	// Shard), including under a parallel detection pool.
-	Trace TraceFunc
 	// Tracer, when set, receives hierarchical telemetry spans —
-	// evaluate → analysis/layer → detect/invoke — with wall-clock and
-	// virtual-clock durations, shard identity and per-phase attributes
-	// (the data behind axmlquery -explain and /debug/trace). Span
-	// emission is race-clean under Options.Workers: shard timings are
-	// measured in the workers and emitted by the coordinator in
-	// deterministic order. Nil disables span collection at the cost of
-	// one pointer test per instrumentation point.
+	// evaluate → analysis/layer → detect/plan/invoke — with wall-clock
+	// and virtual-clock durations, shard and worker identity and
+	// per-phase attributes (the data behind axmlquery -explain and
+	// /debug/trace). All spans are emitted by the engine goroutine in
+	// deterministic order: equal configurations produce equal streams
+	// up to wall-clock fields. Nil disables span collection at the cost
+	// of one pointer test per instrumentation point.
 	Tracer *telemetry.Tracer
 	// RemoteSpans bounds the span subtree a remote provider may return
 	// per invocation for cross-process trace stitching (see

@@ -42,8 +42,7 @@ func TestDifferentialAcrossRandomWorlds(t *testing.T) {
 			{Strategy: LazyNFQ, Layering: true, Parallel: true},
 			{Strategy: LazyNFQ, UseGuide: true, RelaxJoins: true},
 			{Strategy: LazyNFQ, Incremental: true},
-			{Strategy: LazyNFQ, Incremental: true, Workers: 4},
-			{Strategy: LazyNFQ, Layering: true, Parallel: true, Incremental: true, Workers: 4},
+			{Strategy: LazyNFQ, Layering: true, Parallel: true, Incremental: true},
 			{Strategy: LazyNFQTyped, Schema: w.Schema},
 			{Strategy: LazyNFQTyped, Schema: w.Schema, Incremental: true},
 			{Strategy: LazyNFQTyped, Schema: w.Schema, SchemaMode: schema.Lenient,
@@ -66,7 +65,7 @@ func TestDifferentialAcrossRandomWorlds(t *testing.T) {
 		cached := service.NewCache(service.CacheSpec{}).Wrap(w.Registry)
 		for _, opt := range []Options{
 			{Strategy: NaiveFixpoint},
-			{Strategy: LazyNFQ, Incremental: true, Workers: 4},
+			{Strategy: LazyNFQ, Incremental: true},
 		} {
 			out, err := Evaluate(w.Doc.Clone(), w.Query, cached, opt)
 			if err != nil {
@@ -89,7 +88,7 @@ func TestDifferentialAcrossRandomWorlds(t *testing.T) {
 // TestProjectionDifferentialSweep is the acceptance net for type-based
 // document projection: over 50 random worlds, the typed strategy with
 // projection on must agree bit-for-bit with projection off AND with the
-// naive fixpoint at every detection/invocation pool width — and the two
+// naive fixpoint at every invocation pool width — and the two
 // runs must invoke exactly the same number of calls, since projection
 // may only skip statically irrelevant subtrees, never change what is
 // relevant. The sweep also requires that projection actually fired
@@ -114,7 +113,6 @@ func TestProjectionDifferentialSweep(t *testing.T) {
 					Strategy:      LazyNFQTyped,
 					Schema:        w.Schema,
 					Incremental:   true,
-					Workers:       width,
 					InvokeWorkers: width,
 					NoProject:     noProject,
 				}
@@ -261,7 +259,6 @@ func TestDifferentialUnderInjectedFaults(t *testing.T) {
 			{Strategy: LazyNFQ},
 			{Strategy: LazyNFQ, Layering: true, Parallel: true},
 			{Strategy: LazyNFQ, Incremental: true},
-			{Strategy: LazyNFQ, Incremental: true, Workers: 4},
 		} {
 			opt.Retry = retry
 			opt.Failure = BestEffort
@@ -289,7 +286,6 @@ func TestDifferentialUnderInjectedFaults(t *testing.T) {
 		// still the fault-free one.
 		for _, opt := range []Options{
 			{Strategy: LazyNFQ, Incremental: true},
-			{Strategy: LazyNFQ, Incremental: true, Workers: 4},
 		} {
 			opt.Retry = retry
 			opt.Failure = BestEffort

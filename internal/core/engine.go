@@ -79,11 +79,10 @@ func Evaluate(doc *tree.Document, q *pattern.Pattern, reg *service.Registry, opt
 	}
 	if e.opt.Strategy == TopDownEager {
 		// The eager baseline models a blocking top-down processor: one
-		// call at a time, no sequencing analysis, no pushing, no
-		// detection pool.
+		// call at a time, no sequencing analysis, no pushing.
 		e.opt.Layering, e.opt.Parallel, e.opt.Push = false, false, false
 		e.opt.Speculative = false
-		e.opt.Workers, e.opt.InvokeWorkers = 0, 0
+		e.opt.InvokeWorkers = 0
 	}
 	if e.opt.Speculative || e.opt.InvokeWorkers > 1 {
 		e.opt.Parallel = true
@@ -176,16 +175,13 @@ type engine struct {
 	// projs holds each live relevance query's document-projection
 	// predicate (typed strategy, NoProject unset). Projections memoise
 	// a per-query satisfiability fixpoint, so they live exactly as long
-	// as the query objects: the map resets alongside incr. Predicates
-	// are immutable and shared read-only by detection pool workers.
+	// as the query objects: the map resets alongside incr.
 	projs map[*rewrite.NFQ]*schema.Projection
 	// userProj is the user query's own projection, applied to the final
 	// result evaluation; nil when the engine does not project.
 	userProj *schema.Projection
-	// traceLayer is the current layer index, stamped onto trace events.
-	traceLayer int
 	// round is the sequential detection/invocation round counter,
-	// stamped onto trace events and telemetry spans (1-based within an
+	// stamped onto detect, plan and invoke spans (1-based within an
 	// evaluation).
 	round int
 	// met holds the pre-resolved telemetry instruments (all nil when
@@ -225,18 +221,26 @@ func (e *engine) runNaive() error {
 		if len(calls) > e.budgetLeft() {
 			calls = calls[:e.budgetLeft()]
 		}
-		if e.opt.Parallel {
-			if err := e.invokeBatch(calls, nil); err != nil {
-				return err
-			}
-		} else {
-			for _, c := range calls {
-				if err := e.invokeOne(c, nil); err != nil {
-					return err
-				}
-			}
+		// Naive invocations serve no relevance query: every member's
+		// originating NFQ is nil.
+		if err := e.invokeSet(calls, make([]*rewrite.NFQ, len(calls)), e.opt.Parallel); err != nil {
+			return err
 		}
 	}
+}
+
+// invokeSet invokes a retrieved call set: as one batch charged its
+// slowest member, or one call at a time, each charged in full.
+func (e *engine) invokeSet(calls []*tree.Node, nfqs []*rewrite.NFQ, batch bool) error {
+	if batch {
+		return e.invoke(calls, nfqs)
+	}
+	for i := range calls {
+		if err := e.invoke(calls[i:i+1], nfqs[i:i+1]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // runLazy is the NFQA loop of Section 4.1 with the optional layering of
@@ -305,8 +309,6 @@ func (e *engine) runLazy() error {
 	done := map[int]bool{}
 	for li, layer := range layers {
 		members := layer.SortedMembers()
-		e.traceLayer = li
-		e.emit(TraceEvent{Kind: TraceLayer, Calls: len(members)})
 		e.spanLayer = e.opt.Tracer.Start("layer", e.spanEval.ID())
 		e.spanLayer.SetInt("layer", int64(li))
 		e.spanLayer.SetInt("members", int64(len(members)))
@@ -450,13 +452,12 @@ func (e *engine) drainLayer(members []int, analysis *influence.Analysis, done ma
 			// one batch. Calls can be retrieved by several NFQs; the
 			// batch is deduplicated, and each call is pushed the
 			// subquery of the first NFQ that retrieved it.
-			sets := e.detectMany(members, queries)
 			seen := map[*tree.Node]bool{}
 			var batchCalls []*tree.Node
 			var batchNFQs []*rewrite.NFQ
-			for i, m := range members {
+			for mi, m := range members {
 				nfq := queries[m]
-				for _, c := range sets[i] {
+				for _, c := range e.relevantCalls(nfq, mi) {
 					if !seen[c] {
 						seen[c] = true
 						batchCalls = append(batchCalls, c)
@@ -483,29 +484,17 @@ func (e *engine) drainLayer(members []int, analysis *influence.Analysis, done ma
 				batchCalls = batchCalls[:b]
 				batchNFQs = batchNFQs[:b]
 			}
-			if err := e.invokeMixedBatch(batchCalls, batchNFQs); err != nil {
+			if err := e.invoke(batchCalls, batchNFQs); err != nil {
 				return err
 			}
 			continue
 		}
-		// With a detection pool, every member's relevant set is computed
-		// up front in one parallel pass; the member loop then consumes
-		// the precomputed sets. The acted-on set is always the first
-		// non-empty one, and the loop re-detects after every invocation
-		// round, so the invoked sequence matches sequential detection
-		// exactly — only the work accounting differs (no early exit).
-		var sets [][]*tree.Node
-		if e.opt.Workers > 1 && len(members) > 1 {
-			sets = e.detectMany(members, queries)
-		}
+		// Act on the first member whose relevant set is non-empty, then
+		// re-detect: an invocation's result may have changed every NFQ's
+		// relevant set (Section 4.1).
 		for mi, m := range members {
 			nfq := queries[m]
-			var calls []*tree.Node
-			if sets != nil {
-				calls = sets[mi]
-			} else {
-				calls = e.relevantCalls(nfq, mi)
-			}
+			calls := e.relevantCalls(nfq, mi)
 			if len(calls) == 0 {
 				continue
 			}
@@ -513,29 +502,23 @@ func (e *engine) drainLayer(members []int, analysis *influence.Analysis, done ma
 			if len(calls) > e.budgetLeft() {
 				calls = calls[:e.budgetLeft()]
 			}
-			switch {
-			case e.opt.Parallel && (analysis == nil || analysis.Independent(m)):
-				if err := e.invokeBatch(calls, nfq); err != nil {
-					return err
-				}
-			case lpqBased:
-				// Position relevance cannot be invalidated by another
-				// invocation (an LPQ has no conditions and the call
-				// stays at its position), so the whole retrieved set is
-				// invoked without re-evaluation — sequentially, each
-				// call charged in full.
-				for _, c := range calls {
-					if err := e.invokeOne(c, nfq); err != nil {
-						return err
-					}
-				}
-			default:
-				// Invoke a single call, then re-evaluate the layer's
-				// queries: its result may have changed every NFQ's
-				// relevant set (Section 4.1).
-				if err := e.invokeOne(calls[0], nfq); err != nil {
-					return err
-				}
+			// An independent NFQ fires its retrieved set as one batch (✶,
+			// Section 4.4). Otherwise the set is invoked one call at a
+			// time, each charged in full: all of it for an LPQ — position
+			// relevance cannot be invalidated by another invocation (an
+			// LPQ has no conditions and the call stays at its position)
+			// — but only the first call for an NFQ, whose relevant set
+			// must be re-evaluated after every invocation.
+			batch := e.opt.Parallel && (analysis == nil || analysis.Independent(m))
+			if !batch && !lpqBased {
+				calls = calls[:1]
+			}
+			nfqs := make([]*rewrite.NFQ, len(calls))
+			for i := range nfqs {
+				nfqs[i] = nfq
+			}
+			if err := e.invokeSet(calls, nfqs, batch); err != nil {
+				return err
 			}
 			break
 		}
@@ -618,32 +601,8 @@ func (e *engine) sortedNames() []string {
 	return out
 }
 
-// detectDelta is one relevance detection's contribution to the shared
-// counters. Detections return it by value so a parallel pool's workers
-// never touch engine state; the coordinator merges.
-type detectDelta struct {
-	queried         bool // a relevance query actually ran (trace + counter)
-	nodesVisited    int
-	memoHits        int
-	subtreesPruned  int
-	guideCandidates int
-}
-
-// mergeDetect folds one detection's accounting into the engine stats.
-func (e *engine) mergeDetect(d detectDelta) {
-	if d.queried {
-		e.stats.RelevanceQueries++
-	}
-	e.stats.NodesVisited += d.nodesVisited
-	e.stats.MemoHits += d.memoHits
-	e.stats.SubtreesPruned += d.subtreesPruned
-	e.stats.GuideCandidates += d.guideCandidates
-}
-
 // incremental returns (creating on demand) the persistent evaluator shard
 // for one relevance query, or nil when incremental evaluation is off.
-// Only the coordinating goroutine may call it — it writes e.incr; pool
-// workers rely on detectMany pre-creating every shard they will read.
 func (e *engine) incremental(nfq *rewrite.NFQ) *pattern.IncrementalEvaluator {
 	if !e.opt.Incremental {
 		return nil
@@ -660,9 +619,7 @@ func (e *engine) incremental(nfq *rewrite.NFQ) *pattern.IncrementalEvaluator {
 // predicate for one relevance query, or nil when the engine does not
 // project. Construction runs the per-query satisfiability fixpoint, so
 // it is charged to analysis time; the predicate is then cached for the
-// query object's lifetime. Only the coordinating goroutine may call it —
-// it writes e.projs; pool workers rely on detectMany pre-resolving every
-// predicate they will read.
+// query object's lifetime.
 func (e *engine) projection(nfq *rewrite.NFQ) *schema.Projection {
 	if e.userProj == nil || nfq == nil {
 		return nil
@@ -730,24 +687,21 @@ func (e *engine) guideKeep(base []*rewrite.NFQ) func(string) bool {
 // evaluation on the document (incremental when the NFQ has a persistent
 // evaluator shard), or via the F-guide followed by type-based and
 // residual filtering (Section 6.2). Type pruning on the output side
-// (Section 5) applies in both paths. It reads shared engine state but
-// mutates none of it, so distinct NFQs may be detected concurrently.
-func (e *engine) detect(nfq *rewrite.NFQ, iev *pattern.IncrementalEvaluator, proj *schema.Projection) ([]*tree.Node, detectDelta) {
-	var d detectDelta
+// (Section 5) applies in both paths. queried reports whether a relevance
+// query actually ran (the guide can rule every candidate out first).
+func (e *engine) detect(nfq *rewrite.NFQ, iev *pattern.IncrementalEvaluator, proj *schema.Projection) (calls []*tree.Node, queried bool) {
 	if nfq == nil {
-		return nil, d
+		return nil, false
 	}
-	var calls []*tree.Node
 	if e.guide != nil {
 		cands := e.guide.Candidates(nfq.Lin, nfq.DescTail)
-		d.guideCandidates = len(cands)
+		e.stats.GuideCandidates += len(cands)
 		if len(cands) == 0 {
-			return nil, d
+			return nil, false
 		}
 		// Candidates share one residual matcher, so condition checks are
 		// memoised across them and each check only explores the
 		// candidate's own ancestors' subtrees (Section 6.2).
-		d.queried = true
 		matcher := pattern.NewResidualMatcher(nfq.Query, nfq.Out)
 		for _, c := range cands {
 			if e.failed[c] || !nfq.SatisfiesOut(e.an, c.Label) {
@@ -757,7 +711,7 @@ func (e *engine) detect(nfq *rewrite.NFQ, iev *pattern.IncrementalEvaluator, pro
 				calls = append(calls, c)
 			}
 		}
-		return calls, d
+		return calls, true
 	}
 	var got []*tree.Node
 	var st pattern.Stats
@@ -766,121 +720,46 @@ func (e *engine) detect(nfq *rewrite.NFQ, iev *pattern.IncrementalEvaluator, pro
 	} else {
 		got, st = pattern.MatchedCallsProjected(e.doc, nfq.Query, nfq.Out, asProjector(proj))
 	}
-	d.queried = true
-	d.nodesVisited = st.NodesVisited
-	d.memoHits = st.MemoHits
-	d.subtreesPruned = st.SubtreesPruned
+	e.stats.NodesVisited += st.NodesVisited
+	e.stats.MemoHits += st.MemoHits
+	e.stats.SubtreesPruned += st.SubtreesPruned
 	for _, c := range got {
 		if !e.failed[c] && nfq.SatisfiesOut(e.an, c.Label) {
 			calls = append(calls, c)
 		}
 	}
-	return calls, d
+	return calls, true
 }
 
-// relevantCalls is the sequential entry point around detect: it charges
-// detection time, merges the counters, emits the trace event and the
-// telemetry span. shard is the member's slot in the current layer.
+// relevantCalls runs one relevance detection: it charges detection time,
+// counts the query and emits the detect span. shard is the member's slot
+// in the current layer.
 func (e *engine) relevantCalls(nfq *rewrite.NFQ, shard int) []*tree.Node {
+	// Building the evaluator shard and the projection predicate is
+	// analysis work, so it happens outside the detection-time window.
+	iev, proj := e.incremental(nfq), e.projection(nfq)
 	t0 := time.Now()
-	calls, d := e.detect(nfq, e.incremental(nfq), e.projection(nfq))
+	calls, queried := e.detect(nfq, iev, proj)
 	elapsed := time.Since(t0)
 	e.stats.DetectTime += elapsed
-	e.mergeDetect(d)
-	if d.queried {
-		e.met.detectSecs.Observe(elapsed)
-		e.emitDetectSpan(nfq, shard, t0, elapsed, len(calls))
-		e.emit(TraceEvent{Kind: TraceDetect, Target: traceTarget(nfq), Shard: shard, Calls: len(calls)})
+	if !queried {
+		return calls
 	}
-	return calls
-}
-
-// emitDetectSpan records one relevance detection as a telemetry span.
-func (e *engine) emitDetectSpan(nfq *rewrite.NFQ, shard int, start time.Time, wall time.Duration, calls int) {
-	if e.opt.Tracer == nil {
-		return
-	}
-	e.opt.Tracer.Emit(telemetry.Span{
-		Parent: e.spanParent(),
-		Name:   "detect",
-		Shard:  shard,
-		Start:  start,
-		Wall:   wall,
-		Attrs: []telemetry.Attr{
-			{Key: "round", Value: strconv.Itoa(e.round)},
-			{Key: "target", Value: traceTarget(nfq)},
-			{Key: "calls", Value: strconv.Itoa(calls)},
-		},
-	})
-}
-
-// detectMany evaluates the members' relevance queries for the current
-// round, sharded over a bounded worker pool when Options.Workers allows
-// (each member query owns its evaluator shard, so workers share only the
-// read-only document). Stats deltas are merged and trace events emitted
-// by the coordinator, in member order, after the pool drains — the
-// parallel rounds stay race-clean and deterministic. Detection time is
-// charged as wall time: the pool's speedup is the observable quantity.
-func (e *engine) detectMany(members []int, queries []*rewrite.NFQ) [][]*tree.Node {
-	calls := make([][]*tree.Node, len(members))
-	deltas := make([]detectDelta, len(members))
-	// Resolve every shard's evaluator and projection predicate on the
-	// coordinator before the pool starts: both caches are maps only the
-	// coordinator may write. Predicate construction is analysis work, so
-	// it happens outside the detection-time window below.
-	ievs := make([]*pattern.IncrementalEvaluator, len(members))
-	projs := make([]*schema.Projection, len(members))
-	for i, m := range members {
-		ievs[i] = e.incremental(queries[m])
-		projs[i] = e.projection(queries[m])
-	}
-	t0 := time.Now()
-	workers := e.opt.Workers
-	if workers > len(members) {
-		workers = len(members)
-	}
-	// Each shard measures its own wall time in the worker (every worker
-	// writes only its own slots); the coordinator merges counters and
-	// emits events and spans after the pool drains, so the stream comes
-	// out ordered by (layer, round, shard) no matter how the workers
-	// interleaved.
-	starts := make([]time.Time, len(members))
-	walls := make([]time.Duration, len(members))
-	runShard := func(i int) {
-		starts[i] = time.Now()
-		calls[i], deltas[i] = e.detect(queries[members[i]], ievs[i], projs[i])
-		walls[i] = time.Since(starts[i])
-	}
-	if workers <= 1 {
-		for i := range members {
-			runShard(i)
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					runShard(i)
-				}
-			}()
-		}
-		for i := range members {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
-	e.stats.DetectTime += time.Since(t0)
-	for i, d := range deltas {
-		e.mergeDetect(d)
-		if d.queried {
-			e.met.detectSecs.Observe(walls[i])
-			e.emitDetectSpan(queries[members[i]], i, starts[i], walls[i], len(calls[i]))
-			e.emit(TraceEvent{Kind: TraceDetect, Target: traceTarget(queries[members[i]]), Shard: i, Calls: len(calls[i])})
-		}
+	e.stats.RelevanceQueries++
+	e.met.detectSecs.Observe(elapsed)
+	if e.opt.Tracer != nil {
+		e.opt.Tracer.Emit(telemetry.Span{
+			Parent: e.spanParent(),
+			Name:   "detect",
+			Shard:  shard,
+			Start:  t0,
+			Wall:   elapsed,
+			Attrs: []telemetry.Attr{
+				{Key: "round", Value: strconv.Itoa(e.round)},
+				{Key: "target", Value: traceTarget(nfq)},
+				{Key: "calls", Value: strconv.Itoa(len(calls))},
+			},
+		})
 	}
 	return calls
 }
@@ -1001,20 +880,10 @@ func (e *engine) invokeAttempts(call *tree.Node, pushed *pattern.Pattern) (servi
 	}
 }
 
-// chargeMeta records a finished attempt sequence's retry accounting.
-func (e *engine) chargeMeta(meta callMeta) {
-	e.stats.Retries += meta.attempts - 1
-	e.stats.DeadlineCuts += meta.cuts
-}
-
 // giveUp handles a call whose attempts are exhausted: fail the
 // evaluation (FailFast) or record the failure and park the call
 // (BestEffort).
 func (e *engine) giveUp(call *tree.Node, path string, meta callMeta) error {
-	e.emit(TraceEvent{
-		Kind: TraceGiveUp, Service: call.Label, Path: path,
-		Attempts: meta.attempts, Err: meta.err.Error(),
-	})
 	if e.opt.Failure == FailFast {
 		return meta.err
 	}
@@ -1028,13 +897,14 @@ func (e *engine) giveUp(call *tree.Node, path string, meta callMeta) error {
 
 // emitInvokeSpan records one call's full attempt sequence as a span and
 // feeds the invocation histograms. worker is the invocation-pool worker
-// the attempt sequence ran on (0 outside a batch). remote is the
-// provider-side span subtree returned in the response envelope; it is
-// grafted under the invoke span. A retried call additionally gets one
-// "attempt" child span per attempt, so retry storms are visible in the
-// explain tree (single-attempt calls emit no children, keeping
-// fault-free trace streams unchanged).
-func (e *engine) emitInvokeSpan(call *tree.Node, nfq *rewrite.NFQ, path string, worker int, start time.Time, wall time.Duration, meta callMeta, pushed bool, remote []telemetry.Span) {
+// the attempt sequence ran on; batch is the size of the batch the call
+// was a member of, stamped on members of multi-call batches only.
+// remote is the provider-side span subtree returned in the response
+// envelope; it is grafted under the invoke span. A retried call
+// additionally gets one "attempt" child span per attempt, so retry
+// storms are visible in the explain tree (single-attempt calls emit no
+// children, keeping fault-free trace streams unchanged).
+func (e *engine) emitInvokeSpan(call *tree.Node, nfq *rewrite.NFQ, path string, worker, batch int, start time.Time, wall time.Duration, meta callMeta, pushed bool, remote []telemetry.Span) {
 	e.met.invokeWall.Observe(wall)
 	e.met.invokeVirt.Observe(meta.cost)
 	if e.opt.Tracer == nil {
@@ -1055,6 +925,9 @@ func (e *engine) emitInvokeSpan(call *tree.Node, nfq *rewrite.NFQ, path string, 
 	}
 	if t := traceTarget(nfq); t != "" {
 		s.Attrs = append(s.Attrs, telemetry.Attr{Key: "target", Value: t})
+	}
+	if batch > 1 {
+		s.Attrs = append(s.Attrs, telemetry.Attr{Key: "batch", Value: strconv.Itoa(batch)})
 	}
 	if pushed {
 		s.Attrs = append(s.Attrs, telemetry.Attr{Key: "pushed", Value: "true"})
@@ -1124,52 +997,15 @@ func (e *engine) emitPlanSpan(bp BatchPlan, batch, width int, start time.Time, w
 	})
 }
 
-// invokeOne invokes a single call (retries included) and charges its full
-// cost sequentially.
-func (e *engine) invokeOne(call *tree.Node, nfq *rewrite.NFQ) error {
-	path := tracePath(call)
-	pushed := e.pushFor(nfq, call.Label)
-	start := time.Now()
-	resp, meta := e.invokeAttempts(call, pushed)
-	wall := time.Since(start)
-	e.chargeMeta(meta)
-	e.opt.Clock.Advance(meta.cost)
-	e.stats.Rounds++
-	wasPushed := meta.err == nil && pushed != nil && resp.Pushed
-	e.emitInvokeSpan(call, nfq, path, 0, start, wall, meta, wasPushed, resp.RemoteTrace)
-	if meta.err != nil {
-		return e.giveUp(call, path, meta)
-	}
-	if meta.attempts > 1 {
-		e.emit(TraceEvent{Kind: TraceRetry, Service: call.Label, Path: path, Attempts: meta.attempts})
-	}
-	e.apply(call, resp, wasPushed)
-	e.emit(TraceEvent{
-		Kind: TraceInvoke, Target: traceTarget(nfq), Service: call.Label,
-		Path: path, Calls: 1, Pushed: wasPushed,
-	})
-	return nil
-}
-
-// invokeBatch invokes the calls in parallel and charges the batch's
-// maximum latency (Section 4.4). Service handlers run concurrently; the
-// document mutations are applied sequentially afterwards.
-func (e *engine) invokeBatch(calls []*tree.Node, nfq *rewrite.NFQ) error {
-	nfqs := make([]*rewrite.NFQ, len(calls))
-	for i := range nfqs {
-		nfqs[i] = nfq
-	}
-	return e.invokeMixedBatch(calls, nfqs)
-}
-
-// invokeMixedBatch is invokeBatch with a per-call originating NFQ, so a
-// speculative batch can push each call the subquery it was retrieved for.
-// Every member runs its own retry loop concurrently and the batch is
-// charged its slowest member's full cost, retries and backoffs included
-// (Section 4.4). All completed members are applied before any failure is
+// invoke runs one invocation round over calls, nfqs[i] being the NFQ
+// that retrieved calls[i] (nil for naive invocations), so each call is
+// pushed the subquery it was retrieved for. Every member runs its own
+// retry loop and the round is charged its slowest member's full cost,
+// retries and backoffs included (Section 4.4) — for a single call, that
+// call's cost. All completed members are applied before any failure is
 // reported, so a mid-batch error never drops (or forgets to charge)
 // responses that already arrived.
-func (e *engine) invokeMixedBatch(calls []*tree.Node, nfqs []*rewrite.NFQ) error {
+func (e *engine) invoke(calls []*tree.Node, nfqs []*rewrite.NFQ) error {
 	type result struct {
 		resp   service.Response
 		meta   callMeta
@@ -1177,90 +1013,76 @@ func (e *engine) invokeMixedBatch(calls []*tree.Node, nfqs []*rewrite.NFQ) error
 		start  time.Time
 		wall   time.Duration
 	}
-	results := make([]result, len(calls))
-	pushes := make([]*pattern.Pattern, len(calls))
-	paths := make([]string, len(calls))
+	n := len(calls)
+	results := make([]result, n)
+	pushes := make([]*pattern.Pattern, n)
+	paths := make([]string, n)
 	for i, c := range calls {
 		pushes[i] = e.pushFor(nfqs[i], c.Label)
 		paths[i] = tracePath(c)
 	}
-	// Bounded invocation pool: member i runs on worker i mod W, so the
-	// member→worker assignment — and the Worker stamped onto each invoke
-	// span — is deterministic for a given batch regardless of goroutine
-	// scheduling. Each worker walks its own stripe sequentially and writes
-	// only its members' slots; the coordinator below applies responses in
-	// member (document) order after the pool drains, so results, traces
-	// and virtual-clock stats are identical for every pool width. W <= 0
-	// keeps the historical one-goroutine-per-member behaviour; W == 1
-	// degenerates to a sequential walk on the calling goroutine.
-	workers := e.opt.InvokeWorkers
-	if workers <= 0 || workers > len(calls) {
-		workers = len(calls)
-	}
-	// workerOf[i] is the pool worker member i runs on: the static
-	// striped assignment unless an accepted plan overrides it below.
-	workerOf := make([]int, len(calls))
-	for i := range calls {
-		workerOf[i] = i % workers
-	}
-	// A planner may regroup members across workers and shrink the pool,
-	// nothing more: responses are still applied in member order after
-	// the pool drains and the batch is still charged its slowest
-	// member, so an accepted plan changes wall-clock shape only. A plan
-	// that is not an exact permutation of the batch within the width
-	// bound is discarded in favour of the striped schedule.
-	var queues [][]int
-	if pl := e.opt.Planner; pl != nil {
-		planStart := time.Now()
-		bp := pl.PlanBatch(planCalls(calls, pushes), workers)
-		planWall := time.Since(planStart)
-		if bp.Width >= 1 && bp.Width <= workers && len(bp.Queues) == bp.Width && validQueues(bp.Queues, len(calls)) {
-			workers = bp.Width
-			queues = bp.Queues
-			for w, q := range queues {
-				for _, i := range q {
-					workerOf[i] = w
-				}
-			}
+	// queues[w] is worker w's run list, walked sequentially. A single
+	// call is one queue of one: there is nothing to schedule, so it is
+	// never shown to the planner.
+	queues := [][]int{{0}}
+	if n > 1 {
+		// Bounded invocation pool: member i runs on worker i mod W, so
+		// the member→worker assignment — and the Worker stamped onto
+		// each invoke span — is deterministic for a given batch
+		// regardless of goroutine scheduling. W <= 0 means one worker
+		// per member; W == 1 is a sequential walk.
+		workers := e.opt.InvokeWorkers
+		if workers <= 0 || workers > n {
+			workers = n
 		}
-		e.emitPlanSpan(bp, len(calls), workers, planStart, planWall)
+		queues = make([][]int, workers)
+		for i := range calls {
+			queues[i%workers] = append(queues[i%workers], i)
+		}
+		// A planner may regroup members across workers and shrink the
+		// pool, nothing more: responses are still applied in member
+		// order after the pool drains and the batch is still charged
+		// its slowest member, so an accepted plan changes wall-clock
+		// shape only. A plan that is not an exact permutation of the
+		// batch within the width bound is discarded in favour of the
+		// striped schedule.
+		if pl := e.opt.Planner; pl != nil {
+			planStart := time.Now()
+			bp := pl.PlanBatch(planCalls(calls, pushes), workers)
+			planWall := time.Since(planStart)
+			if bp.Width >= 1 && bp.Width <= workers && len(bp.Queues) == bp.Width && validQueues(bp.Queues, n) {
+				queues = bp.Queues
+			}
+			e.emitPlanSpan(bp, n, len(queues), planStart, planWall)
+		}
 	}
-	runMember := func(i int) {
-		start := time.Now()
-		resp, meta := e.invokeAttempts(calls[i], pushes[i])
-		results[i] = result{resp, meta, pushes[i] != nil && resp.Pushed, start, time.Since(start)}
+	workerOf := make([]int, n)
+	for w, q := range queues {
+		for _, i := range q {
+			workerOf[i] = w
+		}
 	}
-	switch {
-	case queues != nil && workers > 1:
+	// Each worker writes only its own members' slots; the coordinator
+	// below applies responses in member (document) order after the pool
+	// drains, so results, spans and virtual-clock stats are identical
+	// for every pool width. One queue runs on the calling goroutine.
+	runQueue := func(q []int) {
+		for _, i := range q {
+			start := time.Now()
+			resp, meta := e.invokeAttempts(calls[i], pushes[i])
+			results[i] = result{resp, meta, pushes[i] != nil && resp.Pushed, start, time.Since(start)}
+		}
+	}
+	if len(queues) == 1 {
+		runQueue(queues[0])
+	} else {
 		var wg sync.WaitGroup
 		for _, q := range queues {
 			wg.Add(1)
 			go func(q []int) {
 				defer wg.Done()
-				for _, i := range q {
-					runMember(i)
-				}
+				runQueue(q)
 			}(q)
-		}
-		wg.Wait()
-	case queues != nil:
-		for _, i := range queues[0] {
-			runMember(i)
-		}
-	case workers == 1:
-		for i := range calls {
-			runMember(i)
-		}
-	default:
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := w; i < len(calls); i += workers {
-					runMember(i)
-				}
-			}(w)
 		}
 		wg.Wait()
 	}
@@ -1268,25 +1090,19 @@ func (e *engine) invokeMixedBatch(calls []*tree.Node, nfqs []*rewrite.NFQ) error
 	var firstErr error
 	for i, c := range calls {
 		r := results[i]
-		e.chargeMeta(r.meta)
+		e.stats.Retries += r.meta.attempts - 1
+		e.stats.DeadlineCuts += r.meta.cuts
 		if r.meta.cost > maxCost {
 			maxCost = r.meta.cost
 		}
-		e.emitInvokeSpan(c, nfqs[i], paths[i], workerOf[i], r.start, r.wall, r.meta, r.meta.err == nil && r.pushed, r.resp.RemoteTrace)
+		e.emitInvokeSpan(c, nfqs[i], paths[i], workerOf[i], n, r.start, r.wall, r.meta, r.meta.err == nil && r.pushed, r.resp.RemoteTrace)
 		if r.meta.err != nil {
 			if err := e.giveUp(c, paths[i], r.meta); err != nil && firstErr == nil {
 				firstErr = err
 			}
 			continue
 		}
-		if r.meta.attempts > 1 {
-			e.emit(TraceEvent{Kind: TraceRetry, Service: c.Label, Path: paths[i], Attempts: r.meta.attempts})
-		}
 		e.apply(c, r.resp, r.pushed)
-		e.emit(TraceEvent{
-			Kind: TraceInvoke, Target: traceTarget(nfqs[i]), Service: c.Label,
-			Path: paths[i], Calls: len(calls), Pushed: r.pushed, Parallel: true,
-		})
 	}
 	e.opt.Clock.Advance(maxCost)
 	e.stats.Rounds++

@@ -530,7 +530,7 @@ func TestOnMutateObservesEveryReplacement(t *testing.T) {
 	}
 	// The hook sees mutations on the document being evaluated: keeping an
 	// external incremental evaluator in sync must reproduce Eval exactly.
-	ie := pattern.NewIncremental(w.Query)
+	ie := pattern.NewIncrementalProjected(w.Query, nil)
 	doc2 := w.Doc.Clone()
 	ie.EvalIncremental(doc2)
 	out2, err := Evaluate(doc2, w.Query, w.Registry, Options{

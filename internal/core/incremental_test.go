@@ -55,10 +55,11 @@ func TestIncrementalCutsPerRoundWork(t *testing.T) {
 	}
 }
 
-// TestWorkerPoolPreservesSequence: the parallel detection pool reorders
-// work, never outcomes — results, invoked calls and rounds are identical
-// for any worker count, with or without layering and the response cache.
-func TestWorkerPoolPreservesSequence(t *testing.T) {
+// TestIncrementalPreservesSequence: persistent evaluator shards move
+// match work, never outcomes — results and invoked calls are identical
+// to from-scratch evaluation, with or without layering and the response
+// cache.
+func TestIncrementalPreservesSequence(t *testing.T) {
 	w := workload.Hotels(workload.DefaultSpec())
 	base, err := Evaluate(w.Doc.Clone(), w.Query, w.Registry, Options{Strategy: LazyNFQ})
 	if err != nil {
@@ -66,25 +67,21 @@ func TestWorkerPoolPreservesSequence(t *testing.T) {
 	}
 	want := resultKeys(base)
 
-	for _, workers := range []int{0, 1, 2, 8} {
-		for _, layering := range []bool{false, true} {
-			cached := service.NewCache(service.CacheSpec{}).Wrap(w.Registry)
-			for _, reg := range []*service.Registry{w.Registry, cached} {
-				out, err := Evaluate(w.Doc.Clone(), w.Query, reg, Options{
-					Strategy: LazyNFQ, Incremental: true,
-					Workers: workers, Layering: layering,
-				})
-				if err != nil {
-					t.Fatalf("workers=%d layering=%v: %v", workers, layering, err)
-				}
-				if got := resultKeys(out); got != want {
-					t.Fatalf("workers=%d layering=%v: results diverge\n got %q\nwant %q",
-						workers, layering, got, want)
-				}
-				if out.Stats.CallsInvoked != base.Stats.CallsInvoked {
-					t.Fatalf("workers=%d layering=%v: %d calls, want %d",
-						workers, layering, out.Stats.CallsInvoked, base.Stats.CallsInvoked)
-				}
+	for _, layering := range []bool{false, true} {
+		cached := service.NewCache(service.CacheSpec{}).Wrap(w.Registry)
+		for _, reg := range []*service.Registry{w.Registry, cached} {
+			out, err := Evaluate(w.Doc.Clone(), w.Query, reg, Options{
+				Strategy: LazyNFQ, Incremental: true, Layering: layering,
+			})
+			if err != nil {
+				t.Fatalf("layering=%v: %v", layering, err)
+			}
+			if got := resultKeys(out); got != want {
+				t.Fatalf("layering=%v: results diverge\n got %q\nwant %q", layering, got, want)
+			}
+			if out.Stats.CallsInvoked != base.Stats.CallsInvoked {
+				t.Fatalf("layering=%v: %d calls, want %d",
+					layering, out.Stats.CallsInvoked, base.Stats.CallsInvoked)
 			}
 		}
 	}

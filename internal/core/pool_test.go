@@ -9,6 +9,7 @@ import (
 
 	"github.com/activexml/axml/internal/service"
 	"github.com/activexml/axml/internal/telemetry"
+	"github.com/activexml/axml/internal/telemetry/spantest"
 	"github.com/activexml/axml/internal/workload"
 )
 
@@ -28,8 +29,8 @@ func normalizedStats(out *Outcome) Stats {
 // from in-batch sequential execution (InvokeWorkers 1) — identical
 // result sets, identical Stats (virtual clock included: a batch charges
 // the max of its members' costs at every pool width), and identical
-// trace streams — and must agree with both the naive fixpoint and the
-// fully sequential (unbatched) mode.
+// span streams up to the member→worker assignment — and must agree with
+// both the naive fixpoint and the fully sequential (unbatched) mode.
 func TestInvokePoolDifferentialAcrossSeeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential testing is not short")
@@ -63,25 +64,23 @@ func TestInvokePoolDifferentialAcrossSeeds(t *testing.T) {
 				t.Fatalf("seed %d cfg %d: sequential disagrees with naive\n got %q\nwant %q", seed, ci, got, want)
 			}
 
-			run := func(invokeWorkers int) (*Outcome, []TraceEvent) {
+			run := func(invokeWorkers int) (*Outcome, []telemetry.Span) {
 				opt := base
 				opt.InvokeWorkers = invokeWorkers
-				var events []TraceEvent
-				opt.Trace = func(ev TraceEvent) { events = append(events, ev) }
-				out, err := Evaluate(w.Doc.Clone(), w.Query, w.Registry, opt)
+				out, spans, err := tracedEvaluate(t, w.Doc.Clone(), w.Query, w.Registry, opt)
 				if err != nil {
 					t.Fatalf("seed %d cfg %d workers %d: %v", seed, ci, invokeWorkers, err)
 				}
-				return out, events
+				return out, spantest.Normalize(spans, true)
 			}
-			refOut, refEvents := run(1)
+			refOut, refSpans := run(1)
 			if got := resultKeys(refOut); got != want {
 				t.Fatalf("seed %d cfg %d: in-batch sequential disagrees with naive\n got %q\nwant %q",
 					seed, ci, got, want)
 			}
 			refStats := normalizedStats(refOut)
 			for _, workers := range []int{0, 2, 4, 8} {
-				out, events := run(workers)
+				out, spans := run(workers)
 				if got := resultKeys(out); got != want {
 					t.Fatalf("seed %d cfg %d workers %d: results diverge\n got %q\nwant %q",
 						seed, ci, workers, got, want)
@@ -90,9 +89,9 @@ func TestInvokePoolDifferentialAcrossSeeds(t *testing.T) {
 					t.Fatalf("seed %d cfg %d workers %d: stats diverge\n got %+v\nwant %+v",
 						seed, ci, workers, st, refStats)
 				}
-				if !reflect.DeepEqual(events, refEvents) {
-					t.Fatalf("seed %d cfg %d workers %d: trace stream diverges (%d vs %d events)",
-						seed, ci, workers, len(events), len(refEvents))
+				if !reflect.DeepEqual(spans, refSpans) {
+					t.Fatalf("seed %d cfg %d workers %d: span stream diverges (%d vs %d spans)",
+						seed, ci, workers, len(spans), len(refSpans))
 				}
 			}
 		}
@@ -204,9 +203,9 @@ func TestInvokePoolRaceFaultsCacheRetries(t *testing.T) {
 			defer wg.Done()
 			out, err := Evaluate(w.Doc.Clone(), w.Query, reg, Options{
 				Strategy: LazyNFQ, Layering: true, Incremental: true,
-				Workers: 4, InvokeWorkers: 8,
-				Retry:   RetryPolicy{MaxAttempts: 25, Backoff: time.Millisecond, Jitter: 0.5, Seed: int64(g)},
-				Failure: BestEffort,
+				InvokeWorkers: 8,
+				Retry:         RetryPolicy{MaxAttempts: 25, Backoff: time.Millisecond, Jitter: 0.5, Seed: int64(g)},
+				Failure:       BestEffort,
 			})
 			switch {
 			case err != nil:

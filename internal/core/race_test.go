@@ -7,19 +7,20 @@ import (
 	"time"
 
 	"github.com/activexml/axml/internal/service"
+	"github.com/activexml/axml/internal/telemetry"
 	"github.com/activexml/axml/internal/tree"
 	"github.com/activexml/axml/internal/workload"
 )
 
 // These tests exist to run under `go test -race` (the Makefile's check
 // target does): they drive the engine's parallel batch paths, the fault
-// injector, trace emission and the shared stat counters from many
+// injector, span emission and the shared stat counters from many
 // goroutines at once, so any unsynchronised access shows up as a race
 // report rather than a flaky miscount.
 
 // TestConcurrentBatchEvaluations runs many parallel+speculative
 // evaluations against one shared (flaky) registry and one shared clock,
-// each with its own trace sink, and checks they all agree.
+// each with its own tracer, and checks they all agree.
 func TestConcurrentBatchEvaluations(t *testing.T) {
 	w := workload.Hotels(workload.DefaultSpec())
 	flaky := service.NewFaults(service.FaultSpec{
@@ -39,18 +40,13 @@ func TestConcurrentBatchEvaluations(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			var mu sync.Mutex
-			var events int
+			tr := telemetry.NewTracer(0)
 			out, err := Evaluate(w.Doc.Clone(), w.Query, flaky, Options{
 				Strategy: LazyNFQ, Layering: true, Speculative: true,
 				Clock:   sharedClock,
 				Retry:   RetryPolicy{MaxAttempts: 25, Backoff: time.Millisecond, Jitter: 0.5, Seed: int64(g)},
 				Failure: BestEffort,
-				Trace: func(TraceEvent) {
-					mu.Lock()
-					events++
-					mu.Unlock()
-				},
+				Tracer:  tr,
 			})
 			switch {
 			case err != nil:
@@ -59,8 +55,8 @@ func TestConcurrentBatchEvaluations(t *testing.T) {
 				errs[g] = fmt.Errorf("gave up on %d calls", len(out.Failures))
 			case resultKeys(out) != want:
 				errs[g] = fmt.Errorf("results disagree with fault-free baseline")
-			case events == 0:
-				errs[g] = fmt.Errorf("trace sink saw no events")
+			case tr.Len() == 0:
+				errs[g] = fmt.Errorf("tracer saw no spans")
 			}
 		}(g)
 	}
@@ -138,12 +134,11 @@ func TestBatchesAgainstMutatingRegistry(t *testing.T) {
 	mutator.Wait()
 }
 
-// TestParallelDetectionSharedCacheRace drives the intra-round detection
-// pool (Workers) with persistent evaluator shards (Incremental) from many
-// concurrent evaluations that all share one response cache — the layering
-// cmd/axmlquery wires up. Under -race this covers the coordinator/worker
-// hand-off, the per-NFQ evaluator shards and the cache's singleflight at
-// once.
+// TestParallelDetectionSharedCacheRace runs relevance detection with
+// persistent evaluator shards (Incremental) in many concurrent
+// evaluations that all share one response cache — the layering
+// cmd/axmlquery wires up. Under -race this covers the per-NFQ evaluator
+// shards and the cache's singleflight at once.
 func TestParallelDetectionSharedCacheRace(t *testing.T) {
 	w := workload.Hotels(workload.DefaultSpec())
 	baseline, err := Evaluate(w.Doc.Clone(), w.Query, w.Registry, Options{Strategy: NaiveFixpoint})
@@ -163,7 +158,7 @@ func TestParallelDetectionSharedCacheRace(t *testing.T) {
 			defer wg.Done()
 			out, err := Evaluate(w.Doc.Clone(), w.Query, cached, Options{
 				Strategy: LazyNFQ, Layering: g%2 == 0,
-				Incremental: true, Workers: 8,
+				Incremental: true,
 			})
 			switch {
 			case err != nil:

@@ -218,53 +218,54 @@ func TestRetryAndGiveUpTraces(t *testing.T) {
 		return itemForest(), nil
 	})
 	flaky := service.NewFaults(service.FaultSpec{Seed: 1, FailFirst: 1}).Wrap(reg)
-	var retries, giveups int
-	out, err := Evaluate(doc, q, flaky, Options{
+	out, spans, err := tracedEvaluate(t, doc, q, flaky, Options{
 		Strategy: LazyNFQ, Retry: RetryPolicy{MaxAttempts: 2},
-		Trace: func(ev TraceEvent) {
-			switch ev.Kind {
-			case TraceRetry:
-				retries++
-				if ev.Attempts != 2 || ev.Service != "getItems" {
-					t.Errorf("retry event = %+v", ev)
-				}
-				if !strings.Contains(ev.String(), "succeeded on attempt 2") {
-					t.Errorf("retry event renders as %q", ev)
-				}
-			case TraceGiveUp:
-				giveups++
-			}
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if retries != 1 || giveups != 0 || len(out.Results) != 1 {
-		t.Fatalf("retries=%d giveups=%d results=%d", retries, giveups, len(out.Results))
+	// A call that needed a retry: one invoke span carrying the attempt
+	// count and no error, with one child span per attempt.
+	invokes := spansNamed(spans, "invoke")
+	if len(invokes) != 1 || len(out.Results) != 1 {
+		t.Fatalf("invoke spans=%d results=%d", len(invokes), len(out.Results))
+	}
+	if inv := invokes[0]; inv.Attr("attempts") != "2" || inv.Attr("service") != "getItems" || inv.Attr("error") != "" {
+		t.Errorf("retried invoke span = %+v", inv)
+	}
+	attempts := spansNamed(spans, "attempt")
+	if len(attempts) != 2 || attempts[0].Attr("status") == "ok" || attempts[1].Attr("status") != "ok" {
+		t.Errorf("attempt spans = %+v", attempts)
+	}
+	for _, a := range attempts {
+		if a.Parent != invokes[0].ID {
+			t.Errorf("attempt span not under its invoke span: %+v", a)
+		}
 	}
 
-	// Exhausting attempts under best effort emits a give-up event.
+	// Exhausting attempts under best effort leaves an invoke span carrying
+	// the attempt count and the final error.
 	doc2, q2, reg2 := oneCallWorld(time.Millisecond, func([]*tree.Node) ([]*tree.Node, error) {
 		return itemForest(), nil
 	})
 	flaky2 := service.NewFaults(service.FaultSpec{Seed: 1, FailFirst: 5}).Wrap(reg2)
-	giveups = 0
-	_, err = Evaluate(doc2, q2, flaky2, Options{
+	out2, spans2, err := tracedEvaluate(t, doc2, q2, flaky2, Options{
 		Strategy: LazyNFQ, Retry: RetryPolicy{MaxAttempts: 2}, Failure: BestEffort,
-		Trace: func(ev TraceEvent) {
-			if ev.Kind == TraceGiveUp {
-				giveups++
-				if ev.Attempts != 2 || ev.Err == "" {
-					t.Errorf("give-up event = %+v", ev)
-				}
-			}
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if giveups != 1 {
-		t.Fatalf("giveups = %d, want 1", giveups)
+	giveups := 0
+	for _, inv := range spansNamed(spans2, "invoke") {
+		if inv.Attr("error") != "" {
+			giveups++
+			if inv.Attr("attempts") != "2" {
+				t.Errorf("give-up invoke span = %+v", inv)
+			}
+		}
+	}
+	if giveups != 1 || len(out2.Failures) != 1 {
+		t.Fatalf("giveups = %d, failures = %d, want 1 and 1", giveups, len(out2.Failures))
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strconv"
 	"testing"
 
 	"github.com/activexml/axml/internal/rewrite"
@@ -47,18 +48,13 @@ func TestSpeculativeBudgetCutsInDocOrder(t *testing.T) {
 	// Reference run: learn the first speculative batch's membership and
 	// its NFQ-retrieval order.
 	w := workload.Hotels(spec)
-	var refEvents []TraceEvent
-	ref := base
-	ref.Trace = func(ev TraceEvent) { refEvents = append(refEvents, ev) }
-	if _, err := Evaluate(w.Doc.Clone(), w.Query, w.Registry, ref); err != nil {
+	_, refSpans, err := tracedEvaluate(t, w.Doc.Clone(), w.Query, w.Registry, base)
+	if err != nil {
 		t.Fatal(err)
 	}
 	firstBatch := 0
-	for _, ev := range refEvents {
-		if ev.Kind == TraceInvoke {
-			firstBatch = ev.Calls
-			break
-		}
+	if invokes := spansNamed(refSpans, "invoke"); len(invokes) > 0 {
+		firstBatch, _ = strconv.Atoi(invokes[0].Attr("batch"))
 	}
 	if firstBatch < 2 {
 		t.Fatalf("first speculative batch too small to cut: %d", firstBatch)

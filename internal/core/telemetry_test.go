@@ -1,69 +1,187 @@
 package core
 
 import (
-	"fmt"
+	"reflect"
 	"strconv"
 	"testing"
 	"time"
 
+	"github.com/activexml/axml/internal/pattern"
+	"github.com/activexml/axml/internal/service"
 	"github.com/activexml/axml/internal/telemetry"
+	"github.com/activexml/axml/internal/telemetry/spantest"
+	"github.com/activexml/axml/internal/tree"
 	"github.com/activexml/axml/internal/workload"
 )
 
-// TestParallelTraceDeterminism: under a parallel detection pool the
-// coordinator must emit trace events merged deterministically by
-// (Layer, Round, Shard) — two identical runs see identical streams.
+// TestParallelTraceDeterminism: every span is emitted by the engine
+// goroutine, so two identical runs — batches fanned out over the
+// invocation pool included — record identical streams, and within each
+// layer the detect spans come ordered by (round, shard).
 func TestParallelTraceDeterminism(t *testing.T) {
 	spec := workload.DefaultSpec()
 	spec.Hotels = 8
 	spec.HiddenHotels = 2
-	stream := func() []string {
+	stream := func() []telemetry.Span {
 		w := workload.Hotels(spec)
-		var events []string
-		opt := Options{
-			Strategy: LazyNFQ, Layering: true, Parallel: true, Workers: 4,
-			Trace: func(e TraceEvent) {
-				events = append(events, fmt.Sprintf("%d/%d/%d %s %s %s",
-					e.Layer, e.Round, e.Shard, e.Kind, e.Target, e.Service))
-			},
-		}
-		if _, err := Evaluate(w.Doc.Clone(), w.Query, w.Registry, opt); err != nil {
+		_, spans, err := tracedEvaluate(t, w.Doc.Clone(), w.Query, w.Registry, Options{
+			Strategy: LazyNFQ, Layering: true, Parallel: true,
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
-		return events
+		return spantest.Normalize(spans, false)
 	}
 	a := stream()
 	for run := 0; run < 3; run++ {
-		b := stream()
-		if len(a) != len(b) {
-			t.Fatalf("run %d: %d events vs %d", run, len(b), len(a))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("run %d event %d: %q vs %q", run, i, b[i], a[i])
-			}
+		if b := stream(); !reflect.DeepEqual(a, b) {
+			t.Fatalf("run %d: span stream differs (%d spans vs %d)", run, len(b), len(a))
 		}
 	}
-	// Within each layer, detect events are ordered by (round, shard).
+	var last struct {
+		layer        telemetry.SpanID
+		round, shard int
+	}
+	sharded := false
+	for _, s := range spansNamed(a, "detect") {
+		round, _ := strconv.Atoi(s.Attr("round"))
+		if s.Parent == last.layer && (round < last.round ||
+			(round == last.round && s.Shard <= last.shard && s.Shard != 0)) {
+			t.Errorf("detect order violated: layer span %d round %d shard %d after round %d shard %d",
+				s.Parent, round, s.Shard, last.round, last.shard)
+		}
+		last.layer, last.round, last.shard = s.Parent, round, s.Shard
+		sharded = sharded || s.Shard != 0
+	}
+	if !sharded {
+		t.Error("no detect span carried a non-zero shard")
+	}
+}
+
+// TestEngineSpansBatched: everything an explain reader needs about a layered,
+// parallel, pushing run is on the span stream — one layer span per
+// layer, one detect span per relevance query, one invoke span per call
+// with its service, path and pushed flag, and the batch size on every
+// member of a multi-call batch.
+func TestEngineSpansBatched(t *testing.T) {
+	spec := workload.DefaultSpec()
+	spec.Hotels = 6
+	spec.HiddenHotels = 2
+	spec.PushCapable = true
+	// Every hotel's rating is a call: the rating layer is one wide batch.
+	spec.IntensionalRatingEvery = 1
 	w := workload.Hotels(spec)
-	var last struct{ layer, round, shard int }
-	last.layer = -1
-	opt := Options{
-		Strategy: LazyNFQ, Layering: true, Parallel: true, Workers: 4,
-		Trace: func(e TraceEvent) {
-			if e.Kind != TraceDetect {
-				return
-			}
-			if e.Layer == last.layer && (e.Round < last.round ||
-				(e.Round == last.round && e.Shard <= last.shard && e.Shard != 0)) {
-				t.Errorf("detect order violated: layer %d round %d shard %d after round %d shard %d",
-					e.Layer, e.Round, e.Shard, last.round, last.shard)
-			}
-			last.layer, last.round, last.shard = e.Layer, e.Round, e.Shard
-		},
-	}
-	if _, err := Evaluate(w.Doc.Clone(), w.Query, w.Registry, opt); err != nil {
+	out, spans, err := tracedEvaluate(t, w.Doc.Clone(), w.Query, w.Registry, Options{
+		Strategy: LazyNFQTyped, Schema: w.Schema,
+		Layering: true, Parallel: true, Push: true,
+	})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if layers := len(spansNamed(spans, "layer")); layers < 2 {
+		t.Errorf("layers traced = %d", layers)
+	}
+	if detects := len(spansNamed(spans, "detect")); detects == 0 || detects != out.Stats.RelevanceQueries {
+		t.Errorf("detect spans %d vs relevance queries %d", detects, out.Stats.RelevanceQueries)
+	}
+	invokes := spansNamed(spans, "invoke")
+	if len(invokes) != out.Stats.CallsInvoked {
+		t.Errorf("invoke spans %d vs calls %d", len(invokes), out.Stats.CallsInvoked)
+	}
+	var pushed int
+	batchOf := map[string]int{} // round → members seen
+	for _, s := range invokes {
+		if s.Attr("service") == "" || s.Attr("path") == "" {
+			t.Errorf("invoke span incomplete: %+v", s)
+		}
+		if s.Attr("pushed") == "true" {
+			pushed++
+		}
+		batchOf[s.Attr("round")]++
+	}
+	if pushed != out.Stats.PushedCalls {
+		t.Errorf("pushed spans %d vs stat %d", pushed, out.Stats.PushedCalls)
+	}
+	// One round is one invocation, so the members sharing a round are
+	// exactly one batch: the attr must state that size, and be absent on
+	// single calls.
+	batched := false
+	for _, s := range invokes {
+		want := ""
+		if n := batchOf[s.Attr("round")]; n > 1 {
+			want = strconv.Itoa(n)
+			batched = true
+		}
+		if got := s.Attr("batch"); got != want {
+			t.Errorf("round %s: batch attr %q, want %q", s.Attr("round"), got, want)
+		}
+	}
+	if !batched {
+		t.Error("no multi-call batch traced")
+	}
+}
+
+// TestTraceSequentialAndNaive: naive invocations serve no relevance
+// query and run one at a time — their invoke spans carry no target, no
+// batch size and worker 0.
+func TestTraceSequentialAndNaive(t *testing.T) {
+	w := workload.Hotels(workload.DefaultSpec())
+	out, spans, err := tracedEvaluate(t, w.Doc.Clone(), w.Query, w.Registry, Options{Strategy: NaiveFixpoint})
+	if err != nil {
+		t.Fatal(err)
+	}
+	invokes := spansNamed(spans, "invoke")
+	if len(invokes) != out.Stats.CallsInvoked {
+		t.Fatalf("traced %d of %d invocations", len(invokes), out.Stats.CallsInvoked)
+	}
+	for _, s := range invokes {
+		if s.Attr("target") != "" || s.Attr("batch") != "" || s.Worker != 0 {
+			t.Errorf("sequential naive invocation traced as %+v", s)
+		}
+	}
+}
+
+// refusingPlanner fails the test if the engine shows it a batch.
+type refusingPlanner struct{ t *testing.T }
+
+func (p refusingPlanner) PlanBatch(calls []PlanCall, width int) BatchPlan {
+	p.t.Errorf("planner consulted for a batch of %d", len(calls))
+	return BatchPlan{}
+}
+func (refusingPlanner) AllowPush(string) bool             { return true }
+func (refusingPlanner) AdmitSpeculative([]PlanCall) []int { return nil }
+
+// TestSingleCallRoundRunsInline: a round with a single relevant call
+// takes the same path whether or not batching, a pool and a planner are
+// configured — one invoke span on worker 0 with no batch size, no plan
+// span beside it, and the accounting of the non-parallel run.
+func TestSingleCallRoundRunsInline(t *testing.T) {
+	world := func() (*tree.Document, *pattern.Pattern, *service.Registry) {
+		return oneCallWorld(time.Millisecond, func([]*tree.Node) ([]*tree.Node, error) {
+			return itemForest(), nil
+		})
+	}
+	doc, q, reg := world()
+	seq, err := Evaluate(doc, q, reg, Options{Strategy: LazyNFQ})
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, q, reg = world()
+	par, spans, err := tracedEvaluate(t, doc, q, reg, Options{
+		Strategy: LazyNFQ, Parallel: true, InvokeWorkers: 4, Planner: refusingPlanner{t},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	invokes := spansNamed(spans, "invoke")
+	if len(invokes) != 1 || invokes[0].Worker != 0 || invokes[0].Attr("batch") != "" {
+		t.Errorf("invoke spans = %+v", invokes)
+	}
+	if plans := spansNamed(spans, "plan"); len(plans) != 0 {
+		t.Errorf("single-call round emitted plan spans: %+v", plans)
+	}
+	if got, want := normalizedStats(par), normalizedStats(seq); got != want {
+		t.Errorf("stats diverge from the non-parallel run\n got %+v\nwant %+v", got, want)
 	}
 }
 
@@ -151,82 +269,4 @@ func TestEngineSpans(t *testing.T) {
 		t.Errorf("invoke histogram count = %d, calls %d",
 			snap.Histograms[telemetry.MetricInvokeWallSeconds].Count, out.Stats.CallsInvoked)
 	}
-}
-
-// TestEngineSpansParallelShards: under Workers > 1 the detect spans carry
-// shard identities and still appear merged in deterministic order.
-func TestEngineSpansParallelShards(t *testing.T) {
-	spec := workload.DefaultSpec()
-	spec.Hotels = 8
-	spec.HiddenHotels = 2
-	shape := func() []string {
-		w := workload.Hotels(spec)
-		tr := telemetry.NewTracer(0)
-		if _, err := Evaluate(w.Doc.Clone(), w.Query, w.Registry, Options{
-			Strategy: LazyNFQ, Layering: true, Parallel: true, Workers: 4, Tracer: tr,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		var out []string
-		for _, s := range tr.Spans(0) {
-			if s.Name == "detect" || s.Name == "invoke" {
-				out = append(out, fmt.Sprintf("%s/%d/%s/%s",
-					s.Name, s.Shard, s.Attr("round"), s.Attr("target")))
-			}
-		}
-		return out
-	}
-	a := shape()
-	b := shape()
-	if len(a) == 0 {
-		t.Fatal("no detect/invoke spans emitted")
-	}
-	if fmt.Sprint(a) != fmt.Sprint(b) {
-		t.Fatalf("span stream not deterministic:\n%v\n%v", a, b)
-	}
-	var sharded bool
-	for _, s := range a {
-		if len(s) > 7 && s[:7] == "detect/" && s[7] != '0' {
-			sharded = true
-		}
-	}
-	if !sharded {
-		t.Error("no detect span carried a non-zero shard")
-	}
-}
-
-// TestBridgeTrace adapts the event stream into spans and checks the
-// bridged spans carry the events' ordering attributes.
-func TestBridgeTrace(t *testing.T) {
-	w := workload.Hotels(workload.DefaultSpec())
-	tr := telemetry.NewTracer(0)
-	root := tr.Start("session", 0)
-	opt := Options{Strategy: LazyNFQ, Trace: BridgeTrace(tr, root.ID())}
-	out, err := Evaluate(w.Doc.Clone(), w.Query, w.Registry, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	root.End()
-	var invokes int
-	for _, s := range tr.Spans(0) {
-		switch s.Name {
-		case "event.invoke":
-			invokes++
-			if s.Parent != root.ID() {
-				t.Errorf("bridged span not parented under the session: %+v", s)
-			}
-			if s.Attr("round") == "" || s.Attr("service") == "" {
-				t.Errorf("bridged invoke span misses attrs: %+v", s)
-			}
-		case "event.detect":
-			if s.Attr("layer") == "" {
-				t.Errorf("bridged detect span misses layer: %+v", s)
-			}
-		}
-	}
-	if invokes != out.Stats.CallsInvoked {
-		t.Errorf("bridged invoke spans %d vs calls %d", invokes, out.Stats.CallsInvoked)
-	}
-	// A nil tracer bridge is a no-op TraceFunc.
-	BridgeTrace(nil, 0)(TraceEvent{Kind: TraceInvoke})
 }

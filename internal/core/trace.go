@@ -1,178 +1,9 @@
 package core
 
 import (
-	"fmt"
-	"strconv"
-	"strings"
-	"time"
-
 	"github.com/activexml/axml/internal/rewrite"
-	"github.com/activexml/axml/internal/telemetry"
 	"github.com/activexml/axml/internal/tree"
 )
-
-// TraceKind discriminates engine trace events.
-type TraceKind uint8
-
-const (
-	// TraceLayer marks the start of an influence layer's processing.
-	TraceLayer TraceKind = iota
-	// TraceDetect reports one relevance-query evaluation round.
-	TraceDetect
-	// TraceInvoke reports one invocation (or parallel batch member).
-	TraceInvoke
-	// TraceRetry reports a call that needed repeated attempts before
-	// succeeding.
-	TraceRetry
-	// TraceGiveUp reports a call abandoned after exhausting the retry
-	// policy.
-	TraceGiveUp
-)
-
-// String names the kind.
-func (k TraceKind) String() string {
-	switch k {
-	case TraceLayer:
-		return "layer"
-	case TraceDetect:
-		return "detect"
-	case TraceInvoke:
-		return "invoke"
-	case TraceRetry:
-		return "retry"
-	case TraceGiveUp:
-		return "giveup"
-	default:
-		return fmt.Sprintf("trace(%d)", uint8(k))
-	}
-}
-
-// TraceEvent is one step of an evaluation, for explain output and
-// debugging. Events are emitted synchronously; handlers must be fast and
-// must not re-enter the engine.
-type TraceEvent struct {
-	// Kind of the event.
-	Kind TraceKind
-	// Layer is the current influence-layer index (0 when layering is
-	// off).
-	Layer int
-	// Round is the sequential detection/invocation round the event
-	// belongs to (1-based; 0 for events outside any round, e.g.
-	// TraceLayer). Together with Layer and Shard it totally orders the
-	// event stream, including under a parallel detection pool.
-	Round int
-	// Shard identifies the detection shard (the member query's slot in
-	// the current layer) that produced a TraceDetect event. Shards are
-	// evaluated concurrently under Options.Workers > 1, but the
-	// coordinator emits their events merged deterministically by
-	// (Layer, Round, Shard), so equal configurations produce equal
-	// streams.
-	Shard int
-	// Target describes the query node the active relevance query was
-	// generated for (empty for naive invocations).
-	Target string
-	// Service is the invoked service (TraceInvoke).
-	Service string
-	// Path is the invoked call's document path (TraceInvoke).
-	Path string
-	// Calls is the number of relevant calls retrieved (TraceDetect) or
-	// the batch size (TraceInvoke).
-	Calls int
-	// Pushed reports whether a subquery was shipped (TraceInvoke).
-	Pushed bool
-	// Parallel reports whether the invocation was part of a batch.
-	Parallel bool
-	// Attempts is the number of invocation attempts made
-	// (TraceRetry, TraceGiveUp).
-	Attempts int
-	// Err is the final attempt's error message (TraceGiveUp).
-	Err string
-}
-
-// String renders the event for explain output.
-func (e TraceEvent) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "[L%d] %-6s", e.Layer, e.Kind)
-	switch e.Kind {
-	case TraceLayer:
-		fmt.Fprintf(&sb, " %d relevance queries", e.Calls)
-	case TraceDetect:
-		fmt.Fprintf(&sb, " %-24s -> %d relevant call(s)", e.Target, e.Calls)
-	case TraceInvoke:
-		fmt.Fprintf(&sb, " %s at %s", e.Service, e.Path)
-		if e.Target != "" {
-			fmt.Fprintf(&sb, " (for %s)", e.Target)
-		}
-		if e.Pushed {
-			sb.WriteString(" +pushed-query")
-		}
-		if e.Parallel {
-			fmt.Fprintf(&sb, " [batch of %d]", e.Calls)
-		}
-	case TraceRetry:
-		fmt.Fprintf(&sb, " %s at %s succeeded on attempt %d", e.Service, e.Path, e.Attempts)
-	case TraceGiveUp:
-		fmt.Fprintf(&sb, " %s at %s failed after %d attempt(s): %s", e.Service, e.Path, e.Attempts, e.Err)
-	}
-	return sb.String()
-}
-
-// TraceFunc receives engine events. Set it through Options.Trace.
-type TraceFunc func(TraceEvent)
-
-// emit sends an event to the configured tracer, if any, stamping the
-// current layer and round.
-func (e *engine) emit(ev TraceEvent) {
-	if e.opt.Trace != nil {
-		ev.Layer = e.traceLayer
-		ev.Round = e.round
-		e.opt.Trace(ev)
-	}
-}
-
-// BridgeTrace adapts a telemetry tracer into a TraceFunc: every engine
-// event becomes one zero-duration span under parent, named after the
-// event kind and annotated with the event's fields. It is the bridge
-// for consumers that only hold an event stream; engine-native spans
-// (Options.Tracer) additionally carry durations. The engine emits
-// events ordered by (Layer, Round, Shard), so bridged spans inherit
-// that deterministic merge.
-func BridgeTrace(tr *telemetry.Tracer, parent telemetry.SpanID) TraceFunc {
-	return func(ev TraceEvent) {
-		if tr == nil {
-			return
-		}
-		s := telemetry.Span{
-			Parent: parent,
-			Name:   "event." + ev.Kind.String(),
-			Shard:  ev.Shard,
-			Start:  time.Now(),
-			Attrs: []telemetry.Attr{
-				{Key: "layer", Value: strconv.Itoa(ev.Layer)},
-				{Key: "round", Value: strconv.Itoa(ev.Round)},
-			},
-		}
-		if ev.Target != "" {
-			s.Attrs = append(s.Attrs, telemetry.Attr{Key: "target", Value: ev.Target})
-		}
-		if ev.Service != "" {
-			s.Attrs = append(s.Attrs, telemetry.Attr{Key: "service", Value: ev.Service})
-		}
-		if ev.Path != "" {
-			s.Attrs = append(s.Attrs, telemetry.Attr{Key: "path", Value: ev.Path})
-		}
-		if ev.Calls != 0 {
-			s.Attrs = append(s.Attrs, telemetry.Attr{Key: "calls", Value: strconv.Itoa(ev.Calls)})
-		}
-		if ev.Attempts != 0 {
-			s.Attrs = append(s.Attrs, telemetry.Attr{Key: "attempts", Value: strconv.Itoa(ev.Attempts)})
-		}
-		if ev.Err != "" {
-			s.Attrs = append(s.Attrs, telemetry.Attr{Key: "error", Value: ev.Err})
-		}
-		tr.Emit(s)
-	}
-}
 
 // traceTarget labels the node an NFQ was generated for.
 func traceTarget(nfq *rewrite.NFQ) string {

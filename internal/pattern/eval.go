@@ -182,57 +182,21 @@ func EvalForest(forest []*tree.Node, q *Pattern) ([]Result, Stats) {
 	return sink.out, ev.stats()
 }
 
-// HasEmbedding reports whether q has at least one embedding in doc. It
-// short-circuits: the streaming evaluator stops at the first complete
-// solution instead of materialising all of them.
-func HasEmbedding(doc *tree.Document, q *Pattern) bool {
-	ev := newEvaluator(q)
-	found := false
-	ev.streamChildren(q.Root(), rootScope{doc: doc}, func(solution) bool {
-		found = true
-		return false
-	})
-	return found
-}
-
 // MatchedCalls evaluates an extended query whose result node out is a
 // function node and returns the distinct document function nodes matched
 // by it, in document-order-independent but deterministic (ID) order. This
 // is how LPQs and NFQs retrieve candidate relevant calls (Section 3).
 func MatchedCalls(doc *tree.Document, q *Pattern, out *Node) []*tree.Node {
-	calls, _ := MatchedCallsStats(doc, q, out)
+	calls, _ := MatchedCallsProjected(doc, q, out, nil)
 	return calls
 }
 
-// MatchedCallsStats is MatchedCalls reporting the evaluation effort, for
-// the engine's accounting.
-func MatchedCallsStats(doc *tree.Document, q *Pattern, out *Node) ([]*tree.Node, Stats) {
-	return MatchedCallsProjected(doc, q, out, nil)
-}
-
-// MatchedCallsProjected is MatchedCallsStats under a document projection
-// (see EvalProjected). proj == nil disables projection.
+// MatchedCallsProjected is MatchedCalls under a document projection (see
+// EvalProjected), reporting the evaluation effort for the engine's
+// accounting. proj == nil disables projection.
 func MatchedCallsProjected(doc *tree.Document, q *Pattern, out *Node, proj Projector) ([]*tree.Node, Stats) {
 	rs, st := EvalProjected(doc, q, proj)
 	return collectCalls(rs, out), st
-}
-
-// MatchedCallsPinned is MatchedCalls restricted to embeddings that map the
-// node pin to the document node target. The F-guide filtering of Section
-// 6.2 uses it to validate one candidate call at a time. It short-circuits
-// on the first embedding that pins correctly.
-func MatchedCallsPinned(doc *tree.Document, q *Pattern, out *Node, target *tree.Node) bool {
-	ev := newEvaluator(q)
-	ev.pinID, ev.pinTarget = out.ID, target
-	found := false
-	ev.streamChildren(q.Root(), rootScope{doc: doc}, func(s solution) bool {
-		if s.caps[out.ID] == target {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
 }
 
 func collectCalls(rs []Result, out *Node) []*tree.Node {
@@ -374,11 +338,6 @@ type evaluator struct {
 	visited int
 	hits    int
 	pruned  int
-
-	// Pinning restricts embeddings to those mapping query node pinID to
-	// pinTarget; used by MatchedCallsPinned. pinTarget == nil disables it.
-	pinID     int
-	pinTarget *tree.Node
 }
 
 func newEvaluator(q *Pattern) *evaluator {
@@ -478,9 +437,6 @@ func (ev *evaluator) match(v *Node, n *tree.Node) []solution {
 
 func (ev *evaluator) computeMatch(v *Node, n *tree.Node) []solution {
 	ev.visited++
-	if ev.pinTarget != nil && v.ID == ev.pinID && n != ev.pinTarget {
-		return nil
-	}
 	switch v.Kind {
 	case Or:
 		// The chosen alternative takes the OR's position.
@@ -545,8 +501,8 @@ func (ev *evaluator) computeMatch(v *Node, n *tree.Node) []solution {
 // solutions never redo match work. Requirements stream in the same
 // cheapest-first order as the eager evaluator, so a fully-drained run
 // performs exactly the eager evaluator's match calls in the same order
-// (identical Stats), while a short-circuited run (HasEmbedding, pinned
-// validation) can abandon a document walk mid-subtree.
+// (identical Stats), while a consumer that stops the stream abandons the
+// document walk mid-subtree.
 //
 // For an anchor scope, candidates for a Child-edge requirement are the
 // scope's roots; for a concrete node they are its children. Descendant

@@ -49,7 +49,7 @@ func BenchmarkEval(b *testing.B) {
 	}
 }
 
-func BenchmarkMatchedCallsStats(b *testing.B) {
+func BenchmarkMatchedCalls(b *testing.B) {
 	for _, size := range benchSizes {
 		doc := benchDoc(size)
 		q := MustParse(benchCallQuery)
@@ -57,7 +57,7 @@ func BenchmarkMatchedCallsStats(b *testing.B) {
 		b.Run(fmt.Sprintf("hotels=%d", size), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				MatchedCallsStats(doc, q, out)
+				MatchedCallsProjected(doc, q, out, nil)
 			}
 		})
 	}
@@ -66,14 +66,14 @@ func BenchmarkMatchedCallsStats(b *testing.B) {
 // BenchmarkIncrementalRound measures one engine-shaped round: replace a
 // call, invalidate, re-evaluate. Each replacement splices in a fresh call
 // so the document never runs dry; compare against
-// BenchmarkMatchedCallsStats at the same size for the from-scratch cost.
+// BenchmarkMatchedCalls at the same size for the from-scratch cost.
 func BenchmarkIncrementalRound(b *testing.B) {
 	for _, size := range benchSizes {
 		b.Run(fmt.Sprintf("hotels=%d", size), func(b *testing.B) {
 			doc := benchDoc(size)
 			q := MustParse(benchCallQuery)
 			out := q.ResultNodes()[0]
-			ie := NewIncremental(q)
+			ie := NewIncrementalProjected(q, nil)
 			ie.MatchedCallsIncremental(doc, out) // warm the memo
 			b.ReportAllocs()
 			b.ResetTimer()

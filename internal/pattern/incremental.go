@@ -27,8 +27,8 @@ import (
 // valid. A round's re-evaluation then recomputes O(spine + inserted
 // region) matches instead of O(document).
 //
-// The evaluator is not safe for concurrent use; the engine shards one
-// evaluator per relevance query so parallel detection needs no locks.
+// The evaluator is not safe for concurrent use; the engine keeps one
+// evaluator per relevance query.
 type IncrementalEvaluator struct {
 	q    *Pattern
 	ev   *evaluator
@@ -40,19 +40,14 @@ type IncrementalEvaluator struct {
 	evictions   int
 }
 
-// NewIncremental returns a persistent evaluator for q. The from-scratch
-// fallback with identical semantics is MatchedCallsStats (and Eval), which
-// builds a throwaway evaluator per call.
-func NewIncremental(q *Pattern) *IncrementalEvaluator {
-	return NewIncrementalProjected(q, nil)
-}
-
-// NewIncrementalProjected is NewIncremental with a document projection:
-// every evaluation prunes descendant walks through proj (see
-// EvalProjected). The projection predicate depends only on (element
-// label, query node), both stable across mutations, so memoised entries
-// and pruning decisions stay consistent across rounds. proj == nil
-// disables projection.
+// NewIncrementalProjected returns a persistent evaluator for q under a
+// document projection: every evaluation prunes descendant walks through
+// proj (see EvalProjected). The projection predicate depends only on
+// (element label, query node), both stable across mutations, so memoised
+// entries and pruning decisions stay consistent across rounds. proj ==
+// nil disables projection. The from-scratch fallback with identical
+// semantics is MatchedCallsProjected (and Eval), which builds a
+// throwaway evaluator per call.
 func NewIncrementalProjected(q *Pattern, proj Projector) *IncrementalEvaluator {
 	ids := make([]int, 0, len(q.Nodes()))
 	for _, n := range q.Nodes() {
@@ -67,7 +62,7 @@ func NewIncrementalProjected(q *Pattern, proj Projector) *IncrementalEvaluator {
 func (ie *IncrementalEvaluator) Pattern() *Pattern { return ie.q }
 
 // MatchedCallsIncremental is the incremental counterpart of
-// MatchedCallsStats: it returns the distinct document function nodes
+// MatchedCallsProjected: it returns the distinct document function nodes
 // matched by the result node out, reusing every memoised match that the
 // replacements reported through Invalidate cannot have changed. Stats
 // cover this call only: NodesVisited counts the matches actually

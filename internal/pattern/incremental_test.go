@@ -12,7 +12,7 @@ import (
 // The differential harness below grows random call-bearing documents,
 // replays randomised call-replacement sequences (the shape of the engine's
 // NFQA rounds), and checks after every mutation that the persistent
-// IncrementalEvaluator and the from-scratch MatchedCallsStats agree on the
+// IncrementalEvaluator and the from-scratch MatchedCallsProjected agree on the
 // matched calls — while the incremental side never computes more matches
 // than a fresh evaluation would.
 
@@ -114,12 +114,12 @@ func TestIncrementalDifferential(t *testing.T) {
 		qs := make([]tracked, len(incrQueries))
 		for i, src := range incrQueries {
 			q := MustParse(src)
-			qs[i] = tracked{q: q, out: q.ResultNodes()[0], ie: NewIncremental(q)}
+			qs[i] = tracked{q: q, out: q.ResultNodes()[0], ie: NewIncrementalProjected(q, nil)}
 		}
 
 		check := func(round int) {
 			for i, tr := range qs {
-				want, wantSt := MatchedCallsStats(doc, tr.q, tr.out)
+				want, wantSt := MatchedCallsProjected(doc, tr.q, tr.out, nil)
 				got, gotSt := tr.ie.MatchedCallsIncremental(doc, tr.out)
 				if diffIDs(sortedCallIDs(want), sortedCallIDs(got)) {
 					t.Fatalf("seed %d round %d query %q: incremental calls %v, from-scratch %v",
@@ -183,7 +183,7 @@ func TestEvalIncrementalDifferential(t *testing.T) {
 		qs := make([]tracked, len(queries))
 		for i, src := range queries {
 			q := MustParse(src)
-			qs[i] = tracked{q: q, ie: NewIncremental(q)}
+			qs[i] = tracked{q: q, ie: NewIncrementalProjected(q, nil)}
 		}
 
 		check := func(round int) {
@@ -244,7 +244,7 @@ func TestIncrementalStaleWithoutInvalidate(t *testing.T) {
 	doc := tree.NewDocument(root)
 
 	q := MustParse(`/site/category/()!`)
-	ie := NewIncremental(q)
+	ie := NewIncrementalProjected(q, nil)
 	got, _ := ie.MatchedCallsIncremental(doc, q.ResultNodes()[0])
 	if len(got) != 1 {
 		t.Fatalf("initial eval: got %d calls, want 1", len(got))
@@ -281,7 +281,7 @@ func TestIncrementalEvictionsBounded(t *testing.T) {
 	}
 	doc := tree.NewDocument(root)
 	q := MustParse(`/site//()!`)
-	ie := NewIncremental(q)
+	ie := NewIncrementalProjected(q, nil)
 	ie.MatchedCallsIncremental(doc, q.ResultNodes()[0])
 
 	parent := call.Parent

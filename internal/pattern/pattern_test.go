@@ -154,21 +154,27 @@ func TestEvalFigure4(t *testing.T) {
 	}
 }
 
+// hasEmbedding reports whether q has at least one embedding in doc.
+func hasEmbedding(doc *tree.Document, q *Pattern) bool {
+	rs, _ := Eval(doc, q)
+	return len(rs) > 0
+}
+
 func TestEvalChildVsDescendant(t *testing.T) {
 	d, _ := tree.Unmarshal([]byte(`<r><a><b><c>1</c></b></a></r>`))
-	if !HasEmbedding(d, MustParse(`/r//c`)) {
+	if !hasEmbedding(d, MustParse(`/r//c`)) {
 		t.Error("// should reach depth 3")
 	}
-	if HasEmbedding(d, MustParse(`/r/c`)) {
+	if hasEmbedding(d, MustParse(`/r/c`)) {
 		t.Error("/ should not skip levels")
 	}
-	if !HasEmbedding(d, MustParse(`//c`)) {
+	if !hasEmbedding(d, MustParse(`//c`)) {
 		t.Error("leading // should match anywhere")
 	}
-	if !HasEmbedding(d, MustParse(`/r/a/b/c`)) {
+	if !hasEmbedding(d, MustParse(`/r/a/b/c`)) {
 		t.Error("full child path should match")
 	}
-	if HasEmbedding(d, MustParse(`/x`)) {
+	if hasEmbedding(d, MustParse(`/x`)) {
 		t.Error("/x must check the root element label")
 	}
 }
@@ -214,13 +220,13 @@ func TestEvalResultNodesCaptureDocNodes(t *testing.T) {
 func TestEvalOrNodes(t *testing.T) {
 	d, _ := tree.Unmarshal([]byte(`<r><a><b/></a></r>`))
 	// (b|c) under a: satisfied via b.
-	if !HasEmbedding(d, MustParse(`/r/a[(b|c)]`)) {
+	if !hasEmbedding(d, MustParse(`/r/a[(b|c)]`)) {
 		t.Error("OR should be satisfied by first alternative")
 	}
-	if !HasEmbedding(d, MustParse(`/r/a[(c|b)]`)) {
+	if !hasEmbedding(d, MustParse(`/r/a[(c|b)]`)) {
 		t.Error("OR should be satisfied by second alternative")
 	}
-	if HasEmbedding(d, MustParse(`/r/a[(c|d)]`)) {
+	if hasEmbedding(d, MustParse(`/r/a[(c|d)]`)) {
 		t.Error("OR with no satisfied alternative must fail")
 	}
 }
@@ -243,11 +249,11 @@ func TestEvalFunctionNodes(t *testing.T) {
 		t.Fatalf("named func match = %v", calls)
 	}
 	// Function nodes are not matched by data steps.
-	if HasEmbedding(d, MustParse(`/r/a/f`)) {
+	if hasEmbedding(d, MustParse(`/r/a/f`)) {
 		t.Error("a data step must not match a call node")
 	}
 	// And data nodes are not matched by function steps.
-	if HasEmbedding(d, MustParse(`/r/b()`)) {
+	if hasEmbedding(d, MustParse(`/r/b()`)) {
 		t.Error("a function step must not match a data node")
 	}
 }
@@ -258,34 +264,14 @@ func TestEvalOrWithFunctionBranch(t *testing.T) {
 	dCall, _ := tree.Unmarshal([]byte(`<r><h><axml:call service="getRating"/></h></r>`))
 	dNone, _ := tree.Unmarshal([]byte(`<r><h><other/></h></r>`))
 	q := MustParse(`/r/h[(rating|())]`)
-	if !HasEmbedding(dData, q) {
+	if !hasEmbedding(dData, q) {
 		t.Error("data branch should satisfy the OR")
 	}
-	if !HasEmbedding(dCall, q) {
+	if !hasEmbedding(dCall, q) {
 		t.Error("function branch should satisfy the OR")
 	}
-	if HasEmbedding(dNone, q) {
+	if hasEmbedding(dNone, q) {
 		t.Error("neither branch holds, OR must fail")
-	}
-}
-
-func TestMatchedCallsPinned(t *testing.T) {
-	d, _ := tree.Unmarshal([]byte(
-		`<r><a><axml:call service="f"/></a><a><axml:call service="f"/></a></r>`))
-	q := MustParse(`/r/a/()`)
-	out := q.ResultNodes()[0]
-	calls := MatchedCalls(d, q, out)
-	if len(calls) != 2 {
-		t.Fatalf("want 2 candidate calls, got %d", len(calls))
-	}
-	if !MatchedCallsPinned(d, q, out, calls[0]) {
-		t.Error("pinned to a real match should succeed")
-	}
-	other := d.Calls()[0]
-	// Pin to a node that is not retrieved by the query.
-	qb := MustParse(`/r/b/()`)
-	if MatchedCallsPinned(d, qb, qb.ResultNodes()[0], other) {
-		t.Error("pinned to a non-match should fail")
 	}
 }
 

@@ -116,7 +116,8 @@ func TestResidualMatcherPanicsOnBadSpine(t *testing.T) {
 }
 
 // TestResidualAgreesWithPinnedEvaluation cross-validates the residual
-// matcher against the reference pinned evaluation on generated NFQs over
+// matcher, which validates one pinned candidate call at a time, against
+// membership in the evaluator's matched-call set on generated NFQs over
 // generated documents.
 func TestResidualAgreesWithPinnedEvaluation(t *testing.T) {
 	docs := []string{
@@ -151,11 +152,13 @@ func TestResidualAgreesWithPinnedEvaluation(t *testing.T) {
 				t.Fatalf("query %s: output is not a function node", qx)
 			}
 			m := NewResidualMatcher(q, out)
+			matched := map[*tree.Node]bool{}
+			for _, c := range MatchedCalls(d, q, out) {
+				matched[c] = true
+			}
 			for _, c := range d.Calls() {
-				want := MatchedCallsPinned(d, q, out, c)
-				got := m.Match(d, c)
-				if got != want {
-					t.Errorf("doc %.40q query %s call %s: residual=%v pinned=%v",
+				if got, want := m.Match(d, c), matched[c]; got != want {
+					t.Errorf("doc %.40q query %s call %s: residual=%v, in the matched set=%v",
 						dx, qx, c.Label, got, want)
 				}
 			}

@@ -92,61 +92,3 @@ func TestStreamingForestMatchesNaive(t *testing.T) {
 		}
 	}
 }
-
-// TestHasEmbeddingMatchesEval checks the short-circuiting boolean path
-// against full evaluation on random documents.
-func TestHasEmbeddingMatchesEval(t *testing.T) {
-	for seed := int64(0); seed < 30; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		doc := randCallDoc(rng)
-		for _, s := range streamQueries {
-			q := MustParse(s)
-			rs, _ := EvalNaive(doc, q)
-			if got := HasEmbedding(doc, q); got != (len(rs) > 0) {
-				t.Fatalf("seed %d %s: HasEmbedding=%v, naive found %d results", seed, s, got, len(rs))
-			}
-		}
-	}
-}
-
-// TestMatchedCallsPinnedMatchesNaive checks the short-circuiting pinned
-// path: for every call in the document, pinning must agree with whether
-// the eager evaluator's matched-call set contains it.
-func TestMatchedCallsPinnedMatchesNaive(t *testing.T) {
-	for seed := int64(0); seed < 30; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		doc := randCallDoc(rng)
-		for _, s := range incrQueries {
-			q := MustParse(s)
-			out := q.FuncNodes()[0]
-			matched, _ := MatchedCallsNaive(doc, q, out)
-			inSet := map[*tree.Node]bool{}
-			for _, c := range matched {
-				inSet[c] = true
-			}
-			for _, c := range doc.Calls() {
-				if got := MatchedCallsPinned(doc, q, out, c); got != inSet[c] {
-					t.Fatalf("seed %d %s call %d: pinned=%v, naive set membership=%v", seed, s, c.ID, got, inSet[c])
-				}
-			}
-		}
-	}
-}
-
-// TestHasEmbeddingShortCircuits verifies the boolean path really stops
-// early: on a document with many embeddings it must allocate well under
-// what a full evaluation does. The query anchors on a descendant axis so
-// the candidate walk itself is the dominant cost — that walk must be
-// abandoned at the first embedding.
-func TestHasEmbeddingShortCircuits(t *testing.T) {
-	doc := benchDoc(400)
-	q := MustParse(`//restaurant[name=$X] -> $X`)
-	full := testing.AllocsPerRun(5, func() { Eval(doc, q) })
-	fast := testing.AllocsPerRun(5, func() { HasEmbedding(doc, q) })
-	if !HasEmbedding(doc, q) {
-		t.Fatal("expected an embedding")
-	}
-	if fast*4 > full {
-		t.Fatalf("HasEmbedding allocates %.0f, full Eval %.0f — expected at least 4x headroom", fast, full)
-	}
-}

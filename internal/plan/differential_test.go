@@ -8,6 +8,8 @@ import (
 	"github.com/activexml/axml/internal/core"
 	"github.com/activexml/axml/internal/profile"
 	"github.com/activexml/axml/internal/service"
+	"github.com/activexml/axml/internal/telemetry"
+	"github.com/activexml/axml/internal/telemetry/spantest"
 	"github.com/activexml/axml/internal/workload"
 )
 
@@ -113,13 +115,31 @@ func warmPlanner(t *testing.T, w *workload.World, opt core.Options) *CostPlanner
 	return New(prof, Options{})
 }
 
+// tracedRun evaluates the world's query under a fresh tracer and returns
+// the outcome with the span stream in its planner-neutral form: "plan"
+// spans dropped and workers stripped, everything else exact.
+func tracedRun(t *testing.T, w *workload.World, reg *service.Registry, opt core.Options) (*core.Outcome, []telemetry.Span) {
+	t.Helper()
+	tr := telemetry.NewTracer(1 << 16)
+	opt.Tracer = tr
+	out, err := core.Evaluate(w.Doc.Clone(), w.Query, reg, opt)
+	if err != nil {
+		t.Fatalf("width %d planned=%v: %v", opt.InvokeWorkers, opt.Planner != nil, err)
+	}
+	if tr.Dropped() != 0 {
+		t.Fatalf("span ring wrapped (%d dropped): the stream is incomplete", tr.Dropped())
+	}
+	return out, spantest.Normalize(tr.Spans(0), true, "plan")
+}
+
 // TestPlannedDifferentialAcrossSeeds is the planner's acceptance net:
 // over 50 seeded workloads and both option shapes, evaluation with the
 // cost planner must be indistinguishable from the static engine at
 // every pool width — identical result sets, identical Stats (virtual
-// clock included) and an identical trace event stream. The planner may
-// only reorder and resize work; anything it changes that a trace can
-// see is a bug this test catches.
+// clock included) and an identical span stream once the planner's own
+// "plan" spans and the member→worker assignment are set aside. The
+// planner may only reorder and resize work; anything else it changes
+// that a trace can see is a bug this test catches.
 func TestPlannedDifferentialAcrossSeeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential testing is not short")
@@ -129,24 +149,18 @@ func TestPlannedDifferentialAcrossSeeds(t *testing.T) {
 		w := workload.Hotels(spec)
 		for ci, base := range differentialConfigs(w) {
 			planner := warmPlanner(t, w, base)
-			run := func(width int, pl core.InvocationPlanner) (*core.Outcome, []core.TraceEvent) {
+			run := func(width int, pl core.InvocationPlanner) (*core.Outcome, []telemetry.Span) {
 				opt := base
 				opt.InvokeWorkers = width
 				opt.Planner = pl
-				var events []core.TraceEvent
-				opt.Trace = func(ev core.TraceEvent) { events = append(events, ev) }
-				out, err := core.Evaluate(w.Doc.Clone(), w.Query, w.Registry, opt)
-				if err != nil {
-					t.Fatalf("seed %d cfg %d width %d planned=%v: %v", seed, ci, width, pl != nil, err)
-				}
-				return out, events
+				return tracedRun(t, w, w.Registry, opt)
 			}
-			ref, refEvents := run(1, nil)
+			ref, refSpans := run(1, nil)
 			want := resultKeys(ref)
 			wantStats := comparableStats(ref)
 			for _, width := range []int{1, 2, 4, 8} {
 				for _, pl := range []core.InvocationPlanner{nil, planner} {
-					out, events := run(width, pl)
+					out, spans := run(width, pl)
 					if got := resultKeys(out); got != want {
 						t.Errorf("seed %d cfg %d width %d planned=%v: results diverge\n got %q\nwant %q",
 							seed, ci, width, pl != nil, got, want)
@@ -155,9 +169,9 @@ func TestPlannedDifferentialAcrossSeeds(t *testing.T) {
 						t.Errorf("seed %d cfg %d width %d planned=%v: stats diverge\n got %+v\nwant %+v",
 							seed, ci, width, pl != nil, got, wantStats)
 					}
-					if !reflect.DeepEqual(events, refEvents) {
-						t.Errorf("seed %d cfg %d width %d planned=%v: trace stream diverges (%d vs %d events)",
-							seed, ci, width, pl != nil, len(events), len(refEvents))
+					if !reflect.DeepEqual(spans, refSpans) {
+						t.Errorf("seed %d cfg %d width %d planned=%v: span stream diverges (%d vs %d spans)",
+							seed, ci, width, pl != nil, len(spans), len(refSpans))
 					}
 				}
 			}
@@ -169,7 +183,7 @@ func TestPlannedDifferentialAcrossSeeds(t *testing.T) {
 // comparison through an injected fault layer with retries. At width 1
 // the fault injector's per-service invocation indices are deterministic
 // and the planner's stable ordering preserves each service's relative
-// call order, so Stats and traces must stay bit-identical too; at
+// call order, so Stats and span streams must stay bit-identical too; at
 // larger widths arrival order inside the injector is scheduling-
 // dependent, so (as in the pool tests) only the converged result set is
 // compared.
@@ -192,23 +206,17 @@ func TestPlannedDifferentialUnderFaults(t *testing.T) {
 			base.Retry = core.RetryPolicy{MaxAttempts: 25, Backoff: time.Millisecond, Jitter: 0.5, Seed: seed}
 			base.Failure = core.BestEffort
 			planner := warmPlanner(t, w, differentialConfigs(w)[ci])
-			run := func(width int, pl core.InvocationPlanner) (*core.Outcome, []core.TraceEvent) {
+			run := func(width int, pl core.InvocationPlanner) (*core.Outcome, []telemetry.Span) {
 				opt := base
 				opt.InvokeWorkers = width
 				opt.Planner = pl
-				var events []core.TraceEvent
-				opt.Trace = func(ev core.TraceEvent) { events = append(events, ev) }
-				out, err := core.Evaluate(w.Doc.Clone(), w.Query, freshFaults(), opt)
-				if err != nil {
-					t.Fatalf("seed %d cfg %d width %d planned=%v: %v", seed, ci, width, pl != nil, err)
-				}
-				return out, events
+				return tracedRun(t, w, freshFaults(), opt)
 			}
-			refOut, refEvents := run(1, nil)
+			refOut, refSpans := run(1, nil)
 			want := resultKeys(refOut)
 			wantStats := comparableStats(refOut)
 			// Width 1: full identity, faults included.
-			out, events := run(1, planner)
+			out, spans := run(1, planner)
 			if got := resultKeys(out); got != want {
 				t.Errorf("seed %d cfg %d width 1 planned: faulted results diverge", seed, ci)
 			}
@@ -216,8 +224,8 @@ func TestPlannedDifferentialUnderFaults(t *testing.T) {
 				t.Errorf("seed %d cfg %d width 1 planned: faulted stats diverge\n got %+v\nwant %+v",
 					seed, ci, got, wantStats)
 			}
-			if !reflect.DeepEqual(events, refEvents) {
-				t.Errorf("seed %d cfg %d width 1 planned: faulted trace diverges", seed, ci)
+			if !reflect.DeepEqual(spans, refSpans) {
+				t.Errorf("seed %d cfg %d width 1 planned: faulted span stream diverges", seed, ci)
 			}
 			// Wider pools: the retried evaluation must still converge to
 			// the same result set with and without the planner.

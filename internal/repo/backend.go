@@ -29,10 +29,8 @@ type Backend interface {
 	List() ([]string, error)
 }
 
-// DirBackend stores files in one directory with the same atomic
-// temp-file + rename + fsync discipline as internal/store — the two can
-// share a directory, which is how a flat store dir upgrades to an
-// indexed repository in place.
+// DirBackend stores files in one directory with the atomic temp-file +
+// rename + fsync discipline of store.WriteFileAtomic.
 type DirBackend struct {
 	dir string
 	// Sync makes writes durable (fsync file and directory); see

@@ -1,5 +1,5 @@
-// Package repo is the persistent indexed repository of AXML documents:
-// the storage engine layered over the flat file store. Each document is
+// Package repo is the persistent indexed repository of AXML documents,
+// the one storage engine of an ActiveXML peer. Each document is
 // persisted together with its serialized annotated F-guide (label
 // paths, call-node annotations and node counts — the on-disk form of
 // the Section 6.2 index, in the shape of an annotated strong dataguide)
@@ -17,7 +17,7 @@
 // load-bearing: if it is missing or unparseable the repository cannot
 // invent data and the error surfaces.
 //
-// Schemas ride along as a third part so store-restored masters keep
+// Schemas ride along as a third part so restored masters keep
 // typed pruning across restarts (they cannot be derived from the
 // document, so a corrupt schema sidecar is dropped loudly rather than
 // rebuilt).
@@ -43,10 +43,10 @@ import (
 	"github.com/activexml/axml/internal/tree"
 )
 
-// File extensions of the parts of one repository entry. DocExt matches
-// internal/store so a flat store directory upgrades to an indexed
-// repository in place: the first Get finds no manifest, opens cold, and
-// repairs the entry to indexed form.
+// File extensions of the parts of one repository entry. A directory of
+// bare DocExt files (flat entries) upgrades to an indexed repository in
+// place: the first Get finds no manifest, opens cold, and repairs the
+// entry to indexed form.
 const (
 	DocExt      = store.Extension
 	GuideExt    = ".fguide"
@@ -116,7 +116,7 @@ type PutOptions struct {
 
 // Repo is a persistent indexed repository over one backend. It is safe
 // for concurrent use within one process; cross-process safety relies on
-// the backend's atomic replacement, exactly as internal/store.
+// the backend's atomic replacement.
 type Repo struct {
 	b  Backend
 	mu sync.RWMutex
@@ -148,18 +148,6 @@ func Open(dir string) (*Repo, error) {
 	if err != nil {
 		return nil, err
 	}
-	return New(b)
-}
-
-// Over layers a repository on an existing flat store's directory,
-// inheriting its durability setting. Documents the store wrote are
-// served cold once and then repaired to indexed entries.
-func Over(st *store.Store) (*Repo, error) {
-	b, err := OpenDir(st.Dir())
-	if err != nil {
-		return nil, err
-	}
-	b.Sync = st.Sync
 	return New(b)
 }
 
@@ -341,7 +329,7 @@ func (r *Repo) Get(name string) (*Opened, error) {
 
 // loadManifest reads and validates the manifest against the document
 // bytes. A nil manifest with empty reason means no manifest at all (a
-// flat-store entry — cold but not corrupt); a non-empty reason reports
+// flat entry — cold but not corrupt); a non-empty reason reports
 // why the entry cannot be trusted.
 func (r *Repo) loadManifest(name string, docData []byte) (*Manifest, string) {
 	data, err := r.b.ReadFile(name + ManifestExt)
@@ -362,7 +350,7 @@ func (r *Repo) loadManifest(name string, docData []byte) (*Manifest, string) {
 		return nil, fmt.Sprintf("manifest format %d (want %d)", man.Format, FormatVersion)
 	}
 	if got := stamp(docData); man.Doc != got {
-		// The document moved under the manifest (e.g. a flat-store Put
+		// The document moved under the manifest (e.g. a bare file write
 		// into an indexed directory). The document is authoritative.
 		return nil, "index is stale (document checksum changed)"
 	}
@@ -452,8 +440,8 @@ func (r *Repo) repair(name string, docData []byte, o *Opened) error {
 }
 
 // Delete removes an entry — document, index, schema and manifest.
-// Deleting a missing document errors, matching the flat store. The
-// manifest goes first and the document last, so a crash part-way leaves
+// Deleting a missing document errors. The manifest goes first and the
+// document last, so a crash part-way leaves
 // either a cold-openable entry or sidecars the next Open sweeps; no
 // ordering can surface an index without its document.
 func (r *Repo) Delete(name string) error {
@@ -503,7 +491,7 @@ func (r *Repo) List() ([]string, error) {
 }
 
 // Manifest returns an entry's manifest, or nil when the entry has none
-// (flat-store entries before their first indexed open).
+// (flat entries before their first indexed open).
 func (r *Repo) Manifest(name string) (*Manifest, error) {
 	if err := store.ValidName(name); err != nil {
 		return nil, err
@@ -587,7 +575,7 @@ func (r *Repo) manifestLocked(name string) (*Manifest, error) {
 	return &man, nil
 }
 
-// DropIndex removes an entry's index and manifest, leaving a flat-store
+// DropIndex removes an entry's index and manifest, leaving a flat
 // entry that will open cold. Used by tooling and benchmarks to measure
 // the cold path; a valid schema sidecar is left in place but unindexed
 // (it is re-adopted by the repair on the next Get).

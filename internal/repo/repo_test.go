@@ -11,8 +11,8 @@ import (
 
 	"github.com/activexml/axml/internal/core"
 	"github.com/activexml/axml/internal/fguide"
-	"github.com/activexml/axml/internal/store"
 	"github.com/activexml/axml/internal/telemetry"
+	"github.com/activexml/axml/internal/tree"
 	"github.com/activexml/axml/internal/workload"
 )
 
@@ -51,16 +51,20 @@ func resultKeys(out *core.Outcome) string {
 
 func TestPutGetWarmRoundTrip(t *testing.T) {
 	w := workload.Hotels(workload.DefaultSpec())
-	r, _ := newDirRepo(t)
+	r, dir := newDirRepo(t)
 	reg := telemetry.NewRegistry()
 	r.Instrument(reg)
 
 	if err := r.Put("hotels", w.Doc, PutOptions{Schema: w.Schema}); err != nil {
 		t.Fatal(err)
 	}
-	if !r.Exists("hotels") {
-		t.Fatal("Exists = false after Put")
+	if !r.Exists("hotels") || r.Exists("zzz") {
+		t.Fatal("Exists misreports")
 	}
+	// Foreign entries in the directory are not documents.
+	os.MkdirAll(filepath.Join(dir, "subdir"), 0o755)
+	os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("x"), 0o644)
+	os.WriteFile(filepath.Join(dir, ".hidden"+DocExt), []byte("x"), 0o644)
 	names, err := r.List()
 	if err != nil || len(names) != 1 || names[0] != "hotels" {
 		t.Fatalf("List = %v, %v", names, err)
@@ -145,18 +149,26 @@ func TestPutRejectsForeignOrInvalid(t *testing.T) {
 	}
 }
 
+// TestFlatStoreUpgradesInPlace: a directory of bare .axml files — what
+// the pre-index flat store wrote, or what an operator drops in by hand —
+// opens cold once, is repaired to indexed entries, and stays
+// authoritative when a document is overwritten underneath its index.
 func TestFlatStoreUpgradesInPlace(t *testing.T) {
 	w := workload.Hotels(workload.DefaultSpec())
 	dir := t.TempDir()
-	st, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
+	putFlat := func(doc *tree.Document) {
+		t.Helper()
+		data, err := tree.MarshalIndent(doc.Root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "w"+DocExt), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := st.Put("w", w.Doc); err != nil {
-		t.Fatal(err)
-	}
+	putFlat(w.Doc)
 
-	r, err := Over(st)
+	r, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,11 +202,9 @@ func TestFlatStoreUpgradesInPlace(t *testing.T) {
 		t.Fatal("repaired entry did not open warm")
 	}
 
-	// A flat-store Put into the indexed directory makes the index stale;
-	// the document is authoritative and the entry re-repairs.
-	if err := st.Put("w", workload.Hotels(workload.HotelSpec{Hotels: 3, TargetEvery: 1, FiveStarEvery: 1}).Doc); err != nil {
-		t.Fatal(err)
-	}
+	// A bare document write into the indexed directory makes the index
+	// stale; the document is authoritative and the entry re-repairs.
+	putFlat(workload.Hotels(workload.HotelSpec{Hotels: 3, TargetEvery: 1, FiveStarEvery: 1}).Doc)
 	o3, err := r.Get("w")
 	if err != nil {
 		t.Fatal(err)

@@ -41,7 +41,6 @@ import (
 	"github.com/activexml/axml/internal/repo"
 	"github.com/activexml/axml/internal/schema"
 	"github.com/activexml/axml/internal/service"
-	"github.com/activexml/axml/internal/store"
 	"github.com/activexml/axml/internal/telemetry"
 	"github.com/activexml/axml/internal/tree"
 )
@@ -76,13 +75,8 @@ type Config struct {
 	// and F-guide (so a restarted server serves queries from the warm
 	// index, no rebuild), and Drain persists every master back with its
 	// incrementally maintained index. Nil keeps the repository
-	// memory-only unless Store is set.
+	// memory-only.
 	Repo *repo.Repo
-	// Store, when set and Repo is nil, is wrapped into an indexed
-	// repository over the same directory (repo.Over) — the upgrade path
-	// for configurations predating internal/repo. Flat-store entries
-	// open cold once and are repaired to indexed form.
-	Store *store.Store
 	// Metrics receives the session counters, gauges and latency
 	// histograms (axml_sessions_*); nil disables them.
 	Metrics *telemetry.Registry
@@ -182,11 +176,6 @@ type Manager struct {
 	cfg   Config
 	adm   *admission
 	clock func() service.Clock
-	// repo is the resolved persistence backend (cfg.Repo, or cfg.Store
-	// wrapped); nil means memory-only. repoErr carries a Store-wrapping
-	// failure, surfaced when persistence is actually needed.
-	repo    *repo.Repo
-	repoErr error
 
 	mu      sync.Mutex // guards entries and tenants maps
 	entries map[string]*entry
@@ -254,19 +243,13 @@ func NewManager(cfg Config) *Manager {
 	if clock == nil {
 		clock = func() service.Clock { return &service.SimClock{} }
 	}
-	rp, repoErr := cfg.Repo, error(nil)
-	if rp == nil && cfg.Store != nil {
-		rp, repoErr = repo.Over(cfg.Store)
-	}
-	if rp != nil && cfg.Metrics != nil {
-		rp.Instrument(cfg.Metrics)
+	if cfg.Repo != nil && cfg.Metrics != nil {
+		cfg.Repo.Instrument(cfg.Metrics)
 	}
 	m := &Manager{
 		cfg:     cfg,
 		adm:     newAdmission(int64(cfg.MaxActive), cfg.MaxQueued),
 		clock:   clock,
-		repo:    rp,
-		repoErr: repoErr,
 		entries: map[string]*entry{},
 		tenants: map[string]*TenantStats{},
 
@@ -299,7 +282,7 @@ func (m *Manager) AddDocument(name string, doc *tree.Document, sch *schema.Schem
 		ievs:     map[string]*pattern.IncrementalEvaluator{},
 		complete: map[string]uint64{},
 	}
-	if m.cfg.Engine.UseGuide || m.repo != nil {
+	if m.cfg.Engine.UseGuide || m.cfg.Repo != nil {
 		// Build the master's guide once at registration; every query then
 		// opens warm and the OnMutate hook keeps it patched, so neither
 		// the engine nor Drain ever rebuilds it.
@@ -345,13 +328,10 @@ func (m *Manager) lookup(name string) (*entry, error) {
 	if e != nil {
 		return e, nil
 	}
-	if m.repoErr != nil {
-		return nil, fmt.Errorf("session: repository unavailable: %w", m.repoErr)
-	}
-	if m.repo == nil || !m.repo.Exists(name) {
+	if m.cfg.Repo == nil || !m.cfg.Repo.Exists(name) {
 		return nil, &UnknownDocumentError{Name: name}
 	}
-	o, err := m.repo.Get(name)
+	o, err := m.cfg.Repo.Get(name)
 	if err != nil {
 		return nil, fmt.Errorf("session: load %q: %w", name, err)
 	}
@@ -647,8 +627,8 @@ func (m *Manager) Drain(ctx context.Context) error {
 	if err := m.adm.drain(ctx); err != nil {
 		return err
 	}
-	if m.repo == nil {
-		return m.repoErr
+	if m.cfg.Repo == nil {
+		return nil
 	}
 	m.mu.Lock()
 	entries := make([]*entry, 0, len(m.entries))
@@ -663,7 +643,7 @@ func (m *Manager) Drain(ctx context.Context) error {
 		if e.guide != nil && e.guide.Doc() == e.master && fguide.Synced(e.guide) {
 			opts.Guide = e.guide // persisted as patched, no rebuild
 		}
-		err := m.repo.Put(e.name, e.master, opts)
+		err := m.cfg.Repo.Put(e.name, e.master, opts)
 		e.mu.RUnlock()
 		if err != nil && firstErr == nil {
 			firstErr = err

@@ -16,7 +16,6 @@ import (
 	"github.com/activexml/axml/internal/plan"
 	"github.com/activexml/axml/internal/repo"
 	"github.com/activexml/axml/internal/service"
-	"github.com/activexml/axml/internal/store"
 	"github.com/activexml/axml/internal/telemetry"
 	"github.com/activexml/axml/internal/tree"
 	"github.com/activexml/axml/internal/workload"
@@ -577,12 +576,11 @@ func waitUntil(t *testing.T, cond func() bool) {
 }
 
 // TestStoreBackedRepository checks the persistence path: Drain writes
-// every master back to the store, and a fresh manager faults documents
-// in from the store on first query — including the materialisation the
-// previous incarnation already paid for.
+// every master back to the repository, and a fresh manager faults
+// documents in from it on first query — including the materialisation
+// the previous incarnation already paid for.
 func TestStoreBackedRepository(t *testing.T) {
-	dir := t.TempDir()
-	st, err := store.Open(dir)
+	st, err := repo.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -590,7 +588,7 @@ func TestStoreBackedRepository(t *testing.T) {
 	engine := core.Options{Strategy: core.LazyNFQ}
 	oracle := serialOracle(t, reg, scenarios, engine)
 
-	m1 := NewManager(Config{Registry: reg, Store: st, Engine: engine})
+	m1 := NewManager(Config{Registry: reg, Repo: st, Engine: engine})
 	sc := scenarios[0]
 	if err := m1.AddDocument(sc.Name, sc.Doc.Clone(), sc.Schema); err != nil {
 		t.Fatal(err)
@@ -611,9 +609,9 @@ func TestStoreBackedRepository(t *testing.T) {
 		t.Fatal("drain did not persist the master")
 	}
 
-	// Second incarnation: no AddDocument — the store supplies the
+	// Second incarnation: no AddDocument — the repository supplies the
 	// document, already materialised for this query.
-	m2 := NewManager(Config{Registry: reg, Store: st, Engine: engine})
+	m2 := NewManager(Config{Registry: reg, Repo: st, Engine: engine})
 	res, err := m2.Query(context.Background(), Request{Document: sc.Name, Query: sc.Queries[0]})
 	if err != nil {
 		t.Fatal(err)
@@ -624,8 +622,7 @@ func TestStoreBackedRepository(t *testing.T) {
 	if !res.Complete {
 		t.Fatal("restored query incomplete")
 	}
-	// The store directory is wrapped into an indexed repository, so the
-	// faulted-in entry arrives with its schema and keeps typed pruning:
+	// The faulted-in entry arrives with its schema and keeps typed pruning:
 	// the master is already complete for this query under the same
 	// strategy, and the restored run invokes nothing at all.
 	if res.Stats.CallsInvoked != 0 {

@@ -12,6 +12,7 @@ import (
 	"github.com/activexml/axml/internal/pattern"
 	"github.com/activexml/axml/internal/service"
 	"github.com/activexml/axml/internal/telemetry"
+	"github.com/activexml/axml/internal/telemetry/spantest"
 	"github.com/activexml/axml/internal/tree"
 	"github.com/activexml/axml/internal/workload"
 )
@@ -188,18 +189,6 @@ func TestRecursivePushSpansNested(t *testing.T) {
 	}
 }
 
-// normalizeSpans zeroes wall-clock fields (Start, Wall) that vary
-// between runs; everything else — names, hierarchy, workers, virtual
-// costs, attributes, trace IDs — must be deterministic.
-func normalizeSpans(spans []telemetry.Span) []telemetry.Span {
-	out := append([]telemetry.Span(nil), spans...)
-	for i := range out {
-		out[i].Start = time.Time{}
-		out[i].Wall = 0
-	}
-	return out
-}
-
 // TestExplainByteIdenticalOverHTTP is the acceptance check: two
 // identical traced runs over an HTTP provider render byte-identical
 // explain trees (wall-clock fields normalised, everything else exact —
@@ -222,7 +211,7 @@ func TestExplainByteIdenticalOverHTTP(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		telemetry.WriteTree(&buf, normalizeSpans(tracer.Spans(0)))
+		telemetry.WriteTree(&buf, spantest.Normalize(tracer.Spans(0), false))
 		return buf.String()
 	}
 	first := render()
@@ -346,7 +335,7 @@ func TestTracePropagationUnderFaultsRetries(t *testing.T) {
 
 	// Same width → byte-identical stream (wall-clock normalised); other
 	// widths → identical shape, worker striping aside.
-	if !reflect.DeepEqual(normalizeSpans(ref), normalizeSpans(run(1))) {
+	if !reflect.DeepEqual(spantest.Normalize(ref, false), spantest.Normalize(run(1), false)) {
 		t.Fatal("span streams differ across identical runs")
 	}
 	refShape := shapes(ref)

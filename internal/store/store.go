@@ -1,13 +1,9 @@
-// Package store implements a file-backed repository of AXML documents,
-// the persistence layer of an ActiveXML peer: documents live as .axml
-// files in a directory, writes are atomic (temp file + rename), and names
-// are validated so a repository cannot be escaped through path tricks.
-//
-// Lazy evaluation interacts with the repository naturally: load a
-// document, evaluate (materialising only the relevant parts), and store
-// the enriched document back — subsequent queries start from the already
-// materialised state, which is how the ActiveXML system amortises service
-// calls across queries.
+// Package store holds the file-level persistence discipline every
+// on-disk layer of an ActiveXML peer shares (the indexed repository of
+// internal/repo, the statistics profiles, the benchmark's scratch
+// files): writes are atomic (temp file + rename) and, when asked,
+// durable (fsync of the file and its directory), and document names are
+// validated so a repository cannot be escaped through path tricks.
 package store
 
 import (
@@ -15,48 +11,16 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
-	"sync"
 	"syscall"
-
-	"github.com/activexml/axml/internal/tree"
 )
 
 // Extension is the file suffix of stored documents.
 const Extension = ".axml"
 
-// Store is a document repository rooted at one directory. It is safe for
-// concurrent use by multiple goroutines of one process; cross-process
-// safety relies on the atomicity of rename.
-type Store struct {
-	dir string
-	mu  sync.RWMutex
-	// Sync makes Put durable: the temp file is fsynced before the
-	// rename and the directory after it, so a crash right after Put
-	// returns cannot surface the old content, a zero-length file, or a
-	// missing entry. Open sets it; turn it off only for throwaway
-	// repositories (tests, caches) where write latency matters more
-	// than crash safety — atomicity (temp file + rename) holds either
-	// way.
-	Sync bool
-}
-
-// Open prepares a repository at dir, creating the directory if needed.
-// The returned store syncs writes to stable storage (see Store.Sync).
-func Open(dir string) (*Store, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("store: open %s: %w", dir, err)
-	}
-	return &Store{dir: dir, Sync: true}, nil
-}
-
-// Dir returns the repository root.
-func (s *Store) Dir() string { return s.dir }
-
 // ValidName guards against path traversal and unusable names. It is the
-// shared naming contract of every layer that maps document names to
-// files (this package and internal/repo).
+// naming contract of every layer that maps document names to files
+// (internal/repo).
 func ValidName(name string) error {
 	if name == "" {
 		return fmt.Errorf("store: empty document name")
@@ -74,37 +38,13 @@ func ValidName(name string) error {
 	return nil
 }
 
-func (s *Store) path(name string) string {
-	return filepath.Join(s.dir, name+Extension)
-}
-
-// Put stores the document under the given name, atomically replacing any
-// previous version.
-func (s *Store) Put(name string, doc *tree.Document) error {
-	if err := ValidName(name); err != nil {
-		return err
-	}
-	data, err := tree.MarshalIndent(doc.Root)
-	if err != nil {
-		return fmt.Errorf("store: marshal %s: %w", name, err)
-	}
-	data = append(data, '\n')
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := WriteFileAtomic(s.dir, name+Extension, data, s.Sync); err != nil {
-		return fmt.Errorf("store: put %s: %w", name, err)
-	}
-	return nil
-}
-
 // WriteFileAtomic writes data to dir/filename through a temp file and a
 // rename, so readers only ever see the old or the new content. With sync
 // set the write is also durable: rename alone only orders the directory
 // entry, not the data — after a crash the new name can point at an empty
 // or partial file — so the temp file is fsynced before it becomes
 // reachable and the directory after, putting the rename itself on stable
-// storage. Exported for the layers above the flat store (internal/repo)
-// that persist sidecar files with the same guarantees.
+// storage.
 func WriteFileAtomic(dir, filename string, data []byte, sync bool) error {
 	tmp, err := os.CreateTemp(dir, "."+filename+".tmp-*")
 	if err != nil {
@@ -150,69 +90,4 @@ func syncDir(dir string) error {
 		return err
 	}
 	return nil
-}
-
-// Get loads a document by name.
-func (s *Store) Get(name string) (*tree.Document, error) {
-	if err := ValidName(name); err != nil {
-		return nil, err
-	}
-	s.mu.RLock()
-	data, err := os.ReadFile(s.path(name))
-	s.mu.RUnlock()
-	if err != nil {
-		return nil, fmt.Errorf("store: get %s: %w", name, err)
-	}
-	doc, err := tree.Unmarshal(data)
-	if err != nil {
-		return nil, fmt.Errorf("store: get %s: %w", name, err)
-	}
-	return doc, nil
-}
-
-// Exists reports whether a document is stored under the name.
-func (s *Store) Exists(name string) bool {
-	if ValidName(name) != nil {
-		return false
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, err := os.Stat(s.path(name))
-	return err == nil
-}
-
-// Delete removes a stored document; deleting a missing document errors.
-func (s *Store) Delete(name string) error {
-	if err := ValidName(name); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := os.Remove(s.path(name)); err != nil {
-		return fmt.Errorf("store: delete %s: %w", name, err)
-	}
-	return nil
-}
-
-// List returns the stored document names, sorted.
-func (s *Store) List() ([]string, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, fmt.Errorf("store: list: %w", err)
-	}
-	var names []string
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		name, ok := strings.CutSuffix(e.Name(), Extension)
-		if !ok || strings.HasPrefix(name, ".") {
-			continue
-		}
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names, nil
 }

@@ -1,77 +1,18 @@
 package store
 
 import (
+	"bytes"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
-
-	"github.com/activexml/axml/internal/core"
-	"github.com/activexml/axml/internal/tree"
-	"github.com/activexml/axml/internal/workload"
 )
 
-func open(t *testing.T) *Store {
+// noTempFiles fails the test if a write left a temp file behind.
+func noTempFiles(t *testing.T, dir string) {
 	t.Helper()
-	s, err := Open(t.TempDir() + "/repo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
-
-func sampleDoc(t *testing.T) *tree.Document {
-	t.Helper()
-	d, err := tree.Unmarshal([]byte(
-		`<r><a>v</a><axml:call service="f"><p>1</p></axml:call></r>`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return d
-}
-
-func TestPutGetRoundTrip(t *testing.T) {
-	s := open(t)
-	doc := sampleDoc(t)
-	if err := s.Put("sample", doc); err != nil {
-		t.Fatal(err)
-	}
-	back, err := s.Get("sample")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !doc.Root.Equal(back.Root) {
-		t.Fatal("round trip mismatch")
-	}
-}
-
-// TestPutSyncDefaultsAndToggle: Open returns a durable store (Sync on),
-// and Put round-trips with fsync both enabled and disabled — the sync
-// path must not change what lands on disk, only when it is durable.
-func TestPutSyncDefaultsAndToggle(t *testing.T) {
-	s := open(t)
-	if !s.Sync {
-		t.Fatal("Open must default to durable (synced) writes")
-	}
-	doc := sampleDoc(t)
-	if err := s.Put("synced", doc); err != nil {
-		t.Fatal(err)
-	}
-	s.Sync = false
-	if err := s.Put("unsynced", doc); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"synced", "unsynced"} {
-		back, err := s.Get(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !doc.Root.Equal(back.Root) {
-			t.Fatalf("%s: round trip mismatch", name)
-		}
-	}
-	// No temp files may survive either path.
-	entries, err := os.ReadDir(s.Dir())
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,77 +23,68 @@ func TestPutSyncDefaultsAndToggle(t *testing.T) {
 	}
 }
 
-func TestOverwriteIsAtomicReplace(t *testing.T) {
-	s := open(t)
-	if err := s.Put("d", sampleDoc(t)); err != nil {
-		t.Fatal(err)
+// TestPutSyncDefaultsAndToggle: WriteFileAtomic round-trips with fsync
+// both enabled and disabled — the sync path must not change what lands
+// on disk, only when it is durable.
+func TestPutSyncDefaultsAndToggle(t *testing.T) {
+	dir := t.TempDir()
+	data := []byte("<r><a>v</a></r>\n")
+	for name, sync := range map[string]bool{"synced": true, "unsynced": false} {
+		if err := WriteFileAtomic(dir, name+Extension, data, sync); err != nil {
+			t.Fatal(err)
+		}
+		back, err := os.ReadFile(filepath.Join(dir, name+Extension))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(back, data) {
+			t.Fatalf("%s: round trip mismatch: %q", name, back)
+		}
 	}
-	v2 := tree.NewDocument(tree.NewElement("other"))
-	if err := s.Put("d", v2); err != nil {
-		t.Fatal(err)
-	}
-	back, err := s.Get("d")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Root.Label != "other" {
-		t.Fatalf("overwrite lost: %s", back.Root.Label)
-	}
+	// No temp files may survive either path.
+	noTempFiles(t, dir)
 }
 
-func TestListExistsDelete(t *testing.T) {
-	s := open(t)
-	for _, n := range []string{"b", "a", "c"} {
-		if err := s.Put(n, sampleDoc(t)); err != nil {
+func TestOverwriteIsAtomicReplace(t *testing.T) {
+	dir := t.TempDir()
+	for _, content := range []string{"<first/>", "<other/>"} {
+		if err := WriteFileAtomic(dir, "d"+Extension, []byte(content), true); err != nil {
 			t.Fatal(err)
 		}
 	}
-	names, err := s.List()
+	back, err := os.ReadFile(filepath.Join(dir, "d"+Extension))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Join(names, ",") != "a,b,c" {
-		t.Fatalf("List = %v", names)
+	if string(back) != "<other/>" {
+		t.Fatalf("overwrite lost: %q", back)
 	}
-	if !s.Exists("a") || s.Exists("zzz") {
-		t.Fatal("Exists misreports")
-	}
-	if err := s.Delete("b"); err != nil {
-		t.Fatal(err)
-	}
-	if s.Exists("b") {
-		t.Fatal("deleted document still exists")
-	}
-	if err := s.Delete("b"); err == nil {
-		t.Fatal("double delete should error")
-	}
+	noTempFiles(t, dir)
 }
 
 func TestNameValidation(t *testing.T) {
-	s := open(t)
 	for _, bad := range []string{"", "../escape", "a/b", "a b", "läbel", "x..y"} {
-		if err := s.Put(bad, sampleDoc(t)); err == nil {
-			t.Errorf("Put(%q): expected error", bad)
+		if err := ValidName(bad); err == nil {
+			t.Errorf("ValidName(%q): expected error", bad)
 		}
-		if _, err := s.Get(bad); err == nil {
-			t.Errorf("Get(%q): expected error", bad)
-		}
-		if s.Exists(bad) {
-			t.Errorf("Exists(%q) = true", bad)
+	}
+	for _, good := range []string{"hotels", "a-b_c.v2", "X9"} {
+		if err := ValidName(good); err != nil {
+			t.Errorf("ValidName(%q): %v", good, err)
 		}
 	}
 }
 
-func TestGetMissing(t *testing.T) {
-	s := open(t)
-	if _, err := s.Get("nope"); err == nil {
-		t.Fatal("missing document should error")
-	}
-}
-
+// TestConcurrentPutsAndGets: with writers replacing a file while readers
+// read it, and no lock between them, every read sees one writer's
+// complete content — never a mix, a prefix or a missing file.
 func TestConcurrentPutsAndGets(t *testing.T) {
-	s := open(t)
-	if err := s.Put("d", sampleDoc(t)); err != nil {
+	dir := t.TempDir()
+	versions := [][]byte{
+		bytes.Repeat([]byte("a"), 1<<16),
+		bytes.Repeat([]byte("b"), 1<<15),
+	}
+	if err := WriteFileAtomic(dir, "d", versions[0], false); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -161,73 +93,23 @@ func TestConcurrentPutsAndGets(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			if i%2 == 0 {
-				if err := s.Put("d", sampleDoc(t)); err != nil {
+				if err := WriteFileAtomic(dir, "d", versions[i/2%2], false); err != nil {
 					t.Error(err)
 				}
 				return
 			}
-			if _, err := s.Get("d"); err != nil {
+			got, err := os.ReadFile(filepath.Join(dir, "d"))
+			if err != nil {
 				t.Error(err)
+				return
+			}
+			if !bytes.Equal(got, versions[0]) && !bytes.Equal(got, versions[1]) {
+				t.Errorf("torn read: %d bytes starting %q", len(got), got[:1])
 			}
 		}(i)
 	}
 	wg.Wait()
-}
-
-// TestAmortisedMaterialisation is the repository's reason to exist: a
-// lazily materialised document stored back answers the same query later
-// without any further service call.
-func TestAmortisedMaterialisation(t *testing.T) {
-	s := open(t)
-	w := workload.Hotels(workload.DefaultSpec())
-	doc := w.Doc.Clone()
-	first, err := core.Evaluate(doc, w.Query, w.Registry, core.Options{Strategy: core.LazyNFQ})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Stats.CallsInvoked == 0 {
-		t.Fatal("first evaluation should invoke calls")
-	}
-	if err := s.Put("hotels", doc); err != nil {
-		t.Fatal(err)
-	}
-	reloaded, err := s.Get("hotels")
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := core.Evaluate(reloaded, w.Query, w.Registry, core.Options{Strategy: core.LazyNFQ})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.Stats.CallsInvoked != 0 {
-		t.Fatalf("stored materialised document re-invoked %d calls", second.Stats.CallsInvoked)
-	}
-	if len(second.Results) != len(first.Results) {
-		t.Fatalf("results drifted across storage: %d vs %d", len(second.Results), len(first.Results))
-	}
-}
-
-func TestOpenErrors(t *testing.T) {
-	// A file where the directory should be.
-	base := t.TempDir()
-	file := base + "/occupied"
-	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(file + "/sub"); err == nil {
-		t.Fatal("Open under a file must fail")
-	}
-	s, err := Open(base + "/ok")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Dir() != base+"/ok" {
-		t.Fatalf("Dir = %q", s.Dir())
-	}
-	// Reopening an existing repository works.
-	if _, err := Open(base + "/ok"); err != nil {
-		t.Fatal(err)
-	}
+	noTempFiles(t, dir)
 }
 
 func TestPutIntoUnwritableDir(t *testing.T) {
@@ -235,47 +117,11 @@ func TestPutIntoUnwritableDir(t *testing.T) {
 		t.Skip("root ignores permissions")
 	}
 	dir := t.TempDir() + "/ro"
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Chmod(dir, 0o555); err != nil {
+	if err := os.Mkdir(dir, 0o555); err != nil {
 		t.Fatal(err)
 	}
 	defer os.Chmod(dir, 0o755)
-	if err := s.Put("d", sampleDoc(t)); err == nil {
-		t.Fatal("Put into read-only dir must fail")
-	}
-}
-
-func TestGetCorruptDocument(t *testing.T) {
-	s := open(t)
-	if err := os.WriteFile(s.Dir()+"/bad"+Extension, []byte("<a><b>"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Get("bad"); err == nil {
-		t.Fatal("corrupt document must fail to load")
-	}
-	// Corrupt files still show in List (they exist).
-	names, err := s.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) != 1 || names[0] != "bad" {
-		t.Fatalf("List = %v", names)
-	}
-}
-
-func TestListIgnoresForeignEntries(t *testing.T) {
-	s := open(t)
-	os.MkdirAll(s.Dir()+"/subdir", 0o755)
-	os.WriteFile(s.Dir()+"/notes.txt", []byte("x"), 0o644)
-	os.WriteFile(s.Dir()+"/.hidden"+Extension, []byte("x"), 0o644)
-	names, err := s.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) != 0 {
-		t.Fatalf("List picked up foreign entries: %v", names)
+	if err := WriteFileAtomic(dir, "d"+Extension, []byte("<r/>"), true); err == nil {
+		t.Fatal("write into read-only dir must fail")
 	}
 }

@@ -33,9 +33,8 @@ type Span struct {
 	// Name is the span kind, e.g. "evaluate", "layer", "detect",
 	// "invoke".
 	Name string
-	// Shard identifies which detection shard produced the span when the
-	// engine runs a parallel detection pool (Options.Workers); 0
-	// otherwise.
+	// Shard identifies the relevance query a detect span evaluated: the
+	// member query's slot in the current influence layer; 0 otherwise.
 	Shard int
 	// Worker identifies which invocation-pool worker ran the span when
 	// the engine invokes a batch on a bounded pool
@@ -75,7 +74,7 @@ const DefaultSpanCapacity = 4096
 
 // Tracer collects finished spans into a bounded in-memory ring buffer
 // and optionally streams them to a JSONL sink. It is safe for
-// concurrent use: parallel detection shards and batch invocations emit
+// concurrent use: concurrent evaluations and the soap transport emit
 // through the same tracer. A nil *Tracer is a valid no-op: Start
 // returns a nil *ActiveSpan whose methods do nothing, so disabled
 // tracing costs one pointer test per instrumentation point.
@@ -183,9 +182,9 @@ func (t *Tracer) Start(name string, parent SpanID) *ActiveSpan {
 
 // Emit records a pre-built span, assigning an ID when the span carries
 // none. It is the low-level entry used by bridges that measure spans
-// themselves (e.g. the engine's parallel detection pool, which measures
-// per-shard durations in workers and emits deterministically from the
-// coordinator).
+// themselves (e.g. the engine's invocation pool, which measures each
+// member's duration on its worker and emits in member order from the
+// engine goroutine once the pool has drained).
 func (t *Tracer) Emit(s Span) SpanID {
 	if t == nil {
 		return 0
