@@ -364,6 +364,7 @@ func printStats(w io.Writer, st core.Stats) {
   rounds:             %d
   relevance queries:  %d
   guide candidates:   %d
+  match work:         %d visited, %d memo hit(s)
   subtrees projected: %d
   bytes fetched:      %d
   virtual time:       %v
@@ -373,6 +374,6 @@ func printStats(w io.Writer, st core.Stats) {
 `, st.CallsInvoked, st.PushedCalls,
 		st.Retries, st.DeadlineCuts, st.FailedCalls,
 		st.Rounds, st.RelevanceQueries,
-		st.GuideCandidates, st.SubtreesPruned, st.BytesFetched, st.VirtualTime, st.DetectTime,
+		st.GuideCandidates, st.NodesVisited, st.MemoHits, st.SubtreesPruned, st.BytesFetched, st.VirtualTime, st.DetectTime,
 		st.AnalysisTime, st.FinalSize)
 }

@@ -158,8 +158,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		// The persisted index opens the query warm: the engine adopts the
 		// decoded guide and patches it through every expansion, so -save
-		// persists it back without a rebuild.
-		opt := core.Options{Strategy: core.LazyNFQ, UseGuide: true, Guide: o.Guide}
+		// persists it back without a rebuild. Incremental is on as in the
+		// other CLIs: candidate validation keeps its memo across rounds.
+		opt := core.Options{Strategy: core.LazyNFQ, UseGuide: true, Guide: o.Guide, Incremental: true}
 		if o.Schema != nil {
 			opt.Strategy = core.LazyNFQTyped
 			opt.Schema = o.Schema

@@ -429,9 +429,10 @@ func E9(s Scale) (Table, error) {
 
 // E10 measures the incremental relevance engine: persistent cross-round
 // match memoization (the per-round NFQ re-evaluation visits the changed
-// region instead of the whole document), the service-response cache with
-// singleflight dedup. The from-scratch and incremental runs must invoke
-// the identical call sequence — only the match work moves.
+// region instead of the whole document), with and without an F-guide
+// supplying the candidates, and the service-response cache with
+// singleflight dedup. Every mode must invoke the identical call sequence
+// — only the match work moves.
 func E10(s Scale) (Table, error) {
 	t := Table{
 		ID:      "E10",
@@ -447,6 +448,8 @@ func E10(s Scale) (Table, error) {
 		{"scratch", core.Options{Strategy: core.LazyNFQ}, false},
 		{"incremental", core.Options{Strategy: core.LazyNFQ, Incremental: true}, false},
 		{"incr+cache", core.Options{Strategy: core.LazyNFQ, Incremental: true}, true},
+		{"guide", core.Options{Strategy: core.LazyNFQ, UseGuide: true}, false},
+		{"guide+incr", core.Options{Strategy: core.LazyNFQ, UseGuide: true, Incremental: true}, false},
 	}
 	for _, hotels := range s.E10Sizes {
 		spec := workload.DefaultSpec()

@@ -126,15 +126,15 @@ type Options struct {
 	// the caller's guide stays synced and can be re-used or persisted
 	// after the run.
 	Guide *fguide.Guide
-	// Incremental keeps one persistent pattern evaluator per relevance
-	// query alive across the NFQA rounds: each round's re-evaluation
-	// reuses every memoised (query node, document node) match that the
-	// round's single mutation cannot have changed, so detection visits
-	// O(changed region) nodes instead of O(document). The invoked call
-	// sequence and the results are identical to from-scratch evaluation;
-	// only the work (Stats.NodesVisited vs Stats.MemoHits) changes. It
-	// has no effect on guide-accelerated detection, which does not
-	// evaluate patterns over the full document in the first place.
+	// Incremental makes each relevance query's pattern evaluator live as
+	// long as the query object instead of being built afresh for every
+	// detection: each round's re-evaluation — of the whole query, or of
+	// the F-guide's candidates under UseGuide — reuses every memoised
+	// (query node, document node) match that the round's single mutation
+	// cannot have changed, so detection visits O(changed region) nodes
+	// instead of O(document). The invoked call sequence and the results
+	// are identical to from-scratch evaluation; only the work
+	// (Stats.NodesVisited vs Stats.MemoHits) changes.
 	Incremental bool
 	// InvokeWorkers bounds the invocation pool: how many members of a
 	// parallel batch (the independent relevant calls one detection round
@@ -196,8 +196,8 @@ type Options struct {
 	// OnMutate, when set, is called synchronously after every document
 	// mutation the engine performs (a call subtree rooted at removed,
 	// detached from parent, replaced by the inserted response forest) —
-	// the same notification the engine's own incremental evaluator
-	// shards receive. External holders of pattern.IncrementalEvaluator
+	// the same notification the engine's own persistent evaluators
+	// receive. External holders of pattern.IncrementalEvaluator
 	// memos over the same document (the session layer's shared per-query
 	// evaluators) use it to Invalidate in lockstep, and holders of a
 	// persistent F-guide feed it to fguide.ApplyExpansion so the index
@@ -359,16 +359,20 @@ type Stats struct {
 	// parallel batch.
 	Rounds int
 	// NodesVisited accumulates the pattern evaluator's match attempts
-	// actually computed (memo misses).
+	// actually computed (memo misses), in relevance detection — query
+	// evaluation and the validation of F-guide candidates alike — and in
+	// the final result evaluation.
 	NodesVisited int
-	// MemoHits accumulates match attempts answered from a persistent
-	// evaluator's memo table (Options.Incremental) — the re-evaluation
-	// work the incremental engine avoided.
+	// MemoHits accumulates detection's match attempts answered from an
+	// evaluator's memo table: within one detection always, and across
+	// rounds under Options.Incremental — the re-evaluation work the
+	// incremental engine avoided, with or without a guide.
 	MemoHits int
 	// SubtreesPruned accumulates document subtrees that type-based
-	// projection skipped wholesale during pattern evaluation — the work
-	// the projection avoided. Zero unless the engine projects (typed
-	// strategy with a schema, NoProject unset).
+	// projection skipped wholesale during pattern evaluation (guide
+	// candidate validation included) — the work the projection avoided.
+	// Zero unless the engine projects (typed strategy with a schema,
+	// NoProject unset).
 	SubtreesPruned int
 	// BytesFetched is the serialised size of everything services
 	// returned.

@@ -42,11 +42,15 @@ func TestDifferentialAcrossRandomWorlds(t *testing.T) {
 			{Strategy: LazyNFQ, Layering: true, Parallel: true},
 			{Strategy: LazyNFQ, UseGuide: true, RelaxJoins: true},
 			{Strategy: LazyNFQ, Incremental: true},
+			{Strategy: LazyNFQ, UseGuide: true, Incremental: true},
 			{Strategy: LazyNFQ, Layering: true, Parallel: true, Incremental: true},
 			{Strategy: LazyNFQTyped, Schema: w.Schema},
 			{Strategy: LazyNFQTyped, Schema: w.Schema, Incremental: true},
 			{Strategy: LazyNFQTyped, Schema: w.Schema, SchemaMode: schema.Lenient,
 				Layering: true, Speculative: true, UseGuide: true, Push: true},
+			// The benchmark's lazy-hotels configuration.
+			{Strategy: LazyNFQTyped, Schema: w.Schema, Layering: true, Parallel: true,
+				UseGuide: true, Incremental: true},
 		} {
 			out, err := Evaluate(w.Doc.Clone(), w.Query, w.Registry, opt)
 			if err != nil {

@@ -167,10 +167,10 @@ type engine struct {
 	// the enriched name list (Section 5, "the refined NFQs are enriched
 	// accordingly").
 	nameVersion int
-	// incr holds the persistent evaluator shard of each live relevance
-	// query (Options.Incremental). The map is reset whenever the query
-	// objects are regenerated; apply funnels every document mutation to
-	// the survivors so their memo tables stay sound.
+	// incr holds the persistent evaluator of each live relevance query
+	// (Options.Incremental; empty otherwise). The map is reset whenever the
+	// query objects are regenerated; apply funnels every document mutation
+	// to the survivors so their memo tables stay sound.
 	incr map[*rewrite.NFQ]*pattern.IncrementalEvaluator
 	// projs holds each live relevance query's document-projection
 	// predicate (typed strategy, NoProject unset). Projections memoise
@@ -438,8 +438,8 @@ func (e *engine) drainLayer(members []int, analysis *influence.Analysis, done ma
 				return err
 			}
 			builtAt = e.nameVersion
-			// Regenerated query objects invalidate the evaluator shards
-			// and projection predicates wholesale: both memoise per query
+			// Regenerated query objects invalidate the evaluators and
+			// projection predicates wholesale: both memoise per query
 			// node ID, and the new queries' IDs mean different subtrees.
 			e.incr = map[*rewrite.NFQ]*pattern.IncrementalEvaluator{}
 			e.projs = map[*rewrite.NFQ]*schema.Projection{}
@@ -601,15 +601,18 @@ func (e *engine) sortedNames() []string {
 	return out
 }
 
-// incremental returns (creating on demand) the persistent evaluator shard
-// for one relevance query, or nil when incremental evaluation is off.
-func (e *engine) incremental(nfq *rewrite.NFQ) *pattern.IncrementalEvaluator {
-	if !e.opt.Incremental {
-		return nil
+// evaluator returns the pattern evaluator that answers one relevance
+// query — the only place the engine obtains one. Under
+// Options.Incremental it lives as long as the query object, its memo kept
+// sound by apply's Invalidate calls; otherwise every detection gets a
+// fresh one, the from-scratch reference the differentials compare
+// against.
+func (e *engine) evaluator(nfq *rewrite.NFQ) *pattern.IncrementalEvaluator {
+	if iev := e.incr[nfq]; iev != nil {
+		return iev
 	}
-	iev := e.incr[nfq]
-	if iev == nil {
-		iev = pattern.NewIncrementalProjected(nfq.Query, asProjector(e.projection(nfq)))
+	iev := pattern.NewIncrementalProjected(nfq.Query, asProjector(e.projection(nfq)))
+	if e.opt.Incremental {
 		e.incr[nfq] = iev
 	}
 	return iev
@@ -649,7 +652,7 @@ func asProjector(p *schema.Projection) pattern.Projector {
 // of this evaluation could match inside elements carrying it (the
 // disjunction of the per-NFQ projections — the guide serves every NFQ,
 // so only a region dead for all of them may go unindexed; a call the
-// filter drops could never survive detect's residual matcher). Returns
+// filter drops could never survive detect's MatchCall validation). Returns
 // nil (index everything) without typed projection, or when any query's
 // projection is absent or trivial and filtering could lose candidates
 // or buy nothing. Relevance queries regenerated in later rounds only
@@ -683,51 +686,46 @@ func (e *engine) guideKeep(base []*rewrite.NFQ) func(string) bool {
 	}
 }
 
-// detect retrieves the calls currently relevant for one NFQ: by direct
-// evaluation on the document (incremental when the NFQ has a persistent
-// evaluator shard), or via the F-guide followed by type-based and
-// residual filtering (Section 6.2). Type pruning on the output side
-// (Section 5) applies in both paths. queried reports whether a relevance
-// query actually ran (the guide can rule every candidate out first).
-func (e *engine) detect(nfq *rewrite.NFQ, iev *pattern.IncrementalEvaluator, proj *schema.Projection) (calls []*tree.Node, queried bool) {
-	if nfq == nil {
-		return nil, false
-	}
+// detect retrieves the calls currently relevant for one NFQ through its
+// evaluator: by evaluating the query on the document, or — with an
+// F-guide — by validating the guide's candidates for the linear part one
+// by one against the remaining conditions (Section 6.2; each check only
+// explores the candidate's own ancestors' subtrees, and the evaluator's
+// memo shares condition checks across candidates). Type pruning on the
+// output side (Section 5) applies in both paths, and both charge their
+// match work to the stats. queried reports whether a relevance query
+// actually ran (the guide can rule every candidate out first).
+func (e *engine) detect(nfq *rewrite.NFQ, iev *pattern.IncrementalEvaluator) (calls []*tree.Node, queried bool) {
+	eligible := func(c *tree.Node) bool { return !e.failed[c] && nfq.SatisfiesOut(e.an, c.Label) }
+	var work pattern.Stats
 	if e.guide != nil {
 		cands := e.guide.Candidates(nfq.Lin, nfq.DescTail)
 		e.stats.GuideCandidates += len(cands)
 		if len(cands) == 0 {
 			return nil, false
 		}
-		// Candidates share one residual matcher, so condition checks are
-		// memoised across them and each check only explores the
-		// candidate's own ancestors' subtrees (Section 6.2).
-		matcher := pattern.NewResidualMatcher(nfq.Query, nfq.Out)
 		for _, c := range cands {
-			if e.failed[c] || !nfq.SatisfiesOut(e.an, c.Label) {
+			if !eligible(c) {
 				continue
 			}
-			if matcher.Match(e.doc, c) {
+			ok, st := iev.MatchCall(e.doc, nfq.Out, c)
+			work.Add(st)
+			if ok {
 				calls = append(calls, c)
 			}
 		}
-		return calls, true
-	}
-	var got []*tree.Node
-	var st pattern.Stats
-	if iev != nil {
-		got, st = iev.MatchedCallsIncremental(e.doc, nfq.Out)
 	} else {
-		got, st = pattern.MatchedCallsProjected(e.doc, nfq.Query, nfq.Out, asProjector(proj))
-	}
-	e.stats.NodesVisited += st.NodesVisited
-	e.stats.MemoHits += st.MemoHits
-	e.stats.SubtreesPruned += st.SubtreesPruned
-	for _, c := range got {
-		if !e.failed[c] && nfq.SatisfiesOut(e.an, c.Label) {
-			calls = append(calls, c)
+		var got []*tree.Node
+		got, work = iev.MatchedCallsIncremental(e.doc, nfq.Out)
+		for _, c := range got {
+			if eligible(c) {
+				calls = append(calls, c)
+			}
 		}
 	}
+	e.stats.NodesVisited += work.NodesVisited
+	e.stats.MemoHits += work.MemoHits
+	e.stats.SubtreesPruned += work.SubtreesPruned
 	return calls, true
 }
 
@@ -735,11 +733,11 @@ func (e *engine) detect(nfq *rewrite.NFQ, iev *pattern.IncrementalEvaluator, pro
 // counts the query and emits the detect span. shard is the member's slot
 // in the current layer.
 func (e *engine) relevantCalls(nfq *rewrite.NFQ, shard int) []*tree.Node {
-	// Building the evaluator shard and the projection predicate is
-	// analysis work, so it happens outside the detection-time window.
-	iev, proj := e.incremental(nfq), e.projection(nfq)
+	// Building the evaluator and its projection predicate is analysis
+	// work, so it happens outside the detection-time window.
+	iev := e.evaluator(nfq)
 	t0 := time.Now()
-	calls, queried := e.detect(nfq, iev, proj)
+	calls, queried := e.detect(nfq, iev)
 	elapsed := time.Since(t0)
 	e.stats.DetectTime += elapsed
 	if !queried {
@@ -1110,18 +1108,24 @@ func (e *engine) invoke(calls []*tree.Node, nfqs []*rewrite.NFQ) error {
 }
 
 // apply splices a response into the document, maintains the guide, the
-// known-name set and the incremental evaluator shards, and updates
-// accounting.
+// known-name set and the live evaluators, and updates accounting.
 func (e *engine) apply(call *tree.Node, resp service.Response, wasPushed bool) {
 	parent := call.Parent
-	if e.guide != nil {
-		e.guide.Remove(call)
-	}
 	inserted := e.doc.ReplaceCall(call, resp.Forest)
+	// Each derived structure is brought up to date with one call. The
+	// guide swaps the expanded call for the calls of the inserted forest;
+	// every live evaluator drops the memo entries this splice can have
+	// changed — the removed call subtree and the root-to-parent spine —
+	// and keeps everything off the spine (solutions depend only on the
+	// keyed node's subtree). The latter is what keeps guided detection
+	// sound too: MatchCall answers off the same memo.
+	if e.guide != nil {
+		e.guide.ApplyExpansion(call, inserted)
+	}
+	for _, iev := range e.incr {
+		iev.Invalidate(parent, call)
+	}
 	for _, n := range inserted {
-		if e.guide != nil {
-			e.guide.AddSubtree(n)
-		}
 		n.Walk(func(x *tree.Node) bool {
 			if x.Kind == tree.Call && !e.names[x.Label] {
 				e.names[x.Label] = true
@@ -1129,19 +1133,6 @@ func (e *engine) apply(call *tree.Node, resp service.Response, wasPushed bool) {
 			}
 			return true
 		})
-	}
-	if e.guide != nil {
-		// An empty response forest triggers no Add, which would leave the
-		// guide's version behind the splice's bump; the engine witnessed
-		// the whole mutation, so the guide is in fact current.
-		e.guide.MarkSynced()
-	}
-	// Every live evaluator shard drops the memo entries this splice can
-	// have changed: the removed call subtree and the root-to-parent
-	// spine. Everything off the spine keeps its memo (solutions depend
-	// only on the keyed node's subtree).
-	for _, iev := range e.incr {
-		iev.Invalidate(parent, call)
 	}
 	// OnMutate fires last, after the engine's own guide maintenance: an
 	// external holder of the adopted guide observes it already synced.

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/activexml/axml/internal/service"
+	"github.com/activexml/axml/internal/telemetry"
+	"github.com/activexml/axml/internal/telemetry/spantest"
 	"github.com/activexml/axml/internal/workload"
 )
 
@@ -55,35 +58,81 @@ func TestIncrementalCutsPerRoundWork(t *testing.T) {
 	}
 }
 
-// TestIncrementalPreservesSequence: persistent evaluator shards move
-// match work, never outcomes — results and invoked calls are identical
-// to from-scratch evaluation, with or without layering and the response
-// cache.
+// invokedSequence lists the document paths of a run's invocations in
+// invocation order.
+func invokedSequence(spans []telemetry.Span) []string {
+	var seq []string
+	for _, s := range spansNamed(spans, "invoke") {
+		seq = append(seq, s.Attr("path"))
+	}
+	return seq
+}
+
+// TestIncrementalPreservesSequence: persistent evaluators move match
+// work, never outcomes — results and the invoked-call sequence are
+// identical to a fresh evaluator per detection, with or without an
+// F-guide, layering and the response cache; uncached (a cache hit costs
+// no virtual time), so are the whole span stream and every Stats field
+// but the work counters.
 func TestIncrementalPreservesSequence(t *testing.T) {
 	w := workload.Hotels(workload.DefaultSpec())
-	base, err := Evaluate(w.Doc.Clone(), w.Query, w.Registry, Options{Strategy: LazyNFQ})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := resultKeys(base)
-
-	for _, layering := range []bool{false, true} {
-		cached := service.NewCache(service.CacheSpec{}).Wrap(w.Registry)
-		for _, reg := range []*service.Registry{w.Registry, cached} {
-			out, err := Evaluate(w.Doc.Clone(), w.Query, reg, Options{
-				Strategy: LazyNFQ, Incremental: true, Layering: layering,
-			})
+	for _, guide := range []bool{false, true} {
+		for _, layering := range []bool{false, true} {
+			opt := Options{Strategy: LazyNFQ, UseGuide: guide, Layering: layering}
+			base, baseSpans, err := tracedEvaluate(t, w.Doc.Clone(), w.Query, w.Registry, opt)
 			if err != nil {
-				t.Fatalf("layering=%v: %v", layering, err)
+				t.Fatal(err)
 			}
-			if got := resultKeys(out); got != want {
-				t.Fatalf("layering=%v: results diverge\n got %q\nwant %q", layering, got, want)
-			}
-			if out.Stats.CallsInvoked != base.Stats.CallsInvoked {
-				t.Fatalf("layering=%v: %d calls, want %d",
-					layering, out.Stats.CallsInvoked, base.Stats.CallsInvoked)
+			opt.Incremental = true
+			cached := service.NewCache(service.CacheSpec{}).Wrap(w.Registry)
+			for _, reg := range []*service.Registry{w.Registry, cached} {
+				out, spans, err := tracedEvaluate(t, w.Doc.Clone(), w.Query, reg, opt)
+				if err != nil {
+					t.Fatalf("guide=%v layering=%v: %v", guide, layering, err)
+				}
+				if got, want := resultKeys(out), resultKeys(base); got != want {
+					t.Fatalf("guide=%v layering=%v: results diverge\n got %q\nwant %q", guide, layering, got, want)
+				}
+				if got, want := invokedSequence(spans), invokedSequence(baseSpans); !reflect.DeepEqual(got, want) {
+					t.Fatalf("guide=%v layering=%v: invoked sequence diverges\n got %q\nwant %q", guide, layering, got, want)
+				}
+				if reg == cached {
+					continue
+				}
+				if !reflect.DeepEqual(spantest.Normalize(spans, false), spantest.Normalize(baseSpans, false)) {
+					t.Fatalf("guide=%v layering=%v: span stream diverges from the fresh-evaluator run", guide, layering)
+				}
+				st, want := normalizedStats(out), normalizedStats(base)
+				st.NodesVisited, st.MemoHits, st.SubtreesPruned = want.NodesVisited, want.MemoHits, want.SubtreesPruned
+				if st != want {
+					t.Fatalf("guide=%v layering=%v: stats beyond the work counters moved\n got %+v\nwant %+v",
+						guide, layering, st, want)
+				}
 			}
 		}
+	}
+}
+
+// TestIncrementalReachesTheGuideArm: under an F-guide the persistent
+// evaluator must carry candidate validation from round to round — memo
+// hits are recorded, and no more matches are computed than with a fresh
+// evaluator per detection.
+func TestIncrementalReachesTheGuideArm(t *testing.T) {
+	spec := workload.DefaultSpec()
+	spec.Hotels = 100
+	w := workload.Hotels(spec)
+	fresh := run(t, w, Options{Strategy: LazyNFQ, UseGuide: true})
+	kept := run(t, w, Options{Strategy: LazyNFQ, UseGuide: true, Incremental: true})
+	if kept.Stats.CallsInvoked != fresh.Stats.CallsInvoked || kept.Stats.GuideCandidates != fresh.Stats.GuideCandidates {
+		t.Fatalf("incremental changed guided detection: %d calls / %d candidates, want %d / %d",
+			kept.Stats.CallsInvoked, kept.Stats.GuideCandidates, fresh.Stats.CallsInvoked, fresh.Stats.GuideCandidates)
+	}
+	if kept.Stats.MemoHits == 0 {
+		t.Fatal("UseGuide+Incremental recorded no memo hits: candidate validation forgets between rounds")
+	}
+	if kept.Stats.NodesVisited > fresh.Stats.NodesVisited {
+		t.Fatalf("UseGuide+Incremental visited %d nodes, more than the %d of UseGuide alone",
+			kept.Stats.NodesVisited, fresh.Stats.NodesVisited)
 	}
 }
 

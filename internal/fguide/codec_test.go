@@ -101,9 +101,7 @@ func TestCodecRoundTripAfterExpansion(t *testing.T) {
 	})
 	result := tree.NewElement("stars")
 	result.Append(tree.NewCall("getReviews"))
-	parent := call.Parent
-	inserted := d.ReplaceCall(call, []*tree.Node{result})
-	g.ApplyExpansion(parent, call, inserted)
+	g.ApplyExpansion(call, d.ReplaceCall(call, []*tree.Node{result}))
 	if !Synced(g) {
 		t.Fatal("guide not synced after ApplyExpansion")
 	}

@@ -21,7 +21,7 @@ import (
 )
 
 // Guide is an F-guide over one document. It must be kept in sync with the
-// document through Remove and Add as calls are invoked; Synced reports
+// document through ApplyExpansion as calls are invoked; Synced reports
 // whether it has seen every mutation.
 type Guide struct {
 	doc     *tree.Document
@@ -122,9 +122,9 @@ func (g *Guide) prune(n *gnode) bool {
 	return useful
 }
 
-// Remove unregisters a function node, called just before the engine
-// expands it. Emptied trie branches are pruned.
-func (g *Guide) Remove(call *tree.Node) {
+// remove unregisters a function node; a node the guide does not index is
+// a no-op. Emptied trie branches are pruned.
+func (g *Guide) remove(call *tree.Node) {
 	at, ok := g.where[call]
 	if !ok {
 		return
@@ -142,17 +142,15 @@ func (g *Guide) Remove(call *tree.Node) {
 			delete(n.parent.children, n.label)
 		}
 	}
-	g.version = g.doc.Version()
 }
 
-// Add registers a function node newly inserted into the document (e.g.
+// add registers a function node newly inserted into the document (e.g.
 // found in a call result). The node must be attached to the document.
-// Adding an already-indexed call is a no-op, so maintenance paths that
-// may overlap (the engine's in-place upkeep and a repository's
-// ApplyExpansion hook) compose without duplicating extents.
-func (g *Guide) Add(call *tree.Node) {
+// Adding an already-indexed call is a no-op, which is what makes
+// ApplyExpansion idempotent.
+func (g *Guide) add(call *tree.Node) {
 	if call.Kind != tree.Call {
-		panic("fguide: Add of a non-call node")
+		panic("fguide: add of a non-call node")
 	}
 	if _, dup := g.where[call]; dup {
 		return
@@ -163,14 +161,13 @@ func (g *Guide) Add(call *tree.Node) {
 		at = g.child(at, label)
 	}
 	g.attach(at, call)
-	g.version = g.doc.Version()
 }
 
-// AddSubtree registers every function node of a freshly inserted subtree.
-func (g *Guide) AddSubtree(n *tree.Node) {
+// addSubtree registers every function node of a freshly inserted subtree.
+func (g *Guide) addSubtree(n *tree.Node) {
 	n.Walk(func(x *tree.Node) bool {
 		if x.Kind == tree.Call {
-			g.Add(x)
+			g.add(x)
 			return false
 		}
 		return x.Kind == tree.Element
@@ -178,43 +175,22 @@ func (g *Guide) AddSubtree(n *tree.Node) {
 }
 
 // ApplyExpansion incorporates one call expansion (Document.ReplaceCall
-// of removed under parent, splicing in the inserted forest) into the
-// guide: the expanded call leaves the index and every function node of
-// the inserted trees enters it. It is the incremental update path a
-// persistent index uses instead of a full rebuild, and it is idempotent
-// — applying an expansion the engine's own in-place upkeep already
-// performed only resynchronises the version stamp.
-//
-// When the caller no longer knows the inserted roots (inserted nil), the
-// whole subtree under parent is rescanned for unindexed calls — a
-// bounded fallback, linear in the parent's subtree rather than the
-// document.
-func (g *Guide) ApplyExpansion(parent, removed *tree.Node, inserted []*tree.Node) {
-	if removed != nil && removed.Kind == tree.Call {
-		g.Remove(removed)
+// of removed, splicing in the inserted forest) into the guide: the
+// expanded call leaves the index, every function node of the inserted
+// trees enters it, and the guide is stamped as current with the document.
+// It is the guide's one mutator — the engine's per-invocation upkeep and
+// a persistent index's patch path (core.Options.OnMutate) both call it —
+// and it is idempotent, so the two compose on an adopted guide: the
+// second application only restamps the version. An empty inserted forest
+// (a service that returned nothing) is an ordinary expansion that adds no
+// call.
+func (g *Guide) ApplyExpansion(removed *tree.Node, inserted []*tree.Node) {
+	g.remove(removed)
+	for _, n := range inserted {
+		g.addSubtree(n)
 	}
-	if inserted != nil {
-		for _, n := range inserted {
-			g.AddSubtree(n)
-		}
-	} else if parent != nil {
-		parent.Walk(func(x *tree.Node) bool {
-			if x.Kind == tree.Call {
-				g.Add(x)
-				return false
-			}
-			return x == parent || x.Kind == tree.Element
-		})
-	}
-	g.MarkSynced()
+	g.version = g.doc.Version()
 }
-
-// MarkSynced stamps the guide as having incorporated every mutation of
-// its document up to now. Maintenance paths that track mutations exactly
-// (the engine's Remove/AddSubtree upkeep) call it after a splice whose
-// version bumps they witnessed in full, e.g. an expansion whose result
-// forest was empty and therefore triggered no Add.
-func (g *Guide) MarkSynced() { g.version = g.doc.Version() }
 
 // Synced reports whether the guide has incorporated every document
 // mutation (its version matches the document's).

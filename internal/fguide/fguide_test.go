@@ -128,7 +128,7 @@ func TestRemoveAndPrune(t *testing.T) {
 			hotelsCall = c
 		}
 	}
-	g.Remove(hotelsCall)
+	g.remove(hotelsCall)
 	if g.Calls() != 4 {
 		t.Fatalf("Calls after remove = %d", g.Calls())
 	}
@@ -136,7 +136,7 @@ func TestRemoveAndPrune(t *testing.T) {
 		t.Fatalf("removed call still a candidate: %v", got)
 	}
 	// Removing again is a no-op.
-	g.Remove(hotelsCall)
+	g.remove(hotelsCall)
 	if g.Calls() != 4 {
 		t.Fatal("double remove changed the count")
 	}
@@ -152,7 +152,7 @@ func TestPruneKeepsSharedBranches(t *testing.T) {
 			ratings = append(ratings, c)
 		}
 	}
-	g.Remove(ratings[0])
+	g.remove(ratings[0])
 	lin := []regex.PathStep{{Label: "hotels"}, {Label: "hotel"}, {Label: "rating"}}
 	if got := g.Candidates(lin, false); len(got) != 1 {
 		t.Fatalf("rating extent after partial removal = %d, want 1", len(got))
@@ -177,11 +177,7 @@ func TestMaintenanceAcrossReplaceCall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Remove(restos)
-	inserted := d.ReplaceCall(restos, result)
-	for _, n := range inserted {
-		g.AddSubtree(n)
-	}
+	g.ApplyExpansion(restos, d.ReplaceCall(restos, result))
 	if !Synced(g) {
 		t.Fatal("guide out of sync after maintenance")
 	}
@@ -196,6 +192,45 @@ func TestMaintenanceAcrossReplaceCall(t *testing.T) {
 	}
 }
 
+// TestApplyExpansionEmptyForest: a service that legitimately returns
+// nothing is an ordinary expansion. The guide must end up synced and equal
+// to a cold build, and must get there from the removed call alone — the
+// parent's other extents keep their node identities and order (no rescan
+// of the parent's subtree). A nil forest behaves the same, which also
+// makes replaying an applied expansion harmless.
+func TestApplyExpansionEmptyForest(t *testing.T) {
+	root := tree.NewElement("list")
+	var calls []*tree.Node
+	for i := 0; i < 200; i++ {
+		calls = append(calls, root.Append(tree.NewCall("f")))
+	}
+	d := tree.NewDocument(root)
+	g := Build(d)
+	lin := []regex.PathStep{{Label: "list"}}
+
+	gone := calls[100]
+	want := append(append([]*tree.Node(nil), calls[:100]...), calls[101:]...)
+	inserted := d.ReplaceCall(gone, []*tree.Node{})
+	for _, forest := range [][]*tree.Node{inserted, nil} {
+		g.ApplyExpansion(gone, forest)
+		if !Synced(g) {
+			t.Fatal("guide not synced after an empty expansion")
+		}
+		if got, cold := g.String(), Build(d).String(); got != cold {
+			t.Fatalf("patched guide differs from cold rebuild:\n%s\nvs\n%s", got, cold)
+		}
+		got := g.Candidates(lin, false)
+		if len(got) != len(want) {
+			t.Fatalf("extent has %d calls, want %d", len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("extent entry %d changed identity", i)
+			}
+		}
+	}
+}
+
 func TestAddPanicsOnNonCall(t *testing.T) {
 	d := doc(t, sample)
 	g := Build(d)
@@ -204,7 +239,7 @@ func TestAddPanicsOnNonCall(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	g.Add(d.Root)
+	g.add(d.Root)
 }
 
 func TestStringShape(t *testing.T) {

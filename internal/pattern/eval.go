@@ -93,23 +93,6 @@ func appendUint(dst []byte, v uint64) []byte {
 	return append(dst, b[pos:]...)
 }
 
-func itoa(i int) string {
-	if i < 0 {
-		return "-" + itoa(-i)
-	}
-	if i == 0 {
-		return "0"
-	}
-	var b [20]byte
-	pos := len(b)
-	for i > 0 {
-		pos--
-		b[pos] = byte('0' + i%10)
-		i /= 10
-	}
-	return string(b[pos:])
-}
-
 // Stats reports the work done by an evaluation, for the experiments.
 type Stats struct {
 	// NodesVisited counts (query node, document node) match attempts
@@ -162,13 +145,10 @@ func Eval(doc *tree.Document, q *Pattern) ([]Result, Stats) {
 // EvalProjected is Eval evaluating under a document projection: desc-axis
 // candidate walks skip subtrees proj proves statically irrelevant. With a
 // sound projector the results are identical to Eval's, computed over a
-// smaller working set; proj == nil disables projection.
+// smaller working set; proj == nil disables projection. It is one
+// evaluation on a fresh evaluator (see IncrementalEvaluator).
 func EvalProjected(doc *tree.Document, q *Pattern, proj Projector) ([]Result, Stats) {
-	ev := newEvaluator(q)
-	ev.proj = proj
-	sink := newResultSink(q)
-	ev.streamChildren(q.Root(), rootScope{doc: doc}, sink.add)
-	return sink.out, ev.stats()
+	return NewIncrementalProjected(q, proj).EvalIncremental(doc)
 }
 
 // EvalForest computes the snapshot result of q over a forest of detached
@@ -176,10 +156,7 @@ func EvalProjected(doc *tree.Document, q *Pattern, proj Projector) ([]Result, St
 // pattern's anchor children match forest roots (child edge) or any forest
 // node (descendant edge).
 func EvalForest(forest []*tree.Node, q *Pattern) ([]Result, Stats) {
-	ev := newEvaluator(q)
-	sink := newResultSink(q)
-	ev.streamChildren(q.Root(), rootScope{forest: forest}, sink.add)
-	return sink.out, ev.stats()
+	return NewIncrementalProjected(q, nil).eval(rootScope{forest: forest})
 }
 
 // MatchedCalls evaluates an extended query whose result node out is a
@@ -187,16 +164,8 @@ func EvalForest(forest []*tree.Node, q *Pattern) ([]Result, Stats) {
 // by it, in document-order-independent but deterministic (ID) order. This
 // is how LPQs and NFQs retrieve candidate relevant calls (Section 3).
 func MatchedCalls(doc *tree.Document, q *Pattern, out *Node) []*tree.Node {
-	calls, _ := MatchedCallsProjected(doc, q, out, nil)
+	calls, _ := NewIncrementalProjected(q, nil).MatchedCallsIncremental(doc, out)
 	return calls
-}
-
-// MatchedCallsProjected is MatchedCalls under a document projection (see
-// EvalProjected), reporting the evaluation effort for the engine's
-// accounting. proj == nil disables projection.
-func MatchedCallsProjected(doc *tree.Document, q *Pattern, out *Node, proj Projector) ([]*tree.Node, Stats) {
-	rs, st := EvalProjected(doc, q, proj)
-	return collectCalls(rs, out), st
 }
 
 func collectCalls(rs []Result, out *Node) []*tree.Node {
@@ -329,29 +298,6 @@ type memoEntry struct {
 	sols []solution
 }
 
-type evaluator struct {
-	q       *Pattern
-	memo    map[memoKey]*memoEntry
-	fps     map[int]string  // query node ID → pushed-subquery fingerprint
-	order   map[int][]*Node // query node ID → cost-ordered children
-	proj    Projector       // nil: no document projection
-	visited int
-	hits    int
-	pruned  int
-}
-
-func newEvaluator(q *Pattern) *evaluator {
-	return &evaluator{
-		q:    q,
-		memo: map[memoKey]*memoEntry{},
-		fps:  map[int]string{},
-	}
-}
-
-func (ev *evaluator) stats() Stats {
-	return Stats{NodesVisited: ev.visited, MemoHits: ev.hits, SubtreesPruned: ev.pruned}
-}
-
 // resultSink restricts streamed solutions to the query's result nodes and
 // deduplicates them by canonical key, preserving first-occurrence order —
 // the streaming counterpart of materialising all solutions and filtering
@@ -411,7 +357,7 @@ func collectResults(q *Pattern, sols []solution) []Result {
 
 // fingerprint returns (and caches) the canonical form of the subquery
 // rooted at query node v, for matching pushed-result tuples.
-func (ev *evaluator) fingerprint(v *Node) string {
+func (ev *IncrementalEvaluator) fingerprint(v *Node) string {
 	if fp, ok := ev.fps[v.ID]; ok {
 		return fp
 	}
@@ -423,10 +369,10 @@ func (ev *evaluator) fingerprint(v *Node) string {
 // match returns the solutions for embedding the query subtree rooted at v
 // with v mapped to doc node n. Results are memoised: they only depend on
 // (v, n).
-func (ev *evaluator) match(v *Node, n *tree.Node) []solution {
+func (ev *IncrementalEvaluator) match(v *Node, n *tree.Node) []solution {
 	key := memoKey{v.ID, n}
 	if e, ok := ev.memo[key]; ok {
-		ev.hits++
+		ev.work.MemoHits++
 		return e.sols
 	}
 	e := &memoEntry{} // inserted before computing; trees have no cycles
@@ -435,8 +381,8 @@ func (ev *evaluator) match(v *Node, n *tree.Node) []solution {
 	return e.sols
 }
 
-func (ev *evaluator) computeMatch(v *Node, n *tree.Node) []solution {
-	ev.visited++
+func (ev *IncrementalEvaluator) computeMatch(v *Node, n *tree.Node) []solution {
+	ev.work.NodesVisited++
 	switch v.Kind {
 	case Or:
 		// The chosen alternative takes the OR's position.
@@ -508,11 +454,17 @@ func (ev *evaluator) computeMatch(v *Node, n *tree.Node) []solution {
 // scope's roots; for a concrete node they are its children. Descendant
 // requirements range over proper descendants (or all forest nodes for the
 // anchor).
-func (ev *evaluator) streamChildren(v *Node, scope rootScope, yield func(solution) bool) bool {
-	reqs := ev.ordered(v)
-	anchor := v.Kind == Root
+func (ev *IncrementalEvaluator) streamChildren(v *Node, scope rootScope, yield func(solution) bool) bool {
+	return ev.streamJoin(ev.ordered(v), v.Kind == Root, scope, emptySolution, yield)
+}
+
+// streamJoin is the join pipeline behind streamChildren, over an explicit
+// requirement list and extending a given partial solution: MatchCall
+// joins only a spine node's off-spine branches, and threads the bindings
+// collected higher up the spine through them.
+func (ev *IncrementalEvaluator) streamJoin(reqs []*Node, anchor bool, scope rootScope, from solution, yield func(solution) bool) bool {
 	if len(reqs) == 0 {
-		return yield(emptySolution)
+		return yield(from)
 	}
 	streams := make([]*reqStream, len(reqs))
 	var emit func(i int, acc solution) bool
@@ -535,14 +487,14 @@ func (ev *evaluator) streamChildren(v *Node, scope rootScope, yield func(solutio
 			}
 		}
 	}
-	return emit(0, emptySolution)
+	return emit(0, from)
 }
 
 // ordered returns v's children cheapest-first, so a failing condition is
 // found before expensive descendant scans run. Joins are commutative and
 // solutions are canonically deduplicated, so the order cannot change the
 // result set. The ordering is computed once per query node and cached.
-func (ev *evaluator) ordered(v *Node) []*Node {
+func (ev *IncrementalEvaluator) ordered(v *Node) []*Node {
 	if len(v.Children) < 2 {
 		return v.Children
 	}
@@ -590,7 +542,7 @@ func subtreeSize(n *Node) int {
 // query-visible if the call is invoked and happens to return them
 // (pushed results have no element payload either).
 type reqStream struct {
-	ev   *evaluator
+	ev   *IncrementalEvaluator
 	c    *Node
 	sols []solution      // deduplicated solutions pulled so far
 	seen map[string]bool // dedup keys; nil until a second solution shows up
@@ -601,7 +553,7 @@ type reqStream struct {
 	stack   []*tree.Node // desc-edge DFS stack, top at the end
 }
 
-func (ev *evaluator) newReqStream(c *Node, anchor bool, scope rootScope) *reqStream {
+func (ev *IncrementalEvaluator) newReqStream(c *Node, anchor bool, scope rootScope) *reqStream {
 	rs := &reqStream{ev: ev, c: c}
 	if c.Edge == Child {
 		if anchor {
@@ -684,7 +636,7 @@ func (rs *reqStream) nextCandidate() *tree.Node {
 		n := rs.stack[len(rs.stack)-1]
 		rs.stack = rs.stack[:len(rs.stack)-1]
 		if ev.proj != nil && n.Kind == tree.Element && !ev.proj.CanMatchBelow(n.Label, rs.c.ID) {
-			ev.pruned++
+			ev.work.SubtreesPruned++
 			continue
 		}
 		if n.Kind != tree.Call && n.Kind != tree.Tuples {
@@ -714,17 +666,6 @@ func (rs *reqStream) add(s solution) {
 		rs.seen[k] = true
 		rs.sols = append(rs.sols, s)
 	}
-}
-
-// requirementSolutions drains the requirement's stream into a
-// materialised set — the entry point the residual matcher uses, where
-// candidate batches are validated jointly.
-func (ev *evaluator) requirementSolutions(c *Node, anchor bool, scope rootScope) []solution {
-	rs := ev.newReqStream(c, anchor, scope)
-	for !rs.done {
-		rs.pull()
-	}
-	return rs.sols
 }
 
 // tupleSolutions yields the virtual matches a pushed-result node provides

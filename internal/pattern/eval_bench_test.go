@@ -57,7 +57,7 @@ func BenchmarkMatchedCalls(b *testing.B) {
 		b.Run(fmt.Sprintf("hotels=%d", size), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				MatchedCallsProjected(doc, q, out, nil)
+				MatchedCalls(doc, q, out)
 			}
 		})
 	}
@@ -89,6 +89,44 @@ func BenchmarkIncrementalRound(b *testing.B) {
 				ie.MatchedCallsIncremental(doc, out)
 			}
 		})
+	}
+}
+
+// BenchmarkGuideRound measures the guide arm's round: replace a call,
+// then validate every call of the document with MatchCall (the F-guide's
+// extent for this query is all of them). "persistent" invalidates one
+// kept evaluator, "fresh" builds one per round — the two lifetimes
+// core.Options.Incremental chooses between. Compare with
+// BenchmarkIncrementalRound / BenchmarkMatchedCalls for the guideless arm.
+func BenchmarkGuideRound(b *testing.B) {
+	for _, size := range benchSizes {
+		for _, mode := range []string{"persistent", "fresh"} {
+			b.Run(fmt.Sprintf("hotels=%d/%s", size, mode), func(b *testing.B) {
+				doc := benchDoc(size)
+				q := MustParse(benchCallQuery)
+				out := q.ResultNodes()[0]
+				ie := NewIncrementalProjected(q, nil)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					calls := doc.Calls()
+					call := calls[i%len(calls)]
+					parent := call.Parent
+					doc.ReplaceCall(call, []*tree.Node{
+						tree.NewElement("restaurant"),
+						tree.NewCall("GetRestaurants", tree.NewElement("p")),
+					})
+					if mode == "fresh" {
+						ie = NewIncrementalProjected(q, nil)
+					} else {
+						ie.Invalidate(parent, call)
+					}
+					for _, c := range doc.Calls() {
+						ie.MatchCall(doc, out, c)
+					}
+				}
+			})
+		}
 	}
 }
 

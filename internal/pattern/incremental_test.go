@@ -12,9 +12,10 @@ import (
 // The differential harness below grows random call-bearing documents,
 // replays randomised call-replacement sequences (the shape of the engine's
 // NFQA rounds), and checks after every mutation that the persistent
-// IncrementalEvaluator and the from-scratch MatchedCallsProjected agree on the
-// matched calls — while the incremental side never computes more matches
-// than a fresh evaluation would.
+// IncrementalEvaluator and a fresh one agree on the matched calls — by
+// whole-query evaluation and by per-call MatchCall alike — while the
+// incremental side never computes more matches than a fresh evaluation
+// would.
 
 var (
 	incrValues   = []string{"alpha", "beta", "gamma"}
@@ -99,7 +100,8 @@ func diffIDs(a, b []uint64) bool {
 // TestIncrementalDifferential replays 50 random replacement sequences and
 // checks, after every single mutation, that incremental and from-scratch
 // evaluation retrieve the same calls, with the incremental side doing no
-// more match work than a fresh evaluator.
+// more match work than a fresh evaluator, and that MatchCall on the
+// persistent evaluator decides every call of the document the same way.
 func TestIncrementalDifferential(t *testing.T) {
 	var totalHits, totalVisitedIncr, totalVisitedScratch int
 	for seed := int64(0); seed < 50; seed++ {
@@ -119,7 +121,7 @@ func TestIncrementalDifferential(t *testing.T) {
 
 		check := func(round int) {
 			for i, tr := range qs {
-				want, wantSt := MatchedCallsProjected(doc, tr.q, tr.out, nil)
+				want, wantSt := NewIncrementalProjected(tr.q, nil).MatchedCallsIncremental(doc, tr.out)
 				got, gotSt := tr.ie.MatchedCallsIncremental(doc, tr.out)
 				if diffIDs(sortedCallIDs(want), sortedCallIDs(got)) {
 					t.Fatalf("seed %d round %d query %q: incremental calls %v, from-scratch %v",
@@ -134,6 +136,18 @@ func TestIncrementalDifferential(t *testing.T) {
 				totalHits += gotSt.MemoHits
 				totalVisitedIncr += gotSt.NodesVisited
 				totalVisitedScratch += wantSt.NodesVisited
+				// The guide arm's question, asked of the same persistent
+				// memo: each call individually, against set membership.
+				matched := map[*tree.Node]bool{}
+				for _, c := range want {
+					matched[c] = true
+				}
+				for _, c := range doc.Calls() {
+					if ok, _ := tr.ie.MatchCall(doc, tr.out, c); ok != matched[c] {
+						t.Fatalf("seed %d round %d query %q call %d: MatchCall=%v, in the from-scratch matched set=%v",
+							seed, round, incrQueries[i], c.ID, ok, matched[c])
+					}
+				}
 			}
 		}
 

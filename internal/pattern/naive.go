@@ -34,7 +34,7 @@ func EvalForestNaive(forest []*tree.Node, q *Pattern) ([]Result, Stats) {
 	return collectResults(q, sols), Stats{NodesVisited: ev.visited, MemoHits: ev.hits}
 }
 
-// MatchedCallsNaive mirrors MatchedCallsProjected on the retained evaluator.
+// MatchedCallsNaive mirrors MatchedCalls on the retained evaluator, with its Stats.
 func MatchedCallsNaive(doc *tree.Document, q *Pattern, out *Node) ([]*tree.Node, Stats) {
 	rs, st := EvalNaive(doc, q)
 	return collectCalls(rs, out), st

@@ -1,6 +1,7 @@
 package pattern
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -517,16 +518,16 @@ func randomPattern(seed int64) *Pattern {
 		case kind < 5:
 			n = NewNode(Star, "", edge)
 		case kind < 6:
-			n = NewNode(Var, "V"+itoa(next(3)), edge)
+			n = NewNode(Var, "V"+strconv.Itoa(next(3)), edge)
 		case kind < 7:
 			if next(2) == 0 {
 				n = NewNode(Func, AnyFunc, edge)
 			} else {
-				n = NewNode(Func, "f"+itoa(next(3)), edge)
+				n = NewNode(Func, "f"+strconv.Itoa(next(3)), edge)
 			}
 			return n // function nodes carry no children
 		case kind < 8:
-			n = NewNode(Const, "has space "+itoa(next(5)), edge) // quoted form
+			n = NewNode(Const, "has space "+strconv.Itoa(next(5)), edge) // quoted form
 		default:
 			n = NewNode(Or, "", edge)
 			for i := 0; i < 2+next(2); i++ {

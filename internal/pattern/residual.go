@@ -4,114 +4,123 @@ import (
 	"github.com/activexml/axml/internal/tree"
 )
 
-// ResidualMatcher validates F-guide candidates against the conditions of
-// a relevance query that lie outside its linear part — the "NFQ
-// filtering" of Section 6.2 of the paper ("the remaining query to
-// evaluate checks for the conditions in q_v that don't appear in
-// q_v^lin ... starting from the set of function calls returned").
-//
-// Instead of re-evaluating the whole NFQ per candidate (which would make
-// the guide pointless: every candidate would pay a document-wide pass),
-// the matcher aligns the query's root→output spine to the candidate's
-// concrete ancestor chain and checks each spine node's off-spine branches
-// *relative to that ancestor* — so a condition on hotel i's name is only
-// searched inside hotel i. Memoisation is shared across candidates of one
-// evaluation round, which is what makes batch validation cheap.
-type ResidualMatcher struct {
-	q   *Pattern
-	out *Node
-	// spine holds the nodes on the path anchor→out, anchor excluded,
-	// out excluded (out itself maps to the candidate call).
-	spine []*Node
-	ev    *evaluator
+// spinePath is the anchor→output path of one output node, prepared once
+// per evaluator: nodes are the path's interior (anchor and output
+// excluded), off[0] the anchor's branches that leave the path, off[i+1]
+// those of nodes[i] — each cheapest first, like every other join.
+type spinePath struct {
+	out   *Node
+	nodes []*Node
+	off   [][]*Node
 }
 
-// NewResidualMatcher prepares a matcher for the query's output node. The
-// nodes on the path from the root to out must be data-matching nodes
-// (Const, Star or Var), which holds for every generated LPQ and NFQ: the
-// ancestors of a function output are plain data nodes by construction.
-// It panics otherwise, since that indicates a query not produced by the
+// spine returns (and caches) the spine of the output node out. The nodes
+// on the path from the root to out must be data-matching nodes (Const,
+// Star or Var), which holds for every generated LPQ and NFQ: the
+// ancestors of a function output are plain data nodes by construction. It
+// panics otherwise, since that indicates a query not produced by the
 // rewrite package.
-func NewResidualMatcher(q *Pattern, out *Node) *ResidualMatcher {
-	var rev []*Node
-	for x := out.Parent; x != nil && x.Kind != Root; x = x.Parent {
-		switch x.Kind {
-		case Const, Star, Var:
-			rev = append(rev, x)
-		default:
+func (ev *IncrementalEvaluator) spine(out *Node) *spinePath {
+	if sp, ok := ev.spines[out]; ok {
+		return sp
+	}
+	var path []*Node // anchor first, out last
+	for x := out; x != nil; x = x.Parent {
+		path = append(path, x)
+	}
+	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
+		path[i], path[j] = path[j], path[i]
+	}
+	sp := &spinePath{out: out, nodes: path[1 : len(path)-1]}
+	for _, s := range sp.nodes {
+		if s.Kind != Const && s.Kind != Star && s.Kind != Var {
 			panic("pattern: residual matching requires a plain data spine")
 		}
 	}
-	spine := make([]*Node, 0, len(rev))
-	for i := len(rev) - 1; i >= 0; i-- {
-		spine = append(spine, rev[i])
+	for i, s := range path[:len(path)-1] {
+		var off []*Node
+		for _, c := range ev.ordered(s) {
+			if c != path[i+1] {
+				off = append(off, c)
+			}
+		}
+		sp.off = append(sp.off, off)
 	}
-	return &ResidualMatcher{q: q, out: out, spine: spine, ev: newEvaluator(q)}
+	if ev.spines == nil {
+		ev.spines = map[*Node]*spinePath{}
+	}
+	ev.spines[out] = sp
+	return sp
 }
 
-// Match reports whether the query has an embedding mapping the output
-// node to the target call. Candidates typically come from an F-guide, so
-// their ancestor paths already match the linear part; Match nevertheless
-// re-verifies labels and edges, making it safe for arbitrary targets.
-func (m *ResidualMatcher) Match(doc *tree.Document, target *tree.Node) bool {
+// MatchCall reports whether the query has an embedding mapping the output
+// node out to the target call, i.e. whether target is a member of
+// MatchedCallsIncremental(doc, out) — decided from the target upwards
+// instead of by evaluating the whole query. This is the "NFQ filtering"
+// of Section 6.2 of the paper ("the remaining query to evaluate checks
+// for the conditions in q_v that don't appear in q_v^lin ... starting
+// from the set of function calls returned"): candidates typically come
+// from an F-guide, so their ancestor paths already match the linear part;
+// MatchCall nevertheless re-verifies labels and edges, making it safe for
+// arbitrary targets.
+//
+// Re-evaluating the whole query per candidate would make the guide
+// pointless (every candidate would pay a document-wide pass). Instead the
+// query's root→output spine is aligned to the candidate's concrete
+// ancestor chain and each spine node's off-spine branches are checked
+// *relative to that ancestor* — so a condition on hotel i's name is only
+// searched inside hotel i. The checks read and fill the evaluator's one
+// memo table: conditions shared between candidates are computed once,
+// and on a kept evaluator they survive from round to round under the
+// Invalidate rule. Stats cover this call only.
+func (ev *IncrementalEvaluator) MatchCall(doc *tree.Document, out *Node, target *tree.Node) (bool, Stats) {
+	ok := ev.matchCall(doc, ev.spine(out), target)
+	return ok, ev.takeStats()
+}
+
+func (ev *IncrementalEvaluator) matchCall(doc *tree.Document, sp *spinePath, target *tree.Node) bool {
 	if target.Kind != tree.Call {
 		return false
 	}
-	if m.out.Label != AnyFunc && m.out.Label != target.Label {
+	if sp.out.Label != AnyFunc && sp.out.Label != target.Label {
 		return false
 	}
-	// Ancestor chain of the target, root element first.
+	// Ancestor chain of the target, root element first. A target below
+	// another call is that call's input, not document content.
 	var anc []*tree.Node
 	for x := target.Parent; x != nil; x = x.Parent {
+		if x.Kind == tree.Call {
+			return false
+		}
 		anc = append(anc, x)
 	}
 	for i, j := 0, len(anc)-1; i < j; i, j = i+1, j-1 {
 		anc[i], anc[j] = anc[j], anc[i]
 	}
-	// Anchor-level branches other than the spine start are document-wide
-	// conditions; check them once against the root scope.
-	sols := []solution{emptySolution}
-	spineStart := m.out
-	if len(m.spine) > 0 {
-		spineStart = m.spine[0]
-	}
-	for _, c := range m.q.Root().Children {
-		if c == spineStart {
-			continue
-		}
-		reqSols := m.ev.requirementSolutions(c, true, rootScope{doc: doc})
-		if len(reqSols) == 0 {
-			return false
-		}
-		sols = joinSolutions(sols, reqSols)
-		if len(sols) == 0 {
-			return false
-		}
-	}
-	// The first spine step anchors at the document root: a Child edge
-	// pins it to anc[0] (the root element); a Desc edge allows any
-	// ancestor.
-	return m.align(doc, 0, -1, anc, sols)
+	// Anchor-level branches off the spine are document-wide conditions,
+	// checked against the root scope. The first spine step then anchors at
+	// the document root: a Child edge pins it to anc[0] (the root
+	// element); a Desc edge allows any ancestor.
+	matched := false
+	ev.streamJoin(sp.off[0], true, rootScope{doc: doc}, emptySolution, func(s solution) bool {
+		matched = ev.align(sp, 0, -1, anc, s)
+		return !matched
+	})
+	return matched
 }
 
-// align assigns spine[i] to an ancestor position after prevJ, threading
-// the joined off-spine solutions; it succeeds when every spine node is
-// placed, the output edge constraint holds, and the final solution set is
-// non-empty.
-func (m *ResidualMatcher) align(doc *tree.Document, i, prevJ int, anc []*tree.Node, sols []solution) bool {
-	if i == len(m.spine) {
-		// All spine nodes placed; the target (child of anc[len-1]) must
-		// satisfy the output node's edge from the spine end at prevJ.
-		last := len(anc) - 1
-		if m.out.Edge == Child && prevJ != last {
-			return false
-		}
-		if m.out.Edge == Desc && prevJ > last {
-			return false
-		}
-		return len(sols) > 0
+// align assigns sp.nodes[i] to an ancestor position after prevJ and
+// streams the join of its off-spine branches with the bindings collected
+// so far; it succeeds as soon as one joined solution lets every remaining
+// spine node be placed with the output edge constraint holding.
+func (ev *IncrementalEvaluator) align(sp *spinePath, i, prevJ int, anc []*tree.Node, acc solution) bool {
+	if i == len(sp.nodes) {
+		// All spine nodes placed; the target is a child of the last
+		// ancestor, so a Child output edge needs the spine to end there and
+		// a Desc one is satisfied from any placement.
+		return sp.out.Edge == Desc || prevJ == len(anc)-1
 	}
-	s := m.spine[i]
+	s := sp.nodes[i]
 	lo := prevJ + 1
 	hi := lo
 	if s.Edge == Desc {
@@ -119,56 +128,25 @@ func (m *ResidualMatcher) align(doc *tree.Document, i, prevJ int, anc []*tree.No
 	}
 	for j := lo; j <= hi && j < len(anc); j++ {
 		a := anc[j]
-		if !spineNodeMatches(s, a) {
+		if !a.IsData() || (s.Kind == Const && s.Label != a.Label) {
 			continue
 		}
-		next := sols
-		// The spine node's own variable binding participates in joins.
+		from := acc
 		if s.Kind == Var {
-			next = bindAll(next, s.Label, a.Label)
-			if len(next) == 0 {
+			// The spine node's own variable binding participates in joins.
+			var ok bool
+			if from, ok = acc.withVar(s.Label, a.Label); !ok {
 				continue
 			}
 		}
-		ok := true
-		for _, c := range s.Children {
-			if i+1 < len(m.spine) && c == m.spine[i+1] {
-				continue // the spine continues; handled by recursion
-			}
-			if c == m.out {
-				continue // the output maps to the target itself
-			}
-			reqSols := m.ev.requirementSolutions(c, false, rootScope{forest: []*tree.Node{a}})
-			if len(reqSols) == 0 {
-				ok = false
-				break
-			}
-			next = joinSolutions(next, reqSols)
-			if len(next) == 0 {
-				ok = false
-				break
-			}
-		}
-		if ok && m.align(doc, i+1, j, anc, next) {
+		matched := false
+		ev.streamJoin(sp.off[i+1], false, rootScope{forest: []*tree.Node{a}}, from, func(sol solution) bool {
+			matched = ev.align(sp, i+1, j, anc, sol)
+			return !matched
+		})
+		if matched {
 			return true
 		}
 	}
 	return false
-}
-
-func spineNodeMatches(s *Node, a *tree.Node) bool {
-	if !a.IsData() {
-		return false
-	}
-	return s.Kind != Const || s.Label == a.Label
-}
-
-func bindAll(sols []solution, name, value string) []solution {
-	var out []solution
-	for _, s := range sols {
-		if ns, ok := s.withVar(name, value); ok {
-			out = append(out, ns)
-		}
-	}
-	return out
 }

@@ -6,6 +6,16 @@ import (
 	"github.com/activexml/axml/internal/tree"
 )
 
+// residual binds a fresh evaluator's MatchCall to one output node, the
+// shape the per-candidate cases below exercise.
+func residual(q *Pattern, out *Node) func(*tree.Document, *tree.Node) bool {
+	ev := NewIncrementalProjected(q, nil)
+	return func(d *tree.Document, target *tree.Node) bool {
+		ok, _ := ev.MatchCall(d, out, target)
+		return ok
+	}
+}
+
 func TestResidualMatcherBasics(t *testing.T) {
 	d, _ := tree.Unmarshal([]byte(`
 <hotels>
@@ -15,16 +25,16 @@ func TestResidualMatcherBasics(t *testing.T) {
 	// NFQ-like query: calls under rating of a Best Western hotel.
 	q := MustParse(`/hotels/hotel[name="Best Western"]/rating/()`)
 	out := q.ResultNodes()[0]
-	m := NewResidualMatcher(q, out)
+	m := residual(q, out)
 	calls := d.Calls()
-	if !m.Match(d, calls[0]) {
+	if !m(d, calls[0]) {
 		t.Error("Best Western's rating call must match")
 	}
-	if m.Match(d, calls[1]) {
+	if m(d, calls[1]) {
 		t.Error("Pennsylvania's rating call must not match")
 	}
 	// A non-call target never matches.
-	if m.Match(d, d.Root) {
+	if m(d, d.Root) {
 		t.Error("data node matched as a call")
 	}
 }
@@ -32,12 +42,12 @@ func TestResidualMatcherBasics(t *testing.T) {
 func TestResidualMatcherNamedOutput(t *testing.T) {
 	d, _ := tree.Unmarshal([]byte(`<r><a><axml:call service="f"/><axml:call service="g"/></a></r>`))
 	q := MustParse(`/r/a/g()`)
-	m := NewResidualMatcher(q, q.ResultNodes()[0])
+	m := residual(q, q.ResultNodes()[0])
 	calls := d.Calls()
-	if m.Match(d, calls[0]) {
+	if m(d, calls[0]) {
 		t.Error("f call matched a g() output node")
 	}
-	if !m.Match(d, calls[1]) {
+	if !m(d, calls[1]) {
 		t.Error("g call must match")
 	}
 }
@@ -47,12 +57,12 @@ func TestResidualMatcherDescendantSpine(t *testing.T) {
 <r><zone><deep><item><x>1</x><axml:call service="f"/></item></deep></zone>
    <zone><item><y>1</y><axml:call service="f"/></item></zone></r>`))
 	q := MustParse(`/r//item[x]/()`)
-	m := NewResidualMatcher(q, q.ResultNodes()[0])
+	m := residual(q, q.ResultNodes()[0])
 	calls := d.Calls()
-	if !m.Match(d, calls[0]) {
+	if !m(d, calls[0]) {
 		t.Error("deep item with x must match")
 	}
-	if m.Match(d, calls[1]) {
+	if m(d, calls[1]) {
 		t.Error("item without x must not match")
 	}
 }
@@ -63,12 +73,12 @@ func TestResidualMatcherJoinAcrossLevels(t *testing.T) {
 <r><grp><tag>k1</tag><item><key>k1</key><axml:call service="f"/></item></grp>
    <grp><tag>k2</tag><item><key>other</key><axml:call service="f"/></item></grp></r>`))
 	q := MustParse(`/r/grp[tag=$V]/item[key=$V]/()`)
-	m := NewResidualMatcher(q, q.ResultNodes()[0])
+	m := residual(q, q.ResultNodes()[0])
 	calls := d.Calls()
-	if !m.Match(d, calls[0]) {
+	if !m(d, calls[0]) {
 		t.Error("joined group must match")
 	}
-	if m.Match(d, calls[1]) {
+	if m(d, calls[1]) {
 		t.Error("join mismatch must fail")
 	}
 }
@@ -86,12 +96,12 @@ func TestResidualMatcherAnchorBranches(t *testing.T) {
 
 	withFlag, _ := tree.Unmarshal([]byte(`<a><axml:call service="f"/><flag/></a>`))
 	withoutFlag, _ := tree.Unmarshal([]byte(`<a><axml:call service="f"/></a>`))
-	m := NewResidualMatcher(q, out)
-	if !m.Match(withFlag, withFlag.Calls()[0]) {
+	m := residual(q, out)
+	if !m(withFlag, withFlag.Calls()[0]) {
 		t.Error("anchor branch satisfied, must match")
 	}
-	m2 := NewResidualMatcher(q, out)
-	if m2.Match(withoutFlag, withoutFlag.Calls()[0]) {
+	m2 := residual(q, out)
+	if m2(withoutFlag, withoutFlag.Calls()[0]) {
 		t.Error("anchor branch unsatisfied, must not match")
 	}
 }
@@ -112,11 +122,11 @@ func TestResidualMatcherPanicsOnBadSpine(t *testing.T) {
 			t.Fatal("expected panic for an OR spine")
 		}
 	}()
-	NewResidualMatcher(q, f)
+	residual(q, f)(tree.NewDocument(tree.NewElement("a")), tree.NewCall("g"))
 }
 
-// TestResidualAgreesWithPinnedEvaluation cross-validates the residual
-// matcher, which validates one pinned candidate call at a time, against
+// TestResidualAgreesWithPinnedEvaluation cross-validates MatchCall,
+// which validates one pinned candidate call at a time, against
 // membership in the evaluator's matched-call set on generated NFQs over
 // generated documents.
 func TestResidualAgreesWithPinnedEvaluation(t *testing.T) {
@@ -131,6 +141,10 @@ func TestResidualAgreesWithPinnedEvaluation(t *testing.T) {
 		   <nearby><axml:call service="getNearbyMuseums"/></nearby></hotel>
 		 <hotel><name>Best Western</name><rating>*****</rating>
 		   <nearby><axml:call service="getNearbyRestos"/></nearby></hotel></hotels>`,
+		// A call inside another call's parameters is that call's input,
+		// not document content: no query retrieves it.
+		`<hotels><hotel><name>Best Western</name><rating>*****</rating>
+		   <nearby><axml:call service="getNearbyRestos"><axml:call service="getCity"/></axml:call></nearby></hotel></hotels>`,
 	}
 	queries := []string{
 		`/hotels/hotel[name="Best Western"]/rating/()`,
@@ -151,13 +165,13 @@ func TestResidualAgreesWithPinnedEvaluation(t *testing.T) {
 			if out.Kind != Func {
 				t.Fatalf("query %s: output is not a function node", qx)
 			}
-			m := NewResidualMatcher(q, out)
+			m := residual(q, out)
 			matched := map[*tree.Node]bool{}
 			for _, c := range MatchedCalls(d, q, out) {
 				matched[c] = true
 			}
 			for _, c := range d.Calls() {
-				if got, want := m.Match(d, c), matched[c]; got != want {
+				if got, want := m(d, c), matched[c]; got != want {
 					t.Errorf("doc %.40q query %s call %s: residual=%v, in the matched set=%v",
 						dx, qx, c.Label, got, want)
 				}

@@ -113,17 +113,14 @@ type Service struct {
 	CanPush bool
 	// Handler produces the full result forest.
 	Handler Handler
-	// Remote, when set, replaces the local invocation path entirely:
+	// RemoteCtx, when set, replaces the local invocation path entirely:
 	// parameters and the pushed query travel to a remote provider (e.g.
 	// over the soap package's HTTP envelope) and the response comes back
 	// as-is, including transfer size and the provider's push decision.
-	// Handler is ignored when Remote is set.
-	Remote func(params []*tree.Node, pushed *pattern.Pattern) (Response, error)
-	// RemoteCtx is Remote with a context: the context carries the
+	// Handler is ignored when RemoteCtx is set. The context carries the
 	// cross-process trace state (telemetry.TraceContext) and
-	// cancellation. Wrappers that thread contexts (cache, faults,
-	// session limits, the soap proxy) set RemoteCtx; it wins over Remote
-	// when both are set.
+	// cancellation; the wrappers that thread contexts (cache, faults,
+	// session limits, the soap proxy) are built on it.
 	RemoteCtx func(ctx context.Context, params []*tree.Node, pushed *pattern.Pattern) (Response, error)
 }
 
@@ -172,10 +169,10 @@ func NewRegistry() *Registry {
 }
 
 // Register adds a service; it panics on duplicates or a service with
-// neither Handler nor Remote, which are programming errors.
+// neither Handler nor RemoteCtx, which are programming errors.
 func (r *Registry) Register(s *Service) {
-	if s.Handler == nil && s.Remote == nil && s.RemoteCtx == nil {
-		panic("service: Register with neither Handler nor Remote")
+	if s.Handler == nil && s.RemoteCtx == nil {
+		panic("service: Register with neither Handler nor RemoteCtx")
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -238,14 +235,8 @@ func (r *Registry) InvokeContext(ctx context.Context, name string, params []*tre
 	if svc == nil {
 		return Response{}, fmt.Errorf("service: unknown service %q", name)
 	}
-	if svc.Remote != nil || svc.RemoteCtx != nil {
-		var resp Response
-		var err error
-		if svc.RemoteCtx != nil {
-			resp, err = svc.RemoteCtx(ctx, params, pushed)
-		} else {
-			resp, err = svc.Remote(params, pushed)
-		}
+	if svc.RemoteCtx != nil {
+		resp, err := svc.RemoteCtx(ctx, params, pushed)
 		if err != nil {
 			return Response{}, fmt.Errorf("service %s: %w", name, err)
 		}

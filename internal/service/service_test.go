@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"sync"
@@ -252,7 +253,7 @@ func TestRemoteService(t *testing.T) {
 	r.Register(&Service{
 		Name:    "remote",
 		CanPush: true,
-		Remote: func(params []*tree.Node, pushed *pattern.Pattern) (Response, error) {
+		RemoteCtx: func(_ context.Context, params []*tree.Node, pushed *pattern.Pattern) (Response, error) {
 			gotPushed = pushed
 			return Response{
 				Forest: []*tree.Node{tree.NewText("ok")},
@@ -279,7 +280,7 @@ func TestRemoteServiceError(t *testing.T) {
 	r := NewRegistry()
 	r.Register(&Service{
 		Name: "down",
-		Remote: func([]*tree.Node, *pattern.Pattern) (Response, error) {
+		RemoteCtx: func(context.Context, []*tree.Node, *pattern.Pattern) (Response, error) {
 			return Response{}, errors.New("unreachable")
 		},
 	})

@@ -516,7 +516,7 @@ func (m *Manager) options(e *entry) core.Options {
 			// Patch the persistent index in place. When the engine adopted
 			// this guide (UseGuide) it already performed the identical
 			// update; ApplyExpansion is idempotent and only resyncs then.
-			e.guide.ApplyExpansion(parent, removed, inserted)
+			e.guide.ApplyExpansion(removed, inserted)
 			patches.Inc()
 		}
 		for _, iev := range e.ievs {
