@@ -32,17 +32,20 @@ fuzz:
 # incremental-evaluation, E11 invocation-pool, E13 streaming/projection,
 # E14 warm-vs-cold repository, E16 trace-propagation/profile and E17
 # planned-vs-static scheduling sweeps, and the E12 multi-tenant serving
-# run, written to BENCH_E{10,11,12,13,14,16,17}.json. E16 reports the
-# cross-process trace propagation overhead on the E11 HTTP shape
-# (budget: ≤2% of wall); E17 pins the cost planner's speedup over static
-# striping with bit-identical results.
+# run. The tracked records are BENCH_E{10,12,13,16,17}.json — exactly what
+# this target rewrites in the repo root; E11 and E14, never committed (a
+# benchmark workload covers each), go to the ignored out/ directory. E16
+# reports the cross-process trace propagation overhead on the E11 HTTP
+# shape (budget: ≤2% of wall); E17 pins the cost planner's speedup over
+# static striping with bit-identical results.
 bench:
+	mkdir -p out
 	$(GO) test -bench . -benchmem .
 	$(GO) run ./cmd/axmlbench -exp E10 -json BENCH_E10.json
-	$(GO) run ./cmd/axmlbench -exp E11 -json BENCH_E11.json
+	$(GO) run ./cmd/axmlbench -exp E11 -json out/BENCH_E11.json
 	$(GO) run ./cmd/axmlload -self -clients 500 -requests 5000 -json BENCH_E12.json
 	$(GO) run ./cmd/axmlbench -exp E13 -json BENCH_E13.json
-	$(GO) run ./cmd/axmlbench -exp E14 -json BENCH_E14.json
+	$(GO) run ./cmd/axmlbench -exp E14 -json out/BENCH_E14.json
 	$(GO) run ./cmd/axmlbench -exp E16 -json BENCH_E16.json
 	$(GO) run ./cmd/axmlbench -exp E17 -json BENCH_E17.json
 

@@ -363,8 +363,7 @@ func printStats(w io.Writer, st core.Stats) {
   retries:            %d (deadline cuts: %d, abandoned calls: %d)
   rounds:             %d
   relevance queries:  %d
-  guide candidates:   %d
-  match work:         %d visited, %d memo hit(s)
+  match work:         %d visited, %d memo hit(s), %d guide candidate(s) validated (%d revalidated)
   subtrees projected: %d
   bytes fetched:      %d
   virtual time:       %v
@@ -374,6 +373,6 @@ func printStats(w io.Writer, st core.Stats) {
 `, st.CallsInvoked, st.PushedCalls,
 		st.Retries, st.DeadlineCuts, st.FailedCalls,
 		st.Rounds, st.RelevanceQueries,
-		st.GuideCandidates, st.NodesVisited, st.MemoHits, st.SubtreesPruned, st.BytesFetched, st.VirtualTime, st.DetectTime,
+		st.NodesVisited, st.MemoHits, st.GuideCandidates, st.Revalidated, st.SubtreesPruned, st.BytesFetched, st.VirtualTime, st.DetectTime,
 		st.AnalysisTime, st.FinalSize)
 }

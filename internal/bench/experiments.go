@@ -430,14 +430,17 @@ func E9(s Scale) (Table, error) {
 // E10 measures the incremental relevance engine: persistent cross-round
 // match memoization (the per-round NFQ re-evaluation visits the changed
 // region instead of the whole document), with and without an F-guide
-// supplying the candidates, and the service-response cache with
-// singleflight dedup. Every mode must invoke the identical call sequence
-// — only the match work moves.
+// supplying the candidates — under which the kept evaluator's answer is a
+// maintained view — and the service-response cache with singleflight
+// dedup. detect/round is the wall time of detection per invocation round:
+// the column that shows whether a round costs O(change) or O(document).
+// Every mode must invoke the identical call sequence — only the match
+// work moves.
 func E10(s Scale) (Table, error) {
 	t := Table{
 		ID:      "E10",
 		Title:   "incremental vs from-scratch relevance evaluation across document growth",
-		Columns: []string{"hotels", "mode", "visited", "visited/round", "memo-hit%", "svc-cache-hit%", "detect", "virt-time", "calls", "results"},
+		Columns: []string{"hotels", "mode", "visited", "visited/round", "memo-hit%", "svc-cache-hit%", "detect", "detect/round", "virt-time", "calls", "results"},
 	}
 	type mode struct {
 		name  string
@@ -502,7 +505,9 @@ func E10(s Scale) (Table, error) {
 				itoa(out.Stats.NodesVisited),
 				fmt.Sprintf("%.0f", perRound[m.name]),
 				memoRate, cacheRate,
-				ms(out.Stats.DetectTime), ms(out.Stats.VirtualTime),
+				ms(out.Stats.DetectTime),
+				fmt.Sprintf("%.1fus", float64(out.Stats.DetectTime.Nanoseconds())/1000/float64(rounds)),
+				ms(out.Stats.VirtualTime),
 				itoa(out.Stats.CallsInvoked), itoa(len(out.Results)),
 			})
 		}

@@ -114,7 +114,12 @@ type Options struct {
 	// Push ships subqueries to push-capable services (Section 7).
 	Push bool
 	// UseGuide accelerates relevance detection with an F-guide
-	// (Section 6.2).
+	// (Section 6.2): the linear part of each relevance query runs on the
+	// guide and only its candidates are checked against the remaining
+	// conditions. Together with Incremental the guide is also what makes
+	// detection a maintained view — its candidates seed the view once and
+	// its per-expansion upkeep (fguide.ApplyExpansion) feeds it the calls
+	// that arrived since.
 	UseGuide bool
 	// Guide, when set together with UseGuide, supplies a pre-built
 	// F-guide for the document — typically one decoded from a
@@ -128,13 +133,21 @@ type Options struct {
 	Guide *fguide.Guide
 	// Incremental makes each relevance query's pattern evaluator live as
 	// long as the query object instead of being built afresh for every
-	// detection: each round's re-evaluation — of the whole query, or of
-	// the F-guide's candidates under UseGuide — reuses every memoised
-	// (query node, document node) match that the round's single mutation
-	// cannot have changed, so detection visits O(changed region) nodes
-	// instead of O(document). The invoked call sequence and the results
-	// are identical to from-scratch evaluation; only the work
-	// (Stats.NodesVisited vs Stats.MemoHits) changes.
+	// detection. What it keeps depends on where the candidates come from.
+	// Under UseGuide the answer itself is kept, as a maintained view: a
+	// detection validates only the candidates that entered the guide since
+	// the last one and the verdicts the round's splices can have changed
+	// (Stats.GuideCandidates, Stats.Revalidated), and reads the rest.
+	// Without a guide the evaluator keeps its memo of (query node, document
+	// node) matches and re-evaluates the query down the spines the splices
+	// touched — O(changed region) nodes visited instead of O(document), but
+	// still one pass over the matched set per round. The guideless arm is
+	// not a view on purpose: without an index of arriving calls a view has
+	// to be seeded from every call of the document, which a short
+	// evaluation — the serving layer's re-run after one write — never earns
+	// back (measured, ROADMAP item 1). The invoked call sequence and the
+	// results are identical to from-scratch evaluation either way; only the
+	// work counters and DetectTime change.
 	Incremental bool
 	// InvokeWorkers bounds the invocation pool: how many members of a
 	// parallel batch (the independent relevant calls one detection round
@@ -352,9 +365,19 @@ type Stats struct {
 	// RelevanceQueries counts NFQ/LPQ evaluations (including residual
 	// checks when the F-guide is active).
 	RelevanceQueries int
-	// GuideCandidates counts candidates produced by the F-guide before
-	// filtering.
+	// GuideCandidates counts the F-guide candidates validated against a
+	// relevance query's remaining conditions — a work counter like
+	// NodesVisited: every candidate of every detection on a fresh
+	// evaluator, under Options.Incremental only the new ones and those
+	// counted by Revalidated.
 	GuideCandidates int
+	// Revalidated counts, among GuideCandidates, the verdicts that were
+	// checked again because a splice touched their dependency root (see
+	// pattern.IncrementalEvaluator): a handful per round when conditions
+	// sit below the spine, every live candidate per round for a query
+	// whose anchor carries a document-wide condition. Always 0 without
+	// Options.Incremental, where nothing is kept to check again.
+	Revalidated int
 	// Rounds counts sequential invocation steps: a single call or one
 	// parallel batch.
 	Rounds int

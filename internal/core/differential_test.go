@@ -21,6 +21,7 @@ func TestDifferentialAcrossRandomWorlds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential testing is not short")
 	}
+	parked := 0
 	check := func(seed int64) bool {
 		spec := randomSpec(seed)
 		w := workload.Hotels(spec)
@@ -63,6 +64,62 @@ func TestDifferentialAcrossRandomWorlds(t *testing.T) {
 				return false
 			}
 		}
+		// The value-join query over the same world with tags: name=tag joins
+		// two branches of one hotel, so under the guide each verdict hangs
+		// on its hotel, relaxed or not.
+		jspec := spec
+		jspec.TagJoinEvery = 1 + int(seed&1)
+		jw := workload.Hotels(jspec)
+		jbase, err := Evaluate(jw.Doc.Clone(), jw.JoinQuery, jw.Registry, Options{Strategy: NaiveFixpoint})
+		if err != nil {
+			t.Logf("seed %d: naive join query failed: %v", seed, err)
+			return false
+		}
+		for _, opt := range []Options{
+			{Strategy: LazyNFQ, UseGuide: true, Incremental: true},
+			{Strategy: LazyNFQ, UseGuide: true, Incremental: true, RelaxJoins: true},
+		} {
+			out, err := Evaluate(jw.Doc.Clone(), jw.JoinQuery, jw.Registry, opt)
+			if err != nil {
+				t.Logf("seed %d: join query (opts %+v) failed: %v", seed, opt, err)
+				return false
+			}
+			if got, want := resultKeys(out), resultKeys(jbase); got != want {
+				t.Logf("seed %d: join query (opts %+v) disagrees with naive\n got %q\nwant %q\nspec %+v",
+					seed, opt, got, want, jspec)
+				return false
+			}
+		}
+		// Best effort around permanently failing restaurant lookups: a
+		// parked call stays a candidate of the guided view (it is still in
+		// the document) but must stay out of every answer, exactly as in the
+		// guideless from-scratch run under the same injector.
+		faults := service.FaultSpec{Seed: seed, PermanentRate: 0.4, Services: []string{"getNearbyRestos"}}
+		var ref *Outcome
+		for _, opt := range []Options{
+			{Strategy: LazyNFQ},
+			{Strategy: LazyNFQ, UseGuide: true},
+			{Strategy: LazyNFQ, UseGuide: true, Incremental: true},
+		} {
+			opt.Failure = BestEffort
+			out, err := Evaluate(w.Doc.Clone(), w.Query, service.NewFaults(faults).Wrap(w.Registry), opt)
+			if err != nil {
+				t.Logf("seed %d: best effort (opts %+v) failed: %v", seed, opt, err)
+				return false
+			}
+			if ref == nil {
+				ref = out
+				parked += len(out.Failures)
+				continue
+			}
+			if resultKeys(out) != resultKeys(ref) || out.Complete != ref.Complete ||
+				failurePaths(out) != failurePaths(ref) || out.Stats.CallsInvoked != ref.Stats.CallsInvoked {
+				t.Logf("seed %d: best effort (opts %+v) diverges from the guideless run: %d results, complete=%v, %d invoked, failures %s; want %d, %v, %d, %s",
+					seed, opt, len(out.Results), out.Complete, out.Stats.CallsInvoked, failurePaths(out),
+					len(ref.Results), ref.Complete, ref.Stats.CallsInvoked, failurePaths(ref))
+				return false
+			}
+		}
 		// The same worlds through a shared response cache: the second
 		// evaluation runs warm (its repeats are served from memory), and
 		// both must still match the uncached naive baseline exactly.
@@ -87,6 +144,18 @@ func TestDifferentialAcrossRandomWorlds(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}
+	if parked == 0 {
+		t.Fatal("no call was ever parked: the best-effort rows exercised nothing")
+	}
+}
+
+// failurePaths lists the calls an evaluation gave up on, in give-up order.
+func failurePaths(out *Outcome) string {
+	s := ""
+	for _, f := range out.Failures {
+		s += f.Path + "|"
+	}
+	return s
 }
 
 // TestProjectionDifferentialSweep is the acceptance net for type-based

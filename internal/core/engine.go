@@ -69,7 +69,7 @@ func Evaluate(doc *tree.Document, q *pattern.Pattern, reg *service.Registry, opt
 	}
 	e := &engine{doc: doc, q: q, reg: reg, opt: opt,
 		names: map[string]bool{}, failed: map[*tree.Node]bool{},
-		incr: map[*rewrite.NFQ]*pattern.IncrementalEvaluator{},
+		incr: map[*rewrite.NFQ]*liveQuery{},
 		met:  resolveMetrics(opt.Metrics)}
 	evalStart := time.Now()
 	e.spanEval = opt.Tracer.Start("evaluate", 0)
@@ -170,8 +170,12 @@ type engine struct {
 	// incr holds the persistent evaluator of each live relevance query
 	// (Options.Incremental; empty otherwise). The map is reset whenever the
 	// query objects are regenerated; apply funnels every document mutation
-	// to the survivors so their memo tables stay sound.
-	incr map[*rewrite.NFQ]*pattern.IncrementalEvaluator
+	// to the survivors so their memo tables and call views stay sound.
+	incr map[*rewrite.NFQ]*liveQuery
+	// indexed logs the calls the guide's upkeep added to the index since
+	// the query objects were last regenerated, in splice order: the insert
+	// feed of the call views, each of which has been offered a prefix.
+	indexed []*tree.Node
 	// projs holds each live relevance query's document-projection
 	// predicate (typed strategy, NoProject unset). Projections memoise
 	// a per-query satisfiability fixpoint, so they live exactly as long
@@ -441,7 +445,8 @@ func (e *engine) drainLayer(members []int, analysis *influence.Analysis, done ma
 			// Regenerated query objects invalidate the evaluators and
 			// projection predicates wholesale: both memoise per query
 			// node ID, and the new queries' IDs mean different subtrees.
-			e.incr = map[*rewrite.NFQ]*pattern.IncrementalEvaluator{}
+			e.incr = map[*rewrite.NFQ]*liveQuery{}
+			e.indexed = nil
 			e.projs = map[*rewrite.NFQ]*schema.Projection{}
 			e.stats.AnalysisTime += time.Since(t0)
 		}
@@ -601,21 +606,30 @@ func (e *engine) sortedNames() []string {
 	return out
 }
 
+// liveQuery is the pattern evaluator answering one relevance query,
+// together with how much of the guide's insert feed (engine.indexed) its
+// call view has been offered; -1 before the view is seeded with the
+// guide's candidates.
+type liveQuery struct {
+	iev     *pattern.IncrementalEvaluator
+	offered int
+}
+
 // evaluator returns the pattern evaluator that answers one relevance
 // query — the only place the engine obtains one. Under
-// Options.Incremental it lives as long as the query object, its memo kept
-// sound by apply's Invalidate calls; otherwise every detection gets a
-// fresh one, the from-scratch reference the differentials compare
-// against.
-func (e *engine) evaluator(nfq *rewrite.NFQ) *pattern.IncrementalEvaluator {
-	if iev := e.incr[nfq]; iev != nil {
-		return iev
+// Options.Incremental it lives as long as the query object, its memo and
+// call view kept sound by apply's Invalidate calls; otherwise every
+// detection gets a fresh one, the from-scratch reference the
+// differentials compare against.
+func (e *engine) evaluator(nfq *rewrite.NFQ) *liveQuery {
+	if lq := e.incr[nfq]; lq != nil {
+		return lq
 	}
-	iev := pattern.NewIncrementalProjected(nfq.Query, asProjector(e.projection(nfq)))
+	lq := &liveQuery{iev: pattern.NewIncrementalProjected(nfq.Query, asProjector(e.projection(nfq))), offered: -1}
 	if e.opt.Incremental {
-		e.incr[nfq] = iev
+		e.incr[nfq] = lq
 	}
-	return iev
+	return lq
 }
 
 // projection returns (building on demand) the document-projection
@@ -688,44 +702,46 @@ func (e *engine) guideKeep(base []*rewrite.NFQ) func(string) bool {
 
 // detect retrieves the calls currently relevant for one NFQ through its
 // evaluator: by evaluating the query on the document, or — with an
-// F-guide — by validating the guide's candidates for the linear part one
-// by one against the remaining conditions (Section 6.2; each check only
-// explores the candidate's own ancestors' subtrees, and the evaluator's
-// memo shares condition checks across candidates). Type pruning on the
-// output side (Section 5) applies in both paths, and both charge their
-// match work to the stats. queried reports whether a relevance query
-// actually ran (the guide can rule every candidate out first).
-func (e *engine) detect(nfq *rewrite.NFQ, iev *pattern.IncrementalEvaluator) (calls []*tree.Node, queried bool) {
-	eligible := func(c *tree.Node) bool { return !e.failed[c] && nfq.SatisfiesOut(e.an, c.Label) }
+// F-guide — by validating the guide's candidates for the linear part
+// against the remaining conditions (Section 6.2; each check only explores
+// the candidate's own ancestors' subtrees, and the evaluator's memo shares
+// condition checks across candidates). The guided answer is a maintained
+// view: the evaluator is offered the guide's candidates once and after
+// that only the calls the guide's upkeep indexed since, and re-checks
+// nothing a splice cannot have changed — on a fresh evaluator that is
+// every candidate, every detection. Type pruning on the output side
+// (Section 5) and parked calls filter the answer as it is read, and both
+// paths charge their match work to the stats. queried reports whether a
+// relevance query actually ran (the guide can rule every candidate out
+// first).
+func (e *engine) detect(nfq *rewrite.NFQ, lq *liveQuery) (calls []*tree.Node, queried bool) {
+	var matched []*tree.Node
 	var work pattern.Stats
 	if e.guide != nil {
-		cands := e.guide.Candidates(nfq.Lin, nfq.DescTail)
-		e.stats.GuideCandidates += len(cands)
-		if len(cands) == 0 {
+		if !e.guide.HasCandidates(nfq.Lin, nfq.DescTail) {
 			return nil, false
 		}
-		for _, c := range cands {
-			if !eligible(c) {
-				continue
-			}
-			ok, st := iev.MatchCall(e.doc, nfq.Out, c)
-			work.Add(st)
-			if ok {
-				calls = append(calls, c)
-			}
+		var more []*tree.Node
+		if lq.offered < 0 {
+			more = e.guide.Candidates(nfq.Lin, nfq.DescTail)
+		} else {
+			more = e.indexed[lq.offered:]
 		}
+		lq.offered = len(e.indexed)
+		matched, work = lq.iev.MatchedCandidates(e.doc, nfq.Out, more)
 	} else {
-		var got []*tree.Node
-		got, work = iev.MatchedCallsIncremental(e.doc, nfq.Out)
-		for _, c := range got {
-			if eligible(c) {
-				calls = append(calls, c)
-			}
+		matched, work = lq.iev.MatchedCallsIncremental(e.doc, nfq.Out)
+	}
+	for _, c := range matched {
+		if !e.failed[c] && nfq.SatisfiesOut(e.an, c.Label) {
+			calls = append(calls, c)
 		}
 	}
 	e.stats.NodesVisited += work.NodesVisited
 	e.stats.MemoHits += work.MemoHits
 	e.stats.SubtreesPruned += work.SubtreesPruned
+	e.stats.GuideCandidates += work.Validated
+	e.stats.Revalidated += work.Revalidated
 	return calls, true
 }
 
@@ -735,9 +751,9 @@ func (e *engine) detect(nfq *rewrite.NFQ, iev *pattern.IncrementalEvaluator) (ca
 func (e *engine) relevantCalls(nfq *rewrite.NFQ, shard int) []*tree.Node {
 	// Building the evaluator and its projection predicate is analysis
 	// work, so it happens outside the detection-time window.
-	iev := e.evaluator(nfq)
+	lq := e.evaluator(nfq)
 	t0 := time.Now()
-	calls, queried := e.detect(nfq, iev)
+	calls, queried := e.detect(nfq, lq)
 	elapsed := time.Since(t0)
 	e.stats.DetectTime += elapsed
 	if !queried {
@@ -1113,26 +1129,33 @@ func (e *engine) apply(call *tree.Node, resp service.Response, wasPushed bool) {
 	parent := call.Parent
 	inserted := e.doc.ReplaceCall(call, resp.Forest)
 	// Each derived structure is brought up to date with one call. The
-	// guide swaps the expanded call for the calls of the inserted forest;
-	// every live evaluator drops the memo entries this splice can have
-	// changed — the removed call subtree and the root-to-parent spine —
-	// and keeps everything off the spine (solutions depend only on the
-	// keyed node's subtree). The latter is what keeps guided detection
-	// sound too: MatchCall answers off the same memo.
+	// guide swaps the expanded call for the calls of the inserted forest
+	// and reports them; every live evaluator drops what this splice can
+	// have changed — the memo entries of the removed call subtree and of
+	// the root-to-parent spine, the removed call's place in its view and
+	// the verdicts that hang on that spine — and keeps everything off the
+	// spine (solutions depend only on the keyed node's subtree).
 	if e.guide != nil {
-		e.guide.ApplyExpansion(call, inserted)
+		// The guide has walked the forest for its calls; those inside
+		// another call's parameters, which it leaves out, are visible to no
+		// relevance query before that call is expanded.
+		arrived := e.guide.ApplyExpansion(call, inserted)
+		e.indexed = append(e.indexed, arrived...)
+		for _, x := range arrived {
+			e.noteService(x.Label)
+		}
+	} else {
+		for _, n := range inserted {
+			n.Walk(func(x *tree.Node) bool {
+				if x.Kind == tree.Call {
+					e.noteService(x.Label)
+				}
+				return true
+			})
+		}
 	}
-	for _, iev := range e.incr {
-		iev.Invalidate(parent, call)
-	}
-	for _, n := range inserted {
-		n.Walk(func(x *tree.Node) bool {
-			if x.Kind == tree.Call && !e.names[x.Label] {
-				e.names[x.Label] = true
-				e.nameVersion++
-			}
-			return true
-		})
+	for _, lq := range e.incr {
+		lq.iev.Invalidate(parent, call)
 	}
 	// OnMutate fires last, after the engine's own guide maintenance: an
 	// external holder of the adopted guide observes it already synced.
@@ -1143,6 +1166,15 @@ func (e *engine) apply(call *tree.Node, resp service.Response, wasPushed bool) {
 	e.stats.BytesFetched += resp.Bytes
 	if wasPushed {
 		e.stats.PushedCalls++
+	}
+}
+
+// noteService records a service name seen in the document; a new one
+// makes the refined NFQs due for regeneration.
+func (e *engine) noteService(name string) {
+	if !e.names[name] {
+		e.names[name] = true
+		e.nameVersion++
 	}
 }
 

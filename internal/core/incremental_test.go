@@ -103,7 +103,12 @@ func TestIncrementalPreservesSequence(t *testing.T) {
 					t.Fatalf("guide=%v layering=%v: span stream diverges from the fresh-evaluator run", guide, layering)
 				}
 				st, want := normalizedStats(out), normalizedStats(base)
+				if st.GuideCandidates > want.GuideCandidates {
+					t.Fatalf("guide=%v layering=%v: kept evaluators validated %d candidates, fresh ones %d",
+						guide, layering, st.GuideCandidates, want.GuideCandidates)
+				}
 				st.NodesVisited, st.MemoHits, st.SubtreesPruned = want.NodesVisited, want.MemoHits, want.SubtreesPruned
+				st.GuideCandidates, st.Revalidated = want.GuideCandidates, want.Revalidated
 				if st != want {
 					t.Fatalf("guide=%v layering=%v: stats beyond the work counters moved\n got %+v\nwant %+v",
 						guide, layering, st, want)
@@ -115,17 +120,20 @@ func TestIncrementalPreservesSequence(t *testing.T) {
 
 // TestIncrementalReachesTheGuideArm: under an F-guide the persistent
 // evaluator must carry candidate validation from round to round — memo
-// hits are recorded, and no more matches are computed than with a fresh
-// evaluator per detection.
+// hits are recorded, no more matches are computed than with a fresh
+// evaluator per detection, and fewer candidates are validated.
 func TestIncrementalReachesTheGuideArm(t *testing.T) {
 	spec := workload.DefaultSpec()
 	spec.Hotels = 100
 	w := workload.Hotels(spec)
 	fresh := run(t, w, Options{Strategy: LazyNFQ, UseGuide: true})
 	kept := run(t, w, Options{Strategy: LazyNFQ, UseGuide: true, Incremental: true})
-	if kept.Stats.CallsInvoked != fresh.Stats.CallsInvoked || kept.Stats.GuideCandidates != fresh.Stats.GuideCandidates {
-		t.Fatalf("incremental changed guided detection: %d calls / %d candidates, want %d / %d",
-			kept.Stats.CallsInvoked, kept.Stats.GuideCandidates, fresh.Stats.CallsInvoked, fresh.Stats.GuideCandidates)
+	if kept.Stats.CallsInvoked != fresh.Stats.CallsInvoked {
+		t.Fatalf("incremental changed guided detection: %d calls, want %d", kept.Stats.CallsInvoked, fresh.Stats.CallsInvoked)
+	}
+	if kept.Stats.GuideCandidates >= fresh.Stats.GuideCandidates {
+		t.Fatalf("UseGuide+Incremental validated %d candidates, not fewer than the %d of UseGuide alone",
+			kept.Stats.GuideCandidates, fresh.Stats.GuideCandidates)
 	}
 	if kept.Stats.MemoHits == 0 {
 		t.Fatal("UseGuide+Incremental recorded no memo hits: candidate validation forgets between rounds")
@@ -133,6 +141,31 @@ func TestIncrementalReachesTheGuideArm(t *testing.T) {
 	if kept.Stats.NodesVisited > fresh.Stats.NodesVisited {
 		t.Fatalf("UseGuide+Incremental visited %d nodes, more than the %d of UseGuide alone",
 			kept.Stats.NodesVisited, fresh.Stats.NodesVisited)
+	}
+}
+
+// TestGuidedDetectionIsAMaintainedView: with the full lazy stack, guided
+// detection validates a candidate when it enters the index and again only
+// when a splice touches what its verdict hangs on — a small multiple of
+// the calls ever present in the document, not rounds × candidates.
+func TestGuidedDetectionIsAMaintainedView(t *testing.T) {
+	spec := workload.DefaultSpec()
+	spec.Hotels = 100
+	w := workload.Hotels(spec)
+	doc := w.Doc.Clone()
+	out, err := Evaluate(doc, w.Query, w.Registry, Options{Strategy: LazyNFQTyped, Schema: w.Schema,
+		Layering: true, Parallel: true, UseGuide: true, Incremental: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every call ever present was invoked or is still pending.
+	present := out.Stats.CallsInvoked + len(doc.Calls())
+	if out.Stats.GuideCandidates >= 3*present {
+		t.Fatalf("validated %d candidates for %d calls ever present (%d rounds): detection re-validates what no splice touched",
+			out.Stats.GuideCandidates, present, out.Stats.Rounds)
+	}
+	if out.Stats.Revalidated == 0 || out.Stats.Revalidated >= out.Stats.GuideCandidates {
+		t.Fatalf("revalidated %d of %d validated candidates, want some but not all", out.Stats.Revalidated, out.Stats.GuideCandidates)
 	}
 }
 

@@ -130,12 +130,16 @@ func (g *Guide) remove(call *tree.Node) {
 		return
 	}
 	delete(g.where, call)
-	for i, c := range at.extent {
-		if c == call {
-			at.extent = append(at.extent[:i], at.extent[i+1:]...)
-			break
+	// An extent built over a freshly parsed or decoded document is in
+	// ascending ID order and attach keeps it so (adopted nodes get fresh,
+	// larger IDs), so the call is found by bisection; only a guide built
+	// over an already expanded document needs the scan.
+	i := sort.Search(len(at.extent), func(i int) bool { return at.extent[i].ID >= call.ID })
+	if i == len(at.extent) || at.extent[i] != call {
+		for i = 0; at.extent[i] != call; i++ {
 		}
 	}
+	at.extent = append(at.extent[:i], at.extent[i+1:]...)
 	if len(at.extent) == 0 {
 		g.paths--
 		for n := at; n.parent != nil && len(n.extent) == 0 && len(n.children) == 0; n = n.parent {
@@ -146,14 +150,14 @@ func (g *Guide) remove(call *tree.Node) {
 
 // add registers a function node newly inserted into the document (e.g.
 // found in a call result). The node must be attached to the document.
-// Adding an already-indexed call is a no-op, which is what makes
-// ApplyExpansion idempotent.
-func (g *Guide) add(call *tree.Node) {
+// Adding an already-indexed call is a no-op that reports false, which is
+// what makes ApplyExpansion idempotent.
+func (g *Guide) add(call *tree.Node) bool {
 	if call.Kind != tree.Call {
 		panic("fguide: add of a non-call node")
 	}
 	if _, dup := g.where[call]; dup {
-		return
+		return false
 	}
 	at := g.root
 	path := call.Path()
@@ -161,17 +165,7 @@ func (g *Guide) add(call *tree.Node) {
 		at = g.child(at, label)
 	}
 	g.attach(at, call)
-}
-
-// addSubtree registers every function node of a freshly inserted subtree.
-func (g *Guide) addSubtree(n *tree.Node) {
-	n.Walk(func(x *tree.Node) bool {
-		if x.Kind == tree.Call {
-			g.add(x)
-			return false
-		}
-		return x.Kind == tree.Element
-	})
+	return true
 }
 
 // ApplyExpansion incorporates one call expansion (Document.ReplaceCall
@@ -181,15 +175,31 @@ func (g *Guide) addSubtree(n *tree.Node) {
 // It is the guide's one mutator — the engine's per-invocation upkeep and
 // a persistent index's patch path (core.Options.OnMutate) both call it —
 // and it is idempotent, so the two compose on an adopted guide: the
-// second application only restamps the version. An empty inserted forest
-// (a service that returned nothing) is an ordinary expansion that adds no
-// call.
-func (g *Guide) ApplyExpansion(removed *tree.Node, inserted []*tree.Node) {
+// second application only restamps the version and returns nothing. An
+// empty inserted forest (a service that returned nothing) is an ordinary
+// expansion that adds no call.
+//
+// It returns the calls it newly indexed, in document order: every function
+// node of the inserted trees outside another call's parameters, whatever
+// filter the guide was built under (BuildFiltered restricts construction
+// only). They are what a maintained relevance view has not seen yet, and
+// their labels are the service names the expansion brought in.
+func (g *Guide) ApplyExpansion(removed *tree.Node, inserted []*tree.Node) []*tree.Node {
 	g.remove(removed)
+	var indexed []*tree.Node
 	for _, n := range inserted {
-		g.addSubtree(n)
+		n.Walk(func(x *tree.Node) bool {
+			if x.Kind == tree.Call {
+				if g.add(x) {
+					indexed = append(indexed, x)
+				}
+				return false
+			}
+			return x.Kind == tree.Element
+		})
 	}
 	g.version = g.doc.Version()
+	return indexed
 }
 
 // Synced reports whether the guide has incorporated every document
@@ -209,6 +219,57 @@ func (g *Guide) Calls() int { return len(g.where) }
 // (descendant-edge targets). The result is every function node in the
 // extents of the matching trie nodes, in ascending node-ID order.
 func (g *Guide) Candidates(lin []regex.PathStep, descTail bool) []*tree.Node {
+	seen := map[*tree.Node]bool{}
+	var out []*tree.Node
+	var take func(n *gnode, deep bool)
+	take = func(n *gnode, deep bool) {
+		for _, c := range n.extent {
+			if !seen[c] {
+				seen[c] = true
+				out = append(out, c)
+			}
+		}
+		if deep {
+			for _, ch := range n.children {
+				take(ch, true)
+			}
+		}
+	}
+	for n := range g.reach(lin) {
+		take(n, descTail)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out
+}
+
+// HasCandidates reports whether Candidates(lin, descTail) is non-empty,
+// from the trie alone: the cost is in the number of distinct paths, not of
+// calls.
+func (g *Guide) HasCandidates(lin []regex.PathStep, descTail bool) bool {
+	var holds func(n *gnode) bool
+	holds = func(n *gnode) bool {
+		if len(n.extent) > 0 {
+			return true
+		}
+		if descTail {
+			for _, ch := range n.children {
+				if holds(ch) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	for n := range g.reach(lin) {
+		if holds(n) {
+			return true
+		}
+	}
+	return false
+}
+
+// reach runs the linear path on the trie and returns the nodes it ends at.
+func (g *Guide) reach(lin []regex.PathStep) map[*gnode]bool {
 	cur := map[*gnode]bool{g.root: true}
 	for _, step := range lin {
 		next := map[*gnode]bool{}
@@ -230,27 +291,7 @@ func (g *Guide) Candidates(lin []regex.PathStep, descTail bool) []*tree.Node {
 		}
 		cur = next
 	}
-	seen := map[*tree.Node]bool{}
-	var out []*tree.Node
-	var take func(n *gnode, deep bool)
-	take = func(n *gnode, deep bool) {
-		for _, c := range n.extent {
-			if !seen[c] {
-				seen[c] = true
-				out = append(out, c)
-			}
-		}
-		if deep {
-			for _, ch := range n.children {
-				take(ch, true)
-			}
-		}
-	}
-	for n := range cur {
-		take(n, descTail)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return cur
 }
 
 // collectDescendants adds to out every proper descendant of n whose label

@@ -177,9 +177,18 @@ func TestMaintenanceAcrossReplaceCall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.ApplyExpansion(restos, d.ReplaceCall(restos, result))
+	inserted := d.ReplaceCall(restos, result)
+	indexed := g.ApplyExpansion(restos, inserted)
 	if !Synced(g) {
 		t.Fatal("guide out of sync after maintenance")
+	}
+	// The expansion reports the calls it brought into the index, once: the
+	// second application (an OnMutate holder of an adopted guide) adds none.
+	if len(indexed) != 1 || indexed[0].Label != "getRating" {
+		t.Fatalf("newly indexed calls = %v, want the nested getRating", indexed)
+	}
+	if again := g.ApplyExpansion(restos, inserted); len(again) != 0 {
+		t.Fatalf("replayed expansion indexed %v again", again)
 	}
 	// The nested call is now reachable under the new path.
 	lin := []regex.PathStep{
@@ -231,6 +240,31 @@ func TestApplyExpansionEmptyForest(t *testing.T) {
 	}
 }
 
+// TestRemoveFromExtentOutOfIDOrder: a guide built over an already expanded
+// document holds its extents in document order, which is not ID order once
+// an adopted call sits in the middle; removal must find its call there too.
+func TestRemoveFromExtentOutOfIDOrder(t *testing.T) {
+	root := tree.NewElement("list")
+	for i := 0; i < 20; i++ {
+		root.Append(tree.NewCall("f"))
+	}
+	d := tree.NewDocument(root)
+	d.ReplaceCall(root.Children[5], []*tree.Node{tree.NewCall("f")})
+	g := Build(d)
+	for _, i := range []int{12, 5, 0} {
+		gone := root.Children[i]
+		g.ApplyExpansion(gone, d.ReplaceCall(gone, nil))
+		if got, cold := g.String(), Build(d).String(); got != cold {
+			t.Fatalf("after removing child %d the guide differs from a cold rebuild:\n%s\nvs\n%s", i, got, cold)
+		}
+		for _, c := range g.Candidates([]regex.PathStep{{Label: "list"}}, false) {
+			if c == gone {
+				t.Fatalf("child %d still indexed after its expansion", i)
+			}
+		}
+	}
+}
+
 func TestAddPanicsOnNonCall(t *testing.T) {
 	d := doc(t, sample)
 	g := Build(d)
@@ -263,7 +297,7 @@ func TestGuideEquivalenceProperty(t *testing.T) {
 		lin, descTail := randomLin(seed * 31)
 		fromGuide := g.Candidates(lin, descTail)
 		want := scanCalls(d, lin, descTail)
-		if len(fromGuide) != len(want) {
+		if len(fromGuide) != len(want) || g.HasCandidates(lin, descTail) != (len(want) > 0) {
 			return false
 		}
 		for i := range want {

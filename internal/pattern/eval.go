@@ -108,6 +108,13 @@ type Stats struct {
 	// type-based projection predicate during descendant enumeration.
 	// Zero when no Projector is installed.
 	SubtreesPruned int
+	// Validated counts the candidate verdicts MatchedCandidates computed —
+	// the MatchCall runs it could not read off its view.
+	Validated int
+	// Revalidated counts the verdicts among Validated that had been
+	// computed before and were checked again because a splice touched
+	// their dependency root.
+	Revalidated int
 }
 
 // Add accumulates other into s.
@@ -115,6 +122,8 @@ func (s *Stats) Add(other Stats) {
 	s.NodesVisited += other.NodesVisited
 	s.MemoHits += other.MemoHits
 	s.SubtreesPruned += other.SubtreesPruned
+	s.Validated += other.Validated
+	s.Revalidated += other.Revalidated
 }
 
 // Projector is the type-based document-projection predicate (Benzaken,

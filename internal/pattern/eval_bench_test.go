@@ -92,36 +92,43 @@ func BenchmarkIncrementalRound(b *testing.B) {
 	}
 }
 
-// BenchmarkGuideRound measures the guide arm's round: replace a call,
-// then validate every call of the document with MatchCall (the F-guide's
-// extent for this query is all of them). "persistent" invalidates one
-// kept evaluator, "fresh" builds one per round — the two lifetimes
-// core.Options.Incremental chooses between. Compare with
-// BenchmarkIncrementalRound / BenchmarkMatchedCalls for the guideless arm.
-func BenchmarkGuideRound(b *testing.B) {
+// BenchmarkViewRound measures one guided detection round: replace a call,
+// Invalidate, answer. "view" asks the maintained view, offering it only
+// the call the splice inserted; "enumerate" asks MatchCall about every
+// call on the same kept evaluator, as guided detection did before the
+// view; "fresh" does that on a new evaluator per round — the lifetime
+// core.Options.Incremental=false chooses. The F-guide's extent for this
+// query is every call of the document; they are tracked outside the loop
+// so no mode pays a document walk. Compare with BenchmarkIncrementalRound
+// / BenchmarkMatchedCalls for the guideless arm.
+func BenchmarkViewRound(b *testing.B) {
 	for _, size := range benchSizes {
-		for _, mode := range []string{"persistent", "fresh"} {
+		for _, mode := range []string{"view", "enumerate", "fresh"} {
 			b.Run(fmt.Sprintf("hotels=%d/%s", size, mode), func(b *testing.B) {
 				doc := benchDoc(size)
 				q := MustParse(benchCallQuery)
 				out := q.ResultNodes()[0]
 				ie := NewIncrementalProjected(q, nil)
+				calls := doc.Calls()
+				ie.MatchedCandidates(doc, out, calls)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					calls := doc.Calls()
 					call := calls[i%len(calls)]
 					parent := call.Parent
-					doc.ReplaceCall(call, []*tree.Node{
-						tree.NewElement("restaurant"),
-						tree.NewCall("GetRestaurants", tree.NewElement("p")),
-					})
+					arrived := tree.NewCall("GetRestaurants", tree.NewElement("p"))
+					doc.ReplaceCall(call, []*tree.Node{tree.NewElement("restaurant"), arrived})
+					calls[i%len(calls)] = arrived
 					if mode == "fresh" {
 						ie = NewIncrementalProjected(q, nil)
 					} else {
 						ie.Invalidate(parent, call)
 					}
-					for _, c := range doc.Calls() {
+					if mode == "view" {
+						ie.MatchedCandidates(doc, out, []*tree.Node{arrived})
+						continue
+					}
+					for _, c := range calls {
 						ie.MatchCall(doc, out, c)
 					}
 				}

@@ -31,6 +31,24 @@ import (
 // valid. A round's re-evaluation then recomputes O(spine + inserted
 // region) matches instead of O(document).
 //
+// The verdicts of MatchedCandidates follow the same locality one level up.
+// A verdict is decided by the target's ancestor labels, which never
+// change, and by the off-spine joins MatchCall ran at some of those
+// ancestors; a join at ancestor a reads only memo entries inside a's
+// subtree. The verdict's dependency root is the shallowest ancestor at
+// which a non-empty join ran — the root element when the anchor itself has
+// off-spine branches, none for a purely linear query. A splice below
+// parent can change the verdict only if it changes one of those joins,
+// i.e. only if one of the consulted ancestors lies on the root-to-parent
+// spine, and then so does the shallowest of them. So the view files each
+// verdict under its dependency root, and Invalidate marks for re-checking
+// exactly the verdicts filed on the spine it already walks; all others,
+// and all verdicts without a root, stay as they are. The rule errs only on
+// the side of re-checking: a value join that reaches across branches makes
+// the joined branches hang off a shallower spine node, whose verdicts are
+// then re-checked by every splice below it (Stats.Revalidated counts
+// them).
+//
 // The evaluator is not safe for concurrent use; the engine keeps one
 // evaluator per relevance query.
 type IncrementalEvaluator struct {
@@ -42,6 +60,7 @@ type IncrementalEvaluator struct {
 	proj   Projector            // nil: no document projection
 
 	work      Stats // match work since the last takeStats
+	consulted int   // matchChain: shallowest ancestor position a join ran at so far
 	evictions int
 }
 
@@ -103,18 +122,30 @@ func (ev *IncrementalEvaluator) eval(scope rootScope) ([]Result, Stats) {
 // was detached from parent and an arbitrary forest spliced in its place
 // (tree.Document.ReplaceCall). It evicts the memo entries for the removed
 // subtree and for the root-to-parent spine; entries for inserted nodes do
-// not exist yet, so nothing else needs touching. Call it after every
-// mutation, before the next evaluation; missing a call makes subsequent
-// results stale.
+// not exist yet, so nothing else needs touching. The call views lose the
+// removed calls and get the verdicts filed on that spine marked for
+// re-checking. Call it after every mutation, before the next evaluation;
+// missing a call makes subsequent results stale.
 func (ev *IncrementalEvaluator) Invalidate(parent, removed *tree.Node) {
 	if removed != nil {
 		removed.Walk(func(n *tree.Node) bool {
 			ev.evict(n)
+			if n.Kind == tree.Call {
+				for _, sp := range ev.spines {
+					sp.setMatched(n, false)
+				}
+			}
 			return true
 		})
 	}
 	for x := parent; x != nil; x = x.Parent {
 		ev.evict(x)
+		for _, sp := range ev.spines {
+			if hung, ok := sp.filed[x]; ok {
+				sp.dirty = append(sp.dirty, hung...)
+				delete(sp.filed, x)
+			}
+		}
 	}
 }
 
