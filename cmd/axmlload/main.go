@@ -164,7 +164,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// Serial oracle: each query answered alone on a pristine clone. The
 	// naive fixpoint is deliberately strategy-agnostic — the server's
-	// lazy shared evaluator must agree on the binding multiset.
+	// lazy shared-master evaluation must agree on the binding multiset.
 	jobs := make([]job, 0, 8)
 	perScenario := map[string]*counts{}
 	for _, sc := range scenarios {
@@ -421,10 +421,7 @@ func selfServe(reg *service.Registry, scenarios []workload.Scenario, cfg session
 	metrics := telemetry.NewRegistry()
 	ss := &selfServer{prof: profile.New(0, nil)}
 	ss.prof.ExposeProm(metrics)
-	cache := service.NewCache(service.CacheSpec{})
-	cache.Instrument(metrics)
-	cache.Notify(ss.prof.Notify())
-	cfg.Registry = cache.Wrap(ss.prof.Wrap(session.LimitRegistry(reg, invokeLimit, metrics)))
+	cfg.Registry = session.ServingRegistry(reg, service.CacheSpec{}, ss.prof, invokeLimit, metrics)
 	cfg.Metrics = metrics
 	cfg.Engine = core.Options{Strategy: core.LazyNFQ, Incremental: true}
 	if traceOut != "" {

@@ -204,10 +204,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail("parse schema", err)
 		}
-		opt.Schema = sch
-		if st == core.LazyNFQ {
-			opt.Strategy = core.LazyNFQTyped
-		}
+		opt = opt.WithSchema(sch)
 	}
 
 	var reg *service.Registry

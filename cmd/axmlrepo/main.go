@@ -160,11 +160,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// decoded guide and patches it through every expansion, so -save
 		// persists it back without a rebuild. Incremental is on as in the
 		// other CLIs: candidate validation keeps its memo across rounds.
-		opt := core.Options{Strategy: core.LazyNFQ, UseGuide: true, Guide: o.Guide, Incremental: true}
-		if o.Schema != nil {
-			opt.Strategy = core.LazyNFQTyped
-			opt.Schema = o.Schema
-		}
+		opt := core.Options{Strategy: core.LazyNFQ, UseGuide: true, Guide: o.Guide, Incremental: true}.WithSchema(o.Schema)
 		var tracer *telemetry.Tracer
 		if *explain {
 			tracer = telemetry.NewTracer(telemetry.DefaultSpanCapacity)

@@ -163,10 +163,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, stop <-ch
 	// response cache: the provider cache keys recursive/push responses,
 	// which would cross-contaminate plain session invocations.
 	suiteReg, scenarios := workload.Suite(spec)
-	qcache := service.NewCache(service.CacheSpec{TTL: *cacheTTL})
-	qcache.Instrument(metrics)
-	qcache.Notify(prof.Notify())
-	sessionReg := qcache.Wrap(prof.Wrap(session.LimitRegistry(suiteReg, *invokeLimit, metrics)))
+	sessionReg := session.ServingRegistry(suiteReg, service.CacheSpec{TTL: *cacheTTL}, prof, *invokeLimit, metrics)
 
 	var rp *repo.Repo
 	if *docsDir != "" {

@@ -127,11 +127,7 @@ func E14(s Scale) (Table, error) {
 // e14Query evaluates the workload query over an opened entry with the
 // opened guide adopted warm, returning an order-independent result key.
 func e14Query(o *repo.Opened, w *workload.World) (string, int, error) {
-	opt := core.Options{Strategy: core.LazyNFQ, UseGuide: true, Guide: o.Guide}
-	if o.Schema != nil {
-		opt.Strategy = core.LazyNFQTyped
-		opt.Schema = o.Schema
-	}
+	opt := core.Options{Strategy: core.LazyNFQ, UseGuide: true, Guide: o.Guide}.WithSchema(o.Schema)
 	out, err := core.Evaluate(o.Doc, w.Query, w.Registry, opt)
 	if err != nil {
 		return "", 0, err

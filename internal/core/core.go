@@ -210,14 +210,13 @@ type Options struct {
 	// mutation the engine performs (a call subtree rooted at removed,
 	// detached from parent, replaced by the inserted response forest) —
 	// the same notification the engine's own persistent evaluators
-	// receive. External holders of pattern.IncrementalEvaluator
-	// memos over the same document (the session layer's shared per-query
-	// evaluators) use it to Invalidate in lockstep, and holders of a
-	// persistent F-guide feed it to fguide.ApplyExpansion so the index
-	// is patched in place instead of rebuilt. The hook fires after the
-	// engine's own guide maintenance, so an adopted Options.Guide is
-	// already synced when it runs. The callback runs on the engine
-	// goroutine and must not re-enter the engine.
+	// receive. Holders of state derived from the document keep it current
+	// from here: the session layer bumps the master version its stored
+	// answers are checked against and feeds a persistent F-guide to
+	// fguide.ApplyExpansion, so the index is patched in place instead of
+	// rebuilt. The hook fires after the engine's own guide maintenance,
+	// so an adopted Options.Guide is already synced when it runs. The
+	// callback runs on the engine goroutine and must not re-enter the engine.
 	OnMutate func(parent, removed *tree.Node, inserted []*tree.Node)
 	// Metrics, when set, receives the engine's counters and log-scale
 	// latency histograms (metric names in doc/OBSERVABILITY.md:
@@ -225,6 +224,22 @@ type Options struct {
 	// resolved once per evaluation; hot-path updates are atomic and
 	// allocation-free. Nil disables metric recording.
 	Metrics *telemetry.Registry
+}
+
+// WithSchema returns o evaluating under sch, which may be nil. Schema
+// residency decides typing: with a schema LazyNFQ becomes LazyNFQTyped,
+// without one LazyNFQTyped (which requires a schema) falls back to
+// LazyNFQ — the one statement of that rule, for every caller that learns
+// at run time whether a document carries signatures.
+func (o Options) WithSchema(sch *schema.Schema) Options {
+	o.Schema = sch
+	switch {
+	case sch != nil && o.Strategy == LazyNFQ:
+		o.Strategy = LazyNFQTyped
+	case sch == nil && o.Strategy == LazyNFQTyped:
+		o.Strategy = LazyNFQ
+	}
+	return o
 }
 
 // DefaultMaxCalls bounds invocation counts when Options.MaxCalls is 0.

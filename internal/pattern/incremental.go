@@ -104,10 +104,10 @@ func (ev *IncrementalEvaluator) MatchedCallsIncremental(doc *tree.Document, out 
 // inserted region) matches. Stats cover this call only, like
 // MatchedCallsIncremental.
 //
-// The session layer uses one shared evaluator per (document, query) pair
-// to answer repeat queries across tenants without re-walking the whole
-// document; core.Evaluate remains the from-scratch oracle with identical
-// results.
+// It is the body of MatchedCallsIncremental, the engine's guideless
+// detection arm. The serving layer holds no evaluator of its own (a
+// repeat query gets the stored answer of the engine run that completed
+// it); the one caller outside the package is the benchmark's replay.
 func (ev *IncrementalEvaluator) EvalIncremental(doc *tree.Document) ([]Result, Stats) {
 	return ev.eval(rootScope{doc: doc})
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"github.com/activexml/axml/internal/pattern"
+	"github.com/activexml/axml/internal/profile"
 	"github.com/activexml/axml/internal/service"
 	"github.com/activexml/axml/internal/telemetry"
 	"github.com/activexml/axml/internal/tree"
@@ -16,9 +17,8 @@ import (
 // the engine's per-evaluation pool — one tenant's parallel batch cannot
 // monopolise the providers that every other tenant shares.
 //
-// The wrapper composes with the response cache exactly like Cache.Wrap:
-// sessions use cache.Wrap(LimitRegistry(base, n, reg)) so cache hits are
-// answered without consuming a pool slot, and only true misses queue.
+// ServingRegistry puts it under the response cache, so cache hits are
+// answered without consuming a pool slot and only true misses queue.
 // The inflight gauge (axml_invocations_inflight) exposes the pool's
 // instantaneous occupancy. limit < 1 returns reg unchanged.
 func LimitRegistry(reg *service.Registry, limit int, metrics *telemetry.Registry) *service.Registry {
@@ -47,4 +47,15 @@ func LimitRegistry(reg *service.Registry, limit int, metrics *telemetry.Registry
 		})
 	}
 	return out
+}
+
+// ServingRegistry composes the registry a Manager serves from, outermost
+// first: a response cache (instrumented on metrics, reporting outcomes to
+// prof), prof's wrapper, the invocation pool of width invokeLimit. The
+// order is the invariant: hits bypass the pool and are never profiled.
+func ServingRegistry(reg *service.Registry, spec service.CacheSpec, prof *profile.Profiler, invokeLimit int, metrics *telemetry.Registry) *service.Registry {
+	cache := service.NewCache(spec)
+	cache.Instrument(metrics)
+	cache.Notify(prof.Notify())
+	return cache.Wrap(prof.Wrap(LimitRegistry(reg, invokeLimit, metrics)))
 }

@@ -1,0 +1,212 @@
+package session
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+	"time"
+
+	"github.com/activexml/axml/internal/core"
+	"github.com/activexml/axml/internal/pattern"
+	"github.com/activexml/axml/internal/service"
+	"github.com/activexml/axml/internal/tree"
+	"github.com/activexml/axml/internal/workload"
+)
+
+// resident returns the manager's entry for a document already loaded.
+func resident(t *testing.T, m *Manager, name string) *entry {
+	t.Helper()
+	e, err := m.lookup(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// TestMemoAnswerTakesOnlyTheReadLock pins the hit path's locking: with
+// another reader holding the entry lock — an isolated query cloning the
+// master, Drain persisting it — a memo answer still returns.
+func TestMemoAnswerTakesOnlyTheReadLock(t *testing.T) {
+	m, scenarios, _ := newSuiteManager(t, Config{Engine: core.Options{Strategy: core.LazyNFQ}}, suiteSpec())
+	sc := scenarios[0]
+	req := Request{Document: sc.Name, Query: sc.Queries[0]}
+	if _, err := m.Query(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+
+	e := resident(t, m, sc.Name)
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	done := make(chan *Result, 1)
+	go func() {
+		res, err := m.Query(context.Background(), req)
+		if err != nil {
+			t.Error(err)
+		}
+		done <- res
+	}()
+	select {
+	case res := <-done:
+		if res != nil && !res.Memo {
+			t.Fatal("repeat query on an unchanged master was not a memo answer")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("memo answer blocked behind a reader: the hit path takes the write lock")
+	}
+}
+
+// TestStoredAnswersUnderWrites interleaves, over 20 seeds, the suite's
+// hot queries with never-seen point queries that splice the masters.
+// Every answer equals the naive-fixpoint oracle; every memo answer equals
+// the snapshot evaluation of the master as it stands; and an answer is a
+// memo answer exactly when no call has been spliced into its document
+// since that query last ran to completion — in particular, the first hot
+// query after a write that spliced is never one.
+func TestStoredAnswersUnderWrites(t *testing.T) {
+	spec := suiteSpec()
+	oracle := map[string]string{} // a function of (document, query) only: one serves every seed
+	for seed := int64(0); seed < 20; seed++ {
+		m, scenarios, reg := newSuiteManager(t, Config{Engine: core.Options{Strategy: core.LazyNFQ, Incremental: true}}, spec)
+		rng := rand.New(rand.NewSource(seed))
+		fresh := map[string]bool{} // doc|query → answered since the document's last splice
+		unseen := map[string][]int{}
+		for _, sc := range scenarios[:2] {
+			for k := 0; k < spec.Hotels+spec.HiddenHotels; k++ {
+				if k%spec.TargetEvery != 0 {
+					unseen[sc.Name] = append(unseen[sc.Name], k)
+				}
+			}
+		}
+
+		for step := 0; step < 60; step++ {
+			sc := scenarios[rng.Intn(len(scenarios))]
+			qsrc := sc.Queries[rng.Intn(len(sc.Queries))]
+			if ks := unseen[sc.Name]; len(ks) > 0 && rng.Intn(4) == 0 {
+				i := rng.Intn(len(ks))
+				qsrc = pointQuery(ks[i])
+				unseen[sc.Name] = append(ks[:i], ks[i+1:]...)
+			}
+			key := sc.Name + "|" + qsrc
+			if _, ok := oracle[key]; !ok {
+				oracle[key] = naiveOracle(t, reg, sc.Doc, qsrc)
+			}
+
+			res, err := m.Query(context.Background(), Request{Document: sc.Name, Query: qsrc})
+			if err != nil {
+				t.Fatalf("seed %d step %d %s: %v", seed, step, key, err)
+			}
+			if !res.Complete || canon(res.Bindings) != oracle[key] {
+				t.Fatalf("seed %d step %d %s: complete=%v, answer differs from the naive fixpoint:\n got %s\nwant %s",
+					seed, step, key, res.Complete, canon(res.Bindings), oracle[key])
+			}
+			if res.Memo != fresh[key] {
+				t.Fatalf("seed %d step %d %s: memo=%v, but answered-since-last-splice=%v", seed, step, key, res.Memo, fresh[key])
+			}
+			if res.Memo {
+				e := resident(t, m, sc.Name)
+				e.mu.RLock()
+				rs, _ := pattern.Eval(e.master, pattern.MustParse(qsrc))
+				e.mu.RUnlock()
+				if got := canon(cloneBindings(rs)); got != canon(res.Bindings) {
+					t.Fatalf("seed %d step %d %s: memo answer is not the master's snapshot result:\n got %s\nwant %s",
+						seed, step, key, canon(res.Bindings), got)
+				}
+			}
+			if res.Stats.CallsInvoked > 0 {
+				for k := range fresh {
+					if strings.HasPrefix(k, sc.Name+"|") {
+						delete(fresh, k)
+					}
+				}
+			}
+			fresh[key] = true
+		}
+	}
+}
+
+// flatWorld is a document without calls: every query over it completes
+// without splicing, so every answer stays fresh.
+func flatWorld() *tree.Document {
+	root := tree.NewElement("r")
+	root.Append(tree.NewElement("v")).Append(tree.NewText("x"))
+	return tree.NewDocument(root)
+}
+
+// TestHotQueryStateIsBounded sends a document more distinct query texts
+// than it may remember: the map stays within maxHotQueries, a hot query
+// asked throughout keeps being answered from its stored answer, a text
+// that finds every remembered answer hot is answered without displacing
+// one, and once the master changes the stale texts are the first to go.
+func TestHotQueryStateIsBounded(t *testing.T) {
+	m := NewManager(Config{Registry: service.NewRegistry(), Engine: core.Options{Strategy: core.LazyNFQ}})
+	if err := m.AddDocument("d", flatWorld(), nil); err != nil {
+		t.Fatal(err)
+	}
+	e := resident(t, m, "d")
+	ask := func(q string) *Result {
+		t.Helper()
+		res, err := m.Query(context.Background(), Request{Document: "d", Query: q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	const hot = `/r/v/$V -> $V`
+	ask(hot)
+	for i := 0; i < 2*maxHotQueries+100; i++ {
+		ask(fmt.Sprintf(`/r/k%d/$V -> $V`, i))
+		if n := len(e.queries); n > maxHotQueries {
+			t.Fatalf("after %d distinct queries the document remembers %d texts, cap %d", i+1, n, maxHotQueries)
+		}
+		if i%50 == 0 {
+			if res := ask(hot); !res.Memo || len(res.Bindings) != 1 {
+				t.Fatalf("after %d distinct queries the hot query lost its stored answer (memo=%v, %d bindings)", i+1, res.Memo, len(res.Bindings))
+			}
+		}
+	}
+
+	for len(e.queries) < maxHotQueries {
+		ask(fmt.Sprintf(`/r/fill%d/$V -> $V`, len(e.queries)))
+	}
+	for q := range e.queries { // memo answers do not touch the map
+		if !ask(q).Memo {
+			t.Fatalf("%q lost its stored answer on an unchanged master", q)
+		}
+	}
+	if res := ask(`/r/v/$W -> $W`); len(res.Bindings) != 1 || len(e.queries) != maxHotQueries || e.queries[`/r/v/$W -> $W`] != nil {
+		t.Fatalf("a text arriving at %d hot ones: %d bindings, %d texts remembered; want it answered and not kept",
+			maxHotQueries, len(res.Bindings), len(e.queries))
+	}
+	e.mu.Lock()
+	e.version++ // what a splice does
+	e.mu.Unlock()
+	ask(`/r/after/$V -> $V`)
+	if n := len(e.queries); n != 1 {
+		t.Fatalf("a full map of stale answers kept %d texts beside the new one, want 1 in all", n)
+	}
+}
+
+// BenchmarkMemoAnswer measures Manager.Query on a master that is complete
+// for the query — the whole serving path of a memo answer except HTTP.
+func BenchmarkMemoAnswer(b *testing.B) {
+	reg, scenarios := workload.Suite(suiteSpec())
+	m := NewManager(Config{Registry: reg, Engine: core.Options{Strategy: core.LazyNFQ, Incremental: true}})
+	sc := scenarios[0]
+	if err := m.AddDocument(sc.Name, sc.Doc, sc.Schema); err != nil {
+		b.Fatal(err)
+	}
+	req := Request{Document: sc.Name, Query: sc.Queries[0]}
+	if _, err := m.Query(context.Background(), req); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := m.Query(context.Background(), req)
+		if err != nil || !res.Memo {
+			b.Fatalf("memo=%v err=%v", res != nil && res.Memo, err)
+		}
+	}
+}

@@ -31,7 +31,7 @@ type QueryResponse struct {
 	Bindings []map[string]string `json:"bindings"`
 	// Complete is the Definition-3 completeness flag.
 	Complete bool `json:"complete"`
-	// Memo reports a shared-memo answer (no engine run).
+	// Memo reports a stored answer: no engine run, zero engine counters.
 	Memo bool `json:"memo,omitempty"`
 	// CallsInvoked, Rounds and VirtualMs summarise the engine work.
 	CallsInvoked int     `json:"callsInvoked"`

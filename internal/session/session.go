@@ -1,28 +1,33 @@
 // Package session turns the lazy evaluation engine into a multi-tenant
 // query service: a repository of named AXML documents, each evaluated
-// lazily in place by concurrent client sessions that share one relevance
-// memo, one response cache and one bounded invocation pool.
+// lazily in place by concurrent client sessions that share the master's
+// materialisation, its stored answers, one response cache and one bounded
+// invocation pool.
 //
 // The sharing is the point. The paper's laziness pays off per query —
 // invoke only relevant calls — but a server amortises further across
 // queries: a call materialised for one tenant's query never needs
 // invoking again for anyone (the master document keeps the result), the
 // response cache deduplicates identical invocations across documents,
-// and a persistent pattern.IncrementalEvaluator per (document, query)
-// answers repeat queries from its memo without re-walking the document.
-// Soundness rests on the paper's completeness invariant (Definition 3):
-// a query's full result does not depend on how much of the document is
-// already materialised, so evaluating against a master that other
-// tenants have partially materialised returns exactly the serial-world
-// result.
+// and the answer of an engine run that ended complete is stored per
+// (document, query text) and handed to every repeat of the query until
+// the master next changes — a memo answer is a stored answer, nothing is
+// re-evaluated. Soundness rests on the paper's completeness invariant
+// (Definition 3): a query's full result does not depend on how much of
+// the document is already materialised, so evaluating against a master
+// that other tenants have partially materialised returns exactly the
+// serial-world result, and once the master is complete for a query that
+// result stays the full result for as long as the document is unchanged.
 //
 // Concurrency control is two-level. A weighted FIFO admission semaphore
 // bounds the queries executing at once and sheds load (ShedError → HTTP
 // 429) when its bounded wait queue overflows — backpressure, never
-// unbounded buffering. Within a document, shared-mode queries serialise
-// on the entry's write lock (the engine mutates the master in place);
-// isolated-mode queries clone the master under a read lock and evaluate
-// the clone in parallel, paying materialisation cost for isolation.
+// unbounded buffering. Within a document, engine runs in shared mode
+// serialise on the entry's write lock (the engine mutates the master in
+// place); memo answers and isolated-mode queries take only the read lock
+// — the former to compare a version, the latter to clone the master and
+// evaluate the clone in parallel, paying materialisation cost for
+// isolation.
 package session
 
 import (
@@ -66,8 +71,8 @@ func (e *BadQueryError) Unwrap() error { return e.Err }
 // Config assembles a Manager. Registry is the only required field.
 type Config struct {
 	// Registry serves every document's Web services. Wrap it in the
-	// shared cache/limiter stack before handing it over (see NewManager's
-	// default) or pre-compose your own.
+	// shared cache/limiter stack before handing it over (ServingRegistry)
+	// or pre-compose your own.
 	Registry *service.Registry
 	// Repo, when set, backs the document repository with the persistent
 	// indexed store of internal/repo: documents not yet resident are
@@ -128,20 +133,21 @@ type Request struct {
 
 // Result is one query's answer.
 type Result struct {
-	// Bindings holds one variable-binding map per query result, cloned
-	// from the evaluation — safe to retain after the master document
+	// Bindings holds one variable-binding map per query result, copied
+	// out of the evaluation — safe to retain after the master document
 	// moves on. Node captures are not exposed: the master is shared and
-	// mutable, so the session layer returns only immutable values.
+	// mutable, so only values cross the boundary. The slice and its maps
+	// are shared with the document's stored answer and with every other
+	// Result it is handed to: read-only.
 	Bindings []tree.Binding
 	// Complete reports the paper's Definition-3 completeness: the result
 	// is the query's full answer.
 	Complete bool
-	// Memo reports that the answer came from the shared incremental
-	// evaluator's memo without running the engine (the document was
-	// already complete for this query).
+	// Memo reports that the answer is the one an earlier engine run
+	// stored: the master was complete for this query then and has not
+	// changed since, so nothing was evaluated.
 	Memo bool
-	// Stats is the engine accounting (zero for memo answers except
-	// NodesVisited/MemoHits).
+	// Stats is the engine accounting; zero for memo answers.
 	Stats core.Stats
 	// Queued is the time spent waiting for admission.
 	Queued time.Duration
@@ -158,7 +164,7 @@ type Stats struct {
 	// Queued is the admission wait-queue length.
 	Queued int
 	// Served counts completed queries; Shed counts admission rejections;
-	// Memo counts queries answered from the shared memo.
+	// Memo counts queries answered with a stored answer (Result.Memo).
 	Served, Shed, Memo int64
 }
 
@@ -173,9 +179,8 @@ type TenantStats struct {
 // Manager is the multi-tenant session coordinator. All methods are safe
 // for concurrent use.
 type Manager struct {
-	cfg   Config
-	adm   *admission
-	clock func() service.Clock
+	cfg Config
+	adm *admission
 
 	mu      sync.Mutex // guards entries and tenants maps
 	entries map[string]*entry
@@ -194,16 +199,36 @@ type Manager struct {
 	mQueueSecs *telemetry.Histogram
 }
 
+// maxHotQueries caps the query texts one document remembers: they are
+// client-supplied, and unique strings would otherwise grow it for ever.
+const maxHotQueries = 1024
+
+// answer is the result of an engine run that ended Complete. While
+// entry.version still equals at, it is the query's full result.
+type answer struct {
+	at       uint64         // master version the run ended at; 0: none stored
+	bindings []tree.Binding // handed out as is: read-only
+}
+
+// hotQuery is what a document keeps per query text: the parsed pattern
+// (immutable, one instance serves every session), the stored answer
+// (guarded by the entry lock) and whether a query has read that answer
+// since the last eviction sweep.
+type hotQuery struct {
+	pattern *pattern.Pattern
+	answer  answer
+	used    atomic.Bool
+}
+
 // entry is one resident document: the shared master, its schema, its
-// F-guide, the per-query incremental evaluators and the completeness
-// ledger.
+// F-guide and the hot-query state.
 type entry struct {
 	name   string
 	schema *schema.Schema
 
-	mu      sync.RWMutex // write: shared-mode evaluation; read: clone for isolated mode
+	mu      sync.RWMutex // write: engine run on the master; read: memo answer, clone for isolated mode
 	master  *tree.Document
-	version uint64 // bumped on every master mutation
+	version uint64 // bumped on every master mutation; starts at 1
 	// guide is the master's F-guide, restored warm from the repository
 	// or built once at registration; the OnMutate hook patches it in
 	// lockstep with engine splices, so it is always synced and Drain can
@@ -211,21 +236,16 @@ type entry struct {
 	// the engine template wants one.
 	guide *fguide.Guide
 
-	queries  map[string]*pattern.Pattern              // parsed query cache
-	ievs     map[string]*pattern.IncrementalEvaluator // shared memo per query text
-	complete map[string]uint64                        // query text → version at which master was complete
+	queries map[string]*hotQuery // by query text, at most maxHotQueries
+}
+
+func newEntry(name string, doc *tree.Document, sch *schema.Schema, guide *fguide.Guide) *entry {
+	return &entry{name: name, schema: sch, master: doc, version: 1, guide: guide, queries: map[string]*hotQuery{}}
 }
 
 // NewManager builds a Manager. The registry is used as given — compose
-// the serving stack first, e.g.:
-//
-//	base := workloadRegistry()
-//	limited := session.LimitRegistry(base, invokeLimit, metrics)
-//	cache := service.NewCache(service.CacheSpec{MaxEntries: n})
-//	cache.Instrument(metrics)
-//	mgr := session.NewManager(session.Config{Registry: cache.Wrap(limited), ...})
-//
-// so cache hits bypass the invocation pool and misses queue for a slot.
+// the serving stack first (ServingRegistry), so cache hits bypass the
+// invocation pool and misses queue for a slot.
 func NewManager(cfg Config) *Manager {
 	if cfg.MaxActive <= 0 {
 		cfg.MaxActive = runtime.GOMAXPROCS(0)
@@ -239,17 +259,15 @@ func NewManager(cfg Config) *Manager {
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = 500 * time.Millisecond
 	}
-	clock := cfg.Clock
-	if clock == nil {
-		clock = func() service.Clock { return &service.SimClock{} }
+	if cfg.Clock == nil {
+		cfg.Clock = func() service.Clock { return &service.SimClock{} }
 	}
 	if cfg.Repo != nil && cfg.Metrics != nil {
 		cfg.Repo.Instrument(cfg.Metrics)
 	}
-	m := &Manager{
+	return &Manager{
 		cfg:     cfg,
 		adm:     newAdmission(int64(cfg.MaxActive), cfg.MaxQueued),
-		clock:   clock,
 		entries: map[string]*entry{},
 		tenants: map[string]*TenantStats{},
 
@@ -261,7 +279,6 @@ func NewManager(cfg Config) *Manager {
 		mSeconds:   cfg.Metrics.Histogram(telemetry.MetricSessionSeconds),
 		mQueueSecs: cfg.Metrics.Histogram(telemetry.MetricSessionQueueSeconds),
 	}
-	return m
 }
 
 // AddDocument registers (or replaces) a named document. The manager owns
@@ -274,14 +291,7 @@ func (m *Manager) AddDocument(name string, doc *tree.Document, sch *schema.Schem
 	if doc == nil {
 		return errors.New("session: nil document")
 	}
-	e := &entry{
-		name:     name,
-		schema:   sch,
-		master:   doc,
-		queries:  map[string]*pattern.Pattern{},
-		ievs:     map[string]*pattern.IncrementalEvaluator{},
-		complete: map[string]uint64{},
-	}
+	e := newEntry(name, doc, sch, nil)
 	if m.cfg.Engine.UseGuide || m.cfg.Repo != nil {
 		// Build the master's guide once at registration; every query then
 		// opens warm and the OnMutate hook keeps it patched, so neither
@@ -340,15 +350,7 @@ func (m *Manager) lookup(name string) (*entry, error) {
 	if again := m.entries[name]; again != nil { // lost the load race
 		return again, nil
 	}
-	e = &entry{
-		name:     name,
-		schema:   o.Schema,
-		master:   o.Doc,
-		guide:    o.Guide,
-		queries:  map[string]*pattern.Pattern{},
-		ievs:     map[string]*pattern.IncrementalEvaluator{},
-		complete: map[string]uint64{},
-	}
+	e = newEntry(name, o.Doc, o.Schema, o.Guide)
 	m.entries[name] = e
 	return e, nil
 }
@@ -387,7 +389,7 @@ func (m *Manager) Query(ctx context.Context, req Request) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	q, err := e.parse(req.Query)
+	h, err := e.hot(req.Query)
 	if err != nil {
 		return nil, &BadQueryError{Err: err}
 	}
@@ -395,9 +397,9 @@ func (m *Manager) Query(ctx context.Context, req Request) (*Result, error) {
 	t1 := time.Now()
 	var res *Result
 	if m.cfg.Isolated || req.Isolated {
-		res, err = m.queryIsolated(e, q)
+		res, err = m.queryIsolated(e, h.pattern)
 	} else {
-		res, err = m.queryShared(e, req.Query, q)
+		res, err = m.queryShared(e, h)
 	}
 	if err != nil {
 		return nil, err
@@ -419,66 +421,93 @@ func (m *Manager) Query(ctx context.Context, req Request) (*Result, error) {
 	return res, nil
 }
 
-// parse returns the cached pattern for src, parsing on first use.
-// Patterns are immutable after parse, so one instance serves every
-// session.
-func (e *entry) parse(src string) (*pattern.Pattern, error) {
+// hot returns the document's state for query text src, parsing and
+// remembering it on first sight.
+func (e *entry) hot(src string) (*hotQuery, error) {
 	e.mu.RLock()
-	q := e.queries[src]
+	h := e.queries[src]
 	e.mu.RUnlock()
-	if q != nil {
-		return q, nil
+	if h != nil {
+		return h, nil
 	}
 	q, err := pattern.Parse(src)
 	if err != nil {
 		return nil, err
 	}
 	e.mu.Lock()
-	if prev := e.queries[src]; prev != nil {
-		q = prev
-	} else {
-		e.queries[src] = q
+	defer e.mu.Unlock()
+	if h := e.queries[src]; h != nil {
+		return h, nil
 	}
-	e.mu.Unlock()
-	return q, nil
+	if len(e.queries) >= maxHotQueries {
+		e.evict()
+	}
+	h = &hotQuery{pattern: q}
+	if len(e.queries) < maxHotQueries { // else every remembered text is hot, and this one is not kept
+		e.queries[src] = h
+	}
+	return h, nil
 }
 
-// queryShared evaluates on the shared master under the entry write lock.
-// Fast path: if the master is still complete for this query (no mutation
-// since the last full evaluation), the shared incremental evaluator
-// answers from its memo without running the engine.
-func (m *Manager) queryShared(e *entry, qtext string, q *pattern.Pattern) (*Result, error) {
+// evict makes room in a full e.queries, cheapest loss first: a stale or
+// absent answer costs a parse to see again, a fresh one no query has read
+// since the last sweep an engine run that invokes nothing. Answers read
+// since then stay, whatever arrives. Caller holds e.mu for writing.
+func (e *entry) evict() {
+	for src, h := range e.queries {
+		if h.answer.at != e.version {
+			delete(e.queries, src)
+		}
+	}
+	if len(e.queries) < maxHotQueries {
+		return
+	}
+	for src, h := range e.queries {
+		if !h.used.Swap(false) {
+			delete(e.queries, src)
+		}
+	}
+}
+
+// stored returns h's answer as a memo Result while the master is still at
+// the version it was complete at, else nil. Caller holds e.mu (read or write).
+func (e *entry) stored(h *hotQuery) *Result {
+	if h.answer.at != e.version {
+		return nil
+	}
+	if !h.used.Load() {
+		h.used.Store(true)
+	}
+	return &Result{Bindings: h.answer.bindings, Complete: true, Memo: true}
+}
+
+// queryShared answers from the shared master: with the stored answer,
+// under the read lock alone, while the master has not changed since the
+// engine run that stored it; otherwise with an engine run under the write
+// lock, whose answer is stored when it ends complete.
+func (m *Manager) queryShared(e *entry, h *hotQuery) (*Result, error) {
+	e.mu.RLock()
+	res := e.stored(h)
+	e.mu.RUnlock()
+	if res != nil {
+		return res, nil
+	}
+
 	e.mu.Lock()
 	defer e.mu.Unlock()
-
-	if v, ok := e.complete[qtext]; ok && v == e.version {
-		iev := e.ievs[qtext]
-		rs, st := iev.EvalIncremental(e.master)
-		return &Result{
-			Bindings: cloneBindings(rs),
-			Complete: true,
-			Memo:     true,
-			Stats:    core.Stats{NodesVisited: st.NodesVisited, MemoHits: st.MemoHits, SubtreesPruned: st.SubtreesPruned},
-		}, nil
+	// Re-check: the run this query waited behind may have been its own.
+	if res := e.stored(h); res != nil {
+		return res, nil
 	}
-
-	opts := m.options(e)
-	if e.ievs[qtext] == nil {
-		e.ievs[qtext] = pattern.NewIncrementalProjected(q, m.sharedProjector(e, opts, q))
-	}
-
-	out, err := core.Evaluate(e.master, q, m.cfg.Registry, opts)
+	out, err := core.Evaluate(e.master, h.pattern, m.cfg.Registry, m.options(e, true))
 	if err != nil {
 		return nil, err
 	}
+	bindings := cloneBindings(out.Results)
 	if out.Complete {
-		e.complete[qtext] = e.version
+		h.answer = answer{at: e.version, bindings: bindings}
 	}
-	return &Result{
-		Bindings: cloneBindings(out.Results),
-		Complete: out.Complete,
-		Stats:    out.Stats,
-	}, nil
+	return &Result{Bindings: bindings, Complete: out.Complete, Stats: out.Stats}, nil
 }
 
 // queryIsolated clones the master under a read lock and evaluates the
@@ -486,31 +515,33 @@ func (m *Manager) queryShared(e *entry, qtext string, q *pattern.Pattern) (*Resu
 func (m *Manager) queryIsolated(e *entry, q *pattern.Pattern) (*Result, error) {
 	e.mu.RLock()
 	doc := e.master.Clone()
-	opts := m.isolatedOptions(e)
 	e.mu.RUnlock()
 
-	out, err := core.Evaluate(doc, q, m.cfg.Registry, opts)
+	out, err := core.Evaluate(doc, q, m.cfg.Registry, m.options(e, false))
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		Bindings: cloneBindings(out.Results),
-		Complete: out.Complete,
-		Stats:    out.Stats,
-	}, nil
+	return &Result{Bindings: cloneBindings(out.Results), Complete: out.Complete, Stats: out.Stats}, nil
 }
 
-// options instantiates the engine template for one shared-mode query:
-// fresh clock, shared telemetry, the entry's schema and warm guide, and
-// the OnMutate hook that keeps every shared evaluator's memo, the
-// entry's F-guide and the completeness ledger in lockstep with the
-// engine's splices. Must be called with e.mu write-held (the hook
-// mutates entry state).
-func (m *Manager) options(e *entry) core.Options {
-	opts := m.isolatedOptions(e)
+// options instantiates the engine template for one query: fresh clock,
+// shared telemetry, the entry's schema. A shared-mode run (e.mu held for
+// writing) also adopts the entry's warm guide and gets the OnMutate hook
+// that keeps the guide, and the version every stored answer is checked
+// against, in lockstep with the engine's splices. A clone has no shared
+// state to maintain, and the entry's guide does not describe it.
+func (m *Manager) options(e *entry, shared bool) core.Options {
+	opts := m.cfg.Engine.WithSchema(e.schema)
+	opts.Clock = m.cfg.Clock()
+	opts.Metrics = m.cfg.Metrics
+	opts.Tracer = m.cfg.Tracer
+	opts.OnMutate, opts.Guide = nil, nil
+	if !shared {
+		return opts
+	}
 	opts.Guide = e.guide
 	patches := m.cfg.Metrics.Counter(telemetry.MetricGuidePatches)
-	opts.OnMutate = func(parent, removed *tree.Node, inserted []*tree.Node) {
+	opts.OnMutate = func(_, removed *tree.Node, inserted []*tree.Node) {
 		e.version++
 		if e.guide != nil {
 			// Patch the persistent index in place. When the engine adopted
@@ -519,47 +550,6 @@ func (m *Manager) options(e *entry) core.Options {
 			e.guide.ApplyExpansion(removed, inserted)
 			patches.Inc()
 		}
-		for _, iev := range e.ievs {
-			iev.Invalidate(parent, removed)
-		}
-	}
-	return opts
-}
-
-// sharedProjector derives the document-projection predicate for a
-// shared evaluator, mirroring the engine's own gating: schema resident,
-// typed strategy in effect, projection not disabled. The predicate
-// depends only on (schema, query), so it stays valid across master
-// mutations and is safe to bake into the long-lived evaluator.
-func (m *Manager) sharedProjector(e *entry, opts core.Options, q *pattern.Pattern) pattern.Projector {
-	if e.schema == nil || opts.NoProject || opts.Strategy != core.LazyNFQTyped {
-		return nil
-	}
-	proj := schema.NewProjection(e.schema, q, opts.SchemaMode)
-	if proj.Trivial() {
-		return nil
-	}
-	return proj
-}
-
-// isolatedOptions instantiates the engine template without the shared
-// mutation hook (clones have no shared state to maintain — and no warm
-// guide: the entry's guide describes the master, not the clone).
-func (m *Manager) isolatedOptions(e *entry) core.Options {
-	opts := m.cfg.Engine
-	opts.Clock = m.clock()
-	opts.Metrics = m.cfg.Metrics
-	opts.Tracer = m.cfg.Tracer
-	opts.OnMutate = nil
-	opts.Guide = nil
-	// Schema residency decides typing: refine the lazy strategies when
-	// the document carries signatures, degrade gracefully when not.
-	opts.Schema = e.schema
-	if e.schema != nil && opts.Strategy == core.LazyNFQ {
-		opts.Strategy = core.LazyNFQTyped
-	}
-	if e.schema == nil && opts.Strategy == core.LazyNFQTyped {
-		opts.Strategy = core.LazyNFQ
 	}
 	return opts
 }

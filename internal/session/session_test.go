@@ -2,6 +2,7 @@ package session
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -14,6 +15,7 @@ import (
 	"github.com/activexml/axml/internal/core"
 	"github.com/activexml/axml/internal/pattern"
 	"github.com/activexml/axml/internal/plan"
+	"github.com/activexml/axml/internal/profile"
 	"github.com/activexml/axml/internal/repo"
 	"github.com/activexml/axml/internal/service"
 	"github.com/activexml/axml/internal/telemetry"
@@ -59,12 +61,8 @@ func serialOracle(t *testing.T, reg *service.Registry, scenarios []workload.Scen
 			if err != nil {
 				t.Fatalf("parse %q: %v", qsrc, err)
 			}
-			opts := engine
+			opts := engine.WithSchema(sc.Schema)
 			opts.Clock = &service.SimClock{}
-			opts.Schema = sc.Schema
-			if sc.Schema != nil && opts.Strategy == core.LazyNFQ {
-				opts.Strategy = core.LazyNFQTyped
-			}
 			out, err := core.Evaluate(sc.Doc.Clone(), q, reg, opts)
 			if err != nil {
 				t.Fatalf("oracle %s %q: %v", sc.Name, qsrc, err)
@@ -78,18 +76,16 @@ func serialOracle(t *testing.T, reg *service.Registry, scenarios []workload.Scen
 	return oracle
 }
 
-// newSuiteManager assembles the full serving stack — base registry,
-// shared invocation pool, shared response cache, manager — and loads
-// every scenario document.
+// newSuiteManager assembles the full serving stack — base registry under
+// ServingRegistry's pool, profiler and response cache, manager — and
+// loads every scenario document.
 func newSuiteManager(t *testing.T, cfg Config, spec workload.HotelSpec) (*Manager, []workload.Scenario, *service.Registry) {
 	t.Helper()
 	reg, scenarios := workload.Suite(spec)
 	if cfg.Metrics == nil {
 		cfg.Metrics = telemetry.NewRegistry()
 	}
-	cache := service.NewCache(service.CacheSpec{MaxEntries: 4096})
-	cache.Instrument(cfg.Metrics)
-	cfg.Registry = cache.Wrap(LimitRegistry(reg, 16, cfg.Metrics))
+	cfg.Registry = ServingRegistry(reg, service.CacheSpec{MaxEntries: 4096}, profile.New(0, nil), 16, cfg.Metrics)
 	m := NewManager(cfg)
 	for _, sc := range scenarios {
 		if err := m.AddDocument(sc.Name, sc.Doc.Clone(), sc.Schema); err != nil {
@@ -99,11 +95,34 @@ func newSuiteManager(t *testing.T, cfg Config, spec workload.HotelSpec) (*Manage
 	return m, scenarios, reg
 }
 
-// TestHammerSharedEvaluator is the concurrency hammer: N goroutines × M
-// mixed queries against one manager sharing the incremental evaluators,
-// the response cache and the invocation pool, under -race. Every single
-// answer must equal the serial oracle — correctness, not just survival.
-func TestHammerSharedEvaluator(t *testing.T) {
+// pointQuery asks for the restaurants near one uniquely named hotel of
+// the travel/distributed documents. Asked for the first time it is a
+// write: it invokes that hotel's getNearbyRestos call and splices the
+// master.
+func pointQuery(k int) string {
+	return fmt.Sprintf(`/hotels/hotel[name="Hotel-%d"]/nearby//restaurant[name=$X][rating=$R] -> $X, $R`, k)
+}
+
+// naiveOracle answers qsrc on a fully materialised clone of doc — the
+// naive fixpoint, which shares nothing with the lazy engine but the
+// pattern matcher.
+func naiveOracle(t *testing.T, reg *service.Registry, doc *tree.Document, qsrc string) string {
+	t.Helper()
+	out, err := core.Evaluate(doc.Clone(), pattern.MustParse(qsrc), reg, core.Options{Strategy: core.NaiveFixpoint})
+	if err != nil {
+		t.Fatalf("naive oracle %q: %v", qsrc, err)
+	}
+	return canon(cloneBindings(out.Results))
+}
+
+// TestHammerSharedMaster is the concurrency hammer: N goroutines × M
+// mixed hot queries against one manager sharing the masters, their stored
+// answers, the response cache and the invocation pool, each JSON-encoding
+// the bindings it was handed (the slice a memo answer shares with every
+// other), while writer goroutines splice the masters with never-seen
+// point queries — under -race. Every single answer must equal the serial
+// oracle — correctness, not just survival.
+func TestHammerSharedMaster(t *testing.T) {
 	engine := core.Options{Strategy: core.LazyNFQ, Incremental: true}
 	m, scenarios, reg := newSuiteManager(t, Config{
 		Engine:    engine,
@@ -119,10 +138,44 @@ func TestHammerSharedEvaluator(t *testing.T) {
 			jobs = append(jobs, job{sc.Name, q})
 		}
 	}
+	// The writes: every uniquely named hotel of the two hotel documents.
+	spec := suiteSpec()
+	var writes []job
+	for _, sc := range scenarios[:2] {
+		for k := 0; k < spec.Hotels+spec.HiddenHotels; k++ {
+			if k%spec.TargetEvery != 0 {
+				q := pointQuery(k)
+				writes = append(writes, job{sc.Name, q})
+				oracle[sc.Name+"|"+q] = naiveOracle(t, reg, sc.Doc, q)
+			}
+		}
+	}
 
 	const goroutines = 8
 	const perGoroutine = 50
-	errs := make(chan error, goroutines)
+	const writers = 2
+	run := func(g int, j job) error {
+		res, err := m.Query(context.Background(), Request{
+			Tenant:   fmt.Sprintf("tenant-%d", g),
+			Document: j.doc,
+			Query:    j.query,
+		})
+		if err != nil {
+			return fmt.Errorf("goroutine %d: %s %q: %w", g, j.doc, j.query, err)
+		}
+		if !res.Complete {
+			return fmt.Errorf("goroutine %d: %s %q incomplete", g, j.doc, j.query)
+		}
+		if _, err := json.Marshal(res.Bindings); err != nil {
+			return fmt.Errorf("goroutine %d: %s %q: encode: %w", g, j.doc, j.query, err)
+		}
+		if got, want := canon(res.Bindings), oracle[j.doc+"|"+j.query]; got != want {
+			return fmt.Errorf("goroutine %d: %s %q diverges from serial oracle:\n got %s\nwant %s",
+				g, j.doc, j.query, got, want)
+		}
+		return nil
+	}
+	errs := make(chan error, goroutines+writers)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -130,46 +183,40 @@ func TestHammerSharedEvaluator(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(g)))
 			for i := 0; i < perGoroutine; i++ {
-				j := jobs[rng.Intn(len(jobs))]
-				res, err := m.Query(context.Background(), Request{
-					Tenant:   fmt.Sprintf("tenant-%d", g),
-					Document: j.doc,
-					Query:    j.query,
-				})
-				if err != nil {
-					errs <- fmt.Errorf("goroutine %d: %s %q: %w", g, j.doc, j.query, err)
-					return
-				}
-				if !res.Complete {
-					errs <- fmt.Errorf("goroutine %d: %s %q incomplete", g, j.doc, j.query)
-					return
-				}
-				if got, want := canon(res.Bindings), oracle[j.doc+"|"+j.query]; got != want {
-					errs <- fmt.Errorf("goroutine %d: %s %q diverges from serial oracle:\n got %s\nwant %s",
-						g, j.doc, j.query, got, want)
+				if err := run(g, jobs[rng.Intn(len(jobs))]); err != nil {
+					errs <- err
 					return
 				}
 			}
-			errs <- nil
 		}(g)
+	}
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < len(writes); i += writers {
+				if err := run(goroutines+w, writes[i]); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(w)
 	}
 	wg.Wait()
 	close(errs)
 	for err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
+		t.Fatal(err)
 	}
 
 	st := m.Stats()
-	if st.Served != goroutines*perGoroutine {
-		t.Fatalf("served %d queries, want %d", st.Served, goroutines*perGoroutine)
+	if want := int64(goroutines*perGoroutine + len(writes)); st.Served != want {
+		t.Fatalf("served %d queries, want %d", st.Served, want)
 	}
 	// Sharing must have paid: once a document is complete for a query,
-	// repeats are memo answers. With 400 queries over 8 query kinds the
-	// overwhelming majority hit the memo.
+	// repeats are memo answers until a write splices it. With 400 queries
+	// over 8 query kinds and 24 writes the majority are stored answers.
 	if st.Memo < int64(goroutines*perGoroutine/2) {
-		t.Fatalf("only %d/%d memo answers — the shared evaluator is not being reused", st.Memo, st.Served)
+		t.Fatalf("only %d/%d memo answers — stored answers are not being reused", st.Memo, st.Served)
 	}
 	ts := m.TenantStats()
 	var total int64
@@ -184,8 +231,9 @@ func TestHammerSharedEvaluator(t *testing.T) {
 // TestSharedProjectionEquivalence runs every (scenario, query) pair
 // through two managers — projection enabled and disabled — and demands
 // identical bindings and completeness, equal also to the serial oracle.
-// Each query runs twice per manager so the second answer exercises the
-// shared evaluator's memo fast path with the projected memo contents.
+// Each query runs twice per manager: the first pass is the engine run
+// (projected or not), the second must be that run's stored answer — a
+// memo answer with zero Stats.
 func TestSharedProjectionEquivalence(t *testing.T) {
 	spec := suiteSpec()
 	oracleReg, oracleScenarios := workload.Suite(spec)
@@ -209,6 +257,10 @@ func TestSharedProjectionEquivalence(t *testing.T) {
 					if got, want := canon(res.Bindings), oracle[sc.Name+"|"+qsrc]; got != want {
 						t.Fatalf("noProject=%v %s %q pass %d diverges from oracle:\n got %s\nwant %s",
 							noProject, sc.Name, qsrc, pass, got, want)
+					}
+					if pass == 1 && (!res.Memo || res.Stats != (core.Stats{})) {
+						t.Fatalf("noProject=%v %s %q: repeat on an unchanged master: memo=%v stats=%+v, want a memo answer with zero Stats",
+							noProject, sc.Name, qsrc, res.Memo, res.Stats)
 					}
 				}
 			}
@@ -315,8 +367,8 @@ func TestIsolatedMatchesShared(t *testing.T) {
 }
 
 // TestMemoFastPath checks the repeat-query path: same document, same
-// query, no interleaved mutation — the second answer must come from the
-// shared evaluator's memo without an engine run, and still match.
+// query, no interleaved mutation — the second answer must be the stored
+// one, without an engine run, and still match.
 func TestMemoFastPath(t *testing.T) {
 	engine := core.Options{Strategy: core.LazyNFQ}
 	m, scenarios, _ := newSuiteManager(t, Config{Engine: engine, MaxActive: 2}, suiteSpec())
