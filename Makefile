@@ -69,7 +69,7 @@ benchsmoke:
 
 microbench:
 	$(GO) test -bench . -benchmem ./internal/pattern/
-	$(GO) test -run '^$$' -bench MemoAnswer -benchmem ./internal/session/
+	$(GO) test -run '^$$' -bench 'MemoAnswer|ReevalAfterWrite' -benchmem ./internal/session/
 	$(GO) test -bench E10TelemetryOverhead -benchmem .
 	$(GO) test -run TestE13AllocationRegression -count=1 ./internal/bench/
 

@@ -20,6 +20,14 @@
 // Orthogonal options enable the layering and intra-layer parallelism of
 // Sections 4.3–4.4, the F-guide acceleration and relaxations of Section 6,
 // and the query pushing of Section 7.
+//
+// An evaluation has two halves. Prepare does what depends on the query, the
+// schema and the options alone — validation, satisfiability analysis,
+// relevance-query generation, layering — once per query. An Evaluation is
+// a prepared query's engine state over one document: Run evaluates, and a
+// run that leaves the document complete keeps what it learnt, so the next
+// Run pays only for what was spliced in between (Evaluation.Spliced).
+// Evaluate is the two in one call, for a query asked once.
 package core
 
 import (
@@ -118,8 +126,10 @@ type Options struct {
 	// guide and only its candidates are checked against the remaining
 	// conditions. Together with Incremental the guide is also what makes
 	// detection a maintained view — its candidates seed the view once and
-	// its per-expansion upkeep (fguide.ApplyExpansion) feeds it the calls
-	// that arrived since.
+	// the calls each splice brings in are fed to it afterwards. The session
+	// layer sets it on every shared-mode run, whatever its template says
+	// (the resident master's guide is the delta index); what is left to
+	// switch it off are one-shot evaluations and the differentials.
 	UseGuide bool
 	// Guide, when set together with UseGuide, supplies a pre-built
 	// F-guide for the document — typically one decoded from a
@@ -133,10 +143,11 @@ type Options struct {
 	Guide *fguide.Guide
 	// Incremental makes each relevance query's pattern evaluator live as
 	// long as the query object instead of being built afresh for every
-	// detection. What it keeps depends on where the candidates come from.
-	// Under UseGuide the answer itself is kept, as a maintained view: a
-	// detection validates only the candidates that entered the guide since
-	// the last one and the verdicts the round's splices can have changed
+	// detection — across the rounds of a run and, on an Evaluation that is
+	// run again, across runs. What it keeps depends on where the candidates
+	// come from. Under UseGuide the answer itself is kept, as a maintained
+	// view: a detection validates only the candidates that arrived since
+	// the last one and the verdicts the splices in between can have changed
 	// (Stats.GuideCandidates, Stats.Revalidated), and reads the rest.
 	// Without a guide the evaluator keeps its memo of (query node, document
 	// node) matches and re-evaluates the query down the spines the splices
@@ -144,10 +155,9 @@ type Options struct {
 	// still one pass over the matched set per round. The guideless arm is
 	// not a view on purpose: without an index of arriving calls a view has
 	// to be seeded from every call of the document, which a short
-	// evaluation — the serving layer's re-run after one write — never earns
-	// back (measured, ROADMAP item 1). The invoked call sequence and the
-	// results are identical to from-scratch evaluation either way; only the
-	// work counters and DetectTime change.
+	// evaluation never earns back (measured, doc/PERF.md §1). The invoked
+	// call sequence and the results are identical to from-scratch
+	// evaluation either way; only the work counters and DetectTime change.
 	Incremental bool
 	// InvokeWorkers bounds the invocation pool: how many members of a
 	// parallel batch (the independent relevant calls one detection round
@@ -209,14 +219,14 @@ type Options struct {
 	// OnMutate, when set, is called synchronously after every document
 	// mutation the engine performs (a call subtree rooted at removed,
 	// detached from parent, replaced by the inserted response forest) —
-	// the same notification the engine's own persistent evaluators
-	// receive. Holders of state derived from the document keep it current
+	// after the engine's own upkeep, with the arguments Evaluation.Spliced
+	// takes. Holders of state derived from the document keep it current
 	// from here: the session layer bumps the master version its stored
-	// answers are checked against and feeds a persistent F-guide to
-	// fguide.ApplyExpansion, so the index is patched in place instead of
-	// rebuilt. The hook fires after the engine's own guide maintenance,
-	// so an adopted Options.Guide is already synced when it runs. The
-	// callback runs on the engine goroutine and must not re-enter the engine.
+	// answers are checked against and reports the splice to the resident
+	// evaluations of the document's other hot queries. The hook fires
+	// after the engine's guide maintenance, so an adopted Options.Guide is
+	// already synced when it runs. The callback runs on the engine
+	// goroutine and must not re-enter the engine.
 	OnMutate func(parent, removed *tree.Node, inserted []*tree.Node)
 	// Metrics, when set, receives the engine's counters and log-scale
 	// latency histograms (metric names in doc/OBSERVABILITY.md:
@@ -436,6 +446,10 @@ type Outcome struct {
 	// query; false means the call budget ran out first, or a failed
 	// call (BestEffort) is still relevant.
 	Complete bool
+	// Resumed reports that the run continued from the state an earlier run
+	// of the same Evaluation kept, instead of learning the document from
+	// scratch. Always false for Evaluate.
+	Resumed bool
 	// Failures lists the calls the engine gave up on (BestEffort only;
 	// FailFast evaluations return an error instead).
 	Failures []CallFailure

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"github.com/activexml/axml/internal/fguide"
-	"github.com/activexml/axml/internal/influence"
 	"github.com/activexml/axml/internal/pattern"
 	"github.com/activexml/axml/internal/rewrite"
 	"github.com/activexml/axml/internal/schema"
@@ -62,45 +61,69 @@ func resolveMetrics(reg *telemetry.Registry) coreMetrics {
 // calls are replaced by their results (clone the document first to keep
 // the original). On success the outcome's Results hold the full query
 // result; Complete reports whether every relevant call was resolved
-// within the budget.
+// within the budget. It is Prepare followed by one Run of an Evaluation
+// that is then dropped.
 func Evaluate(doc *tree.Document, q *pattern.Pattern, reg *service.Registry, opt Options) (*Outcome, error) {
 	if err := rewrite.Validate(q); err != nil {
 		return nil, err
 	}
-	e := &engine{doc: doc, q: q, reg: reg, opt: opt,
-		names: map[string]bool{}, failed: map[*tree.Node]bool{},
-		incr: map[*rewrite.NFQ]*liveQuery{},
-		met:  resolveMetrics(opt.Metrics)}
+	return (&Evaluation{q: q, doc: doc}).Run(reg, opt)
+}
+
+// Run evaluates the query over the evaluation's document, like Evaluate.
+// The first run, and any run that finds no state to resume (see
+// Evaluation), learns the document in one walk; a resumed run looks only at
+// what the splices since the last run can have changed: it offers the call
+// views the calls that arrived, re-validates the verdicts those splices
+// dirtied, invokes what became relevant and re-reads the result through the
+// kept memo — the same calls in the same order, and the same result, as a
+// run from scratch. The analysis fields of opt (see Prepared) are taken
+// from the prepared query; every other field is this run's own.
+func (ev *Evaluation) Run(reg *service.Registry, opt Options) (*Outcome, error) {
+	opt = normalise(opt)
+	if ev.p != nil {
+		opt = ev.p.bind(opt)
+	}
+	e := &engine{Evaluation: ev, reg: reg, opt: opt,
+		failed: map[*tree.Node]bool{}, met: resolveMetrics(opt.Metrics)}
+	out, err := e.run()
+	if err != nil || !out.Complete || len(out.Failures) > 0 {
+		ev.drop()
+	} else {
+		ev.trim()
+	}
+	return out, err
+}
+
+func (e *engine) run() (*Outcome, error) {
 	evalStart := time.Now()
-	e.spanEval = opt.Tracer.Start("evaluate", 0)
-	e.spanEval.SetAttr("strategy", opt.Strategy.String())
-	for _, c := range doc.Calls() {
-		e.names[c.Label] = true
+	e.spanEval = e.opt.Tracer.Start("evaluate", 0)
+	e.spanEval.SetAttr("strategy", e.opt.Strategy.String())
+	resumed := e.live && e.at == e.doc.Version()
+	if !resumed {
+		e.seed()
 	}
-	if e.opt.Strategy == TopDownEager {
-		// The eager baseline models a blocking top-down processor: one
-		// call at a time, no sequencing analysis, no pushing.
-		e.opt.Layering, e.opt.Parallel, e.opt.Push = false, false, false
-		e.opt.Speculative = false
-		e.opt.InvokeWorkers = 0
+	if e.p != nil {
+		e.stats.AnalysisTime += e.p.bill()
 	}
-	if e.opt.Speculative || e.opt.InvokeWorkers > 1 {
-		e.opt.Parallel = true
-	}
-	if e.opt.Clock == nil {
-		e.opt.Clock = &service.SimClock{}
-	}
-	if e.opt.MaxCalls == 0 {
-		e.opt.MaxCalls = DefaultMaxCalls
+	if g := e.opt.Guide; e.opt.UseGuide && g != nil && g.Doc() == e.doc && fguide.Synced(g) {
+		// Warm path: adopt the caller's guide (decoded from a repository's
+		// persisted index, or kept in sync by the session layer) instead of
+		// building one. Whatever the strategy, the engine maintains it in
+		// place as it splices, so it stays synced for the caller.
+		e.guide = g
+		e.met.guideWarm.Inc()
 	}
 	var err error
-	switch opt.Strategy {
-	case NaiveFixpoint:
-		err = e.runNaive()
-	case TopDownEager, LazyLPQ, LazyNFQ, LazyNFQTyped:
+	if e.opt.Strategy == NaiveFixpoint {
+		if e.p == nil {
+			e.p, err = prepare(e.q, e.opt)
+		}
+		if err == nil {
+			err = e.runNaive()
+		}
+	} else {
 		err = e.runLazy()
-	default:
-		err = fmt.Errorf("core: unknown strategy %v", opt.Strategy)
 	}
 	if err != nil {
 		e.spanEval.SetAttr("error", err.Error())
@@ -115,21 +138,25 @@ func Evaluate(doc *tree.Document, q *pattern.Pattern, reg *service.Registry, opt
 		// Type-refined relevance (sound for any strategy, Section 5)
 		// applies whenever a schema is available, so a failed call whose
 		// signature cannot contribute does not cost completeness.
-		ok, cerr := Complete(doc, q, e.opt.Schema, e.opt.SchemaMode)
+		ok, cerr := Complete(e.doc, e.q, e.opt.Schema, e.opt.SchemaMode)
 		e.complete = cerr == nil && ok
 	}
 	resultSpan := e.opt.Tracer.Start("result-eval", e.spanEval.ID())
-	results, st := pattern.EvalProjected(doc, q, asProjector(e.userProj))
+	if e.result == nil {
+		e.result = e.newLiveQuery(e.q, e.p.userProj)
+	}
+	e.absorb(e.result)
+	results, st := e.result.iev.EvalIncremental(e.doc)
 	resultSpan.SetInt("results", int64(len(results)))
 	resultSpan.End()
 	e.stats.NodesVisited += st.NodesVisited
 	e.stats.SubtreesPruned += st.SubtreesPruned
 	e.stats.VirtualTime = e.opt.Clock.Elapsed()
-	e.stats.FinalSize = doc.Size()
+	e.stats.FinalSize = e.size
 	// Calls still pending in the final document were never deemed
 	// relevant: they are the calls laziness pruned (the paper's headline
 	// savings metric).
-	prunedCalls := len(e.pendingCalls())
+	prunedCalls := e.pendingCount()
 	e.spanEval.SetInt("calls_invoked", int64(e.stats.CallsInvoked))
 	e.spanEval.SetInt("calls_pruned", int64(prunedCalls))
 	e.spanEval.SetInt("results", int64(len(results)))
@@ -142,12 +169,12 @@ func Evaluate(doc *tree.Document, q *pattern.Pattern, reg *service.Registry, opt
 	e.met.giveups.Add(int64(e.stats.FailedCalls))
 	e.met.pushed.Add(int64(e.stats.PushedCalls))
 	e.met.evalSecs.Observe(time.Since(evalStart))
-	return &Outcome{Results: results, Complete: e.complete, Failures: e.failures, Stats: e.stats}, nil
+	return &Outcome{Results: results, Complete: e.complete, Resumed: resumed, Failures: e.failures, Stats: e.stats}, nil
 }
 
+// engine is one run of an Evaluation.
 type engine struct {
-	doc *tree.Document
-	q   *pattern.Pattern
+	*Evaluation
 	reg *service.Registry
 	opt Options
 
@@ -155,35 +182,17 @@ type engine struct {
 	complete bool
 
 	guide *fguide.Guide
-	an    *schema.Analyzer
-	names map[string]bool // service names seen in the document
 	// failed marks calls given up on under BestEffort; they are excluded
 	// from relevance detection and naive fixpoint rounds so the
 	// evaluation can terminate around them.
 	failed   map[*tree.Node]bool
 	failures []CallFailure
-	// nameVersion increments whenever a previously unseen service name
-	// enters the document; refined NFQs must then be regenerated with
-	// the enriched name list (Section 5, "the refined NFQs are enriched
-	// accordingly").
-	nameVersion int
-	// incr holds the persistent evaluator of each live relevance query
-	// (Options.Incremental; empty otherwise). The map is reset whenever the
-	// query objects are regenerated; apply funnels every document mutation
-	// to the survivors so their memo tables and call views stay sound.
-	incr map[*rewrite.NFQ]*liveQuery
-	// indexed logs the calls the guide's upkeep added to the index since
-	// the query objects were last regenerated, in splice order: the insert
-	// feed of the call views, each of which has been offered a prefix.
-	indexed []*tree.Node
-	// projs holds each live relevance query's document-projection
-	// predicate (typed strategy, NoProject unset). Projections memoise
-	// a per-query satisfiability fixpoint, so they live exactly as long
-	// as the query objects: the map resets alongside incr.
-	projs map[*rewrite.NFQ]*schema.Projection
-	// userProj is the user query's own projection, applied to the final
-	// result evaluation; nil when the engine does not project.
-	userProj *schema.Projection
+	// cur is the relevance-query set in use, fetched again when the layer
+	// or the known names move on.
+	cur struct {
+		set                []*rewrite.NFQ
+		layer, nameVersion int
+	}
 	// round is the sequential detection/invocation round counter,
 	// stamped onto detect, plan and invoke spans (1-based within an
 	// evaluation).
@@ -251,80 +260,56 @@ func (e *engine) invokeSet(calls []*tree.Node, nfqs []*rewrite.NFQ, batch bool) 
 // Section 4.3, parallelism of Section 4.4, typing of Section 5, guide and
 // relaxation of Section 6, and pushing of Section 7.
 func (e *engine) runLazy() error {
-	t0 := time.Now()
 	analysisSpan := e.opt.Tracer.Start("analysis", e.spanEval.ID())
-	if e.opt.Strategy == LazyNFQTyped {
-		if e.opt.Schema == nil {
-			analysisSpan.End()
-			return fmt.Errorf("core: LazyNFQTyped requires a schema")
-		}
-		e.an = schema.NewAnalyzer(e.opt.Schema, e.q, e.opt.SchemaMode)
-		if !e.opt.NoProject {
-			e.userProj = e.an.Projection()
-		}
+	var err error
+	if e.p == nil {
+		t0 := time.Now()
+		e.p, err = prepare(e.q, e.opt)
+		e.stats.AnalysisTime += time.Since(t0)
 	}
-	// Build the relevance-query set once for the influence analysis; the
-	// per-iteration query objects are regenerated as the Done set and the
-	// known service names evolve, but the linear parts never change, so
-	// the layer structure is computed once.
-	base, err := e.buildQueries(nil)
+	var first []*rewrite.NFQ
+	if err == nil {
+		first, err = e.queries(0)
+	}
 	if err != nil {
 		analysisSpan.End()
 		return err
 	}
-	var analysis *influence.Analysis
-	layers := []influence.Layer{{Members: allIndices(len(base))}}
-	if e.opt.Layering {
-		analysis = influence.New(base)
-		layers = analysis.Layers()
-	}
-	e.stats.AnalysisTime += time.Since(t0)
-	analysisSpan.SetInt("queries", int64(len(base)))
-	analysisSpan.SetInt("layers", int64(len(layers)))
+	analysisSpan.SetInt("queries", int64(len(first)))
+	analysisSpan.SetInt("layers", int64(len(e.p.layers)))
 	analysisSpan.End()
 
-	if e.opt.UseGuide {
-		if g := e.opt.Guide; g != nil && g.Doc() == e.doc && fguide.Synced(g) {
-			// Warm path: adopt the caller's guide (decoded from a
-			// repository's persisted index, or kept in sync by the session
-			// layer) instead of rebuilding. The engine maintains it in
-			// place below, so it stays synced for the caller.
-			e.guide = g
-			e.met.guideWarm.Inc()
+	if e.opt.UseGuide && e.guide == nil {
+		guideSpan := e.opt.Tracer.Start("guide-build", e.spanEval.ID())
+		if keep := e.guideKeep(first); keep != nil {
+			// Projection-aware construction: regions no relevance
+			// query of this evaluation can match into are never
+			// indexed, so the guide is proportional to the projected
+			// document. Sound for exactly this query — such a guide
+			// is engine-local and never handed back or persisted.
+			e.guide = fguide.BuildFiltered(e.doc, keep)
+			guideSpan.SetInt("filtered", 1)
 		} else {
-			guideSpan := e.opt.Tracer.Start("guide-build", e.spanEval.ID())
-			if keep := e.guideKeep(base); keep != nil {
-				// Projection-aware construction: regions no relevance
-				// query of this evaluation can match into are never
-				// indexed, so the guide is proportional to the projected
-				// document. Sound for exactly this query — such a guide
-				// is engine-local and never handed back or persisted.
-				e.guide = fguide.BuildFiltered(e.doc, keep)
-				guideSpan.SetInt("filtered", 1)
-			} else {
-				e.guide = fguide.Build(e.doc)
-			}
-			e.met.guideBuilds.Inc()
-			guideSpan.SetInt("paths", int64(e.guide.Paths()))
-			guideSpan.End()
+			e.guide = fguide.Build(e.doc)
 		}
+		e.met.guideBuilds.Inc()
+		guideSpan.SetInt("paths", int64(e.guide.Paths()))
+		guideSpan.End()
 	}
 
-	done := map[int]bool{}
-	for li, layer := range layers {
-		members := layer.SortedMembers()
+	for li, members := range e.p.layers {
 		e.spanLayer = e.opt.Tracer.Start("layer", e.spanEval.ID())
 		e.spanLayer.SetInt("layer", int64(li))
 		e.spanLayer.SetInt("members", int64(len(members)))
 		invokedBefore, virtBefore := e.stats.CallsInvoked, e.opt.Clock.Elapsed()
-		err := e.drainLayer(members, analysis, done)
+		err := e.drainLayer(li, members)
 		// Per-layer pruned-vs-invoked accounting: invoked is the layer's
 		// delta; skipped is what stayed pending when the layer settled —
 		// calls visible to this layer's relevance analysis that it did
 		// not invoke (a later layer may still take them; whatever is
 		// left at the end of the evaluation was pruned outright).
 		e.spanLayer.SetInt("invoked", int64(e.stats.CallsInvoked-invokedBefore))
-		e.spanLayer.SetInt("skipped", int64(len(e.pendingCalls())))
+		e.spanLayer.SetInt("skipped", int64(e.pendingCount()))
 		e.spanLayer.AddVirtual(e.opt.Clock.Elapsed() - virtBefore)
 		e.spanLayer.End()
 		e.spanLayer = nil
@@ -333,11 +318,6 @@ func (e *engine) runLazy() error {
 		}
 		if e.budgetLeft() <= 0 {
 			return nil
-		}
-		// Section 4.3: positions of a finished layer can no longer hold
-		// calls; later queries drop the corresponding OR/() branches.
-		for _, m := range members {
-			done[base[m].For.ID] = true
 		}
 	}
 	e.complete = true
@@ -413,45 +393,28 @@ func (e *engine) pendingCalls() []*tree.Node {
 	return out
 }
 
-func allIndices(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
+// pendingCount is len(pendingCalls()), from the maintained count: calls
+// given up on stay in the document.
+func (e *engine) pendingCount() int { return e.pending - len(e.failed) }
 
-// drainLayer runs NFQA over the layer's members until none of them
+// drainLayer runs NFQA over the members of layer li until none of them
 // retrieves a relevant call.
-func (e *engine) drainLayer(members []int, analysis *influence.Analysis, done map[int]bool) error {
-	// The query objects only change when the done set does (handled by
-	// rebuilding per layer) or, for refined NFQs, when a previously
-	// unseen service name enters the document.
-	var queries []*rewrite.NFQ
-	builtAt := -1
+func (e *engine) drainLayer(li int, members []int) error {
+	analysis := e.p.analysis
 	for {
 		if e.budgetLeft() <= 0 {
 			return nil
 		}
 		e.round++
-		if queries == nil || (e.an != nil && builtAt != e.nameVersion) {
-			t0 := time.Now()
-			var err error
-			queries, err = e.buildQueries(done)
-			if err != nil {
-				return err
-			}
-			builtAt = e.nameVersion
-			// Regenerated query objects invalidate the evaluators and
-			// projection predicates wholesale: both memoise per query
-			// node ID, and the new queries' IDs mean different subtrees.
-			e.incr = map[*rewrite.NFQ]*liveQuery{}
-			e.indexed = nil
-			e.projs = map[*rewrite.NFQ]*schema.Projection{}
-			e.stats.AnalysisTime += time.Since(t0)
+		// The query objects only change when the done set does (one set
+		// per layer) or, for refined NFQs, when a previously unseen
+		// service name enters the document.
+		queries, err := e.queries(li)
+		if err != nil {
+			return err
 		}
 		progressed := false
-		lpqBased := e.opt.Strategy == TopDownEager || e.opt.Strategy == LazyLPQ
+		lpqBased := e.p.lpqBased()
 		if e.opt.Speculative {
 			// Gather every member NFQ's retrieved calls and fire them as
 			// one batch. Calls can be retrieved by several NFQs; the
@@ -533,122 +496,45 @@ func (e *engine) drainLayer(members []int, analysis *influence.Analysis, done ma
 	}
 }
 
-// buildQueries regenerates the relevance queries for the current engine
-// state (strategy, done positions, known names). The result always holds
-// one query per non-anchor node, in pre-order, so member indices from the
-// influence analysis stay valid across regenerations. Done positions are
-// only used to simplify OR/() branches inside the queries (Section 4.3):
-// queries for done nodes are still present but belong to finished layers
-// and are never evaluated again.
-func (e *engine) buildQueries(done map[int]bool) ([]*rewrite.NFQ, error) {
-	ropt := rewrite.Options{
-		RelaxJoins: e.opt.RelaxJoins,
-		Analyzer:   e.an,
-		Names:      e.sortedNames(),
-		Done:       done,
-	}
-	if e.opt.Strategy == TopDownEager || e.opt.Strategy == LazyLPQ {
-		return e.lpqSet()
-	}
-	var out []*rewrite.NFQ
-	for _, v := range e.q.Nodes() {
-		if v.Kind == pattern.Root {
-			continue
-		}
-		var (
-			nfq *rewrite.NFQ
-			err error
-		)
-		if done[v.ID] {
-			// Finished layer: keep an index placeholder; its query is
-			// never evaluated again.
-			nfq, err = rewrite.LPQ(e.q, v)
-		} else {
-			nfq, err = rewrite.Build(e.q, v, ropt)
-		}
+// queries returns the relevance queries for layer li under the names known
+// now: the prepared query's memoised objects, so the evaluators kept for
+// them — by this run or an earlier one — keep answering. Generating a set
+// nobody has asked for yet is analysis work.
+func (e *engine) queries(li int) ([]*rewrite.NFQ, error) {
+	if e.cur.set == nil || e.cur.layer != li || e.cur.nameVersion != e.nameVersion {
+		set, built, err := e.p.queries(li, e.names)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, nfq)
+		e.stats.AnalysisTime += built
+		e.cur.set, e.cur.layer, e.cur.nameVersion = set, li, e.nameVersion
 	}
-	return out, nil
+	return e.cur.set, nil
 }
 
-// lpqSet builds the minimized LPQ family. Minimization (containment-based
-// redundancy elimination, Section 4.1) is skipped when pushing, since the
-// subsumed finer queries carry more precise subqueries to push. The set
-// depends only on the user query, so it is deterministic across calls and
-// the influence analysis' member indices stay valid.
-func (e *engine) lpqSet() ([]*rewrite.NFQ, error) {
-	var out []*rewrite.NFQ
-	for _, v := range e.q.Nodes() {
-		if v.Kind == pattern.Root {
-			continue
-		}
-		l, err := rewrite.LPQ(e.q, v)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, l)
-	}
-	if !e.opt.Push {
-		out = rewrite.Minimize(out)
-	}
-	return out, nil
-}
-
-func (e *engine) sortedNames() []string {
-	out := make([]string, 0, len(e.names))
-	for n := range e.names {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// liveQuery is the pattern evaluator answering one relevance query,
-// together with how much of the guide's insert feed (engine.indexed) its
-// call view has been offered; -1 before the view is seeded with the
-// guide's candidates.
-type liveQuery struct {
-	iev     *pattern.IncrementalEvaluator
-	offered int
+// newLiveQuery returns a fresh evaluator for q over the document as it
+// stands: there is nothing in it for the logged splices to evict.
+func (e *engine) newLiveQuery(q *pattern.Pattern, proj *schema.Projection) *liveQuery {
+	return &liveQuery{iev: pattern.NewIncrementalProjected(q, asProjector(proj)), seen: len(e.log), offered: -1}
 }
 
 // evaluator returns the pattern evaluator that answers one relevance
 // query — the only place the engine obtains one. Under
 // Options.Incremental it lives as long as the query object, its memo and
-// call view kept sound by apply's Invalidate calls; otherwise every
-// detection gets a fresh one, the from-scratch reference the
-// differentials compare against.
+// call view kept sound by the splice feed; otherwise every detection gets
+// a fresh one, the from-scratch reference the differentials compare
+// against. Building its projection predicate is charged to analysis time.
 func (e *engine) evaluator(nfq *rewrite.NFQ) *liveQuery {
-	if lq := e.incr[nfq]; lq != nil {
+	if lq := e.relevance[nfq]; lq != nil {
 		return lq
 	}
-	lq := &liveQuery{iev: pattern.NewIncrementalProjected(nfq.Query, asProjector(e.projection(nfq))), offered: -1}
+	proj, built := e.p.projection(nfq)
+	e.stats.AnalysisTime += built
+	lq := e.newLiveQuery(nfq.Query, proj)
 	if e.opt.Incremental {
-		e.incr[nfq] = lq
+		e.relevance[nfq] = lq
 	}
 	return lq
-}
-
-// projection returns (building on demand) the document-projection
-// predicate for one relevance query, or nil when the engine does not
-// project. Construction runs the per-query satisfiability fixpoint, so
-// it is charged to analysis time; the predicate is then cached for the
-// query object's lifetime.
-func (e *engine) projection(nfq *rewrite.NFQ) *schema.Projection {
-	if e.userProj == nil || nfq == nil {
-		return nil
-	}
-	proj, ok := e.projs[nfq]
-	if !ok {
-		t0 := time.Now()
-		proj = schema.NewProjection(e.opt.Schema, nfq.Query, e.opt.SchemaMode)
-		e.stats.AnalysisTime += time.Since(t0)
-		e.projs[nfq] = proj
-	}
-	return proj
 }
 
 // asProjector adapts a projection for the pattern evaluator: a nil or
@@ -669,20 +555,18 @@ func asProjector(p *schema.Projection) pattern.Projector {
 // filter drops could never survive detect's MatchCall validation). Returns
 // nil (index everything) without typed projection, or when any query's
 // projection is absent or trivial and filtering could lose candidates
-// or buy nothing. Relevance queries regenerated in later rounds only
-// drop branches of the base set, so the base projections stay sound for
-// the whole evaluation.
+// or buy nothing. base is the first layer's query set under the names
+// known at the start: the relevance queries of later layers only drop
+// branches of it, so its projections stay sound for the whole evaluation.
 func (e *engine) guideKeep(base []*rewrite.NFQ) func(string) bool {
-	if e.userProj == nil {
+	if e.p.userProj == nil {
 		return nil
-	}
-	if e.projs == nil {
-		e.projs = map[*rewrite.NFQ]*schema.Projection{}
 	}
 	projs := make([]*schema.Projection, 0, len(base))
 	for _, nfq := range base {
-		p := e.projection(nfq)
-		if p == nil || p.Trivial() {
+		p, built := e.p.projection(nfq)
+		e.stats.AnalysisTime += built
+		if p.Trivial() {
 			return nil
 		}
 		projs = append(projs, p)
@@ -717,6 +601,7 @@ func (e *engine) guideKeep(base []*rewrite.NFQ) func(string) bool {
 func (e *engine) detect(nfq *rewrite.NFQ, lq *liveQuery) (calls []*tree.Node, queried bool) {
 	var matched []*tree.Node
 	var work pattern.Stats
+	e.absorb(lq)
 	if e.guide != nil {
 		if !e.guide.HasCandidates(nfq.Lin, nfq.DescTail) {
 			return nil, false
@@ -733,7 +618,7 @@ func (e *engine) detect(nfq *rewrite.NFQ, lq *liveQuery) (calls []*tree.Node, qu
 		matched, work = lq.iev.MatchedCallsIncremental(e.doc, nfq.Out)
 	}
 	for _, c := range matched {
-		if !e.failed[c] && nfq.SatisfiesOut(e.an, c.Label) {
+		if !e.failed[c] && nfq.SatisfiesOut(e.p.an, c.Label) {
 			calls = append(calls, c)
 		}
 	}
@@ -1123,40 +1008,19 @@ func (e *engine) invoke(calls []*tree.Node, nfqs []*rewrite.NFQ) error {
 	return firstErr
 }
 
-// apply splices a response into the document, maintains the guide, the
-// known-name set and the live evaluators, and updates accounting.
+// apply splices a response into the document — the document itself and the
+// guide, done once, by the engine that invoked the call — runs the upkeep
+// every evaluation over this document owes the splice, its own first, and
+// updates accounting.
 func (e *engine) apply(call *tree.Node, resp service.Response, wasPushed bool) {
 	parent := call.Parent
 	inserted := e.doc.ReplaceCall(call, resp.Forest)
-	// Each derived structure is brought up to date with one call. The
-	// guide swaps the expanded call for the calls of the inserted forest
-	// and reports them; every live evaluator drops what this splice can
-	// have changed — the memo entries of the removed call subtree and of
-	// the root-to-parent spine, the removed call's place in its view and
-	// the verdicts that hang on that spine — and keeps everything off the
-	// spine (solutions depend only on the keyed node's subtree).
 	if e.guide != nil {
-		// The guide has walked the forest for its calls; those inside
-		// another call's parameters, which it leaves out, are visible to no
-		// relevance query before that call is expanded.
-		arrived := e.guide.ApplyExpansion(call, inserted)
-		e.indexed = append(e.indexed, arrived...)
-		for _, x := range arrived {
-			e.noteService(x.Label)
-		}
-	} else {
-		for _, n := range inserted {
-			n.Walk(func(x *tree.Node) bool {
-				if x.Kind == tree.Call {
-					e.noteService(x.Label)
-				}
-				return true
-			})
-		}
+		// The guide swaps the expanded call for the calls of the inserted
+		// forest.
+		e.guide.ApplyExpansion(call, inserted)
 	}
-	for _, lq := range e.incr {
-		lq.iev.Invalidate(parent, call)
-	}
+	e.Spliced(parent, call, inserted)
 	// OnMutate fires last, after the engine's own guide maintenance: an
 	// external holder of the adopted guide observes it already synced.
 	if e.opt.OnMutate != nil {
@@ -1166,15 +1030,6 @@ func (e *engine) apply(call *tree.Node, resp service.Response, wasPushed bool) {
 	e.stats.BytesFetched += resp.Bytes
 	if wasPushed {
 		e.stats.PushedCalls++
-	}
-}
-
-// noteService records a service name seen in the document; a new one
-// makes the refined NFQs due for regeneration.
-func (e *engine) noteService(name string) {
-	if !e.names[name] {
-		e.names[name] = true
-		e.nameVersion++
 	}
 }
 

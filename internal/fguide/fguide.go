@@ -172,18 +172,17 @@ func (g *Guide) add(call *tree.Node) bool {
 // of removed, splicing in the inserted forest) into the guide: the
 // expanded call leaves the index, every function node of the inserted
 // trees enters it, and the guide is stamped as current with the document.
-// It is the guide's one mutator — the engine's per-invocation upkeep and
-// a persistent index's patch path (core.Options.OnMutate) both call it —
-// and it is idempotent, so the two compose on an adopted guide: the
-// second application only restamps the version and returns nothing. An
-// empty inserted forest (a service that returned nothing) is an ordinary
+// It is the guide's one mutator, called once per splice by the engine
+// that made it — a persistent index (the session layer's, a repository's)
+// is patched by being the guide that engine adopted. Applying the same
+// expansion again only restamps the version and returns nothing. An empty
+// inserted forest (a service that returned nothing) is an ordinary
 // expansion that adds no call.
 //
 // It returns the calls it newly indexed, in document order: every function
 // node of the inserted trees outside another call's parameters, whatever
 // filter the guide was built under (BuildFiltered restricts construction
-// only). They are what a maintained relevance view has not seen yet, and
-// their labels are the service names the expansion brought in.
+// only) — the same calls core.Evaluation.Spliced feeds the relevance views.
 func (g *Guide) ApplyExpansion(removed *tree.Node, inserted []*tree.Node) []*tree.Node {
 	g.remove(removed)
 	var indexed []*tree.Node

@@ -210,3 +210,58 @@ func BenchmarkMemoAnswer(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkReevalAfterWrite measures what a reader pays after a write: a
+// hot query's engine run on a serving-size master that a never-seen point
+// query has just spliced. The write, and the memo read that keeps the
+// query hot, are untimed; the re-run must be an engine run (not a memo
+// answer) that invokes nothing.
+func BenchmarkReevalAfterWrite(b *testing.B) {
+	spec := workload.DefaultSpec()
+	spec.Hotels, spec.HiddenHotels = 500, 100
+	var m *Manager
+	var hot Request
+	next := 0 // next write target, among the odd hotels: never a hot query's match
+	ask := func(req Request) *Result {
+		res, err := m.Query(context.Background(), req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return res
+	}
+	fill := func() {
+		reg, scenarios := workload.Suite(spec)
+		m = NewManager(Config{Registry: reg, Engine: core.Options{Strategy: core.LazyNFQ, Incremental: true}})
+		sc := scenarios[0]
+		if err := m.AddDocument(sc.Name, sc.Doc, sc.Schema); err != nil {
+			b.Fatal(err)
+		}
+		hot = Request{Document: sc.Name, Query: sc.Queries[0]}
+		for !ask(hot).Memo {
+		}
+		next = 1
+	}
+	fill()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if next >= spec.Hotels {
+			fill()
+		}
+		if w := ask(Request{Document: hot.Document, Query: pointQuery(next)}); w.Stats.CallsInvoked == 0 {
+			b.Fatalf("write %d invoked no call", next)
+		}
+		next += 2
+		b.StartTimer()
+		res := ask(hot)
+		b.StopTimer()
+		if res.Memo || res.Stats.CallsInvoked != 0 {
+			b.Fatalf("re-run after a write: memo=%v, %d calls invoked; want an engine run that invokes nothing", res.Memo, res.Stats.CallsInvoked)
+		}
+		if !ask(hot).Memo {
+			b.Fatal("repeat of the re-run is not a memo answer")
+		}
+		b.StartTimer()
+	}
+}

@@ -1,0 +1,381 @@
+package session
+
+import (
+	"context"
+	"math/rand"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"github.com/activexml/axml/internal/core"
+	"github.com/activexml/axml/internal/pattern"
+	"github.com/activexml/axml/internal/schema"
+	"github.com/activexml/axml/internal/service"
+	"github.com/activexml/axml/internal/telemetry"
+	"github.com/activexml/axml/internal/tree"
+	"github.com/activexml/axml/internal/workload"
+)
+
+// invokeLog collects, through a tracer's sink, the calls an evaluation
+// invokes, in order, as "service path".
+type invokeLog struct {
+	tracer *telemetry.Tracer
+	calls  []string
+}
+
+func newInvokeLog() *invokeLog {
+	l := &invokeLog{tracer: telemetry.NewTracer(0)}
+	l.tracer.SetSink(func(s telemetry.Span) {
+		if s.Name == "invoke" {
+			l.calls = append(l.calls, s.Attr("service")+" "+s.Attr("path"))
+		}
+	})
+	return l
+}
+
+// take returns the calls logged since the last take.
+func (l *invokeLog) take() []string {
+	out := l.calls
+	l.calls = nil
+	return out
+}
+
+// residents counts the document's texts that hold resident engine state.
+func residents(e *entry) (n int, texts []string) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	for src, h := range e.queries {
+		if h.resident != nil {
+			n++
+			texts = append(texts, src)
+		}
+	}
+	return n, texts
+}
+
+// TestResumedMatchesFresh is the resumed-vs-fresh differential: the
+// TestStoredAnswersUnderWrites schedule — hot queries interleaved with
+// never-seen point queries that splice the masters, 20 seeds — with every
+// engine run of the session, resumed or not, compared bit for bit against
+// a fresh guideless core.Evaluate on a clone of the master as it stood:
+// bindings in order, completeness, the number and the sequence of invoked
+// calls by service and path, and the virtual time; and against the
+// naive-fixpoint oracle. The Memo ⇔ no-splice-since-completion assertion
+// is unchanged. Never-seen texts must leave no resident state, and the
+// runs after writes must in fact resume.
+func TestResumedMatchesFresh(t *testing.T) {
+	spec := suiteSpec()
+	variants := []struct {
+		name    string
+		engine  core.Options
+		untyped bool // register the documents without their schemas
+	}{
+		{"untyped", core.Options{Strategy: core.LazyNFQ, Incremental: true}, true},
+		{"typed", core.Options{Strategy: core.LazyNFQ, Incremental: true}, false},
+		{"layering", core.Options{Strategy: core.LazyNFQ, Incremental: true, Layering: true}, false},
+		{"width1", core.Options{Strategy: core.LazyNFQ, Incremental: true, Layering: true, InvokeWorkers: 1, Parallel: true}, false},
+		{"width2", core.Options{Strategy: core.LazyNFQ, Incremental: true, Layering: true, InvokeWorkers: 2}, false},
+		{"width4", core.Options{Strategy: core.LazyNFQ, Incremental: true, Layering: true, InvokeWorkers: 4}, false},
+	}
+	for _, v := range variants {
+		v := v
+		t.Run(v.name, func(t *testing.T) {
+			t.Parallel()
+			oracle := map[string]string{}
+			var resumed int64
+			for seed := int64(0); seed < 20; seed++ {
+				reg, scenarios := workload.Suite(spec)
+				log := newInvokeLog()
+				m := NewManager(Config{Registry: reg, Engine: v.engine, Tracer: log.tracer})
+				hot := map[string]bool{}
+				for i := range scenarios {
+					if v.untyped {
+						scenarios[i].Schema = nil
+					}
+					sc := scenarios[i]
+					if err := m.AddDocument(sc.Name, sc.Doc.Clone(), sc.Schema); err != nil {
+						t.Fatal(err)
+					}
+					for _, q := range sc.Queries {
+						hot[sc.Name+"|"+q] = true
+					}
+				}
+				rng := rand.New(rand.NewSource(seed))
+				fresh := map[string]bool{} // doc|query → answered since the document's last splice
+				unseen := map[string][]int{}
+				for _, sc := range scenarios[:2] {
+					for k := 0; k < spec.Hotels+spec.HiddenHotels; k++ {
+						if k%spec.TargetEvery != 0 {
+							unseen[sc.Name] = append(unseen[sc.Name], k)
+						}
+					}
+				}
+
+				// Every hot query is asked twice up front, so each has been read
+				// once and is resident from its next run on; the random steps
+				// then lean towards the two documents the writes go to.
+				for step := -2 * len(hot); step < 60; step++ {
+					var sc workload.Scenario
+					var qsrc string
+					if step < 0 {
+						i := (-step - 1) / 2
+						sc = scenarios[i/2]
+						qsrc = sc.Queries[i%2]
+					} else {
+						sc = scenarios[rng.Intn(6)%len(scenarios)]
+						qsrc = sc.Queries[rng.Intn(len(sc.Queries))]
+						if ks := unseen[sc.Name]; len(ks) > 0 && rng.Intn(4) == 0 {
+							i := rng.Intn(len(ks))
+							qsrc = pointQuery(ks[i])
+							unseen[sc.Name] = append(ks[:i], ks[i+1:]...)
+						}
+					}
+					key := sc.Name + "|" + qsrc
+					if _, ok := oracle[key]; !ok {
+						oracle[key] = naiveOracle(t, reg, sc.Doc, qsrc)
+					}
+					e := resident(t, m, sc.Name)
+					e.mu.RLock()
+					before := e.master.Clone()
+					e.mu.RUnlock()
+
+					res, err := m.Query(context.Background(), Request{Document: sc.Name, Query: qsrc})
+					if err != nil {
+						t.Fatalf("seed %d step %d %s: %v", seed, step, key, err)
+					}
+					got := log.take()
+					if !res.Complete || canon(res.Bindings) != oracle[key] {
+						t.Fatalf("seed %d step %d %s: complete=%v, answer differs from the naive fixpoint:\n got %s\nwant %s",
+							seed, step, key, res.Complete, canon(res.Bindings), oracle[key])
+					}
+					if res.Memo != fresh[key] {
+						t.Fatalf("seed %d step %d %s: memo=%v, but answered-since-last-splice=%v", seed, step, key, res.Memo, fresh[key])
+					}
+					if !res.Memo {
+						ref := newInvokeLog()
+						opts := v.engine.WithSchema(sc.Schema)
+						opts.Clock, opts.Tracer = &service.SimClock{}, ref.tracer
+						out, err := core.Evaluate(before, pattern.MustParse(qsrc), reg, opts)
+						if err != nil {
+							t.Fatalf("seed %d step %d %s: fresh evaluation: %v", seed, step, key, err)
+						}
+						want := ref.take()
+						if !reflect.DeepEqual(res.Bindings, cloneBindings(out.Results)) {
+							t.Fatalf("seed %d step %d %s: bindings differ from a fresh evaluation of the master as it stood:\n got %v\nwant %v",
+								seed, step, key, res.Bindings, cloneBindings(out.Results))
+						}
+						if res.Complete != out.Complete || res.Stats.CallsInvoked != out.Stats.CallsInvoked ||
+							res.Stats.VirtualTime != out.Stats.VirtualTime || res.Stats.FinalSize != out.Stats.FinalSize {
+							t.Fatalf("seed %d step %d %s: complete=%v calls=%d virtual=%v size=%d, fresh evaluation says %v %d %v %d",
+								seed, step, key, res.Complete, res.Stats.CallsInvoked, res.Stats.VirtualTime, res.Stats.FinalSize,
+								out.Complete, out.Stats.CallsInvoked, out.Stats.VirtualTime, out.Stats.FinalSize)
+						}
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("seed %d step %d %s: invoked\n %s\na fresh evaluation invokes\n %s",
+								seed, step, key, strings.Join(got, "\n "), strings.Join(want, "\n "))
+						}
+					}
+					if res.Stats.CallsInvoked > 0 {
+						for k := range fresh {
+							if strings.HasPrefix(k, sc.Name+"|") {
+								delete(fresh, k)
+							}
+						}
+					}
+					fresh[key] = true
+				}
+				for _, sc := range scenarios {
+					_, texts := residents(resident(t, m, sc.Name))
+					for _, q := range texts {
+						if !hot[sc.Name+"|"+q] {
+							t.Fatalf("seed %d: never-seen text %q of %s left resident state", seed, q, sc.Name)
+						}
+					}
+				}
+				resumed += m.Stats().Resumed
+			}
+			t.Logf("%d engine runs resumed resident state", resumed)
+			if resumed < 100 {
+				t.Fatalf("%d engine runs of 20 seeds resumed resident state: the differential compares too little that is new", resumed)
+			}
+		})
+	}
+}
+
+// namesWorld is a document where one write's response brings a service
+// name the document has not held before (getB returns a getC call), two
+// writes that bring none, and one service that breaks its signature: getE
+// is declared to return x and also returns a getPlain call, whose w no
+// typed analysis could have expected below /r/e.
+func namesWorld() (*tree.Document, *schema.Schema, *service.Registry) {
+	doc, err := tree.Unmarshal([]byte(`
+<r>
+  <a>
+    <item><k>1</k><axml:call service="getV">1</axml:call></item>
+    <item><k>2</k><axml:call service="getV">2</axml:call></item>
+    <item><k>3</k><axml:call service="getV">3</axml:call></item>
+  </a>
+  <b><axml:call service="getB"/></b>
+  <c><axml:call service="getPlain">c</axml:call></c>
+  <d><axml:call service="getPlain">d</axml:call></d>
+  <e><axml:call service="getE"/></e>
+</r>`))
+	if err != nil {
+		panic(err)
+	}
+	sch := schema.MustParse(`
+functions:
+  getV     = [in: data, out: v]
+  getB     = [in: data, out: w.getC]
+  getC     = [in: data, out: w]
+  getPlain = [in: data, out: w]
+  getE     = [in: data, out: x]
+elements:
+  r    = a.b.c.d.e
+  a    = item*
+  item = k.(v|getV)
+  b    = (w|getB|getC)*
+  c    = (w|getPlain)*
+  d    = (w|getPlain)*
+  e    = (x|getE|w|getPlain)*
+  x    = data
+  k    = data
+  v    = data
+  w    = data
+`)
+	leaf := func(name, value string) *tree.Node {
+		n := tree.NewElement(name)
+		n.Append(tree.NewText(value))
+		return n
+	}
+	reg := service.NewRegistry()
+	reg.Register(&service.Service{Name: "getV", Latency: time.Millisecond, Handler: func(p []*tree.Node) ([]*tree.Node, error) {
+		return []*tree.Node{leaf("v", "v"+p[0].Text())}, nil
+	}})
+	reg.Register(&service.Service{Name: "getB", Latency: time.Millisecond, Handler: func([]*tree.Node) ([]*tree.Node, error) {
+		return []*tree.Node{leaf("w", "b"), tree.NewCall("getC")}, nil
+	}})
+	reg.Register(&service.Service{Name: "getC", Latency: time.Millisecond, Handler: func([]*tree.Node) ([]*tree.Node, error) {
+		return []*tree.Node{leaf("w", "cc")}, nil
+	}})
+	reg.Register(&service.Service{Name: "getE", Latency: time.Millisecond, Handler: func([]*tree.Node) ([]*tree.Node, error) {
+		return []*tree.Node{leaf("x", "x"), tree.NewCall("getPlain", tree.NewText("e"))}, nil
+	}})
+	reg.Register(&service.Service{Name: "getPlain", Latency: time.Millisecond, Handler: func(p []*tree.Node) ([]*tree.Node, error) {
+		return []*tree.Node{leaf("w", p[0].Text())}, nil
+	}})
+	return doc, sch, reg
+}
+
+// TestResidentStateAndNewServiceNames walks one hot query through the
+// residency rules. Its first run leaves nothing behind; once its stored
+// answer has been read its next run keeps its state; the run after that
+// resumes — after a write that brought no new service name it validates no
+// candidate at all, after one that did it finds its relevance evaluators
+// gone with the query objects they answered for and validates the remaining
+// candidates again. Every answer is right, and the point-query writes never
+// become resident.
+func TestResidentStateAndNewServiceNames(t *testing.T) {
+	doc, sch, reg := namesWorld()
+	metrics := telemetry.NewRegistry()
+	m := NewManager(Config{Registry: reg, Metrics: metrics, Engine: core.Options{Strategy: core.LazyNFQ, Incremental: true}})
+	if err := m.AddDocument("d", doc, sch); err != nil {
+		t.Fatal(err)
+	}
+	e := resident(t, m, "d")
+	ask := func(q string) *Result {
+		t.Helper()
+		res, err := m.Query(context.Background(), Request{Document: "d", Query: q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Complete {
+			t.Fatalf("%q: incomplete", q)
+		}
+		return res
+	}
+	const hot = `/r/a/item[k="1"]/v/$V -> $V`
+	engineRun := func(wantResumed bool, wantResidents int) *Result {
+		t.Helper()
+		was := m.Stats().Resumed
+		res := ask(hot)
+		if res.Memo || canon(res.Bindings) != "V=v1" {
+			t.Fatalf("hot query: memo=%v bindings %s, want an engine run answering V=v1", res.Memo, canon(res.Bindings))
+		}
+		if got := m.Stats().Resumed - was; (got == 1) != wantResumed {
+			t.Fatalf("hot query: resumed=%d, want resumed=%v", got, wantResumed)
+		}
+		if n, texts := residents(e); n != wantResidents {
+			t.Fatalf("%d resident texts %q, want %d", n, texts, wantResidents)
+		}
+		if !ask(hot).Memo {
+			t.Fatal("repeat of the hot query on an unchanged master is not a memo answer")
+		}
+		return res
+	}
+	write := func(q, want string) {
+		t.Helper()
+		if res := ask(q); res.Stats.CallsInvoked == 0 || canon(res.Bindings) != want {
+			t.Fatalf("write %q: %d calls, bindings %s, want %s", q, res.Stats.CallsInvoked, canon(res.Bindings), want)
+		}
+	}
+
+	engineRun(false, 0) // never read before: one-shot
+	write(`/r/c/w/$W -> $W`, "W=c")
+	engineRun(false, 1) // read since: from the master, and kept
+	write(`/r/d/w/$W -> $W`, "W=d")
+	if res := engineRun(true, 1); res.Stats.GuideCandidates != 0 || res.Stats.CallsInvoked != 0 {
+		t.Fatalf("resumed after a write elsewhere that brought no new name: %d candidates validated, %d calls invoked, want none",
+			res.Stats.GuideCandidates, res.Stats.CallsInvoked)
+	}
+	write(`/r/b/w/$W -> $W`, "W=b;W=cc") // getB's response holds a getC call: a new name
+	if res := engineRun(true, 1); res.Stats.GuideCandidates == 0 {
+		t.Fatal("resumed after a write that brought a new service name: no candidate validated — the evaluators outlived their query objects")
+	}
+	if got, met := m.Stats().Resumed, metrics.Counter(telemetry.MetricSessionsResumed).Value(); got != 2 || met != 2 {
+		t.Fatalf("Stats.Resumed = %d, %s = %d, want 2 and 2", got, telemetry.MetricSessionsResumed, met)
+	}
+}
+
+// TestResumedRunInvokesWhatArrived covers the one way a call can become
+// relevant to a query its document was complete for: a service that returns
+// what its signature rules out. The hot query collects every w; the typed
+// analysis prunes getE, declared to return x. When another query invokes
+// getE and a getPlain call arrives with the response, the hot query's
+// resumed run must be offered it through the splice feed, invoke it, and
+// answer like an evaluation from scratch.
+func TestResumedRunInvokesWhatArrived(t *testing.T) {
+	for _, engine := range []core.Options{
+		{Strategy: core.LazyNFQ, Incremental: true},
+		{Strategy: core.LazyNFQ, Incremental: true, Layering: true},
+	} {
+		doc, sch, reg := namesWorld()
+		m := NewManager(Config{Registry: reg, Engine: engine})
+		if err := m.AddDocument("d", doc, sch); err != nil {
+			t.Fatal(err)
+		}
+		ask := func(q, want string, calls int, memo bool) {
+			t.Helper()
+			res, err := m.Query(context.Background(), Request{Document: "d", Query: q})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Complete || canon(res.Bindings) != want || res.Stats.CallsInvoked != calls || res.Memo != memo {
+				t.Fatalf("layering=%v %q: complete=%v memo=%v, %d calls, bindings %s; want memo=%v, %d calls, %s",
+					engine.Layering, q, res.Complete, res.Memo, res.Stats.CallsInvoked, canon(res.Bindings), memo, calls, want)
+			}
+		}
+		const hot = `/r//w/$W -> $W`
+		ask(hot, "W=b;W=c;W=cc;W=d", 4, false)
+		ask(hot, "W=b;W=c;W=cc;W=d", 0, true)
+		ask(`/r/a/item[k="2"]/v/$V -> $V`, "V=v2", 1, false)
+		ask(hot, "W=b;W=c;W=cc;W=d", 0, false)  // from the master; state kept
+		ask(`/r/e/x/$X -> $X`, "X=x", 1, false) // getE brings a getPlain call the hot query wants
+		ask(hot, "W=b;W=c;W=cc;W=d;W=e", 1, false)
+		if got := m.Stats().Resumed; got != 1 {
+			t.Fatalf("layering=%v: Stats.Resumed = %d, want 1: the run that invoked the arrived call did not resume", engine.Layering, got)
+		}
+		ask(hot, "W=b;W=c;W=cc;W=d;W=e", 0, true)
+	}
+}

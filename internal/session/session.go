@@ -19,6 +19,20 @@
 // serial-world result, and once the master is complete for a query that
 // result stays the full result for as long as the document is unchanged.
 //
+// When the master does change, what a hot query pays is the change. Every
+// resident master keeps a synced F-guide and every shared-mode run detects
+// through it, so relevance detection costs the candidates, not the
+// document. A text's analysis (core.Prepare) is done once. And a text whose
+// stored answer has been read is resident: the engine state of its last
+// complete run (core.Evaluation) stays with it, every splice another query
+// makes is reported to that state under the write lock the splicing run
+// holds anyway, and its next engine run resumes — offers its call views
+// the calls that arrived, re-checks the verdicts the splices touched,
+// invokes what became relevant, re-reads its result through a kept memo.
+// The answer is still an engine run's (Result.Memo false), bit for bit the
+// one an evaluation from scratch would give. A text nobody came back for —
+// every one-off point query — runs one-shot and leaves nothing behind.
+//
 // Concurrency control is two-level. A weighted FIFO admission semaphore
 // bounds the queries executing at once and sheds load (ShedError → HTTP
 // 429) when its bounded wait queue overflows — backpressure, never
@@ -164,8 +178,10 @@ type Stats struct {
 	// Queued is the admission wait-queue length.
 	Queued int
 	// Served counts completed queries; Shed counts admission rejections;
-	// Memo counts queries answered with a stored answer (Result.Memo).
-	Served, Shed, Memo int64
+	// Memo counts queries answered with a stored answer (Result.Memo);
+	// Resumed counts engine runs that continued from a hot query's
+	// resident state instead of starting from the document.
+	Served, Shed, Memo, Resumed int64
 }
 
 // TenantStats accumulates per-tenant accounting.
@@ -186,15 +202,17 @@ type Manager struct {
 	entries map[string]*entry
 	tenants map[string]*TenantStats
 
-	served atomic.Int64
-	memo   atomic.Int64
-	shed   atomic.Int64
+	served  atomic.Int64
+	memo    atomic.Int64
+	resumed atomic.Int64
+	shed    atomic.Int64
 
 	mSessions  *telemetry.Counter
 	mActive    *telemetry.Gauge
 	mQueued    *telemetry.Gauge
 	mShed      *telemetry.Counter
 	mMemo      *telemetry.Counter
+	mResumed   *telemetry.Counter
 	mSeconds   *telemetry.Histogram
 	mQueueSecs *telemetry.Histogram
 }
@@ -210,14 +228,20 @@ type answer struct {
 	bindings []tree.Binding // handed out as is: read-only
 }
 
-// hotQuery is what a document keeps per query text: the parsed pattern
-// (immutable, one instance serves every session), the stored answer
-// (guarded by the entry lock) and whether a query has read that answer
-// since the last eviction sweep.
+// hotQuery is what a document keeps per query text: the query parsed and
+// analysed (immutable, one instance serves every session, shared and
+// isolated), the stored answer (guarded by the entry lock), whether a
+// query has read that answer since the last eviction sweep, and — for a
+// text that has — the engine state of its last complete run.
 type hotQuery struct {
-	pattern *pattern.Pattern
-	answer  answer
-	used    atomic.Bool
+	prepared *core.Prepared
+	answer   answer
+	used     atomic.Bool
+	// resident is the evaluation the next engine run of this text resumes
+	// (guarded by the entry write lock); nil when it has to start from the
+	// master. Every splice another query makes while it waits is reported
+	// to it (options), so what it holds stays a description of the master.
+	resident *core.Evaluation
 }
 
 // entry is one resident document: the shared master, its schema, its
@@ -230,10 +254,10 @@ type entry struct {
 	master  *tree.Document
 	version uint64 // bumped on every master mutation; starts at 1
 	// guide is the master's F-guide, restored warm from the repository
-	// or built once at registration; the OnMutate hook patches it in
-	// lockstep with engine splices, so it is always synced and Drain can
-	// persist it without a rebuild. Nil when neither the repository nor
-	// the engine template wants one.
+	// or built once at registration. Every shared-mode run adopts it and
+	// detects through it, and the adopting engine patches it as it
+	// splices, so it is always synced and Drain can persist it without a
+	// rebuild.
 	guide *fguide.Guide
 
 	queries map[string]*hotQuery // by query text, at most maxHotQueries
@@ -276,6 +300,7 @@ func NewManager(cfg Config) *Manager {
 		mQueued:    cfg.Metrics.Gauge(telemetry.MetricSessionsQueued),
 		mShed:      cfg.Metrics.Counter(telemetry.MetricSessionsShed),
 		mMemo:      cfg.Metrics.Counter(telemetry.MetricSessionsMemo),
+		mResumed:   cfg.Metrics.Counter(telemetry.MetricSessionsResumed),
 		mSeconds:   cfg.Metrics.Histogram(telemetry.MetricSessionSeconds),
 		mQueueSecs: cfg.Metrics.Histogram(telemetry.MetricSessionQueueSeconds),
 	}
@@ -291,14 +316,11 @@ func (m *Manager) AddDocument(name string, doc *tree.Document, sch *schema.Schem
 	if doc == nil {
 		return errors.New("session: nil document")
 	}
-	e := newEntry(name, doc, sch, nil)
-	if m.cfg.Engine.UseGuide || m.cfg.Repo != nil {
-		// Build the master's guide once at registration; every query then
-		// opens warm and the OnMutate hook keeps it patched, so neither
-		// the engine nor Drain ever rebuilds it.
-		e.guide = fguide.Build(doc)
-		m.cfg.Metrics.Counter(telemetry.MetricGuideBuilds).Inc()
-	}
+	// Build the master's guide once at registration; every shared run
+	// then opens warm and keeps it patched, so neither the engine nor
+	// Drain ever rebuilds it.
+	e := newEntry(name, doc, sch, fguide.Build(doc))
+	m.cfg.Metrics.Counter(telemetry.MetricGuideBuilds).Inc()
 	m.mu.Lock()
 	m.entries[name] = e
 	m.mu.Unlock()
@@ -389,7 +411,7 @@ func (m *Manager) Query(ctx context.Context, req Request) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	h, err := e.hot(req.Query)
+	h, err := e.hot(req.Query, m.cfg.Engine)
 	if err != nil {
 		return nil, &BadQueryError{Err: err}
 	}
@@ -397,7 +419,7 @@ func (m *Manager) Query(ctx context.Context, req Request) (*Result, error) {
 	t1 := time.Now()
 	var res *Result
 	if m.cfg.Isolated || req.Isolated {
-		res, err = m.queryIsolated(e, h.pattern)
+		res, err = m.queryIsolated(e, h)
 	} else {
 		res, err = m.queryShared(e, h)
 	}
@@ -421,9 +443,10 @@ func (m *Manager) Query(ctx context.Context, req Request) (*Result, error) {
 	return res, nil
 }
 
-// hot returns the document's state for query text src, parsing and
-// remembering it on first sight.
-func (e *entry) hot(src string) (*hotQuery, error) {
+// hot returns the document's state for query text src, parsing it,
+// analysing it for evaluation under the engine template and remembering it
+// on first sight: analysis is paid once per text.
+func (e *entry) hot(src string, template core.Options) (*hotQuery, error) {
 	e.mu.RLock()
 	h := e.queries[src]
 	e.mu.RUnlock()
@@ -431,6 +454,10 @@ func (e *entry) hot(src string) (*hotQuery, error) {
 		return h, nil
 	}
 	q, err := pattern.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	p, err := core.Prepare(q, template.WithSchema(e.schema))
 	if err != nil {
 		return nil, err
 	}
@@ -442,7 +469,7 @@ func (e *entry) hot(src string) (*hotQuery, error) {
 	if len(e.queries) >= maxHotQueries {
 		e.evict()
 	}
-	h = &hotQuery{pattern: q}
+	h = &hotQuery{prepared: p}
 	if len(e.queries) < maxHotQueries { // else every remembered text is hot, and this one is not kept
 		e.queries[src] = h
 	}
@@ -450,12 +477,13 @@ func (e *entry) hot(src string) (*hotQuery, error) {
 }
 
 // evict makes room in a full e.queries, cheapest loss first: a stale or
-// absent answer costs a parse to see again, a fresh one no query has read
-// since the last sweep an engine run that invokes nothing. Answers read
-// since then stay, whatever arrives. Caller holds e.mu for writing.
+// absent answer without resident state costs a parse and an analysis to see
+// again, a fresh one no query has read since the last sweep an engine run
+// that invokes nothing. Answers read since then stay, whatever arrives.
+// Resident state goes with its text. Caller holds e.mu for writing.
 func (e *entry) evict() {
 	for src, h := range e.queries {
-		if h.answer.at != e.version {
+		if h.answer.at != e.version && h.resident == nil {
 			delete(e.queries, src)
 		}
 	}
@@ -484,7 +512,10 @@ func (e *entry) stored(h *hotQuery) *Result {
 // queryShared answers from the shared master: with the stored answer,
 // under the read lock alone, while the master has not changed since the
 // engine run that stored it; otherwise with an engine run under the write
-// lock, whose answer is stored when it ends complete.
+// lock, whose answer is stored when it ends complete. A text whose stored
+// answer has been read is hot: its run's engine state stays resident, and
+// its next run — after a write made the answer stale — resumes from it. A
+// text nobody came back for runs one-shot and leaves nothing behind.
 func (m *Manager) queryShared(e *entry, h *hotQuery) (*Result, error) {
 	e.mu.RLock()
 	res := e.stored(h)
@@ -499,9 +530,21 @@ func (m *Manager) queryShared(e *entry, h *hotQuery) (*Result, error) {
 	if res := e.stored(h); res != nil {
 		return res, nil
 	}
-	out, err := core.Evaluate(e.master, h.pattern, m.cfg.Registry, m.options(e, true))
+	ev := h.resident
+	if ev == nil {
+		ev = h.prepared.Over(e.master)
+	}
+	h.resident = nil
+	out, err := ev.Run(m.cfg.Registry, m.options(e, true))
 	if err != nil {
 		return nil, err
+	}
+	if out.Resumed {
+		m.resumed.Add(1)
+		m.mResumed.Inc()
+	}
+	if h.used.Load() && ev.Live() {
+		h.resident = ev
 	}
 	bindings := cloneBindings(out.Results)
 	if out.Complete {
@@ -511,25 +554,32 @@ func (m *Manager) queryShared(e *entry, h *hotQuery) (*Result, error) {
 }
 
 // queryIsolated clones the master under a read lock and evaluates the
-// clone privately — parallel across sessions, no shared materialisation.
-func (m *Manager) queryIsolated(e *entry, q *pattern.Pattern) (*Result, error) {
+// clone privately — parallel across sessions, no shared materialisation,
+// nothing kept but the text's analysis, which it shares.
+func (m *Manager) queryIsolated(e *entry, h *hotQuery) (*Result, error) {
 	e.mu.RLock()
 	doc := e.master.Clone()
 	e.mu.RUnlock()
 
-	out, err := core.Evaluate(doc, q, m.cfg.Registry, m.options(e, false))
+	out, err := h.prepared.Over(doc).Run(m.cfg.Registry, m.options(e, false))
 	if err != nil {
 		return nil, err
 	}
 	return &Result{Bindings: cloneBindings(out.Results), Complete: out.Complete, Stats: out.Stats}, nil
 }
 
-// options instantiates the engine template for one query: fresh clock,
+// options instantiates the engine template for one run: fresh clock,
 // shared telemetry, the entry's schema. A shared-mode run (e.mu held for
-// writing) also adopts the entry's warm guide and gets the OnMutate hook
-// that keeps the guide, and the version every stored answer is checked
-// against, in lockstep with the engine's splices. A clone has no shared
-// state to maintain, and the entry's guide does not describe it.
+// writing) detects through the entry's guide whatever the template's
+// UseGuide says — the master's guide is the index of arriving calls that
+// makes detection cost the candidates, not the document — and gets the
+// OnMutate hook that, in lockstep with the engine's splices, moves the
+// version every stored answer is checked against and reports the splice to
+// the document's resident queries (the running one has been taken off its
+// text for the duration); the adopting engine has patched the guide by the
+// time the hook runs. A clone has no shared state to maintain and the
+// entry's guide does not describe it: an isolated run keeps the template's
+// behaviour.
 func (m *Manager) options(e *entry, shared bool) core.Options {
 	opts := m.cfg.Engine.WithSchema(e.schema)
 	opts.Clock = m.cfg.Clock()
@@ -539,16 +589,22 @@ func (m *Manager) options(e *entry, shared bool) core.Options {
 	if !shared {
 		return opts
 	}
-	opts.Guide = e.guide
+	if e.guide == nil || e.guide.Doc() != e.master || !fguide.Synced(e.guide) {
+		// Something other than an adopting engine changed the master (a
+		// strategy that does not detect spliced it): rebuild into the
+		// entry, once, rather than privately on every run.
+		e.guide = fguide.Build(e.master)
+		m.cfg.Metrics.Counter(telemetry.MetricGuideBuilds).Inc()
+	}
+	opts.UseGuide, opts.Guide = true, e.guide
 	patches := m.cfg.Metrics.Counter(telemetry.MetricGuidePatches)
-	opts.OnMutate = func(_, removed *tree.Node, inserted []*tree.Node) {
+	opts.OnMutate = func(parent, removed *tree.Node, inserted []*tree.Node) {
 		e.version++
-		if e.guide != nil {
-			// Patch the persistent index in place. When the engine adopted
-			// this guide (UseGuide) it already performed the identical
-			// update; ApplyExpansion is idempotent and only resyncs then.
-			e.guide.ApplyExpansion(removed, inserted)
-			patches.Inc()
+		patches.Inc()
+		for _, h := range e.queries {
+			if h.resident != nil {
+				h.resident.Spliced(parent, removed, inserted)
+			}
 		}
 	}
 	return opts
@@ -605,6 +661,7 @@ func (m *Manager) Stats() Stats {
 		Served:    m.served.Load(),
 		Shed:      m.shed.Load(),
 		Memo:      m.memo.Load(),
+		Resumed:   m.resumed.Load(),
 	}
 }
 

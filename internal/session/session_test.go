@@ -120,8 +120,12 @@ func naiveOracle(t *testing.T, reg *service.Registry, doc *tree.Document, qsrc s
 // answers, the response cache and the invocation pool, each JSON-encoding
 // the bindings it was handed (the slice a memo answer shares with every
 // other), while writer goroutines splice the masters with never-seen
-// point queries — under -race. Every single answer must equal the serial
-// oracle — correctness, not just survival.
+// point queries and isolated-mode goroutines evaluate private clones of
+// the same entries — under -race. The hot queries are resident, so every
+// write fans its splices out to them under the entry's write lock and their
+// re-runs resume; the isolated runs share each text's prepared query with
+// the shared ones and nothing else. Every single answer must equal the
+// serial oracle — correctness, not just survival.
 func TestHammerSharedMaster(t *testing.T) {
 	engine := core.Options{Strategy: core.LazyNFQ, Incremental: true}
 	m, scenarios, reg := newSuiteManager(t, Config{
@@ -154,11 +158,14 @@ func TestHammerSharedMaster(t *testing.T) {
 	const goroutines = 8
 	const perGoroutine = 50
 	const writers = 2
+	const isolated = 2
+	const perIsolated = 12
 	run := func(g int, j job) error {
 		res, err := m.Query(context.Background(), Request{
 			Tenant:   fmt.Sprintf("tenant-%d", g),
 			Document: j.doc,
 			Query:    j.query,
+			Isolated: g >= goroutines+writers,
 		})
 		if err != nil {
 			return fmt.Errorf("goroutine %d: %s %q: %w", g, j.doc, j.query, err)
@@ -175,7 +182,16 @@ func TestHammerSharedMaster(t *testing.T) {
 		}
 		return nil
 	}
-	errs := make(chan error, goroutines+writers)
+	// Every hot query has been read once before the hammer starts, so each
+	// keeps its engine state from its first re-run on.
+	for pass := 0; pass < 2; pass++ {
+		for _, j := range jobs {
+			if err := run(0, j); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	errs := make(chan error, goroutines+writers+isolated)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -199,8 +215,33 @@ func TestHammerSharedMaster(t *testing.T) {
 					errs <- err
 					return
 				}
+				// Re-ask the written document's hot queries, so that by the
+				// next write each has been through the engine since this
+				// one, whatever the readers happen to pick.
+				for _, j := range jobs {
+					if j.doc != writes[i].doc {
+						continue
+					}
+					if err := run(goroutines+w, j); err != nil {
+						errs <- err
+						return
+					}
+				}
 			}
 		}(w)
+	}
+	for i := 0; i < isolated; i++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < perIsolated; i++ {
+				if err := run(g, jobs[rng.Intn(len(jobs))]); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(goroutines + writers + i)
 	}
 	wg.Wait()
 	close(errs)
@@ -209,8 +250,13 @@ func TestHammerSharedMaster(t *testing.T) {
 	}
 
 	st := m.Stats()
-	if want := int64(goroutines*perGoroutine + len(writes)); st.Served != want {
+	// Two warm-up passes; the readers; each write and its document's two
+	// hot queries; the isolated runs.
+	if want := int64(2*len(jobs) + goroutines*perGoroutine + 3*len(writes) + isolated*perIsolated); st.Served != want {
 		t.Fatalf("served %d queries, want %d", st.Served, want)
+	}
+	if st.Resumed == 0 {
+		t.Fatal("no engine run resumed resident state: the writes' fan-out to the hot queries was not exercised")
 	}
 	// Sharing must have paid: once a document is complete for a query,
 	// repeats are memo answers until a write splices it. With 400 queries

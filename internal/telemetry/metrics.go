@@ -59,6 +59,7 @@ const (
 	MetricSessionsQueued      = "axml_sessions_queued"
 	MetricSessionsShed        = "axml_sessions_shed_total"
 	MetricSessionsMemo        = "axml_sessions_memo_total"
+	MetricSessionsResumed     = "axml_sessions_resumed_total"
 	MetricSessionSeconds      = "axml_session_seconds"
 	MetricSessionQueueSeconds = "axml_session_queue_seconds"
 	MetricInvokeInflight      = "axml_invocations_inflight"
