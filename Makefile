@@ -6,7 +6,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check build vet test race fuzz bench microbench telemetry profile loadsmoke benchsmoke
+.PHONY: check build vet test race fuzz bench benchdiff microbench telemetry profile loadsmoke benchsmoke
 
 check: vet build telemetry race fuzz loadsmoke benchsmoke
 
@@ -28,33 +28,30 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzProject -fuzztime $(FUZZTIME) ./internal/schema/
 	$(GO) test -run '^$$' -fuzz FuzzGuideCodecRoundTrip -fuzztime $(FUZZTIME) ./internal/fguide/
 
-# bench records the perf trajectory: the root benchmark suite, the E10
-# incremental-evaluation, E11 invocation-pool, E13 streaming/projection,
-# E14 warm-vs-cold repository, E16 trace-propagation/profile and E17
-# planned-vs-static scheduling sweeps, and the E12 multi-tenant serving
-# run. The tracked records are BENCH_E{10,12,13,16,17}.json — exactly what
-# this target rewrites in the repo root; E11 and E14, never committed (a
-# benchmark workload covers each), go to the ignored out/ directory. E16
-# reports the cross-process trace propagation overhead on the E11 HTTP
-# shape (budget: ≤2% of wall); E17 pins the cost planner's speedup over
-# static striping with bit-identical results.
+# bench rewrites the tracked perf record. BENCH_WORKLOADS.json is the
+# record of what a request costs end to end: the five BENCHMARK.json
+# workloads, three runs each at full scale (about five minutes), as one
+# stamped result set — git history of that file is the trajectory.
+# BENCH_E{10,13,17}.json are the sweeps no workload covers (document
+# growth, allocation floor, planner vs static striping).
 bench:
-	mkdir -p out
-	$(GO) test -bench . -benchmem .
 	$(GO) run ./cmd/axmlbench -exp E10 -json BENCH_E10.json
-	$(GO) run ./cmd/axmlbench -exp E11 -json out/BENCH_E11.json
-	$(GO) run ./cmd/axmlload -self -clients 500 -requests 5000 -json BENCH_E12.json
 	$(GO) run ./cmd/axmlbench -exp E13 -json BENCH_E13.json
-	$(GO) run ./cmd/axmlbench -exp E14 -json out/BENCH_E14.json
-	$(GO) run ./cmd/axmlbench -exp E16 -json BENCH_E16.json
 	$(GO) run ./cmd/axmlbench -exp E17 -json BENCH_E17.json
+	bash benchmark/run.sh --workload all --runs 3 --set BENCH_WORKLOADS.json
+
+# benchdiff measures the working tree the same way and compares it with
+# the record, against the bounds BENCHMARK.json fixes: one row per
+# (workload, end-to-end metric), non-zero exit on any "worse".
+benchdiff:
+	bash benchmark/run.sh --workload all --runs 3 --set out/bench/head.json
+	bash benchmark/run.sh --compare BENCH_WORKLOADS.json out/bench/head.json
 
 # loadsmoke replays a small oracle-verified mixed workload through an
 # in-process session server — the serving-layer gate in `make check` —
 # streaming the distributed span trace as JSONL and snapshotting the
 # per-service statistics profiles (both are CI artifacts). Outputs land
 # in the ignored out/ directory, never the repo root.
-# (No -json: the recorded BENCH_E12.json is the full `make bench` run.)
 loadsmoke:
 	mkdir -p out
 	$(GO) run ./cmd/axmlload -self -clients 8 -requests 160 \
@@ -80,10 +77,11 @@ telemetry:
 	$(GO) vet ./internal/telemetry/ ./internal/core/ ./internal/soap/
 	$(GO) test -race -count=1 ./internal/telemetry/ ./internal/core/ ./internal/soap/
 
-# profile captures CPU and heap profiles of the E10 incremental sweep
-# together with its span trace and result table. Inspect with
-# `go tool pprof cpu.pprof` / `go tool pprof heap.pprof`.
+# profile captures CPU and heap profiles of the quick E10 incremental
+# sweep together with its span trace and result table, all under the
+# ignored out/. Inspect with `go tool pprof out/cpu.pprof`.
 profile:
+	mkdir -p out
 	$(GO) run ./cmd/axmlbench -exp E10 -quick \
-		-cpuprofile cpu.pprof -memprofile heap.pprof \
-		-json BENCH_E10.json -trace-out E10_trace.jsonl
+		-cpuprofile out/cpu.pprof -memprofile out/heap.pprof \
+		-json out/E10_quick.json -trace-out out/E10_trace.jsonl

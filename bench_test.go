@@ -1,10 +1,10 @@
-// Benchmarks regenerating the paper's evaluation: one BenchE<n> per
-// experiment (see DESIGN.md §4 for the index, EXPERIMENTS.md for the
-// recorded series), plus micro-benchmarks of the substrates. Run with
+// Micro-benchmarks of the substrates and of the per-strategy evaluation
+// cost on the default world. Run with
 //
 //	go test -bench=. -benchmem
 //
-// The full tables are printed by cmd/axmlbench.
+// The experiment tables are printed by cmd/axmlbench; what a request
+// costs end to end is the benchmark's job (benchmark/, `make bench`).
 package axml
 
 import (
@@ -20,33 +20,6 @@ import (
 	"github.com/activexml/axml/internal/telemetry"
 	"github.com/activexml/axml/internal/workload"
 )
-
-// benchExperiment runs one harness experiment per iteration.
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	e, ok := bench.ByID(id)
-	if !ok {
-		b.Fatalf("no experiment %s", id)
-	}
-	scale := bench.Quick()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Run(scale); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE1StrategiesAcrossSizes(b *testing.B) { benchExperiment(b, "E1") }
-func BenchmarkE2LatencySweep(b *testing.B)          { benchExperiment(b, "E2") }
-func BenchmarkE3QueryPushing(b *testing.B)          { benchExperiment(b, "E3") }
-func BenchmarkE4FGuideDetection(b *testing.B)       { benchExperiment(b, "E4") }
-func BenchmarkE5LayeringParallelism(b *testing.B)   { benchExperiment(b, "E5") }
-func BenchmarkE6ExactVsLenientTypes(b *testing.B)   { benchExperiment(b, "E6") }
-func BenchmarkE7JoinRelaxation(b *testing.B)        { benchExperiment(b, "E7") }
-func BenchmarkE8HTTPEndToEnd(b *testing.B)          { benchExperiment(b, "E8") }
-func BenchmarkE11InvocationPool(b *testing.B)       { benchExperiment(b, "E11") }
-func BenchmarkE13StreamProjection(b *testing.B)     { benchExperiment(b, "E13") }
 
 // BenchmarkStrategies reports per-strategy evaluation cost and the
 // calls-invoked metric on the default world — the quantities behind E1,

@@ -11,9 +11,9 @@
 // Each experiment prints an aligned table; see DESIGN.md §4 for what each
 // one reproduces and EXPERIMENTS.md for recorded runs. With -json the
 // tables are also written, machine-readably, to the given file — `make
-// bench` uses it to record the BENCH_*.json perf trajectory. The JSON
-// tables carry a Metrics section with detect/invoke latency quantiles
-// observed during the runs.
+// bench` uses it to rewrite the tracked BENCH_E{10,13,17}.json sweeps. The
+// JSON tables carry a Metrics section with detect/invoke latency
+// quantiles observed during the runs.
 //
 // Profiling (`make profile` wraps this for E10):
 //
@@ -30,6 +30,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 
 	"github.com/activexml/axml/internal/bench"
 	"github.com/activexml/axml/internal/telemetry"
@@ -39,11 +40,20 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
+// experimentIDs lists what -exp accepts, as bench.All() has it.
+func experimentIDs() string {
+	var ids []string
+	for _, e := range bench.All() {
+		ids = append(ids, e.ID)
+	}
+	return strings.Join(ids, ", ")
+}
+
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("axmlbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		exp      = fs.String("exp", "", "run a single experiment (E1..E11, E13)")
+		exp      = fs.String("exp", "", "run a single experiment ("+experimentIDs()+")")
 		quick    = fs.Bool("quick", false, "use the small test-scale sweeps")
 		list     = fs.Bool("list", false, "list experiments and exit")
 		jsonPath = fs.String("json", "", "also write the result tables as JSON to this file")

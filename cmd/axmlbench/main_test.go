@@ -16,10 +16,22 @@ func TestList(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errOut); code != 0 {
 		t.Fatalf("exit %d: %s", code, errOut.String())
 	}
-	for _, id := range []string{"E1", "E8"} {
-		if !strings.Contains(out.String(), id) {
-			t.Errorf("list misses %s:\n%s", id, out.String())
+	// Exactly the surviving experiments, one per line, in order.
+	want := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E13", "E17"}
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(lines) != len(want) {
+		t.Fatalf("list prints %d experiments, want %v:\n%s", len(lines), want, out.String())
+	}
+	for i, id := range want {
+		if got := strings.Fields(lines[i])[0]; got != id {
+			t.Errorf("line %d lists %s, want %s", i, got, id)
 		}
+	}
+	// -exp's help text names the same list.
+	errOut.Reset()
+	run([]string{"-h"}, &out, &errOut)
+	if !strings.Contains(errOut.String(), "("+strings.Join(want, ", ")+")") {
+		t.Errorf("-exp help does not list the experiments:\n%s", errOut.String())
 	}
 }
 

@@ -1,12 +1,13 @@
 // Package bench implements the experiment harness that regenerates the
 // evaluation of "Lazy Query Evaluation for Active XML" (SIGMOD 2004).
-// Each experiment E1…E11 (see DESIGN.md for the index and EXPERIMENTS.md
-// for recorded outcomes) sweeps one dimension and prints the series the
-// paper's figures report: who wins, by what factor, and where behaviour
-// crosses over.
+// Each experiment (All lists them; see DESIGN.md for the index and
+// EXPERIMENTS.md for recorded outcomes) sweeps one dimension and prints
+// the series the paper's figures report: who wins, by what factor, and
+// where behaviour crosses over. What a request costs end to end and layer
+// by layer is not measured here: that is the repository's benchmark
+// (benchmark/, BENCHMARK.json), whose record is BENCH_WORKLOADS.json.
 //
-// The harness is shared by the root benchmark suite (go test -bench) and
-// by cmd/axmlbench, which prints full tables.
+// cmd/axmlbench prints the full tables.
 package bench
 
 import (
@@ -118,18 +119,9 @@ type Scale struct {
 	// evaluation sweep; they mirror E1Sizes so the incremental win is
 	// reported on the same documents as the headline strategy sweep.
 	E10Sizes []int
-	// E11Sizes are the document sizes of the invocation-pool sweep
-	// (the E8 HTTP configuration re-run across pool widths).
-	E11Sizes []int
-	// E11Workers are the InvokeWorkers pool widths of the sweep; the
-	// first entry is the speedup baseline (1 = in-batch sequential).
-	E11Workers []int
 	// E13Nodes are the synthetic document sizes (total tree nodes) of
 	// the streaming/projection allocation sweep.
 	E13Nodes []int
-	// E14Sizes are the document sizes (#hotels) of the warm-vs-cold
-	// repository open sweep.
-	E14Sizes []int
 	// E17Sizes are the document sizes (#hotels) of the planned-vs-static
 	// scheduling sweep; multiples of four keep the slow-teaser aliasing
 	// pattern exact.
@@ -159,10 +151,7 @@ func Quick() Scale {
 		E8Sizes:         []int{8},
 		E9Rates:         []float64{0, 0.2},
 		E10Sizes:        []int{10, 40},
-		E11Sizes:        []int{8},
-		E11Workers:      []int{1, 4},
 		E13Nodes:        []int{15000},
-		E14Sizes:        []int{40},
 		E17Sizes:        []int{8},
 		E17Widths:       []int{4},
 	}
@@ -182,10 +171,7 @@ func Full() Scale {
 		E8Sizes:         []int{5, 15, 50},
 		E9Rates:         []float64{0, 0.1, 0.2, 0.4},
 		E10Sizes:        []int{10, 50, 100, 200, 500, 1000},
-		E11Sizes:        []int{16, 48},
-		E11Workers:      []int{1, 2, 4, 8},
 		E13Nodes:        []int{30000, 120000},
-		E14Sizes:        []int{40, 200, 1000},
 		E17Sizes:        []int{16, 48},
 		E17Widths:       []int{4, 8},
 	}
@@ -211,10 +197,7 @@ func All() []Experiment {
 		{"E8", "end-to-end over real HTTP services", E8},
 		{"E9", "lazy vs naive under injected faults with retries", E9},
 		{"E10", "incremental evaluation and response caching cut re-evaluation work", E10},
-		{"E11", "the bounded invocation pool cuts HTTP wall time by the layer width", E11},
 		{"E13", "streaming evaluation and type-based projection cut allocation", E13},
-		{"E14", "the persistent index makes repository opens warm", E14},
-		{"E16", "trace propagation stays under budget; profiles reopen warm", E16},
 		{"E17", "cost-based planning beats static scheduling on heterogeneous latencies", E17},
 	}
 }

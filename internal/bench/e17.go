@@ -16,8 +16,8 @@ import (
 )
 
 // E17 measures cost-based invocation planning against the static
-// striped schedule on a heterogeneous-latency federation, the E11 HTTP
-// configuration with one slow partner among fast ones.
+// striped schedule on a heterogeneous-latency federation: loopback HTTP
+// providers that really sleep, one slow partner among fast ones.
 //
 // The world is built so the static assignment aliases pathologically:
 // every hotel contributes [getNearbyRestos, getTeaser<i mod 4>] to one

@@ -3,16 +3,12 @@ package bench
 import (
 	"fmt"
 	"net/http/httptest"
-	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"github.com/activexml/axml/internal/core"
 	"github.com/activexml/axml/internal/schema"
 	"github.com/activexml/axml/internal/service"
 	"github.com/activexml/axml/internal/soap"
-	"github.com/activexml/axml/internal/telemetry"
 	"github.com/activexml/axml/internal/workload"
 )
 
@@ -518,112 +514,5 @@ func E10(s Scale) (Table, error) {
 				perRound["scratch"], perRound["incremental"]))
 		}
 	}
-	return t, nil
-}
-
-// E11 re-runs the E8 HTTP configuration across invocation-pool widths:
-// with real per-call latency, a layer of n independent calls costs
-// n·latency sequentially but only ceil(n/w)·latency on w pool workers,
-// so wall time drops by about min(w, widest layer) while results stay
-// bit-identical (responses are applied in document order after the pool
-// drains). The first sweep entry (InvokeWorkers 1) is the speedup
-// baseline.
-func E11(s Scale) (Table, error) {
-	t := Table{
-		ID:      "E11",
-		Title:   "invocation-pool width sweep over HTTP (loopback, server sleeps 10ms/call)",
-		Columns: []string{"hotels", "invoke-workers", "http-calls", "widest-batch", "wall-time", "speedup", "results"},
-	}
-	// resultSig canonicalises a result set for cross-width comparison.
-	resultSig := func(out *core.Outcome) string {
-		keys := make([]string, len(out.Results))
-		for i, r := range out.Results {
-			keys[i] = r.Key()
-		}
-		sort.Strings(keys)
-		return strings.Join(keys, "|")
-	}
-	for _, hotels := range s.E11Sizes {
-		spec := workload.DefaultSpec()
-		spec.Hotels = hotels
-		spec.HiddenHotels = hotels / 5
-		spec.PushCapable = true
-		// Every hotel is a query target with an intensional rating that
-		// resolves through a three-deep call chain: the rating layers are
-		// as wide as the document and provably independent (§4.4), the
-		// widest-batch case the pool is built for. Five-star hotels are
-		// rare because getNearbyRestos members fail the independence
-		// condition (their own responses can add matching restaurants),
-		// so each one is invoked serially at any pool width.
-		spec.TargetEvery = 1
-		spec.IntensionalRatingEvery = 1
-		spec.FiveStarEvery = 8
-		spec.RatingChainDepth = 2
-		w := workload.Hotels(spec)
-		srv := httptest.NewServer(soap.NewServer(w.Registry, true))
-		client := &soap.Client{BaseURL: srv.URL}
-		reg, err := client.RegistryFor()
-		if err != nil {
-			srv.Close()
-			return t, err
-		}
-		var baseWall time.Duration
-		var baseSig string
-		for i, workers := range s.E11Workers {
-			opt := core.Options{
-				Strategy: core.LazyNFQTyped, Schema: w.Schema,
-				Push: true, Layering: true, Parallel: true,
-				InvokeWorkers: workers,
-			}
-			opt.Clock = service.NewWallClock(false)
-			// The widest batch is read off the invoke spans, so the run
-			// is traced even when the scale carries no tracer.
-			opt.Metrics, opt.Tracer = s.Metrics, s.Tracer
-			if opt.Tracer == nil {
-				opt.Tracer = telemetry.NewTracer(0)
-			}
-			spansBefore := opt.Tracer.Len()
-			start := time.Now()
-			out, err := core.Evaluate(w.Doc.Clone(), w.Query, reg, opt)
-			wall := time.Since(start)
-			if err != nil {
-				srv.Close()
-				return t, err
-			}
-			if len(out.Results) != w.ExpectedResults {
-				srv.Close()
-				return t, fmt.Errorf("E11: %d workers got %d results, want %d",
-					workers, len(out.Results), w.ExpectedResults)
-			}
-			sig := resultSig(out)
-			if i == 0 {
-				baseWall, baseSig = wall, sig
-			} else if sig != baseSig {
-				srv.Close()
-				return t, fmt.Errorf("E11: %d workers changed the result set", workers)
-			}
-			widest := 0
-			for _, sp := range opt.Tracer.Spans(opt.Tracer.Len() - spansBefore) {
-				if sp.Name != "invoke" {
-					continue
-				}
-				batch, aerr := strconv.Atoi(sp.Attr("batch"))
-				if aerr != nil {
-					batch = 1 // a round's single call carries no batch attr
-				}
-				if batch > widest {
-					widest = batch
-				}
-			}
-			t.Rows = append(t.Rows, []string{
-				itoa(hotels), itoa(workers),
-				itoa(out.Stats.CallsInvoked), itoa(widest),
-				ms(wall), ratio(baseWall, wall), itoa(len(out.Results)),
-			})
-		}
-		srv.Close()
-	}
-	t.Notes = append(t.Notes,
-		"identical result sets at every pool width (responses applied in document order)")
 	return t, nil
 }

@@ -37,32 +37,23 @@ func (p *Profiler) Wrap(reg *service.Registry) *service.Registry {
 	if p == nil {
 		return reg
 	}
-	out := service.NewRegistry()
-	for _, name := range reg.Names() {
-		inner := reg.Lookup(name)
-		name := name
-		out.Register(&service.Service{
-			Name:    name,
-			Latency: inner.Latency,
-			CanPush: inner.CanPush,
-			RemoteCtx: func(ctx context.Context, params []*tree.Node, pushed *pattern.Pattern) (service.Response, error) {
-				start := time.Now()
-				resp, err := reg.InvokeContext(ctx, name, params, pushed)
-				lat := time.Since(start)
-				if resp.Latency > lat {
-					lat = resp.Latency
-				}
-				class := ""
-				if err != nil {
-					class = service.ClassOf(err).String()
-				}
-				p.Observe(name, lat, resp.Bytes, countNodes(resp.Forest),
-					err == nil && pushed != nil, err == nil && resp.Pushed, class)
-				return resp, err
-			},
-		})
-	}
-	return out
+	return reg.Proxy(func(inner *service.Service, next service.Invoker) service.Invoker {
+		return func(ctx context.Context, params []*tree.Node, pushed *pattern.Pattern) (service.Response, error) {
+			start := time.Now()
+			resp, err := next(ctx, params, pushed)
+			lat := time.Since(start)
+			if resp.Latency > lat {
+				lat = resp.Latency
+			}
+			class := ""
+			if err != nil {
+				class = service.ClassOf(err).String()
+			}
+			p.Observe(inner.Name, lat, resp.Bytes, countNodes(resp.Forest),
+				err == nil && pushed != nil, err == nil && resp.Pushed, class)
+			return resp, err
+		}
+	})
 }
 
 // Notify returns the service.Cache.Notify hook feeding cache outcomes

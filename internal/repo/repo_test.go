@@ -574,8 +574,9 @@ func randomSpec(seed int64) workload.HotelSpec {
 // TestWarmVsColdDifferential is the restart-path acceptance net: over 20
 // random worlds persisted and reopened, a warm open (index decoded from
 // disk, zero engine-side builds) and a cold open (index dropped, rebuilt
-// from the document) must answer the workload query bit-identically to
-// the naive fixpoint over the original in-memory world.
+// from the document) must deliver the same index and answer the workload
+// query bit-identically to the naive fixpoint over the original
+// in-memory world.
 func TestWarmVsColdDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential testing is not short")
@@ -608,6 +609,7 @@ func TestWarmVsColdDifferential(t *testing.T) {
 		if !warm.Warm || warm.Schema == nil {
 			t.Fatalf("seed %d: warm open Warm=%v Schema=%v", seed, warm.Warm, warm.Schema != nil)
 		}
+		warmIndex := warm.Guide.String()
 		engineReg := telemetry.NewRegistry()
 		out, err := core.Evaluate(warm.Doc, w.Query, w.Registry, core.Options{
 			Strategy: core.LazyNFQTyped, Schema: warm.Schema,
@@ -637,6 +639,9 @@ func TestWarmVsColdDifferential(t *testing.T) {
 		}
 		if cold.Warm {
 			t.Fatalf("seed %d: open right after DropIndex claims warm", seed)
+		}
+		if got := cold.Guide.String(); got != warmIndex {
+			t.Fatalf("seed %d: decoded and rebuilt index disagree\n got %q\nwant %q", seed, got, warmIndex)
 		}
 		out, err = core.Evaluate(cold.Doc, w.Query, w.Registry, core.Options{
 			Strategy: core.LazyNFQTyped, Schema: w.Schema,

@@ -193,24 +193,14 @@ func (c *Cache) Len() int {
 // services advertise the same latency and push capability; their
 // invocations consult the cache first and delegate to reg on a miss.
 func (c *Cache) Wrap(reg *Registry) *Registry {
-	out := NewRegistry()
-	for _, name := range reg.Names() {
-		inner := reg.Lookup(name)
-		name := name
-		canPush := inner.CanPush
-		out.Register(&Service{
-			Name:    name,
-			Latency: inner.Latency,
-			CanPush: canPush,
-			RemoteCtx: func(ctx context.Context, params []*tree.Node, pushed *pattern.Pattern) (Response, error) {
-				if !canPush {
-					pushed = nil
-				}
-				return c.invoke(ctx, reg, name, params, pushed)
-			},
-		})
-	}
-	return out
+	return reg.Proxy(func(inner *Service, next Invoker) Invoker {
+		return func(ctx context.Context, params []*tree.Node, pushed *pattern.Pattern) (Response, error) {
+			if !inner.CanPush {
+				pushed = nil
+			}
+			return c.invoke(ctx, next, inner.Name, params, pushed)
+		}
+	})
 }
 
 // Key renders the canonical cache identity of an invocation: the service
@@ -251,10 +241,10 @@ func (c *Cache) now() time.Time {
 	return time.Now()
 }
 
-func (c *Cache) invoke(ctx context.Context, reg *Registry, name string, params []*tree.Node, pushed *pattern.Pattern) (Response, error) {
+func (c *Cache) invoke(ctx context.Context, next Invoker, name string, params []*tree.Node, pushed *pattern.Pattern) (Response, error) {
 	key, ok := Key(name, params, pushed)
 	if !ok {
-		return reg.InvokeContext(ctx, name, params, pushed)
+		return next(ctx, params, pushed)
 	}
 	// Each invocation lands in exactly one of Hits, Coalesced or Misses:
 	// a waiter that loops back to read the stored entry is already
@@ -312,7 +302,7 @@ func (c *Cache) invoke(ctx context.Context, reg *Registry, name string, params [
 		c.inflight[key] = f
 		c.mu.Unlock()
 
-		resp, err := reg.InvokeContext(ctx, name, params, pushed)
+		resp, err := next(ctx, params, pushed)
 		c.mu.Lock()
 		delete(c.inflight, key)
 		if err == nil {

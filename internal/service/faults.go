@@ -114,27 +114,17 @@ func (f *Faults) Reset() {
 // invocations consult the injector first and delegate to reg on success.
 // Several registries may share one injector (one fault stream).
 func (f *Faults) Wrap(reg *Registry) *Registry {
-	out := NewRegistry()
-	for _, name := range reg.Names() {
-		inner := reg.Lookup(name)
-		name := name
-		canPush := inner.CanPush
-		out.Register(&Service{
-			Name:    name,
-			Latency: inner.Latency,
-			CanPush: canPush,
-			RemoteCtx: func(ctx context.Context, params []*tree.Node, pushed *pattern.Pattern) (Response, error) {
-				if !canPush {
-					pushed = nil
-				}
-				return f.invoke(ctx, reg, name, inner.Latency, params, pushed)
-			},
-		})
-	}
-	return out
+	return reg.Proxy(func(inner *Service, next Invoker) Invoker {
+		return func(ctx context.Context, params []*tree.Node, pushed *pattern.Pattern) (Response, error) {
+			if !inner.CanPush {
+				pushed = nil
+			}
+			return f.invoke(ctx, next, inner.Name, inner.Latency, params, pushed)
+		}
+	})
 }
 
-func (f *Faults) invoke(ctx context.Context, reg *Registry, name string, latency time.Duration, params []*tree.Node, pushed *pattern.Pattern) (Response, error) {
+func (f *Faults) invoke(ctx context.Context, next Invoker, name string, latency time.Duration, params []*tree.Node, pushed *pattern.Pattern) (Response, error) {
 	n, targeted := f.next(name)
 	rng := faultRand(f.spec.Seed, name, n)
 	if targeted {
@@ -143,7 +133,7 @@ func (f *Faults) invoke(ctx context.Context, reg *Registry, name string, latency
 			return Response{}, fault
 		}
 	}
-	resp, err := reg.InvokeContext(ctx, name, params, pushed)
+	resp, err := next(ctx, params, pushed)
 	if err != nil {
 		return Response{}, err
 	}

@@ -121,7 +121,7 @@ type Service struct {
 	// cross-process trace state (telemetry.TraceContext) and
 	// cancellation; the wrappers that thread contexts (cache, faults,
 	// session limits, the soap proxy) are built on it.
-	RemoteCtx func(ctx context.Context, params []*tree.Node, pushed *pattern.Pattern) (Response, error)
+	RemoteCtx Invoker
 }
 
 // Response is the outcome of one invocation.
@@ -229,41 +229,46 @@ func (r *Registry) Invoke(name string, params []*tree.Node, pushed *pattern.Patt
 // InvokeContext is Invoke with a caller-supplied context. The context
 // carries the cross-process trace state (telemetry.WithTrace) down
 // through wrapper registries to the transport; local Handler services
-// ignore it.
+// ignore it. A failed invocation's error is prefixed "service <name>: "
+// here and nowhere else: the layers of a Proxy stack reach each other
+// through invoke, so the prefix appears once however deep the stack.
 func (r *Registry) InvokeContext(ctx context.Context, name string, params []*tree.Node, pushed *pattern.Pattern) (Response, error) {
 	svc := r.Lookup(name)
 	if svc == nil {
 		return Response{}, fmt.Errorf("service: unknown service %q", name)
 	}
-	if svc.RemoteCtx != nil {
-		resp, err := svc.RemoteCtx(ctx, params, pushed)
-		if err != nil {
-			return Response{}, fmt.Errorf("service %s: %w", name, err)
-		}
-		r.mu.Lock()
-		r.stats.Invocations++
-		r.stats.Bytes += int64(resp.Bytes)
-		if resp.Pushed {
-			r.stats.PushedInvocations++
-		}
-		r.mu.Unlock()
-		return resp, nil
-	}
-	full, err := svc.Handler(params)
+	resp, err := r.invoke(ctx, svc, params, pushed)
 	if err != nil {
 		return Response{}, fmt.Errorf("service %s: %w", name, err)
 	}
-	resp := Response{Forest: full, Latency: svc.Latency}
-	if pushed != nil && svc.CanPush {
-		resp.Forest = []*tree.Node{evalPushed(full, pushed)}
-		resp.Pushed = true
-	}
-	for _, n := range resp.Forest {
-		b, err := tree.Marshal(n)
-		if err != nil {
-			return Response{}, fmt.Errorf("service %s: marshal result: %w", name, err)
+	return resp, nil
+}
+
+// invoke runs one invocation of svc, a service of r, and accounts for it.
+func (r *Registry) invoke(ctx context.Context, svc *Service, params []*tree.Node, pushed *pattern.Pattern) (Response, error) {
+	var resp Response
+	if svc.RemoteCtx != nil {
+		var err error
+		if resp, err = svc.RemoteCtx(ctx, params, pushed); err != nil {
+			return Response{}, err
 		}
-		resp.Bytes += len(b)
+	} else {
+		full, err := svc.Handler(params)
+		if err != nil {
+			return Response{}, err
+		}
+		resp = Response{Forest: full, Latency: svc.Latency}
+		if pushed != nil && svc.CanPush {
+			resp.Forest = []*tree.Node{EvalPushed(full, pushed)}
+			resp.Pushed = true
+		}
+		for _, n := range resp.Forest {
+			b, err := tree.Marshal(n)
+			if err != nil {
+				return Response{}, fmt.Errorf("marshal result: %w", err)
+			}
+			resp.Bytes += len(b)
+		}
 	}
 	r.mu.Lock()
 	r.stats.Invocations++
@@ -275,9 +280,35 @@ func (r *Registry) InvokeContext(ctx context.Context, name string, params []*tre
 	return resp, nil
 }
 
-// evalPushed runs the pushed subquery over the full result forest and
+// Invoker performs one invocation of a fixed service: the type of
+// Service.RemoteCtx.
+type Invoker func(ctx context.Context, params []*tree.Node, pushed *pattern.Pattern) (Response, error)
+
+// Proxy returns a registry holding one service per service of r, each
+// advertising its inner service's name, latency and push capability and
+// serving every call through wrap(inner, next), where next invokes inner
+// on r (counted in r's Stats). It is how every wrapper registry — cache,
+// fault injector, profiler, invocation pool, recursive push — is built.
+func (r *Registry) Proxy(wrap func(inner *Service, next Invoker) Invoker) *Registry {
+	out := NewRegistry()
+	for _, name := range r.Names() {
+		inner := r.Lookup(name)
+		next := func(ctx context.Context, params []*tree.Node, pushed *pattern.Pattern) (Response, error) {
+			return r.invoke(ctx, inner, params, pushed)
+		}
+		out.Register(&Service{
+			Name:      inner.Name,
+			Latency:   inner.Latency,
+			CanPush:   inner.CanPush,
+			RemoteCtx: wrap(inner, next),
+		})
+	}
+	return out
+}
+
+// EvalPushed runs the pushed subquery over the full result forest and
 // packs the variable bindings into a Tuples node.
-func evalPushed(full []*tree.Node, pushed *pattern.Pattern) *tree.Node {
+func EvalPushed(full []*tree.Node, pushed *pattern.Pattern) *tree.Node {
 	results, _ := pattern.EvalForest(full, pushed)
 	bindings := make([]tree.Binding, 0, len(results))
 	for _, res := range results {

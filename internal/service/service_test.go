@@ -124,6 +124,11 @@ func TestInvokeErrors(t *testing.T) {
 	if _, err := r.Invoke("boom", nil, nil); err == nil || !strings.Contains(err.Error(), "backend down") {
 		t.Fatalf("err = %v", err)
 	}
+	// However many Proxy layers the error crosses, it is named once.
+	stack := NewCache(CacheSpec{}).Wrap(NewFaults(FaultSpec{}).Wrap(r))
+	if _, err := stack.Invoke("boom", nil, nil); err == nil || err.Error() != "service boom: backend down" {
+		t.Fatalf("err = %v", err)
+	}
 }
 
 func TestRegisterPanics(t *testing.T) {

@@ -27,26 +27,16 @@ func LimitRegistry(reg *service.Registry, limit int, metrics *telemetry.Registry
 	}
 	slots := make(chan struct{}, limit)
 	inflight := metrics.Gauge(telemetry.MetricInvokeInflight)
-	out := service.NewRegistry()
-	for _, name := range reg.Names() {
-		inner := reg.Lookup(name)
-		name := name
-		canPush := inner.CanPush
-		out.Register(&service.Service{
-			Name:    name,
-			Latency: inner.Latency,
-			CanPush: canPush,
-			RemoteCtx: func(ctx context.Context, params []*tree.Node, pushed *pattern.Pattern) (service.Response, error) {
-				slots <- struct{}{}
-				inflight.Add(1)
-				resp, err := reg.InvokeContext(ctx, name, params, pushed)
-				inflight.Add(-1)
-				<-slots
-				return resp, err
-			},
-		})
-	}
-	return out
+	return reg.Proxy(func(_ *service.Service, next service.Invoker) service.Invoker {
+		return func(ctx context.Context, params []*tree.Node, pushed *pattern.Pattern) (service.Response, error) {
+			slots <- struct{}{}
+			inflight.Add(1)
+			resp, err := next(ctx, params, pushed)
+			inflight.Add(-1)
+			<-slots
+			return resp, err
+		}
+	})
 }
 
 // ServingRegistry composes the registry a Manager serves from, outermost

@@ -656,6 +656,21 @@ func TestRequestErrors(t *testing.T) {
 	if !errors.As(err, &bad) {
 		t.Fatalf("got %v, want BadQueryError", err)
 	}
+
+	// A handler's error crosses the four serving layers (cache, profile,
+	// pool, base) named once and with its class intact.
+	base := service.NewRegistry()
+	base.Register(&service.Service{Name: "svc", Handler: func([]*tree.Node) ([]*tree.Node, error) {
+		return nil, &service.Fault{Class: service.Transient, Msg: "boom"}
+	}})
+	serving := ServingRegistry(base, service.CacheSpec{}, profile.New(0, nil), 2, nil)
+	_, err = serving.Invoke("svc", nil, nil)
+	if want := "service svc: transient fault: boom"; err == nil || err.Error() != want {
+		t.Fatalf("got %v, want %q", err, want)
+	}
+	if service.ClassOf(err) != service.Transient || !service.Retryable(err) {
+		t.Fatalf("class lost crossing the serving stack: %v", err)
+	}
 }
 
 // waitUntil polls cond with a deadline — the tests' only clock

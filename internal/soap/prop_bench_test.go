@@ -13,8 +13,9 @@ import (
 // The pair below prices cross-process trace propagation per call — the
 // extra envelope attributes, the server's per-request tracer, and the
 // span subtree marshalled into (and parsed back out of) every response.
-// E16 reports the same delta as a fraction of the sleep-dominated E11
-// sweep, where it must stay under 2% of wall.
+// What the SOAP boundary as a whole costs a call of a sleep-dominated
+// evaluation is soap.overhead_us in the benchmark's federated-soap
+// workload.
 
 func benchReg() *service.Registry {
 	reg := service.NewRegistry()

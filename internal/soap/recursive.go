@@ -41,36 +41,17 @@ func RecursivePush(reg *service.Registry, maxCalls int) *service.Registry {
 // for every pool width; handlers are required to be concurrent-safe
 // (see service.Handler).
 func RecursivePushWorkers(reg *service.Registry, maxCalls, workers int) *service.Registry {
-	out := service.NewRegistry()
-	for _, name := range reg.Names() {
-		svc := reg.Lookup(name)
-		wrapped := &service.Service{
-			Name:    svc.Name,
-			Latency: svc.Latency,
-			CanPush: true,
-		}
-		wrapped.RemoteCtx = func(ctx context.Context, params []*tree.Node, pushed *pattern.Pattern) (service.Response, error) {
-			resp, err := reg.InvokeContext(ctx, svc.Name, params, nil)
-			if err != nil {
-				return service.Response{}, err
-			}
-			if pushed == nil {
-				return resp, nil
+	out := reg.Proxy(func(inner *service.Service, next service.Invoker) service.Invoker {
+		return func(ctx context.Context, params []*tree.Node, pushed *pattern.Pattern) (service.Response, error) {
+			resp, err := next(ctx, params, nil)
+			if err != nil || pushed == nil {
+				return resp, err
 			}
 			forest, err := materialise(ctx, reg, resp.Forest, maxCalls, workers)
 			if err != nil {
 				return service.Response{}, err
 			}
-			results, _ := pattern.EvalForest(forest, pushed)
-			bindings := make([]tree.Binding, 0, len(results))
-			for _, r := range results {
-				b := tree.Binding{}
-				for k, v := range r.Values {
-					b[k] = v
-				}
-				bindings = append(bindings, b)
-			}
-			tu := tree.NewTuples(pushed.String(), bindings)
+			tu := service.EvalPushed(forest, pushed)
 			data, err := tree.Marshal(tu)
 			if err != nil {
 				return service.Response{}, err
@@ -78,11 +59,13 @@ func RecursivePushWorkers(reg *service.Registry, maxCalls, workers int) *service
 			return service.Response{
 				Forest:  []*tree.Node{tu},
 				Bytes:   len(data),
-				Latency: svc.Latency,
+				Latency: inner.Latency,
 				Pushed:  true,
 			}, nil
 		}
-		out.Register(wrapped)
+	})
+	for _, name := range out.Names() {
+		out.Lookup(name).CanPush = true
 	}
 	return out
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"github.com/activexml/axml/internal/core"
 	"github.com/activexml/axml/internal/pattern"
 	"github.com/activexml/axml/internal/service"
+	"github.com/activexml/axml/internal/telemetry"
 	"github.com/activexml/axml/internal/tree"
 	"github.com/activexml/axml/internal/workload"
 )
@@ -192,6 +194,40 @@ func TestEndToEndOverHTTP(t *testing.T) {
 	if remoteReg.Stats().Invocations != remote.Stats.CallsInvoked {
 		t.Fatalf("proxy accounting mismatch: %d vs %d",
 			remoteReg.Stats().Invocations, remote.Stats.CallsInvoked)
+	}
+
+	// Neither the invocation-pool width nor tracing — off, local spans
+	// only, or propagated with the remote subtrees returned — may change
+	// the result set of the layered, pushed evaluation over HTTP.
+	keys := func(out *core.Outcome) string {
+		ks := make([]string, len(out.Results))
+		for i, r := range out.Results {
+			ks[i] = r.Key()
+		}
+		sort.Strings(ks)
+		return strings.Join(ks, "|")
+	}
+	want := keys(remote)
+	for _, workers := range []int{1, 4} {
+		for _, mode := range []string{"off", "local", "propagate"} {
+			opt := core.Options{Strategy: core.LazyNFQTyped, Schema: w.Schema,
+				Push: true, Layering: true, Parallel: true, InvokeWorkers: workers,
+				Clock: service.NewWallClock(false)}
+			if mode != "off" {
+				opt.Tracer = telemetry.NewTracer(telemetry.DefaultSpanCapacity)
+			}
+			if mode == "propagate" {
+				opt.Tracer.SetTrace(telemetry.DeriveTraceID("soap_test", mode))
+				opt.RemoteSpans = MaxRemoteSpans
+			}
+			out, err := core.Evaluate(w.Doc.Clone(), w.Query, remoteReg, opt)
+			if err != nil {
+				t.Fatalf("workers %d, tracing %s: %v", workers, mode, err)
+			}
+			if got := keys(out); got != want {
+				t.Fatalf("workers %d, tracing %s changed the result set\n got %q\nwant %q", workers, mode, got, want)
+			}
+		}
 	}
 }
 
