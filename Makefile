@@ -25,6 +25,7 @@ race:
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/pattern/
 	$(GO) test -run '^$$' -fuzz FuzzCodecRoundTrip -fuzztime $(FUZZTIME) ./internal/tree/
+	$(GO) test -run '^$$' -fuzz FuzzScanMatchesDecode -fuzztime $(FUZZTIME) ./internal/tree/
 	$(GO) test -run '^$$' -fuzz FuzzProject -fuzztime $(FUZZTIME) ./internal/schema/
 	$(GO) test -run '^$$' -fuzz FuzzGuideCodecRoundTrip -fuzztime $(FUZZTIME) ./internal/fguide/
 
@@ -66,6 +67,7 @@ benchsmoke:
 
 microbench:
 	$(GO) test -bench . -benchmem ./internal/pattern/
+	$(GO) test -run TestUnmarshalAllocationCeiling -bench 'Unmarshal/' -benchmem ./internal/tree/
 	$(GO) test -run '^$$' -bench 'MemoAnswer|ReevalAfterWrite' -benchmem ./internal/session/
 	$(GO) test -bench E10TelemetryOverhead -benchmem .
 	$(GO) test -run TestE13AllocationRegression -count=1 ./internal/bench/

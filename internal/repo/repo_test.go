@@ -221,6 +221,58 @@ func TestFlatStoreUpgradesInPlace(t *testing.T) {
 	}
 }
 
+// TestHandAuthoredDocumentLoadsTheSameGuide: the persisted guide names
+// nodes by pre-order position, so it only means something if every load
+// of the same tree numbers it the same way. A document behind an XML
+// declaration is parsed by the encoding/xml fallback, the same document
+// without it by the wire scanner; cold (rebuilt) and warm (decoded) opens
+// of both must agree on the guide.
+func TestHandAuthoredDocumentLoadsTheSameGuide(t *testing.T) {
+	w := workload.Hotels(workload.DefaultSpec())
+	data, err := tree.MarshalIndent(w.Doc.Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for name, doc := range map[string][]byte{
+		"wire": data,
+		"hand": append([]byte("<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n<!-- by hand -->\n"), data...),
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name+DocExt), doc, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Logger = log.New(io.Discard, "", 0)
+
+	want, wantCalls := fguide.Build(w.Doc).String(), w.Doc.Calls()
+	for _, name := range []string{"wire", "hand"} {
+		for _, warm := range []bool{false, true} {
+			o, err := r.Get(name)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if o.Warm != warm {
+				t.Fatalf("%s: open Warm = %t, want %t", name, o.Warm, warm)
+			}
+			if got := o.Guide.String(); got != want {
+				t.Fatalf("%s (warm %t): guide differs from the in-memory build\n got %q\nwant %q", name, warm, got, want)
+			}
+			if !o.Doc.Root.Equal(w.Doc.Root) || o.Doc.Version() != w.Doc.Version() {
+				t.Fatalf("%s (warm %t): loaded document differs from the generated one", name, warm)
+			}
+			for i, c := range o.Doc.Calls() {
+				if c.ID != wantCalls[i].ID {
+					t.Fatalf("%s (warm %t): call %d loaded with ID %d, generated with %d", name, warm, i, c.ID, wantCalls[i].ID)
+				}
+			}
+		}
+	}
+}
+
 // TestCorruptionNeverFailsTheQuery damages each index part in turn and
 // requires Get to degrade exactly as documented: log, count, rebuild,
 // repair — and the opened document still answers the workload query

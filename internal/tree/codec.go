@@ -132,7 +132,7 @@ func sortedKeys(b Binding) []string {
 // attribute) become function nodes; "tuples" elements become pushed-result
 // nodes. Whitespace-only character data between elements is dropped.
 func Unmarshal(data []byte) (*Document, error) {
-	roots, err := UnmarshalForest(data)
+	roots, ids, err := parseForest(data, true)
 	if err != nil {
 		return nil, err
 	}
@@ -142,12 +142,38 @@ func Unmarshal(data []byte) (*Document, error) {
 	if roots[0].Kind != Element {
 		return nil, fmt.Errorf("tree: document root must be a data element, got %v", roots[0].Kind)
 	}
-	return NewDocument(roots[0]), nil
+	if ids == 0 {
+		return NewDocument(roots[0]), nil
+	}
+	// The scanner numbered the nodes as NewDocument's walk would.
+	return &Document{Root: roots[0], nextID: ids + 1, version: 1}, nil
 }
 
 // UnmarshalForest parses a sequence of sibling AXML trees (e.g. a service
 // result forest). The returned nodes are detached and carry zero IDs.
 func UnmarshalForest(data []byte) ([]*Node, error) {
+	roots, _, err := parseForest(data, false)
+	return roots, err
+}
+
+// parseForest is the one way in: input in the wire subset — all that
+// Marshal writes — is scanned; anything else, malformed input included,
+// goes to the encoding/xml decoder, which defines the result. The choice
+// is made from the input alone. ids is non-zero when the nodes already
+// carry document IDs 1..ids (only the scanner, only when asked).
+func parseForest(data []byte, withIDs bool) (roots []*Node, ids uint64, err error) {
+	if roots, ids, ok := scanForest(data, withIDs); ok {
+		return roots, ids, nil
+	}
+	roots, err = decodeForest(data)
+	return roots, 0, err
+}
+
+// decodeForest parses any XML encoding/xml accepts: prologs, comments,
+// CDATA, foreign namespaces and attributes (dropped), hand-written
+// spacing. It is the fallback of parseForest and the reference the
+// scanner is tested against.
+func decodeForest(data []byte) ([]*Node, error) {
 	dec := xml.NewDecoder(strings.NewReader(string(data)))
 	var roots []*Node
 	var stack []*Node
@@ -158,6 +184,10 @@ func UnmarshalForest(data []byte) ([]*Node, error) {
 			stack[len(stack)-1].Append(n)
 		}
 	}
+	// Inside a <tuples> payload every element is plain data: <tuple>
+	// wrappers and variable elements inherit the AXML default namespace
+	// from the serialiser but must not be interpreted as AXML markup.
+	tuples := 0 // open Tuples frames
 	for {
 		tok, err := dec.Token()
 		if err == io.EOF {
@@ -168,29 +198,16 @@ func UnmarshalForest(data []byte) ([]*Node, error) {
 		}
 		switch t := tok.(type) {
 		case xml.StartElement:
-			// Inside a <tuples> payload every element is plain data:
-			// <tuple> wrappers and variable elements inherit the AXML
-			// default namespace from the serialiser but must not be
-			// interpreted as AXML markup.
-			inTuples := false
-			for _, s := range stack {
-				if s.Kind == Tuples {
-					inTuples = true
-					break
-				}
-			}
-			var n *Node
-			var err error
-			if inTuples {
-				n = &Node{Kind: Element, Label: t.Name.Local}
-			} else {
-				n, err = startNode(t)
-				if err != nil {
-					return nil, err
-				}
+			isAXML := t.Name.Space == CallNamespace || t.Name.Space == "axml"
+			n := new(Node)
+			if err := initNode(n, tuples > 0, isAXML, t.Name.Local, attrValue(t, serviceAttr), attrValue(t, queryAttribute)); err != nil {
+				return nil, err
 			}
 			attach(n)
 			stack = append(stack, n)
+			if n.Kind == Tuples {
+				tuples++
+			}
 		case xml.EndElement:
 			if len(stack) == 0 {
 				return nil, fmt.Errorf("tree: unexpected end element %s", t.Name.Local)
@@ -198,16 +215,17 @@ func UnmarshalForest(data []byte) ([]*Node, error) {
 			top := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			if top.Kind == Tuples {
+				tuples--
 				if err := liftTuples(top); err != nil {
 					return nil, err
 				}
 			}
 		case xml.CharData:
-			s := string(t)
-			if strings.TrimSpace(s) == "" {
+			s := strings.TrimSpace(string(t))
+			if s == "" {
 				continue
 			}
-			attach(NewText(strings.TrimSpace(s)))
+			attach(NewText(s))
 		case xml.Comment, xml.ProcInst, xml.Directive:
 			// Ignored: comments and processing instructions carry no
 			// query-visible data in the AXML model.
@@ -219,41 +237,50 @@ func UnmarshalForest(data []byte) ([]*Node, error) {
 	return roots, nil
 }
 
-func startNode(t xml.StartElement) (*Node, error) {
-	isAXML := t.Name.Space == CallNamespace || t.Name.Space == "axml"
+// initNode sets the kind and label of the node a start tag opens. It is
+// the only place that decision is made, for the scanner and the decoder
+// alike: isAXML says the name is in CallNamespace (or carries the bare
+// axml prefix), local is the name without prefix, service and query are
+// the values of those attributes ("" when absent).
+func initNode(n *Node, inTuples, isAXML bool, local, service, query string) error {
 	switch {
-	case isAXML && t.Name.Local == callElement:
-		svc := attrValue(t, serviceAttr)
-		if svc == "" {
-			return nil, fmt.Errorf("tree: <call> element without service attribute")
+	case inTuples:
+		// Plain data whatever the name; liftTuples folds <tuple> elements
+		// into the enclosing Tuples node once it closes.
+		n.Kind, n.Label = Element, local
+	case isAXML && local == callElement:
+		if service == "" {
+			return fmt.Errorf("tree: <call> element without service attribute")
 		}
-		return &Node{Kind: Call, Label: svc}, nil
-	case isAXML && t.Name.Local == tuplesElement:
-		return &Node{Kind: Tuples, PushedQuery: attrValue(t, queryAttribute)}, nil
-	case isAXML && t.Name.Local == tupleElement:
-		// Parsed as a plain element; liftTuples folds it into the
-		// enclosing Tuples node's bindings once the subtree closes.
-		return &Node{Kind: Element, Label: tupleElement}, nil
+		n.Kind, n.Label = Call, service
+	case isAXML && local == tuplesElement:
+		n.Kind, n.PushedQuery = Tuples, query
 	default:
 		// Any other name is plain data, whatever its namespace: call
 		// parameters inherit the AXML default namespace from the
 		// serialiser but are ordinary trees.
-		return &Node{Kind: Element, Label: t.Name.Local}, nil
+		n.Kind, n.Label = Element, local
 	}
+	return nil
 }
 
 // liftTuples converts the parsed children of a <tuples> element — a
 // sequence of <tuple> elements whose children are <Var>value</Var> — into
-// the PushedBindings payload, and drops the children.
+// the PushedBindings payload, and drops the children. Anything else in
+// the payload is an error: a binding is a match the remote side claims,
+// and must not be conjured from content that is not one.
 func liftTuples(n *Node) error {
 	for _, tup := range n.Children {
-		if tup.Label != tupleElement && !(tup.Kind == Element && tup.Label == tupleElement) {
-			return fmt.Errorf("tree: <tuples> may only contain <tuple>, got %q", tup.Label)
+		if tup.Kind != Element || tup.Label != tupleElement {
+			return fmt.Errorf("tree: <tuples> may only contain <tuple>, got %v %q", tup.Kind, tup.Label)
 		}
 		b := Binding{}
 		for _, kv := range tup.Children {
 			if kv.Kind != Element {
 				return fmt.Errorf("tree: <tuple> may only contain variable elements")
+			}
+			if len(kv.Children) > 1 || len(kv.Children) == 1 && kv.Children[0].Kind != Text {
+				return fmt.Errorf("tree: variable <%s> of a <tuple> must hold one text value", kv.Label)
 			}
 			b[kv.Label] = kv.Value()
 		}

@@ -5,6 +5,22 @@ import (
 	"testing"
 )
 
+// codecSeeds seed both fuzz targets and the scanner/decoder differential.
+var codecSeeds = []string{
+	`<hotels><hotel><name>Best Western</name><rating>*****</rating></hotel></hotels>`,
+	`<hotel><name>Ritz</name><axml:call xmlns:axml="http://activexml.net/2004/calls" service="getNearbyRestos"><address>addr-1</address></axml:call></hotel>`,
+	`<r><axml:tuples xmlns:axml="http://activexml.net/2004/calls" query="/restaurant[name=$X]"><axml:tuple><X>Chez Net</X></axml:tuple></axml:tuples></r>`,
+	`<a>one</a><b>two</b>`,
+	`<a>&lt;escaped &amp; entities&gt;</a>`,
+	`<call service="plain-data-call-lookalike"></call>`,
+	`<a><!-- comment --><?pi data?>text</a>`,
+	`<deep><deep><deep><leaf/></deep></deep></deep>`,
+	// What liftTuples must refuse: a text child that reads "tuple", and a
+	// variable with mixed content.
+	`<r><axml:tuples query="q">tuple</axml:tuples></r>`,
+	`<r><axml:tuples query="q"><axml:tuple><X>a<b/>c</X></axml:tuple></axml:tuples></r>`,
+}
+
 // FuzzCodecRoundTrip checks the AXML wire codec on arbitrary XML: any
 // forest UnmarshalForest accepts must marshal, re-parse, and marshal
 // again to the same bytes. The first marshal canonicalises (namespace
@@ -12,16 +28,7 @@ import (
 // must be a fixed point, because pushed results and the SOAP envelope
 // both rely on re-serialising parsed trees verbatim.
 func FuzzCodecRoundTrip(f *testing.F) {
-	for _, seed := range []string{
-		`<hotels><hotel><name>Best Western</name><rating>*****</rating></hotel></hotels>`,
-		`<hotel><name>Ritz</name><axml:call xmlns:axml="http://activexml.net/2004/calls" service="getNearbyRestos"><address>addr-1</address></axml:call></hotel>`,
-		`<r><axml:tuples xmlns:axml="http://activexml.net/2004/calls" query="/restaurant[name=$X]"><axml:tuple><X>Chez Net</X></axml:tuple></axml:tuples></r>`,
-		`<a>one</a><b>two</b>`,
-		`<a>&lt;escaped &amp; entities&gt;</a>`,
-		`<call service="plain-data-call-lookalike"></call>`,
-		`<a><!-- comment --><?pi data?>text</a>`,
-		`<deep><deep><deep><leaf/></deep></deep></deep>`,
-	} {
+	for _, seed := range codecSeeds {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
