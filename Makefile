@@ -1,20 +1,33 @@
 # Developer checks. `make check` is the full gate: static vetting, a
-# clean build, the whole suite under the race detector, a short fuzz
-# smoke of every fuzz target (seed corpora under testdata/fuzz always run
-# as plain tests), the load-replay smoke and the benchmark smoke.
+# clean build, the reachability gate, the whole suite under the race
+# detector, a short fuzz smoke of every fuzz target (seed corpora under
+# testdata/fuzz always run as plain tests), the load-replay smoke and the
+# benchmark smoke.
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check build vet test race fuzz bench benchdiff microbench telemetry profile loadsmoke benchsmoke
+.PHONY: check build vet reach test race fuzz bench benchdiff microbench telemetry profile loadsmoke benchsmoke
 
-check: vet build telemetry race fuzz loadsmoke benchsmoke
+check: vet build reach telemetry race fuzz loadsmoke benchsmoke
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# reach fails on an internal package that no binary and no benchmark
+# workload imports — code only its own tests or an example keep alive.
+# internal/telemetry/spantest is the one test helper.
+reach:
+	@deps=$$($(GO) list -deps ./cmd/... ./benchmark/...) || exit 1; \
+	for p in $$($(GO) list ./internal/...); do \
+		case $$p in */internal/telemetry/spantest) continue ;; esac; \
+		echo "$$deps" | grep -qxF "$$p" || { echo "reach: $$p: imported by no binary and no benchmark workload"; bad=1; }; \
+	done; \
+	if [ -n "$$bad" ]; then exit 1; fi; \
+	echo "reach: ok, every internal package is reached from ./cmd/... or ./benchmark/..."
 
 test:
 	$(GO) test ./...
@@ -28,6 +41,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzScanMatchesDecode -fuzztime $(FUZZTIME) ./internal/tree/
 	$(GO) test -run '^$$' -fuzz FuzzProject -fuzztime $(FUZZTIME) ./internal/schema/
 	$(GO) test -run '^$$' -fuzz FuzzGuideCodecRoundTrip -fuzztime $(FUZZTIME) ./internal/fguide/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeInvoke -fuzztime $(FUZZTIME) ./internal/soap/
+	$(GO) test -run '^$$' -fuzz FuzzSplitTrailingTrace -fuzztime $(FUZZTIME) ./internal/soap/
 
 # bench rewrites the tracked perf record. BENCH_WORKLOADS.json is the
 # record of what a request costs end to end: the five BENCHMARK.json

@@ -25,7 +25,6 @@
 package axml
 
 import (
-	"github.com/activexml/axml/internal/activation"
 	"github.com/activexml/axml/internal/construct"
 	"github.com/activexml/axml/internal/core"
 	"github.com/activexml/axml/internal/fguide"
@@ -34,7 +33,6 @@ import (
 	"github.com/activexml/axml/internal/schema"
 	"github.com/activexml/axml/internal/service"
 	"github.com/activexml/axml/internal/soap"
-	"github.com/activexml/axml/internal/subscribe"
 	"github.com/activexml/axml/internal/tree"
 )
 
@@ -292,36 +290,6 @@ func RecursivePushWorkers(reg *Registry, maxCalls, workers int) *Registry {
 	return soap.RecursivePushWorkers(reg, maxCalls, workers)
 }
 
-// Activation policies (see internal/activation).
-type (
-	// ActivationController applies per-service activation policies
-	// (immediate, periodic, manual — lazy being Evaluate's job) to the
-	// calls of one document.
-	ActivationController = activation.Controller
-	// ActivationPolicy is one service's activation policy.
-	ActivationPolicy = activation.Policy
-	// ActivationMode discriminates the policies.
-	ActivationMode = activation.Mode
-)
-
-// Activation modes.
-const (
-	// ActivateLazily leaves invocation to query evaluation.
-	ActivateLazily = activation.Lazy
-	// ActivateImmediately fires calls at the next controller sweep.
-	ActivateImmediately = activation.Immediate
-	// ActivatePeriodically refreshes calls on an interval.
-	ActivatePeriodically = activation.Periodic
-	// ActivateManually fires calls only through Activate.
-	ActivateManually = activation.Manual
-)
-
-// NewActivationController wires a document to a registry with all
-// policies defaulting to lazy.
-func NewActivationController(doc *Document, reg *Registry) *ActivationController {
-	return activation.NewController(doc, reg)
-}
-
 // Document repository (see internal/repo).
 type (
 	// Repo is a file-backed repository of AXML documents, each persisted
@@ -348,19 +316,4 @@ func ParseTemplate(src string) (*Template, error) { return construct.ParseTempla
 // the forests under a fresh root element.
 func ConstructDocument(rootName string, t *Template, results []QueryResult) (*Document, error) {
 	return construct.Document(rootName, t, results)
-}
-
-// Continuous queries (see internal/subscribe).
-type (
-	// Watcher re-evaluates a query as the document's intensional parts
-	// evolve and reports result-set changes.
-	Watcher = subscribe.Watcher
-	// ResultChange describes how a watched result set moved.
-	ResultChange = subscribe.Change
-)
-
-// Watch registers a continuous query over a controlled document. Drive it
-// with Watcher.Poll (after controller refreshes) or Watcher.Start.
-func Watch(ctl *ActivationController, q *Query, reg *Registry, opt Options, fn func(ResultChange)) *Watcher {
-	return subscribe.Watch(ctl, q, reg, opt, fn)
 }

@@ -118,6 +118,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
+	// Flag values are checked before any side effect: no trace file,
+	// listener or provider round trip for a run that cannot start.
+	st, ok := strategies[*strategy]
+	if !ok {
+		fmt.Fprintf(stderr, "axmlquery: unknown -strategy %q\n", *strategy)
+		return 2
+	}
+	if *planMode != "off" && *planMode != "cost" {
+		fmt.Fprintf(stderr, "axmlquery: unknown -plan mode %q (want off or cost)\n", *planMode)
+		return 2
+	}
 
 	fail := func(context string, err error) int {
 		fmt.Fprintf(stderr, "axmlquery: %s: %v\n", context, err)
@@ -137,10 +148,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail("parse query", err)
 	}
 
-	st, ok := strategies[*strategy]
-	if !ok {
-		return fail("options", fmt.Errorf("unknown strategy %q", *strategy))
-	}
 	opt := core.Options{
 		Strategy: st, Push: *push, Layering: *layer, Parallel: *parallel,
 		UseGuide: *guide, RelaxJoins: *relax, MaxCalls: *maxCalls,
@@ -228,16 +235,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// are scheduled from what earlier rounds measured.
 	var planner *plan.CostPlanner
 	var prof *profile.Profiler
-	switch *planMode {
-	case "off":
-	case "cost":
+	if *planMode == "cost" {
 		prof = profile.New(0, nil)
 		reg = prof.Wrap(reg)
 		planner = plan.New(prof, plan.Options{SpeculativeBudget: *planBudget})
 		planner.Instrument(metrics)
 		opt.Planner = planner
-	default:
-		return fail("options", fmt.Errorf("unknown -plan mode %q (want off or cost)", *planMode))
 	}
 	var cache *service.Cache
 	if !*noCache {

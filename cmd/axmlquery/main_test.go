@@ -105,6 +105,24 @@ func TestQueryErrors(t *testing.T) {
 	}
 }
 
+// TestBadFlagValueHasNoSideEffects: an unknown -plan mode or -strategy
+// is a usage error (exit 2) caught before the trace file is created —
+// the rule axmlserver's TestBadPlanModeHasNoSideEffects pins.
+func TestBadFlagValueHasNoSideEffects(t *testing.T) {
+	doc := writeWorldDoc(t)
+	for flagName, want := range map[string]string{"-plan": "unknown -plan mode", "-strategy": "unknown -strategy"} {
+		traceFile := filepath.Join(t.TempDir(), "trace.jsonl")
+		var out, errOut strings.Builder
+		code := run([]string{"-doc", doc, "-query", testQuery, flagName, "bogus", "-trace-out", traceFile}, &out, &errOut)
+		if code != 2 || !strings.Contains(errOut.String(), want) {
+			t.Errorf("%s bogus: exit %d, want 2 with a usage error: %s", flagName, code, errOut.String())
+		}
+		if _, err := os.Stat(traceFile); !os.IsNotExist(err) {
+			t.Errorf("%s exists after a rejected %s (err=%v)", traceFile, flagName, err)
+		}
+	}
+}
+
 func TestBudgetWarning(t *testing.T) {
 	doc := writeWorldDoc(t)
 	var out, errOut strings.Builder

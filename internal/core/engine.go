@@ -745,7 +745,7 @@ func (e *engine) invokeAttempts(call *tree.Node, pushed *pattern.Pattern) (servi
 		if meta.attempts > 1 {
 			meta.cost += policy.backoffBefore(meta.attempts, int(call.ID))
 		}
-		resp, err := e.reg.InvokeContext(ctx, call.Label, cloneForest(call.Children), pushed)
+		resp, err := e.reg.InvokeContext(ctx, call.Label, tree.CloneForest(call.Children), pushed)
 		if err == nil {
 			if policy.Deadline > 0 && resp.Latency > policy.Deadline {
 				// The provider answered, but past the deadline: the
@@ -1031,12 +1031,4 @@ func (e *engine) apply(call *tree.Node, resp service.Response, wasPushed bool) {
 	if wasPushed {
 		e.stats.PushedCalls++
 	}
-}
-
-func cloneForest(ns []*tree.Node) []*tree.Node {
-	out := make([]*tree.Node, len(ns))
-	for i, n := range ns {
-		out[i] = n.Clone()
-	}
-	return out
 }

@@ -111,7 +111,7 @@ func TestResumedRunsMatchFresh(t *testing.T) {
 							continue
 						}
 						call := visible[rng.Intn(len(visible))]
-						resp, err := reg.Invoke(call.Label, cloneForest(call.Children), nil)
+						resp, err := reg.Invoke(call.Label, tree.CloneForest(call.Children), nil)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -215,7 +215,7 @@ func TestEvaluationDropsWhatItCannotTrust(t *testing.T) {
 			break
 		}
 	}
-	resp, err := w.Registry.Invoke(call.Label, cloneForest(call.Children), nil)
+	resp, err := w.Registry.Invoke(call.Label, tree.CloneForest(call.Children), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

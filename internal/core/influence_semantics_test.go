@@ -60,7 +60,7 @@ func TestMayInfluenceIsSemanticallySound(t *testing.T) {
 					before[j] = retrievedSet(doc, j)
 				}
 			}
-			resp, err := w.Registry.Invoke(call.Label, cloneForest(call.Children), nil)
+			resp, err := w.Registry.Invoke(call.Label, tree.CloneForest(call.Children), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -34,12 +34,6 @@ func EvalForestNaive(forest []*tree.Node, q *Pattern) ([]Result, Stats) {
 	return collectResults(q, sols), Stats{NodesVisited: ev.visited, MemoHits: ev.hits}
 }
 
-// MatchedCallsNaive mirrors MatchedCalls on the retained evaluator, with its Stats.
-func MatchedCallsNaive(doc *tree.Document, q *Pattern, out *Node) ([]*tree.Node, Stats) {
-	rs, st := EvalNaive(doc, q)
-	return collectCalls(rs, out), st
-}
-
 type naiveEvaluator struct {
 	q       *Pattern
 	memo    map[memoKey]*memoEntry

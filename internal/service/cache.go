@@ -355,12 +355,8 @@ func (c *Cache) dropLocked(key string) {
 // copy into a document (which mutates parents and assigns IDs) without
 // corrupting the cached master.
 func cloneResponse(r Response) Response {
-	out := r
-	out.Forest = make([]*tree.Node, len(r.Forest))
-	for i, n := range r.Forest {
-		out.Forest[i] = n.Clone()
-	}
-	return out
+	r.Forest = tree.CloneForest(r.Forest)
+	return r
 }
 
 // Keys returns the stored keys, sorted, for tests and tooling.

@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"github.com/activexml/axml/internal/pattern"
-	"github.com/activexml/axml/internal/schema"
 	"github.com/activexml/axml/internal/telemetry"
 	"github.com/activexml/axml/internal/tree"
 )
@@ -319,27 +318,4 @@ func EvalPushed(full []*tree.Node, pushed *pattern.Pattern) *tree.Node {
 		bindings = append(bindings, b)
 	}
 	return tree.NewTuples(pushed.String(), bindings)
-}
-
-// Pushable reports whether the engine may push this pattern: every result
-// node must be a variable, since a binding tuple cannot carry document
-// nodes (Section 7's output convention).
-func Pushable(p *pattern.Pattern) bool {
-	rs := p.ResultNodes()
-	if len(rs) == 0 {
-		return false
-	}
-	for _, n := range rs {
-		if n.Kind != pattern.Var {
-			return false
-		}
-	}
-	return true
-}
-
-// SignatureOf returns the schema signature of a registered service, if the
-// schema declares one. Pure convenience for tooling.
-func SignatureOf(s *schema.Schema, name string) (schema.Signature, bool) {
-	sig, ok := s.Functions[name]
-	return sig, ok
 }

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"github.com/activexml/axml/internal/pattern"
-	"github.com/activexml/axml/internal/schema"
 	"github.com/activexml/axml/internal/tree"
 )
 
@@ -227,28 +226,6 @@ func TestConcurrentInvocations(t *testing.T) {
 	st := r.Stats()
 	if st.Invocations != 20 || st.PushedInvocations != 10 {
 		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestPushable(t *testing.T) {
-	if !Pushable(pattern.MustParse(`/r[a=$X] -> $X`)) {
-		t.Error("variable-result query must be pushable")
-	}
-	if Pushable(pattern.MustParse(`/r/a`)) {
-		t.Error("node-result query must not be pushable")
-	}
-	if Pushable(pattern.MustParse(`/r[a=$X]/b! -> $X`)) {
-		t.Error("mixed results must not be pushable")
-	}
-}
-
-func TestSignatureOf(t *testing.T) {
-	s := schema.MustParse("functions:\n  f = [in: data, out: data]")
-	if _, ok := SignatureOf(s, "f"); !ok {
-		t.Error("declared signature not found")
-	}
-	if _, ok := SignatureOf(s, "g"); ok {
-		t.Error("undeclared signature found")
 	}
 }
 

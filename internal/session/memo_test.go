@@ -180,7 +180,7 @@ func TestHotQueryStateIsBounded(t *testing.T) {
 			maxHotQueries, len(res.Bindings), len(e.queries))
 	}
 	e.mu.Lock()
-	e.version++ // what a splice does
+	e.master.Adopt(e.master.Root.Append(tree.NewElement("w"))) // a mutation no engine reports
 	e.mu.Unlock()
 	ask(`/r/after/$V -> $V`)
 	if n := len(e.queries); n != 1 {

@@ -221,10 +221,10 @@ type Manager struct {
 // client-supplied, and unique strings would otherwise grow it for ever.
 const maxHotQueries = 1024
 
-// answer is the result of an engine run that ended Complete. While
-// entry.version still equals at, it is the query's full result.
+// answer is the result of an engine run that ended Complete. While the
+// master's Version still equals at, it is the query's full result.
 type answer struct {
-	at       uint64         // master version the run ended at; 0: none stored
+	at       uint64         // master version the run ended at; 0: none stored (versions start at 1)
 	bindings []tree.Binding // handed out as is: read-only
 }
 
@@ -250,9 +250,8 @@ type entry struct {
 	name   string
 	schema *schema.Schema
 
-	mu      sync.RWMutex // write: engine run on the master; read: memo answer, clone for isolated mode
-	master  *tree.Document
-	version uint64 // bumped on every master mutation; starts at 1
+	mu     sync.RWMutex // write: engine run on the master; read: memo answer, clone for isolated mode
+	master *tree.Document
 	// guide is the master's F-guide, restored warm from the repository
 	// or built once at registration. Every shared-mode run adopts it and
 	// detects through it, and the adopting engine patches it as it
@@ -264,7 +263,7 @@ type entry struct {
 }
 
 func newEntry(name string, doc *tree.Document, sch *schema.Schema, guide *fguide.Guide) *entry {
-	return &entry{name: name, schema: sch, master: doc, version: 1, guide: guide, queries: map[string]*hotQuery{}}
+	return &entry{name: name, schema: sch, master: doc, guide: guide, queries: map[string]*hotQuery{}}
 }
 
 // NewManager builds a Manager. The registry is used as given — compose
@@ -483,7 +482,7 @@ func (e *entry) hot(src string, template core.Options) (*hotQuery, error) {
 // Resident state goes with its text. Caller holds e.mu for writing.
 func (e *entry) evict() {
 	for src, h := range e.queries {
-		if h.answer.at != e.version && h.resident == nil {
+		if h.answer.at != e.master.Version() && h.resident == nil {
 			delete(e.queries, src)
 		}
 	}
@@ -500,7 +499,7 @@ func (e *entry) evict() {
 // stored returns h's answer as a memo Result while the master is still at
 // the version it was complete at, else nil. Caller holds e.mu (read or write).
 func (e *entry) stored(h *hotQuery) *Result {
-	if h.answer.at != e.version {
+	if h.answer.at != e.master.Version() {
 		return nil
 	}
 	if !h.used.Load() {
@@ -548,7 +547,7 @@ func (m *Manager) queryShared(e *entry, h *hotQuery) (*Result, error) {
 	}
 	bindings := cloneBindings(out.Results)
 	if out.Complete {
-		h.answer = answer{at: e.version, bindings: bindings}
+		h.answer = answer{at: e.master.Version(), bindings: bindings}
 	}
 	return &Result{Bindings: bindings, Complete: out.Complete, Stats: out.Stats}, nil
 }
@@ -573,11 +572,12 @@ func (m *Manager) queryIsolated(e *entry, h *hotQuery) (*Result, error) {
 // writing) detects through the entry's guide whatever the template's
 // UseGuide says — the master's guide is the index of arriving calls that
 // makes detection cost the candidates, not the document — and gets the
-// OnMutate hook that, in lockstep with the engine's splices, moves the
-// version every stored answer is checked against and reports the splice to
-// the document's resident queries (the running one has been taken off its
-// text for the duration); the adopting engine has patched the guide by the
-// time the hook runs. A clone has no shared state to maintain and the
+// OnMutate hook that, in lockstep with the engine's splices, reports the
+// splice to the document's resident queries (the running one has been
+// taken off its text for the duration); the adopting engine has patched
+// the guide by the time the hook runs. Stored answers need no telling:
+// they are checked against the master's own Version, which the splice
+// moved. A clone has no shared state to maintain and the
 // entry's guide does not describe it: an isolated run keeps the template's
 // behaviour.
 func (m *Manager) options(e *entry, shared bool) core.Options {
@@ -599,7 +599,6 @@ func (m *Manager) options(e *entry, shared bool) core.Options {
 	opts.UseGuide, opts.Guide = true, e.guide
 	patches := m.cfg.Metrics.Counter(telemetry.MetricGuidePatches)
 	opts.OnMutate = func(parent, removed *tree.Node, inserted []*tree.Node) {
-		e.version++
 		patches.Inc()
 		for _, h := range e.queries {
 			if h.resident != nil {

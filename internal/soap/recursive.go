@@ -107,7 +107,7 @@ func materialise(ctx context.Context, reg *service.Registry, forest []*tree.Node
 		results := make([]result, len(calls))
 		runOne := func(i int) {
 			start := time.Now()
-			resp, err := reg.InvokeContext(ctx, calls[i].Label, cloneForest(calls[i].Children), nil)
+			resp, err := reg.InvokeContext(ctx, calls[i].Label, tree.CloneForest(calls[i].Children), nil)
 			results[i] = result{resp, err, start, time.Since(start)}
 		}
 		width := workers
@@ -162,12 +162,4 @@ func materialise(ctx context.Context, reg *service.Registry, forest []*tree.Node
 		n.Parent = nil
 	}
 	return out, nil
-}
-
-func cloneForest(ns []*tree.Node) []*tree.Node {
-	out := make([]*tree.Node, len(ns))
-	for i, n := range ns {
-		out[i] = n.Clone()
-	}
-	return out
 }

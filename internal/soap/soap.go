@@ -709,7 +709,7 @@ func splitTrailingTrace(payload []byte, traceID string) ([]byte, []telemetry.Spa
 		return payload, nil
 	}
 	spans, err := telemetry.UnmarshalSpansJSON(unescapeCharData(payload[i+len(traceElem)+2 : j]))
-	if err != nil {
+	if err != nil || len(spans) == 0 { // the server appends no empty subtree
 		return payload, nil
 	}
 	for k := range spans {

@@ -242,6 +242,17 @@ func (n *Node) Clone() *Node {
 	return c
 }
 
+// CloneForest returns deep, detached copies of the given subtrees, in
+// order — what a call's parameters are sent as, so that the service
+// cannot reach back into the document.
+func CloneForest(ns []*Node) []*Node {
+	out := make([]*Node, len(ns))
+	for i, n := range ns {
+		out[i] = n.Clone()
+	}
+	return out
+}
+
 // Walk calls fn for every node of the subtree rooted at n, in document
 // order (pre-order). If fn returns false the children of the current node
 // are skipped.

@@ -128,10 +128,10 @@ elements:
   address    = data
 `
 
-// newsfeedPage is the aggregation page of examples/newsfeed with every
-// call left lazy. The handlers here are pure — the example's periodic
-// edition counter would make results depend on invocation counts, which
-// a differential workload cannot tolerate.
+// newsfeedPage is a news aggregation page with every call left lazy.
+// The handlers here are pure — an edition counter would make results
+// depend on invocation counts, which a differential workload cannot
+// tolerate.
 const newsfeedPage = `
 <page>
   <masthead><axml:call service="getMasthead"/></masthead>
