@@ -1,15 +1,15 @@
 # Developer checks. `make check` is the full gate: static vetting, a
-# clean build, the reachability gate, the whole suite under the race
-# detector, a short fuzz smoke of every fuzz target (seed corpora under
+# clean build, the reachability and context-chain gates, the whole suite
+# under the race detector, a short fuzz smoke of every fuzz target (seed corpora under
 # testdata/fuzz always run as plain tests), the load-replay smoke and the
 # benchmark smoke.
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check build vet reach test race fuzz bench benchdiff microbench telemetry profile loadsmoke benchsmoke
+.PHONY: check build vet reach ctxcheck test race fuzz bench benchdiff microbench telemetry profile loadsmoke benchsmoke
 
-check: vet build reach telemetry race fuzz loadsmoke benchsmoke
+check: vet build reach ctxcheck telemetry race fuzz loadsmoke benchsmoke
 
 build:
 	$(GO) build ./...
@@ -28,6 +28,24 @@ reach:
 	done; \
 	if [ -n "$$bad" ]; then exit 1; fi; \
 	echo "reach: ok, every internal package is reached from ./cmd/... or ./benchmark/..."
+
+# ctxcheck keeps the context chain unbroken: non-test code under internal/
+# and cmd/ takes its context from its caller, so a request that is cancelled
+# stops what it started. A context is minted only where no caller has one to
+# give — the frozen four-argument core.Evaluate and service.Registry.Invoke,
+# telemetry.WithTrace's nil guard, the session manager's base context (what
+# Drain cancels when its budget expires) and axmlserver's drain budget. Any
+# other context.Background() or context.TODO() is printed as file:line.
+ctxcheck:
+	@bad=$$(grep -rnE 'context\.(Background|TODO)\(\)' --include='*.go' internal cmd \
+		| grep -v -e '_test\.go:' -e '^[^:]*:[0-9]*:[[:space:]]*//' \
+		| grep -vE -e '^internal/core/engine\.go:[0-9]+:.*\.Run\(context\.Background\(\), reg, opt\)$$' \
+			-e '^internal/service/service\.go:[0-9]+:.*r\.InvokeContext\(context\.Background\(\), name, params, pushed\)$$' \
+			-e '^internal/telemetry/tracectx\.go:[0-9]+:[[:space:]]*ctx = context\.Background\(\)$$' \
+			-e '^internal/session/session\.go:[0-9]+:[[:space:]]*base, abort := context\.WithCancel\(context\.Background\(\)\)$$' \
+			-e '^cmd/axmlserver/main\.go:[0-9]+:.*context\.WithTimeout\(context\.Background\(\), \*drainTimeout\)$$'); \
+	if [ -n "$$bad" ]; then echo "ctxcheck: a context minted where a caller's should be passed on:"; echo "$$bad"; exit 1; fi; \
+	echo "ctxcheck: ok, every context under internal/ and cmd/ comes from its caller"
 
 test:
 	$(GO) test ./...

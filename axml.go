@@ -277,17 +277,12 @@ func NewHTTPServer(reg *Registry, sleepLatency bool) *HTTPServer {
 // RecursivePush wraps every service of reg so pushed queries are honoured
 // even by services whose results embed further calls: the provider
 // materialises its own result first (the ActiveXML peer deployment of the
-// paper's Section 7). maxCalls bounds the provider-side materialisation.
-func RecursivePush(reg *Registry, maxCalls int) *Registry {
-	return soap.RecursivePush(reg, maxCalls)
-}
-
-// RecursivePushWorkers is RecursivePush with the provider-side
-// materialisation invoking up to workers embedded calls concurrently per
-// fixpoint round; the materialised forest is identical for every pool
-// width (`axmlserver -invoke-workers`).
-func RecursivePushWorkers(reg *Registry, maxCalls, workers int) *Registry {
-	return soap.RecursivePushWorkers(reg, maxCalls, workers)
+// paper's Section 7) — a naive-fixpoint run of the engine under the
+// request's context, bounded by maxCalls, each round's calls invoked on up
+// to workers goroutines (1 sequential, 0 one per call; the tuples are the
+// same at every width — `axmlserver -invoke-workers`).
+func RecursivePush(reg *Registry, maxCalls, workers int) *Registry {
+	return soap.RecursivePush(reg, maxCalls, workers)
 }
 
 // Document repository (see internal/repo).

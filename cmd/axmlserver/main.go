@@ -18,7 +18,8 @@
 // Endpoints:
 //
 //	POST /query               run a query in a session (JSON; 429+Retry-After
-//	                          under overload, 503 while draining)
+//	                          under overload, 503 while draining; a client
+//	                          that disconnects stops its evaluation)
 //	GET  /documents           resident document names
 //	GET  /tenants             per-tenant accounting
 //	GET  /stats               session-manager snapshot
@@ -34,10 +35,10 @@
 // before honouring pushed queries (the peer deployment of the paper's
 // Section 7), so every service advertises push capability.
 //
-// On SIGINT/SIGTERM the server drains: active sessions run to
-// completion (bounded by -drain-timeout), queued and new ones are shed
-// with 503, and with -docs the materialised masters are persisted for
-// the next start.
+// On SIGINT/SIGTERM the server drains: active sessions run to completion
+// or, once -drain-timeout expires, are cancelled at their next round (exit
+// 1), queued and new ones are shed with 503, and with -docs the
+// materialised masters are persisted for the next start either way.
 package main
 
 import (
@@ -117,7 +118,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, stop <-ch
 	w := workload.Hotels(spec)
 	reg := w.Registry
 	if *recursive {
-		reg = soap.RecursivePushWorkers(reg, 1_000_000, *invokeWork)
+		reg = soap.RecursivePush(reg, 1_000_000, max(1, *invokeWork))
 	}
 	metrics := telemetry.NewRegistry()
 	tracer := telemetry.NewTracer(telemetry.DefaultSpanCapacity)
@@ -273,7 +274,8 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, stop <-ch
 	}
 
 	// Graceful drain: refuse queued and new sessions (503), let active
-	// ones finish, then close idle connections and persist the masters.
+	// ones finish or cancel them when the budget runs out, persist the
+	// masters, then close idle connections.
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	code := 0

@@ -24,10 +24,11 @@
 // An evaluation has two halves. Prepare does what depends on the query, the
 // schema and the options alone — validation, satisfiability analysis,
 // relevance-query generation, layering — once per query. An Evaluation is
-// a prepared query's engine state over one document: Run evaluates, and a
-// run that leaves the document complete keeps what it learnt, so the next
-// Run pays only for what was spliced in between (Evaluation.Spliced).
-// Evaluate is the two in one call, for a query asked once.
+// a prepared query's engine state over one document: Run evaluates, for as
+// long as its caller's context lasts, and a run that leaves the document
+// complete keeps what it learnt, so the next Run pays only for what was
+// spliced in between (Evaluation.Spliced). Evaluate is the two in one call,
+// for a query asked once by a caller who waits for the answer.
 package core
 
 import (

@@ -61,13 +61,13 @@ func resolveMetrics(reg *telemetry.Registry) coreMetrics {
 // calls are replaced by their results (clone the document first to keep
 // the original). On success the outcome's Results hold the full query
 // result; Complete reports whether every relevant call was resolved
-// within the budget. It is Prepare followed by one Run of an Evaluation
-// that is then dropped.
+// within the budget. It is Prepare followed by one Run, under a context
+// nobody cancels, of an Evaluation that is then dropped.
 func Evaluate(doc *tree.Document, q *pattern.Pattern, reg *service.Registry, opt Options) (*Outcome, error) {
 	if err := rewrite.Validate(q); err != nil {
 		return nil, err
 	}
-	return (&Evaluation{q: q, doc: doc}).Run(reg, opt)
+	return (&Evaluation{q: q, doc: doc}).Run(context.Background(), reg, opt)
 }
 
 // Run evaluates the query over the evaluation's document, like Evaluate.
@@ -79,12 +79,21 @@ func Evaluate(doc *tree.Document, q *pattern.Pattern, reg *service.Registry, opt
 // kept memo — the same calls in the same order, and the same result, as a
 // run from scratch. The analysis fields of opt (see Prepared) are taken
 // from the prepared query; every other field is this run's own.
-func (ev *Evaluation) Run(reg *service.Registry, opt Options) (*Outcome, error) {
+//
+// The run lasts as long as ctx does: every invocation is made under it, and
+// the engine looks at it before each round, before each batch member's turn
+// and between the attempts of a retried call. Once it is done nothing more
+// is invoked, the responses that had arrived are spliced like any others
+// (the document stays a valid rewriting, an adopted guide synced, OnMutate
+// told) and Run returns ctx.Err() — never retried, never a CallFailure,
+// never an incomplete Outcome. When ctx carries opt's tracer (the soap
+// server's per-request one) the evaluate span nests under the span it names.
+func (ev *Evaluation) Run(ctx context.Context, reg *service.Registry, opt Options) (*Outcome, error) {
 	opt = normalise(opt)
 	if ev.p != nil {
 		opt = ev.p.bind(opt)
 	}
-	e := &engine{Evaluation: ev, reg: reg, opt: opt,
+	e := &engine{Evaluation: ev, ctx: ctx, reg: reg, opt: opt,
 		failed: map[*tree.Node]bool{}, met: resolveMetrics(opt.Metrics)}
 	out, err := e.run()
 	if err != nil || !out.Complete || len(out.Failures) > 0 {
@@ -97,7 +106,11 @@ func (ev *Evaluation) Run(reg *service.Registry, opt Options) (*Outcome, error) 
 
 func (e *engine) run() (*Outcome, error) {
 	evalStart := time.Now()
-	e.spanEval = e.opt.Tracer.Start("evaluate", 0)
+	var parent telemetry.SpanID
+	if tc, _ := telemetry.TraceFrom(e.ctx); tc.Tracer != nil && tc.Tracer == e.opt.Tracer {
+		parent = tc.Parent
+	}
+	e.spanEval = e.opt.Tracer.Start("evaluate", parent)
 	e.spanEval.SetAttr("strategy", e.opt.Strategy.String())
 	resumed := e.live && e.at == e.doc.Version()
 	if !resumed {
@@ -175,6 +188,7 @@ func (e *engine) run() (*Outcome, error) {
 // engine is one run of an Evaluation.
 type engine struct {
 	*Evaluation
+	ctx context.Context // the run's, from Run's caller
 	reg *service.Registry
 	opt Options
 
@@ -222,6 +236,9 @@ func (e *engine) budgetLeft() int { return e.opt.MaxCalls - e.stats.CallsInvoked
 // fixpoint, then evaluate (Section 1).
 func (e *engine) runNaive() error {
 	for {
+		if err := e.ctx.Err(); err != nil {
+			return err
+		}
 		calls := e.pendingCalls()
 		if len(calls) == 0 {
 			e.complete = true
@@ -402,6 +419,9 @@ func (e *engine) pendingCount() int { return e.pending - len(e.failed) }
 func (e *engine) drainLayer(li int, members []int) error {
 	analysis := e.p.analysis
 	for {
+		if err := e.ctx.Err(); err != nil {
+			return err
+		}
 		if e.budgetLeft() <= 0 {
 			return nil
 		}
@@ -692,9 +712,10 @@ func (e *engine) pushedQuery(nfq *rewrite.NFQ) *pattern.Pattern {
 
 // callMeta accounts for one call's full attempt sequence: the virtual
 // time it consumed (attempt latencies plus backoffs), how many attempts
-// were made, how many were cut by the deadline, and the final error when
-// every attempt failed. attemptLog records the per-attempt outcomes for
-// trace rendering; it is collected only when a tracer is active.
+// were made (none when the run's context ended before the call's turn), how
+// many were cut by the deadline, and the final error when every attempt
+// failed. attemptLog records the per-attempt outcomes for trace rendering;
+// it is collected only when a tracer is active.
 type callMeta struct {
 	cost       time.Duration
 	attempts   int
@@ -730,9 +751,9 @@ func (e *engine) invokeAttempts(call *tree.Node, pushed *pattern.Pattern) (servi
 	// Propagate the trace downstream: remote providers continue the trace
 	// under the enclosing layer/evaluate span and may return their span
 	// subtree (Options.RemoteSpans). With no trace ID set the context
-	// stays plain and the wire envelope is byte-identical to untraced
+	// is the run's own and the wire envelope is byte-identical to untraced
 	// runs.
-	ctx := context.Background()
+	ctx := e.ctx
 	if id := e.opt.Tracer.Trace(); id != "" {
 		ctx = telemetry.WithTrace(ctx, telemetry.TraceContext{
 			TraceID:  id,
@@ -741,6 +762,11 @@ func (e *engine) invokeAttempts(call *tree.Node, pushed *pattern.Pattern) (servi
 		})
 	}
 	for {
+		// A failed attempt is not tried again for a caller who has left,
+		// whatever class the transport gave the failure.
+		if meta.err = e.ctx.Err(); meta.err != nil {
+			return service.Response{}, meta
+		}
 		meta.attempts++
 		if meta.attempts > 1 {
 			meta.cost += policy.backoffBefore(meta.attempts, int(call.ID))
@@ -902,8 +928,8 @@ func (e *engine) emitPlanSpan(bp BatchPlan, batch, width int, start time.Time, w
 // retry loop and the round is charged its slowest member's full cost,
 // retries and backoffs included (Section 4.4) — for a single call, that
 // call's cost. All completed members are applied before any failure is
-// reported, so a mid-batch error never drops (or forgets to charge)
-// responses that already arrived.
+// reported, so a mid-batch error — or the run's context ending mid-batch —
+// never drops (or forgets to charge) responses that already arrived.
 func (e *engine) invoke(calls []*tree.Node, nfqs []*rewrite.NFQ) error {
 	type result struct {
 		resp   service.Response
@@ -989,6 +1015,9 @@ func (e *engine) invoke(calls []*tree.Node, nfqs []*rewrite.NFQ) error {
 	var firstErr error
 	for i, c := range calls {
 		r := results[i]
+		if r.meta.attempts == 0 {
+			continue // the context ended before this member's turn
+		}
 		e.stats.Retries += r.meta.attempts - 1
 		e.stats.DeadlineCuts += r.meta.cuts
 		if r.meta.cost > maxCost {
@@ -1005,6 +1034,11 @@ func (e *engine) invoke(calls []*tree.Node, nfqs []*rewrite.NFQ) error {
 	}
 	e.opt.Clock.Advance(maxCost)
 	e.stats.Rounds++
+	// A context that ended mid-round ends the run, under either failure
+	// policy and whatever else went wrong: nobody is waiting for the rest.
+	if err := e.ctx.Err(); err != nil {
+		return err
+	}
 	return firstErr
 }
 

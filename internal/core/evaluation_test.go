@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -135,7 +136,7 @@ func TestResumedRunsMatchFresh(t *testing.T) {
 					run.Clock, run.Tracer = &service.SimClock{}, invoked(&gotCalls)
 					run.UseGuide, run.Guide, run.OnMutate = true, guide, report(evs[i])
 					was := evs[i].Live()
-					got, err := evs[i].Run(reg, run)
+					got, err := evs[i].Run(context.Background(), reg, run)
 					if err != nil {
 						t.Fatalf("%s: %v", at, err)
 					}
@@ -191,14 +192,14 @@ func TestEvaluationDropsWhatItCannotTrust(t *testing.T) {
 	ev := p.Over(w.Doc)
 	budget := opt
 	budget.MaxCalls = 1
-	out, err := ev.Run(w.Registry, budget)
+	out, err := ev.Run(context.Background(), w.Registry, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Complete || ev.Live() {
 		t.Fatalf("a run cut by its budget: complete=%v, state kept=%v; want neither", out.Complete, ev.Live())
 	}
-	out, err = ev.Run(w.Registry, opt)
+	out, err = ev.Run(context.Background(), w.Registry, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +221,7 @@ func TestEvaluationDropsWhatItCannotTrust(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Doc.ReplaceCall(call, resp.Forest)
-	out, err = ev.Run(w.Registry, opt)
+	out, err = ev.Run(context.Background(), w.Registry, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +229,7 @@ func TestEvaluationDropsWhatItCannotTrust(t *testing.T) {
 		t.Fatalf("the run after an unreported mutation: resumed=%v results %q, want a run from scratch answering %q",
 			out.Resumed, resultKeys(out), resultKeys(want))
 	}
-	if out, err = ev.Run(w.Registry, opt); err != nil || !out.Resumed || resultKeys(out) != resultKeys(want) {
+	if out, err = ev.Run(context.Background(), w.Registry, opt); err != nil || !out.Resumed || resultKeys(out) != resultKeys(want) {
 		t.Fatalf("the run after that: err=%v resumed=%v, want a resumed run with the same answer", err, out != nil && out.Resumed)
 	}
 }

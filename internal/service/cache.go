@@ -74,7 +74,8 @@ func (s CacheStats) HitRate() float64 {
 // best-effort evaluation can never be fed a remembered failure (or mask a
 // fresh one) by the cache. Under singleflight, callers coalesced onto a
 // failing invocation all receive that invocation's fault, exactly as if
-// they had shared the wire.
+// they had shared the wire — unless it failed because its own caller left (a
+// context that ended): then one of them invokes in its place.
 //
 // Cache is safe for concurrent use. The off switch is wiring: evaluate
 // against the unwrapped registry (cmd flags expose this as -no-cache).
@@ -121,6 +122,9 @@ type cacheEntry struct {
 type flight struct {
 	done chan struct{}
 	err  error
+	// abandoned: err is the end of the leader's own context, not the
+	// service's answer — it says nothing to a follower still being waited for.
+	abandoned bool
 }
 
 // NewCache returns an empty cache.
@@ -284,19 +288,26 @@ func (c *Cache) invoke(ctx context.Context, next Invoker, name string, params []
 				}
 			}
 			c.mu.Unlock()
-			<-f.done
-			if f.err != nil {
+			select {
+			case <-f.done:
+			case <-ctx.Done():
+				return Response{}, ctx.Err()
+			}
+			if f.err != nil && !f.abandoned {
 				return Response{}, f.err
 			}
 			// The leader stored the response (success path); loop to
-			// serve it from the table. If it was evicted in between, the
-			// retry becomes a fresh leader — still correct, just rarer.
+			// serve it from the table. If it was evicted in between — or
+			// the leader's caller hung up on it — the retry becomes a
+			// fresh leader: still correct, just rarer.
 			continue
 		}
-		c.stats.Misses++
-		c.met.misses.Inc()
-		if c.onEvent != nil {
-			c.onEvent(name, CacheMiss)
+		if !coalesced {
+			c.stats.Misses++
+			c.met.misses.Inc()
+			if c.onEvent != nil {
+				c.onEvent(name, CacheMiss)
+			}
 		}
 		f := &flight{done: make(chan struct{})}
 		c.inflight[key] = f
@@ -315,7 +326,7 @@ func (c *Cache) invoke(ctx context.Context, next Invoker, name string, params []
 			c.storeLocked(key, master)
 		}
 		c.mu.Unlock()
-		f.err = err
+		f.err, f.abandoned = err, err != nil && ctx.Err() != nil
 		close(f.done)
 		if err != nil {
 			return Response{}, err

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -347,6 +348,89 @@ func TestCacheCoalescedWaitersShareFault(t *testing.T) {
 		}
 	} else if err != nil {
 		t.Fatalf("independent follower should have succeeded: %v", err)
+	}
+}
+
+// TestCacheFollowerOutlivesLeader: a caller coalesced behind an identical
+// in-flight invocation waits on that invocation or on its own context,
+// whichever ends first, and a leader whose caller hung up fails nobody but
+// itself — the follower invokes in its place and is still counted once, as
+// coalesced.
+func TestCacheFollowerOutlivesLeader(t *testing.T) {
+	var calls atomic.Int32
+	entered := make(chan struct{}, 2)
+	reg := NewRegistry()
+	reg.Register(&Service{
+		Name: "Remote",
+		RemoteCtx: func(ctx context.Context, _ []*tree.Node, _ *pattern.Pattern) (Response, error) {
+			entered <- struct{}{}
+			if calls.Add(1) == 1 { // the leader's provider never answers
+				<-ctx.Done()
+				return Response{}, ctx.Err()
+			}
+			return Response{Forest: []*tree.Node{tree.NewText("v")}}, nil
+		},
+	})
+	c := NewCache(CacheSpec{})
+	cached := c.Wrap(reg)
+	waitCoalesced := func(n int) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); c.Stats().Coalesced < n; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("stats = %+v, want %d coalesced", c.Stats(), n)
+			}
+		}
+	}
+
+	leaderCtx, hangUp := context.WithCancel(context.Background())
+	leader := make(chan error, 1)
+	go func() {
+		_, err := cached.InvokeContext(leaderCtx, "Remote", nil, nil)
+		leader <- err
+	}()
+	<-entered // the leader is stalled in the provider
+
+	// A follower whose own caller leaves stops waiting.
+	goneCtx, gone := context.WithCancel(context.Background())
+	impatient := make(chan error, 1)
+	go func() {
+		_, err := cached.InvokeContext(goneCtx, "Remote", nil, nil)
+		impatient <- err
+	}()
+	waitCoalesced(1)
+	gone()
+	select {
+	case err := <-impatient:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("impatient follower: got %v, want its own context's error", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a follower does not wait on its own context")
+	}
+
+	type answer struct {
+		resp Response
+		err  error
+	}
+	follower := make(chan answer, 1)
+	go func() {
+		resp, err := cached.Invoke("Remote", nil, nil)
+		follower <- answer{resp, err}
+	}()
+	waitCoalesced(2)
+	hangUp()
+	if err := <-leader; !errors.Is(err, context.Canceled) {
+		t.Fatalf("leader: got %v, want context.Canceled", err)
+	}
+	got := <-follower
+	if got.err != nil || len(got.resp.Forest) != 1 || got.resp.Forest[0].Text() != "v" {
+		t.Fatalf("follower: got %+v, %v; want the provider's response", got.resp, got.err)
+	}
+	if n := calls.Load(); n != 2 {
+		t.Fatalf("provider invoked %d times, want 2 (the leader, then the follower in its place)", n)
+	}
+	if st := c.Stats(); st.Misses != 1 || st.Coalesced != 2 || st.Hits != 0 {
+		t.Fatalf("stats = %+v, want 1 miss, 2 coalesced, 0 hits", st)
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/activexml/axml/internal/telemetry"
 )
 
 // TestAdmissionFIFOFairness checks the semaphore grants strictly in
@@ -184,5 +186,49 @@ func waitFor(t *testing.T, cond func() bool) {
 			t.Fatal("condition not reached in 10s")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestLimitRegistryHonoursContext: a call whose caller is gone does not
+// queue for an invocation slot — it returns its context's error at once and
+// never shows in the in-flight gauge.
+func TestLimitRegistryHonoursContext(t *testing.T) {
+	gate := make(chan struct{})
+	_, reg := gatedWorld(gate)
+	metrics := telemetry.NewRegistry()
+	limited := LimitRegistry(reg, 1, metrics)
+	inflight := metrics.Gauge(telemetry.MetricInvokeInflight)
+
+	held := make(chan error, 1)
+	go func() {
+		_, err := limited.Invoke("slow", nil, nil)
+		held <- err
+	}()
+	waitFor(t, func() bool { return inflight.Value() == 1 })
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := limited.InvokeContext(ctx, "slow", nil, nil)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("got %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a dead request queued for an invocation slot")
+	}
+	if v := inflight.Value(); v != 1 {
+		t.Fatalf("%s = %d with one call holding the only slot, want 1", telemetry.MetricInvokeInflight, v)
+	}
+	close(gate)
+	if err := <-held; err != nil {
+		t.Fatal(err)
+	}
+	if v := inflight.Value(); v != 0 {
+		t.Fatalf("%s = %d after the pool drained, want 0", telemetry.MetricInvokeInflight, v)
 	}
 }

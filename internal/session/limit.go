@@ -20,7 +20,8 @@ import (
 // ServingRegistry puts it under the response cache, so cache hits are
 // answered without consuming a pool slot and only true misses queue.
 // The inflight gauge (axml_invocations_inflight) exposes the pool's
-// instantaneous occupancy. limit < 1 returns reg unchanged.
+// instantaneous occupancy; a call whose context ends while it queues for a
+// slot never shows in it. limit < 1 returns reg unchanged.
 func LimitRegistry(reg *service.Registry, limit int, metrics *telemetry.Registry) *service.Registry {
 	if limit < 1 {
 		return reg
@@ -29,7 +30,11 @@ func LimitRegistry(reg *service.Registry, limit int, metrics *telemetry.Registry
 	inflight := metrics.Gauge(telemetry.MetricInvokeInflight)
 	return reg.Proxy(func(_ *service.Service, next service.Invoker) service.Invoker {
 		return func(ctx context.Context, params []*tree.Node, pushed *pattern.Pattern) (service.Response, error) {
-			slots <- struct{}{}
+			select {
+			case slots <- struct{}{}:
+			case <-ctx.Done():
+				return service.Response{}, ctx.Err()
+			}
 			inflight.Add(1)
 			resp, err := next(ctx, params, pushed)
 			inflight.Add(-1)

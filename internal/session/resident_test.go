@@ -2,9 +2,11 @@ package session
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -198,6 +200,106 @@ func TestResumedMatchesFresh(t *testing.T) {
 			t.Logf("%d engine runs resumed resident state", resumed)
 			if resumed < 100 {
 				t.Fatalf("%d engine runs of 20 seeds resumed resident state: the differential compares too little that is new", resumed)
+			}
+		})
+	}
+}
+
+// TestCancelledWriterLeavesResidentsSound: a write whose client hangs up
+// after its first response was spliced ends with the context's error, gives
+// back the entry's write lock and its admission token, and has told the
+// document's resident queries about the splice it did make — the hot
+// query's next run resumes and is, bit for bit, the fresh evaluation of the
+// master as the cancelled write left it (TestResumedMatchesFresh's
+// comparison).
+func TestCancelledWriterLeavesResidentsSound(t *testing.T) {
+	for _, v := range []struct {
+		name   string
+		engine core.Options
+	}{
+		{"sequential", core.Options{Strategy: core.LazyNFQ, Incremental: true}},
+		{"width4", core.Options{Strategy: core.LazyNFQ, Incremental: true, Layering: true, InvokeWorkers: 4}},
+	} {
+		t.Run(v.name, func(t *testing.T) {
+			reg, scenarios := workload.Suite(suiteSpec())
+			sc := scenarios[0]
+			// While a request is doomed, the first provider it reaches sees
+			// its client leave — and answers all the same.
+			var doomed atomic.Pointer[context.CancelFunc]
+			leaving := reg.Proxy(func(_ *service.Service, next service.Invoker) service.Invoker {
+				return func(ctx context.Context, params []*tree.Node, pushed *pattern.Pattern) (service.Response, error) {
+					if hangUp := doomed.Swap(nil); hangUp != nil {
+						(*hangUp)()
+					}
+					return next(ctx, params, pushed)
+				}
+			})
+			log := newInvokeLog()
+			m := NewManager(Config{Registry: leaving, Engine: v.engine, Tracer: log.tracer, MaxActive: 1, MaxQueued: -1})
+			if err := m.AddDocument(sc.Name, sc.Doc.Clone(), sc.Schema); err != nil {
+				t.Fatal(err)
+			}
+			e := resident(t, m, sc.Name)
+			ask := func(qsrc string) *Result {
+				t.Helper()
+				res, err := m.Query(context.Background(), Request{Document: sc.Name, Query: qsrc})
+				if err != nil {
+					t.Fatalf("%q: %v", qsrc, err)
+				}
+				return res
+			}
+			hot := sc.Queries[0]
+			// Run, read the stored answer (the text is hot from here), write,
+			// run again: this run's state stays resident.
+			ask(hot)
+			ask(hot)
+			ask(pointQuery(1))
+			ask(hot)
+			if n, _ := residents(e); n != 1 {
+				t.Fatalf("%d resident texts before the cancelled write, want the hot query's", n)
+			}
+
+			ctx, hangUp := context.WithCancel(context.Background())
+			doomed.Store(&hangUp)
+			at := e.master.Version()
+			if _, err := m.Query(ctx, Request{Document: sc.Name, Query: pointQuery(2)}); !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled write: got %v, want context.Canceled", err)
+			}
+			if e.master.Version() == at {
+				t.Fatal("the cancelled write spliced nothing: the response that had arrived was dropped")
+			}
+			if st := m.Stats(); st.Active != 0 {
+				t.Fatalf("the cancelled write kept its admission token: %+v", st)
+			}
+			if n, _ := residents(e); n != 1 {
+				t.Fatalf("%d resident texts after the cancelled write, want the hot query's", n)
+			}
+
+			// MaxActive 1 and no queue: a leaked token or lock fails this ask.
+			before := e.master.Clone()
+			log.take()
+			resumedBefore := m.Stats().Resumed
+			res := ask(hot)
+			got := log.take()
+			if res.Memo || m.Stats().Resumed != resumedBefore+1 {
+				t.Fatalf("the hot query's run after the cancelled write: memo=%v, resumed %d → %d; want an engine run that resumes",
+					res.Memo, resumedBefore, m.Stats().Resumed)
+			}
+			ref := newInvokeLog()
+			opts := v.engine.WithSchema(sc.Schema)
+			opts.Clock, opts.Tracer = &service.SimClock{}, ref.tracer
+			out, err := core.Evaluate(before, pattern.MustParse(hot), reg, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res.Bindings, cloneBindings(out.Results)) || res.Complete != out.Complete ||
+				res.Stats.CallsInvoked != out.Stats.CallsInvoked || res.Stats.VirtualTime != out.Stats.VirtualTime ||
+				res.Stats.FinalSize != out.Stats.FinalSize || !reflect.DeepEqual(got, ref.take()) {
+				t.Fatalf("resumed run differs from a fresh evaluation of the master as the cancelled write left it:\n got %v %+v %v\nwant %v %+v",
+					res.Bindings, res.Stats, got, cloneBindings(out.Results), out.Stats)
+			}
+			if want := naiveOracle(t, reg, sc.Doc, hot); !res.Complete || canon(res.Bindings) != want {
+				t.Fatalf("answer differs from the naive fixpoint:\n got %s\nwant %s", canon(res.Bindings), want)
 			}
 		})
 	}

@@ -1,6 +1,7 @@
 package session
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -43,6 +44,14 @@ type QueryResponse struct {
 	ElapsedMs float64 `json:"elapsedMs"`
 }
 
+const (
+	// maxQueryBody bounds a POST /query body: a document name and a query.
+	maxQueryBody = 1 << 20
+	// statusClientClosedRequest is what nginx logs for a client that hung
+	// up: nobody reads the answer, the status is for the access log.
+	statusClientClosedRequest = 499
+)
+
 // errorBody is the JSON error envelope every non-2xx answer carries.
 type errorBody struct {
 	Error string `json:"error"`
@@ -57,7 +66,8 @@ type errorBody struct {
 //
 // Admission failures map to transport semantics: shed → 429 with a
 // Retry-After header (whole seconds, rounded up), draining → 503,
-// unknown document → 404, bad query → 400.
+// unknown document → 404, bad query → 400, a body over 1 MiB → 413, an
+// evaluation its request's context ended → 504 (deadline) or 499 (client gone).
 func Handler(m *Manager) http.Handler {
 	mux := http.NewServeMux()
 	Mount(mux, m)
@@ -73,8 +83,13 @@ func Mount(mux *http.ServeMux, m *Manager) {
 			return
 		}
 		var qr QueryRequest
-		if err := json.NewDecoder(r.Body).Decode(&qr); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("session: bad request body: %w", err))
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBody)).Decode(&qr); err != nil {
+			status := http.StatusBadRequest
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			writeError(w, status, fmt.Errorf("session: bad request body: %w", err))
 			return
 		}
 		res, err := m.Query(r.Context(), Request{
@@ -133,6 +148,10 @@ func errStatus(err error) (status int, retryAfter time.Duration) {
 		return http.StatusNotFound, 0
 	case errors.As(err, &bad):
 		return http.StatusBadRequest, 0
+	case errors.Is(err, context.DeadlineExceeded):
+		return http.StatusGatewayTimeout, 0
+	case errors.Is(err, context.Canceled):
+		return statusClientClosedRequest, 0
 	default:
 		return http.StatusInternalServerError, 0
 	}

@@ -6,11 +6,14 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/activexml/axml/internal/core"
+	"github.com/activexml/axml/internal/pattern"
 	"github.com/activexml/axml/internal/service"
+	"github.com/activexml/axml/internal/telemetry"
 	"github.com/activexml/axml/internal/tree"
 )
 
@@ -96,12 +99,29 @@ func TestHTTPQueryEndpoint(t *testing.T) {
 
 // TestHTTPErrorMapping checks each session error reaches the client as
 // its transport equivalent: 404 unknown document, 400 bad query, 405
-// wrong method, 429 + Retry-After shed, 503 draining.
+// wrong method, 413 oversized body, 504 and 499 for a run its request's
+// context ended, 429 + Retry-After shed, 503 draining.
 func TestHTTPErrorMapping(t *testing.T) {
 	gate := make(chan struct{})
 	doc, reg := gatedWorld(gate)
+	// leave is a provider whose client hangs up on it mid-call.
+	var hangUp context.CancelFunc
+	reg.Register(&service.Service{
+		Name: "leave",
+		RemoteCtx: func(ctx context.Context, _ []*tree.Node, _ *pattern.Pattern) (service.Response, error) {
+			hangUp()
+			<-ctx.Done()
+			return service.Response{}, ctx.Err()
+		},
+	})
+	left := tree.NewElement("r")
+	left.Append(tree.NewCall("leave"))
+	metrics := telemetry.NewRegistry()
+	tracer := telemetry.NewTracer(64)
 	m := NewManager(Config{
 		Registry:   reg,
+		Metrics:    metrics,
+		Tracer:     tracer,
 		Engine:     core.Options{Strategy: core.LazyNFQ},
 		MaxActive:  1,
 		MaxQueued:  -1, // no queue: saturation sheds immediately
@@ -110,8 +130,51 @@ func TestHTTPErrorMapping(t *testing.T) {
 	if err := m.AddDocument("d", doc, nil); err != nil {
 		t.Fatal(err)
 	}
+	if err := m.AddDocument("left", tree.NewDocument(left), nil); err != nil {
+		t.Fatal(err)
+	}
 	srv := httptest.NewServer(Handler(m))
 	defer srv.Close()
+
+	// What the request itself decides, answered to a recorder: the client
+	// of a request whose context ended is not there to read the status.
+	gatedBody := func(document string) string {
+		b, _ := json.Marshal(QueryRequest{Document: document, Query: gatedQuery})
+		return string(b)
+	}
+	expiring := func(ctx context.Context) (context.Context, context.CancelFunc) {
+		return context.WithTimeout(ctx, 30*time.Millisecond)
+	}
+	for _, tc := range []struct {
+		name   string
+		body   string
+		ctx    func(context.Context) (context.Context, context.CancelFunc)
+		status int
+	}{
+		{"oversized body", `{"query":"` + strings.Repeat("x", maxQueryBody) + `"}`, context.WithCancel, http.StatusRequestEntityTooLarge},
+		{"deadline expired", gatedBody("d"), expiring, http.StatusGatewayTimeout},
+		{"client left", gatedBody("left"), context.WithCancel, statusClientClosedRequest},
+	} {
+		var ctx context.Context
+		ctx, hangUp = tc.ctx(context.Background())
+		rec := httptest.NewRecorder()
+		Handler(m).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(tc.body)).WithContext(ctx))
+		hangUp()
+		var envelope errorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &envelope); rec.Code != tc.status || err != nil || envelope.Error == "" {
+			t.Fatalf("%s: status %d, body %q; want %d with the JSON error envelope", tc.name, rec.Code, rec.Body, tc.status)
+		}
+	}
+	if n := metrics.Counter(telemetry.MetricSessionsCancelled).Value(); n != 2 {
+		t.Fatalf("%s = %d, want 2 (the expired run and the abandoned one)", telemetry.MetricSessionsCancelled, n)
+	}
+	spans := tracer.Spans(0)
+	if last := spans[len(spans)-1]; last.Name != "evaluate" || last.Attr("error") != context.Canceled.Error() {
+		t.Fatalf("the abandoned run's evaluate span does not say why: %+v", last)
+	}
+	if st := m.Stats(); st.Active != 0 {
+		t.Fatalf("a run its context ended still holds admission tokens: %+v", st)
+	}
 
 	if resp, _ := postQuery(t, srv.URL, QueryRequest{Document: "nope", Query: `/a/$X -> $X`}); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown document: status %d, want 404", resp.StatusCode)

@@ -197,6 +197,10 @@ type TenantStats struct {
 type Manager struct {
 	cfg Config
 	adm *admission
+	// base is done once Drain's budget has expired (abort); every engine
+	// run's context is joined to it.
+	base  context.Context
+	abort context.CancelFunc
 
 	mu      sync.Mutex // guards entries and tenants maps
 	entries map[string]*entry
@@ -213,6 +217,7 @@ type Manager struct {
 	mShed      *telemetry.Counter
 	mMemo      *telemetry.Counter
 	mResumed   *telemetry.Counter
+	mCancelled *telemetry.Counter
 	mSeconds   *telemetry.Histogram
 	mQueueSecs *telemetry.Histogram
 }
@@ -288,9 +293,12 @@ func NewManager(cfg Config) *Manager {
 	if cfg.Repo != nil && cfg.Metrics != nil {
 		cfg.Repo.Instrument(cfg.Metrics)
 	}
+	base, abort := context.WithCancel(context.Background())
 	return &Manager{
 		cfg:     cfg,
 		adm:     newAdmission(int64(cfg.MaxActive), cfg.MaxQueued),
+		base:    base,
+		abort:   abort,
 		entries: map[string]*entry{},
 		tenants: map[string]*TenantStats{},
 
@@ -300,6 +308,7 @@ func NewManager(cfg Config) *Manager {
 		mShed:      cfg.Metrics.Counter(telemetry.MetricSessionsShed),
 		mMemo:      cfg.Metrics.Counter(telemetry.MetricSessionsMemo),
 		mResumed:   cfg.Metrics.Counter(telemetry.MetricSessionsResumed),
+		mCancelled: cfg.Metrics.Counter(telemetry.MetricSessionsCancelled),
 		mSeconds:   cfg.Metrics.Histogram(telemetry.MetricSessionSeconds),
 		mQueueSecs: cfg.Metrics.Histogram(telemetry.MetricSessionQueueSeconds),
 	}
@@ -379,7 +388,8 @@ func (m *Manager) lookup(name string) (*entry, error) {
 // Query runs one request to completion: admission, then shared or
 // isolated evaluation. It returns ShedError/ErrDraining/ctx errors from
 // admission, UnknownDocumentError or BadQueryError for bad requests, and
-// the engine's error otherwise.
+// the engine's error otherwise — ctx.Err() when ctx ended the evaluation,
+// which stops at its next round; the master keeps what had arrived.
 func (m *Manager) Query(ctx context.Context, req Request) (*Result, error) {
 	weight := int64(req.Weight)
 	if weight < 1 {
@@ -418,9 +428,9 @@ func (m *Manager) Query(ctx context.Context, req Request) (*Result, error) {
 	t1 := time.Now()
 	var res *Result
 	if m.cfg.Isolated || req.Isolated {
-		res, err = m.queryIsolated(e, h)
+		res, err = m.queryIsolated(ctx, e, h)
 	} else {
-		res, err = m.queryShared(e, h)
+		res, err = m.queryShared(ctx, e, h)
 	}
 	if err != nil {
 		return nil, err
@@ -515,7 +525,7 @@ func (e *entry) stored(h *hotQuery) *Result {
 // answer has been read is hot: its run's engine state stays resident, and
 // its next run — after a write made the answer stale — resumes from it. A
 // text nobody came back for runs one-shot and leaves nothing behind.
-func (m *Manager) queryShared(e *entry, h *hotQuery) (*Result, error) {
+func (m *Manager) queryShared(ctx context.Context, e *entry, h *hotQuery) (*Result, error) {
 	e.mu.RLock()
 	res := e.stored(h)
 	e.mu.RUnlock()
@@ -534,7 +544,7 @@ func (m *Manager) queryShared(e *entry, h *hotQuery) (*Result, error) {
 		ev = h.prepared.Over(e.master)
 	}
 	h.resident = nil
-	out, err := ev.Run(m.cfg.Registry, m.options(e, true))
+	out, err := m.run(ctx, ev, m.options(e, true))
 	if err != nil {
 		return nil, err
 	}
@@ -555,16 +565,30 @@ func (m *Manager) queryShared(e *entry, h *hotQuery) (*Result, error) {
 // queryIsolated clones the master under a read lock and evaluates the
 // clone privately — parallel across sessions, no shared materialisation,
 // nothing kept but the text's analysis, which it shares.
-func (m *Manager) queryIsolated(e *entry, h *hotQuery) (*Result, error) {
+func (m *Manager) queryIsolated(ctx context.Context, e *entry, h *hotQuery) (*Result, error) {
 	e.mu.RLock()
 	doc := e.master.Clone()
 	e.mu.RUnlock()
 
-	out, err := h.prepared.Over(doc).Run(m.cfg.Registry, m.options(e, false))
+	out, err := m.run(ctx, h.prepared.Over(doc), m.options(e, false))
 	if err != nil {
 		return nil, err
 	}
 	return &Result{Bindings: cloneBindings(out.Results), Complete: out.Complete, Stats: out.Stats}, nil
+}
+
+// run is one engine run under ctx joined to the manager's base context —
+// Drain's expired budget ends it like a client hanging up — counted if so ended.
+func (m *Manager) run(ctx context.Context, ev *core.Evaluation, opts core.Options) (*core.Outcome, error) {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	stop := context.AfterFunc(m.base, cancel)
+	defer stop()
+	out, err := ev.Run(ctx, m.cfg.Registry, opts)
+	if err != nil && err == ctx.Err() {
+		m.mCancelled.Inc()
+	}
+	return out, err
 }
 
 // options instantiates the engine template for one run: fresh clock,
@@ -665,16 +689,21 @@ func (m *Manager) Stats() Stats {
 }
 
 // Drain shuts the manager down: new and queued queries are refused with
-// ErrDraining while active ones run to completion (or ctx expires), then
-// every master document is persisted to the repository when one is
-// configured — together with its schema and its incrementally maintained
-// F-guide, so the next process opens every document warm.
+// ErrDraining while active ones run to completion, then every master
+// document is persisted to the repository when one is configured — together
+// with its schema and its incrementally maintained F-guide, so the next
+// process opens every document warm. ctx is the budget for the first half:
+// when it expires the evaluations still running are cancelled — each stops
+// at its next round, its master a valid rewriting — Drain waits for them to
+// let go, persists as it would have, and returns ctx's error.
 func (m *Manager) Drain(ctx context.Context) error {
-	if err := m.adm.drain(ctx); err != nil {
-		return err
+	firstErr := m.adm.drain(ctx)
+	if firstErr != nil {
+		m.abort()
+		_ = m.adm.drain(context.WithoutCancel(ctx)) // cannot expire
 	}
 	if m.cfg.Repo == nil {
-		return nil
+		return firstErr
 	}
 	m.mu.Lock()
 	entries := make([]*entry, 0, len(m.entries))
@@ -682,7 +711,6 @@ func (m *Manager) Drain(ctx context.Context) error {
 		entries = append(entries, e)
 	}
 	m.mu.Unlock()
-	var firstErr error
 	for _, e := range entries {
 		e.mu.RLock()
 		opts := repo.PutOptions{Schema: e.schema}

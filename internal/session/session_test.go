@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -461,16 +462,21 @@ func TestMemoFastPath(t *testing.T) {
 }
 
 // gatedWorld builds a single-call document whose service blocks until
-// the gate channel is closed — the synthetic overload and drain fixture.
+// the gate channel is closed or its invocation's context ends, like a
+// remote provider — the synthetic overload and drain fixture.
 func gatedWorld(gate <-chan struct{}) (*tree.Document, *service.Registry) {
 	reg := service.NewRegistry()
 	reg.Register(&service.Service{
 		Name: "slow",
-		Handler: func([]*tree.Node) ([]*tree.Node, error) {
-			<-gate
+		RemoteCtx: func(ctx context.Context, _ []*tree.Node, _ *pattern.Pattern) (service.Response, error) {
+			select {
+			case <-gate:
+			case <-ctx.Done():
+				return service.Response{}, ctx.Err()
+			}
 			n := tree.NewElement("v")
 			n.Append(tree.NewText("done"))
-			return []*tree.Node{n}, nil
+			return service.Response{Forest: []*tree.Node{n}}, nil
 		},
 	})
 	root := tree.NewElement("r")
@@ -637,6 +643,91 @@ func TestDrainDeadline(t *testing.T) {
 	defer cancel()
 	if err := m.Drain(ctx); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("drain: got %v, want DeadlineExceeded", err)
+	}
+}
+
+// TestDrainPastBudgetCancelsAndPersists: -drain-timeout is a bound. When the
+// budget expires with an evaluation stuck in a provider, Drain cancels it,
+// waits for it to let go of its master, persists every master as the clean
+// path does and only then reports the timeout — so what the run had spliced
+// before it was cut is not lost, and what is on disk is a valid rewriting:
+// any query over it still has the naive oracle's answer.
+func TestDrainPastBudgetCancelsAndPersists(t *testing.T) {
+	dir := t.TempDir()
+	rp, err := repo.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, scenarios := workload.Suite(suiteSpec())
+	// The third invocation meets a provider that answers only its caller's
+	// departure.
+	var calls atomic.Int32
+	stuck := make(chan struct{})
+	hanging := reg.Proxy(func(_ *service.Service, next service.Invoker) service.Invoker {
+		return func(ctx context.Context, params []*tree.Node, pushed *pattern.Pattern) (service.Response, error) {
+			if calls.Add(1) == 3 {
+				close(stuck)
+				<-ctx.Done()
+				return service.Response{}, ctx.Err()
+			}
+			return next(ctx, params, pushed)
+		}
+	})
+	m := NewManager(Config{Registry: hanging, Repo: rp, Engine: core.Options{Strategy: core.LazyNFQ}})
+	for _, sc := range scenarios {
+		if err := m.AddDocument(sc.Name, sc.Doc.Clone(), sc.Schema); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cut := make(chan error, 1)
+	go func() {
+		_, err := m.Query(context.Background(), Request{Document: scenarios[0].Name, Query: scenarios[0].Queries[0]})
+		cut <- err
+	}()
+	<-stuck
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	t0 := time.Now()
+	if err := m.Drain(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("drain: got %v, want DeadlineExceeded", err)
+	}
+	if d := time.Since(t0); d > time.Second {
+		t.Fatalf("drain with a 50ms budget took %v", d)
+	}
+	select {
+	case err := <-cut:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("the evaluation Drain cut short: got %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("drain returned with the evaluation still running")
+	}
+	if st := m.Stats(); st.Active != 0 {
+		t.Fatalf("drain returned with evaluations still active: %+v", st)
+	}
+
+	reopened, err := repo.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sc := range scenarios {
+		if rep, err := reopened.VerifyIndex(sc.Name); err != nil || !rep.OK {
+			t.Fatalf("%s: persisted index: %+v, %v", sc.Name, rep, err)
+		}
+		for _, qsrc := range sc.Queries {
+			o, err := reopened.Get(sc.Name)
+			if err != nil {
+				t.Fatalf("%s was not persisted: %v", sc.Name, err)
+			}
+			out, err := core.Evaluate(o.Doc, pattern.MustParse(qsrc), reg, core.Options{Strategy: core.LazyNFQ})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := canon(cloneBindings(out.Results)), naiveOracle(t, reg, sc.Doc, qsrc); got != want {
+				t.Fatalf("%s %q over the persisted master:\n got %s\nwant %s", sc.Name, qsrc, got, want)
+			}
+		}
 	}
 }
 

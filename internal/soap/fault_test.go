@@ -42,7 +42,7 @@ func TestClientRetriesTransientFaults(t *testing.T) {
 	transient := &service.Fault{Service: "flaky", Class: service.Transient, Msg: "blip"}
 	srv, calls := flakyServer(t, 2, transient)
 	c := &Client{BaseURL: srv.URL, MaxAttempts: 4, Backoff: time.Millisecond}
-	resp, err := c.Invoke("flaky", nil, nil)
+	resp, err := c.InvokeContext(context.Background(), "flaky", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestClientRetriesTransientFaults(t *testing.T) {
 func TestClientDoesNotRetryPermanentFaults(t *testing.T) {
 	srv, calls := flakyServer(t, 100, fmt.Errorf("schema violation"))
 	c := &Client{BaseURL: srv.URL, MaxAttempts: 5, Backoff: time.Millisecond}
-	_, err := c.Invoke("flaky", nil, nil)
+	_, err := c.InvokeContext(context.Background(), "flaky", nil, nil)
 	if err == nil || !strings.Contains(err.Error(), "schema violation") {
 		t.Fatalf("err = %v", err)
 	}
@@ -86,7 +86,7 @@ func TestFaultClassSurvivesTheWire(t *testing.T) {
 		})
 		srv := httptest.NewServer(NewServer(reg, false))
 		c := &Client{BaseURL: srv.URL}
-		_, err := c.Invoke("svc", nil, nil)
+		_, err := c.InvokeContext(context.Background(), "svc", nil, nil)
 		srv.Close()
 		if err == nil {
 			t.Fatalf("class %v: no error", class)
@@ -122,7 +122,7 @@ func TestServerDeadline(t *testing.T) {
 
 	c := &Client{BaseURL: srv.URL}
 	start := time.Now()
-	_, err := c.Invoke("stuck", nil, nil)
+	_, err := c.InvokeContext(context.Background(), "stuck", nil, nil)
 	if err == nil {
 		t.Fatal("deadline did not fire")
 	}
@@ -152,7 +152,7 @@ func TestClientTimeout(t *testing.T) {
 	defer srv.Close()
 	defer close(release) // LIFO: unblock the handler before Close waits on it
 	c := &Client{BaseURL: srv.URL, Timeout: 20 * time.Millisecond}
-	_, err := c.Invoke("slow", nil, nil)
+	_, err := c.InvokeContext(context.Background(), "slow", nil, nil)
 	if err == nil {
 		t.Fatal("client timeout did not fire")
 	}
@@ -189,7 +189,7 @@ func TestInvokeContextCancellation(t *testing.T) {
 // must classify as transient so retry policies treat it as such.
 func TestNetworkErrorIsTransient(t *testing.T) {
 	c := &Client{BaseURL: "http://127.0.0.1:1"}
-	_, err := c.Invoke("x", nil, nil)
+	_, err := c.InvokeContext(context.Background(), "x", nil, nil)
 	if err == nil {
 		t.Fatal("unreachable provider must fail")
 	}

@@ -1,6 +1,7 @@
 package soap
 
 import (
+	"context"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -23,7 +24,7 @@ func TestServerRejectsOversizedRequest(t *testing.T) {
 
 	c := &Client{BaseURL: srv.URL}
 	big := strings.Repeat("x", 2<<10)
-	_, err := c.Invoke("getNearbyRestos", []*tree.Node{tree.NewText(big)}, nil)
+	_, err := c.InvokeContext(context.Background(), "getNearbyRestos", []*tree.Node{tree.NewText(big)}, nil)
 	if err == nil {
 		t.Fatal("oversized request accepted")
 	}
@@ -75,7 +76,7 @@ func TestClientRejectsOversizedResponse(t *testing.T) {
 	defer srv.Close()
 
 	c := &Client{BaseURL: srv.URL, MaxPayloadBytes: 1 << 10}
-	_, err := c.Invoke("getNearbyRestos", nil, nil)
+	_, err := c.InvokeContext(context.Background(), "getNearbyRestos", nil, nil)
 	if err == nil {
 		t.Fatal("oversized response accepted")
 	}
@@ -100,7 +101,7 @@ func TestPayloadDefaultsSymmetric(t *testing.T) {
 	srv := httptest.NewServer(NewServer(w.Registry, false))
 	defer srv.Close()
 	c := &Client{BaseURL: srv.URL}
-	resp, err := c.Invoke("getNearbyRestos", []*tree.Node{tree.NewText("addr-7")}, nil)
+	resp, err := c.InvokeContext(context.Background(), "getNearbyRestos", []*tree.Node{tree.NewText("addr-7")}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

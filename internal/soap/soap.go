@@ -35,7 +35,8 @@
 // trace is the distributed trace ID, span the caller's parent span, and
 // spans an opt-in bound on how many server-side spans the response may
 // return in its <axml.trace> child. The server continues the trace in a
-// per-request tracer (recursive-push materialisation included), grafts
+// per-request tracer (the engine run of a recursive-push materialisation
+// included), grafts
 // the request's subtree into its own ring for /debug/trace, and — when
 // spans > 0 — ships the subtree back so the client stitches one
 // cross-process explain tree.
@@ -556,15 +557,10 @@ func (c *Client) httpClient() *http.Client {
 	return sharedHTTPClient
 }
 
-// Invoke calls the named remote service. The returned response reports
-// the on-the-wire size of the result payload and whether the provider
-// applied the pushed query.
-func (c *Client) Invoke(name string, params []*tree.Node, pushed *pattern.Pattern) (service.Response, error) {
-	return c.InvokeContext(context.Background(), name, params, pushed)
-}
-
-// InvokeContext is Invoke under a caller context: cancellation aborts the
-// in-flight request and any remaining retries. Transient and timeout
+// InvokeContext calls the named remote service under the caller's context:
+// cancellation aborts the in-flight request and any remaining retries. The
+// returned response reports the on-the-wire size of the result payload and
+// whether the provider applied the pushed query. Transient and timeout
 // faults are retried per the client's retry configuration; the error
 // returned after the last attempt carries a service.Fault so engine-side
 // retry policies (and callers) can classify it.

@@ -1,6 +1,7 @@
 package soap
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -54,7 +55,7 @@ func TestDescribe(t *testing.T) {
 func TestRemoteInvoke(t *testing.T) {
 	_, srv := testServer(t, workload.DefaultSpec())
 	c := &Client{BaseURL: srv.URL}
-	resp, err := c.Invoke("getNearbyRestos", []*tree.Node{tree.NewText("addr-7")}, nil)
+	resp, err := c.InvokeContext(context.Background(), "getNearbyRestos", []*tree.Node{tree.NewText("addr-7")}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestRemotePush(t *testing.T) {
 	_, srv := testServer(t, spec)
 	c := &Client{BaseURL: srv.URL}
 	pushed := pattern.MustParse(`/restaurant[rating="*****"][name=$X] -> $X`)
-	resp, err := c.Invoke("getNearbyRestos", []*tree.Node{tree.NewText("addr-7")}, pushed)
+	resp, err := c.InvokeContext(context.Background(), "getNearbyRestos", []*tree.Node{tree.NewText("addr-7")}, pushed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestRemotePush(t *testing.T) {
 		t.Fatalf("bindings = %v", resp.Forest[0].PushedBindings)
 	}
 	// Compare transfer sizes: pushed is far smaller.
-	full, err := c.Invoke("getNearbyRestos", []*tree.Node{tree.NewText("addr-7")}, nil)
+	full, err := c.InvokeContext(context.Background(), "getNearbyRestos", []*tree.Node{tree.NewText("addr-7")}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestRemotePush(t *testing.T) {
 func TestFaults(t *testing.T) {
 	_, srv := testServer(t, workload.DefaultSpec())
 	c := &Client{BaseURL: srv.URL}
-	if _, err := c.Invoke("ghost", nil, nil); err == nil || !strings.Contains(err.Error(), "unknown service") {
+	if _, err := c.InvokeContext(context.Background(), "ghost", nil, nil); err == nil || !strings.Contains(err.Error(), "unknown service") {
 		t.Fatalf("err = %v", err)
 	}
 	// Bad envelope straight over HTTP.
@@ -244,7 +245,7 @@ func TestServerSleepsWhenAsked(t *testing.T) {
 	defer srv.Close()
 	c := &Client{BaseURL: srv.URL}
 	start := time.Now()
-	if _, err := c.Invoke("slow", nil, nil); err != nil {
+	if _, err := c.InvokeContext(context.Background(), "slow", nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if time.Since(start) < 30*time.Millisecond {
@@ -257,7 +258,7 @@ func TestClientDefaultsAndBadBase(t *testing.T) {
 	if c.HTTPClient != nil {
 		t.Fatal("precondition")
 	}
-	if _, err := c.Invoke("x", nil, nil); err == nil {
+	if _, err := c.InvokeContext(context.Background(), "x", nil, nil); err == nil {
 		t.Fatal("unreachable provider must fail")
 	}
 	if _, err := c.Describe(); err == nil {
@@ -276,7 +277,7 @@ func TestFaultEscaping(t *testing.T) {
 	srv := httptest.NewServer(NewServer(reg, false))
 	defer srv.Close()
 	c := &Client{BaseURL: srv.URL}
-	_, err := c.Invoke("bad", nil, nil)
+	_, err := c.InvokeContext(context.Background(), "bad", nil, nil)
 	if err == nil || !strings.Contains(err.Error(), "broken <tag> & more") {
 		t.Fatalf("fault round trip: %v", err)
 	}
@@ -297,10 +298,10 @@ func TestBadResponsesFromServer(t *testing.T) {
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 	c := &Client{BaseURL: srv.URL}
-	if _, err := c.Invoke("garbled", nil, nil); err == nil {
+	if _, err := c.InvokeContext(context.Background(), "garbled", nil, nil); err == nil {
 		t.Fatal("garbled payload accepted")
 	}
-	if _, err := c.Invoke("wrongroot", nil, nil); err == nil {
+	if _, err := c.InvokeContext(context.Background(), "wrongroot", nil, nil); err == nil {
 		t.Fatal("wrong response root accepted")
 	}
 	if _, err := c.Describe(); err == nil {

@@ -148,15 +148,17 @@ func TestNoTraceNoRemoteSpans(t *testing.T) {
 }
 
 // TestRecursivePushSpansNested: when the provider materialises its own
-// intensional results (recursive push), its per-call push-invoke spans
-// ride back in the same envelope, nested under the service span.
+// intensional results (recursive push), the materialisation is an engine
+// run and shows as one: its evaluate span nests under the server's service
+// span, its invoke spans — round, service, path — under that, and the
+// subtree rides back in the same envelope under the client's invoke span.
 func TestRecursivePushSpansNested(t *testing.T) {
 	spec := workload.DefaultSpec()
 	spec.Hotels = 8
 	spec.HiddenHotels = 2
 	spec.PushCapable = true
 	w := workload.Hotels(spec)
-	remoteReg, _ := tracedServer(t, RecursivePush(w.Registry, 100_000))
+	remoteReg, _ := tracedServer(t, RecursivePush(w.Registry, 100_000, 1))
 
 	tracer := telemetry.NewTracer(telemetry.DefaultSpanCapacity)
 	tracer.SetTrace(telemetry.DeriveTraceID("recursive"))
@@ -174,18 +176,29 @@ func TestRecursivePushSpansNested(t *testing.T) {
 	for _, s := range tracer.Spans(0) {
 		byID[s.ID] = s
 	}
-	pushInvokes := 0
+	// parents lists the names on the way from a span to its root.
+	parents := func(s telemetry.Span) (names []string) {
+		for p, ok := byID[s.Parent]; ok; p, ok = byID[p.Parent] {
+			names = append(names, p.Name)
+		}
+		return names
+	}
+	providerInvokes := 0
 	for _, s := range byID {
-		if s.Name != "push-invoke" {
+		up := parents(s)
+		if s.Name != "invoke" || len(up) < 2 || up[0] != "evaluate" || up[1] != "service" {
 			continue
 		}
-		pushInvokes++
-		if p, ok := byID[s.Parent]; !ok || p.Name != "service" {
-			t.Fatalf("push-invoke not nested under service: %+v", s)
+		providerInvokes++
+		if want := []string{"evaluate", "service", "http-invoke", "invoke"}; !reflect.DeepEqual(up[:4], want) {
+			t.Fatalf("provider-side invoke nests under %v, want %v…", up, want)
+		}
+		if s.Attr("round") == "" || s.Attr("service") == "" || s.Attr("path") == "" {
+			t.Fatalf("provider-side invoke lacks the engine's attrs: %+v", s)
 		}
 	}
-	if pushInvokes == 0 {
-		t.Fatal("recursive materialisation emitted no push-invoke spans")
+	if providerInvokes == 0 {
+		t.Fatal("recursive materialisation emitted no invoke spans under evaluate under service")
 	}
 }
 

@@ -60,6 +60,7 @@ const (
 	MetricSessionsShed        = "axml_sessions_shed_total"
 	MetricSessionsMemo        = "axml_sessions_memo_total"
 	MetricSessionsResumed     = "axml_sessions_resumed_total"
+	MetricSessionsCancelled   = "axml_sessions_cancelled_total"
 	MetricSessionSeconds      = "axml_session_seconds"
 	MetricSessionQueueSeconds = "axml_session_queue_seconds"
 	MetricInvokeInflight      = "axml_invocations_inflight"

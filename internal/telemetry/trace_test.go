@@ -65,7 +65,7 @@ func TestGraftRemote(t *testing.T) {
 	remoteTr.SetTrace("feedfacefeedfacefeedfacefeedface")
 	root := remoteTr.Start("http-invoke", 0)
 	child := remoteTr.Start("service", root.ID())
-	grand := remoteTr.Start("push-invoke", child.ID())
+	grand := remoteTr.Start("evaluate", child.ID())
 	grand.End()
 	child.End()
 	root.End()
@@ -88,10 +88,10 @@ func TestGraftRemote(t *testing.T) {
 	if byName["service"].Parent != byName["http-invoke"].ID {
 		t.Fatal("internal parent edge lost")
 	}
-	if byName["push-invoke"].Parent != byName["service"].ID {
+	if byName["evaluate"].Parent != byName["service"].ID {
 		t.Fatal("nested parent edge lost")
 	}
-	for _, name := range []string{"http-invoke", "service", "push-invoke"} {
+	for _, name := range []string{"http-invoke", "service", "evaluate"} {
 		if byName[name].Trace != "feedfacefeedfacefeedfacefeedface" {
 			t.Fatalf("grafted span lost its trace ID: %+v", byName[name])
 		}
