@@ -61,6 +61,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzGuideCodecRoundTrip -fuzztime $(FUZZTIME) ./internal/fguide/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeInvoke -fuzztime $(FUZZTIME) ./internal/soap/
 	$(GO) test -run '^$$' -fuzz FuzzSplitTrailingTrace -fuzztime $(FUZZTIME) ./internal/soap/
+	$(GO) test -run '^$$' -fuzz FuzzQueryResponseWire -fuzztime $(FUZZTIME) ./internal/session/
 
 # bench rewrites the tracked perf record. BENCH_WORKLOADS.json is the
 # record of what a request costs end to end: the five BENCHMARK.json
@@ -101,7 +102,7 @@ benchsmoke:
 microbench:
 	$(GO) test -bench . -benchmem ./internal/pattern/
 	$(GO) test -run TestUnmarshalAllocationCeiling -bench 'Unmarshal/' -benchmem ./internal/tree/
-	$(GO) test -run '^$$' -bench 'MemoAnswer|ReevalAfterWrite' -benchmem ./internal/session/
+	$(GO) test -run TestMemoAnswerHTTPAllocationCeiling -bench 'MemoAnswer|ReevalAfterWrite' -benchmem ./internal/session/
 	$(GO) test -bench E10TelemetryOverhead -benchmem .
 	$(GO) test -run TestE13AllocationRegression -count=1 ./internal/bench/
 

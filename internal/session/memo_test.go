@@ -1,9 +1,13 @@
 package session
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -207,6 +211,88 @@ func BenchmarkMemoAnswer(b *testing.B) {
 		res, err := m.Query(context.Background(), req)
 		if err != nil || !res.Memo {
 			b.Fatalf("memo=%v err=%v", res != nil && res.Memo, err)
+		}
+	}
+}
+
+// discardWriter is a ResponseWriter that keeps the status and the headers
+// and drops the body.
+type discardWriter struct {
+	header http.Header
+	code   int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.header }
+func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (w *discardWriter) WriteHeader(code int)        { w.code = code }
+
+// memoOverHTTP builds a manager over the suite at the given size, fills the
+// travel master for its first query until that query's answer is a memo
+// answer, and returns a function that serves one POST /query for it
+// through Handler to a discarding writer, with the answer's binding count.
+func memoOverHTTP(tb testing.TB, hotels int) (serve func(), bindings int) {
+	spec := workload.DefaultSpec()
+	spec.Hotels, spec.HiddenHotels = hotels, hotels/5
+	reg, scenarios := workload.Suite(spec)
+	m := NewManager(Config{Registry: reg, Engine: core.Options{Strategy: core.LazyNFQ, Incremental: true}})
+	sc := scenarios[0]
+	if err := m.AddDocument(sc.Name, sc.Doc, sc.Schema); err != nil {
+		tb.Fatal(err)
+	}
+	for {
+		res, err := m.Query(context.Background(), Request{Document: sc.Name, Query: sc.Queries[0]})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if res.Memo {
+			bindings = len(res.Bindings)
+			break
+		}
+	}
+	body, _ := json.Marshal(QueryRequest{Document: sc.Name, Query: sc.Queries[0]})
+	rd := bytes.NewReader(body)
+	req := httptest.NewRequest(http.MethodPost, "/query", rd)
+	w := &discardWriter{header: http.Header{}}
+	h := Handler(m)
+	return func() {
+		rd.Reset(body)
+		w.code = 0
+		h.ServeHTTP(w, req)
+		if w.code != http.StatusOK {
+			tb.Fatalf("POST /query: status %d", w.code)
+		}
+	}, bindings
+}
+
+// BenchmarkMemoAnswerHTTP measures a memo answer's whole server side —
+// decode, Manager.Query, write — on the 500-hotel travel document: what a
+// serve-hot request costs the server, without the network.
+func BenchmarkMemoAnswerHTTP(b *testing.B) {
+	serve, _ := memoOverHTTP(b, 500)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve()
+	}
+}
+
+// memoHTTPAllocs bounds the allocations of one POST /query answered with a
+// memo answer: request decode, lookup and headers. None may depend on the
+// number of bindings — the stored answer is sent as the bytes it was
+// encoded to once.
+const memoHTTPAllocs = 40
+
+// TestMemoAnswerHTTPAllocationCeiling pins BenchmarkMemoAnswerHTTP's
+// allocations per request under a ceiling that does not grow with the
+// answer: a small document and the 500-hotel one both stay under it.
+func TestMemoAnswerHTTPAllocationCeiling(t *testing.T) {
+	for _, hotels := range []int{20, 500} {
+		serve, bindings := memoOverHTTP(t, hotels)
+		serve() // the first send encodes the stored answer
+		allocs := testing.AllocsPerRun(50, serve)
+		t.Logf("%d hotels, %d bindings: %.0f allocations per memo request", hotels, bindings, allocs)
+		if allocs > memoHTTPAllocs {
+			t.Fatalf("%d hotels, %d bindings: %.0f allocations per memo request, ceiling %d", hotels, bindings, allocs, memoHTTPAllocs)
 		}
 	}
 }

@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"strconv"
 	"time"
+
+	"github.com/activexml/axml/internal/tree"
 )
 
 // QueryRequest is the POST /query JSON body.
@@ -67,7 +69,8 @@ type errorBody struct {
 // Admission failures map to transport semantics: shed → 429 with a
 // Retry-After header (whole seconds, rounded up), draining → 503,
 // unknown document → 404, bad query → 400, a body over 1 MiB → 413, an
-// evaluation its request's context ended → 504 (deadline) or 499 (client gone).
+// evaluation its request's context ended → 504 (deadline) or 499 (client
+// gone), one an expired drain ended → 503.
 func Handler(m *Manager) http.Handler {
 	mux := http.NewServeMux()
 	Mount(mux, m)
@@ -107,21 +110,9 @@ func Mount(mux *http.ServeMux, m *Manager) {
 			writeError(w, status, err)
 			return
 		}
-		bindings := make([]map[string]string, len(res.Bindings))
-		for i, b := range res.Bindings {
-			bindings[i] = b
-		}
-		writeJSON(w, http.StatusOK, QueryResponse{
-			Document:     qr.Document,
-			Bindings:     bindings,
-			Complete:     res.Complete,
-			Memo:         res.Memo,
-			CallsInvoked: res.Stats.CallsInvoked,
-			Rounds:       res.Stats.Rounds,
-			VirtualMs:    float64(res.Stats.VirtualTime) / float64(time.Millisecond),
-			QueuedMs:     float64(res.Queued) / float64(time.Millisecond),
-			ElapsedMs:    float64(res.Elapsed) / float64(time.Millisecond),
-		})
+		t0 := time.Now()
+		writeQuery(w, qr.Document, res)
+		m.mWriteSecs.Observe(time.Since(t0))
 	})
 	mux.HandleFunc("/documents", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, m.Documents())
@@ -166,6 +157,66 @@ func retryAfterSeconds(d time.Duration) int {
 		s = 1
 	}
 	return s
+}
+
+// queryTail is what a QueryResponse encodes after its bindings: the same
+// fields under the same tags, so that encoding/json writes them alike.
+type queryTail struct {
+	Complete     bool    `json:"complete"`
+	Memo         bool    `json:"memo,omitempty"`
+	CallsInvoked int     `json:"callsInvoked"`
+	Rounds       int     `json:"rounds"`
+	VirtualMs    float64 `json:"virtualMs"`
+	QueuedMs     float64 `json:"queuedMs"`
+	ElapsedMs    float64 `json:"elapsedMs"`
+}
+
+// writeQuery answers POST /query with res, byte for byte what
+// json.NewEncoder(w).Encode(QueryResponse{…}) writes, in three pieces:
+// the head up to "bindings", the bindings — a stored answer's as encoded
+// once for every request that sends it, any other marshalled afresh — and
+// the tail, whose leading '{' becomes ','.
+func writeQuery(w http.ResponseWriter, document string, res *Result) {
+	doc, _ := json.Marshal(document) // a string always encodes
+	head := make([]byte, 0, len(`{"document":,"bindings":`)+len(doc))
+	head = append(append(append(head, `{"document":`...), doc...), `,"bindings":`...)
+	var bindings []byte
+	if res.answer != nil {
+		bindings = res.answer.encoded()
+	} else {
+		bindings = marshalBindings(res.Bindings)
+	}
+	tail, _ := json.Marshal(queryTail{ // scalars always encode
+		Complete:     res.Complete,
+		Memo:         res.Memo,
+		CallsInvoked: res.Stats.CallsInvoked,
+		Rounds:       res.Stats.Rounds,
+		VirtualMs:    float64(res.Stats.VirtualTime) / float64(time.Millisecond),
+		QueuedMs:     float64(res.Queued) / float64(time.Millisecond),
+		ElapsedMs:    float64(res.Elapsed) / float64(time.Millisecond),
+	})
+	tail[0] = ','
+	tail = append(tail, '\n')
+
+	hdr := w.Header()
+	hdr.Set("Content-Type", "application/json")
+	hdr.Set("Content-Length", strconv.Itoa(len(head)+len(bindings)+len(tail)))
+	w.WriteHeader(http.StatusOK)
+	for _, p := range [...][]byte{head, bindings, tail} {
+		if _, err := w.Write(p); err != nil {
+			return // the client is gone
+		}
+	}
+}
+
+// marshalBindings is the JSON of a QueryResponse's bindings: an empty
+// answer is [], never null.
+func marshalBindings(bs []tree.Binding) []byte {
+	if bs == nil {
+		bs = []tree.Binding{}
+	}
+	b, _ := json.Marshal(bs) // maps of strings always encode
+	return b
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -220,6 +221,40 @@ func TestHTTPErrorMapping(t *testing.T) {
 	}
 	if resp, _ := postQuery(t, srv.URL, QueryRequest{Document: "d", Query: gatedQuery}); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("draining: status %d, want 503", resp.StatusCode)
+	}
+}
+
+// TestHTTPExpiredDrainAnswers503: a run that Drain cancelled when its budget
+// expired, while its client was still connected, answers that client 503
+// with the JSON envelope — the server is going away — not 499, which says
+// the client left; the error still wraps context.Canceled.
+func TestHTTPExpiredDrainAnswers503(t *testing.T) {
+	gate := make(chan struct{})
+	defer close(gate)
+	doc, reg := gatedWorld(gate)
+	m := NewManager(Config{Registry: reg, Engine: core.Options{Strategy: core.LazyNFQ}, MaxActive: 1})
+	if err := m.AddDocument("d", doc, nil); err != nil {
+		t.Fatal(err)
+	}
+	body, _ := json.Marshal(QueryRequest{Document: "d", Query: gatedQuery})
+	rec := httptest.NewRecorder()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		Handler(m).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body)))
+	}()
+	waitUntil(t, func() bool { return m.Stats().Active == 1 })
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
+	if err := m.Drain(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("drain: got %v, want DeadlineExceeded", err)
+	}
+	<-served
+	var envelope errorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &envelope); rec.Code != http.StatusServiceUnavailable || err != nil ||
+		!strings.Contains(envelope.Error, ErrDraining.Error()) || !strings.Contains(envelope.Error, context.Canceled.Error()) {
+		t.Fatalf("status %d, body %q; want 503 with the JSON error envelope naming the drain and the cancellation", rec.Code, rec.Body)
 	}
 }
 

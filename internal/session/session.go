@@ -12,7 +12,8 @@
 // and the answer of an engine run that ended complete is stored per
 // (document, query text) and handed to every repeat of the query until
 // the master next changes — a memo answer is a stored answer, nothing is
-// re-evaluated. Soundness rests on the paper's completeness invariant
+// re-evaluated, and over HTTP nothing is re-encoded: POST /query sends the
+// JSON the answer was encoded to once. Soundness rests on the paper's completeness invariant
 // (Definition 3): a query's full result does not depend on how much of
 // the document is already materialised, so evaluating against a master
 // that other tenants have partially materialised returns exactly the
@@ -167,6 +168,11 @@ type Result struct {
 	Queued time.Duration
 	// Elapsed is the execution time after admission.
 	Elapsed time.Duration
+
+	// answer is the stored answer Bindings came from — a memo answer's, or
+	// the one the run just stored — whose JSON POST /query sends; nil for
+	// an answer that was not stored.
+	answer *answer
 }
 
 // Stats is a point-in-time snapshot of the manager.
@@ -182,6 +188,10 @@ type Stats struct {
 	// Resumed counts engine runs that continued from a hot query's
 	// resident state instead of starting from the document.
 	Served, Shed, Memo, Resumed int64
+	// AnswerBytes is the JSON the stored answers hold: each is encoded
+	// once, by the first POST /query that sends it, and kept until the
+	// answer is replaced or evicted.
+	AnswerBytes int64
 }
 
 // TenantStats accumulates per-tenant accounting.
@@ -220,6 +230,7 @@ type Manager struct {
 	mCancelled *telemetry.Counter
 	mSeconds   *telemetry.Histogram
 	mQueueSecs *telemetry.Histogram
+	mWriteSecs *telemetry.Histogram
 }
 
 // maxHotQueries caps the query texts one document remembers: they are
@@ -227,20 +238,53 @@ type Manager struct {
 const maxHotQueries = 1024
 
 // answer is the result of an engine run that ended Complete. While the
-// master's Version still equals at, it is the query's full result.
+// master's Version still equals at, it is the query's full result. Its
+// JSON is made at most once, outside the entry lock, by the first request
+// that sends it; every later one sends the same bytes.
 type answer struct {
-	at       uint64         // master version the run ended at; 0: none stored (versions start at 1)
+	at       uint64         // master version the run ended at
 	bindings []tree.Binding // handed out as is: read-only
+	held     *atomic.Int64  // the entry's answerBytes
+
+	once sync.Once
+	wire []byte // marshalBindings(bindings), made by once
+	// acct is this answer's part of *held: 0 until encoded, len(wire)
+	// once encoded while stored, -1 once replaced or evicted.
+	acct atomic.Int64
+}
+
+// encoded returns the answer's JSON, making it on first use and counting
+// it in the entry's held bytes unless the answer has been dropped since.
+// The count is raised before it is claimed, so it may read high for an
+// instant, never low.
+func (a *answer) encoded() []byte {
+	a.once.Do(func() {
+		a.wire = marshalBindings(a.bindings)
+		n := int64(len(a.wire))
+		a.held.Add(n)
+		if !a.acct.CompareAndSwap(0, n) {
+			a.held.Add(-n)
+		}
+	})
+	return a.wire
+}
+
+// drop takes a replaced or evicted answer out of its entry's held bytes.
+func (a *answer) drop() {
+	if n := a.acct.Swap(-1); n > 0 {
+		a.held.Add(-n)
+	}
 }
 
 // hotQuery is what a document keeps per query text: the query parsed and
 // analysed (immutable, one instance serves every session, shared and
-// isolated), the stored answer (guarded by the entry lock), whether a
-// query has read that answer since the last eviction sweep, and — for a
-// text that has — the engine state of its last complete run.
+// isolated), the stored answer (guarded by the entry lock; nil while none
+// is), whether a query has read that answer since the last eviction sweep,
+// and — for a text that has — the engine state of its last complete run.
 type hotQuery struct {
 	prepared *core.Prepared
-	answer   answer
+	kept     bool // remembered in the entry's queries; a text that is not stores no answer
+	answer   *answer
 	used     atomic.Bool
 	// resident is the evaluation the next engine run of this text resumes
 	// (guarded by the entry write lock); nil when it has to start from the
@@ -265,6 +309,9 @@ type entry struct {
 	guide *fguide.Guide
 
 	queries map[string]*hotQuery // by query text, at most maxHotQueries
+	// answerBytes sums the encoded size of the stored answers in queries,
+	// so Stats reads it without waiting for an engine run to let go of mu.
+	answerBytes atomic.Int64
 }
 
 func newEntry(name string, doc *tree.Document, sch *schema.Schema, guide *fguide.Guide) *entry {
@@ -311,6 +358,7 @@ func NewManager(cfg Config) *Manager {
 		mCancelled: cfg.Metrics.Counter(telemetry.MetricSessionsCancelled),
 		mSeconds:   cfg.Metrics.Histogram(telemetry.MetricSessionSeconds),
 		mQueueSecs: cfg.Metrics.Histogram(telemetry.MetricSessionQueueSeconds),
+		mWriteSecs: cfg.Metrics.Histogram(telemetry.MetricSessionWriteSeconds),
 	}
 }
 
@@ -481,6 +529,7 @@ func (e *entry) hot(src string, template core.Options) (*hotQuery, error) {
 	h = &hotQuery{prepared: p}
 	if len(e.queries) < maxHotQueries { // else every remembered text is hot, and this one is not kept
 		e.queries[src] = h
+		h.kept = true
 	}
 	return h, nil
 }
@@ -492,8 +541,8 @@ func (e *entry) hot(src string, template core.Options) (*hotQuery, error) {
 // Resident state goes with its text. Caller holds e.mu for writing.
 func (e *entry) evict() {
 	for src, h := range e.queries {
-		if h.answer.at != e.master.Version() && h.resident == nil {
-			delete(e.queries, src)
+		if (h.answer == nil || h.answer.at != e.master.Version()) && h.resident == nil {
+			e.forget(src, h)
 		}
 	}
 	if len(e.queries) < maxHotQueries {
@@ -501,21 +550,30 @@ func (e *entry) evict() {
 	}
 	for src, h := range e.queries {
 		if !h.used.Swap(false) {
-			delete(e.queries, src)
+			e.forget(src, h)
 		}
 	}
+}
+
+// forget drops text src and its stored answer. Caller holds e.mu for writing.
+func (e *entry) forget(src string, h *hotQuery) {
+	if h.answer != nil {
+		h.answer.drop()
+	}
+	delete(e.queries, src)
 }
 
 // stored returns h's answer as a memo Result while the master is still at
 // the version it was complete at, else nil. Caller holds e.mu (read or write).
 func (e *entry) stored(h *hotQuery) *Result {
-	if h.answer.at != e.master.Version() {
+	a := h.answer
+	if a == nil || a.at != e.master.Version() {
 		return nil
 	}
 	if !h.used.Load() {
 		h.used.Store(true)
 	}
-	return &Result{Bindings: h.answer.bindings, Complete: true, Memo: true}
+	return &Result{Bindings: a.bindings, Complete: true, Memo: true, answer: a}
 }
 
 // queryShared answers from the shared master: with the stored answer,
@@ -555,11 +613,15 @@ func (m *Manager) queryShared(ctx context.Context, e *entry, h *hotQuery) (*Resu
 	if h.used.Load() && ev.Live() {
 		h.resident = ev
 	}
-	bindings := cloneBindings(out.Results)
-	if out.Complete {
-		h.answer = answer{at: e.master.Version(), bindings: bindings}
+	res = &Result{Bindings: cloneBindings(out.Results), Complete: out.Complete, Stats: out.Stats}
+	if out.Complete && h.kept {
+		if h.answer != nil {
+			h.answer.drop()
+		}
+		h.answer = &answer{at: e.master.Version(), bindings: res.Bindings, held: &e.answerBytes}
+		res.answer = h.answer
 	}
-	return &Result{Bindings: bindings, Complete: out.Complete, Stats: out.Stats}, nil
+	return res, nil
 }
 
 // queryIsolated clones the master under a read lock and evaluates the
@@ -578,15 +640,20 @@ func (m *Manager) queryIsolated(ctx context.Context, e *entry, h *hotQuery) (*Re
 }
 
 // run is one engine run under ctx joined to the manager's base context —
-// Drain's expired budget ends it like a client hanging up — counted if so ended.
+// Drain's expired budget ends it like a client hanging up — counted if so
+// ended. A run Drain ended while its client was still there also reports
+// ErrDraining, so that client is told the server is going away.
 func (m *Manager) run(ctx context.Context, ev *core.Evaluation, opts core.Options) (*core.Outcome, error) {
-	ctx, cancel := context.WithCancel(ctx)
+	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	stop := context.AfterFunc(m.base, cancel)
 	defer stop()
-	out, err := ev.Run(ctx, m.cfg.Registry, opts)
-	if err != nil && err == ctx.Err() {
+	out, err := ev.Run(runCtx, m.cfg.Registry, opts)
+	if err != nil && err == runCtx.Err() {
 		m.mCancelled.Inc()
+		if m.base.Err() != nil && ctx.Err() == nil {
+			err = fmt.Errorf("%w: %w", ErrDraining, err)
+		}
 	}
 	return out, err
 }
@@ -676,15 +743,20 @@ func (m *Manager) TenantStats() map[string]TenantStats {
 func (m *Manager) Stats() Stats {
 	m.mu.Lock()
 	docs := len(m.entries)
+	var held int64
+	for _, e := range m.entries {
+		held += e.answerBytes.Load()
+	}
 	m.mu.Unlock()
 	return Stats{
-		Documents: docs,
-		Active:    m.adm.active(),
-		Queued:    m.adm.queued(),
-		Served:    m.served.Load(),
-		Shed:      m.shed.Load(),
-		Memo:      m.memo.Load(),
-		Resumed:   m.resumed.Load(),
+		Documents:   docs,
+		Active:      m.adm.active(),
+		Queued:      m.adm.queued(),
+		Served:      m.served.Load(),
+		Shed:        m.shed.Load(),
+		Memo:        m.memo.Load(),
+		Resumed:     m.resumed.Load(),
+		AnswerBytes: held,
 	}
 }
 

@@ -63,6 +63,7 @@ const (
 	MetricSessionsCancelled   = "axml_sessions_cancelled_total"
 	MetricSessionSeconds      = "axml_session_seconds"
 	MetricSessionQueueSeconds = "axml_session_queue_seconds"
+	MetricSessionWriteSeconds = "axml_session_write_seconds"
 	MetricInvokeInflight      = "axml_invocations_inflight"
 
 	// F-guide lifecycle (internal/core, internal/session). Builds counts
