@@ -102,7 +102,7 @@ benchsmoke:
 microbench:
 	$(GO) test -bench . -benchmem ./internal/pattern/
 	$(GO) test -run TestUnmarshalAllocationCeiling -bench 'Unmarshal/' -benchmem ./internal/tree/
-	$(GO) test -run TestMemoAnswerHTTPAllocationCeiling -bench 'MemoAnswer|ReevalAfterWrite' -benchmem ./internal/session/
+	$(GO) test -run TestMemoAnswerHTTPAllocationCeiling -bench 'MemoAnswer|ReevalAfterWrite|WriteWithResidents' -benchmem ./internal/session/
 	$(GO) test -bench E10TelemetryOverhead -benchmem .
 	$(GO) test -run TestE13AllocationRegression -count=1 ./internal/bench/
 

@@ -27,8 +27,10 @@
 // a prepared query's engine state over one document: Run evaluates, for as
 // long as its caller's context lasts, and a run that leaves the document
 // complete keeps what it learnt, so the next Run pays only for what was
-// spliced in between (Evaluation.Spliced). Evaluate is the two in one call,
-// for a query asked once by a caller who waits for the answer.
+// spliced in between — whoever spliced it: the document records its own
+// splices (tree.Document.SplicesSince), and every evaluation over it reads
+// them when it next runs. Evaluate is the two in one call, for a query asked
+// once by a caller who waits for the answer.
 package core
 
 import (
@@ -40,7 +42,6 @@ import (
 	"github.com/activexml/axml/internal/schema"
 	"github.com/activexml/axml/internal/service"
 	"github.com/activexml/axml/internal/telemetry"
-	"github.com/activexml/axml/internal/tree"
 )
 
 // Strategy selects the call-invocation policy.
@@ -127,7 +128,8 @@ type Options struct {
 	// guide and only its candidates are checked against the remaining
 	// conditions. Together with Incremental the guide is also what makes
 	// detection a maintained view — its candidates seed the view once and
-	// the calls each splice brings in are fed to it afterwards. The session
+	// afterwards the view is fed the calls each splice brought in, read from
+	// the document's splice records (tree.Splice.Calls). The session
 	// layer sets it on every shared-mode run, whatever its template says
 	// (the resident master's guide is the delta index); what is left to
 	// switch it off are one-shot evaluations and the differentials.
@@ -145,11 +147,14 @@ type Options struct {
 	// Incremental makes each relevance query's pattern evaluator live as
 	// long as the query object instead of being built afresh for every
 	// detection — across the rounds of a run and, on an Evaluation that is
-	// run again, across runs. What it keeps depends on where the candidates
-	// come from. Under UseGuide the answer itself is kept, as a maintained
-	// view: a detection validates only the candidates that arrived since
-	// the last one and the verdicts the splices in between can have changed
-	// (Stats.GuideCandidates, Stats.Revalidated), and reads the rest.
+	// run again, across runs — kept sound by the document's splice records,
+	// which it reads past its cursor when next asked (an evaluator the
+	// records no longer reach back to starts afresh). What it keeps depends
+	// on where the candidates come from. Under UseGuide the answer itself is
+	// kept, as a maintained view: a detection validates only the candidates
+	// that arrived since the last one and the verdicts the splices in
+	// between can have changed (Stats.GuideCandidates, Stats.Revalidated),
+	// and reads the rest.
 	// Without a guide the evaluator keeps its memo of (query node, document
 	// node) matches and re-evaluates the query down the spines the splices
 	// touched — O(changed region) nodes visited instead of O(document), but
@@ -217,18 +222,6 @@ type Options struct {
 	// are grafted under the call's invoke span. 0 propagates the trace ID
 	// without requesting spans back.
 	RemoteSpans int
-	// OnMutate, when set, is called synchronously after every document
-	// mutation the engine performs (a call subtree rooted at removed,
-	// detached from parent, replaced by the inserted response forest) —
-	// after the engine's own upkeep, with the arguments Evaluation.Spliced
-	// takes. Holders of state derived from the document keep it current
-	// from here: the session layer bumps the master version its stored
-	// answers are checked against and reports the splice to the resident
-	// evaluations of the document's other hot queries. The hook fires
-	// after the engine's guide maintenance, so an adopted Options.Guide is
-	// already synced when it runs. The callback runs on the engine
-	// goroutine and must not re-enter the engine.
-	OnMutate func(parent, removed *tree.Node, inserted []*tree.Node)
 	// Metrics, when set, receives the engine's counters and log-scale
 	// latency histograms (metric names in doc/OBSERVABILITY.md:
 	// axml_evaluations_total, axml_detect_seconds, …). Instruments are

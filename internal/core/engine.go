@@ -30,6 +30,7 @@ type coreMetrics struct {
 	pushed      *telemetry.Counter
 	guideBuilds *telemetry.Counter
 	guideWarm   *telemetry.Counter
+	guidePatch  *telemetry.Counter
 	evalSecs    *telemetry.Histogram
 	detectSecs  *telemetry.Histogram
 	invokeWall  *telemetry.Histogram
@@ -49,6 +50,7 @@ func resolveMetrics(reg *telemetry.Registry) coreMetrics {
 		pushed:      reg.Counter(telemetry.MetricPushedCalls),
 		guideBuilds: reg.Counter(telemetry.MetricGuideBuilds),
 		guideWarm:   reg.Counter(telemetry.MetricGuideWarm),
+		guidePatch:  reg.Counter(telemetry.MetricGuidePatches),
 		evalSecs:    reg.Histogram(telemetry.MetricEvalSeconds),
 		detectSecs:  reg.Histogram(telemetry.MetricDetectSeconds),
 		invokeWall:  reg.Histogram(telemetry.MetricInvokeWallSeconds),
@@ -72,22 +74,23 @@ func Evaluate(doc *tree.Document, q *pattern.Pattern, reg *service.Registry, opt
 
 // Run evaluates the query over the evaluation's document, like Evaluate.
 // The first run, and any run that finds no state to resume (see
-// Evaluation), learns the document in one walk; a resumed run looks only at
-// what the splices since the last run can have changed: it offers the call
-// views the calls that arrived, re-validates the verdicts those splices
-// dirtied, invokes what became relevant and re-reads the result through the
-// kept memo — the same calls in the same order, and the same result, as a
-// run from scratch. The analysis fields of opt (see Prepared) are taken
-// from the prepared query; every other field is this run's own.
+// Evaluation), learns the document in one walk; a resumed run reads the
+// document's splice records since the last run and looks only at what those
+// splices can have changed: it offers the call views the calls that arrived,
+// re-validates the verdicts those splices dirtied, invokes what became
+// relevant and re-reads the result through the kept memo — the same calls
+// in the same order, and the same result, as a run from scratch. The
+// analysis fields of opt (see Prepared) are taken from the prepared query;
+// every other field is this run's own.
 //
 // The run lasts as long as ctx does: every invocation is made under it, and
 // the engine looks at it before each round, before each batch member's turn
 // and between the attempts of a retried call. Once it is done nothing more
 // is invoked, the responses that had arrived are spliced like any others
-// (the document stays a valid rewriting, an adopted guide synced, OnMutate
-// told) and Run returns ctx.Err() — never retried, never a CallFailure,
-// never an incomplete Outcome. When ctx carries opt's tracer (the soap
-// server's per-request one) the evaluate span nests under the span it names.
+// (the document stays a valid rewriting, an adopted guide synced) and Run
+// returns ctx.Err() — never retried, never a CallFailure, never an
+// incomplete Outcome. When ctx carries opt's tracer (the soap server's
+// per-request one) the evaluate span nests under the span it names.
 func (ev *Evaluation) Run(ctx context.Context, reg *service.Registry, opt Options) (*Outcome, error) {
 	opt = normalise(opt)
 	if ev.p != nil {
@@ -98,8 +101,6 @@ func (ev *Evaluation) Run(ctx context.Context, reg *service.Registry, opt Option
 	out, err := e.run()
 	if err != nil || !out.Complete || len(out.Failures) > 0 {
 		ev.drop()
-	} else {
-		ev.trim()
 	}
 	return out, err
 }
@@ -112,7 +113,7 @@ func (e *engine) run() (*Outcome, error) {
 	}
 	e.spanEval = e.opt.Tracer.Start("evaluate", parent)
 	e.spanEval.SetAttr("strategy", e.opt.Strategy.String())
-	resumed := e.live && e.at == e.doc.Version()
+	resumed := e.live && e.follow()
 	if !resumed {
 		e.seed()
 	}
@@ -155,7 +156,7 @@ func (e *engine) run() (*Outcome, error) {
 		e.complete = cerr == nil && ok
 	}
 	resultSpan := e.opt.Tracer.Start("result-eval", e.spanEval.ID())
-	if e.result == nil {
+	if e.result == nil || !e.follows(e.result) {
 		e.result = e.newLiveQuery(e.q, e.p.userProj)
 	}
 	e.absorb(e.result)
@@ -533,19 +534,20 @@ func (e *engine) queries(li int) ([]*rewrite.NFQ, error) {
 }
 
 // newLiveQuery returns a fresh evaluator for q over the document as it
-// stands: there is nothing in it for the logged splices to evict.
+// stands: there is nothing in it for the recorded splices to evict.
 func (e *engine) newLiveQuery(q *pattern.Pattern, proj *schema.Projection) *liveQuery {
-	return &liveQuery{iev: pattern.NewIncrementalProjected(q, asProjector(proj)), seen: len(e.log), offered: -1}
+	return &liveQuery{iev: pattern.NewIncrementalProjected(q, asProjector(proj)), seen: e.doc.Version()}
 }
 
 // evaluator returns the pattern evaluator that answers one relevance
 // query — the only place the engine obtains one. Under
 // Options.Incremental it lives as long as the query object, its memo and
-// call view kept sound by the splice feed; otherwise every detection gets
-// a fresh one, the from-scratch reference the differentials compare
+// call view kept sound by the document's splice records, unless it falls
+// further behind than the document keeps records; otherwise every detection
+// gets a fresh one, the from-scratch reference the differentials compare
 // against. Building its projection predicate is charged to analysis time.
 func (e *engine) evaluator(nfq *rewrite.NFQ) *liveQuery {
-	if lq := e.relevance[nfq]; lq != nil {
+	if lq := e.relevance[nfq]; lq != nil && e.follows(lq) {
 		return lq
 	}
 	proj, built := e.p.projection(nfq)
@@ -611,7 +613,7 @@ func (e *engine) guideKeep(base []*rewrite.NFQ) func(string) bool {
 // the candidate's own ancestors' subtrees, and the evaluator's memo shares
 // condition checks across candidates). The guided answer is a maintained
 // view: the evaluator is offered the guide's candidates once and after
-// that only the calls the guide's upkeep indexed since, and re-checks
+// that only the calls the splices since brought in, and re-checks
 // nothing a splice cannot have changed — on a fresh evaluator that is
 // every candidate, every detection. Type pruning on the output side
 // (Section 5) and parked calls filter the answer as it is read, and both
@@ -627,12 +629,15 @@ func (e *engine) detect(nfq *rewrite.NFQ, lq *liveQuery) (calls []*tree.Node, qu
 			return nil, false
 		}
 		var more []*tree.Node
-		if lq.offered < 0 {
+		if !lq.seeded {
 			more = e.guide.Candidates(nfq.Lin, nfq.DescTail)
 		} else {
-			more = e.indexed[lq.offered:]
+			ss, _ := e.doc.SplicesSince(lq.offered) // evaluator() saw to it
+			for _, s := range ss {
+				more = append(more, s.Calls...)
+			}
 		}
-		lq.offered = len(e.indexed)
+		lq.offered, lq.seeded = e.doc.Version(), true
 		matched, work = lq.iev.MatchedCandidates(e.doc, nfq.Out, more)
 	} else {
 		matched, work = lq.iev.MatchedCallsIncremental(e.doc, nfq.Out)
@@ -1042,24 +1047,21 @@ func (e *engine) invoke(calls []*tree.Node, nfqs []*rewrite.NFQ) error {
 	return firstErr
 }
 
-// apply splices a response into the document — the document itself and the
-// guide, done once, by the engine that invoked the call — runs the upkeep
-// every evaluation over this document owes the splice, its own first, and
-// updates accounting.
+// apply splices a response into the document — the document itself, which
+// records the splice for every evaluation over it, and the guide, done once,
+// by the engine that invoked the call — brings this evaluation's counts and
+// names up to date, and updates accounting.
 func (e *engine) apply(call *tree.Node, resp service.Response, wasPushed bool) {
-	parent := call.Parent
-	inserted := e.doc.ReplaceCall(call, resp.Forest)
+	s := e.doc.ReplaceCall(call, resp.Forest)
 	if e.guide != nil {
 		// The guide swaps the expanded call for the calls of the inserted
-		// forest.
-		e.guide.ApplyExpansion(call, inserted)
+		// forest. An adopted guide is the caller's persistent index.
+		e.guide.ApplyExpansion(s)
+		if e.guide == e.opt.Guide {
+			e.met.guidePatch.Inc()
+		}
 	}
-	e.Spliced(parent, call, inserted)
-	// OnMutate fires last, after the engine's own guide maintenance: an
-	// external holder of the adopted guide observes it already synced.
-	if e.opt.OnMutate != nil {
-		e.opt.OnMutate(parent, call, inserted)
-	}
+	e.follow() // at was current before the splice, so its record is there
 	e.stats.CallsInvoked++
 	e.stats.BytesFetched += resp.Bytes
 	if wasPushed {

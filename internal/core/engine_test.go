@@ -4,9 +4,11 @@ import (
 	"testing"
 	"time"
 
+	"github.com/activexml/axml/internal/fguide"
 	"github.com/activexml/axml/internal/pattern"
 	"github.com/activexml/axml/internal/schema"
 	"github.com/activexml/axml/internal/service"
+	"github.com/activexml/axml/internal/telemetry"
 	"github.com/activexml/axml/internal/tree"
 	"github.com/activexml/axml/internal/workload"
 )
@@ -490,58 +492,87 @@ func TestCompletenessInvariant(t *testing.T) {
 	}
 }
 
-// TestOnMutateObservesEveryReplacement checks the Options.OnMutate hook:
-// it fires once per successful invocation, with the removed call node,
-// its pre-splice parent and the inserted forest — enough for an external
-// IncrementalEvaluator to Invalidate in lockstep with the engine's own
-// shards, and for an external F-guide to ApplyExpansion.
-func TestOnMutateObservesEveryReplacement(t *testing.T) {
+// TestSpliceRecordsObserveEveryReplacement checks the document's splice
+// records: one per successful invocation, in order, with the removed call
+// node, its pre-splice parent and the calls the forest brought in under it —
+// enough for an external IncrementalEvaluator to Invalidate in lockstep with
+// the engine's own shards.
+func TestSpliceRecordsObserveEveryReplacement(t *testing.T) {
 	w := workload.Hotels(workload.DefaultSpec())
 	doc := w.Doc.Clone()
-	type mut struct {
-		parent, removed *tree.Node
-		inserted        []*tree.Node
-	}
-	var muts []mut
-	out, err := Evaluate(doc, w.Query, w.Registry, Options{
-		Strategy: LazyNFQ,
-		OnMutate: func(parent, removed *tree.Node, inserted []*tree.Node) {
-			muts = append(muts, mut{parent, removed, inserted})
-		},
-	})
+	before := doc.Version()
+	out, err := Evaluate(doc, w.Query, w.Registry, Options{Strategy: LazyNFQ})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(muts) != out.Stats.CallsInvoked {
-		t.Fatalf("OnMutate fired %d times, want one per invocation (%d)", len(muts), out.Stats.CallsInvoked)
+	muts, ok := doc.SplicesSince(before)
+	if !ok || len(muts) != out.Stats.CallsInvoked {
+		t.Fatalf("%d splice records (ok=%v), want one per invocation (%d)", len(muts), ok, out.Stats.CallsInvoked)
 	}
+	expanded := map[*tree.Node]bool{}
 	for i, m := range muts {
-		if m.removed == nil || m.removed.Kind != tree.Call {
-			t.Fatalf("mutation %d: removed node is not a call", i)
+		if m.Removed == nil || m.Removed.Kind != tree.Call || m.Removed.Parent != nil {
+			t.Fatalf("mutation %d: removed node is not a detached call", i)
 		}
-		if m.parent == nil {
+		if m.Parent == nil {
 			t.Fatalf("mutation %d: nil parent", i)
 		}
-		for _, n := range m.inserted {
-			if n.Parent != m.parent {
-				t.Fatalf("mutation %d: inserted root not attached under parent", i)
+		expanded[m.Removed] = true
+	}
+	for i, m := range muts {
+		for _, c := range m.Calls {
+			x := c.Parent
+			for x != nil && x != m.Parent {
+				x = x.Parent
+			}
+			if x == nil && !expanded[c] {
+				t.Fatalf("mutation %d: inserted call neither under parent nor expanded since", i)
 			}
 		}
 	}
-	// The hook sees mutations on the document being evaluated: keeping an
-	// external incremental evaluator in sync must reproduce Eval exactly.
+	// The records describe the document being evaluated: keeping an
+	// external incremental evaluator in sync from them must reproduce Eval
+	// exactly.
 	ie := pattern.NewIncrementalProjected(w.Query, nil)
 	doc2 := w.Doc.Clone()
 	ie.EvalIncremental(doc2)
-	out2, err := Evaluate(doc2, w.Query, w.Registry, Options{
-		Strategy: LazyNFQ,
-		OnMutate: func(parent, removed *tree.Node, _ []*tree.Node) { ie.Invalidate(parent, removed) },
-	})
+	before = doc2.Version()
+	out2, err := Evaluate(doc2, w.Query, w.Registry, Options{Strategy: LazyNFQ})
 	if err != nil {
 		t.Fatal(err)
+	}
+	muts, _ = doc2.SplicesSince(before)
+	for _, m := range muts {
+		ie.Invalidate(m.Parent, m.Removed)
 	}
 	got, _ := ie.EvalIncremental(doc2)
 	if len(got) != len(out2.Results) {
 		t.Fatalf("external incremental evaluator: %d results, engine %d", len(got), len(out2.Results))
+	}
+}
+
+// TestAdoptedGuidePatchesCounted: the engine counts a patch of the caller's
+// guide (Options.Guide) once per splice, and none when the guide it
+// maintains is its own.
+func TestAdoptedGuidePatchesCounted(t *testing.T) {
+	w := workload.Hotels(workload.DefaultSpec())
+	for _, adopt := range []bool{true, false} {
+		doc := w.Doc.Clone()
+		met := telemetry.NewRegistry()
+		opt := Options{Strategy: LazyNFQ, Incremental: true, UseGuide: true, Metrics: met}
+		if adopt {
+			opt.Guide = fguide.Build(doc)
+		}
+		out, err := Evaluate(doc, w.Query, w.Registry, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := int64(0)
+		if adopt {
+			want = int64(out.Stats.CallsInvoked)
+		}
+		if got := met.Counter(telemetry.MetricGuidePatches).Value(); got != want || out.Stats.CallsInvoked == 0 {
+			t.Fatalf("adopted=%v: %s = %d after %d splices, want %d", adopt, telemetry.MetricGuidePatches, got, out.Stats.CallsInvoked, want)
+		}
 	}
 }

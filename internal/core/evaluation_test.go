@@ -37,11 +37,12 @@ func values(rs []pattern.Result) []map[string]string {
 
 // TestResumedRunsMatchFresh keeps three queries' evaluations alive over one
 // document that they, and a stranger invoking calls none of them wants,
-// keep splicing — each splice reported to the others, as the session layer
-// does. Every run, resumed or not, must equal a fresh guideless Evaluate on
-// a clone of the document as it stood: results in order, completeness, the
-// invoked calls in order, virtual time and final size. Across strategies,
-// layering, speculation, relaxation, pushing and projection, 10 seeds each.
+// keep splicing — each run reading the others' splices from the document's
+// records, as in the session layer. Every run, resumed or not, must equal a
+// fresh guideless Evaluate on a clone of the document as it stood: results
+// in order, completeness, the invoked calls in order, virtual time and final
+// size. Across strategies, layering, speculation, relaxation, pushing and
+// projection, 10 seeds each.
 func TestResumedRunsMatchFresh(t *testing.T) {
 	spec := workload.DefaultSpec()
 	spec.Hotels, spec.HiddenHotels = 10, 4
@@ -92,15 +93,6 @@ func TestResumedRunsMatchFresh(t *testing.T) {
 					}
 					evs[i] = p.Over(doc)
 				}
-				report := func(running *Evaluation) func(parent, removed *tree.Node, inserted []*tree.Node) {
-					return func(parent, removed *tree.Node, inserted []*tree.Node) {
-						for _, ev := range evs {
-							if ev != running {
-								ev.Spliced(parent, removed, inserted)
-							}
-						}
-					}
-				}
 				for step := 0; step < 14; step++ {
 					if rng.Intn(3) == 0 {
 						// The stranger: expand some call the document shows.
@@ -116,10 +108,7 @@ func TestResumedRunsMatchFresh(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						parent := call.Parent
-						inserted := doc.ReplaceCall(call, resp.Forest)
-						guide.ApplyExpansion(call, inserted)
-						report(nil)(parent, call, inserted)
+						guide.ApplyExpansion(doc.ReplaceCall(call, resp.Forest))
 						continue
 					}
 					i := rng.Intn(len(evs))
@@ -134,7 +123,7 @@ func TestResumedRunsMatchFresh(t *testing.T) {
 					}
 					run := opt
 					run.Clock, run.Tracer = &service.SimClock{}, invoked(&gotCalls)
-					run.UseGuide, run.Guide, run.OnMutate = true, guide, report(evs[i])
+					run.UseGuide, run.Guide = true, guide
 					was := evs[i].Live()
 					got, err := evs[i].Run(context.Background(), reg, run)
 					if err != nil {
@@ -171,10 +160,12 @@ func TestResumedRunsMatchFresh(t *testing.T) {
 	}
 }
 
-// TestEvaluationDropsWhatItCannotTrust pins the fallbacks: a document that
-// moved without the evaluation being told, and a run that ends incomplete,
-// leave nothing to resume — the next run starts from the document and is
-// right.
+// TestEvaluationDropsWhatItCannotTrust pins the fallbacks: a run that ends
+// incomplete leaves nothing to resume, and so does a document whose splice
+// records no longer reach back to the evaluation — a mutation other than a
+// splice, or more splices than the document keeps. The next run starts from
+// the document and is right. A splice someone else made, and the evaluation
+// was never told of, is in the records: the next run resumes, and is right.
 func TestEvaluationDropsWhatItCannotTrust(t *testing.T) {
 	spec := workload.DefaultSpec()
 	spec.Hotels, spec.HiddenHotels = 8, 4
@@ -188,6 +179,13 @@ func TestEvaluationDropsWhatItCannotTrust(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Beside the hotels, a pad of calls no relevance query can reach, for
+	// the splices that outrun the document's records.
+	pad := tree.NewElement("pad")
+	for i := 0; i <= tree.MaxSplices; i++ {
+		pad.Append(tree.NewCall("getPad"))
+	}
+	w.Doc.Adopt(w.Doc.Root.Append(pad))
 
 	ev := p.Over(w.Doc)
 	budget := opt
@@ -199,14 +197,18 @@ func TestEvaluationDropsWhatItCannotTrust(t *testing.T) {
 	if out.Complete || ev.Live() {
 		t.Fatalf("a run cut by its budget: complete=%v, state kept=%v; want neither", out.Complete, ev.Live())
 	}
-	out, err = ev.Run(context.Background(), w.Registry, opt)
-	if err != nil {
-		t.Fatal(err)
+	again := func(what string, resumed bool) {
+		t.Helper()
+		out, err := ev.Run(context.Background(), w.Registry, opt)
+		if err != nil {
+			t.Fatalf("the run after %s: %v", what, err)
+		}
+		if out.Resumed != resumed || !out.Complete || !ev.Live() || resultKeys(out) != resultKeys(want) {
+			t.Fatalf("the run after %s: resumed=%v complete=%v live=%v results %q; want resumed=%v, complete, answering %q",
+				what, out.Resumed, out.Complete, ev.Live(), resultKeys(out), resumed, resultKeys(want))
+		}
 	}
-	if out.Resumed || !out.Complete || !ev.Live() || resultKeys(out) != resultKeys(want) {
-		t.Fatalf("the run after an incomplete one: resumed=%v complete=%v live=%v results %q, want a complete run from scratch answering %q",
-			out.Resumed, out.Complete, ev.Live(), resultKeys(out), resultKeys(want))
-	}
+	again("an incomplete one", false)
 
 	// Someone expands a call and tells nobody.
 	var call *tree.Node
@@ -221,15 +223,15 @@ func TestEvaluationDropsWhatItCannotTrust(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Doc.ReplaceCall(call, resp.Forest)
-	out, err = ev.Run(context.Background(), w.Registry, opt)
-	if err != nil {
-		t.Fatal(err)
+	again("a stranger's splice", true)
+
+	w.Doc.Adopt(w.Doc.Root.Append(tree.NewElement("w")))
+	again("a mutation that is not a splice", false)
+	again("that", true)
+
+	for _, c := range append([]*tree.Node(nil), pad.Children...) {
+		w.Doc.ReplaceCall(c, nil)
 	}
-	if out.Resumed || resultKeys(out) != resultKeys(want) {
-		t.Fatalf("the run after an unreported mutation: resumed=%v results %q, want a run from scratch answering %q",
-			out.Resumed, resultKeys(out), resultKeys(want))
-	}
-	if out, err = ev.Run(context.Background(), w.Registry, opt); err != nil || !out.Resumed || resultKeys(out) != resultKeys(want) {
-		t.Fatalf("the run after that: err=%v resumed=%v, want a resumed run with the same answer", err, out != nil && out.Resumed)
-	}
+	again("more splices than the document keeps", false)
+	again("that", true)
 }

@@ -63,27 +63,29 @@ func TestSpeculativeBudgetCutsInDocOrder(t *testing.T) {
 
 	// Capped run: the budget is exhausted inside the first batch, so
 	// every invoked call must come from that batch — and in document
-	// order, which OnMutate observes by node identity (paths are not
-	// positionally unique).
+	// order, which the document's splice records show by node identity
+	// (paths are not positionally unique).
 	w2 := workload.Hotels(spec)
 	doc := w2.Doc.Clone()
 	pos := map[*tree.Node]int{}
 	for i, c := range doc.Calls() {
 		pos[c] = i
 	}
-	var invokedPos []int
+	before := doc.Version()
 	capped := base
 	capped.MaxCalls = budget
-	capped.OnMutate = func(parent, call *tree.Node, inserted []*tree.Node) {
-		p, ok := pos[call]
+	out, err := Evaluate(doc, w2.Query, w2.Registry, capped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	splices, _ := doc.SplicesSince(before)
+	var invokedPos []int
+	for _, s := range splices {
+		p, ok := pos[s.Removed]
 		if !ok {
 			p = -1 // a later-round call, impossible under this budget
 		}
 		invokedPos = append(invokedPos, p)
-	}
-	out, err := Evaluate(doc, w2.Query, w2.Registry, capped)
-	if err != nil {
-		t.Fatal(err)
 	}
 	if len(invokedPos) != budget {
 		t.Fatalf("invoked %d calls, want the cut batch of %d", len(invokedPos), budget)

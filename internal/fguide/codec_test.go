@@ -101,7 +101,7 @@ func TestCodecRoundTripAfterExpansion(t *testing.T) {
 	})
 	result := tree.NewElement("stars")
 	result.Append(tree.NewCall("getReviews"))
-	g.ApplyExpansion(call, d.ReplaceCall(call, []*tree.Node{result}))
+	g.ApplyExpansion(d.ReplaceCall(call, []*tree.Node{result}))
 	if !Synced(g) {
 		t.Fatal("guide not synced after ApplyExpansion")
 	}

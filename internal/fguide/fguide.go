@@ -150,14 +150,14 @@ func (g *Guide) remove(call *tree.Node) {
 
 // add registers a function node newly inserted into the document (e.g.
 // found in a call result). The node must be attached to the document.
-// Adding an already-indexed call is a no-op that reports false, which is
-// what makes ApplyExpansion idempotent.
-func (g *Guide) add(call *tree.Node) bool {
+// Adding an already-indexed call is a no-op, which is what makes
+// ApplyExpansion idempotent.
+func (g *Guide) add(call *tree.Node) {
 	if call.Kind != tree.Call {
 		panic("fguide: add of a non-call node")
 	}
 	if _, dup := g.where[call]; dup {
-		return false
+		return
 	}
 	at := g.root
 	path := call.Path()
@@ -165,40 +165,25 @@ func (g *Guide) add(call *tree.Node) bool {
 		at = g.child(at, label)
 	}
 	g.attach(at, call)
-	return true
 }
 
-// ApplyExpansion incorporates one call expansion (Document.ReplaceCall
-// of removed, splicing in the inserted forest) into the guide: the
-// expanded call leaves the index, every function node of the inserted
-// trees enters it, and the guide is stamped as current with the document.
-// It is the guide's one mutator, called once per splice by the engine
-// that made it — a persistent index (the session layer's, a repository's)
-// is patched by being the guide that engine adopted. Applying the same
-// expansion again only restamps the version and returns nothing. An empty
-// inserted forest (a service that returned nothing) is an ordinary
-// expansion that adds no call.
-//
-// It returns the calls it newly indexed, in document order: every function
-// node of the inserted trees outside another call's parameters, whatever
-// filter the guide was built under (BuildFiltered restricts construction
-// only) — the same calls core.Evaluation.Spliced feeds the relevance views.
-func (g *Guide) ApplyExpansion(removed *tree.Node, inserted []*tree.Node) []*tree.Node {
-	g.remove(removed)
-	var indexed []*tree.Node
-	for _, n := range inserted {
-		n.Walk(func(x *tree.Node) bool {
-			if x.Kind == tree.Call {
-				if g.add(x) {
-					indexed = append(indexed, x)
-				}
-				return false
-			}
-			return x.Kind == tree.Element
-		})
+// ApplyExpansion incorporates one call expansion, as the document recorded
+// it (tree.Document.ReplaceCall), into the guide: the expanded call leaves
+// the index, the calls the forest brought in outside other calls'
+// parameters enter it — whatever filter the guide was built under
+// (BuildFiltered restricts construction only) — and the guide is stamped as
+// current with the document. It is the guide's one mutator, called once per
+// splice by the engine that made it — a persistent index (the session
+// layer's, a repository's) is patched by being the guide that engine
+// adopted. Applying the same expansion again only restamps the version. An
+// empty forest (a service that returned nothing) is an ordinary expansion
+// that adds no call.
+func (g *Guide) ApplyExpansion(s tree.Splice) {
+	g.remove(s.Removed)
+	for _, c := range s.Calls {
+		g.add(c)
 	}
 	g.version = g.doc.Version()
-	return indexed
 }
 
 // Synced reports whether the guide has incorporated every document

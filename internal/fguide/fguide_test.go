@@ -177,18 +177,20 @@ func TestMaintenanceAcrossReplaceCall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inserted := d.ReplaceCall(restos, result)
-	indexed := g.ApplyExpansion(restos, inserted)
+	calls := g.Calls()
+	s := d.ReplaceCall(restos, result)
+	g.ApplyExpansion(s)
 	if !Synced(g) {
 		t.Fatal("guide out of sync after maintenance")
 	}
-	// The expansion reports the calls it brought into the index, once: the
-	// second application (an OnMutate holder of an adopted guide) adds none.
-	if len(indexed) != 1 || indexed[0].Label != "getRating" {
-		t.Fatalf("newly indexed calls = %v, want the nested getRating", indexed)
+	// The expansion swaps the expanded call for the one the document
+	// recorded the forest bringing in, once: a second application adds none.
+	if len(s.Calls) != 1 || s.Calls[0].Label != "getRating" || g.Calls() != calls {
+		t.Fatalf("recorded calls %v, %d indexed calls after the expansion; want the nested getRating, %d", s.Calls, g.Calls(), calls)
 	}
-	if again := g.ApplyExpansion(restos, inserted); len(again) != 0 {
-		t.Fatalf("replayed expansion indexed %v again", again)
+	before := g.String()
+	if g.ApplyExpansion(s); g.String() != before || g.Calls() != calls {
+		t.Fatalf("replayed expansion changed the guide:\n%s\nvs\n%s", g, before)
 	}
 	// The nested call is now reachable under the new path.
 	lin := []regex.PathStep{
@@ -205,8 +207,8 @@ func TestMaintenanceAcrossReplaceCall(t *testing.T) {
 // nothing is an ordinary expansion. The guide must end up synced and equal
 // to a cold build, and must get there from the removed call alone — the
 // parent's other extents keep their node identities and order (no rescan
-// of the parent's subtree). A nil forest behaves the same, which also
-// makes replaying an applied expansion harmless.
+// of the parent's subtree). Replaying the applied expansion changes
+// nothing.
 func TestApplyExpansionEmptyForest(t *testing.T) {
 	root := tree.NewElement("list")
 	var calls []*tree.Node
@@ -219,9 +221,9 @@ func TestApplyExpansionEmptyForest(t *testing.T) {
 
 	gone := calls[100]
 	want := append(append([]*tree.Node(nil), calls[:100]...), calls[101:]...)
-	inserted := d.ReplaceCall(gone, []*tree.Node{})
-	for _, forest := range [][]*tree.Node{inserted, nil} {
-		g.ApplyExpansion(gone, forest)
+	s := d.ReplaceCall(gone, []*tree.Node{})
+	for range 2 {
+		g.ApplyExpansion(s)
 		if !Synced(g) {
 			t.Fatal("guide not synced after an empty expansion")
 		}
@@ -253,7 +255,7 @@ func TestRemoveFromExtentOutOfIDOrder(t *testing.T) {
 	g := Build(d)
 	for _, i := range []int{12, 5, 0} {
 		gone := root.Children[i]
-		g.ApplyExpansion(gone, d.ReplaceCall(gone, nil))
+		g.ApplyExpansion(d.ReplaceCall(gone, nil))
 		if got, cold := g.String(), Build(d).String(); got != cold {
 			t.Fatalf("after removing child %d the guide differs from a cold rebuild:\n%s\nvs\n%s", i, got, cold)
 		}

@@ -2,6 +2,7 @@ package pattern
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/activexml/axml/internal/tree"
@@ -102,15 +103,8 @@ func TestCallViewDifferential(t *testing.T) {
 			}
 			call := calls[rng.Intn(len(calls))]
 			parent := call.Parent
-			var more []*tree.Node
-			for _, n := range doc.ReplaceCall(call, randIncrForest(rng, 2)) {
-				n.Walk(func(x *tree.Node) bool {
-					if x.Kind == tree.Call {
-						more = append(more, x)
-					}
-					return true
-				})
-			}
+			s := doc.ReplaceCall(call, randIncrForest(rng, 2))
+			more := slices.Concat(s.Calls, s.Nested)
 			for _, tr := range qs {
 				tr.ie.Invalidate(parent, call)
 			}

@@ -227,10 +227,11 @@ func (r *Registry) Invoke(name string, params []*tree.Node, pushed *pattern.Patt
 
 // InvokeContext is Invoke with a caller-supplied context. The context
 // carries the cross-process trace state (telemetry.WithTrace) down
-// through wrapper registries to the transport; local Handler services
-// ignore it. A failed invocation's error is prefixed "service <name>: "
-// here and nowhere else: the layers of a Proxy stack reach each other
-// through invoke, so the prefix appears once however deep the stack.
+// through wrapper registries to the transport; a local Handler cannot see
+// it, but does not hold its caller past it (handle). A failed invocation's
+// error is prefixed "service <name>: " here and nowhere else: the layers of
+// a Proxy stack reach each other through invoke, so the prefix appears once
+// however deep the stack.
 func (r *Registry) InvokeContext(ctx context.Context, name string, params []*tree.Node, pushed *pattern.Pattern) (Response, error) {
 	svc := r.Lookup(name)
 	if svc == nil {
@@ -252,7 +253,7 @@ func (r *Registry) invoke(ctx context.Context, svc *Service, params []*tree.Node
 			return Response{}, err
 		}
 	} else {
-		full, err := svc.Handler(params)
+		full, err := handle(ctx, svc.Handler, params)
 		if err != nil {
 			return Response{}, err
 		}
@@ -277,6 +278,31 @@ func (r *Registry) invoke(ctx context.Context, svc *Service, params []*tree.Node
 	}
 	r.mu.Unlock()
 	return resp, nil
+}
+
+// handle runs a Handler, which takes no context, for a caller whose context
+// can still end: on its own goroutine, so that the invocation returns
+// ctx.Err() as soon as ctx is done. The handler then finishes unobserved;
+// its late result is dropped, and counted nowhere. Under a context that
+// cannot end, or already has (the engine starts no attempt for a caller
+// already gone), it is a plain call on the caller's goroutine.
+func handle(ctx context.Context, h Handler, params []*tree.Node) ([]*tree.Node, error) {
+	if ctx.Done() == nil || ctx.Err() != nil {
+		return h(params)
+	}
+	var forest []*tree.Node
+	var err error
+	done := make(chan struct{})
+	go func() {
+		forest, err = h(params)
+		close(done)
+	}()
+	select {
+	case <-done:
+		return forest, err
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
 }
 
 // Invoker performs one invocation of a fixed service: the type of

@@ -285,3 +285,31 @@ func TestPushIgnoredWhenNotCapable(t *testing.T) {
 		t.Fatalf("push applied by non-capable service: %+v", resp)
 	}
 }
+
+// TestHandlerDoesNotOutliveItsCaller: an in-process handler cannot see the
+// invocation's context, but its caller need not wait for it. Once the
+// context ends the invocation returns the context's error; the handler's
+// late result is dropped and not counted.
+func TestHandlerDoesNotOutliveItsCaller(t *testing.T) {
+	started, release, returned := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	r := NewRegistry()
+	r.Register(&Service{Name: "slow", Handler: func([]*tree.Node) ([]*tree.Node, error) {
+		defer close(returned)
+		close(started)
+		<-release
+		return restaurants(), nil
+	}})
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		<-started
+		cancel()
+	}()
+	if _, err := r.InvokeContext(ctx, "slow", nil, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want context.Canceled", err)
+	}
+	close(release)
+	<-returned
+	if st := r.Stats(); st.Invocations != 0 || st.Bytes != 0 {
+		t.Fatalf("the dropped result was counted: %+v", st)
+	}
+}

@@ -20,7 +20,7 @@ import (
 )
 
 // resident returns the manager's entry for a document already loaded.
-func resident(t *testing.T, m *Manager, name string) *entry {
+func resident(t testing.TB, m *Manager, name string) *entry {
 	t.Helper()
 	e, err := m.lookup(name)
 	if err != nil {

@@ -3,8 +3,10 @@ package session
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -207,11 +209,10 @@ func TestResumedMatchesFresh(t *testing.T) {
 
 // TestCancelledWriterLeavesResidentsSound: a write whose client hangs up
 // after its first response was spliced ends with the context's error, gives
-// back the entry's write lock and its admission token, and has told the
-// document's resident queries about the splice it did make — the hot
-// query's next run resumes and is, bit for bit, the fresh evaluation of the
-// master as the cancelled write left it (TestResumedMatchesFresh's
-// comparison).
+// back the entry's write lock and its admission token, and leaves the
+// splice it did make in the master's records — the hot query's next run
+// resumes and is, bit for bit, the fresh evaluation of the master as the
+// cancelled write left it (TestResumedMatchesFresh's comparison).
 func TestCancelledWriterLeavesResidentsSound(t *testing.T) {
 	for _, v := range []struct {
 		name   string
@@ -445,7 +446,7 @@ func TestResidentStateAndNewServiceNames(t *testing.T) {
 // what its signature rules out. The hot query collects every w; the typed
 // analysis prunes getE, declared to return x. When another query invokes
 // getE and a getPlain call arrives with the response, the hot query's
-// resumed run must be offered it through the splice feed, invoke it, and
+// resumed run must be offered it through the splice records, invoke it, and
 // answer like an evaluation from scratch.
 func TestResumedRunInvokesWhatArrived(t *testing.T) {
 	for _, engine := range []core.Options{
@@ -479,5 +480,80 @@ func TestResumedRunInvokesWhatArrived(t *testing.T) {
 			t.Fatalf("layering=%v: Stats.Resumed = %d, want 1: the run that invoked the arrived call did not resume", engine.Layering, got)
 		}
 		ask(hot, "W=b;W=c;W=cc;W=d;W=e", 0, true)
+	}
+}
+
+// BenchmarkWriteWithResidents measures what a write costs its writer while n
+// other texts over the master are resident: one never-seen point query's
+// engine run on the 500-hotel travel master, the setup and the checks
+// untimed. A writer tells nobody of its splices — each resident reads them
+// from the master's records when it next runs — so B/op and allocs/op do
+// not grow with n. The sizes stop at 1000, not maxHotQueries: the writes'
+// own texts are remembered too, and a full map would sweep the texts out
+// before they become resident.
+func BenchmarkWriteWithResidents(b *testing.B) {
+	for _, n := range []int{1, 64, 1000} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) { writeWithResidents(b, n) })
+	}
+}
+
+func writeWithResidents(b *testing.B, n int) {
+	spec := workload.DefaultSpec()
+	spec.Hotels, spec.HiddenHotels = 500, 100
+	var targets []int // the hotels whose point query is a write
+	for k := 0; k < spec.Hotels+spec.HiddenHotels; k++ {
+		if k%spec.TargetEvery != 0 {
+			targets = append(targets, k)
+		}
+	}
+	var m *Manager
+	var doc string
+	next := 0 // index of the next write target
+	ask := func(q string) *Result {
+		res, err := m.Query(context.Background(), Request{Document: doc, Query: q})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return res
+	}
+	fill := func() {
+		reg, scenarios := workload.Suite(spec)
+		m = NewManager(Config{Registry: reg, Engine: core.Options{Strategy: core.LazyNFQ, Incremental: true}})
+		sc := scenarios[0]
+		if err := m.AddDocument(sc.Name, sc.Doc, sc.Schema); err != nil {
+			b.Fatal(err)
+		}
+		doc = sc.Name
+		texts := make([]string, n)
+		for i := range texts {
+			texts[i] = fmt.Sprintf(`/hotels/hotel[name="Hotel-%d"]/name/$X -> $X`, i)
+			ask(texts[i])
+			ask(texts[i]) // read: the text is hot from here
+		}
+		if ask(pointQuery(targets[0])).Stats.CallsInvoked == 0 { // a write: every stored answer is stale
+			b.Fatal("the first write invoked no call")
+		}
+		for _, q := range texts {
+			ask(q) // an engine run whose state stays resident
+		}
+		if got, _ := residents(resident(b, m, doc)); got != n {
+			b.Fatalf("%d resident texts, want %d", got, n)
+		}
+		next = 1
+	}
+	fill()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if next == len(targets) {
+			b.StopTimer()
+			fill()
+			b.StartTimer()
+		}
+		w := ask(pointQuery(targets[next]))
+		next++
+		if w.Stats.CallsInvoked == 0 {
+			b.Fatalf("write %d invoked no call", targets[next-1])
+		}
 	}
 }

@@ -25,11 +25,13 @@
 // through it, so relevance detection costs the candidates, not the
 // document. A text's analysis (core.Prepare) is done once. And a text whose
 // stored answer has been read is resident: the engine state of its last
-// complete run (core.Evaluation) stays with it, every splice another query
-// makes is reported to that state under the write lock the splicing run
-// holds anyway, and its next engine run resumes — offers its call views
-// the calls that arrived, re-checks the verdicts the splices touched,
-// invokes what became relevant, re-reads its result through a kept memo.
+// complete run (core.Evaluation) stays with it, and its next engine run
+// reads the splices other queries made since from the master's own splice
+// records and resumes — offers its call views the calls that arrived,
+// re-checks the verdicts the splices touched, invokes what became relevant,
+// re-reads its result through a kept memo. A write costs the same however
+// many texts are resident: nobody is told of a splice, each reader catches
+// up when it next runs.
 // The answer is still an engine run's (Result.Memo false), bit for bit the
 // one an evaluation from scratch would give. A text nobody came back for —
 // every one-off point query — runs one-shot and leaves nothing behind.
@@ -104,7 +106,7 @@ type Config struct {
 	Tracer *telemetry.Tracer
 	// Engine is the evaluation template: strategy, layering, parallelism,
 	// retry and failure policy for every query. Per-query fields (Clock,
-	// Metrics, Tracer, OnMutate, Schema) are overridden by the manager.
+	// Metrics, Tracer, Guide, Schema) are overridden by the manager.
 	// Engine.Planner is copied through verbatim, so one shared planner
 	// (plan.CostPlanner is safe for concurrent use) schedules every
 	// session's batches from the same learned profile.
@@ -288,8 +290,8 @@ type hotQuery struct {
 	used     atomic.Bool
 	// resident is the evaluation the next engine run of this text resumes
 	// (guarded by the entry write lock); nil when it has to start from the
-	// master. Every splice another query makes while it waits is reported
-	// to it (options), so what it holds stays a description of the master.
+	// master. The splices other queries make while it waits are read from
+	// the master's splice records when it next runs.
 	resident *core.Evaluation
 }
 
@@ -662,13 +664,11 @@ func (m *Manager) run(ctx context.Context, ev *core.Evaluation, opts core.Option
 // shared telemetry, the entry's schema. A shared-mode run (e.mu held for
 // writing) detects through the entry's guide whatever the template's
 // UseGuide says — the master's guide is the index of arriving calls that
-// makes detection cost the candidates, not the document — and gets the
-// OnMutate hook that, in lockstep with the engine's splices, reports the
-// splice to the document's resident queries (the running one has been
-// taken off its text for the duration); the adopting engine has patched
-// the guide by the time the hook runs. Stored answers need no telling:
-// they are checked against the master's own Version, which the splice
-// moved. A clone has no shared state to maintain and the
+// makes detection cost the candidates, not the document — and the engine
+// patches it as it splices. Nothing else needs telling of a splice: the
+// resident queries read the master's splice records when they next run,
+// and stored answers are checked against the master's own Version, which
+// the splice moved. A clone has no shared state to maintain and the
 // entry's guide does not describe it: an isolated run keeps the template's
 // behaviour.
 func (m *Manager) options(e *entry, shared bool) core.Options {
@@ -676,7 +676,7 @@ func (m *Manager) options(e *entry, shared bool) core.Options {
 	opts.Clock = m.cfg.Clock()
 	opts.Metrics = m.cfg.Metrics
 	opts.Tracer = m.cfg.Tracer
-	opts.OnMutate, opts.Guide = nil, nil
+	opts.Guide = nil
 	if !shared {
 		return opts
 	}
@@ -688,15 +688,6 @@ func (m *Manager) options(e *entry, shared bool) core.Options {
 		m.cfg.Metrics.Counter(telemetry.MetricGuideBuilds).Inc()
 	}
 	opts.UseGuide, opts.Guide = true, e.guide
-	patches := m.cfg.Metrics.Counter(telemetry.MetricGuidePatches)
-	opts.OnMutate = func(parent, removed *tree.Node, inserted []*tree.Node) {
-		patches.Inc()
-		for _, h := range e.queries {
-			if h.resident != nil {
-				h.resident.Spliced(parent, removed, inserted)
-			}
-		}
-	}
 	return opts
 }
 

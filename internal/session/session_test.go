@@ -122,9 +122,9 @@ func naiveOracle(t *testing.T, reg *service.Registry, doc *tree.Document, qsrc s
 // the bindings it was handed (the slice a memo answer shares with every
 // other), while writer goroutines splice the masters with never-seen
 // point queries and isolated-mode goroutines evaluate private clones of
-// the same entries — under -race. The hot queries are resident, so every
-// write fans its splices out to them under the entry's write lock and their
-// re-runs resume; the isolated runs share each text's prepared query with
+// the same entries — under -race. The hot queries are resident, so their
+// re-runs read every write's splices from the master's records under the
+// entry's write lock and resume; the isolated runs share each text's prepared query with
 // the shared ones and nothing else. Every single answer must equal the
 // serial oracle — correctness, not just survival.
 func TestHammerSharedMaster(t *testing.T) {
@@ -257,7 +257,7 @@ func TestHammerSharedMaster(t *testing.T) {
 		t.Fatalf("served %d queries, want %d", st.Served, want)
 	}
 	if st.Resumed == 0 {
-		t.Fatal("no engine run resumed resident state: the writes' fan-out to the hot queries was not exercised")
+		t.Fatal("no engine run resumed resident state: the writes' splices were never read from the records")
 	}
 	// Sharing must have paid: once a document is complete for a query,
 	// repeats are memo answers until a write splices it. With 400 queries
@@ -651,29 +651,63 @@ func TestDrainDeadline(t *testing.T) {
 // waits for it to let go of its master, persists every master as the clean
 // path does and only then reports the timeout — so what the run had spliced
 // before it was cut is not lost, and what is on disk is a valid rewriting:
-// any query over it still has the naive oracle's answer.
+// any query over it still has the naive oracle's answer. The provider may
+// answer its caller's departure, or be an in-process handler that never
+// sees it and blocks until the test ends: the bound holds for both.
 func TestDrainPastBudgetCancelsAndPersists(t *testing.T) {
+	for _, v := range []struct {
+		name  string
+		stuck func(t *testing.T, reg *service.Registry, third chan<- struct{}) *service.Registry
+	}{
+		{"provider-answers-departure", func(_ *testing.T, reg *service.Registry, third chan<- struct{}) *service.Registry {
+			var calls atomic.Int32
+			return reg.Proxy(func(_ *service.Service, next service.Invoker) service.Invoker {
+				return func(ctx context.Context, params []*tree.Node, pushed *pattern.Pattern) (service.Response, error) {
+					if calls.Add(1) == 3 {
+						close(third)
+						<-ctx.Done()
+						return service.Response{}, ctx.Err()
+					}
+					return next(ctx, params, pushed)
+				}
+			})
+		}},
+		{"handler-blocks", func(t *testing.T, reg *service.Registry, third chan<- struct{}) *service.Registry {
+			var calls atomic.Int32
+			ended := make(chan struct{})
+			t.Cleanup(func() { close(ended) })
+			blocking := service.NewRegistry()
+			for _, name := range reg.Names() {
+				inner := *reg.Lookup(name)
+				handler := inner.Handler
+				inner.Handler = func(params []*tree.Node) ([]*tree.Node, error) {
+					if calls.Add(1) == 3 {
+						close(third)
+						<-ended
+					}
+					return handler(params)
+				}
+				blocking.Register(&inner)
+			}
+			return blocking
+		}},
+	} {
+		t.Run(v.name, func(t *testing.T) {
+			drainPastBudget(t, v.stuck)
+		})
+	}
+}
+
+func drainPastBudget(t *testing.T, stuck func(*testing.T, *service.Registry, chan<- struct{}) *service.Registry) {
 	dir := t.TempDir()
 	rp, err := repo.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg, scenarios := workload.Suite(suiteSpec())
-	// The third invocation meets a provider that answers only its caller's
-	// departure.
-	var calls atomic.Int32
-	stuck := make(chan struct{})
-	hanging := reg.Proxy(func(_ *service.Service, next service.Invoker) service.Invoker {
-		return func(ctx context.Context, params []*tree.Node, pushed *pattern.Pattern) (service.Response, error) {
-			if calls.Add(1) == 3 {
-				close(stuck)
-				<-ctx.Done()
-				return service.Response{}, ctx.Err()
-			}
-			return next(ctx, params, pushed)
-		}
-	})
-	m := NewManager(Config{Registry: hanging, Repo: rp, Engine: core.Options{Strategy: core.LazyNFQ}})
+	// The third invocation meets a provider that holds it.
+	third := make(chan struct{})
+	m := NewManager(Config{Registry: stuck(t, reg, third), Repo: rp, Engine: core.Options{Strategy: core.LazyNFQ}})
 	for _, sc := range scenarios {
 		if err := m.AddDocument(sc.Name, sc.Doc.Clone(), sc.Schema); err != nil {
 			t.Fatal(err)
@@ -684,7 +718,7 @@ func TestDrainPastBudgetCancelsAndPersists(t *testing.T) {
 		_, err := m.Query(context.Background(), Request{Document: scenarios[0].Name, Query: scenarios[0].Queries[0]})
 		cut <- err
 	}()
-	<-stuck
+	<-third
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()

@@ -123,8 +123,8 @@ func TestDeepDocumentOperations(t *testing.T) {
 		t.Fatalf("size = %d", got)
 	}
 	c := d.Calls()
-	if len(c) != 1 || c[0].Depth() != 2000 {
-		t.Fatalf("call depth = %d", c[0].Depth())
+	if len(c) != 1 || len(c[0].Path())-1 != 2000 {
+		t.Fatalf("calls %d, first at depth %d", len(c), len(c[0].Path())-1)
 	}
 	if _, err := Marshal(d.Root); err != nil {
 		t.Fatal(err)

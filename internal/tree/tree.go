@@ -19,6 +19,7 @@ package tree
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -90,7 +91,7 @@ func (b Binding) String() string {
 
 // Node is a single node of an AXML tree. Nodes must only be created through
 // the constructors (NewElement, NewText, NewCall, NewTuples) and attached
-// with Append or InsertBefore so that parent pointers stay consistent.
+// with Append so that parent pointers stay consistent.
 type Node struct {
 	// Kind tells whether this is a data node, a function node, or a
 	// pushed-result node.
@@ -156,54 +157,6 @@ func (n *Node) Append(child *Node) *Node {
 	child.Parent = n
 	n.Children = append(n.Children, child)
 	return child
-}
-
-// InsertBefore attaches child immediately before the existing child ref.
-// It panics if ref is not a child of n or if child already has a parent.
-func (n *Node) InsertBefore(child, ref *Node) {
-	if child.Parent != nil {
-		panic("tree: InsertBefore of a node that already has a parent")
-	}
-	i := n.childIndex(ref)
-	if i < 0 {
-		panic("tree: InsertBefore reference is not a child")
-	}
-	child.Parent = n
-	n.Children = append(n.Children, nil)
-	copy(n.Children[i+1:], n.Children[i:])
-	n.Children[i] = child
-}
-
-func (n *Node) childIndex(c *Node) int {
-	for i, x := range n.Children {
-		if x == c {
-			return i
-		}
-	}
-	return -1
-}
-
-// Detach removes n from its parent's child list. Detaching a node without a
-// parent is a no-op.
-func (n *Node) Detach() {
-	p := n.Parent
-	if p == nil {
-		return
-	}
-	i := p.childIndex(n)
-	if i >= 0 {
-		p.Children = append(p.Children[:i], p.Children[i+1:]...)
-	}
-	n.Parent = nil
-}
-
-// Depth returns the number of edges between n and the root of its tree.
-func (n *Node) Depth() int {
-	d := 0
-	for p := n.Parent; p != nil; p = p.Parent {
-		d++
-	}
-	return d
 }
 
 // Path returns the labels of the nodes from the root down to n, inclusive.
@@ -342,13 +295,34 @@ func (n *Node) Child(name string) *Node {
 
 // Document owns an AXML tree and assigns document-unique node identifiers.
 // A Document tracks a version counter, bumped on every mutation, that
-// access structures use to detect staleness.
+// access structures use to detect staleness, and records its latest splices
+// (SplicesSince), from which they catch up.
 type Document struct {
 	// Root is the document root, always a data node in well-formed AXML.
 	Root *Node
 
 	nextID  uint64
 	version uint64
+	// splices records the latest ReplaceCalls, oldest first, the last one
+	// to version. Adopt empties it.
+	splices []Splice
+}
+
+// MaxSplices bounds the splice records a Document keeps. Once it holds that
+// many, the older half is dropped, so it always keeps at least the latest
+// MaxSplices/2.
+const MaxSplices = 4096
+
+// Splice records one rewriting step (ReplaceCall): the call subtree Removed
+// was detached from Parent and a forest spliced in its place. Calls are the
+// forest's function nodes outside other calls' parameters, in document
+// order — the ones a relevance query can retrieve and an F-guide indexes —
+// and Nested those inside; Nodes and Pending are the changes to the
+// document's node and function-node counts.
+type Splice struct {
+	Parent, Removed *Node
+	Calls, Nested   []*Node
+	Nodes, Pending  int
 }
 
 // NewDocument wraps root into a Document and assigns IDs to every node of
@@ -365,27 +339,34 @@ func (d *Document) Version() uint64 { return d.version }
 
 // Adopt assigns fresh IDs to every node of the given subtree that does not
 // have one yet. It must be called for subtrees attached to the document
-// outside of ReplaceCall.
+// outside of ReplaceCall. Such a mutation leaves no splice record:
+// SplicesSince cannot describe it, nor anything before it.
 func (d *Document) Adopt(n *Node) {
 	n.Walk(func(x *Node) bool {
-		if x.ID == 0 {
-			x.ID = d.nextID
-			d.nextID++
-		}
+		d.identify(x)
 		return true
 	})
 	d.version++
+	d.splices = nil
+}
+
+// identify gives x a fresh ID unless it has one.
+func (d *Document) identify(x *Node) {
+	if x.ID == 0 {
+		x.ID = d.nextID
+		d.nextID++
+	}
 }
 
 // ReplaceCall implements the rewriting step of Definition 2: the function
 // node call (and the subtree rooted at it, i.e. its parameters) is deleted
 // and the trees of the result forest are plugged in its place, preserving
-// document order. The forest nodes are adopted (assigned fresh IDs).
-// ReplaceCall returns the inserted roots.
+// document order. In one walk of the forest its nodes are adopted (assigned
+// fresh IDs) and the splice recorded; ReplaceCall returns the record.
 //
 // It panics if call is not a function node, if it is detached, or if it is
 // the document root (AXML documents have a data root).
-func (d *Document) ReplaceCall(call *Node, forest []*Node) []*Node {
+func (d *Document) ReplaceCall(call *Node, forest []*Node) Splice {
 	if call.Kind != Call {
 		panic("tree: ReplaceCall on a non-function node")
 	}
@@ -393,27 +374,64 @@ func (d *Document) ReplaceCall(call *Node, forest []*Node) []*Node {
 	if p == nil {
 		panic("tree: ReplaceCall on a detached or root function node")
 	}
-	i := p.childIndex(call)
+	i := slices.Index(p.Children, call)
 	if i < 0 {
 		panic("tree: ReplaceCall: corrupted parent link")
 	}
-	// Splice the forest in place of the call.
-	tail := append([]*Node(nil), p.Children[i+1:]...)
-	p.Children = p.Children[:i]
+	s := Splice{Parent: p, Removed: call}
+	call.Walk(func(x *Node) bool {
+		s.Nodes--
+		if x.Kind == Call {
+			s.Pending--
+		}
+		return true
+	})
+	var walk func(x *Node, param bool)
+	walk = func(x *Node, param bool) {
+		d.identify(x)
+		s.Nodes++
+		if x.Kind == Call {
+			s.Pending++
+			if param {
+				s.Nested = append(s.Nested, x)
+			} else {
+				s.Calls = append(s.Calls, x)
+			}
+			param = true
+		}
+		for _, c := range x.Children {
+			walk(c, param)
+		}
+	}
 	for _, t := range forest {
 		if t.Parent != nil {
 			panic("tree: ReplaceCall result tree already has a parent")
 		}
 		t.Parent = p
-		p.Children = append(p.Children, t)
+		walk(t, false)
 	}
-	p.Children = append(p.Children, tail...)
+	p.Children = slices.Concat(p.Children[:i], forest, p.Children[i+1:])
 	call.Parent = nil
-	for _, t := range forest {
-		d.Adopt(t)
-	}
 	d.version++
-	return forest
+	if len(d.splices) == MaxSplices {
+		n := copy(d.splices, d.splices[MaxSplices/2:])
+		clear(d.splices[n:])
+		d.splices = d.splices[:n]
+	}
+	d.splices = append(d.splices, s)
+	return s
+}
+
+// SplicesSince returns the records of the splices that took the document
+// from version v to its current one, oldest first, and true; false when it
+// cannot say — since v the document was changed by Adopt, or spliced more
+// times than it still keeps records of. The records are the document's own:
+// read them before it next changes.
+func (d *Document) SplicesSince(v uint64) ([]Splice, bool) {
+	if v > d.version || d.version-v > uint64(len(d.splices)) {
+		return nil, false
+	}
+	return d.splices[len(d.splices)-int(d.version-v):], true
 }
 
 // Calls returns all function nodes of the document, in document order.
@@ -426,20 +444,6 @@ func (d *Document) Calls() []*Node {
 		return true
 	})
 	return out
-}
-
-// NodeByID returns the node with the given ID, or nil. It is a linear scan
-// and intended for tests and tooling, not hot paths.
-func (d *Document) NodeByID(id uint64) *Node {
-	var found *Node
-	d.Root.Walk(func(n *Node) bool {
-		if n.ID == id {
-			found = n
-			return false
-		}
-		return found == nil
-	})
-	return found
 }
 
 // Size returns the number of nodes in the document.

@@ -62,36 +62,14 @@ func TestAppendPanicsOnReparent(t *testing.T) {
 	p2.Append(c)
 }
 
-func TestInsertBeforeAndDetach(t *testing.T) {
-	p := NewElement("p")
-	a := p.Append(NewElement("a"))
-	c := p.Append(NewElement("c"))
-	b := NewElement("b")
-	p.InsertBefore(b, c)
-	got := []string{}
-	for _, ch := range p.Children {
-		got = append(got, ch.Label)
-	}
-	if strings.Join(got, "") != "abc" {
-		t.Fatalf("InsertBefore order = %v", got)
-	}
-	b.Detach()
-	if len(p.Children) != 2 || b.Parent != nil {
-		t.Fatalf("Detach failed: %v", p.Children)
-	}
-	// Detaching again is a no-op.
-	b.Detach()
-	_ = a
-}
-
 func TestDepthPathAndSize(t *testing.T) {
 	d := hotelDoc()
 	call := d.Calls()[0] // getRating
 	if call.Label != "getRating" {
 		t.Fatalf("document order of Calls: first is %s", call.Label)
 	}
-	if call.Depth() != 3 {
-		t.Fatalf("Depth = %d, want 3", call.Depth())
+	if depth := len(call.Path()) - 1; depth != 3 {
+		t.Fatalf("depth = %d, want 3", depth)
 	}
 	if got := call.PathString(); got != "/hotels/hotel/rating/getRating" {
 		t.Fatalf("PathString = %q", got)
@@ -115,12 +93,13 @@ func TestDocumentIDsAreUniqueAndStable(t *testing.T) {
 		return true
 	})
 	call := d.Calls()[0]
-	id := call.Parent.ID
+	parent := call.Parent
+	id := parent.ID
 	d.ReplaceCall(call, []*Node{NewText("*****")})
 	if call.Parent != nil {
 		t.Error("replaced call still has a parent")
 	}
-	if d.NodeByID(id) == nil {
+	if parent.ID != id {
 		t.Error("parent ID changed by ReplaceCall")
 	}
 }
@@ -181,6 +160,75 @@ func TestReplaceCallPanics(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// TestSpliceRecords: ReplaceCall records each splice — parent, removed call,
+// the inserted calls outside other calls' parameters and those inside, the
+// node and call deltas — and SplicesSince hands out the records past a
+// version, until a mutation that is not a splice makes the document unable
+// to say what happened before it.
+func TestSpliceRecords(t *testing.T) {
+	root := NewElement("r")
+	call := root.Append(NewCall("f", NewText("p")))
+	d := NewDocument(root)
+	v0 := d.Version()
+	if ss, ok := d.SplicesSince(v0); !ok || len(ss) != 0 {
+		t.Fatalf("SplicesSince(now) = %v, %v; want none, true", ss, ok)
+	}
+	inner := NewCall("h")
+	g := NewCall("g", inner)
+	d.ReplaceCall(call, []*Node{NewElement("a"), g})
+	ss, ok := d.SplicesSince(v0)
+	if !ok || len(ss) != 1 {
+		t.Fatalf("SplicesSince after one splice: %d records, ok=%v", len(ss), ok)
+	}
+	s := ss[0]
+	if s.Parent != root || s.Removed != call || len(s.Calls) != 1 || s.Calls[0] != g ||
+		len(s.Nested) != 1 || s.Nested[0] != inner || s.Nodes != 3-2 || s.Pending != 2-1 {
+		t.Fatalf("record %+v: want parent r, removed f, calls [g], nested [h], +1 node, +1 call", s)
+	}
+	if ss, ok := d.SplicesSince(d.Version() + 1); ok || ss != nil {
+		t.Fatal("SplicesSince a future version answered")
+	}
+	v1 := d.Version()
+	d.ReplaceCall(g, nil)
+	if ss, ok := d.SplicesSince(v0); !ok || len(ss) != 2 || ss[1].Removed != g {
+		t.Fatalf("SplicesSince after two splices: %v, %v", ss, ok)
+	}
+	d.Adopt(root.Append(NewElement("b")))
+	if _, ok := d.SplicesSince(v1); ok {
+		t.Fatal("SplicesSince reached back across Adopt")
+	}
+	if ss, ok := d.SplicesSince(d.Version()); !ok || len(ss) != 0 {
+		t.Fatalf("SplicesSince(now) after Adopt = %v, %v", ss, ok)
+	}
+}
+
+// TestSpliceRecordsBounded: a document spliced more times than MaxSplices
+// keeps at most MaxSplices records, the latest ones, and cannot describe
+// what came before them.
+func TestSpliceRecordsBounded(t *testing.T) {
+	root := NewElement("r")
+	n := MaxSplices + MaxSplices/2 + 3
+	for i := 0; i < n; i++ {
+		root.Append(NewCall("f"))
+	}
+	d := NewDocument(root)
+	v0 := d.Version()
+	calls := d.Calls()
+	for i, c := range calls {
+		d.ReplaceCall(c, nil)
+		if len(d.splices) > MaxSplices {
+			t.Fatalf("after %d splices the document keeps %d records, bound %d", i+1, len(d.splices), MaxSplices)
+		}
+	}
+	if _, ok := d.SplicesSince(v0); ok {
+		t.Fatalf("SplicesSince reached back over %d splices", n)
+	}
+	ss, ok := d.SplicesSince(d.Version() - MaxSplices/2)
+	if !ok || len(ss) != MaxSplices/2 || ss[len(ss)-1].Removed != calls[n-1] || ss[0].Removed != calls[n-MaxSplices/2] {
+		t.Fatalf("the latest MaxSplices/2 records: %d of them, ok=%v", len(ss), ok)
 	}
 }
 
@@ -420,13 +468,6 @@ func TestWalkPruning(t *testing.T) {
 	})
 	if count >= d.Size() {
 		t.Fatalf("Walk did not prune: visited %d of %d", count, d.Size())
-	}
-}
-
-func TestNodeByIDMissing(t *testing.T) {
-	d := hotelDoc()
-	if d.NodeByID(99999) != nil {
-		t.Fatal("NodeByID of unknown id should be nil")
 	}
 }
 
