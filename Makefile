@@ -63,16 +63,12 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSplitTrailingTrace -fuzztime $(FUZZTIME) ./internal/soap/
 	$(GO) test -run '^$$' -fuzz FuzzQueryResponseWire -fuzztime $(FUZZTIME) ./internal/session/
 
-# bench rewrites the tracked perf record. BENCH_WORKLOADS.json is the
-# record of what a request costs end to end: the five BENCHMARK.json
+# bench rewrites the tracked perf record, BENCH_WORKLOADS.json: what a
+# request costs end to end and layer by layer, the five BENCHMARK.json
 # workloads, three runs each at full scale (about five minutes), as one
-# stamped result set — git history of that file is the trajectory.
-# BENCH_E{10,13,17}.json are the sweeps no workload covers (document
-# growth, allocation floor, planner vs static striping).
+# stamped result set — git history of that file is the trajectory. It is
+# the only tracked record; the paper's tables are `go run ./cmd/axmlbench`.
 bench:
-	$(GO) run ./cmd/axmlbench -exp E10 -json BENCH_E10.json
-	$(GO) run ./cmd/axmlbench -exp E13 -json BENCH_E13.json
-	$(GO) run ./cmd/axmlbench -exp E17 -json BENCH_E17.json
 	bash benchmark/run.sh --workload all --runs 3 --set BENCH_WORKLOADS.json
 
 # benchdiff measures the working tree the same way and compares it with
@@ -103,8 +99,8 @@ microbench:
 	$(GO) test -bench . -benchmem ./internal/pattern/
 	$(GO) test -run TestUnmarshalAllocationCeiling -bench 'Unmarshal/' -benchmem ./internal/tree/
 	$(GO) test -run TestMemoAnswerHTTPAllocationCeiling -bench 'MemoAnswer|ReevalAfterWrite|WriteWithResidents' -benchmem ./internal/session/
-	$(GO) test -bench E10TelemetryOverhead -benchmem .
-	$(GO) test -run TestE13AllocationRegression -count=1 ./internal/bench/
+	$(GO) test -bench TelemetryOverhead -benchmem .
+	$(GO) test -run TestE13AllocationRegression -count=1 -v ./internal/pattern/
 
 # telemetry gates the observability layer on its own: vet plus the
 # race-detected tests of the tracer/metrics package and the two packages
@@ -113,11 +109,12 @@ telemetry:
 	$(GO) vet ./internal/telemetry/ ./internal/core/ ./internal/soap/
 	$(GO) test -race -count=1 ./internal/telemetry/ ./internal/core/ ./internal/soap/
 
-# profile captures CPU and heap profiles of the quick E10 incremental
-# sweep together with its span trace and result table, all under the
-# ignored out/. Inspect with `go tool pprof out/cpu.pprof`.
+# profile captures CPU and heap profiles of the quick E1 strategy sweep
+# (Prepare and evaluation under every strategy) together with its span
+# trace and result table, all under the ignored out/. Inspect with
+# `go tool pprof out/cpu.pprof`.
 profile:
 	mkdir -p out
-	$(GO) run ./cmd/axmlbench -exp E10 -quick \
+	$(GO) run ./cmd/axmlbench -exp E1 -quick \
 		-cpuprofile out/cpu.pprof -memprofile out/heap.pprof \
-		-json out/E10_quick.json -trace-out out/E10_trace.jsonl
+		-json out/E1_quick.json -trace-out out/E1_trace.jsonl

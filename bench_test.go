@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"testing"
 
-	"github.com/activexml/axml/internal/bench"
 	"github.com/activexml/axml/internal/core"
 	"github.com/activexml/axml/internal/fguide"
 	"github.com/activexml/axml/internal/pattern"
@@ -58,35 +57,35 @@ func BenchmarkStrategies(b *testing.B) {
 	}
 }
 
-// BenchmarkE10TelemetryOverhead pins the cost of the telemetry layer on
-// the E10 incremental sweep: "disabled" is the default nil-instrument
-// path (the overhead budget is ≤2% against a build without the hooks,
-// see doc/OBSERVABILITY.md), "enabled" runs with a live registry and
-// span tracer.
-func BenchmarkE10TelemetryOverhead(b *testing.B) {
-	e, ok := bench.ByID("E10")
-	if !ok {
-		b.Fatal("no experiment E10")
+// BenchmarkTelemetryOverhead pins the cost of the telemetry layer on one
+// evaluation of the full lazy stack (typed, layered, parallel, guided,
+// incremental) over the default world: "disabled" is the default
+// nil-instrument path (the overhead budget is ≤2% against a build without
+// the hooks, see doc/OBSERVABILITY.md), "enabled" runs every evaluation
+// against one live registry and span tracer, as a server does.
+func BenchmarkTelemetryOverhead(b *testing.B) {
+	w := workload.Hotels(workload.DefaultSpec())
+	opt := core.Options{Strategy: core.LazyNFQTyped, Schema: w.Schema,
+		Layering: true, Parallel: true, UseGuide: true, Incremental: true}
+	for _, enabled := range []bool{false, true} {
+		name := "disabled"
+		if enabled {
+			name = "enabled"
+		}
+		b.Run(name, func(b *testing.B) {
+			o := opt
+			if enabled {
+				o.Metrics = telemetry.NewRegistry()
+				o.Tracer = telemetry.NewTracer(telemetry.DefaultSpanCapacity)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.Evaluate(w.Doc.Clone(), w.Query, w.Registry, o); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
-	b.Run("disabled", func(b *testing.B) {
-		scale := bench.Quick()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := e.Run(scale); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("enabled", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			scale := bench.Quick()
-			scale.Tracer = telemetry.NewTracer(telemetry.DefaultSpanCapacity)
-			if _, err := e.RunInstrumented(scale); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // Substrate micro-benchmarks.

@@ -10,12 +10,11 @@
 //
 // Each experiment prints an aligned table; see DESIGN.md §4 for what each
 // one reproduces and EXPERIMENTS.md for recorded runs. With -json the
-// tables are also written, machine-readably, to the given file — `make
-// bench` uses it to rewrite the tracked BENCH_E{10,13,17}.json sweeps. The
-// JSON tables carry a Metrics section with detect/invoke latency
-// quantiles observed during the runs.
+// tables are also written, machine-readably, to the given file. The JSON
+// tables carry a Metrics section with detect/invoke latency quantiles
+// observed during the runs.
 //
-// Profiling (`make profile` wraps this for E10):
+// Profiling (`make profile` wraps this for E1):
 //
 //	-cpuprofile cpu.pprof   # CPU profile of the experiment runs
 //	-memprofile heap.pprof  # heap profile written at exit
@@ -71,6 +70,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
+	// A bad -exp is a flag error: exit before any output file is created.
+	experiments := bench.All()
+	if *exp != "" {
+		e, ok := bench.ByID(*exp)
+		if !ok {
+			fmt.Fprintf(stderr, "axmlbench: unknown experiment %q (use -list)\n", *exp)
+			return 2
+		}
+		experiments = []bench.Experiment{e}
+	}
 	scale := bench.Full()
 	if *quick {
 		scale = bench.Quick()
@@ -97,15 +106,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		defer pprof.StopCPUProfile()
-	}
-	experiments := bench.All()
-	if *exp != "" {
-		e, ok := bench.ByID(*exp)
-		if !ok {
-			fmt.Fprintf(stderr, "axmlbench: unknown experiment %q (use -list)\n", *exp)
-			return 2
-		}
-		experiments = []bench.Experiment{e}
 	}
 	var tables []bench.Table
 	for i, e := range experiments {

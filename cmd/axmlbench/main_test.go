@@ -17,7 +17,7 @@ func TestList(t *testing.T) {
 		t.Fatalf("exit %d: %s", code, errOut.String())
 	}
 	// Exactly the surviving experiments, one per line, in order.
-	want := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E13", "E17"}
+	want := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9"}
 	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
 	if len(lines) != len(want) {
 		t.Fatalf("list prints %d experiments, want %v:\n%s", len(lines), want, out.String())
@@ -45,13 +45,23 @@ func TestSingleExperimentQuick(t *testing.T) {
 	}
 }
 
+// TestUnknownExperiment: a bad -exp is a flag error, reported before any
+// output file is created or the CPU profile started.
 func TestUnknownExperiment(t *testing.T) {
+	dir := t.TempDir()
+	spans := filepath.Join(dir, "spans.jsonl")
+	cpu := filepath.Join(dir, "cpu.pprof")
 	var out, errOut strings.Builder
-	if code := run([]string{"-exp", "E99"}, &out, &errOut); code != 2 {
+	if code := run([]string{"-exp", "E99", "-trace-out", spans, "-cpuprofile", cpu}, &out, &errOut); code != 2 {
 		t.Fatalf("exit %d, want 2", code)
 	}
 	if !strings.Contains(errOut.String(), "unknown experiment") {
 		t.Fatalf("stderr: %s", errOut.String())
+	}
+	for _, p := range []string{spans, cpu} {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("%s exists after a flag error (stat err=%v)", p, err)
+		}
 	}
 }
 
@@ -65,7 +75,7 @@ func TestBadFlag(t *testing.T) {
 func TestJSONOutput(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bench.json")
 	var out, errOut strings.Builder
-	if code := run([]string{"-quick", "-exp", "E10", "-json", path}, &out, &errOut); code != 0 {
+	if code := run([]string{"-quick", "-exp", "E1", "-json", path}, &out, &errOut); code != 0 {
 		t.Fatalf("exit %d: %s", code, errOut.String())
 	}
 	data, err := os.ReadFile(path)
@@ -76,14 +86,14 @@ func TestJSONOutput(t *testing.T) {
 	if err := json.Unmarshal(data, &tables); err != nil {
 		t.Fatalf("invalid JSON written: %v", err)
 	}
-	if len(tables) != 1 || tables[0].ID != "E10" {
+	if len(tables) != 1 || tables[0].ID != "E1" {
 		t.Fatalf("unexpected tables: %+v", tables)
 	}
 	if len(tables[0].Rows) == 0 || len(tables[0].Notes) == 0 {
-		t.Fatal("E10 table missing rows or notes")
+		t.Fatal("E1 table missing rows or notes")
 	}
 	// The instrumented run must report latency quantiles for the phases
-	// E10 exercises.
+	// E1's lazy strategies exercise.
 	for _, name := range []string{"axml_detect_seconds", "axml_invoke_virtual_seconds"} {
 		h, ok := tables[0].Metrics[name]
 		if !ok || h.Count == 0 {
@@ -101,7 +111,7 @@ func TestProfileAndTraceFlags(t *testing.T) {
 	spans := filepath.Join(dir, "spans.jsonl")
 	var out, errOut strings.Builder
 	code := run([]string{
-		"-quick", "-exp", "E10",
+		"-quick", "-exp", "E1",
 		"-cpuprofile", cpu, "-memprofile", heap, "-trace-out", spans,
 	}, &out, &errOut)
 	if code != 0 {

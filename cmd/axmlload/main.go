@@ -1,15 +1,15 @@
 // Command axmlload hammers an axmlserver session endpoint with the
-// mixed workload suite and records the serving profile (experiment E12,
-// EXPERIMENTS.md). It replays thousands of concurrent travel, nightlife,
-// newsfeed and distributed queries over POST /query, verifies every
-// answer against a locally computed serial oracle, and reports latency
-// quantiles, throughput and the shed rate.
+// mixed workload suite and records the serving profile. It replays
+// thousands of concurrent travel, nightlife, newsfeed and distributed
+// queries over POST /query, verifies every answer against a locally
+// computed serial oracle, and reports latency quantiles, throughput and
+// the shed rate.
 //
 // Usage:
 //
 //	axmlload -self                      # in-process server over loopback
 //	axmlload -url http://host:8080      # a live axmlserver
-//	axmlload -self -clients 500 -requests 5000 -json BENCH_E12.json
+//	axmlload -self -clients 500 -requests 5000 -json out/load.json
 //
 // The oracle is the workload suite evaluated serially by the naive
 // fixpoint on private clones: by completeness invariance (Definition 3)
@@ -61,13 +61,12 @@ type job struct {
 	oracle   string // canonical binding multiset; "" when -verify is off
 }
 
-// report is the BENCH_E12.json shape.
+// report is what -json writes.
 type report struct {
-	Experiment string             `json:"experiment"`
-	Config     reportConfig       `json:"config"`
-	Totals     reportTotals       `json:"totals"`
-	Latency    reportLatency      `json:"latency"`
-	Scenarios  map[string]*counts `json:"scenarios"`
+	Config    reportConfig       `json:"config"`
+	Totals    reportTotals       `json:"totals"`
+	Latency   reportLatency      `json:"latency"`
+	Scenarios map[string]*counts `json:"scenarios"`
 }
 
 type reportConfig struct {
@@ -301,7 +300,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	snap := metrics.Snapshot().Histograms["axmlload_request_seconds"]
 	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 	rep := report{
-		Experiment: "E12",
 		Config: reportConfig{
 			URL: base, SelfHosted: *self, Clients: *clients, Requests: *requests,
 			Tenants: *tenants, Hotels: *hotels, Isolated: *isolated, Verify: *verify,

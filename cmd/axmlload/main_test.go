@@ -38,9 +38,6 @@ func TestLoadSelfSmoke(t *testing.T) {
 	if err := json.Unmarshal(b, &rep); err != nil {
 		t.Fatalf("bad report: %v\n%s", err, b)
 	}
-	if rep.Experiment != "E12" {
-		t.Fatalf("experiment = %q", rep.Experiment)
-	}
 	if rep.Totals.OK != 120 || rep.Totals.Errors != 0 || rep.Totals.VerifyFailures != 0 {
 		t.Fatalf("totals = %+v", rep.Totals)
 	}

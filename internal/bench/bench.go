@@ -33,21 +33,6 @@ type Table struct {
 	// Metrics holds latency-quantile summaries per histogram name when
 	// the experiment ran instrumented (RunInstrumented); empty otherwise.
 	Metrics map[string]HistogramSummary `json:",omitempty"`
-	// Allocs holds per-case allocation profiles for experiments that
-	// measure memory (E13): bytes and allocations per evaluation, keyed
-	// by "<case>/<mode>". This is the machine-readable series the
-	// BENCH_*.json trajectory tracks for allocation regressions.
-	Allocs map[string]AllocSummary `json:",omitempty"`
-}
-
-// AllocSummary is one benchmark case's allocation profile: allocation
-// volume and count per evaluation (runtime.MemStats deltas over the
-// measured iterations, the same quantities go test -bench reports as
-// B/op and allocs/op) plus mean wall time.
-type AllocSummary struct {
-	BytesPerOp  uint64  `json:"bytes_per_op"`
-	AllocsPerOp uint64  `json:"allocs_per_op"`
-	WallMs      float64 `json:"wall_ms"`
 }
 
 // String renders the table as aligned text.
@@ -115,20 +100,6 @@ type Scale struct {
 	E8Sizes []int
 	// E9Rates are the injected fault rates of the fault-tolerance sweep.
 	E9Rates []float64
-	// E10Sizes are the document sizes (#hotels) of the incremental
-	// evaluation sweep; they mirror E1Sizes so the incremental win is
-	// reported on the same documents as the headline strategy sweep.
-	E10Sizes []int
-	// E13Nodes are the synthetic document sizes (total tree nodes) of
-	// the streaming/projection allocation sweep.
-	E13Nodes []int
-	// E17Sizes are the document sizes (#hotels) of the planned-vs-static
-	// scheduling sweep; multiples of four keep the slow-teaser aliasing
-	// pattern exact.
-	E17Sizes []int
-	// E17Widths are the pool widths the planned-vs-static comparison
-	// runs at (each width is its own static baseline).
-	E17Widths []int
 	// Metrics, when set, is threaded through every evaluation an
 	// experiment runs, accumulating detect/invoke latency histograms
 	// (cmd/axmlbench -json reports their quantiles). Nil disables.
@@ -150,10 +121,6 @@ func Quick() Scale {
 		E7Hotels:        []int{20},
 		E8Sizes:         []int{8},
 		E9Rates:         []float64{0, 0.2},
-		E10Sizes:        []int{10, 40},
-		E13Nodes:        []int{15000},
-		E17Sizes:        []int{8},
-		E17Widths:       []int{4},
 	}
 }
 
@@ -170,10 +137,6 @@ func Full() Scale {
 		E7Hotels:        []int{20, 100, 400},
 		E8Sizes:         []int{5, 15, 50},
 		E9Rates:         []float64{0, 0.1, 0.2, 0.4},
-		E10Sizes:        []int{10, 50, 100, 200, 500, 1000},
-		E13Nodes:        []int{30000, 120000},
-		E17Sizes:        []int{16, 48},
-		E17Widths:       []int{4, 8},
 	}
 }
 
@@ -196,9 +159,6 @@ func All() []Experiment {
 		{"E7", "relaxed NFQs trade calls for detection time", E7},
 		{"E8", "end-to-end over real HTTP services", E8},
 		{"E9", "lazy vs naive under injected faults with retries", E9},
-		{"E10", "incremental evaluation and response caching cut re-evaluation work", E10},
-		{"E13", "streaming evaluation and type-based projection cut allocation", E13},
-		{"E17", "cost-based planning beats static scheduling on heterogeneous latencies", E17},
 	}
 }
 

@@ -422,97 +422,3 @@ func E9(s Scale) (Table, error) {
 		"every run converged to the fault-free result set with zero abandoned calls")
 	return t, nil
 }
-
-// E10 measures the incremental relevance engine: persistent cross-round
-// match memoization (the per-round NFQ re-evaluation visits the changed
-// region instead of the whole document), with and without an F-guide
-// supplying the candidates — under which the kept evaluator's answer is a
-// maintained view — and the service-response cache with singleflight
-// dedup. detect/round is the wall time of detection per invocation round:
-// the column that shows whether a round costs O(change) or O(document).
-// Every mode must invoke the identical call sequence — only the match
-// work moves.
-func E10(s Scale) (Table, error) {
-	t := Table{
-		ID:      "E10",
-		Title:   "incremental vs from-scratch relevance evaluation across document growth",
-		Columns: []string{"hotels", "mode", "visited", "visited/round", "memo-hit%", "svc-cache-hit%", "detect", "detect/round", "virt-time", "calls", "results"},
-	}
-	type mode struct {
-		name  string
-		opt   core.Options
-		cache bool
-	}
-	modes := []mode{
-		{"scratch", core.Options{Strategy: core.LazyNFQ}, false},
-		{"incremental", core.Options{Strategy: core.LazyNFQ, Incremental: true}, false},
-		{"incr+cache", core.Options{Strategy: core.LazyNFQ, Incremental: true}, true},
-		{"guide", core.Options{Strategy: core.LazyNFQ, UseGuide: true}, false},
-		{"guide+incr", core.Options{Strategy: core.LazyNFQ, UseGuide: true, Incremental: true}, false},
-	}
-	for _, hotels := range s.E10Sizes {
-		spec := workload.DefaultSpec()
-		spec.Hotels = hotels
-		spec.HiddenHotels = hotels / 5
-		w := workload.Hotels(spec)
-		perRound := map[string]float64{}
-		var calls int
-		for _, m := range modes {
-			reg := w.Registry
-			var cache *service.Cache
-			if m.cache {
-				cache = service.NewCache(service.CacheSpec{})
-				cache.Instrument(s.Metrics)
-				reg = cache.Wrap(w.Registry)
-			}
-			m.opt.Metrics, m.opt.Tracer = s.Metrics, s.Tracer
-			out, err := core.Evaluate(w.Doc.Clone(), w.Query, reg, m.opt)
-			if err != nil {
-				return t, err
-			}
-			if !out.Complete {
-				return t, fmt.Errorf("E10: %s incomplete", m.name)
-			}
-			if len(out.Results) != w.ExpectedResults {
-				return t, fmt.Errorf("E10: %s got %d results, want %d",
-					m.name, len(out.Results), w.ExpectedResults)
-			}
-			if calls == 0 {
-				calls = out.Stats.CallsInvoked
-			} else if out.Stats.CallsInvoked != calls {
-				return t, fmt.Errorf("E10: %s changed the invoked set (%d vs %d)",
-					m.name, out.Stats.CallsInvoked, calls)
-			}
-			rounds := out.Stats.Rounds
-			if rounds == 0 {
-				rounds = 1
-			}
-			perRound[m.name] = float64(out.Stats.NodesVisited) / float64(rounds)
-			memoRate := "-"
-			if probes := out.Stats.NodesVisited + out.Stats.MemoHits; probes > 0 {
-				memoRate = fmt.Sprintf("%.0f%%", 100*float64(out.Stats.MemoHits)/float64(probes))
-			}
-			cacheRate := "-"
-			if cache != nil {
-				cacheRate = fmt.Sprintf("%.0f%%", 100*cache.Stats().HitRate())
-			}
-			t.Rows = append(t.Rows, []string{
-				itoa(hotels), m.name,
-				itoa(out.Stats.NodesVisited),
-				fmt.Sprintf("%.0f", perRound[m.name]),
-				memoRate, cacheRate,
-				ms(out.Stats.DetectTime),
-				fmt.Sprintf("%.1fus", float64(out.Stats.DetectTime.Nanoseconds())/1000/float64(rounds)),
-				ms(out.Stats.VirtualTime),
-				itoa(out.Stats.CallsInvoked), itoa(len(out.Results)),
-			})
-		}
-		if perRound["incremental"] > 0 {
-			t.Notes = append(t.Notes, fmt.Sprintf(
-				"hotels=%d: incremental cuts per-round match work %.1fx (%.0f → %.0f visited/round); identical call sequence and results",
-				hotels, perRound["scratch"]/perRound["incremental"],
-				perRound["scratch"], perRound["incremental"]))
-		}
-	}
-	return t, nil
-}

@@ -11,11 +11,12 @@ import (
 )
 
 // TestIncrementalCutsPerRoundWork is the acceptance guard for the
-// incremental evaluator: on a mid-sized world (the trend grows with
-// document size — see E10, which reaches >100× at 1000 hotels), keeping
-// the match memo alive across rounds must cut the per-round NodesVisited
-// at least 3× while leaving the invoked call sequence and the results
-// untouched.
+// incremental evaluator: on a mid-sized world (the cut grows with
+// document size), keeping the match memo alive across rounds must cut
+// the per-round NodesVisited at least 3× while leaving the invoked call
+// sequence and the results untouched. Under an F-guide a round's match
+// work must not grow with the document at all: at 20 and at 200 hotels
+// it stays within 2× — a round costs O(change), not O(document).
 func TestIncrementalCutsPerRoundWork(t *testing.T) {
 	spec := workload.DefaultSpec()
 	spec.Hotels = 50
@@ -55,6 +56,20 @@ func TestIncrementalCutsPerRoundWork(t *testing.T) {
 	if ratio := perRound(scratch.Stats) / perRound(incr.Stats); ratio < 3 {
 		t.Fatalf("incremental cut per-round match work only %.1fx (scratch %.0f/round, incremental %.0f/round), want ≥3x",
 			ratio, perRound(scratch.Stats), perRound(incr.Stats))
+	}
+
+	flat := map[int]float64{}
+	for _, hotels := range []int{20, 200} {
+		spec := workload.DefaultSpec()
+		spec.Hotels = hotels
+		spec.HiddenHotels = hotels / 5
+		out := run(t, workload.Hotels(spec), Options{Strategy: LazyNFQ, UseGuide: true, Incremental: true})
+		flat[hotels] = perRound(out.Stats)
+		t.Logf("guide+incremental at %d hotels: %.0f nodes visited/round over %d rounds", hotels, flat[hotels], out.Stats.Rounds)
+	}
+	if lo, hi := flat[20], flat[200]; hi > 2*lo || lo > 2*hi {
+		t.Fatalf("guide+incremental per-round match work grows with the document: %.0f/round at 20 hotels, %.0f/round at 200",
+			lo, hi)
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 )
 
 // The streaming evaluator must be bit-identical to the retained eager
-// evaluator (naive.go): same Result slices in the same order, same
+// evaluator (naive_test.go): same Result slices in the same order, same
 // NodesVisited/MemoHits accounting. These tests replay the incremental
 // harness's random documents and mutation sequences through both.
 

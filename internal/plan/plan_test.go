@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -117,6 +118,63 @@ func TestWidthTrim(t *testing.T) {
 	}
 	if st := p.Stats(); st.WidthTrims != 1 {
 		t.Fatalf("trim not counted: %+v", st)
+	}
+}
+
+// makespan is the predicted finish time of queues under the given
+// per-member costs: the busiest worker's total.
+func makespan(queues [][]int, cost func(i int) time.Duration) time.Duration {
+	var worst time.Duration
+	for _, q := range queues {
+		var load time.Duration
+		for _, i := range q {
+			load += cost(i)
+		}
+		if load > worst {
+			worst = load
+		}
+	}
+	return worst
+}
+
+// TestPlannedBeatsStripedOnAliasedBatch is the planner's performance
+// claim on the batch static striping handles worst: 16 hotels each
+// contribute [getNearbyRestos, getTeaser<h mod 4>], so the slow
+// getTeaser0 calls sit at members 1, 9, 17, 25 — one worker's stripe at
+// widths 4 and 8. Striping serialises them (340 ms at width 4, 320 ms at
+// width 8); the planner spreads them one per worker (about 115 and
+// 80 ms). Its queues must reach at most half the striped makespan.
+func TestPlannedBeatsStripedOnAliasedBatch(t *testing.T) {
+	latency := func(svc string) time.Duration {
+		if svc == "getTeaser0" {
+			return 80 * time.Millisecond
+		}
+		return 5 * time.Millisecond
+	}
+	var services []string
+	for h := 0; h < 16; h++ {
+		services = append(services, "getNearbyRestos", fmt.Sprintf("getTeaser%d", h%4))
+	}
+	// One warm pass over the batch: every service clears MinSamples.
+	prof := profile.New(0, nil)
+	for _, svc := range services {
+		feed(prof, svc, latency(svc), 1)
+	}
+	cost := func(i int) time.Duration { return latency(services[i]) }
+	calls := batch(services...)
+	for _, width := range []int{4, 8} {
+		bp := New(prof, Options{}).PlanBatch(calls, width)
+		checkPermutation(t, bp, len(calls), width)
+		striped := make([][]int, width)
+		for i := range calls {
+			striped[i%width] = append(striped[i%width], i)
+		}
+		planned, static := makespan(bp.Queues, cost), makespan(striped, cost)
+		t.Logf("width %d: planned %v on %d workers, striped %v", width, planned, bp.Width, static)
+		if 2*planned > static {
+			t.Fatalf("width %d: planned makespan %v, striped %v — want at most half (queues %v)",
+				width, planned, static, bp.Queues)
+		}
 	}
 }
 

@@ -94,11 +94,12 @@ var projQueries = []string{
 
 // assertProjectedEqual checks that projected evaluation returns exactly
 // the oracle's results, in the oracle's order, and returns the projected
-// stats.
+// stats. The oracle is unprojected pattern.Eval, which pattern's own
+// differential pins to the retained seed evaluator.
 func assertProjectedEqual(t testing.TB, doc *tree.Document, q *pattern.Pattern, proj *Projection, label string) pattern.Stats {
 	t.Helper()
 	got, st := pattern.EvalProjected(doc, q, proj)
-	want, _ := pattern.EvalNaive(doc, q)
+	want, _ := pattern.Eval(doc, q)
 	if len(got) != len(want) {
 		t.Fatalf("%s: projected returned %d results, oracle %d", label, len(got), len(want))
 	}
@@ -176,8 +177,8 @@ func TestProjectionEvalEquivalenceRandom(t *testing.T) {
 
 // TestProjectionIncrementalUnderMutations drives a projected
 // IncrementalEvaluator through conforming call replacements (getInfo
-// returns info*, per its signature) and compares every round against the
-// retained oracle.
+// returns info*, per its signature) and compares every round against
+// unprojected evaluation.
 func TestProjectionIncrementalUnderMutations(t *testing.T) {
 	s := projSchema(t)
 	for seed := int64(0); seed < 20; seed++ {
@@ -193,7 +194,7 @@ func TestProjectionIncrementalUnderMutations(t *testing.T) {
 		for round := 0; ; round++ {
 			for i, iev := range ievs {
 				got, _ := iev.EvalIncremental(doc)
-				want, _ := pattern.EvalNaive(doc, qs[i])
+				want, _ := pattern.Eval(doc, qs[i])
 				if len(got) != len(want) {
 					t.Fatalf("seed %d round %d %s: incremental %d results, oracle %d", seed, round, projQueries[i], len(got), len(want))
 				}
@@ -225,7 +226,7 @@ func TestProjectionIncrementalUnderMutations(t *testing.T) {
 
 // FuzzProject checks the projection predicate never prunes a matching
 // subtree: on schema-conforming documents, projected evaluation must
-// return exactly what the retained oracle returns, for every query shape
+// return exactly what unprojected evaluation returns, for every query shape
 // and both analyzer modes.
 func FuzzProject(f *testing.F) {
 	f.Add(int64(1), uint8(0), false)
