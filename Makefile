@@ -97,6 +97,7 @@ benchsmoke:
 
 microbench:
 	$(GO) test -bench . -benchmem ./internal/pattern/
+	$(GO) test -run TestResumedRunIsOChange -bench 'ReevalAfterWrite' -benchmem ./internal/session/
 	$(GO) test -run TestUnmarshalAllocationCeiling -bench 'Unmarshal/' -benchmem ./internal/tree/
 	$(GO) test -run TestMemoAnswerHTTPAllocationCeiling -bench 'MemoAnswer|ReevalAfterWrite|WriteWithResidents' -benchmem ./internal/session/
 	$(GO) test -bench TelemetryOverhead -benchmem .

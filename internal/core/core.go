@@ -434,7 +434,8 @@ type Stats struct {
 // Outcome is the result of an evaluation.
 type Outcome struct {
 	// Results is the snapshot result of the query on the final document
-	// state — by completeness (Definition 3), the full result.
+	// state — by completeness (Definition 3), the full result. A live
+	// Evaluation keeps it as its answer (see Unchanged): read-only.
 	Results []pattern.Result
 	// Complete reports whether the document was made complete for the
 	// query; false means the call budget ran out first, or a failed
@@ -444,6 +445,12 @@ type Outcome struct {
 	// of the same Evaluation kept, instead of learning the document from
 	// scratch. Always false for Evaluate.
 	Resumed bool
+	// Unchanged reports that Results are identical, row for row, to the
+	// Results of this Evaluation's previous run — the same slice, handed out
+	// again. Only a resumed run can say so: the user query's evaluator keeps
+	// its answer as a maintained view and knows whether any row of it
+	// changed. Always false for Evaluate.
+	Unchanged bool
 	// Failures lists the calls the engine gave up on (BestEffort only;
 	// FailFast evaluations return an error instead).
 	Failures []CallFailure

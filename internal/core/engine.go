@@ -78,8 +78,9 @@ func Evaluate(doc *tree.Document, q *pattern.Pattern, reg *service.Registry, opt
 // document's splice records since the last run and looks only at what those
 // splices can have changed: it offers the call views the calls that arrived,
 // re-validates the verdicts those splices dirtied, invokes what became
-// relevant and re-reads the result through the kept memo — the same calls
-// in the same order, and the same result, as a run from scratch. The
+// relevant and re-joins only the rows of the result those splices touched —
+// the same calls in the same order, and the same result, as a run from
+// scratch; Outcome.Unchanged says whether any row of it changed. The
 // analysis fields of opt (see Prepared) are taken from the prepared query;
 // every other field is this run's own.
 //
@@ -183,7 +184,8 @@ func (e *engine) run() (*Outcome, error) {
 	e.met.giveups.Add(int64(e.stats.FailedCalls))
 	e.met.pushed.Add(int64(e.stats.PushedCalls))
 	e.met.evalSecs.Observe(time.Since(evalStart))
-	return &Outcome{Results: results, Complete: e.complete, Resumed: resumed, Failures: e.failures, Stats: e.stats}, nil
+	return &Outcome{Results: results, Complete: e.complete, Resumed: resumed, Unchanged: e.result.iev.Unchanged(),
+		Failures: e.failures, Stats: e.stats}, nil
 }
 
 // engine is one run of an Evaluation.

@@ -66,6 +66,19 @@ type liveQuery struct {
 // from.
 func (ev *Evaluation) Live() bool { return ev.live }
 
+// Rows returns the rows the evaluation's pattern evaluators keep in their
+// memos (pattern.IncrementalEvaluator.Rows): what holding it resident costs.
+func (ev *Evaluation) Rows() int {
+	n := 0
+	if ev.result != nil {
+		n += ev.result.iev.Rows()
+	}
+	for _, lq := range ev.relevance {
+		n += lq.iev.Rows()
+	}
+	return n
+}
+
 // seed learns the document from scratch, in one walk.
 func (ev *Evaluation) seed() {
 	*ev = Evaluation{q: ev.q, p: ev.p, doc: ev.doc, live: true, at: ev.doc.Version(),

@@ -35,14 +35,41 @@ func values(rs []pattern.Result) []map[string]string {
 	return out
 }
 
+// keys lists the results' keys in order, over their bindings only: node
+// captures carry document IDs, which a clone renumbers.
+func keys(rs []pattern.Result) []string {
+	out := make([]string, len(rs))
+	for i, r := range rs {
+		out[i] = pattern.Result{Values: r.Values}.Key()
+	}
+	return out
+}
+
+// forge splices, in place of call, what no honest service returns: a
+// five-star restaurant with a name and an address. Under the nearby zone of
+// a Best Western hotel, or of a hotel whose name is its tag, it adds an
+// answer to a query the document was complete for.
+func forge(doc *tree.Document, guide *fguide.Guide, call *tree.Node) {
+	r := tree.NewElement("restaurant")
+	r.Append(tree.NewElement("name")).Append(tree.NewText(fmt.Sprintf("Forged-%d", call.ID)))
+	r.Append(tree.NewElement("address")).Append(tree.NewText("nowhere"))
+	r.Append(tree.NewElement("rating")).Append(tree.NewText("*****"))
+	guide.ApplyExpansion(doc.ReplaceCall(call, []*tree.Node{r}))
+}
+
 // TestResumedRunsMatchFresh keeps three queries' evaluations alive over one
 // document that they, and a stranger invoking calls none of them wants,
 // keep splicing — each run reading the others' splices from the document's
 // records, as in the session layer. Every run, resumed or not, must equal a
 // fresh guideless Evaluate on a clone of the document as it stood: results
-// in order, completeness, the invoked calls in order, virtual time and final
-// size. Across strategies, layering, speculation, relaxation, pushing and
-// projection, 10 seeds each.
+// in order and by key, completeness, the invoked calls in order, virtual
+// time and final size. Outcome.Unchanged must be set exactly when the run
+// resumed and the fresh results equal, row for row, the previous run's. A
+// forger splicing five-star restaurants in place of museum calls changes
+// the answers of the typed variants, whose analysis leaves those calls
+// pending where the queries look (the untyped ones invoke them first), so
+// both branches are taken. Across strategies, layering, speculation,
+// relaxation, pushing and projection, 10 seeds each.
 func TestResumedRunsMatchFresh(t *testing.T) {
 	spec := workload.DefaultSpec()
 	spec.Hotels, spec.HiddenHotels = 10, 4
@@ -74,7 +101,7 @@ func TestResumedRunsMatchFresh(t *testing.T) {
 		v := v
 		t.Run(v.name, func(t *testing.T) {
 			t.Parallel()
-			resumed := 0
+			resumed, same, changed := 0, 0, 0
 			for seed := int64(0); seed < 10; seed++ {
 				rng := rand.New(rand.NewSource(seed))
 				w := workload.Hotels(v.spec)
@@ -93,17 +120,25 @@ func TestResumedRunsMatchFresh(t *testing.T) {
 					}
 					evs[i] = p.Over(doc)
 				}
-				for step := 0; step < 14; step++ {
-					if rng.Intn(3) == 0 {
-						// The stranger: expand some call the document shows.
+				prev := make([][]string, len(queries)) // each evaluation's last results, by key
+				for step := 0; step < 18; step++ {
+					if k := rng.Intn(9); k < 4 {
+						// The stranger expands some call the document shows; the
+						// forger fakes a museum call's answer.
 						var visible []*tree.Node
 						for _, c := range guide.Candidates(nil, true) {
-							visible = append(visible, c)
+							if k < 3 || c.Label == "getNearbyMuseums" {
+								visible = append(visible, c)
+							}
 						}
 						if len(visible) == 0 {
 							continue
 						}
 						call := visible[rng.Intn(len(visible))]
+						if k == 3 {
+							forge(doc, guide, call)
+							continue
+						}
 						resp, err := reg.Invoke(call.Label, tree.CloneForest(call.Children), nil)
 						if err != nil {
 							t.Fatal(err)
@@ -135,10 +170,21 @@ func TestResumedRunsMatchFresh(t *testing.T) {
 					if got.Resumed {
 						resumed++
 					}
-					if !reflect.DeepEqual(values(got.Results), values(want.Results)) {
+					if !reflect.DeepEqual(values(got.Results), values(want.Results)) || !reflect.DeepEqual(keys(got.Results), keys(want.Results)) {
 						t.Fatalf("%s (resumed=%v): results differ from a fresh evaluation:\n got %v\nwant %v",
 							at, got.Resumed, values(got.Results), values(want.Results))
 					}
+					if equal := got.Resumed && reflect.DeepEqual(keys(want.Results), prev[i]); got.Unchanged != equal {
+						t.Fatalf("%s (resumed=%v): Unchanged=%v, but the fresh results equal the previous run's: %v",
+							at, got.Resumed, got.Unchanged, equal)
+					}
+					switch {
+					case got.Unchanged:
+						same++
+					case got.Resumed:
+						changed++
+					}
+					prev[i] = keys(want.Results)
 					if got.Complete != want.Complete || got.Stats.CallsInvoked != want.Stats.CallsInvoked ||
 						got.Stats.VirtualTime != want.Stats.VirtualTime || got.Stats.FinalSize != want.Stats.FinalSize {
 						t.Fatalf("%s (resumed=%v): complete=%v calls=%d virtual=%v size=%d, a fresh evaluation says %v %d %v %d",
@@ -155,6 +201,10 @@ func TestResumedRunsMatchFresh(t *testing.T) {
 			}
 			if resumed < 20 {
 				t.Fatalf("only %d runs resumed kept state", resumed)
+			}
+			t.Logf("%d resumed runs: %d answered unchanged, %d changed", resumed, same, changed)
+			if same == 0 || (v.typed && changed == 0) {
+				t.Fatalf("of %d resumed runs %d answered unchanged and %d changed: a branch is not exercised", resumed, same, changed)
 			}
 		})
 	}

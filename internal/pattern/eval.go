@@ -32,16 +32,21 @@ func (r Result) Key() string {
 }
 
 // canonicalKey renders variable bindings and (pattern ID, doc ID) node
-// captures deterministically into one presized buffer: sorted "$k=v"
-// pairs, then sorted "id@docID" pairs. It is the hot path of every
-// deduplication, so it avoids the part-slice/sort.Strings/Join churn of
-// the naive rendering.
+// captures deterministically into one presized buffer: for each variable,
+// in name order, "$" then the name and the value each prefixed by its
+// length ("3:foo"), then for each capture, in ID order, "#id@docID". Names
+// and values are arbitrary strings, so only the length prefixes make the
+// rendering injective — with separators alone, {A:"p;$B=q", B:"z"} and
+// {A:"p", B:"q;$B=z"} would read alike; a capture is two decimal numbers
+// behind marks no digit can be. It is the hot path of every deduplication,
+// so it avoids the part-slice/sort.Strings/Join churn of the naive
+// rendering.
 func canonicalKey(vars map[string]string, caps func(yield func(int, uint64))) string {
 	names := make([]string, 0, 8)
 	size := 0
 	for k, v := range vars {
 		names = append(names, k)
-		size += len(k) + len(v) + 3
+		size += len(k) + len(v) + 2*20 + 3
 	}
 	sort.Strings(names)
 	type cap struct {
@@ -56,20 +61,19 @@ func canonicalKey(vars map[string]string, caps func(yield func(int, uint64))) st
 	sort.Slice(ids, func(i, j int) bool { return ids[i].id < ids[j].id })
 	var sb strings.Builder
 	sb.Grow(size)
-	for i, k := range names {
-		if i > 0 {
-			sb.WriteByte(';')
-		}
-		sb.WriteByte('$')
-		sb.WriteString(k)
-		sb.WriteByte('=')
-		sb.WriteString(vars[k])
-	}
 	var buf [20]byte
-	for i, c := range ids {
-		if i > 0 || len(names) > 0 {
-			sb.WriteByte(';')
-		}
+	for _, k := range names {
+		v := vars[k]
+		sb.WriteByte('$')
+		sb.Write(appendUint(buf[:0], uint64(len(k))))
+		sb.WriteByte(':')
+		sb.WriteString(k)
+		sb.Write(appendUint(buf[:0], uint64(len(v))))
+		sb.WriteByte(':')
+		sb.WriteString(v)
+	}
+	for _, c := range ids {
+		sb.WriteByte('#')
 		sb.Write(appendUint(buf[:0], uint64(c.id)))
 		sb.WriteByte('@')
 		sb.Write(appendUint(buf[:0], c.doc))
@@ -302,66 +306,39 @@ type memoKey struct {
 	dnode *tree.Node
 }
 
-// memoEntry distinguishes "computed, no solutions" from "not computed".
-type memoEntry struct {
-	sols []solution
+// restriction maps a solution to the Result it stands for (Definition 1's
+// restriction of an embedding to the result nodes).
+type restriction struct {
+	vars  map[string]bool // result variables
+	nodes map[int]bool    // result nodes, by pattern ID
 }
 
-// resultSink restricts streamed solutions to the query's result nodes and
-// deduplicates them by canonical key, preserving first-occurrence order —
-// the streaming counterpart of materialising all solutions and filtering
-// at the end.
-type resultSink struct {
-	resultVars  map[string]bool
-	resultNodes map[int]bool
-	seen        map[string]bool
-	out         []Result
-}
-
-func newResultSink(q *Pattern) *resultSink {
-	sink := &resultSink{
-		resultVars:  map[string]bool{},
-		resultNodes: map[int]bool{},
-		seen:        map[string]bool{},
-	}
+func newRestriction(q *Pattern) restriction {
+	r := restriction{vars: map[string]bool{}, nodes: map[int]bool{}}
 	for _, n := range q.ResultNodes() {
 		if n.Kind == Var {
-			sink.resultVars[n.Label] = true
+			r.vars[n.Label] = true
 		}
-		sink.resultNodes[n.ID] = true
+		r.nodes[n.ID] = true
 	}
-	return sink
+	return r
 }
 
-func (sink *resultSink) add(s solution) bool {
+// restrict is the Result s stands for: its bindings of result variables and
+// its captures of result nodes.
+func (rn restriction) restrict(s solution) Result {
 	r := Result{Values: map[string]string{}, Nodes: map[int]*tree.Node{}}
 	for k, v := range s.vars {
-		if sink.resultVars[k] {
+		if rn.vars[k] {
 			r.Values[k] = v
 		}
 	}
 	for id, n := range s.caps {
-		if sink.resultNodes[id] {
+		if rn.nodes[id] {
 			r.Nodes[id] = n
 		}
 	}
-	k := r.Key()
-	if !sink.seen[k] {
-		sink.seen[k] = true
-		sink.out = append(sink.out, r)
-	}
-	return true
-}
-
-// collectResults drains a materialised solution set through a sink; the
-// retained naive evaluator uses it so both evaluators share one
-// restriction/deduplication definition.
-func collectResults(q *Pattern, sols []solution) []Result {
-	sink := newResultSink(q)
-	for _, s := range sols {
-		sink.add(s)
-	}
-	return sink.out
+	return r
 }
 
 // fingerprint returns (and caches) the canonical form of the subquery
@@ -375,69 +352,58 @@ func (ev *IncrementalEvaluator) fingerprint(v *Node) string {
 	return fp
 }
 
-// match returns the solutions for embedding the query subtree rooted at v
-// with v mapped to doc node n. Results are memoised: they only depend on
-// (v, n).
-func (ev *IncrementalEvaluator) match(v *Node, n *tree.Node) []solution {
-	key := memoKey{v.ID, n}
-	if e, ok := ev.memo[key]; ok {
-		ev.work.MemoHits++
-		return e.sols
-	}
-	e := &memoEntry{} // inserted before computing; trees have no cycles
-	ev.memo[key] = e
-	e.sols = ev.computeMatch(v, n)
-	return e.sols
-}
-
-func (ev *IncrementalEvaluator) computeMatch(v *Node, n *tree.Node) []solution {
-	ev.work.NodesVisited++
+// admits is the test of mapping query node v to document node n by kind
+// and label alone, before any requirement below v is looked at. Root never
+// matches a concrete node; an OR is decided by its alternatives.
+func admits(v *Node, n *tree.Node) bool {
 	switch v.Kind {
 	case Or:
+		return true
+	case Const:
+		return n.IsData() && n.Label == v.Label
+	case Star, Var:
+		return n.IsData()
+	case Func:
+		return n.Kind == tree.Call && (v.Label == AnyFunc || v.Label == n.Label)
+	default:
+		return false
+	}
+}
+
+// lift extends a solution of v's requirements into one of v itself, mapped
+// to n: v's own variable binding (false when it conflicts) and its capture.
+func lift(v *Node, n *tree.Node, s solution) (solution, bool) {
+	if v.Kind == Var {
+		var ok bool
+		if s, ok = s.withVar(v.Label, n.Label); !ok {
+			return s, false
+		}
+	}
+	if v.Result {
+		s = s.withCap(v.ID, n)
+	}
+	return s, true
+}
+
+// joinMatch computes the solutions of (v, n) in one piece: the OR of its
+// alternatives, or the join of v's requirements lifted to v. Memo entries
+// must hold the complete solution set (the evaluator replays them across
+// rounds), so the stream below v is drained here; laziness pays off above,
+// where whole streams are abandoned early.
+func (ev *IncrementalEvaluator) joinMatch(v *Node, n *tree.Node) []solution {
+	if v.Kind == Or {
 		// The chosen alternative takes the OR's position.
 		var sols []solution
 		for _, alt := range v.Children {
 			sols = append(sols, ev.match(alt, n)...)
 		}
 		return dedupe(sols)
-	case Const:
-		if !n.IsData() || n.Label != v.Label {
-			return nil
-		}
-	case Star:
-		if !n.IsData() {
-			return nil
-		}
-	case Var:
-		if !n.IsData() {
-			return nil
-		}
-	case Func:
-		if n.Kind != tree.Call {
-			return nil
-		}
-		if v.Label != AnyFunc && v.Label != n.Label {
-			return nil
-		}
-	default:
-		return nil // Root never matches a concrete node
 	}
-	// Memo entries must hold the complete solution set (the incremental
-	// evaluator replays them across rounds), so the stream below v is
-	// drained here; laziness pays off above, where whole streams are
-	// abandoned early.
 	var out []solution
 	ev.streamChildren(v, rootScope{forest: []*tree.Node{n}}, func(s solution) bool {
-		if v.Kind == Var {
-			var ok bool
-			if s, ok = s.withVar(v.Label, n.Label); !ok {
-				return true
-			}
+		if s, ok := lift(v, n, s); ok {
+			out = append(out, s)
 		}
-		if v.Result {
-			s = s.withCap(v.ID, n)
-		}
-		out = append(out, s)
 		return true
 	})
 	return dedupe(out)
@@ -618,16 +584,33 @@ func (rs *reqStream) pull() {
 		rs.done = true
 		return
 	}
-	if n.Kind == tree.Tuples {
-		for _, s := range tupleSolutions(rs.c, n, rs.ev.fingerprint) {
-			rs.add(s)
-		}
-		return
-	}
-	for _, s := range rs.ev.match(rs.c, n) {
+	for _, s := range rs.ev.solutionsAt(rs.c, n) {
 		rs.add(s)
 	}
 }
+
+// solutionsAt returns the solutions of requirement c at candidate n: the
+// memoised match, or the tuples a pushed result holds.
+func (ev *IncrementalEvaluator) solutionsAt(c *Node, n *tree.Node) []solution {
+	if n.Kind == tree.Tuples {
+		return tupleSolutions(c, n, ev.fingerprint)
+	}
+	return ev.match(c, n)
+}
+
+// prunes reports whether a descendant walk for requirement c skips n's
+// subtree: the projection predicate proves no match for c below n.
+func (ev *IncrementalEvaluator) prunes(c *Node, n *tree.Node) bool {
+	if ev.proj != nil && n.Kind == tree.Element && !ev.proj.CanMatchBelow(n.Label, c.ID) {
+		ev.work.SubtreesPruned++
+		return true
+	}
+	return false
+}
+
+// opens reports whether a descendant walk goes below n: never below a call
+// or a pushed result (see reqStream).
+func opens(n *tree.Node) bool { return n.Kind != tree.Call && n.Kind != tree.Tuples }
 
 func (rs *reqStream) nextCandidate() *tree.Node {
 	if rs.docRoot != nil {
@@ -644,11 +627,10 @@ func (rs *reqStream) nextCandidate() *tree.Node {
 	for len(rs.stack) > 0 {
 		n := rs.stack[len(rs.stack)-1]
 		rs.stack = rs.stack[:len(rs.stack)-1]
-		if ev.proj != nil && n.Kind == tree.Element && !ev.proj.CanMatchBelow(n.Label, rs.c.ID) {
-			ev.work.SubtreesPruned++
+		if ev.prunes(rs.c, n) {
 			continue
 		}
-		if n.Kind != tree.Call && n.Kind != tree.Tuples {
+		if opens(n) {
 			for i := len(n.Children) - 1; i >= 0; i-- {
 				rs.stack = append(rs.stack, n.Children[i])
 			}

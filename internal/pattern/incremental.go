@@ -1,6 +1,8 @@
 package pattern
 
 import (
+	"slices"
+
 	"github.com/activexml/axml/internal/tree"
 )
 
@@ -15,7 +17,7 @@ import (
 // round replaces a single call by its result and then re-asks every
 // relevance query. A fresh evaluator recomputes every match each round,
 // so the cost of a round grows with the document; a kept one, on each
-// replacement, evicts only the entries the mutation can have changed.
+// replacement, redoes only what the mutation can have changed.
 //
 // The invalidation rule exploits the locality of the memo: the solutions
 // for (v, n) depend only on v's subtree and n's subtree (match never
@@ -28,8 +30,16 @@ import (
 //     subtrees now contain the spliced-in result instead of the call.
 //
 // Every other entry keys a node whose subtree is untouched and stays
-// valid. A round's re-evaluation then recomputes O(spine + inserted
-// region) matches instead of O(document).
+// valid. Of a spine entry, only the part its child on the spine
+// contributes is invalid: an entry whose query node has one requirement
+// keeps its solutions as rows per candidate child (memoEntry), stays, and
+// re-joins just that child's row when next read. A round's re-evaluation
+// then recomputes O(spine + inserted region) matches instead of
+// O(document), and merges, keys and copies the solutions of the changed
+// rows only — an ancestor with a thousand children does not re-join the
+// other 999. EvalIncremental keeps its answer the same way (resultView):
+// made of the root element's rows, re-restricted where a row changed, and
+// known to be unchanged when none did (Unchanged).
 //
 // The verdicts of MatchedCandidates follow the same locality one level up.
 // A verdict is decided by the target's ancestor labels, which never
@@ -59,9 +69,12 @@ type IncrementalEvaluator struct {
 	spines map[*Node]*spinePath // output node → its anchor→output spine (MatchCall)
 	proj   Projector            // nil: no document projection
 
+	view *resultView // the answer of EvalIncremental; nil until the first
+
 	work      Stats // match work since the last takeStats
 	consulted int   // matchChain: shallowest ancestor position a join ran at so far
 	evictions int
+	rows      int // rows the memo keeps (memoEntry.size, summed)
 }
 
 // NewIncrementalProjected returns an evaluator for q under a document
@@ -98,38 +111,37 @@ func (ev *IncrementalEvaluator) MatchedCallsIncremental(doc *tree.Document, out 
 }
 
 // EvalIncremental computes the pattern's snapshot result over doc,
-// reusing every memoised match that the mutations reported through
-// Invalidate cannot have changed. On an unchanged document a repeat
-// evaluation is pure memo hits; after a mutation it recomputes O(spine +
-// inserted region) matches. Stats cover this call only, like
-// MatchedCallsIncremental.
+// reusing every memoised match and every row of the last answer that the
+// mutations reported through Invalidate cannot have changed. On an
+// unchanged document a repeat evaluation is one memo hit; after a mutation
+// it recomputes O(spine + inserted region) matches and restricts the
+// answer's changed rows only. Stats cover this call only, like
+// MatchedCallsIncremental. The returned slice is the evaluator's own and
+// read-only: an evaluation that answers what the last one did (Unchanged)
+// returns the same slice again.
 //
 // It is the body of MatchedCallsIncremental, the engine's guideless
-// detection arm. The serving layer holds no evaluator of its own (a
-// repeat query gets the stored answer of the engine run that completed
-// it); the one caller outside the package is the benchmark's replay.
+// detection arm, and the engine's result evaluation: a resumed run of a
+// kept core.Evaluation reads its answer through it.
 func (ev *IncrementalEvaluator) EvalIncremental(doc *tree.Document) ([]Result, Stats) {
 	return ev.eval(rootScope{doc: doc})
-}
-
-func (ev *IncrementalEvaluator) eval(scope rootScope) ([]Result, Stats) {
-	sink := newResultSink(ev.q)
-	ev.streamChildren(ev.q.Root(), scope, sink.add)
-	return sink.out, ev.takeStats()
 }
 
 // Invalidate reports one document mutation: the subtree rooted at removed
 // was detached from parent and an arbitrary forest spliced in its place
 // (tree.Document.ReplaceCall). It evicts the memo entries for the removed
-// subtree and for the root-to-parent spine; entries for inserted nodes do
-// not exist yet, so nothing else needs touching. The call views lose the
-// removed calls and get the verdicts filed on that spine marked for
-// re-checking. Call it after every mutation, before the next evaluation;
-// missing a call makes subsequent results stale.
+// subtree and for parent, whose children changed; entries for inserted
+// nodes do not exist yet. Up the rest of the root-to-parent spine, a rowed
+// entry stays and has the one child on the spine marked stale — the next
+// read re-joins that child's row and keeps the others (memoEntry) — and any
+// other entry is evicted. The call views lose the removed calls and get the
+// verdicts filed on that spine marked for re-checking. Call it after every
+// mutation, before the next evaluation; missing a call makes subsequent
+// results stale.
 func (ev *IncrementalEvaluator) Invalidate(parent, removed *tree.Node) {
 	if removed != nil {
 		removed.Walk(func(n *tree.Node) bool {
-			ev.evict(n)
+			ev.evict(n, nil)
 			if n.Kind == tree.Call {
 				for _, sp := range ev.spines {
 					sp.setMatched(n, false)
@@ -138,8 +150,9 @@ func (ev *IncrementalEvaluator) Invalidate(parent, removed *tree.Node) {
 			return true
 		})
 	}
-	for x := parent; x != nil; x = x.Parent {
-		ev.evict(x)
+	var below *tree.Node // the child of x on the spine; nil at parent
+	for x := parent; x != nil; below, x = x, x.Parent {
+		ev.evict(x, below)
 		for _, sp := range ev.spines {
 			if hung, ok := sp.filed[x]; ok {
 				sp.dirty = append(sp.dirty, hung...)
@@ -150,12 +163,33 @@ func (ev *IncrementalEvaluator) Invalidate(parent, removed *tree.Node) {
 }
 
 // Evictions returns the total number of document nodes whose memo entries
-// were evicted, for accounting.
+// were evicted or marked stale, for accounting.
 func (ev *IncrementalEvaluator) Evictions() int { return ev.evictions }
 
-func (ev *IncrementalEvaluator) evict(n *tree.Node) {
+// Rows returns the number of rows the evaluator's memo keeps: a rowed
+// entry's rows, one for any other entry with solutions. It is the measure of
+// what a kept evaluator holds.
+func (ev *IncrementalEvaluator) Rows() int { return ev.rows }
+
+// evict drops n's memo entries, except that with stale set the rowed ones
+// stay and get their row for the child stale marked.
+func (ev *IncrementalEvaluator) evict(n, stale *tree.Node) {
 	ev.evictions++
 	for _, v := range ev.q.nodes {
-		delete(ev.memo, memoKey{qnode: v.ID, dnode: n})
+		k := memoKey{qnode: v.ID, dnode: n}
+		e, ok := ev.memo[k]
+		switch {
+		case !ok:
+		case stale != nil && e.rowed:
+			if e.ix == nil {
+				e.ix = &rowIndex{}
+			}
+			if !slices.Contains(e.ix.stale, stale) {
+				e.ix.stale = append(e.ix.stale, stale)
+			}
+		default:
+			ev.rows -= e.size()
+			delete(ev.memo, k)
+		}
 	}
 }

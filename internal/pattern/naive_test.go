@@ -231,3 +231,21 @@ func joinSolutions(a, b []solution) []solution {
 	}
 	return dedupe(out)
 }
+
+// collectResults restricts a materialised solution set to the query's
+// result nodes and deduplicates it by key, in first-occurrence order — with
+// the restriction and the keys the evaluator uses, so the two evaluators
+// share one definition of a Result.
+func collectResults(q *Pattern, sols []solution) []Result {
+	rn := newRestriction(q)
+	seen := map[string]bool{}
+	var out []Result
+	for _, s := range sols {
+		r := rn.restrict(s)
+		if k := r.Key(); !seen[k] {
+			seen[k] = true
+			out = append(out, r)
+		}
+	}
+	return out
+}

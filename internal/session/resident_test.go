@@ -2,9 +2,12 @@ package session
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strconv"
 	"strings"
@@ -68,6 +71,15 @@ func residents(e *entry) (n int, texts []string) {
 // naive-fixpoint oracle. The Memo ⇔ no-splice-since-completion assertion
 // is unchanged. Never-seen texts must leave no resident state, and the
 // runs after writes must in fact resume.
+//
+// Beside the honest writes a forger splices, under the entry lock, a
+// five-star restaurant in place of a museum call (core's forge): under a
+// Best Western hotel or one whose name is its tag, a write that changes a
+// hot answer — which the typed variants, whose analysis leaves those calls
+// pending, take. A forged document's oracle is the naive fixpoint of the
+// master as it stood. A resumed run's bindings share the previous answer's
+// array exactly when they equal it row for row; any other engine run's
+// never do.
 func TestResumedMatchesFresh(t *testing.T) {
 	spec := suiteSpec()
 	variants := []struct {
@@ -88,6 +100,7 @@ func TestResumedMatchesFresh(t *testing.T) {
 			t.Parallel()
 			oracle := map[string]string{}
 			var resumed int64
+			shared, changed := 0, 0
 			for seed := int64(0); seed < 20; seed++ {
 				reg, scenarios := workload.Suite(spec)
 				log := newInvokeLog()
@@ -107,6 +120,8 @@ func TestResumedMatchesFresh(t *testing.T) {
 				}
 				rng := rand.New(rand.NewSource(seed))
 				fresh := map[string]bool{} // doc|query → answered since the document's last splice
+				prev := map[string][]tree.Binding{}
+				forged := map[string]bool{}
 				unseen := map[string][]int{}
 				for _, sc := range scenarios[:2] {
 					for k := 0; k < spec.Hotels+spec.HiddenHotels; k++ {
@@ -128,6 +143,17 @@ func TestResumedMatchesFresh(t *testing.T) {
 						qsrc = sc.Queries[i%2]
 					} else {
 						sc = scenarios[rng.Intn(6)%len(scenarios)]
+						if sc.Name == "travel" || sc.Name == "distributed" {
+							if rng.Intn(8) == 0 && forgeMuseum(t, resident(t, m, sc.Name), rng) {
+								forged[sc.Name] = true
+								for k := range fresh {
+									if strings.HasPrefix(k, sc.Name+"|") {
+										delete(fresh, k)
+									}
+								}
+								continue
+							}
+						}
 						qsrc = sc.Queries[rng.Intn(len(sc.Queries))]
 						if ks := unseen[sc.Name]; len(ks) > 0 && rng.Intn(4) == 0 {
 							i := rng.Intn(len(ks))
@@ -143,15 +169,20 @@ func TestResumedMatchesFresh(t *testing.T) {
 					e.mu.RLock()
 					before := e.master.Clone()
 					e.mu.RUnlock()
+					want := oracle[key]
+					if forged[sc.Name] {
+						want = naiveOracle(t, reg, before, qsrc)
+					}
 
+					resumedBefore := m.Stats().Resumed
 					res, err := m.Query(context.Background(), Request{Document: sc.Name, Query: qsrc})
 					if err != nil {
 						t.Fatalf("seed %d step %d %s: %v", seed, step, key, err)
 					}
 					got := log.take()
-					if !res.Complete || canon(res.Bindings) != oracle[key] {
+					if !res.Complete || canon(res.Bindings) != want {
 						t.Fatalf("seed %d step %d %s: complete=%v, answer differs from the naive fixpoint:\n got %s\nwant %s",
-							seed, step, key, res.Complete, canon(res.Bindings), oracle[key])
+							seed, step, key, res.Complete, canon(res.Bindings), want)
 					}
 					if res.Memo != fresh[key] {
 						t.Fatalf("seed %d step %d %s: memo=%v, but answered-since-last-splice=%v", seed, step, key, res.Memo, fresh[key])
@@ -179,7 +210,23 @@ func TestResumedMatchesFresh(t *testing.T) {
 							t.Fatalf("seed %d step %d %s: invoked\n %s\na fresh evaluation invokes\n %s",
 								seed, step, key, strings.Join(got, "\n "), strings.Join(want, "\n "))
 						}
+						if p := prev[key]; len(p) > 0 && len(res.Bindings) > 0 {
+							resumedRun := m.Stats().Resumed > resumedBefore
+							share := &res.Bindings[0] == &p[0]
+							equal := reflect.DeepEqual(cloneBindings(out.Results), p)
+							if share != (resumedRun && equal) {
+								t.Fatalf("seed %d step %d %s: resumed=%v, answer equal to the previous one=%v, but shares its bindings=%v",
+									seed, step, key, resumedRun, equal, share)
+							}
+							switch {
+							case share:
+								shared++
+							case resumedRun:
+								changed++
+							}
+						}
 					}
+					prev[key] = res.Bindings
 					if res.Stats.CallsInvoked > 0 {
 						for k := range fresh {
 							if strings.HasPrefix(k, sc.Name+"|") {
@@ -199,12 +246,40 @@ func TestResumedMatchesFresh(t *testing.T) {
 				}
 				resumed += m.Stats().Resumed
 			}
-			t.Logf("%d engine runs resumed resident state", resumed)
+			t.Logf("%d engine runs resumed resident state: %d kept the previous answer's bindings, %d changed it", resumed, shared, changed)
 			if resumed < 100 {
 				t.Fatalf("%d engine runs of 20 seeds resumed resident state: the differential compares too little that is new", resumed)
 			}
+			if shared == 0 || (!v.untyped && changed == 0) {
+				t.Fatalf("%d resumed runs kept their answer and %d changed it: a branch is not exercised", shared, changed)
+			}
 		})
 	}
+}
+
+// forgeMuseum splices, under the entry lock, a five-star restaurant with a
+// name and an address in place of a museum call of the master, chosen at
+// random, and reports whether it found one: what no honest service returns.
+func forgeMuseum(t *testing.T, e *entry, rng *rand.Rand) bool {
+	t.Helper()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	var museums []*tree.Node
+	for _, c := range e.master.Calls() {
+		if c.Label == "getNearbyMuseums" {
+			museums = append(museums, c)
+		}
+	}
+	if len(museums) == 0 {
+		return false
+	}
+	call := museums[rng.Intn(len(museums))]
+	r := tree.NewElement("restaurant")
+	r.Append(tree.NewElement("name")).Append(tree.NewText(fmt.Sprintf("Forged-%d", call.ID)))
+	r.Append(tree.NewElement("address")).Append(tree.NewText("nowhere"))
+	r.Append(tree.NewElement("rating")).Append(tree.NewText("*****"))
+	e.guide.ApplyExpansion(e.master.ReplaceCall(call, []*tree.Node{r}))
+	return true
 }
 
 // TestCancelledWriterLeavesResidentsSound: a write whose client hangs up
@@ -555,5 +630,148 @@ func writeWithResidents(b *testing.B, n int) {
 		if w.Stats.CallsInvoked == 0 {
 			b.Fatalf("write %d invoked no call", targets[next-1])
 		}
+	}
+}
+
+// resumedRunCost measures a hot query's resumed engine run on the travel
+// master at the given size, each run after a write that splices one museum
+// call of a hotel the query does not match: the memo entries the run
+// recomputes and its allocations, the write included.
+func resumedRunCost(t *testing.T, hotels int) (visited int, allocs float64) {
+	t.Helper()
+	spec := workload.DefaultSpec()
+	spec.Hotels, spec.HiddenHotels = hotels, hotels/5
+	reg, scenarios := workload.Suite(spec)
+	m := NewManager(Config{Registry: reg, Engine: core.Options{Strategy: core.LazyNFQ, Incremental: true}})
+	sc := scenarios[0]
+	if err := m.AddDocument(sc.Name, sc.Doc, sc.Schema); err != nil {
+		t.Fatal(err)
+	}
+	hot := Request{Document: sc.Name, Query: sc.Queries[0]}
+	ask := func(req Request) *Result {
+		res, err := m.Query(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	ask(hot)
+	ask(hot) // read: the text is hot from here
+	ask(Request{Document: sc.Name, Query: pointQuery(1)})
+	ask(hot) // an engine run whose state stays resident
+
+	e := resident(t, m, sc.Name)
+	var targets []*tree.Node
+	for _, c := range e.master.Calls() {
+		if c.Label == "getNearbyMuseums" && c.Parent.Parent.Children[0].Text() != workload.TargetName {
+			targets = append(targets, c)
+		}
+	}
+	run := func() {
+		e.mu.Lock()
+		call := targets[0]
+		targets = targets[1:]
+		resp, err := reg.Invoke(call.Label, tree.CloneForest(call.Children), nil)
+		if err == nil {
+			e.guide.ApplyExpansion(e.master.ReplaceCall(call, resp.Forest))
+		}
+		e.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		was := m.Stats().Resumed
+		res := ask(hot)
+		if res.Memo || m.Stats().Resumed != was+1 {
+			t.Fatalf("%d hotels: the run after a write is not a resumed engine run (memo=%v)", hotels, res.Memo)
+		}
+		visited = res.Stats.NodesVisited
+	}
+	allocs = testing.AllocsPerRun(10, run)
+	return visited, allocs
+}
+
+// TestResumedRunIsOChange is the result view's ceiling: after a write that
+// splices one hotel the query does not match, a resumed run recomputes as
+// many memo entries, and allocates as much, at 500 hotels as at 100 —
+// within 1.5× — where re-joining the root element's rows and copying the
+// bindings out would grow with the answer.
+func TestResumedRunIsOChange(t *testing.T) {
+	v100, a100 := resumedRunCost(t, 100)
+	v500, a500 := resumedRunCost(t, 500)
+	t.Logf("resumed run: 100 hotels %d entries recomputed, %.0f allocations; 500 hotels %d, %.0f", v100, a100, v500, a500)
+	if float64(v500) > 1.5*float64(v100) || float64(v100) > 1.5*float64(v500) {
+		t.Fatalf("entries recomputed: %d at 100 hotels, %d at 500 — not within 1.5×", v100, v500)
+	}
+	if a500 > 1.5*a100 || a100 > 1.5*a500 {
+		t.Fatalf("allocations: %.0f at 100 hotels, %.0f at 500 — not within 1.5×", a100, a500)
+	}
+}
+
+// TestStatsResidentRows: the rows resident evaluations keep are 0 on a
+// fresh manager, grow with each text that becomes resident, are untouched
+// by a memo read, are estimated at residentRowBytes a row, and return to 0
+// once eviction sweeps the resident texts out — also as GET /stats reports
+// them.
+func TestStatsResidentRows(t *testing.T) {
+	m, scenarios, _ := newSuiteManager(t, Config{Engine: core.Options{Strategy: core.LazyNFQ, Incremental: true}}, suiteSpec())
+	sc := scenarios[0]
+	e := resident(t, m, sc.Name)
+	ask := func(q string) *Result {
+		t.Helper()
+		res, err := m.Query(context.Background(), Request{Document: sc.Name, Query: q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	rows := func() int64 {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		Handler(m).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/stats", nil))
+		var st Stats
+		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.ResidentRows != m.Stats().ResidentRows || st.ResidentBytes != st.ResidentRows*residentRowBytes {
+			t.Fatalf("GET /stats says %d rows, %d bytes; Stats says %d rows", st.ResidentRows, st.ResidentBytes, m.Stats().ResidentRows)
+		}
+		return st.ResidentRows
+	}
+	if n := rows(); n != 0 {
+		t.Fatalf("%d resident rows before any query", n)
+	}
+	last := int64(0)
+	for i, hot := range sc.Queries {
+		ask(hot)
+		ask(hot) // read: hot from here
+		ask(pointQuery(2*i + 1))
+		ask(hot) // its state stays resident
+		n := rows()
+		if n <= last {
+			t.Fatalf("%d resident texts keep %d rows, %d before the last became resident", i+1, n, last)
+		}
+		last = n
+	}
+	ask(sc.Queries[0]) // resumes after the second text's write
+	last = rows()
+	if !ask(sc.Queries[0]).Memo || !ask(sc.Queries[1]).Memo {
+		t.Fatal("the hot texts' repeats are not memo answers")
+	}
+	if n := rows(); n != last {
+		t.Fatalf("memo reads moved the resident rows: %d → %d", last, n)
+	}
+	// Texts nobody reads: two eviction sweeps forget the hot ones, which are
+	// not read in between.
+	for i := 0; i < 3*maxHotQueries; i++ {
+		if n, _ := residents(e); n == 0 {
+			break
+		}
+		ask(fmt.Sprintf(`/hotels/none%d/$V -> $V`, i))
+	}
+	if n, texts := residents(e); n != 0 {
+		t.Fatalf("%d texts still resident after the sweeps: %q", n, texts)
+	}
+	if n := rows(); n != 0 {
+		t.Fatalf("%d resident rows once the resident texts are evicted", n)
 	}
 }

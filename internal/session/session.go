@@ -29,12 +29,14 @@
 // reads the splices other queries made since from the master's own splice
 // records and resumes — offers its call views the calls that arrived,
 // re-checks the verdicts the splices touched, invokes what became relevant,
-// re-reads its result through a kept memo. A write costs the same however
-// many texts are resident: nobody is told of a splice, each reader catches
-// up when it next runs.
+// re-joins only the rows of its answer the splices touched. A write costs
+// the same however many texts are resident: nobody is told of a splice,
+// each reader catches up when it next runs.
 // The answer is still an engine run's (Result.Memo false), bit for bit the
-// one an evaluation from scratch would give. A text nobody came back for —
-// every one-off point query — runs one-shot and leaves nothing behind.
+// one an evaluation from scratch would give; when no row of it changed
+// (core.Outcome.Unchanged) it is stored again as the bindings and the JSON
+// the previous answer already had. A text nobody came back for — every
+// one-off point query — runs one-shot and leaves nothing behind.
 //
 // Concurrency control is two-level. A weighted FIFO admission semaphore
 // bounds the queries executing at once and sheds load (ShedError → HTTP
@@ -192,9 +194,22 @@ type Stats struct {
 	Served, Shed, Memo, Resumed int64
 	// AnswerBytes is the JSON the stored answers hold: each is encoded
 	// once, by the first POST /query that sends it, and kept until the
-	// answer is replaced or evicted.
+	// answer is replaced or evicted. An engine run whose answer is, row for
+	// row, the one stored before it keeps that encoding: it is counted once.
 	AnswerBytes int64
+	// ResidentRows counts the rows the resident evaluations of hot texts
+	// keep in their pattern evaluators' memos, as of the end of each text's
+	// last engine run; ResidentBytes estimates their size at 128 bytes a
+	// row (residentRowBytes; doc/SERVER.md gives the formula).
+	ResidentRows, ResidentBytes int64
 }
+
+// residentRowBytes is the estimated size of one resident row: the row
+// itself (its candidate node and two slice headers, 56 bytes), one solution
+// in it (16 bytes) and that solution's deduplication key (a 16-byte string
+// header and about 40 bytes of text) — 128 bytes. It does not count the
+// variable bindings, which rows share with the entries below them.
+const residentRowBytes = 128
 
 // TenantStats accumulates per-tenant accounting.
 type TenantStats struct {
@@ -271,6 +286,22 @@ func (a *answer) encoded() []byte {
 	return a.wire
 }
 
+// inherit makes a the successor of prev, an answer with the same bindings
+// stored at an earlier version: a takes over prev's encoding, if prev has
+// made one, and its place in the held bytes, which prev gives up when it is
+// dropped. Caller holds the entry lock for writing; prev's encoding may be
+// under way outside it, in which case a makes its own.
+func (a *answer) inherit(prev *answer) {
+	n := prev.acct.Load() // set after prev.wire, so the load makes prev.wire safe to read
+	if n <= 0 {
+		return
+	}
+	wire := prev.wire
+	a.once.Do(func() { a.wire = wire })
+	a.held.Add(n)
+	a.acct.Store(n)
+}
+
 // drop takes a replaced or evicted answer out of its entry's held bytes.
 func (a *answer) drop() {
 	if n := a.acct.Swap(-1); n > 0 {
@@ -293,6 +324,9 @@ type hotQuery struct {
 	// master. The splices other queries make while it waits are read from
 	// the master's splice records when it next runs.
 	resident *core.Evaluation
+	// rows is resident's part of the entry's residentRows, as counted when
+	// its run ended (guarded by the entry write lock).
+	rows int64
 }
 
 // entry is one resident document: the shared master, its schema, its
@@ -312,8 +346,10 @@ type entry struct {
 
 	queries map[string]*hotQuery // by query text, at most maxHotQueries
 	// answerBytes sums the encoded size of the stored answers in queries,
-	// so Stats reads it without waiting for an engine run to let go of mu.
-	answerBytes atomic.Int64
+	// and residentRows the rows their resident evaluations keep, so Stats
+	// reads them without waiting for an engine run to let go of mu.
+	answerBytes  atomic.Int64
+	residentRows atomic.Int64
 }
 
 func newEntry(name string, doc *tree.Document, sch *schema.Schema, guide *fguide.Guide) *entry {
@@ -562,6 +598,7 @@ func (e *entry) forget(src string, h *hotQuery) {
 	if h.answer != nil {
 		h.answer.drop()
 	}
+	e.residentRows.Add(-h.rows)
 	delete(e.queries, src)
 }
 
@@ -605,6 +642,13 @@ func (m *Manager) queryShared(ctx context.Context, e *entry, h *hotQuery) (*Resu
 	}
 	h.resident = nil
 	out, err := m.run(ctx, ev, m.options(e, true))
+	rows := int64(0)
+	if h.used.Load() && ev.Live() { // a run that failed is not live
+		h.resident = ev
+		rows = int64(ev.Rows())
+	}
+	e.residentRows.Add(rows - h.rows)
+	h.rows = rows
 	if err != nil {
 		return nil, err
 	}
@@ -612,16 +656,27 @@ func (m *Manager) queryShared(ctx context.Context, e *entry, h *hotQuery) (*Resu
 		m.resumed.Add(1)
 		m.mResumed.Inc()
 	}
-	if h.used.Load() && ev.Live() {
-		h.resident = ev
+	res = &Result{Complete: out.Complete, Stats: out.Stats}
+	// A resumed run that answered, row for row, what its previous run did
+	// hands out that run's stored bindings, and stores them again with their
+	// encoding: nothing is copied or encoded twice.
+	prev := h.answer
+	if out.Unchanged && prev != nil && len(prev.bindings) == len(out.Results) {
+		res.Bindings = prev.bindings
+	} else {
+		prev = nil
+		res.Bindings = cloneBindings(out.Results)
 	}
-	res = &Result{Bindings: cloneBindings(out.Results), Complete: out.Complete, Stats: out.Stats}
 	if out.Complete && h.kept {
+		next := &answer{at: e.master.Version(), bindings: res.Bindings, held: &e.answerBytes}
+		if prev != nil {
+			next.inherit(prev)
+		}
 		if h.answer != nil {
 			h.answer.drop()
 		}
-		h.answer = &answer{at: e.master.Version(), bindings: res.Bindings, held: &e.answerBytes}
-		res.answer = h.answer
+		h.answer = next
+		res.answer = next
 	}
 	return res, nil
 }
@@ -734,20 +789,23 @@ func (m *Manager) TenantStats() map[string]TenantStats {
 func (m *Manager) Stats() Stats {
 	m.mu.Lock()
 	docs := len(m.entries)
-	var held int64
+	var held, rows int64
 	for _, e := range m.entries {
 		held += e.answerBytes.Load()
+		rows += e.residentRows.Load()
 	}
 	m.mu.Unlock()
 	return Stats{
-		Documents:   docs,
-		Active:      m.adm.active(),
-		Queued:      m.adm.queued(),
-		Served:      m.served.Load(),
-		Shed:        m.shed.Load(),
-		Memo:        m.memo.Load(),
-		Resumed:     m.resumed.Load(),
-		AnswerBytes: held,
+		Documents:     docs,
+		Active:        m.adm.active(),
+		Queued:        m.adm.queued(),
+		Served:        m.served.Load(),
+		Shed:          m.shed.Load(),
+		Memo:          m.memo.Load(),
+		Resumed:       m.resumed.Load(),
+		AnswerBytes:   held,
+		ResidentRows:  rows,
+		ResidentBytes: rows * residentRowBytes,
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -413,5 +414,124 @@ func TestMemoRequestObservesOneWrite(t *testing.T) {
 	}
 	if w, e := counts(); w != writes+1 || e != evals {
 		t.Fatalf("a memo request: write samples %d → %d, evaluations %d → %d; want one more write and no evaluation", writes, w, evals, e)
+	}
+}
+
+// TestUnchangedAnswerKeepsEncoding: across a write the hot query's answer
+// does not see, its resumed run answers Memo=false with the stored answer's
+// bindings and encoding — the same arrays, re-stored under the new version —
+// its body is what encoding the whole QueryResponse gives, AnswerBytes
+// counts the encoding once, and the memo reads after it hand out the same.
+func TestUnchangedAnswerKeepsEncoding(t *testing.T) {
+	m, scenarios, _ := newSuiteManager(t, Config{Engine: core.Options{Strategy: core.LazyNFQ, Incremental: true}}, suiteSpec())
+	sc := scenarios[0]
+	ask := func(q string) *Result {
+		t.Helper()
+		res, err := m.Query(context.Background(), Request{Document: sc.Name, Query: q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	hot := sc.Queries[0]
+	ask(hot)
+	ask(hot) // read: the text is hot from here
+	ask(pointQuery(1))
+	kept := ask(hot) // an engine run whose state stays resident
+	if kept.Memo || kept.answer == nil || len(kept.Bindings) == 0 {
+		t.Fatalf("the run after the first write: memo=%v, stored=%v, %d bindings", kept.Memo, kept.answer != nil, len(kept.Bindings))
+	}
+	wire := kept.answer.encoded()
+	if n := m.Stats().AnswerBytes; n != int64(len(wire)) {
+		t.Fatalf("AnswerBytes = %d with one %d-byte encoding", n, len(wire))
+	}
+
+	resumed := m.Stats().Resumed
+	if w := ask(pointQuery(3)); w.Stats.CallsInvoked == 0 {
+		t.Fatal("the second write invoked nothing")
+	}
+	res := ask(hot)
+	if res.Memo || res.answer == nil || res.answer == kept.answer || m.Stats().Resumed != resumed+1 {
+		t.Fatalf("the run after a write the answer does not see: memo=%v, stored=%v, resumed %d → %d; want a resumed engine run that stored an answer",
+			res.Memo, res.answer != nil, resumed, m.Stats().Resumed)
+	}
+	if &res.Bindings[0] != &kept.Bindings[0] || &res.answer.bindings[0] != &kept.Bindings[0] {
+		t.Fatal("the unchanged answer's bindings are a copy, not the stored ones")
+	}
+	if got := res.answer.encoded(); &got[0] != &wire[0] {
+		t.Fatal("the unchanged answer was encoded again")
+	}
+	if n := m.Stats().AnswerBytes; n != int64(len(wire)) {
+		t.Fatalf("AnswerBytes = %d after the unchanged answer was re-stored, want the one encoding's %d", n, len(wire))
+	}
+	sameWire(t, "unchanged answer", sc.Name, res)
+	memo := ask(hot)
+	if got := memo.answer.encoded(); !memo.Memo || &got[0] != &wire[0] || &memo.Bindings[0] != &kept.Bindings[0] {
+		t.Fatal("a memo read after the re-store does not hand out the kept bindings and encoding")
+	}
+}
+
+// TestInheritedEncodingUnderReaders runs, under -race, hot-query readers
+// over HTTP beside a writer: each write makes the stored answer stale, the
+// next reader's resumed run stores it again — taking over its encoding,
+// which other readers may be making that moment outside the lock — and
+// every body must carry the same bindings, and AnswerBytes end as the one
+// encoding the stored answer holds.
+func TestInheritedEncodingUnderReaders(t *testing.T) {
+	const readers, writes = 6, 12
+	m, scenarios, _ := newSuiteManager(t, Config{
+		Engine:    core.Options{Strategy: core.LazyNFQ, Incremental: true},
+		MaxActive: readers + 1,
+		MaxQueued: 1 << 10,
+	}, suiteSpec())
+	sc := scenarios[0]
+	hot, _ := json.Marshal(QueryRequest{Document: sc.Name, Query: sc.Queries[0]})
+	handler := Handler(m)
+	post := func(body []byte) QueryResponse {
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body)))
+		var qr QueryResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &qr); rec.Code != http.StatusOK || err != nil {
+			t.Errorf("status %d, %v: %s", rec.Code, err, rec.Body)
+		}
+		return qr
+	}
+	want := post(hot)
+	post(hot) // read: hot from here
+
+	var wg sync.WaitGroup
+	var done atomic.Bool
+	for i := 0; i < readers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !done.Load() {
+				if got := post(hot); !reflect.DeepEqual(got.Bindings, want.Bindings) {
+					t.Errorf("a reader got %d bindings, want %d", len(got.Bindings), len(want.Bindings))
+					return
+				}
+			}
+		}()
+	}
+	for k := 0; k < writes; k++ {
+		// Not over HTTP: a write's own answer is never encoded, so the
+		// only bytes held are the hot answer's.
+		if _, err := m.Query(context.Background(), Request{Document: sc.Name, Query: pointQuery(2*k + 1)}); err != nil {
+			t.Error(err)
+		}
+		time.Sleep(time.Millisecond) // let readers meet the stale answer
+	}
+	done.Store(true)
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	last := post(hot)
+	res, err := m.Query(context.Background(), Request{Document: sc.Name, Query: sc.Queries[0]})
+	if err != nil || !last.Memo || !res.Memo {
+		t.Fatalf("after the writes: memo=%v, %v", last.Memo, err)
+	}
+	if n, wire := m.Stats().AnswerBytes, res.answer.encoded(); n != int64(len(wire)) {
+		t.Fatalf("AnswerBytes = %d, the stored answer's encoding %d bytes", n, len(wire))
 	}
 }
