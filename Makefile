@@ -99,7 +99,7 @@ microbench:
 	$(GO) test -bench . -benchmem ./internal/pattern/
 	$(GO) test -run TestResumedRunIsOChange -bench 'ReevalAfterWrite' -benchmem ./internal/session/
 	$(GO) test -run TestUnmarshalAllocationCeiling -bench 'Unmarshal/' -benchmem ./internal/tree/
-	$(GO) test -run TestMemoAnswerHTTPAllocationCeiling -bench 'MemoAnswer|ReevalAfterWrite|WriteWithResidents' -benchmem ./internal/session/
+	$(GO) test -run 'TestMemoAnswerHTTPAllocationCeiling|TestMemoAnswerDuringEngineRun' -bench 'MemoAnswer|ReevalAfterWrite|WriteWithResidents' -benchmem ./internal/session/
 	$(GO) test -bench TelemetryOverhead -benchmem .
 	$(GO) test -run TestE13AllocationRegression -count=1 -v ./internal/pattern/
 

@@ -4,17 +4,21 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/activexml/axml/internal/core"
 	"github.com/activexml/axml/internal/pattern"
 	"github.com/activexml/axml/internal/service"
+	"github.com/activexml/axml/internal/telemetry"
 	"github.com/activexml/axml/internal/tree"
 	"github.com/activexml/axml/internal/workload"
 )
@@ -29,10 +33,21 @@ func resident(t testing.TB, m *Manager, name string) *entry {
 	return e
 }
 
-// TestMemoAnswerTakesOnlyTheReadLock pins the hit path's locking: with
-// another reader holding the entry lock — an isolated query cloning the
-// master, Drain persisting it — a memo answer still returns.
-func TestMemoAnswerTakesOnlyTheReadLock(t *testing.T) {
+// remembered returns the query texts document e remembers.
+func remembered(e *entry) map[string]bool {
+	e.qmu.Lock()
+	defer e.qmu.Unlock()
+	texts := make(map[string]bool, len(e.queries))
+	for src := range e.queries {
+		texts[src] = true
+	}
+	return texts
+}
+
+// TestMemoAnswerTakesNoLock pins the hit path's locking: with the entry
+// lock held for writing — an engine run splicing the master, or one only
+// waiting for it — a memo answer still returns.
+func TestMemoAnswerTakesNoLock(t *testing.T) {
 	m, scenarios, _ := newSuiteManager(t, Config{Engine: core.Options{Strategy: core.LazyNFQ}}, suiteSpec())
 	sc := scenarios[0]
 	req := Request{Document: sc.Name, Query: sc.Queries[0]}
@@ -41,8 +56,8 @@ func TestMemoAnswerTakesOnlyTheReadLock(t *testing.T) {
 	}
 
 	e := resident(t, m, sc.Name)
-	e.mu.RLock()
-	defer e.mu.RUnlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	done := make(chan *Result, 1)
 	go func() {
 		res, err := m.Query(context.Background(), req)
@@ -57,7 +72,186 @@ func TestMemoAnswerTakesOnlyTheReadLock(t *testing.T) {
 			t.Fatal("repeat query on an unchanged master was not a memo answer")
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("memo answer blocked behind a reader: the hit path takes the write lock")
+		t.Fatal("memo answer blocked behind a writer: the hit path takes the entry lock")
+	}
+}
+
+// gateFirstInvocation wraps reg so that the first invocation after arm is
+// called reports on entered and blocks until the channel arm was given is
+// closed, or its context ends: a write held in its engine run, under the
+// entry's write lock, before its first splice.
+func gateFirstInvocation(reg *service.Registry) (gated *service.Registry, arm func(chan struct{}), entered <-chan struct{}) {
+	var held atomic.Pointer[chan struct{}]
+	in := make(chan struct{}, 1)
+	gated = reg.Proxy(func(_ *service.Service, next service.Invoker) service.Invoker {
+		return func(ctx context.Context, params []*tree.Node, pushed *pattern.Pattern) (service.Response, error) {
+			if gate := held.Swap(nil); gate != nil {
+				in <- struct{}{}
+				select {
+				case <-*gate:
+				case <-ctx.Done():
+					return service.Response{}, ctx.Err()
+				}
+			}
+			return next(ctx, params, pushed)
+		}
+	})
+	return gated, func(gate chan struct{}) { held.Store(&gate) }, in
+}
+
+// TestMemoAnswerDuringEngineRun: while a write's handler is blocked, before
+// any splice, inside its engine run and so under the entry's write lock, a
+// memo read of another hot text on the same document is answered from its
+// stored answer within 2 s. Once the write is let go, the hot text's next
+// read is a resumed engine run whose answer is the naive fixpoint's.
+func TestMemoAnswerDuringEngineRun(t *testing.T) {
+	reg, scenarios := workload.Suite(suiteSpec())
+	gated, arm, entered := gateFirstInvocation(reg)
+	m := NewManager(Config{Registry: gated, Engine: core.Options{Strategy: core.LazyNFQ, Incremental: true}, MaxActive: 4})
+	sc := scenarios[0]
+	if err := m.AddDocument(sc.Name, sc.Doc.Clone(), sc.Schema); err != nil {
+		t.Fatal(err)
+	}
+	e := resident(t, m, sc.Name)
+	ask := func(q string) *Result {
+		t.Helper()
+		res, err := m.Query(context.Background(), Request{Document: sc.Name, Query: q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	hot := sc.Queries[0]
+	ask(hot)
+	ask(hot) // read: hot from here
+	ask(pointQuery(3))
+	ask(hot) // an engine run whose state stays resident
+	if !ask(hot).Memo {
+		t.Fatal("the hot text's repeat on an unchanged master is not a memo answer")
+	}
+
+	at := e.master.Version()
+	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release()
+	arm(gate)
+	wrote := make(chan error, 1)
+	go func() {
+		res, err := m.Query(context.Background(), Request{Document: sc.Name, Query: pointQuery(1)})
+		if err == nil && res.Stats.CallsInvoked == 0 {
+			err = errors.New("the write invoked nothing")
+		}
+		wrote <- err
+	}()
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the write never reached its handler")
+	}
+	if e.master.Version() != at {
+		t.Fatal("the write spliced before its handler was held")
+	}
+	read := make(chan *Result, 1)
+	go func() {
+		res, err := m.Query(context.Background(), Request{Document: sc.Name, Query: hot})
+		if err != nil {
+			t.Error(err)
+		}
+		read <- res
+	}()
+	select {
+	case res := <-read:
+		if res == nil || !res.Memo {
+			t.Fatal("a read during the write's engine run, before its first splice, was not a memo answer")
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("a memo read waited for a write's engine run")
+	}
+
+	release()
+	if err := <-wrote; err != nil {
+		t.Fatal(err)
+	}
+	resumed := m.Stats().Resumed
+	res := ask(hot)
+	if res.Memo || m.Stats().Resumed != resumed+1 {
+		t.Fatalf("the read after the write: memo=%v, resumed %d → %d; want a resumed engine run", res.Memo, resumed, m.Stats().Resumed)
+	}
+	if want := naiveOracle(t, reg, sc.Doc, hot); !res.Complete || canon(res.Bindings) != want {
+		t.Fatalf("the resumed run's answer differs from the naive fixpoint:\n got %s\nwant %s", canon(res.Bindings), want)
+	}
+}
+
+// TestLockWaitObserved: axml_session_lock_wait_seconds records a resumed
+// read's wait behind a write that holds the entry lock for 60 ms, one sample
+// of at least 50 ms, and nothing for memo reads, which take no lock.
+func TestLockWaitObserved(t *testing.T) {
+	metrics := telemetry.NewRegistry()
+	m, scenarios, reg := newSuiteManager(t, Config{Metrics: metrics, Engine: core.Options{Strategy: core.LazyNFQ, Incremental: true}, MaxActive: 4}, suiteSpec())
+	sc := scenarios[0]
+	e := resident(t, m, sc.Name)
+	hot := Request{Document: sc.Name, Query: sc.Queries[0]}
+	ask := func(req Request) *Result {
+		t.Helper()
+		res, err := m.Query(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	ask(hot)
+	ask(hot) // read: hot from here
+	ask(Request{Document: sc.Name, Query: pointQuery(1)})
+	ask(hot) // an engine run whose state stays resident
+	waits := metrics.Histogram(telemetry.MetricSessionLockWait)
+	before := waits.Snapshot()
+	for i := 0; i < 10; i++ {
+		if !ask(hot).Memo {
+			t.Fatal("a repeat on an unchanged master is not a memo answer")
+		}
+	}
+	if n := waits.Snapshot().Count; n != before.Count {
+		t.Fatalf("10 memo reads took %d lock-wait samples, want none", n-before.Count)
+	}
+
+	// A write that holds the lock: it splices one museum call, so the hot
+	// answer is stale, and keeps the lock while the hot read queues for it.
+	resumed := m.Stats().Resumed
+	e.mu.Lock()
+	var museum *tree.Node
+	for _, c := range e.master.Calls() {
+		if c.Label == "getNearbyMuseums" {
+			museum = c
+			break
+		}
+	}
+	resp, err := reg.Invoke(museum.Label, tree.CloneForest(museum.Children), nil)
+	if err != nil {
+		e.mu.Unlock()
+		t.Fatal(err)
+	}
+	e.guide.ApplyExpansion(e.master.ReplaceCall(museum, resp.Forest))
+	read := make(chan error, 1)
+	go func() {
+		res, err := m.Query(context.Background(), hot)
+		if err == nil && res.Memo {
+			err = errors.New("the read after a splice was a memo answer")
+		}
+		read <- err
+	}()
+	waitUntil(t, func() bool { return m.Stats().Active == 1 })
+	time.Sleep(60 * time.Millisecond)
+	e.mu.Unlock()
+	if err := <-read; err != nil {
+		t.Fatal(err)
+	}
+	if m.Stats().Resumed != resumed+1 {
+		t.Fatal("the read behind the write did not resume")
+	}
+	after := waits.Snapshot()
+	if after.Count != before.Count+1 || after.Sum-before.Sum < 50*time.Millisecond {
+		t.Fatalf("the read behind a 60 ms write: %d lock-wait samples summing to %v, want 1 of at least 50ms",
+			after.Count-before.Count, after.Sum-before.Sum)
 	}
 }
 
@@ -161,7 +355,7 @@ func TestHotQueryStateIsBounded(t *testing.T) {
 	ask(hot)
 	for i := 0; i < 2*maxHotQueries+100; i++ {
 		ask(fmt.Sprintf(`/r/k%d/$V -> $V`, i))
-		if n := len(e.queries); n > maxHotQueries {
+		if n := len(remembered(e)); n > maxHotQueries {
 			t.Fatalf("after %d distinct queries the document remembers %d texts, cap %d", i+1, n, maxHotQueries)
 		}
 		if i%50 == 0 {
@@ -171,23 +365,23 @@ func TestHotQueryStateIsBounded(t *testing.T) {
 		}
 	}
 
-	for len(e.queries) < maxHotQueries {
-		ask(fmt.Sprintf(`/r/fill%d/$V -> $V`, len(e.queries)))
+	for n := len(remembered(e)); n < maxHotQueries; n = len(remembered(e)) {
+		ask(fmt.Sprintf(`/r/fill%d/$V -> $V`, n))
 	}
-	for q := range e.queries { // memo answers do not touch the map
+	for q := range remembered(e) { // memo answers do not touch the map
 		if !ask(q).Memo {
 			t.Fatalf("%q lost its stored answer on an unchanged master", q)
 		}
 	}
-	if res := ask(`/r/v/$W -> $W`); len(res.Bindings) != 1 || len(e.queries) != maxHotQueries || e.queries[`/r/v/$W -> $W`] != nil {
+	if res, texts := ask(`/r/v/$W -> $W`), remembered(e); len(res.Bindings) != 1 || len(texts) != maxHotQueries || texts[`/r/v/$W -> $W`] {
 		t.Fatalf("a text arriving at %d hot ones: %d bindings, %d texts remembered; want it answered and not kept",
-			maxHotQueries, len(res.Bindings), len(e.queries))
+			maxHotQueries, len(res.Bindings), len(texts))
 	}
 	e.mu.Lock()
 	e.master.Adopt(e.master.Root.Append(tree.NewElement("w"))) // a mutation no engine reports
 	e.mu.Unlock()
 	ask(`/r/after/$V -> $V`)
-	if n := len(e.queries); n != 1 {
+	if n := len(remembered(e)); n != 1 {
 		t.Fatalf("a full map of stale answers kept %d texts beside the new one, want 1 in all", n)
 	}
 }

@@ -52,6 +52,8 @@ func (l *invokeLog) take() []string {
 func residents(e *entry) (n int, texts []string) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
+	e.qmu.Lock()
+	defer e.qmu.Unlock()
 	for src, h := range e.queries {
 		if h.resident != nil {
 			n++

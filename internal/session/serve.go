@@ -40,8 +40,8 @@ type QueryResponse struct {
 	CallsInvoked int     `json:"callsInvoked"`
 	Rounds       int     `json:"rounds"`
 	VirtualMs    float64 `json:"virtualMs"`
-	// QueuedMs and ElapsedMs are wall-clock admission wait and execution
-	// time.
+	// QueuedMs and ElapsedMs are the wall-clock admission wait and the time
+	// from admission to the answer (Result.Queued, Result.Elapsed).
 	QueuedMs  float64 `json:"queuedMs"`
 	ElapsedMs float64 `json:"elapsedMs"`
 }

@@ -43,10 +43,18 @@
 // 429) when its bounded wait queue overflows — backpressure, never
 // unbounded buffering. Within a document, engine runs in shared mode
 // serialise on the entry's write lock (the engine mutates the master in
-// place); memo answers and isolated-mode queries take only the read lock
-// — the former to compare a version, the latter to clone the master and
-// evaluate the clone in parallel, paying materialisation cost for
-// isolation.
+// place), and isolated-mode queries take the read lock to clone the master
+// and evaluate the clone in parallel, paying materialisation cost for
+// isolation. A memo answer takes no lock at all: it compares its stored
+// answer's version with the master's atomic one, and every splice bumps
+// that version as its last step. A reader that still sees the version its
+// answer was stored at is served before the first splice of whatever run
+// holds the write lock, so it never waits for a writer — nor for one that
+// is itself only waiting for the lock. The query texts a document
+// remembers have a lock of their own, never held across an engine run, so
+// a text seen for the first time waits for no run either, unless the map
+// is full and must evict. Every wait for an entry lock is timed
+// (axml_session_lock_wait_seconds).
 package session
 
 import (
@@ -170,7 +178,9 @@ type Result struct {
 	Stats core.Stats
 	// Queued is the time spent waiting for admission.
 	Queued time.Duration
-	// Elapsed is the execution time after admission.
+	// Elapsed is the time from admission to the answer: the document's
+	// lookup (a repository load on first use), the text's analysis on first
+	// sight, any wait for the entry lock, and the evaluation.
 	Elapsed time.Duration
 
 	// answer is the stored answer Bindings came from — a memo answer's, or
@@ -248,6 +258,7 @@ type Manager struct {
 	mSeconds   *telemetry.Histogram
 	mQueueSecs *telemetry.Histogram
 	mWriteSecs *telemetry.Histogram
+	mLockWait  *telemetry.Histogram
 }
 
 // maxHotQueries caps the query texts one document remembers: they are
@@ -255,9 +266,10 @@ type Manager struct {
 const maxHotQueries = 1024
 
 // answer is the result of an engine run that ended Complete. While the
-// master's Version still equals at, it is the query's full result. Its
-// JSON is made at most once, outside the entry lock, by the first request
-// that sends it; every later one sends the same bytes.
+// master's Version still equals at, it is the query's full result. It is
+// immutable once stored, but for its JSON, which is made at most once,
+// outside the entry lock, by the first request that sends it; every later
+// one sends the same bytes.
 type answer struct {
 	at       uint64         // master version the run ended at
 	bindings []tree.Binding // handed out as is: read-only
@@ -311,13 +323,14 @@ func (a *answer) drop() {
 
 // hotQuery is what a document keeps per query text: the query parsed and
 // analysed (immutable, one instance serves every session, shared and
-// isolated), the stored answer (guarded by the entry lock; nil while none
-// is), whether a query has read that answer since the last eviction sweep,
-// and — for a text that has — the engine state of its last complete run.
+// isolated), the stored answer (read without a lock, replaced under the
+// entry's write lock; nil while none is), whether a query has read that
+// answer since the last eviction sweep, and — for a text that has — the
+// engine state of its last complete run.
 type hotQuery struct {
 	prepared *core.Prepared
 	kept     bool // remembered in the entry's queries; a text that is not stores no answer
-	answer   *answer
+	answer   atomic.Pointer[answer]
 	used     atomic.Bool
 	// resident is the evaluation the next engine run of this text resumes
 	// (guarded by the entry write lock); nil when it has to start from the
@@ -335,7 +348,7 @@ type entry struct {
 	name   string
 	schema *schema.Schema
 
-	mu     sync.RWMutex // write: engine run on the master; read: memo answer, clone for isolated mode
+	mu     sync.RWMutex // write: engine run on the master; read: clone for isolated mode, Drain
 	master *tree.Document
 	// guide is the master's F-guide, restored warm from the repository
 	// or built once at registration. Every shared-mode run adopts it and
@@ -344,6 +357,9 @@ type entry struct {
 	// rebuild.
 	guide *fguide.Guide
 
+	// qmu guards queries; it is never held across an engine run. Whoever
+	// holds both took mu first.
+	qmu     sync.Mutex
 	queries map[string]*hotQuery // by query text, at most maxHotQueries
 	// answerBytes sums the encoded size of the stored answers in queries,
 	// and residentRows the rows their resident evaluations keep, so Stats
@@ -397,6 +413,7 @@ func NewManager(cfg Config) *Manager {
 		mSeconds:   cfg.Metrics.Histogram(telemetry.MetricSessionSeconds),
 		mQueueSecs: cfg.Metrics.Histogram(telemetry.MetricSessionQueueSeconds),
 		mWriteSecs: cfg.Metrics.Histogram(telemetry.MetricSessionWriteSeconds),
+		mLockWait:  cfg.Metrics.Histogram(telemetry.MetricSessionLockWait),
 	}
 }
 
@@ -485,7 +502,8 @@ func (m *Manager) Query(ctx context.Context, req Request) (*Result, error) {
 	m.mQueued.Add(1)
 	err := m.adm.acquire(ctx, weight, m.cfg.RetryAfter)
 	m.mQueued.Add(-1)
-	queued := time.Since(t0)
+	t1 := time.Now()
+	queued := t1.Sub(t0)
 	if err != nil {
 		var shed *ShedError
 		if errors.As(err, &shed) {
@@ -506,12 +524,10 @@ func (m *Manager) Query(ctx context.Context, req Request) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	h, err := e.hot(req.Query, m.cfg.Engine)
+	h, err := m.hot(e, req.Query)
 	if err != nil {
 		return nil, &BadQueryError{Err: err}
 	}
-
-	t1 := time.Now()
 	var res *Result
 	if m.cfg.Isolated || req.Isolated {
 		res, err = m.queryIsolated(ctx, e, h)
@@ -538,13 +554,14 @@ func (m *Manager) Query(ctx context.Context, req Request) (*Result, error) {
 	return res, nil
 }
 
-// hot returns the document's state for query text src, parsing it,
+// hot returns document e's state for query text src, parsing it,
 // analysing it for evaluation under the engine template and remembering it
-// on first sight: analysis is paid once per text.
-func (e *entry) hot(src string, template core.Options) (*hotQuery, error) {
-	e.mu.RLock()
+// on first sight: analysis is paid once per text. It waits for an engine
+// run only when the map is full: evict reads resident state, which runs own.
+func (m *Manager) hot(e *entry, src string) (*hotQuery, error) {
+	e.qmu.Lock()
 	h := e.queries[src]
-	e.mu.RUnlock()
+	e.qmu.Unlock()
 	if h != nil {
 		return h, nil
 	}
@@ -552,16 +569,22 @@ func (e *entry) hot(src string, template core.Options) (*hotQuery, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := core.Prepare(q, template.WithSchema(e.schema))
+	p, err := core.Prepare(q, m.cfg.Engine.WithSchema(e.schema))
 	if err != nil {
 		return nil, err
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	e.qmu.Lock()
+	if len(e.queries) >= maxHotQueries {
+		e.qmu.Unlock()
+		m.wait(&e.mu)
+		defer e.mu.Unlock()
+		e.qmu.Lock()
+	}
+	defer e.qmu.Unlock()
 	if h := e.queries[src]; h != nil {
 		return h, nil
 	}
-	if len(e.queries) >= maxHotQueries {
+	if len(e.queries) >= maxHotQueries { // then e.mu is held: the map cannot grow under qmu alone
 		e.evict()
 	}
 	h = &hotQuery{prepared: p}
@@ -576,10 +599,10 @@ func (e *entry) hot(src string, template core.Options) (*hotQuery, error) {
 // absent answer without resident state costs a parse and an analysis to see
 // again, a fresh one no query has read since the last sweep an engine run
 // that invokes nothing. Answers read since then stay, whatever arrives.
-// Resident state goes with its text. Caller holds e.mu for writing.
+// Resident state goes with its text. Caller holds e.mu for writing and e.qmu.
 func (e *entry) evict() {
 	for src, h := range e.queries {
-		if (h.answer == nil || h.answer.at != e.master.Version()) && h.resident == nil {
+		if a := h.answer.Load(); (a == nil || a.at != e.master.Version()) && h.resident == nil {
 			e.forget(src, h)
 		}
 	}
@@ -593,19 +616,22 @@ func (e *entry) evict() {
 	}
 }
 
-// forget drops text src and its stored answer. Caller holds e.mu for writing.
+// forget drops text src and its stored answer. Caller holds e.mu for
+// writing and e.qmu. A reader that loaded the answer before may still send it.
 func (e *entry) forget(src string, h *hotQuery) {
-	if h.answer != nil {
-		h.answer.drop()
+	if a := h.answer.Load(); a != nil {
+		a.drop()
 	}
 	e.residentRows.Add(-h.rows)
 	delete(e.queries, src)
 }
 
 // stored returns h's answer as a memo Result while the master is still at
-// the version it was complete at, else nil. Caller holds e.mu (read or write).
+// the version it was complete at, else nil. It needs no lock: an answer is
+// immutable, and the master's version moves only once a splice is complete,
+// so a reader that sees a's version is served before any splice after it.
 func (e *entry) stored(h *hotQuery) *Result {
-	a := h.answer
+	a := h.answer.Load()
 	if a == nil || a.at != e.master.Version() {
 		return nil
 	}
@@ -616,21 +642,17 @@ func (e *entry) stored(h *hotQuery) *Result {
 }
 
 // queryShared answers from the shared master: with the stored answer,
-// under the read lock alone, while the master has not changed since the
-// engine run that stored it; otherwise with an engine run under the write
-// lock, whose answer is stored when it ends complete. A text whose stored
-// answer has been read is hot: its run's engine state stays resident, and
-// its next run — after a write made the answer stale — resumes from it. A
-// text nobody came back for runs one-shot and leaves nothing behind.
+// taking no lock, while the master has not changed since the engine run
+// that stored it; otherwise with an engine run under the write lock, whose
+// answer is stored when it ends complete. A text whose stored answer has
+// been read is hot: its run's engine state stays resident, and its next run
+// — after a write made the answer stale — resumes from it. A text nobody
+// came back for runs one-shot and leaves nothing behind.
 func (m *Manager) queryShared(ctx context.Context, e *entry, h *hotQuery) (*Result, error) {
-	e.mu.RLock()
-	res := e.stored(h)
-	e.mu.RUnlock()
-	if res != nil {
+	if res := e.stored(h); res != nil {
 		return res, nil
 	}
-
-	e.mu.Lock()
+	m.wait(&e.mu)
 	defer e.mu.Unlock()
 	// Re-check: the run this query waited behind may have been its own.
 	if res := e.stored(h); res != nil {
@@ -656,11 +678,11 @@ func (m *Manager) queryShared(ctx context.Context, e *entry, h *hotQuery) (*Resu
 		m.resumed.Add(1)
 		m.mResumed.Inc()
 	}
-	res = &Result{Complete: out.Complete, Stats: out.Stats}
+	res := &Result{Complete: out.Complete, Stats: out.Stats}
 	// A resumed run that answered, row for row, what its previous run did
 	// hands out that run's stored bindings, and stores them again with their
 	// encoding: nothing is copied or encoded twice.
-	prev := h.answer
+	prev := h.answer.Load()
 	if out.Unchanged && prev != nil && len(prev.bindings) == len(out.Results) {
 		res.Bindings = prev.bindings
 	} else {
@@ -672,10 +694,9 @@ func (m *Manager) queryShared(ctx context.Context, e *entry, h *hotQuery) (*Resu
 		if prev != nil {
 			next.inherit(prev)
 		}
-		if h.answer != nil {
-			h.answer.drop()
+		if old := h.answer.Swap(next); old != nil {
+			old.drop()
 		}
-		h.answer = next
 		res.answer = next
 	}
 	return res, nil
@@ -685,7 +706,7 @@ func (m *Manager) queryShared(ctx context.Context, e *entry, h *hotQuery) (*Resu
 // clone privately — parallel across sessions, no shared materialisation,
 // nothing kept but the text's analysis, which it shares.
 func (m *Manager) queryIsolated(ctx context.Context, e *entry, h *hotQuery) (*Result, error) {
-	e.mu.RLock()
+	m.wait(e.mu.RLocker())
 	doc := e.master.Clone()
 	e.mu.RUnlock()
 
@@ -694,6 +715,14 @@ func (m *Manager) queryIsolated(ctx context.Context, e *entry, h *hotQuery) (*Re
 		return nil, err
 	}
 	return &Result{Bindings: cloneBindings(out.Results), Complete: out.Complete, Stats: out.Stats}, nil
+}
+
+// wait takes l, an entry lock, and observes how long that took in
+// axml_session_lock_wait_seconds.
+func (m *Manager) wait(l sync.Locker) {
+	t := time.Now()
+	l.Lock()
+	m.mLockWait.Observe(time.Since(t))
 }
 
 // run is one engine run under ctx joined to the manager's base context —

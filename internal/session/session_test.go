@@ -125,13 +125,17 @@ func naiveOracle(t *testing.T, reg *service.Registry, doc *tree.Document, qsrc s
 // the same entries — under -race. The hot queries are resident, so their
 // re-runs read every write's splices from the master's records under the
 // entry's write lock and resume; the isolated runs share each text's prepared query with
-// the shared ones and nothing else. Every single answer must equal the
-// serial oracle — correctness, not just survival.
+// the shared ones and nothing else. Every write is held at its first
+// invocation — in its engine run, under the write lock, before it splices —
+// until a reader of its document has been served a memo answer, or 100 ms
+// have passed: memo reads run during writes, and some must. Every single
+// answer, memo or not, must equal the serial oracle — correctness, not just
+// survival.
 func TestHammerSharedMaster(t *testing.T) {
 	engine := core.Options{Strategy: core.LazyNFQ, Incremental: true}
 	m, scenarios, reg := newSuiteManager(t, Config{
 		Engine:    engine,
-		MaxActive: 8,
+		MaxActive: 12,      // every goroutine: a reader queued behind a write holds no token a memo reader needs
 		MaxQueued: 1 << 16, // the hammer asserts on results, not shedding
 	}, suiteSpec())
 	oracle := serialOracle(t, reg, scenarios, engine)
@@ -156,13 +160,48 @@ func TestHammerSharedMaster(t *testing.T) {
 		}
 	}
 
+	// Per document: the queries begun, the number begun when the write held
+	// now began its hold (0 while none is), and the memo answers to queries
+	// begun during a hold that returned before it ended. One write of a
+	// document holds at a time: the hold is inside its engine run.
+	type holds struct{ begun, heldAt, during atomic.Int64 }
+	byDoc := map[string]*holds{}
+	for _, sc := range scenarios {
+		byDoc[sc.Name] = new(holds)
+	}
+	type heldWrite struct {
+		doc  string
+		held atomic.Bool
+	}
+	type writeKey struct{}
+	var readDuringWrite atomic.Int64 // writes during whose hold a memo answer of their document was served
+	m.cfg.Registry = m.cfg.Registry.Proxy(func(_ *service.Service, next service.Invoker) service.Invoker {
+		return func(ctx context.Context, params []*tree.Node, pushed *pattern.Pattern) (service.Response, error) {
+			if w, ok := ctx.Value(writeKey{}).(*heldWrite); ok && !w.held.Swap(true) {
+				d := byDoc[w.doc]
+				seen := d.during.Load()
+				d.heldAt.Store(d.begun.Load())
+				for deadline := time.Now().Add(100 * time.Millisecond); d.during.Load() == seen && time.Now().Before(deadline); {
+					time.Sleep(100 * time.Microsecond)
+				}
+				d.heldAt.Store(0)
+				if d.during.Load() != seen {
+					readDuringWrite.Add(1)
+				}
+			}
+			return next(ctx, params, pushed)
+		}
+	})
+
 	const goroutines = 8
 	const perGoroutine = 50
 	const writers = 2
 	const isolated = 2
 	const perIsolated = 12
-	run := func(g int, j job) error {
-		res, err := m.Query(context.Background(), Request{
+	run := func(ctx context.Context, g int, j job) error {
+		d := byDoc[j.doc]
+		seq := d.begun.Add(1)
+		res, err := m.Query(ctx, Request{
 			Tenant:   fmt.Sprintf("tenant-%d", g),
 			Document: j.doc,
 			Query:    j.query,
@@ -170,6 +209,9 @@ func TestHammerSharedMaster(t *testing.T) {
 		})
 		if err != nil {
 			return fmt.Errorf("goroutine %d: %s %q: %w", g, j.doc, j.query, err)
+		}
+		if h := d.heldAt.Load(); res.Memo && h != 0 && seq > h {
+			d.during.Add(1)
 		}
 		if !res.Complete {
 			return fmt.Errorf("goroutine %d: %s %q incomplete", g, j.doc, j.query)
@@ -183,24 +225,29 @@ func TestHammerSharedMaster(t *testing.T) {
 		}
 		return nil
 	}
+	bg := context.Background()
 	// Every hot query has been read once before the hammer starts, so each
 	// keeps its engine state from its first re-run on.
 	for pass := 0; pass < 2; pass++ {
 		for _, j := range jobs {
-			if err := run(0, j); err != nil {
+			if err := run(bg, 0, j); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	errs := make(chan error, goroutines+writers+isolated)
-	var wg sync.WaitGroup
+	var wg, writing sync.WaitGroup
+	var writesDone atomic.Bool
+	var reads atomic.Int64
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(g)))
-			for i := 0; i < perGoroutine; i++ {
-				if err := run(g, jobs[rng.Intn(len(jobs))]); err != nil {
+			// At least perGoroutine reads, and on until the writes are done.
+			for i := 0; i < perGoroutine || !writesDone.Load(); i++ {
+				reads.Add(1)
+				if err := run(bg, g, jobs[rng.Intn(len(jobs))]); err != nil {
 					errs <- err
 					return
 				}
@@ -209,10 +256,13 @@ func TestHammerSharedMaster(t *testing.T) {
 	}
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
+		writing.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			defer writing.Done()
 			for i := w; i < len(writes); i += writers {
-				if err := run(goroutines+w, writes[i]); err != nil {
+				write := context.WithValue(bg, writeKey{}, &heldWrite{doc: writes[i].doc})
+				if err := run(write, goroutines+w, writes[i]); err != nil {
 					errs <- err
 					return
 				}
@@ -223,7 +273,7 @@ func TestHammerSharedMaster(t *testing.T) {
 					if j.doc != writes[i].doc {
 						continue
 					}
-					if err := run(goroutines+w, j); err != nil {
+					if err := run(bg, goroutines+w, j); err != nil {
 						errs <- err
 						return
 					}
@@ -237,13 +287,15 @@ func TestHammerSharedMaster(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(g)))
 			for i := 0; i < perIsolated; i++ {
-				if err := run(g, jobs[rng.Intn(len(jobs))]); err != nil {
+				if err := run(bg, g, jobs[rng.Intn(len(jobs))]); err != nil {
 					errs <- err
 					return
 				}
 			}
 		}(goroutines + writers + i)
 	}
+	writing.Wait()
+	writesDone.Store(true)
 	wg.Wait()
 	close(errs)
 	for err := range errs {
@@ -253,16 +305,20 @@ func TestHammerSharedMaster(t *testing.T) {
 	st := m.Stats()
 	// Two warm-up passes; the readers; each write and its document's two
 	// hot queries; the isolated runs.
-	if want := int64(2*len(jobs) + goroutines*perGoroutine + 3*len(writes) + isolated*perIsolated); st.Served != want {
+	if want := int64(2*len(jobs)) + reads.Load() + int64(3*len(writes)+isolated*perIsolated); st.Served != want {
 		t.Fatalf("served %d queries, want %d", st.Served, want)
 	}
 	if st.Resumed == 0 {
 		t.Fatal("no engine run resumed resident state: the writes' splices were never read from the records")
 	}
+	if readDuringWrite.Load() == 0 {
+		t.Fatalf("no reader was served a memo answer while one of %d writes of its document was held: readers wait for writers", len(writes))
+	}
+	t.Logf("%d of %d writes had a memo answer of their document served while they were held", readDuringWrite.Load(), len(writes))
 	// Sharing must have paid: once a document is complete for a query,
-	// repeats are memo answers until a write splices it. With 400 queries
-	// over 8 query kinds and 24 writes the majority are stored answers.
-	if st.Memo < int64(goroutines*perGoroutine/2) {
+	// repeats are memo answers until a write splices it. With at least 400
+	// reads over 8 query kinds and 24 writes the majority are stored answers.
+	if st.Memo < reads.Load()/2 {
 		t.Fatalf("only %d/%d memo answers — stored answers are not being reused", st.Memo, st.Served)
 	}
 	ts := m.TenantStats()
@@ -866,6 +922,46 @@ func TestStoreBackedRepository(t *testing.T) {
 	if res.Stats.CallsInvoked != 0 {
 		t.Fatalf("restored master re-invoked %d calls — persistence lost the materialisation or the schema",
 			res.Stats.CallsInvoked)
+	}
+}
+
+// slowBackend is a repository backend whose every read takes 50 ms.
+type slowBackend struct{ repo.Backend }
+
+func (b slowBackend) ReadFile(name string) ([]byte, error) {
+	time.Sleep(50 * time.Millisecond)
+	return b.Backend.ReadFile(name)
+}
+
+// TestElapsedCountsTheRepositoryLoad: the first query on a document the
+// repository faults in reports the load in Result.Elapsed and in
+// axml_session_seconds — the time from admission, not from the evaluation.
+func TestElapsedCountsTheRepositoryLoad(t *testing.T) {
+	reg, scenarios := workload.Suite(suiteSpec())
+	sc := scenarios[0]
+	mem := repo.NewMemBackend()
+	rp, err := repo.New(mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rp.Put(sc.Name, sc.Doc.Clone(), repo.PutOptions{Schema: sc.Schema}); err != nil {
+		t.Fatal(err)
+	}
+	slow, err := repo.New(slowBackend{mem})
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics := telemetry.NewRegistry()
+	m := NewManager(Config{Registry: reg, Repo: slow, Metrics: metrics, Engine: core.Options{Strategy: core.LazyNFQ}})
+	res, err := m.Query(context.Background(), Request{Document: sc.Name, Query: sc.Queries[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Elapsed < 50*time.Millisecond {
+		t.Fatalf("the query that faulted its document in reports Elapsed %v, under the 50ms one read takes", res.Elapsed)
+	}
+	if got := metrics.Histogram(telemetry.MetricSessionSeconds).Snapshot().Max; got < 50*time.Millisecond {
+		t.Fatalf("%s max %v, under the 50ms one read takes", telemetry.MetricSessionSeconds, got)
 	}
 }
 

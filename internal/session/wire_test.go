@@ -376,7 +376,7 @@ func TestStatsAnswerBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if e.queries[`/r/v/$V -> $V`] != nil {
+	if remembered(e)[`/r/v/$V -> $V`] {
 		t.Fatal("the stale text was not evicted")
 	}
 	if n := flat.Stats().AnswerBytes; n != 0 {

@@ -64,6 +64,7 @@ const (
 	MetricSessionSeconds      = "axml_session_seconds"
 	MetricSessionQueueSeconds = "axml_session_queue_seconds"
 	MetricSessionWriteSeconds = "axml_session_write_seconds"
+	MetricSessionLockWait     = "axml_session_lock_wait_seconds"
 	MetricInvokeInflight      = "axml_invocations_inflight"
 
 	// F-guide lifecycle (internal/core, internal/session). Builds counts

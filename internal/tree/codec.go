@@ -146,7 +146,9 @@ func Unmarshal(data []byte) (*Document, error) {
 		return NewDocument(roots[0]), nil
 	}
 	// The scanner numbered the nodes as NewDocument's walk would.
-	return &Document{Root: roots[0], nextID: ids + 1, version: 1}, nil
+	d := &Document{Root: roots[0], nextID: ids + 1}
+	d.version.Store(1)
+	return d, nil
 }
 
 // UnmarshalForest parses a sequence of sibling AXML trees (e.g. a service

@@ -22,6 +22,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // Kind discriminates the three node kinds of an AXML tree.
@@ -297,12 +298,18 @@ func (n *Node) Child(name string) *Node {
 // A Document tracks a version counter, bumped on every mutation, that
 // access structures use to detect staleness, and records its latest splices
 // (SplicesSince), from which they catch up.
+//
+// A Document is not safe for concurrent use, with one exception: Version
+// may be read while the tree is being mutated. Each mutation bumps it as its
+// last step, its commit point, so a reader that still sees version v knows
+// the tree is the one v stood for, or is being changed away from it by a
+// mutation that has not committed yet.
 type Document struct {
 	// Root is the document root, always a data node in well-formed AXML.
 	Root *Node
 
 	nextID  uint64
-	version uint64
+	version atomic.Uint64
 	// splices records the latest ReplaceCalls, oldest first, the last one
 	// to version. Adopt empties it.
 	splices []Splice
@@ -334,8 +341,10 @@ func NewDocument(root *Node) *Document {
 }
 
 // Version returns the mutation counter of the document. It increases
-// whenever the tree is structurally modified through the Document API.
-func (d *Document) Version() uint64 { return d.version }
+// whenever the tree is structurally modified through the Document API, as
+// the mutation's last step. It is the one method safe to call concurrently
+// with a mutation.
+func (d *Document) Version() uint64 { return d.version.Load() }
 
 // Adopt assigns fresh IDs to every node of the given subtree that does not
 // have one yet. It must be called for subtrees attached to the document
@@ -346,8 +355,8 @@ func (d *Document) Adopt(n *Node) {
 		d.identify(x)
 		return true
 	})
-	d.version++
 	d.splices = nil
+	d.version.Add(1)
 }
 
 // identify gives x a fresh ID unless it has one.
@@ -412,13 +421,13 @@ func (d *Document) ReplaceCall(call *Node, forest []*Node) Splice {
 	}
 	p.Children = slices.Concat(p.Children[:i], forest, p.Children[i+1:])
 	call.Parent = nil
-	d.version++
 	if len(d.splices) == MaxSplices {
 		n := copy(d.splices, d.splices[MaxSplices/2:])
 		clear(d.splices[n:])
 		d.splices = d.splices[:n]
 	}
 	d.splices = append(d.splices, s)
+	d.version.Add(1) // the commit point: readers of Version see the splice from here
 	return s
 }
 
@@ -428,10 +437,11 @@ func (d *Document) ReplaceCall(call *Node, forest []*Node) Splice {
 // times than it still keeps records of. The records are the document's own:
 // read them before it next changes.
 func (d *Document) SplicesSince(v uint64) ([]Splice, bool) {
-	if v > d.version || d.version-v > uint64(len(d.splices)) {
+	now := d.version.Load()
+	if v > now || now-v > uint64(len(d.splices)) {
 		return nil, false
 	}
-	return d.splices[len(d.splices)-int(d.version-v):], true
+	return d.splices[len(d.splices)-int(now-v):], true
 }
 
 // Calls returns all function nodes of the document, in document order.

@@ -232,6 +232,45 @@ func TestSpliceRecordsBounded(t *testing.T) {
 	}
 }
 
+// TestVersionReadDuringReplaceCall reads Version, under -race, while another
+// goroutine splices every call of the document: the reads are race-free, they
+// never go back, and the version ends one step per splice past where it began.
+func TestVersionReadDuringReplaceCall(t *testing.T) {
+	root := NewElement("r")
+	const n = 500
+	for i := 0; i < n; i++ {
+		root.Append(NewCall("f"))
+	}
+	d := NewDocument(root)
+	v0 := d.Version()
+	calls := d.Calls()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for _, c := range calls {
+			v := NewElement("v")
+			v.Append(NewCall("g"))
+			d.ReplaceCall(c, []*Node{v})
+		}
+	}()
+	last := v0
+	for finished := false; !finished; {
+		select {
+		case <-done:
+			finished = true
+		default:
+		}
+		v := d.Version()
+		if v < last || v > v0+n {
+			t.Fatalf("Version read %d after %d, from %d with %d splices", v, last, v0, n)
+		}
+		last = v
+	}
+	if last != v0+n {
+		t.Fatalf("Version %d after %d splices from %d, want %d", last, n, v0, v0+n)
+	}
+}
+
 func TestCloneEqual(t *testing.T) {
 	d := hotelDoc()
 	c := d.Clone()
