@@ -8,15 +8,13 @@
 //	          [-push] [-layer] [-parallel] [-guide] [-stats] [-explain] [-out result.xml] \
 //	          [-retries 3] [-timeout 2s] [-best-effort] \
 //	          [-no-cache] [-cache-ttl 5m] [-invoke-workers 4] [-no-incremental]
-//	          [-plan cost] [-plan-budget 200ms]
+//	          [-plan cost]
 //
 // Planning (see doc/PLANNER.md): -plan=cost schedules each round's
 // invocation batches from an in-run statistics profile — slowest and
 // least-selective calls first across the pool, the pool narrowed when
-// fewer workers reach the same makespan, pushes vetoed to services that
-// provably ignore them, and (with -plan-budget) speculative calls
-// deferred past the latency budget. The planner only reorders and
-// resizes work: results are bit-identical to -plan=off, and -explain
+// fewer workers reach the same makespan, and pushes vetoed to services
+// that provably ignore them. The planner only reorders and resizes work: results are bit-identical to -plan=off, and -explain
 // shows each batch's plan with its per-service cost rationale.
 //
 // Performance (see doc/PERF.md): service responses are memoised by
@@ -100,7 +98,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		invokeWork = fs.Int("invoke-workers", 0, "invoke up to this many independent calls of a round concurrently (implies -parallel; 0 = unbounded batches under -parallel, 1 = sequential)")
 		noIncr     = fs.Bool("no-incremental", false, "re-evaluate relevance queries from scratch each round")
 		planMode   = fs.String("plan", "off", "off|cost: plan each round's invocation batches from an in-run service profile (reorders and resizes work only; results are identical)")
-		planBudget = fs.Duration("plan-budget", 0, "defer speculative calls whose estimated latency exceeds this budget under -plan=cost (0 = admit all)")
 		noProject  = fs.Bool("no-project", false, "disable type-based document projection (typed strategy + schema only)")
 		stats      = fs.Bool("stats", false, "print evaluation statistics")
 		explain    = fs.Bool("explain", false, "print the evaluation's span tree (detect/invoke timings, pruned vs invoked) to stderr")
@@ -238,7 +235,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *planMode == "cost" {
 		prof = profile.New(0, nil)
 		reg = prof.Wrap(reg)
-		planner = plan.New(prof, plan.Options{SpeculativeBudget: *planBudget})
+		planner = plan.New(prof, plan.Options{})
 		planner.Instrument(metrics)
 		opt.Planner = planner
 	}
@@ -289,8 +286,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		printStats(stderr, out.Stats)
 		if planner != nil {
 			ps := planner.Stats()
-			fmt.Fprintf(stderr, "  plan:               %d batch(es), %d reordered, %d width trim(s), %d push veto(es), %d deferred\n",
-				ps.Batches, ps.Reorders, ps.WidthTrims, out.Stats.PushVetoed, out.Stats.SpeculativeDeferred)
+			fmt.Fprintf(stderr, "  plan:               %d batch(es), %d reordered, %d width trim(s), %d push veto(es)\n",
+				ps.Batches, ps.Reorders, ps.WidthTrims, out.Stats.PushVetoed)
 		}
 		if cache != nil {
 			cs := cache.Stats()

@@ -13,7 +13,7 @@
 //	           [-deadline 0] [-recursive] [-invoke-workers 4] [-dump-doc doc.axml]
 //	           [-max-active 0] [-max-queued 0] [-retry-after 500ms]
 //	           [-invoke-limit 16] [-drain-timeout 10s] [-isolated] [-docs dir]
-//	           [-plan cost] [-plan-budget 200ms] [-trace-out spans.jsonl]
+//	           [-plan cost] [-trace-out spans.jsonl]
 //
 // Endpoints:
 //
@@ -95,7 +95,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, stop <-ch
 		drainTimeout = fs.Duration("drain-timeout", 10*time.Second, "graceful shutdown budget for active sessions")
 		isolated     = fs.Bool("isolated", false, "evaluate every session on a private document clone (no shared materialisation)")
 		planMode     = fs.String("plan", "off", "off|cost: plan session invocation batches from the shared service profile (results are identical either way)")
-		planBudget   = fs.Duration("plan-budget", 0, "defer speculative calls whose estimated latency exceeds this budget under -plan=cost (0 = admit all)")
 		noProject    = fs.Bool("no-project", false, "disable type-based document projection on schema-typed documents")
 		docsDir      = fs.String("docs", "", "persist materialised documents to this directory across restarts")
 		traceOut     = fs.String("trace-out", "", "stream finished telemetry spans to this file as JSONL (closed after drain)")
@@ -199,7 +198,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, stop <-ch
 		// Config.Engine is copied into each session's options, and the
 		// planner is safe for concurrent use. Profiles persisted under
 		// -docs make its estimates warm from the first request.
-		planner := plan.New(prof, plan.Options{SpeculativeBudget: *planBudget})
+		planner := plan.New(prof, plan.Options{})
 		planner.Instrument(metrics)
 		engine.Planner = planner
 	}

@@ -21,6 +21,12 @@
 // Sections 4.3–4.4, the F-guide acceleration and relaxations of Section 6,
 // and the query pushing of Section 7.
 //
+// A run is one loop of rounds in four stages: detect picks the calls by the
+// strategy's rule (every pending call, the first relevant member's, or the
+// union of a layer's members'), plan applies the one budget rule and
+// schedules the batch, invoke runs the calls from data of their own, and
+// apply splices the responses in member order and does the accounting.
+//
 // An evaluation has two halves. Prepare does what depends on the query, the
 // schema and the options alone — validation, satisfiability analysis,
 // relevance-query generation, layering — once per query. An Evaluation is
@@ -181,9 +187,8 @@ type Options struct {
 	InvokeWorkers int
 	// Planner, when set, decides per round how invocation batches
 	// execute: member-to-worker assignment, effective pool width (up to
-	// InvokeWorkers), whether to ship pushable subqueries per service,
-	// and which speculative calls fit a latency budget. Only batches of
-	// two or more calls are shown to it. A planner may only reorder and
+	// InvokeWorkers) and whether to ship pushable subqueries per
+	// service. Only batches of two or more calls are shown to it. A planner may only reorder and
 	// resize work — results are identical with and without one (see
 	// internal/plan). Nil keeps the static striped schedule documented
 	// on InvokeWorkers.
@@ -377,10 +382,6 @@ type Stats struct {
 	// planner; the veto is response-neutral by contract, so this only
 	// measures saved serialization work.
 	PushVetoed int
-	// SpeculativeDeferred counts speculative batch members pushed to a
-	// later round by the planner's latency-budget admission. Deferral
-	// reshapes the schedule, never the result set.
-	SpeculativeDeferred int
 	// RelevanceQueries counts NFQ/LPQ evaluations (including residual
 	// checks when the F-guide is active).
 	RelevanceQueries int

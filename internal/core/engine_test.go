@@ -267,6 +267,43 @@ func TestBudgetStopsEvaluation(t *testing.T) {
 	}
 }
 
+// TestExactBudgetCompletes: a run allowed exactly the calls the free run
+// makes reaches the fixpoint with its last allowed call and says so —
+// Complete=true and the free run's results — under every selection rule;
+// one call less leaves a relevant call pending and says Complete=false.
+func TestExactBudgetCompletes(t *testing.T) {
+	w := workload.Hotels(workload.DefaultSpec())
+	for _, v := range []struct {
+		name string
+		opt  Options
+	}{
+		{"naive", Options{Strategy: NaiveFixpoint}},
+		{"eager", Options{Strategy: TopDownEager}},
+		{"lazy-lpq", Options{Strategy: LazyLPQ}},
+		{"lazy-nfq", Options{Strategy: LazyNFQ}},
+		{"layered-parallel", Options{Strategy: LazyNFQ, Layering: true, Parallel: true}},
+		{"speculative", Options{Strategy: LazyNFQ, Layering: true, Speculative: true}},
+		{"typed-layered-parallel", Options{Strategy: LazyNFQTyped, Schema: w.Schema, Layering: true, Parallel: true}},
+	} {
+		free := run(t, w, v.opt)
+		n := free.Stats.CallsInvoked
+		for _, budget := range []int{n, n - 1} {
+			opt := v.opt
+			opt.MaxCalls = budget
+			out, err := Evaluate(w.Doc.Clone(), w.Query, w.Registry, opt)
+			if err != nil {
+				t.Fatalf("%s, budget %d: %v", v.name, budget, err)
+			}
+			if want := budget == n; out.Complete != want || out.Stats.CallsInvoked != budget {
+				t.Errorf("%s, budget %d of %d: complete=%v after %d calls, want complete=%v",
+					v.name, budget, n, out.Complete, out.Stats.CallsInvoked, want)
+			} else if want && resultKeys(out) != resultKeys(free) {
+				t.Errorf("%s, budget %d: results differ from the free run", v.name, budget)
+			}
+		}
+	}
+}
+
 func TestTypedWithoutSchemaFails(t *testing.T) {
 	w := workload.Hotels(workload.DefaultSpec())
 	_, err := Evaluate(w.Doc.Clone(), w.Query, w.Registry, Options{Strategy: LazyNFQTyped})

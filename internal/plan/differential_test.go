@@ -80,9 +80,8 @@ func resultKeys(out *core.Outcome) string {
 }
 
 // comparableStats strips the wall-clock timings and the planner's own
-// decision counters from Stats. The decision counters (PushVetoed,
-// SpeculativeDeferred) are nonzero only when a planner runs, by
-// definition; everything the evaluation itself observes — calls,
+// decision counter from Stats. The decision counter (PushVetoed) is
+// nonzero only when a planner runs, by definition; everything the evaluation itself observes — calls,
 // retries, failures, pushes, rounds, bytes, virtual time — must be
 // bit-identical with the planner on or off.
 func comparableStats(out *core.Outcome) core.Stats {
@@ -90,7 +89,6 @@ func comparableStats(out *core.Outcome) core.Stats {
 	st.DetectTime = 0
 	st.AnalysisTime = 0
 	st.PushVetoed = 0
-	st.SpeculativeDeferred = 0
 	return st
 }
 

@@ -4,8 +4,7 @@
 // traffic and decides how the round's batch executes — which worker
 // runs which calls (slowest first, balanced by longest-processing-time
 // assignment), how wide the pool actually needs to be, whether to ship
-// a pushable subquery per service, and which speculative calls fit a
-// latency budget.
+// and whether to ship a pushable subquery per service.
 //
 // Planning never changes what an evaluation computes. The engine-side
 // contract (core.InvocationPlanner) only lets a plan reorder and resize
@@ -51,10 +50,6 @@ type Options struct {
 	// MinSamples is the observation threshold for trusting a profile
 	// (0 means DefaultMinSamples).
 	MinSamples int
-	// SpeculativeBudget is the latency budget for speculative batches:
-	// calls whose estimated cost exceeds it are deferred to a later
-	// round. 0 disables admission control (every call is admitted).
-	SpeculativeBudget time.Duration
 }
 
 // PlanStats are the planner's cumulative decision counters, surfaced
@@ -68,9 +63,6 @@ type PlanStats struct {
 	WidthTrims int
 	// PushVetoes counts subqueries withheld from push-deaf services.
 	PushVetoes int
-	// SpeculativeDeferred counts speculative calls pushed to a later
-	// round by the latency budget.
-	SpeculativeDeferred int
 }
 
 // estimate is one service's planning view, derived from its profile.
@@ -100,7 +92,6 @@ type CostPlanner struct {
 	metReorders *telemetry.Counter
 	metTrims    *telemetry.Counter
 	metVetoes   *telemetry.Counter
-	metDeferred *telemetry.Counter
 	metSeconds  *telemetry.Histogram
 }
 
@@ -127,7 +118,6 @@ func (p *CostPlanner) Instrument(reg *telemetry.Registry) {
 	p.metReorders = reg.Counter(telemetry.MetricPlanReorders)
 	p.metTrims = reg.Counter(telemetry.MetricPlanWidthTrims)
 	p.metVetoes = reg.Counter(telemetry.MetricPlanPushVetoes)
-	p.metDeferred = reg.Counter(telemetry.MetricPlanDeferred)
 	p.metSeconds = reg.Histogram(telemetry.MetricPlanSeconds)
 }
 
@@ -327,38 +317,6 @@ func (p *CostPlanner) AllowPush(service string) bool {
 	return false
 }
 
-// AdmitSpeculative keeps the speculative calls whose estimated cost
-// fits the latency budget and defers the rest to a later round (they
-// stay pending in the document and are re-detected; a call that turns
-// out relevant is always invoked eventually). If nothing fits, the
-// single cheapest call is admitted anyway, so a stale profile claiming
-// absurd latencies can delay an evaluation by at most one call per
-// round — never stall it.
-func (p *CostPlanner) AdmitSpeculative(calls []core.PlanCall) []int {
-	if p.opt.SpeculativeBudget <= 0 || len(calls) == 0 {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.refreshLocked()
-	keep := make([]int, 0, len(calls))
-	cheapest := 0
-	var cheapestCost time.Duration
-	for i, c := range calls {
-		cost := p.estimateLocked(c.Service).cost
-		if cost <= p.opt.SpeculativeBudget {
-			keep = append(keep, i)
-		}
-		if i == 0 || cost < cheapestCost {
-			cheapest, cheapestCost = i, cost
-		}
-	}
-	if len(keep) == 0 {
-		keep = append(keep, cheapest)
-	}
-	if d := len(calls) - len(keep); d > 0 {
-		p.stats.SpeculativeDeferred += d
-		p.metDeferred.Add(int64(d))
-	}
-	return keep
-}
+// AdmitSpeculative admits every call of a speculative batch; the engine
+// no longer asks.
+func (p *CostPlanner) AdmitSpeculative([]core.PlanCall) []int { return nil }

@@ -225,41 +225,6 @@ func TestAllowPush(t *testing.T) {
 	}
 }
 
-func TestAdmitSpeculative(t *testing.T) {
-	prof := profile.New(0, nil)
-	feed(prof, "fast", time.Millisecond, 5)
-	feed(prof, "slow", 200*time.Millisecond, 5)
-	// Budget off: everything admitted (nil means "no selection").
-	if keep := New(prof, Options{}).AdmitSpeculative(batch("slow", "slow")); keep != nil {
-		t.Fatalf("budget off still selected %v", keep)
-	}
-	p := New(prof, Options{SpeculativeBudget: 50 * time.Millisecond})
-	// Mixed batch: the slow call is deferred, the fast and cold ones
-	// (prior well under budget) admitted, indices ascending.
-	keep := p.AdmitSpeculative(batch("fast", "slow", "cold", "fast"))
-	if want := []int{0, 2, 3}; !reflect.DeepEqual(keep, want) {
-		t.Fatalf("admitted %v, want %v", keep, want)
-	}
-	if st := p.Stats(); st.SpeculativeDeferred != 1 {
-		t.Fatalf("deferral count %+v", st)
-	}
-}
-
-// A stale profile claiming absurd latencies must not stall evaluation:
-// when nothing fits the budget, exactly one call (the cheapest) is
-// admitted so every round still makes progress.
-func TestAdmitSpeculativeStaleProfileTerminates(t *testing.T) {
-	prof := profile.New(0, nil)
-	feed(prof, "stale", 10*time.Second, 5)
-	p := New(prof, Options{SpeculativeBudget: time.Millisecond})
-	for round := 0; round < 3; round++ {
-		keep := p.AdmitSpeculative(batch("stale", "stale", "stale"))
-		if len(keep) != 1 {
-			t.Fatalf("round %d admitted %v, want exactly one call", round, keep)
-		}
-	}
-}
-
 // Instrument wires the axml_plan_* families; decisions must show up on
 // a scrape, and a nil registry must be a no-op.
 func TestInstrument(t *testing.T) {

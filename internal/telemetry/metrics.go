@@ -100,7 +100,6 @@ const (
 	MetricPlanReorders   = "axml_plan_reorders_total"
 	MetricPlanWidthTrims = "axml_plan_width_trims_total"
 	MetricPlanPushVetoes = "axml_plan_push_vetoes_total"
-	MetricPlanDeferred   = "axml_plan_speculative_deferred_total"
 	MetricPlanSeconds    = "axml_plan_seconds"
 
 	// Tracer ring evictions (Tracer.InstrumentDrops) — non-zero means
