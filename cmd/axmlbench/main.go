@@ -23,7 +23,6 @@ package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -32,6 +31,7 @@ import (
 	"strings"
 
 	"github.com/activexml/axml/internal/bench"
+	"github.com/activexml/axml/internal/cli"
 	"github.com/activexml/axml/internal/telemetry"
 )
 
@@ -49,8 +49,7 @@ func experimentIDs() string {
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("axmlbench", flag.ContinueOnError)
-	fs.SetOutput(stderr)
+	fs := cli.New("axmlbench", stderr)
 	var (
 		exp      = fs.String("exp", "", "run a single experiment ("+experimentIDs()+")")
 		quick    = fs.Bool("quick", false, "use the small test-scale sweeps")
@@ -58,10 +57,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		jsonPath = fs.String("json", "", "also write the result tables as JSON to this file")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file")
 		memProf  = fs.String("memprofile", "", "write a heap profile to this file at exit")
-		traceOut = fs.String("trace-out", "", "stream every evaluation's telemetry spans to this file as JSONL")
+		trace    = cli.AddTrace(fs)
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
+	}
+	fail := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "axmlbench: "+format+"\n", a...)
+		return 1
 	}
 
 	if *list {
@@ -84,26 +87,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *quick {
 		scale = bench.Quick()
 	}
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fmt.Fprintf(stderr, "axmlbench: create trace file: %v\n", err)
-			return 1
-		}
-		defer f.Close()
+	if trace.On() {
 		scale.Tracer = telemetry.NewTracer(telemetry.DefaultSpanCapacity)
-		scale.Tracer.SetSink(telemetry.SinkJSONL(f))
 	}
+	closeTrace, err := trace.Open(scale.Tracer)
+	if err != nil {
+		return fail("create trace file: %v", err)
+	}
+	defer closeTrace()
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
-			fmt.Fprintf(stderr, "axmlbench: create cpu profile: %v\n", err)
-			return 1
+			return fail("create cpu profile: %v", err)
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(stderr, "axmlbench: start cpu profile: %v\n", err)
-			return 1
+			return fail("start cpu profile: %v", err)
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -116,8 +115,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// JSON output are per-experiment, not cross-contaminated.
 		table, err := e.RunInstrumented(scale)
 		if err != nil {
-			fmt.Fprintf(stderr, "axmlbench: %s: %v\n", e.ID, err)
-			return 1
+			return fail("%s: %v", e.ID, err)
 		}
 		fmt.Fprint(stdout, table)
 		tables = append(tables, table)
@@ -125,25 +123,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *jsonPath != "" {
 		b, err := json.MarshalIndent(tables, "", "  ")
 		if err != nil {
-			fmt.Fprintf(stderr, "axmlbench: marshal json: %v\n", err)
-			return 1
+			return fail("marshal json: %v", err)
 		}
 		if err := os.WriteFile(*jsonPath, append(b, '\n'), 0o644); err != nil {
-			fmt.Fprintf(stderr, "axmlbench: write json: %v\n", err)
-			return 1
+			return fail("write json: %v", err)
 		}
 	}
 	if *memProf != "" {
 		f, err := os.Create(*memProf)
 		if err != nil {
-			fmt.Fprintf(stderr, "axmlbench: create heap profile: %v\n", err)
-			return 1
+			return fail("create heap profile: %v", err)
 		}
 		defer f.Close()
 		runtime.GC()
 		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintf(stderr, "axmlbench: write heap profile: %v\n", err)
-			return 1
+			return fail("write heap profile: %v", err)
 		}
 	}
 	return 0

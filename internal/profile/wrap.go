@@ -116,13 +116,6 @@ func (p *Profiler) Handler() http.Handler {
 	})
 }
 
-// WriteJSON renders the current snapshot to w as indented JSON (the
-// same document Handler serves), for file sinks like axmlload
-// -stats-out.
-func (p *Profiler) WriteJSON(w io.Writer) error {
-	return writeSnapshotJSON(w, p.Snapshot())
-}
-
 func writeSnapshotJSON(w io.Writer, snap []ServiceProfile) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

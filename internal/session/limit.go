@@ -44,13 +44,18 @@ func LimitRegistry(reg *service.Registry, limit int, metrics *telemetry.Registry
 	})
 }
 
-// ServingRegistry composes the registry a Manager serves from, outermost
-// first: a response cache (instrumented on metrics, reporting outcomes to
-// prof), prof's wrapper, the invocation pool of width invokeLimit. The
-// order is the invariant: hits bypass the pool and are never profiled.
-func ServingRegistry(reg *service.Registry, spec service.CacheSpec, prof *profile.Profiler, invokeLimit int, metrics *telemetry.Registry) *service.Registry {
-	cache := service.NewCache(spec)
+// ServingRegistry composes reg under, outermost first, a response cache
+// (instrumented on metrics, reporting outcomes to prof), prof's wrapper
+// and the invocation pool of width limit; a nil cache or profiler and a
+// limit below 1 are left out. Every binary's registry stack is this
+// function, and the order is its invariant: cache hits bypass the pool
+// and are never profiled.
+func ServingRegistry(reg *service.Registry, cache *service.Cache, prof *profile.Profiler, limit int, metrics *telemetry.Registry) *service.Registry {
+	reg = prof.Wrap(LimitRegistry(reg, limit, metrics))
+	if cache == nil {
+		return reg
+	}
 	cache.Instrument(metrics)
 	cache.Notify(prof.Notify())
-	return cache.Wrap(prof.Wrap(LimitRegistry(reg, invokeLimit, metrics)))
+	return cache.Wrap(reg)
 }

@@ -86,7 +86,7 @@ func newSuiteManager(t *testing.T, cfg Config, spec workload.HotelSpec) (*Manage
 	if cfg.Metrics == nil {
 		cfg.Metrics = telemetry.NewRegistry()
 	}
-	cfg.Registry = ServingRegistry(reg, service.CacheSpec{MaxEntries: 4096}, profile.New(0, nil), 16, cfg.Metrics)
+	cfg.Registry = ServingRegistry(reg, service.NewCache(service.CacheSpec{MaxEntries: 4096}), profile.New(0, nil), 16, cfg.Metrics)
 	m := NewManager(cfg)
 	for _, sc := range scenarios {
 		if err := m.AddDocument(sc.Name, sc.Doc.Clone(), sc.Schema); err != nil {
@@ -844,7 +844,7 @@ func TestRequestErrors(t *testing.T) {
 	base.Register(&service.Service{Name: "svc", Handler: func([]*tree.Node) ([]*tree.Node, error) {
 		return nil, &service.Fault{Class: service.Transient, Msg: "boom"}
 	}})
-	serving := ServingRegistry(base, service.CacheSpec{}, profile.New(0, nil), 2, nil)
+	serving := ServingRegistry(base, service.NewCache(service.CacheSpec{}), profile.New(0, nil), 2, nil)
 	_, err = serving.Invoke("svc", nil, nil)
 	if want := "service svc: transient fault: boom"; err == nil || err.Error() != want {
 		t.Fatalf("got %v, want %q", err, want)
