@@ -137,6 +137,34 @@ func TestSchemaAndIndexSubcommands(t *testing.T) {
 	}
 }
 
+// TestDocumentedUsage runs the forms the package comment documents, with
+// the flags after a subcommand's arguments; a "--" still ends the flags.
+func TestDocumentedUsage(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "repo")
+	file := worldFile(t)
+	w := workload.Hotels(workload.DefaultSpec())
+	schemaPath := filepath.Join(t.TempDir(), "hotels.schema")
+	if err := os.WriteFile(schemaPath, []byte(w.Schema.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, errOut, code := repoRun(t, dir, "put", "hotels", file, "-schema", schemaPath)
+	if code != 0 || !strings.Contains(out, "stored hotels") {
+		t.Fatalf("put <name> <file> -schema: exit %d: %s%s", code, out, errOut)
+	}
+	out, _, _ = repoRun(t, dir, "index", "stats", "hotels")
+	if !strings.Contains(out, "schema") {
+		t.Fatalf("the schema was not stored: %s", out)
+	}
+	query := `/hotels/hotel[name="Best Western"][rating="*****"]/nearby//restaurant[rating="*****"][name=$X] -> $X`
+	out, errOut, code = repoRun(t, dir, "query", "hotels", query, "-save", "-explain")
+	if code != 0 || !strings.Contains(out, "saved materialised") || !strings.Contains(errOut, "explain:") {
+		t.Fatalf("query <name> <query> -save -explain: exit %d: %s%s", code, out, errOut)
+	}
+	if _, errOut, code = repoRun(t, dir, "query", "hotels", "--", "-explain"); code == 0 || strings.Contains(errOut, "explain:") {
+		t.Fatalf("-explain after -- was taken as a flag: exit %d: %s", code, errOut)
+	}
+}
+
 func TestErrors(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "repo")
 	cases := [][]string{
