@@ -165,6 +165,27 @@ func TestLoadFlagValidation(t *testing.T) {
 	}
 }
 
+// TestNegativeValuesRejected: a negative count or duration is a usage
+// error that names the flag, caught before the self server starts or any
+// file is created.
+func TestNegativeValuesRejected(t *testing.T) {
+	for _, c := range []struct{ flag, value string }{
+		{"-hotels", "-5"}, {"-invoke-limit", "-1"}, {"-max-active", "-1"}, {"-retry-after", "-1s"},
+		{"-shed-retries", "-1"},
+	} {
+		dir := t.TempDir()
+		var stdout, stderr bytes.Buffer
+		code := run([]string{"-self", "-clients", "1", "-requests", "4", "-json", filepath.Join(dir, "load.json"),
+			"-trace-out", filepath.Join(dir, "trace.jsonl"), c.flag, c.value}, &stdout, &stderr)
+		if code != 2 || !strings.Contains(stderr.String(), "flag "+c.flag+": must not be negative") {
+			t.Errorf("%s %s: exit %d, want 2 naming the flag: %s", c.flag, c.value, code, stderr.String())
+		}
+		if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+			t.Errorf("%s %s: created %v", c.flag, c.value, entries)
+		}
+	}
+}
+
 // TestLoadObservabilitySinks: -trace-out streams the self server's
 // spans as parseable JSONL and -stats-out captures the per-service
 // profile the run learned.
