@@ -1,15 +1,15 @@
 # Developer checks. `make check` is the full gate: static vetting, a
 # clean build, the reachability and context-chain gates, the whole suite
 # under the race detector, a short fuzz smoke of every fuzz target (seed corpora under
-# testdata/fuzz always run as plain tests), the load-replay smoke and the
-# benchmark smoke.
+# testdata/fuzz always run as plain tests), the binaries' documented usage,
+# the load-replay smoke and the benchmark smoke.
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check build vet reach ctxcheck test race fuzz bench benchdiff pairs microbench telemetry profile loadsmoke benchsmoke
+.PHONY: check build vet reach ctxcheck test race fuzz bench benchdiff pairs microbench telemetry profile clismoke loadsmoke benchsmoke
 
-check: vet build reach ctxcheck telemetry race fuzz loadsmoke benchsmoke
+check: vet build reach ctxcheck telemetry race fuzz clismoke loadsmoke benchsmoke
 
 build:
 	$(GO) build ./...
@@ -85,6 +85,12 @@ benchdiff:
 CHANGE ?= HEAD
 pairs:
 	bash scripts/pairs.sh "$(BASE)" "$(CHANGE)" "$(WORKLOAD)" $(SEEDS)
+
+# clismoke runs the Usage lines of the binaries' package comments end to
+# end in a temporary directory (scripts/clismoke.sh), so documented usage
+# cannot rot.
+clismoke:
+	bash scripts/clismoke.sh
 
 # loadsmoke replays a small oracle-verified mixed workload through an
 # in-process session server — the serving-layer gate in `make check` —
