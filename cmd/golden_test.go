@@ -57,8 +57,8 @@ func vectors() []vector {
 		q("axmlquery", "help", "-h"),
 		withDoc("stats-out", "-strategy", "lazy-nfq", "-stats", "-out", "$DIR/out.axml"),
 		withDoc("typed", "-strategy", "lazy-nfq-typed", "-schema", "$SCHEMA", "-no-project", "-guide", "-relax-joins", "-stats"),
-		withDoc("pool-explain", "-push", "-layer", "-parallel", "-invoke-workers", "4", "-explain"),
-		withDoc("plan-cost", "-push", "-layer", "-invoke-workers", "4", "-plan", "cost", "-stats"),
+		withDoc("pool-explain", "-no-cache", "-push", "-layer", "-parallel", "-invoke-workers", "4", "-explain"),
+		withDoc("plan-cost", "-no-cache", "-push", "-layer", "-invoke-workers", "4", "-plan", "cost", "-stats"),
 		withDoc("budget-no-cache", "-strategy", "naive", "-no-cache", "-no-incremental", "-max-calls", "2", "-stats"),
 		withDoc("cache-ttl", "-cache-ttl", "1m", "-stats"),
 		withDoc("provider", "-provider", "$PROVIDER", "-retries", "2", "-timeout", "2s", "-best-effort",

@@ -179,7 +179,12 @@ type Options struct {
 	// applied to the document in document order after the pool drains,
 	// so results, Stats and traces are identical for every pool width —
 	// only wall-clock time changes, by ≈ min(InvokeWorkers, batch width)
-	// over real transports. 1 runs batch members sequentially on the
+	// over real transports. The exception is a coalescing cache
+	// (service.Cache) under the pool with identical calls in one batch:
+	// whichever member reaches it first is the miss, so which invoke
+	// span carries the call's virtual cost, and whether a later member
+	// counts as a cache hit or as coalesced, depend on scheduling. The
+	// results, CallsInvoked and VirtualTime still do not. 1 runs batch members sequentially on the
 	// calling goroutine; 0 is unbounded (one worker per batch member).
 	// A round with a single relevant call always runs inline, whatever
 	// the width. Virtual-clock accounting is unaffected: a batch is

@@ -43,7 +43,10 @@ type outcome struct {
 // in member order. One queue runs on the calling goroutine, several get one
 // goroutine each. It reads nothing but its input and the run's
 // configuration and changes no engine state: apply takes it from there, so
-// results, spans and virtual-clock stats are identical for every pool width.
+// results, spans and virtual-clock stats are identical for every pool width
+// — except over a coalescing cache, where which of several identical
+// members is the miss (the span with the virtual cost) and the cache's
+// hit/coalesced split depend on scheduling (see Options.InvokeWorkers).
 func (e *engine) invoke(inv invocation) []outcome {
 	outs := make([]outcome, len(inv.reqs))
 	runQueue := func(w int, q []int) {

@@ -7,9 +7,11 @@ import (
 	"testing"
 	"time"
 
+	"github.com/activexml/axml/internal/pattern"
 	"github.com/activexml/axml/internal/service"
 	"github.com/activexml/axml/internal/telemetry"
 	"github.com/activexml/axml/internal/telemetry/spantest"
+	"github.com/activexml/axml/internal/tree"
 	"github.com/activexml/axml/internal/workload"
 )
 
@@ -221,6 +223,54 @@ func TestInvokePoolRaceFaultsCacheRetries(t *testing.T) {
 	for g, err := range errs {
 		if err != nil {
 			t.Errorf("evaluator %d: %v", g, err)
+		}
+	}
+}
+
+// TestInvokePoolOverCoalescingCache: a batch of N identical calls over a
+// response cache. Which member reaches the cache first — and so which
+// worker's invoke span carries the call's latency — and whether a later
+// member counts as a hit or as coalesced onto the in-flight call depend
+// on scheduling; results, CallsInvoked and VirtualTime do not, and the
+// cache always sees exactly one miss.
+func TestInvokePoolOverCoalescingCache(t *testing.T) {
+	const n = 4
+	reg := service.NewRegistry()
+	reg.Register(&service.Service{Name: "f", Latency: 10 * time.Millisecond,
+		Handler: func(params []*tree.Node) ([]*tree.Node, error) {
+			time.Sleep(time.Millisecond) // leave room for followers to coalesce
+			item := tree.NewElement("item")
+			item.Append(tree.NewText(params[0].Text()))
+			return []*tree.Node{item}, nil
+		}})
+	q := pattern.MustParse(`/r/zone/item/$X -> $X`)
+	run := func(width int) (*Outcome, service.CacheStats) {
+		root := tree.NewElement("r")
+		for i := 0; i < n; i++ {
+			root.Append(tree.NewElement("zone")).Append(tree.NewCall("f", tree.NewText("v")))
+		}
+		cache := service.NewCache(service.CacheSpec{})
+		out, err := Evaluate(tree.NewDocument(root), q, cache.Wrap(reg),
+			Options{Strategy: LazyNFQ, Parallel: true, InvokeWorkers: width})
+		if err != nil {
+			t.Fatalf("width %d: %v", width, err)
+		}
+		return out, cache.Stats()
+	}
+	ref, _ := run(1)
+	if len(ref.Results) != n || ref.Stats.CallsInvoked != n {
+		t.Fatalf("width 1: %d results, %d calls invoked; want %d of each", len(ref.Results), ref.Stats.CallsInvoked, n)
+	}
+	for _, width := range []int{1, 4} {
+		out, st := run(width)
+		if resultKeys(out) != resultKeys(ref) ||
+			out.Stats.CallsInvoked != ref.Stats.CallsInvoked ||
+			out.Stats.VirtualTime != ref.Stats.VirtualTime {
+			t.Fatalf("width %d: calls %d virtual %v, want calls %d virtual %v (or results differ)", width,
+				out.Stats.CallsInvoked, out.Stats.VirtualTime, ref.Stats.CallsInvoked, ref.Stats.VirtualTime)
+		}
+		if st.Misses != 1 || st.Hits+st.Coalesced != n-1 {
+			t.Fatalf("width %d: cache %+v, want 1 miss and %d hits+coalesced", width, st, n-1)
 		}
 	}
 }
