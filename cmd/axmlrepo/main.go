@@ -1,32 +1,28 @@
-// Command axmlrepo manages a persistent indexed repository of AXML
-// documents — the persistence side of an ActiveXML peer. Every document
-// is stored together with its serialized annotated F-guide (the
-// Section 6.2 call index) and an optional schema, so "query" opens with
-// a warm index instead of rebuilding it, lazy evaluation materialises
-// only the relevant calls, and -save stores the enriched document AND
-// its incrementally patched index back for the next invocation.
+// Command axmlrepo manages a persistent repository of AXML documents —
+// the persistence side of an ActiveXML peer. Every document is stored
+// with an optional schema and a manifest of checksums; "query" builds
+// the document's F-guide (the Section 6.2 call index) as it opens it,
+// lazy evaluation materialises only the relevant calls, and -save stores
+// the enriched document back for the next invocation.
 //
 // Usage:
 //
 //	axmlrepo -dir repo put <name> <file.xml> [-schema file]  store a document
 //	axmlrepo -dir repo get <name>                print a document
 //	axmlrepo -dir repo list                      list stored documents
-//	axmlrepo -dir repo delete <name>             remove a document (and index)
+//	axmlrepo -dir repo delete <name>             remove a document
 //	axmlrepo -dir repo query <name> <query> [-provider URL] [-save] [-explain]
-//	                                             evaluate lazily over the warm
-//	                                             index; -save stores the
-//	                                             materialised document back,
-//	                                             -explain prints the span tree
-//	axmlrepo -dir repo index build [name]        force-rebuild the index
-//	axmlrepo -dir repo index verify [name]       audit index against document
-//	axmlrepo -dir repo index stats [name]        print index statistics
+//	                                             evaluate lazily; -save stores
+//	                                             the materialised document
+//	                                             back, -explain prints the
+//	                                             span tree
+//	axmlrepo -dir repo verify [name]             audit entries, read-only
 //
 // Flags may come before the subcommand or after its arguments; a "--"
-// ends them.
-// The index subcommands apply to every stored document when no name is
-// given. "verify" exits nonzero if any audited index is missing, stale,
-// corrupt or disagrees with a fresh build; "build" repairs exactly those
-// states.
+// ends them. "verify" audits every stored document when no name is
+// given, and exits nonzero if any manifest is missing, stale, corrupt or
+// at an old format, or any stamped part does not match it; the next
+// "get" or "query" of the entry rewrites its manifest.
 package main
 
 import (
@@ -37,7 +33,6 @@ import (
 
 	"github.com/activexml/axml/internal/cli"
 	"github.com/activexml/axml/internal/core"
-	"github.com/activexml/axml/internal/fguide"
 	"github.com/activexml/axml/internal/pattern"
 	"github.com/activexml/axml/internal/repo"
 	"github.com/activexml/axml/internal/schema"
@@ -53,7 +48,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		dir        = fs.String("dir", "axml-repo", "repository directory")
 		schemaFile = fs.String("schema", "", "put: persist this schema alongside the document")
-		save       = fs.Bool("save", false, "query: store the materialised document and patched index back")
+		save       = fs.Bool("save", false, "query: store the materialised document back")
 		provider   = cli.AddProvider(fs)
 		explain    = cli.AddExplain(fs)
 	)
@@ -70,7 +65,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	rest := fs.Args()
 	if len(rest) == 0 {
-		return usage("missing command (put|get|list|delete|query|index)")
+		return usage("missing command (put|get|list|delete|query|verify)")
 	}
 	rp, err := repo.Open(*dir)
 	if err != nil {
@@ -104,12 +99,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err := rp.Put(rest[0], doc, opts); err != nil {
 			return fail(err)
 		}
-		man, err := rp.Manifest(rest[0])
-		if err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stdout, "stored %s (%d nodes, %d calls, %d indexed paths)\n",
-			rest[0], man.Nodes, man.Calls, man.Paths)
+		fmt.Fprintf(stdout, "stored %s (%d nodes)\n", rest[0], doc.Size())
 	case "get":
 		if len(rest) != 1 {
 			return usage("get <name>")
@@ -151,10 +141,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(err)
 		}
-		// The persisted index opens the query warm: the engine adopts the
-		// decoded guide and patches it through every expansion, so -save
-		// persists it back without a rebuild. Incremental is on as in the
-		// other CLIs: candidate validation keeps its memo across rounds.
+		// The engine adopts the guide the open built and patches it through
+		// every expansion. Incremental is on as in the other CLIs:
+		// candidate validation keeps its memo across rounds.
 		opt := core.Options{Strategy: core.LazyNFQ, UseGuide: true, Guide: o.Guide, Incremental: true}.WithSchema(o.Schema)
 		opt.Tracer = explain.Tracer(false)
 		reg, clock, err := provider.Registry(0, nil)
@@ -172,84 +161,36 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "%3d. %v\n", i+1, r.Values)
 		}
 		if *save {
-			opts := repo.PutOptions{Schema: o.Schema}
-			if fguide.Synced(o.Guide) {
-				opts.Guide = o.Guide
-			}
-			if err := rp.Put(rest[0], o.Doc, opts); err != nil {
+			if err := rp.Put(rest[0], o.Doc, repo.PutOptions{Schema: o.Schema}); err != nil {
 				return fail(err)
 			}
 			fmt.Fprintf(stdout, "saved materialised %s (%d nodes)\n", rest[0], o.Doc.Size())
 		}
-	case "index":
-		if len(rest) == 0 {
-			return usage("index build|verify|stats [name]")
-		}
-		sub, names := rest[0], rest[1:]
+	case "verify":
+		names := rest
 		if len(names) == 0 {
-			all, err := rp.List()
+			if names, err = rp.List(); err != nil {
+				return fail(err)
+			}
+		}
+		bad := 0
+		for _, name := range names {
+			rep, err := rp.Verify(name)
 			if err != nil {
 				return fail(err)
 			}
-			names = all
+			if rep.OK {
+				fmt.Fprintf(stdout, "ok   %s\n", name)
+				continue
+			}
+			bad++
+			for _, p := range rep.Problems {
+				fmt.Fprintf(stdout, "FAIL %s: %s\n", name, p)
+			}
 		}
-		switch sub {
-		case "build":
-			for _, name := range names {
-				man, err := rp.Reindex(name)
-				if err != nil {
-					return fail(err)
-				}
-				fmt.Fprintf(stdout, "indexed %s (%d nodes, %d calls, %d paths)\n",
-					name, man.Nodes, man.Calls, man.Paths)
-			}
-		case "verify":
-			bad := 0
-			for _, name := range names {
-				rep, err := rp.VerifyIndex(name)
-				if err != nil {
-					return fail(err)
-				}
-				if rep.OK {
-					fmt.Fprintf(stdout, "ok   %s (%d calls, %d paths)\n", name, rep.Calls, rep.Paths)
-					continue
-				}
-				bad++
-				for _, p := range rep.Problems {
-					fmt.Fprintf(stdout, "FAIL %s: %s\n", name, p)
-				}
-			}
-			if bad > 0 {
-				fmt.Fprintf(stderr, "axmlrepo: %d of %d indexes failed verification\n", bad, len(names))
-				return 1
-			}
-		case "stats":
-			for _, name := range names {
-				man, sum, err := rp.Stats(name)
-				if err != nil {
-					return fail(err)
-				}
-				if man == nil {
-					fmt.Fprintf(stdout, "%s: no index (flat-store entry)\n", name)
-					continue
-				}
-				fmt.Fprintf(stdout, "%s: format %d, %d nodes, %d calls, %d paths",
-					name, man.Format, man.Nodes, man.Calls, man.Paths)
-				if man.Schema != nil {
-					fmt.Fprint(stdout, ", schema")
-				}
-				fmt.Fprintln(stdout)
-				if sum == nil {
-					continue
-				}
-				for _, p := range cli.SortedKeys(sum.PerPath) {
-					for _, s := range cli.SortedKeys(sum.PerPath[p]) {
-						fmt.Fprintf(stdout, "  %-40s %s ×%d\n", p, s, sum.PerPath[p][s])
-					}
-				}
-			}
-		default:
-			return usage("unknown index subcommand %q", sub)
+		if bad > 0 {
+			fmt.Fprintf(stderr, "axmlrepo: %d of %d entries failed verification\n", bad, len(names))
+			return 1
 		}
 	default:
 		return usage("unknown command %q", cmd)

@@ -83,7 +83,7 @@ func TestQueryAndSaveAmortises(t *testing.T) {
 	}
 }
 
-func TestSchemaAndIndexSubcommands(t *testing.T) {
+func TestSchemaAndVerify(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "repo")
 	file := worldFile(t)
 	w := workload.Hotels(workload.DefaultSpec())
@@ -95,45 +95,37 @@ func TestSchemaAndIndexSubcommands(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("put -schema: %s", errOut)
 	}
-	if !strings.Contains(out, "indexed paths") {
+	if !strings.Contains(out, "stored hotels (") {
 		t.Fatalf("put output: %s", out)
 	}
-
-	out, _, code = repoRun(t, dir, "index", "verify")
-	if code != 0 || !strings.Contains(out, "ok   hotels") {
-		t.Fatalf("index verify: %q (code %d)", out, code)
-	}
-	out, _, code = repoRun(t, dir, "index", "stats", "hotels")
-	if code != 0 || !strings.Contains(out, "schema") || !strings.Contains(out, "hotels/hotel/nearby") {
-		t.Fatalf("index stats: %q (code %d)", out, code)
-	}
-	out, _, code = repoRun(t, dir, "index", "build", "hotels")
-	if code != 0 || !strings.Contains(out, "indexed hotels") {
-		t.Fatalf("index build: %q (code %d)", out, code)
+	out, _, code = repoRun(t, dir, "verify")
+	if code != 0 || out != "ok   hotels\n" {
+		t.Fatalf("verify: %q (code %d)", out, code)
 	}
 
-	// Corrupt the on-disk index: verify must fail loudly, build must
-	// repair it, and a query in between still answers (degraded open).
-	guidePath := filepath.Join(dir, "hotels.fguide")
-	if err := os.WriteFile(guidePath, []byte("junk"), 0o644); err != nil {
+	// Remove the manifest: verify must fail loudly, a query still
+	// answers, and its open rewrites the manifest.
+	if err := os.Remove(filepath.Join(dir, "hotels.manifest")); err != nil {
 		t.Fatal(err)
 	}
-	out, _, code = repoRun(t, dir, "index", "verify", "hotels")
+	out, _, code = repoRun(t, dir, "verify", "hotels")
 	if code == 0 || !strings.Contains(out, "FAIL hotels") {
-		t.Fatalf("verify passed a corrupt index: %q (code %d)", out, code)
+		t.Fatalf("verify passed an entry without a manifest: %q (code %d)", out, code)
 	}
 	query := `/hotels/hotel[name="Best Western"][rating="*****"]/nearby//restaurant[rating="*****"][name=$X] -> $X`
 	out, errOut, code = repoRun(t, dir, "query", "hotels", query)
 	if code != 0 {
-		t.Fatalf("query over corrupt index failed: %s", errOut)
+		t.Fatalf("query without a manifest failed: %s", errOut)
 	}
 	if !strings.Contains(out, "24 result(s)") {
-		t.Fatalf("query over corrupt index: %s", out)
+		t.Fatalf("query without a manifest: %s", out)
 	}
-	// The degraded open repaired the entry in passing.
-	out, _, code = repoRun(t, dir, "index", "verify", "hotels")
+	out, _, code = repoRun(t, dir, "verify", "hotels")
 	if code != 0 {
-		t.Fatalf("index not repaired after degraded query: %q", out)
+		t.Fatalf("manifest not rewritten by the query's open: %q", out)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "hotels.fguide")); !os.IsNotExist(err) {
+		t.Fatalf("a guide was stored (err=%v)", err)
 	}
 }
 
@@ -151,9 +143,8 @@ func TestDocumentedUsage(t *testing.T) {
 	if code != 0 || !strings.Contains(out, "stored hotels") {
 		t.Fatalf("put <name> <file> -schema: exit %d: %s%s", code, out, errOut)
 	}
-	out, _, _ = repoRun(t, dir, "index", "stats", "hotels")
-	if !strings.Contains(out, "schema") {
-		t.Fatalf("the schema was not stored: %s", out)
+	if _, err := os.Stat(filepath.Join(dir, "hotels.schema")); err != nil {
+		t.Fatalf("the schema was not stored: %v", err)
 	}
 	query := `/hotels/hotel[name="Best Western"][rating="*****"]/nearby//restaurant[rating="*****"][name=$X] -> $X`
 	out, errOut, code = repoRun(t, dir, "query", "hotels", query, "-save", "-explain")

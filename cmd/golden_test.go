@@ -99,9 +99,7 @@ func vectors() []vector {
 		q("axmlrepo", "list", "-dir", "$REPO", "list"),
 		q("axmlrepo", "query-provider", "-dir", "$REPO", "-provider", "$PROVIDER", "query", "demo", query),
 		q("axmlrepo", "query-explain-save", "-dir", "$REPO", "-explain", "-save", "query", "demo", query),
-		q("axmlrepo", "index-verify", "-dir", "$REPO", "index", "verify"),
-		q("axmlrepo", "index-stats", "-dir", "$REPO", "index", "stats", "demo"),
-		q("axmlrepo", "index-build", "-dir", "$REPO", "index", "build", "demo"),
+		q("axmlrepo", "verify", "-dir", "$REPO", "verify"),
 		q("axmlrepo", "put-documented", "-dir", "$REPO", "put", "second", "$DOC", "-schema", "$SCHEMA"),
 		q("axmlrepo", "query-documented", "-dir", "$REPO", "query", "second", query, "-explain"),
 		q("axmlrepo", "delete", "-dir", "$REPO", "delete", "second"),

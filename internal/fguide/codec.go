@@ -1,11 +1,9 @@
-// F-guide serialisation: the persistent form of the index an AXML
-// repository stores next to each document. The format is a pre-order
-// dump of the guide trie — label paths, per-path call annotations
-// (document positions and service names of the extent) and node counts —
-// in the spirit of an annotated strong dataguide: enough to reopen a
-// repository with a warm index, to answer `axmlrepo index stats` without
-// touching the document, and to cross-check the index against the
-// document during `axmlrepo index verify`.
+// F-guide serialisation: a pre-order dump of the guide trie — label
+// paths, per-path call annotations (document positions and service
+// names of the extent) and node counts — in the spirit of an annotated
+// strong dataguide. The repository does not store it (internal/repo
+// builds the guide at open, which costs less than a Decode); the codec
+// stays because benchmark/replay.go times Encode and Decode.
 //
 // Extents are addressed by document-order position (the index of the
 // call node in a pre-order traversal of the whole tree), not by node ID:
@@ -13,8 +11,7 @@
 // round trip, while document order does. Decode therefore requires the
 // freshly parsed document the guide was encoded against; any mismatch —
 // wrong node count, a position that is not a call, a service name that
-// moved — is reported as corruption, which repositories answer with a
-// clean rebuild.
+// moved — is reported as corruption.
 package fguide
 
 import (
@@ -219,101 +216,6 @@ func decodeNode(r *codecReader, g *Guide, parent *gnode, calls map[uint64]*tree.
 		n.children[c.label] = c
 	}
 	return n, nil
-}
-
-// Summary describes a serialised guide without its document — the data
-// behind `axmlrepo index stats`.
-type Summary struct {
-	// DocNodes is the node count of the document the guide was encoded
-	// against.
-	DocNodes int
-	// Calls is the number of indexed function nodes; Paths the number of
-	// distinct call-bearing label paths.
-	Calls, Paths int
-	// PerPath maps each call-bearing label path (joined with "/") to its
-	// per-service call counts.
-	PerPath map[string]map[string]int
-}
-
-// Inspect parses a serialised guide standalone, verifying structure but
-// not document agreement (no document is at hand).
-func Inspect(data []byte) (*Summary, error) {
-	r := &codecReader{data: data}
-	if err := r.expect(codecMagic); err != nil {
-		return nil, err
-	}
-	nodes, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	calls, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	paths, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	s := &Summary{DocNodes: int(nodes), Calls: int(calls), Paths: int(paths), PerPath: map[string]map[string]int{}}
-	var seenCalls, seenPaths int
-	var walk func(prefix string, depth int) error
-	walk = func(prefix string, depth int) error {
-		if depth > maxCodecDepth {
-			return corruptf("trie deeper than %d", maxCodecDepth)
-		}
-		label, err := r.str()
-		if err != nil {
-			return err
-		}
-		path := prefix
-		if label != "" {
-			if path != "" {
-				path += "/"
-			}
-			path += label
-		}
-		extents, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		if extents > 0 {
-			seenPaths++
-			per := map[string]int{}
-			for i := uint64(0); i < extents; i++ {
-				if _, err := r.uvarint(); err != nil { // position
-					return err
-				}
-				svc, err := r.str()
-				if err != nil {
-					return err
-				}
-				per[svc]++
-				seenCalls++
-			}
-			s.PerPath[path] = per
-		}
-		kids, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		for i := uint64(0); i < kids; i++ {
-			if err := walk(path, depth+1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk("", 0); err != nil {
-		return nil, err
-	}
-	if r.rest() != 0 {
-		return nil, corruptf("%d trailing bytes", r.rest())
-	}
-	if seenCalls != s.Calls || seenPaths != s.Paths {
-		return nil, corruptf("header counts (%d calls, %d paths) disagree with body (%d, %d)",
-			s.Calls, s.Paths, seenCalls, seenPaths)
-	}
-	return s, nil
 }
 
 // codecReader is a bounds-checked cursor over serialised guide bytes.

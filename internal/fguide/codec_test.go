@@ -181,34 +181,3 @@ func TestDecodeRejectsTruncationAndNoise(t *testing.T) {
 		t.Fatal("Decode accepted garbage")
 	}
 }
-
-func TestInspect(t *testing.T) {
-	d := doc(t, sample)
-	g := Build(d)
-	data, err := Encode(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := Inspect(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Calls != g.Calls() || s.Paths != g.Paths() {
-		t.Fatalf("Inspect counts = (%d, %d), want (%d, %d)", s.Calls, s.Paths, g.Calls(), g.Paths())
-	}
-	var nodes int
-	d.Root.Walk(func(*tree.Node) bool { nodes++; return true })
-	if s.DocNodes != nodes {
-		t.Fatalf("Inspect.DocNodes = %d, want %d", s.DocNodes, nodes)
-	}
-	per, ok := s.PerPath["hotels/hotel/rating"]
-	if !ok || per["getRating"] != 2 {
-		t.Fatalf("Inspect.PerPath = %v, want hotels/hotel/rating → getRating:2", s.PerPath)
-	}
-	if per := s.PerPath["hotels"]; per["getHotels"] != 1 {
-		t.Fatalf("Inspect.PerPath[hotels] = %v", per)
-	}
-	if _, err := Inspect(data[:len(data)-1]); err == nil {
-		t.Fatal("Inspect accepted truncated data")
-	}
-}

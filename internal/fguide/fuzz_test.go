@@ -10,9 +10,8 @@ import (
 // FuzzGuideCodecRoundTrip drives the guide codec from both ends: any
 // parseable document must round-trip its guide bit-stably through
 // Encode/Decode against a fresh parse of the same bytes (the repository
-// reopen path), and arbitrary bytes fed to Decode/Inspect must be
-// rejected cleanly, never crash — the property the corruption-recovery
-// path in internal/repo relies on.
+// reopen path), and arbitrary bytes fed to Decode must be rejected
+// cleanly, never crash.
 func FuzzGuideCodecRoundTrip(f *testing.F) {
 	f.Add([]byte(`<hotels><hotel><rating><axml:call service="getRating"/></rating></hotel><axml:call service="getHotels"/></hotels>`), []byte("AXFG1\n"))
 	f.Add([]byte(`<r><a><axml:call service="s"/></a><a><b><axml:call service="s"/></b></a></r>`), []byte{})
@@ -59,10 +58,6 @@ func FuzzGuideCodecRoundTrip(f *testing.F) {
 			if gr, err := Decode(d2, raw); err == nil {
 				_ = gr.String()
 			}
-		}
-		// Standalone inspection of arbitrary bytes must never panic.
-		if s, err := Inspect(raw); err == nil && s.Calls < 0 {
-			t.Fatal("negative call count")
 		}
 	})
 }

@@ -1,26 +1,23 @@
-// Package repo is the persistent indexed repository of AXML documents,
-// the one storage engine of an ActiveXML peer. Each document is
-// persisted together with its serialized annotated F-guide (label
-// paths, call-node annotations and node counts — the on-disk form of
-// the Section 6.2 index, in the shape of an annotated strong dataguide)
-// and a manifest carrying a format version and a checksum per part, so
-// a restarted process opens documents with a warm index instead of
-// rebuilding it, and call expansion patches the persisted index in
-// place through fguide.ApplyExpansion instead of triggering rebuilds.
+// Package repo is the persistent repository of AXML documents, the one
+// storage engine of an ActiveXML peer. An entry is its document, an
+// optional schema and a manifest carrying a format version and a
+// checksum per part. The Section 6.2 F-guide is not stored: Get builds
+// it from the document in one linear pass, and call expansion patches
+// it in memory (fguide.ApplyExpansion). A stored copy could not open
+// faster — decoding one walks the same tree to number its nodes before
+// it reads the index.
 //
 // The manifest is the commit point: every part is written atomically
 // and the manifest last, so a crash between writes leaves at worst a
-// stale index, never a torn one. Reads trust the document and verify
-// the index — a bad checksum, a truncated file or a decode mismatch is
-// logged and counted, the guide is rebuilt in memory, the on-disk index
-// repaired, and the open still succeeds. Only the document itself is
-// load-bearing: if it is missing or unparseable the repository cannot
-// invent data and the error surfaces.
+// stale manifest, never a torn entry. Reads trust the document and
+// check the rest — a missing, stale or unparseable manifest is logged
+// and counted, the manifest rewritten, and the open still succeeds.
+// Only the document itself is load-bearing: if it is missing or
+// unparseable the repository cannot invent data and the error surfaces.
 //
-// Schemas ride along as a third part so restored masters keep
-// typed pruning across restarts (they cannot be derived from the
-// document, so a corrupt schema sidecar is dropped loudly rather than
-// rebuilt).
+// Schemas ride along as a second part so restored masters keep typed
+// pruning across restarts (they cannot be derived from the document, so
+// a corrupt schema sidecar is dropped loudly rather than rebuilt).
 package repo
 
 import (
@@ -44,20 +41,23 @@ import (
 )
 
 // File extensions of the parts of one repository entry. A directory of
-// bare DocExt files (flat entries) upgrades to an indexed repository in
-// place: the first Get finds no manifest, opens cold, and repairs the
-// entry to indexed form.
+// bare DocExt files (flat entries) upgrades in place: the first Get
+// finds no manifest, opens cold, and writes one.
 const (
 	DocExt      = store.Extension
-	GuideExt    = ".fguide"
 	SchemaExt   = ".schema"
 	ManifestExt = ".manifest"
+	// guideExt is the serialised F-guide a format-1 entry also stored.
+	// Nothing reads it: the first Get of such an entry removes it, and
+	// Put, Delete and the sweep at open remove any left over.
+	guideExt = ".fguide"
 )
 
-// FormatVersion identifies the on-disk entry format (manifest layout +
-// guide codec). Entries with a different version open cold and are
-// repaired to the current format.
-const FormatVersion = 1
+// FormatVersion identifies the on-disk entry format. A format-1
+// manifest (the format that also stored the guide) is read as the
+// current one — the fields they share mean the same — and rewritten by
+// the entry's first Get; any other version opens cold and is repaired.
+const FormatVersion = 2
 
 // FileStamp fingerprints one persisted part.
 type FileStamp struct {
@@ -70,53 +70,47 @@ func stamp(data []byte) FileStamp {
 	return FileStamp{Bytes: len(data), SHA256: hex.EncodeToString(sum[:])}
 }
 
-// Manifest describes one repository entry: which parts exist, their
-// checksums, and the index's summary counts. It is written last on
-// every update, making it the entry's commit point.
+// Manifest describes one repository entry: which parts exist and their
+// checksums. It is written last on every update, making it the entry's
+// commit point.
 type Manifest struct {
 	Format int        `json:"format"`
 	Name   string     `json:"name"`
 	Doc    FileStamp  `json:"doc"`
-	Guide  *FileStamp `json:"guide,omitempty"`
 	Schema *FileStamp `json:"schema,omitempty"`
-	// Nodes, Calls and Paths summarise the indexed document: total tree
-	// nodes, indexed function nodes, distinct call-bearing label paths.
+	// Nodes is the document's total tree node count.
 	Nodes int `json:"nodes"`
-	Calls int `json:"calls"`
-	Paths int `json:"paths"`
 }
 
 // Opened is the result of Get: the document with everything persisted
-// alongside it.
+// alongside it, and its F-guide.
 type Opened struct {
 	Doc *tree.Document
-	// Guide is the document's F-guide, decoded from the persisted index
-	// (Warm) or rebuilt in memory after a cold or corrupt open. Always
-	// non-nil and synced with Doc.
+	// Guide is the document's F-guide, built at open. Always non-nil and
+	// synced with Doc.
 	Guide *fguide.Guide
 	// Schema is the persisted schema, nil if none was stored (or its
 	// sidecar was corrupt — logged, never fatal).
 	Schema *schema.Schema
-	// Warm reports that Guide came from the persisted index with every
-	// checksum intact — the no-rebuild path.
+	// Warm reports an open that rewrote nothing: the manifest is at the
+	// current format and every part it stamps is intact.
 	Warm bool
 }
 
 // PutOptions carries the optional parts persisted with a document.
 type PutOptions struct {
-	// Guide, when non-nil, must be synced with the document and is
-	// persisted as-is — this is how a draining session persists an index
-	// it has been patching in place, without a rebuild. When nil the
-	// index is built from the document.
+	// Guide is ignored: Get builds the guide from the document.
+	//
+	// Deprecated: nothing reads it; benchmark/ still sets it.
 	Guide *fguide.Guide
 	// Schema, when non-nil, is persisted alongside so a restart keeps
 	// typed pruning.
 	Schema *schema.Schema
 }
 
-// Repo is a persistent indexed repository over one backend. It is safe
-// for concurrent use within one process; cross-process safety relies on
-// the backend's atomic replacement.
+// Repo is a persistent repository over one backend. It is safe for
+// concurrent use within one process; cross-process safety relies on the
+// backend's atomic replacement.
 type Repo struct {
 	b  Backend
 	mu sync.RWMutex
@@ -126,14 +120,13 @@ type Repo struct {
 	Logger *log.Logger
 
 	warmOpens   *telemetry.Counter
-	rebuilds    *telemetry.Counter
 	repairs     *telemetry.Counter
 	corruptions *telemetry.Counter
 }
 
 // New returns a repository over the given backend, sweeping orphaned
-// sidecar files (index parts whose document is gone — the remains of a
-// crash mid-Delete) as it opens.
+// sidecar files (parts whose document is gone — the remains of a crash
+// mid-Delete) as it opens.
 func New(b Backend) (*Repo, error) {
 	r := &Repo{b: b, Logger: log.New(os.Stderr, "repo: ", log.LstdFlags)}
 	if err := r.sweep(); err != nil {
@@ -151,12 +144,11 @@ func Open(dir string) (*Repo, error) {
 	return New(b)
 }
 
-// Instrument registers the repository's counters (warm opens, index
-// rebuilds, repairs, corruption detections) with the registry. A nil
-// registry detaches them.
+// Instrument registers the repository's counters (warm opens, manifest
+// repairs, corruption detections) with the registry. A nil registry
+// detaches them.
 func (r *Repo) Instrument(reg *telemetry.Registry) {
 	r.warmOpens = reg.Counter(telemetry.MetricRepoWarmOpens)
-	r.rebuilds = reg.Counter(telemetry.MetricRepoRebuilds)
 	r.repairs = reg.Counter(telemetry.MetricRepoRepairs)
 	r.corruptions = reg.Counter(telemetry.MetricRepoCorruptions)
 }
@@ -182,7 +174,7 @@ func (r *Repo) sweep() error {
 		}
 	}
 	for _, f := range files {
-		for _, ext := range []string{GuideExt, SchemaExt, ManifestExt} {
+		for _, ext := range []string{guideExt, SchemaExt, ManifestExt} {
 			if name, ok := strings.CutSuffix(f, ext); ok && !docs[name] {
 				r.logf("sweeping orphaned %s (no document)", f)
 				if err := r.b.Remove(f); err != nil {
@@ -194,17 +186,9 @@ func (r *Repo) sweep() error {
 	return nil
 }
 
-// countNodes returns the document's total node count.
-func countNodes(doc *tree.Document) int {
-	var n int
-	doc.Root.Walk(func(*tree.Node) bool { n++; return true })
-	return n
-}
-
-// Put persists the document and its index under the given name,
-// atomically replacing any previous entry. A synced guide supplied via
-// opts is encoded as-is; otherwise the guide is built fresh. The
-// manifest is written last, committing the entry.
+// Put persists the document and its schema under the given name,
+// atomically replacing any previous entry. The manifest is written
+// last, committing the entry.
 func (r *Repo) Put(name string, doc *tree.Document, opts PutOptions) error {
 	if err := store.ValidName(name); err != nil {
 		return err
@@ -214,29 +198,7 @@ func (r *Repo) Put(name string, doc *tree.Document, opts PutOptions) error {
 		return fmt.Errorf("repo: marshal %s: %w", name, err)
 	}
 	docData = append(docData, '\n')
-
-	g := opts.Guide
-	if g != nil && (g.Doc() != doc || !fguide.Synced(g)) {
-		return fmt.Errorf("repo: put %s: supplied guide does not describe the document", name)
-	}
-	if g == nil {
-		g = fguide.Build(doc)
-	}
-	guideData, err := fguide.Encode(g)
-	if err != nil {
-		return fmt.Errorf("repo: put %s: %w", name, err)
-	}
-
-	man := &Manifest{
-		Format: FormatVersion,
-		Name:   name,
-		Doc:    stamp(docData),
-		Nodes:  countNodes(doc),
-		Calls:  g.Calls(),
-		Paths:  g.Paths(),
-	}
-	gs := stamp(guideData)
-	man.Guide = &gs
+	man := &Manifest{Format: FormatVersion, Name: name, Doc: stamp(docData), Nodes: doc.Size()}
 
 	var schemaData []byte
 	if opts.Schema != nil {
@@ -250,14 +212,14 @@ func (r *Repo) Put(name string, doc *tree.Document, opts PutOptions) error {
 	if err := r.b.WriteFile(name+DocExt, docData); err != nil {
 		return fmt.Errorf("repo: put %s: %w", name, err)
 	}
-	if err := r.b.WriteFile(name+GuideExt, guideData); err != nil {
-		return fmt.Errorf("repo: put %s: %w", name, err)
-	}
 	if opts.Schema != nil {
 		if err := r.b.WriteFile(name+SchemaExt, schemaData); err != nil {
 			return fmt.Errorf("repo: put %s: %w", name, err)
 		}
 	} else if err := r.b.Remove(name + SchemaExt); err != nil {
+		return fmt.Errorf("repo: put %s: %w", name, err)
+	}
+	if err := r.b.Remove(name + guideExt); err != nil {
 		return fmt.Errorf("repo: put %s: %w", name, err)
 	}
 	return r.writeManifest(name, man)
@@ -275,12 +237,12 @@ func (r *Repo) writeManifest(name string, man *Manifest) error {
 	return nil
 }
 
-// Get opens an entry. The document is load-bearing: if missing or
-// unparseable, Get errors. Everything else degrades gracefully — a
-// missing, stale or corrupt index is logged and counted, the guide
-// rebuilt in memory, and the on-disk index repaired so the next open is
-// warm again; a corrupt schema sidecar is logged and dropped. Get never
-// fails a query because of index damage.
+// Get opens an entry and builds its F-guide. The document is
+// load-bearing: if missing or unparseable, Get errors. Everything else
+// degrades gracefully — a missing, stale or corrupt manifest is logged
+// and counted and the manifest rewritten so the next open is warm again;
+// a corrupt schema sidecar is logged and dropped, and the rewritten
+// manifest no longer stamps it.
 func (r *Repo) Get(name string) (*Opened, error) {
 	if err := store.ValidName(name); err != nil {
 		return nil, err
@@ -296,65 +258,81 @@ func (r *Repo) Get(name string) (*Opened, error) {
 	if err != nil {
 		return nil, fmt.Errorf("repo: get %s: %w", name, err)
 	}
-	o := &Opened{Doc: doc}
+	o := &Opened{Doc: doc, Guide: fguide.Build(doc)}
 
 	man, reason := r.loadManifest(name, docData)
+	var schemaStamp *FileStamp
 	if man != nil {
-		o.Schema = r.loadSchema(name, man)
-		g, why := r.loadGuide(name, man, doc)
-		if g != nil {
-			o.Guide = g
+		if o.Schema = r.loadSchema(name, man); o.Schema != nil {
+			schemaStamp = man.Schema
+		} else if man.Schema != nil && reason == "" {
+			reason = "schema sidecar dropped"
+		}
+		if reason == "" {
 			o.Warm = true
 			r.warmOpens.Inc()
 			return o, nil
 		}
-		reason = why
 	}
 
-	// Cold path: rebuild the index in memory and repair it on disk so
-	// the next open is warm. Repair failures are logged, never fatal —
-	// the caller still gets a correct, fully indexed document.
+	// Cold path: rewrite the manifest so the next open is warm. A failed
+	// repair is logged, never fatal — the caller still gets the document.
 	if reason != "" {
-		r.logf("get %s: %s; rebuilding index", name, reason)
+		r.logf("get %s: %s; rewriting the manifest", name, reason)
 	}
-	o.Guide = fguide.Build(doc)
-	r.rebuilds.Inc()
-	if err := r.repair(name, docData, o); err != nil {
-		r.logf("get %s: index repair failed: %v", name, err)
+	if err := r.repair(name, docData, doc, schemaStamp); err != nil {
+		r.logf("get %s: repair failed: %v", name, err)
 	} else {
 		r.repairs.Inc()
 	}
 	return o, nil
 }
 
-// loadManifest reads and validates the manifest against the document
-// bytes. A nil manifest with empty reason means no manifest at all (a
-// flat entry — cold but not corrupt); a non-empty reason reports
-// why the entry cannot be trusted.
-func (r *Repo) loadManifest(name string, docData []byte) (*Manifest, string) {
+// readManifest reads and parses an entry's manifest; a missing one is
+// (nil, nil).
+func (r *Repo) readManifest(name string) (*Manifest, error) {
 	data, err := r.b.ReadFile(name + ManifestExt)
 	if errors.Is(err, fs.ErrNotExist) {
-		return nil, ""
+		return nil, nil
 	}
 	if err != nil {
-		r.corruptions.Inc()
-		return nil, fmt.Sprintf("manifest unreadable (%v)", err)
+		return nil, err
 	}
 	var man Manifest
 	if err := json.Unmarshal(data, &man); err != nil {
+		return nil, err
+	}
+	return &man, nil
+}
+
+// loadManifest reads the manifest and checks it against the document
+// bytes. It returns the manifest when its stamps can be trusted — at the
+// current format (empty reason) or at format 1, whose reason asks for a
+// rewrite — and otherwise nil: with an empty reason when there is no
+// manifest at all (a flat entry — cold but not corrupt), else why the
+// entry cannot be trusted.
+func (r *Repo) loadManifest(name string, docData []byte) (*Manifest, string) {
+	man, err := r.readManifest(name)
+	if err != nil {
 		r.corruptions.Inc()
 		return nil, fmt.Sprintf("manifest corrupt (%v)", err)
 	}
-	if man.Format != FormatVersion {
-		// Not corruption: a format migration opens cold and rewrites.
-		return nil, fmt.Sprintf("manifest format %d (want %d)", man.Format, FormatVersion)
+	if man == nil {
+		return nil, ""
 	}
 	if got := stamp(docData); man.Doc != got {
 		// The document moved under the manifest (e.g. a bare file write
-		// into an indexed directory). The document is authoritative.
-		return nil, "index is stale (document checksum changed)"
+		// into the directory). The document is authoritative.
+		return nil, "manifest is stale (document checksum changed)"
 	}
-	return &man, ""
+	switch man.Format {
+	case FormatVersion:
+		return man, ""
+	case 1:
+		// Not corruption: a format migration, which keeps the schema.
+		return man, "manifest format 1 stores the guide"
+	}
+	return nil, fmt.Sprintf("manifest format %d (want %d)", man.Format, FormatVersion)
 }
 
 // loadSchema returns the persisted schema, or nil after logging any
@@ -384,66 +362,27 @@ func (r *Repo) loadSchema(name string, man *Manifest) *schema.Schema {
 	return s
 }
 
-// loadGuide decodes the persisted index against the document. Any
-// failure is counted as corruption and explained in the reason.
-func (r *Repo) loadGuide(name string, man *Manifest, doc *tree.Document) (*fguide.Guide, string) {
-	if man.Guide == nil {
-		return nil, "manifest has no index"
-	}
-	data, err := r.b.ReadFile(name + GuideExt)
-	if err != nil {
-		r.corruptions.Inc()
-		return nil, fmt.Sprintf("index unreadable (%v)", err)
-	}
-	if got := stamp(data); *man.Guide != got {
-		r.corruptions.Inc()
-		return nil, "index checksum mismatch"
-	}
-	g, err := fguide.Decode(doc, data)
-	if err != nil {
-		r.corruptions.Inc()
-		return nil, fmt.Sprintf("index decode failed (%v)", err)
-	}
-	return g, ""
-}
-
-// repair rewrites the index parts of an entry from an in-memory open:
-// guide file, schema sidecar (when a valid schema survived), then the
-// manifest over the document bytes already on disk. Caller holds mu.
-func (r *Repo) repair(name string, docData []byte, o *Opened) error {
-	guideData, err := fguide.Encode(o.Guide)
-	if err != nil {
+// repair rewrites an entry's manifest over the document bytes already
+// on disk, stamping the schema sidecar only when the open adopted it
+// (schemaStamp), after removing a format-1 guide file. Caller holds mu.
+func (r *Repo) repair(name string, docData []byte, doc *tree.Document, schemaStamp *FileStamp) error {
+	if err := r.b.Remove(name + guideExt); err != nil {
 		return err
 	}
-	man := &Manifest{
+	return r.writeManifest(name, &Manifest{
 		Format: FormatVersion,
 		Name:   name,
 		Doc:    stamp(docData),
-		Nodes:  countNodes(o.Doc),
-		Calls:  o.Guide.Calls(),
-		Paths:  o.Guide.Paths(),
-	}
-	gs := stamp(guideData)
-	man.Guide = &gs
-	if err := r.b.WriteFile(name+GuideExt, guideData); err != nil {
-		return err
-	}
-	if o.Schema != nil {
-		schemaData := []byte(o.Schema.String())
-		ss := stamp(schemaData)
-		man.Schema = &ss
-		if err := r.b.WriteFile(name+SchemaExt, schemaData); err != nil {
-			return err
-		}
-	}
-	return r.writeManifest(name, man)
+		Schema: schemaStamp,
+		Nodes:  doc.Size(),
+	})
 }
 
-// Delete removes an entry — document, index, schema and manifest.
-// Deleting a missing document errors. The manifest goes first and the
-// document last, so a crash part-way leaves
-// either a cold-openable entry or sidecars the next Open sweeps; no
-// ordering can surface an index without its document.
+// Delete removes an entry — document, schema and manifest. Deleting a
+// missing document errors. The manifest goes first and the document
+// last, so a crash part-way leaves either a cold-openable entry or
+// sidecars the next Open sweeps; no ordering can surface a manifest
+// without its document.
 func (r *Repo) Delete(name string) error {
 	if err := store.ValidName(name); err != nil {
 		return err
@@ -453,7 +392,7 @@ func (r *Repo) Delete(name string) error {
 	if _, err := r.b.ReadFile(name + DocExt); err != nil {
 		return fmt.Errorf("repo: delete %s: %w", name, err)
 	}
-	for _, ext := range []string{ManifestExt, GuideExt, SchemaExt, DocExt} {
+	for _, ext := range []string{ManifestExt, guideExt, SchemaExt, DocExt} {
 		if err := r.b.Remove(name + ext); err != nil {
 			return fmt.Errorf("repo: delete %s: %w", name, err)
 		}
@@ -490,180 +429,52 @@ func (r *Repo) List() ([]string, error) {
 	return names, nil
 }
 
-// Manifest returns an entry's manifest, or nil when the entry has none
-// (flat entries before their first indexed open).
-func (r *Repo) Manifest(name string) (*Manifest, error) {
-	if err := store.ValidName(name); err != nil {
-		return nil, err
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	data, err := r.b.ReadFile(name + ManifestExt)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("repo: manifest %s: %w", name, err)
-	}
-	var man Manifest
-	if err := json.Unmarshal(data, &man); err != nil {
-		return nil, fmt.Errorf("repo: manifest %s: %w", name, err)
-	}
-	return &man, nil
-}
-
-// Stats summarises an entry's persisted index without the document:
-// the manifest plus the serialised guide's per-path call counts. The
-// data behind `axmlrepo index stats`.
-func (r *Repo) Stats(name string) (*Manifest, *fguide.Summary, error) {
-	man, err := r.Manifest(name)
-	if err != nil {
-		return nil, nil, err
-	}
-	if man == nil || man.Guide == nil {
-		return man, nil, nil
-	}
-	r.mu.RLock()
-	data, err := r.b.ReadFile(name + GuideExt)
-	r.mu.RUnlock()
-	if err != nil {
-		return man, nil, fmt.Errorf("repo: stats %s: %w", name, err)
-	}
-	sum, err := fguide.Inspect(data)
-	if err != nil {
-		return man, nil, fmt.Errorf("repo: stats %s: %w", name, err)
-	}
-	return man, sum, nil
-}
-
-// Reindex rebuilds an entry's index from its document and rewrites the
-// on-disk parts, preserving a valid schema sidecar. The force behind
-// `axmlrepo index build`.
-func (r *Repo) Reindex(name string) (*Manifest, error) {
-	if err := store.ValidName(name); err != nil {
-		return nil, err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	docData, err := r.b.ReadFile(name + DocExt)
-	if err != nil {
-		return nil, fmt.Errorf("repo: reindex %s: %w", name, err)
-	}
-	doc, err := tree.Unmarshal(docData)
-	if err != nil {
-		return nil, fmt.Errorf("repo: reindex %s: %w", name, err)
-	}
-	o := &Opened{Doc: doc, Guide: fguide.Build(doc)}
-	if man, _ := r.loadManifest(name, docData); man != nil {
-		o.Schema = r.loadSchema(name, man)
-	}
-	if err := r.repair(name, docData, o); err != nil {
-		return nil, fmt.Errorf("repo: reindex %s: %w", name, err)
-	}
-	return r.manifestLocked(name)
-}
-
-func (r *Repo) manifestLocked(name string) (*Manifest, error) {
-	data, err := r.b.ReadFile(name + ManifestExt)
-	if err != nil {
-		return nil, fmt.Errorf("repo: manifest %s: %w", name, err)
-	}
-	var man Manifest
-	if err := json.Unmarshal(data, &man); err != nil {
-		return nil, fmt.Errorf("repo: manifest %s: %w", name, err)
-	}
-	return &man, nil
-}
-
-// DropIndex removes an entry's index and manifest, leaving a flat
-// entry that will open cold. Used by tooling and benchmarks to measure
-// the cold path; a valid schema sidecar is left in place but unindexed
-// (it is re-adopted by the repair on the next Get).
-func (r *Repo) DropIndex(name string) error {
-	if err := store.ValidName(name); err != nil {
-		return err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := r.b.Remove(name + ManifestExt); err != nil {
-		return fmt.Errorf("repo: drop index %s: %w", name, err)
-	}
-	if err := r.b.Remove(name + GuideExt); err != nil {
-		return fmt.Errorf("repo: drop index %s: %w", name, err)
-	}
-	return nil
-}
-
-// VerifyReport is the result of VerifyIndex for one entry.
+// VerifyReport is the result of Verify for one entry.
 type VerifyReport struct {
 	Name string
-	// OK means the persisted index is present, checksummed, decodable
-	// and semantically identical to a fresh build from the document.
+	// OK means the manifest is at the current format and every part it
+	// stamps is intact.
 	OK bool
 	// Problems lists everything found wrong, empty when OK.
 	Problems []string
-	// Calls and Paths are the verified (or freshly built) index counts.
-	Calls, Paths int
 }
 
-// VerifyIndex audits one entry without modifying it: checksums, codec
-// round-trip against the document, and semantic agreement with a fresh
-// build. The check behind `axmlrepo index verify`.
-func (r *Repo) VerifyIndex(name string) (*VerifyReport, error) {
+// Verify audits one entry without modifying it: the manifest's format,
+// the document's and the schema's stamps, and that the schema parses.
+// The check behind `axmlrepo verify`.
+func (r *Repo) Verify(name string) (*VerifyReport, error) {
 	if err := store.ValidName(name); err != nil {
 		return nil, err
 	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	docData, err := r.b.ReadFile(name + DocExt)
-	if err != nil {
-		return nil, fmt.Errorf("repo: verify %s: %w", name, err)
-	}
-	doc, err := tree.Unmarshal(docData)
 	if err != nil {
 		return nil, fmt.Errorf("repo: verify %s: %w", name, err)
 	}
 	rep := &VerifyReport{Name: name}
-	fresh := fguide.Build(doc)
-	rep.Calls, rep.Paths = fresh.Calls(), fresh.Paths()
-
-	manData, err := r.b.ReadFile(name + ManifestExt)
-	if err != nil {
-		rep.Problems = append(rep.Problems, fmt.Sprintf("manifest: %v", err))
-		return rep, nil
-	}
-	var man Manifest
-	if err := json.Unmarshal(manData, &man); err != nil {
-		rep.Problems = append(rep.Problems, fmt.Sprintf("manifest: %v", err))
-		return rep, nil
-	}
-	if man.Format != FormatVersion {
-		rep.Problems = append(rep.Problems, fmt.Sprintf("manifest format %d (want %d)", man.Format, FormatVersion))
-	}
-	if got := stamp(docData); man.Doc != got {
-		rep.Problems = append(rep.Problems, "document checksum mismatch (index is stale)")
-	}
-	if man.Schema != nil {
-		if data, err := r.b.ReadFile(name + SchemaExt); err != nil {
-			rep.Problems = append(rep.Problems, fmt.Sprintf("schema: %v", err))
-		} else if got := stamp(data); *man.Schema != got {
-			rep.Problems = append(rep.Problems, "schema checksum mismatch")
-		} else if _, err := schema.Parse(string(data)); err != nil {
-			rep.Problems = append(rep.Problems, fmt.Sprintf("schema: %v", err))
+	problem := func(format string, a ...any) { rep.Problems = append(rep.Problems, fmt.Sprintf(format, a...)) }
+	switch man, err := r.readManifest(name); {
+	case err != nil:
+		problem("manifest: %v", err)
+	case man == nil:
+		problem("no manifest")
+	default:
+		if man.Format != FormatVersion {
+			problem("manifest format %d (want %d)", man.Format, FormatVersion)
 		}
-	}
-	if man.Guide == nil {
-		rep.Problems = append(rep.Problems, "manifest has no index")
-	} else if data, err := r.b.ReadFile(name + GuideExt); err != nil {
-		rep.Problems = append(rep.Problems, fmt.Sprintf("index: %v", err))
-	} else if got := stamp(data); *man.Guide != got {
-		rep.Problems = append(rep.Problems, "index checksum mismatch")
-	} else if g, err := fguide.Decode(doc, data); err != nil {
-		rep.Problems = append(rep.Problems, fmt.Sprintf("index: %v", err))
-	} else if g.String() != fresh.String() {
-		rep.Problems = append(rep.Problems, "index disagrees with a fresh build")
-	} else {
-		rep.Calls, rep.Paths = g.Calls(), g.Paths()
+		if got := stamp(docData); man.Doc != got {
+			problem("document checksum mismatch (manifest is stale)")
+		}
+		if man.Schema != nil {
+			if data, err := r.b.ReadFile(name + SchemaExt); err != nil {
+				problem("schema: %v", err)
+			} else if got := stamp(data); *man.Schema != got {
+				problem("schema checksum mismatch")
+			} else if _, err := schema.Parse(string(data)); err != nil {
+				problem("schema: %v", err)
+			}
+		}
 	}
 	rep.OK = len(rep.Problems) == 0
 	return rep, nil

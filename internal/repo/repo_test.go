@@ -1,6 +1,7 @@
 package repo
 
 import (
+	"encoding/json"
 	"io"
 	"log"
 	"os"
@@ -80,8 +81,8 @@ func TestPutGetWarmRoundTrip(t *testing.T) {
 	if o.Guide == nil || !fguide.Synced(o.Guide) || o.Guide.Doc() != o.Doc {
 		t.Fatal("opened guide is not synced with the opened document")
 	}
-	if got, want := o.Guide.String(), fguide.Build(o.Doc).String(); got != want {
-		t.Fatalf("decoded guide disagrees with fresh build\n got %q\nwant %q", got, want)
+	if got, want := o.Guide.String(), fguide.Build(w.Doc).String(); got != want {
+		t.Fatalf("opened guide disagrees with the stored document's\n got %q\nwant %q", got, want)
 	}
 	if o.Schema == nil {
 		t.Fatal("schema did not survive the round trip")
@@ -92,23 +93,22 @@ func TestPutGetWarmRoundTrip(t *testing.T) {
 	if v := counterValue(reg, telemetry.MetricRepoWarmOpens); v != 1 {
 		t.Fatalf("warm opens = %d, want 1", v)
 	}
-	if v := counterValue(reg, telemetry.MetricRepoRebuilds); v != 0 {
-		t.Fatalf("rebuilds = %d, want 0", v)
+	if v := counterValue(reg, telemetry.MetricRepoRepairs); v != 0 {
+		t.Fatalf("repairs = %d, want 0", v)
 	}
 
-	man, err := r.Manifest("hotels")
+	man, err := r.readManifest("hotels")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if man == nil || man.Format != FormatVersion || man.Name != "hotels" {
+	if man == nil || man.Format != FormatVersion || man.Name != "hotels" || man.Nodes != w.Doc.Size() {
 		t.Fatalf("manifest = %+v", man)
 	}
-	if man.Guide == nil || man.Schema == nil {
-		t.Fatalf("manifest missing part stamps: %+v", man)
+	if man.Schema == nil {
+		t.Fatalf("manifest missing the schema stamp: %+v", man)
 	}
-	if man.Calls != o.Guide.Calls() || man.Paths != o.Guide.Paths() {
-		t.Fatalf("manifest counts %d/%d, guide %d/%d",
-			man.Calls, man.Paths, o.Guide.Calls(), o.Guide.Paths())
+	if _, err := os.Stat(filepath.Join(dir, "hotels"+guideExt)); !os.IsNotExist(err) {
+		t.Fatalf("Put stored a guide (err=%v)", err)
 	}
 }
 
@@ -136,16 +136,27 @@ func TestMemBackendRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPutRejectsForeignOrInvalid: a name outside the repository's flat
+// namespace is refused, and a guide handed to Put — even one of another
+// document — is ignored: Get builds the stored document's own.
 func TestPutRejectsForeignOrInvalid(t *testing.T) {
 	w := workload.Hotels(workload.DefaultSpec())
 	r, _ := newDirRepo(t)
-	if err := r.Put("../evil", w.Doc, PutOptions{}); err == nil {
-		t.Fatal("path-traversal name accepted")
+	for _, name := range []string{"../evil", "a/b", ""} {
+		if err := r.Put(name, w.Doc, PutOptions{}); err == nil {
+			t.Fatalf("name %q accepted", name)
+		}
 	}
-	other := w.Doc.Clone()
-	g := fguide.Build(other)
-	if err := r.Put("w", w.Doc, PutOptions{Guide: g}); err == nil {
-		t.Fatal("guide for a different document accepted")
+	other := workload.Hotels(workload.HotelSpec{Hotels: 3, TargetEvery: 1, FiveStarEvery: 1}).Doc
+	if err := r.Put("w", w.Doc, PutOptions{Guide: fguide.Build(other)}); err != nil {
+		t.Fatal(err)
+	}
+	o, err := r.Get("w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := o.Guide.String(), fguide.Build(w.Doc).String(); got != want {
+		t.Fatalf("the guide handed to Put leaked into the entry\n got %q\nwant %q", got, want)
 	}
 }
 
@@ -221,12 +232,10 @@ func TestFlatStoreUpgradesInPlace(t *testing.T) {
 	}
 }
 
-// TestHandAuthoredDocumentLoadsTheSameGuide: the persisted guide names
-// nodes by pre-order position, so it only means something if every load
-// of the same tree numbers it the same way. A document behind an XML
+// TestHandAuthoredDocumentLoadsTheSameGuide: a document behind an XML
 // declaration is parsed by the encoding/xml fallback, the same document
-// without it by the wire scanner; cold (rebuilt) and warm (decoded) opens
-// of both must agree on the guide.
+// without it by the wire scanner; the cold and the warm opens of both
+// must load the same tree, with the same call IDs and the same guide.
 func TestHandAuthoredDocumentLoadsTheSameGuide(t *testing.T) {
 	w := workload.Hotels(workload.DefaultSpec())
 	data, err := tree.MarshalIndent(w.Doc.Root)
@@ -273,10 +282,12 @@ func TestHandAuthoredDocumentLoadsTheSameGuide(t *testing.T) {
 	}
 }
 
-// TestCorruptionNeverFailsTheQuery damages each index part in turn and
-// requires Get to degrade exactly as documented: log, count, rebuild,
-// repair — and the opened document still answers the workload query
-// identically to the undamaged baseline.
+// TestCorruptionNeverFailsTheQuery damages each part but the document
+// in turn and requires Get to degrade exactly as documented: log, count,
+// rewrite the manifest — and the opened document still answers the
+// workload query identically to the undamaged baseline. A guide is only
+// on disk beside a format-1 manifest; damaged or not, it is never read,
+// and every open leaves none behind.
 func TestCorruptionNeverFailsTheQuery(t *testing.T) {
 	w := workload.Hotels(workload.DefaultSpec())
 	baseline, err := core.Evaluate(w.Doc.Clone(), w.Query, w.Registry, core.Options{Strategy: core.NaiveFixpoint})
@@ -288,46 +299,29 @@ func TestCorruptionNeverFailsTheQuery(t *testing.T) {
 	cases := []struct {
 		name        string
 		damage      func(t *testing.T, r *Repo, dir string)
-		wantWarm    bool // first Get after damage
 		wantSchema  bool
 		corruptions bool
 	}{
 		{
 			name: "guide truncated",
 			damage: func(t *testing.T, r *Repo, dir string) {
-				p := filepath.Join(dir, "w"+GuideExt)
-				data, err := os.ReadFile(p)
+				data, err := fguide.Encode(fguide.Build(w.Doc))
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := os.WriteFile(p, data[:len(data)/2], 0o644); err != nil {
-					t.Fatal(err)
-				}
+				toFormat1(t, r, dir, data, data[:len(data)/2])
 			},
 			wantSchema:  true,
-			corruptions: true,
+			corruptions: false, // the guide is never read
 		},
 		{
 			name: "guide garbage with matching checksum",
 			damage: func(t *testing.T, r *Repo, dir string) {
-				// Re-stamp the manifest over the garbage so only the codec's
-				// own verification can catch it.
 				garbage := []byte("AXFG1\nnot an index at all")
-				if err := os.WriteFile(filepath.Join(dir, "w"+GuideExt), garbage, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				man, err := r.Manifest("w")
-				if err != nil {
-					t.Fatal(err)
-				}
-				gs := stamp(garbage)
-				man.Guide = &gs
-				if err := r.writeManifest("w", man); err != nil {
-					t.Fatal(err)
-				}
+				toFormat1(t, r, dir, garbage, garbage)
 			},
 			wantSchema:  true,
-			corruptions: true,
+			corruptions: false,
 		},
 		{
 			name: "manifest garbage",
@@ -356,8 +350,7 @@ func TestCorruptionNeverFailsTheQuery(t *testing.T) {
 					t.Fatal(err)
 				}
 			},
-			wantWarm:    true, // the index itself is intact
-			wantSchema:  false,
+			wantSchema:  false, // dropped, and no longer stamped by the rewritten manifest
 			corruptions: true,
 		},
 	}
@@ -375,8 +368,8 @@ func TestCorruptionNeverFailsTheQuery(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Get failed on index damage: %v", err)
 			}
-			if o.Warm != tc.wantWarm {
-				t.Fatalf("Warm = %v, want %v", o.Warm, tc.wantWarm)
+			if o.Warm {
+				t.Fatal("a damaged entry opened warm")
 			}
 			if (o.Schema != nil) != tc.wantSchema {
 				t.Fatalf("Schema = %v, want present=%v", o.Schema, tc.wantSchema)
@@ -386,6 +379,9 @@ func TestCorruptionNeverFailsTheQuery(t *testing.T) {
 			}
 			if got := counterValue(reg, telemetry.MetricRepoCorruptions) > 0; got != tc.corruptions {
 				t.Fatalf("corruptions counted = %v, want %v", got, tc.corruptions)
+			}
+			if _, err := os.Stat(filepath.Join(dir, "w"+guideExt)); !os.IsNotExist(err) {
+				t.Fatalf("a guide file survived the open (err=%v)", err)
 			}
 
 			out, err := core.Evaluate(o.Doc, w.Query, w.Registry, core.Options{
@@ -398,8 +394,8 @@ func TestCorruptionNeverFailsTheQuery(t *testing.T) {
 				t.Fatalf("query after %s disagrees with baseline\n got %q\nwant %q", tc.name, got, want)
 			}
 
-			// The cold paths repair in place; every case must be warm (and
-			// fully re-equipped) on the next open.
+			// The cold paths rewrite the manifest; every case must be warm
+			// on the next open.
 			o2, err := r.Get("w")
 			if err != nil {
 				t.Fatal(err)
@@ -408,6 +404,29 @@ func TestCorruptionNeverFailsTheQuery(t *testing.T) {
 				t.Fatalf("entry not repaired to warm after %s", tc.name)
 			}
 		})
+	}
+}
+
+// toFormat1 rewrites entry w as a format-1 entry whose manifest stamps
+// guide and whose guide file holds onDisk.
+func toFormat1(t *testing.T, r *Repo, dir string, guide, onDisk []byte) {
+	t.Helper()
+	man, err := r.readManifest("w")
+	if err != nil || man == nil {
+		t.Fatalf("manifest: %v, %v", man, err)
+	}
+	data, err := json.Marshal(map[string]any{
+		"format": 1, "name": man.Name, "doc": man.Doc, "guide": stamp(guide), "schema": man.Schema,
+		"nodes": man.Nodes, "calls": 0, "paths": 0,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "w"+ManifestExt), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "w"+guideExt), onDisk, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -434,10 +453,14 @@ func TestDeleteRemovesEveryPart(t *testing.T) {
 	if err := r.Put("w", w.Doc, PutOptions{Schema: w.Schema}); err != nil {
 		t.Fatal(err)
 	}
+	// A guide file left by a format-1 entry goes with the rest.
+	if err := os.WriteFile(filepath.Join(dir, "w"+guideExt), []byte("AXFG1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	if err := r.Delete("w"); err != nil {
 		t.Fatal(err)
 	}
-	for _, ext := range []string{DocExt, GuideExt, SchemaExt, ManifestExt} {
+	for _, ext := range []string{DocExt, guideExt, SchemaExt, ManifestExt} {
 		if _, err := os.Stat(filepath.Join(dir, "w"+ext)); !os.IsNotExist(err) {
 			t.Fatalf("%s survived Delete (err=%v)", ext, err)
 		}
@@ -453,7 +476,11 @@ func TestOpenSweepsOrphanedSidecars(t *testing.T) {
 	if err := r.Put("w", w.Doc, PutOptions{Schema: w.Schema}); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate a crash mid-Delete: the document went, sidecars remain.
+	// Simulate a crash mid-Delete of a format-1 entry: the document went,
+	// sidecars remain.
+	if err := os.WriteFile(filepath.Join(dir, "w"+guideExt), []byte("AXFG1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	if err := os.Remove(filepath.Join(dir, "w"+DocExt)); err != nil {
 		t.Fatal(err)
 	}
@@ -462,133 +489,74 @@ func TestOpenSweepsOrphanedSidecars(t *testing.T) {
 		t.Fatal(err)
 	}
 	r2.Logger = log.New(io.Discard, "", 0)
-	for _, ext := range []string{GuideExt, SchemaExt, ManifestExt} {
+	for _, ext := range []string{guideExt, SchemaExt, ManifestExt} {
 		if _, err := os.Stat(filepath.Join(dir, "w"+ext)); !os.IsNotExist(err) {
 			t.Fatalf("orphaned %s survived the sweep (err=%v)", ext, err)
 		}
 	}
 }
 
-func TestIndexTooling(t *testing.T) {
+// TestVerifyAuditsWithoutRepairing: Verify reports a damaged schema, a
+// document that moved under its manifest, a format-1 manifest and a
+// missing one, and changes nothing; the next Get rewrites the manifest.
+func TestVerifyAuditsWithoutRepairing(t *testing.T) {
 	w := workload.Hotels(workload.DefaultSpec())
 	r, dir := newDirRepo(t)
 	if err := r.Put("w", w.Doc, PutOptions{Schema: w.Schema}); err != nil {
 		t.Fatal(err)
 	}
+	verify := func(wantOK bool) {
+		t.Helper()
+		rep, err := r.Verify("w")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.OK != wantOK || rep.OK != (len(rep.Problems) == 0) {
+			t.Fatalf("Verify = %+v, want OK %t", rep, wantOK)
+		}
+	}
+	verify(true)
 
-	rep, err := r.VerifyIndex("w")
+	schemaPath := filepath.Join(dir, "w"+SchemaExt)
+	good, err := os.ReadFile(schemaPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.OK || len(rep.Problems) != 0 {
-		t.Fatalf("fresh entry fails verification: %+v", rep)
+	if err := os.WriteFile(schemaPath, []byte("junk"), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if rep.Calls == 0 || rep.Paths == 0 {
-		t.Fatalf("verification reported an empty index: %+v", rep)
+	verify(false)
+	if data, err := os.ReadFile(schemaPath); err != nil || string(data) != "junk" {
+		t.Fatalf("Verify modified the entry (data=%q err=%v)", data, err)
 	}
+	if err := os.WriteFile(schemaPath, good, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	verify(true)
 
-	man, sum, err := r.Stats("w")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if man == nil || sum == nil {
-		t.Fatal("Stats returned no manifest or summary")
-	}
-	if sum.Calls != man.Calls || sum.Paths != man.Paths {
-		t.Fatalf("summary %d/%d disagrees with manifest %d/%d",
-			sum.Calls, sum.Paths, man.Calls, man.Paths)
-	}
-
-	// Damage the index: verify reports it without repairing anything.
-	guidePath := filepath.Join(dir, "w"+GuideExt)
-	if err := os.WriteFile(guidePath, []byte("junk"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rep, err = r.VerifyIndex("w")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.OK || len(rep.Problems) == 0 {
-		t.Fatal("verification passed a junk index")
-	}
-	if data, err := os.ReadFile(guidePath); err != nil || string(data) != "junk" {
-		t.Fatalf("VerifyIndex modified the entry (data=%q err=%v)", data, err)
-	}
-
-	// Reindex force-rebuilds and preserves the schema sidecar.
-	man2, err := r.Reindex("w")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if man2.Calls != man.Calls || man2.Paths != man.Paths {
-		t.Fatalf("reindex changed counts: %+v vs %+v", man2, man)
-	}
-	rep, err = r.VerifyIndex("w")
-	if err != nil || !rep.OK {
-		t.Fatalf("entry fails verification after reindex: %+v, %v", rep, err)
-	}
-	o, err := r.Get("w")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !o.Warm || o.Schema == nil {
-		t.Fatalf("after reindex: Warm=%v Schema=%v", o.Warm, o.Schema != nil)
-	}
-
-	// DropIndex leaves a cold flat-store entry.
-	if err := r.DropIndex("w"); err != nil {
-		t.Fatal(err)
-	}
-	if man3, err := r.Manifest("w"); err != nil || man3 != nil {
-		t.Fatalf("manifest survived DropIndex: %+v, %v", man3, err)
-	}
-	o, err = r.Get("w")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o.Warm {
-		t.Fatal("entry opened warm right after DropIndex")
-	}
-}
-
-// TestPutPersistsPatchedGuide is the no-rebuild persistence path: an
-// engine adopts a caller-supplied guide, patches it through every call
-// expansion, and the patched guide is persisted as-is — the decoded
-// index must equal a fresh build over the expanded document.
-func TestPutPersistsPatchedGuide(t *testing.T) {
-	w := workload.Hotels(workload.DefaultSpec())
-	doc := w.Doc.Clone()
-	g := fguide.Build(doc)
-	reg := telemetry.NewRegistry()
-	out, err := core.Evaluate(doc, w.Query, w.Registry, core.Options{
-		Strategy: core.LazyNFQ, UseGuide: true, Guide: g, Metrics: reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Results) != w.ExpectedResults {
-		t.Fatalf("got %d results, want %d", len(out.Results), w.ExpectedResults)
-	}
-	if v := counterValue(reg, telemetry.MetricGuideWarm); v != 1 {
-		t.Fatalf("engine did not adopt the supplied guide (warm=%d)", v)
-	}
-	if v := counterValue(reg, telemetry.MetricGuideBuilds); v != 0 {
-		t.Fatalf("engine rebuilt the guide %d times despite a warm one", v)
-	}
-	if !fguide.Synced(g) {
-		t.Fatal("guide not synced after evaluation")
-	}
-
-	r, _ := newDirRepo(t)
-	if err := r.Put("w", doc, PutOptions{Guide: g}); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := r.VerifyIndex("w")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.OK {
-		t.Fatalf("patched guide persisted unfaithfully: %+v", rep)
+	for name, damage := range map[string]func(){
+		"document moved": func() {
+			data, err := tree.MarshalIndent(workload.Hotels(workload.HotelSpec{Hotels: 3, TargetEvery: 1, FiveStarEvery: 1}).Doc.Root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, "w"+DocExt), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"format 1": func() { toFormat1(t, r, dir, []byte("AXFG1\n"), []byte("AXFG1\n")) },
+		"no manifest": func() {
+			if err := os.Remove(filepath.Join(dir, "w"+ManifestExt)); err != nil {
+				t.Fatal(err)
+			}
+		},
+	} {
+		damage()
+		verify(false)
+		if _, err := r.Get("w"); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		verify(true)
 	}
 }
 
@@ -624,11 +592,11 @@ func randomSpec(seed int64) workload.HotelSpec {
 }
 
 // TestWarmVsColdDifferential is the restart-path acceptance net: over 20
-// random worlds persisted and reopened, a warm open (index decoded from
-// disk, zero engine-side builds) and a cold open (index dropped, rebuilt
-// from the document) must deliver the same index and answer the workload
-// query bit-identically to the naive fixpoint over the original
-// in-memory world.
+// random worlds persisted and reopened, a warm open (manifest intact,
+// the opened guide adopted with zero engine-side builds) and a cold open
+// (manifest removed, rewritten by the open) must deliver the same index
+// and answer the workload query bit-identically to the naive fixpoint
+// over the original in-memory world.
 func TestWarmVsColdDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("differential testing is not short")
@@ -652,8 +620,8 @@ func TestWarmVsColdDifferential(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 
-		// Warm: the persisted index is adopted end to end — the engine
-		// must not build a guide at all.
+		// Warm: the opened guide is adopted end to end — the engine must
+		// not build a guide at all.
 		warm, err := r.Get(name)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -681,8 +649,8 @@ func TestWarmVsColdDifferential(t *testing.T) {
 			t.Fatalf("seed %d: warm adoptions = %d, want 1", seed, v)
 		}
 
-		// Cold: drop the index, reopen, evaluate over the rebuilt guide.
-		if err := r.DropIndex(name); err != nil {
+		// Cold: remove the manifest, reopen, evaluate.
+		if err := r.b.Remove(name + ManifestExt); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		cold, err := r.Get(name)
@@ -690,10 +658,10 @@ func TestWarmVsColdDifferential(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if cold.Warm {
-			t.Fatalf("seed %d: open right after DropIndex claims warm", seed)
+			t.Fatalf("seed %d: open without a manifest claims warm", seed)
 		}
 		if got := cold.Guide.String(); got != warmIndex {
-			t.Fatalf("seed %d: decoded and rebuilt index disagree\n got %q\nwant %q", seed, got, warmIndex)
+			t.Fatalf("seed %d: warm and cold index disagree\n got %q\nwant %q", seed, got, warmIndex)
 		}
 		out, err = core.Evaluate(cold.Doc, w.Query, w.Registry, core.Options{
 			Strategy: core.LazyNFQTyped, Schema: w.Schema,
@@ -710,8 +678,8 @@ func TestWarmVsColdDifferential(t *testing.T) {
 	if v := counterValue(reg, telemetry.MetricRepoWarmOpens); v != seeds {
 		t.Fatalf("repo warm opens = %d, want %d", v, seeds)
 	}
-	if v := counterValue(reg, telemetry.MetricRepoRebuilds); v != seeds {
-		t.Fatalf("repo rebuilds = %d, want %d", v, seeds)
+	if v := counterValue(reg, telemetry.MetricRepoRepairs); v != seeds {
+		t.Fatalf("repo repairs = %d, want %d", v, seeds)
 	}
 	if v := counterValue(reg, telemetry.MetricRepoCorruptions); v != 0 {
 		t.Fatalf("repo corruptions = %d, want 0", v)

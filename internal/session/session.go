@@ -102,12 +102,10 @@ type Config struct {
 	// or pre-compose your own.
 	Registry *service.Registry
 	// Repo, when set, backs the document repository with the persistent
-	// indexed store of internal/repo: documents not yet resident are
-	// loaded from it on first query together with their persisted schema
-	// and F-guide (so a restarted server serves queries from the warm
-	// index, no rebuild), and Drain persists every master back with its
-	// incrementally maintained index. Nil keeps the repository
-	// memory-only.
+	// store of internal/repo: documents not yet resident are loaded from
+	// it on first query together with their persisted schema and the
+	// F-guide the open built, and Drain persists every master back with
+	// its schema. Nil keeps the repository memory-only.
 	Repo *repo.Repo
 	// Metrics receives the session counters, gauges and latency
 	// histograms (axml_sessions_*); nil disables them.
@@ -350,11 +348,10 @@ type entry struct {
 
 	mu     sync.RWMutex // write: engine run on the master; read: clone for isolated mode, Drain
 	master *tree.Document
-	// guide is the master's F-guide, restored warm from the repository
-	// or built once at registration. Every shared-mode run adopts it and
-	// detects through it, and the adopting engine patches it as it
-	// splices, so it is always synced and Drain can persist it without a
-	// rebuild.
+	// guide is the master's F-guide, built by the repository open or
+	// once at registration. Every shared-mode run adopts it and detects
+	// through it, and the adopting engine patches it as it splices, so it
+	// is always synced.
 	guide *fguide.Guide
 
 	// qmu guards queries; it is never held across an engine run. Whoever
@@ -428,8 +425,8 @@ func (m *Manager) AddDocument(name string, doc *tree.Document, sch *schema.Schem
 		return errors.New("session: nil document")
 	}
 	// Build the master's guide once at registration; every shared run
-	// then opens warm and keeps it patched, so neither the engine nor
-	// Drain ever rebuilds it.
+	// then opens warm and keeps it patched, so the engine never rebuilds
+	// it.
 	e := newEntry(name, doc, sch, fguide.Build(doc))
 	m.cfg.Metrics.Counter(telemetry.MetricGuideBuilds).Inc()
 	m.mu.Lock()
@@ -461,9 +458,9 @@ func (m *Manager) Documents() []string {
 
 // lookup returns the entry for name, faulting it in from the backing
 // repository when absent. Repository-faulted entries arrive complete: a
-// persisted schema restores typed pruning and a persisted F-guide opens
-// warm (decoded, not rebuilt), so a restarted server picks up exactly
-// where the one that drained left off.
+// persisted schema restores typed pruning and the open builds the
+// F-guide, so a restarted server picks up exactly where the one that
+// drained left off.
 func (m *Manager) lookup(name string) (*entry, error) {
 	m.mu.Lock()
 	e := m.entries[name]
@@ -841,8 +838,7 @@ func (m *Manager) Stats() Stats {
 // Drain shuts the manager down: new and queued queries are refused with
 // ErrDraining while active ones run to completion, then every master
 // document is persisted to the repository when one is configured — together
-// with its schema and its incrementally maintained F-guide, so the next
-// process opens every document warm. ctx is the budget for the first half:
+// with its schema, so the next process keeps typed pruning. ctx is the budget for the first half:
 // when it expires the evaluations still running are cancelled — each stops
 // at its next round, its master a valid rewriting — Drain waits for them to
 // let go, persists as it would have, and returns ctx's error.
@@ -863,11 +859,7 @@ func (m *Manager) Drain(ctx context.Context) error {
 	m.mu.Unlock()
 	for _, e := range entries {
 		e.mu.RLock()
-		opts := repo.PutOptions{Schema: e.schema}
-		if e.guide != nil && e.guide.Doc() == e.master && fguide.Synced(e.guide) {
-			opts.Guide = e.guide // persisted as patched, no rebuild
-		}
-		err := m.cfg.Repo.Put(e.name, e.master, opts)
+		err := m.cfg.Repo.Put(e.name, e.master, repo.PutOptions{Schema: e.schema})
 		e.mu.RUnlock()
 		if err != nil && firstErr == nil {
 			firstErr = err

@@ -5,7 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"log"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -14,6 +18,7 @@ import (
 	"time"
 
 	"github.com/activexml/axml/internal/core"
+	"github.com/activexml/axml/internal/fguide"
 	"github.com/activexml/axml/internal/pattern"
 	"github.com/activexml/axml/internal/plan"
 	"github.com/activexml/axml/internal/profile"
@@ -802,8 +807,8 @@ func drainPastBudget(t *testing.T, stuck func(*testing.T, *service.Registry, cha
 		t.Fatal(err)
 	}
 	for _, sc := range scenarios {
-		if rep, err := reopened.VerifyIndex(sc.Name); err != nil || !rep.OK {
-			t.Fatalf("%s: persisted index: %+v, %v", sc.Name, rep, err)
+		if rep, err := reopened.Verify(sc.Name); err != nil || !rep.OK {
+			t.Fatalf("%s: persisted entry: %+v, %v", sc.Name, rep, err)
 		}
 		for _, qsrc := range sc.Queries {
 			o, err := reopened.Get(sc.Name)
@@ -966,13 +971,13 @@ func TestElapsedCountsTheRepositoryLoad(t *testing.T) {
 }
 
 // TestRepoBackedRestartOpensWarm is the restart-path acceptance test for
-// the persistent indexed repository: a manager serves queries (expanding
-// calls, patching the entry's F-guide in place), drains, and a second
-// incarnation over the same directory answers identically with ZERO
-// guide builds — the index is decoded from disk and adopted by the
-// engine, never rebuilt. The on-disk index must also track expansion:
-// after every drain it verifies as identical to a fresh build over the
-// expanded master.
+// the persistent repository: a manager serves queries (expanding calls,
+// patching the entry's F-guide in place), drains, and a second
+// incarnation over the same directory opens the entry warm and answers
+// identically with ZERO guide builds of its own — the engine adopts the
+// guide the open built, never rebuilds it. The patched guide must track
+// expansion: before every drain it equals a fresh build over the
+// expanded master, and after it the entry verifies.
 func TestRepoBackedRestartOpensWarm(t *testing.T) {
 	dir := t.TempDir()
 	rp1, err := repo.Open(dir)
@@ -1008,23 +1013,22 @@ func TestRepoBackedRestartOpensWarm(t *testing.T) {
 		t.Fatalf("evaluation rebuilt the guide (builds=%d)", v)
 	}
 
+	guideTracksMaster(t, m1, sc.Name)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := m1.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
-	// Drain persisted the patched guide as-is; it must verify as exactly
-	// the index of the expanded master.
-	rep, err := rp1.VerifyIndex(sc.Name)
+	rep, err := rp1.Verify(sc.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.OK {
-		t.Fatalf("persisted index does not match the expanded master: %+v", rep)
+		t.Fatalf("the drained entry fails verification: %+v", rep)
 	}
 
 	// Second incarnation: fresh repository handle, fresh metrics. The
-	// document, schema and index all come from disk.
+	// document and schema come from disk, the guide from the open.
 	rp2, err := repo.Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -1047,20 +1051,20 @@ func TestRepoBackedRestartOpensWarm(t *testing.T) {
 	if !res.Complete {
 		t.Fatal("restarted query incomplete")
 	}
-	// The acceptance criterion: the warm reopen performed ZERO guide
-	// builds anywhere — not at preload, not in the engine.
+	// The acceptance criterion: past the open, the warm reopen performed
+	// ZERO guide builds — not at preload, not in the engine.
 	if v := met2.Counter(telemetry.MetricGuideBuilds).Value(); v != 0 {
 		t.Fatalf("restart rebuilt the guide %d times; want 0", v)
 	}
 	if v := met2.Counter(telemetry.MetricGuideWarm).Value(); v == 0 {
-		t.Fatal("engine never adopted the warm guide")
+		t.Fatal("engine never adopted the opened guide")
 	}
-	if v := met2.Counter(telemetry.MetricRepoRebuilds).Value(); v != 0 {
-		t.Fatalf("repository rebuilt %d indexes on a clean reopen", v)
+	if v := met2.Counter(telemetry.MetricRepoRepairs).Value(); v != 0 {
+		t.Fatalf("repository rewrote %d manifests on a clean reopen", v)
 	}
 
 	// Run the rest of the scenario's queries (more expansion), drain, and
-	// require the twice-persisted index to still verify exactly.
+	// require the guide to track the master and the entry to verify.
 	for _, qsrc := range sc.Queries[1:] {
 		out, err := m2.Query(context.Background(), Request{Document: sc.Name, Query: qsrc})
 		if err != nil {
@@ -1070,20 +1074,107 @@ func TestRepoBackedRestartOpensWarm(t *testing.T) {
 			t.Fatalf("restarted %q diverges:\n got %s\nwant %s", qsrc, got, want)
 		}
 	}
+	guideTracksMaster(t, m2, sc.Name)
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel2()
 	if err := m2.Drain(ctx2); err != nil {
 		t.Fatal(err)
 	}
-	rep, err = rp2.VerifyIndex(sc.Name)
+	rep, err = rp2.Verify(sc.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.OK {
-		t.Fatalf("index persisted by the second incarnation fails verification: %+v", rep)
+		t.Fatalf("the entry drained by the second incarnation fails verification: %+v", rep)
 	}
 	if v := met2.Counter(telemetry.MetricGuideBuilds).Value(); v != 0 {
 		t.Fatalf("second incarnation built %d guides end to end; want 0", v)
+	}
+}
+
+// guideTracksMaster fails unless the named entry's guide is synced with
+// its master and equal to a fresh build over it.
+func guideTracksMaster(t *testing.T, m *Manager, name string) {
+	t.Helper()
+	m.mu.Lock()
+	e := m.entries[name]
+	m.mu.Unlock()
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	if e.guide.Doc() != e.master || !fguide.Synced(e.guide) || e.guide.String() != fguide.Build(e.master).String() {
+		t.Fatalf("%s: the entry's guide does not describe its master", name)
+	}
+}
+
+// TestRestartFromFormat1Repository starts a manager over a repository
+// written at format 1 — the suite at suiteSpec, each document with its
+// schema, serialised guide and format-1 manifest. Every document loads
+// with its schema and answers as the serial oracle, and Drain leaves
+// entries at the current format with no guide file, which the next
+// incarnation opens warm and answers from identically.
+func TestRestartFromFormat1Repository(t *testing.T) {
+	const fixture = "../repo/testdata/format1"
+	dir := t.TempDir()
+	files, err := os.ReadDir(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		data, err := os.ReadFile(filepath.Join(fixture, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, f.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg, scenarios := workload.Suite(suiteSpec())
+	engine := core.Options{Strategy: core.LazyNFQ, UseGuide: true}
+	oracle := serialOracle(t, reg, scenarios, engine)
+
+	for incarnation, wantWarm := range []int64{0, int64(len(scenarios))} {
+		rp, err := repo.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rp.Logger = log.New(io.Discard, "", 0)
+		met := telemetry.NewRegistry()
+		m := NewManager(Config{Registry: reg, Repo: rp, Metrics: met, Engine: engine})
+		for _, sc := range scenarios {
+			if err := m.Preload(sc.Name); err != nil {
+				t.Fatal(err)
+			}
+			if e, _ := m.lookup(sc.Name); e.schema == nil {
+				t.Fatalf("incarnation %d: %s lost its schema", incarnation, sc.Name)
+			}
+			for _, qsrc := range sc.Queries {
+				res, err := m.Query(context.Background(), Request{Document: sc.Name, Query: qsrc})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := canon(res.Bindings), oracle[sc.Name+"|"+qsrc]; got != want || !res.Complete {
+					t.Fatalf("incarnation %d: %s %q diverges (complete %t):\n got %s\nwant %s", incarnation, sc.Name, qsrc, res.Complete, got, want)
+				}
+			}
+			guideTracksMaster(t, m, sc.Name)
+		}
+		if v := met.Counter(telemetry.MetricRepoWarmOpens).Value(); v != wantWarm {
+			t.Fatalf("incarnation %d: warm opens = %d, want %d", incarnation, v, wantWarm)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		err = m.Drain(ctx)
+		cancel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sc := range scenarios {
+			if rep, err := rp.Verify(sc.Name); err != nil || !rep.OK {
+				t.Fatalf("incarnation %d: %s after drain: %+v, %v", incarnation, sc.Name, rep, err)
+			}
+			if _, err := os.Stat(filepath.Join(dir, sc.Name+".fguide")); !os.IsNotExist(err) {
+				t.Fatalf("incarnation %d: %s kept its guide file (err=%v)", incarnation, sc.Name, err)
+			}
+		}
 	}
 }
 

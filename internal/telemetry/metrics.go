@@ -68,17 +68,19 @@ const (
 	MetricInvokeInflight      = "axml_invocations_inflight"
 
 	// F-guide lifecycle (internal/core, internal/session). Builds counts
-	// full constructions (cold paths), Warm counts engine runs that
-	// reused an externally supplied guide, Patches counts incremental
-	// ApplyExpansion updates — a warm restart shows Warm > 0 with Builds
-	// staying at 0.
+	// the full constructions of the engine and the session (a repository
+	// open builds its guide too, counted as an open below), Warm counts
+	// engine runs that reused an externally supplied guide, Patches
+	// counts incremental ApplyExpansion updates — a restart from the
+	// repository shows Warm > 0 with Builds staying at 0.
 	MetricGuideBuilds  = "axml_fguide_builds_total"
 	MetricGuideWarm    = "axml_fguide_warm_total"
 	MetricGuidePatches = "axml_fguide_patches_total"
 
-	// Persistent indexed repository (internal/repo).
+	// Persistent repository (internal/repo). WarmOpens counts opens
+	// that rewrote nothing, Repairs the manifests rewritten by the
+	// others, Corruptions the damaged parts found.
 	MetricRepoWarmOpens   = "axml_repo_warm_opens_total"
-	MetricRepoRebuilds    = "axml_repo_index_rebuilds_total"
 	MetricRepoRepairs     = "axml_repo_index_repairs_total"
 	MetricRepoCorruptions = "axml_repo_corruptions_total"
 

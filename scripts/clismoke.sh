@@ -41,7 +41,7 @@ EXPECT="wrote doc.axml" run axmlserver -dump-doc doc.axml
 EXPECT="stored demo" run axmlrepo -dir repo put demo doc.axml -schema hotels.schema
 EXPECT="demo" run axmlrepo -dir repo list
 EXPECT="24 result(s)|explain:|saved materialised demo" run axmlrepo -dir repo query demo "$Q" -save -explain
-EXPECT="ok   demo" run axmlrepo -dir repo index verify
+EXPECT="ok   demo" run axmlrepo -dir repo verify
 EXPECT="result(s)|explain:|stats:" run axmlquery -doc doc.axml \
     -query '/hotels/hotel[name="Best Western"]//restaurant[name=$X] -> $X' -explain -stats
 EXPECT="E1 " run axmlbench -list
