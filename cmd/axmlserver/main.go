@@ -159,7 +159,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, stop <-ch
 	fmt.Fprintf(stdout, "axmlserver: serving %d services on %s (push=%t, sleep=%t, recursive=%t)\n",
 		len(reg.Names()), ln.Addr(), *push, *sleep, *recursive)
 	fmt.Fprintf(stdout, "  sessions:   POST http://%s/query over %d documents (max-active=%d, isolated=%t)\n",
-		ln.Addr(), len(scenarios), srv.Manager.Stats().Documents, *isolated)
+		ln.Addr(), len(scenarios), admission.MaxActive(), *isolated)
 	fmt.Fprintf(stdout, "  descriptor: GET http://%s/services\n", ln.Addr())
 	fmt.Fprintf(stdout, "  telemetry:  GET http://%s/metrics, /debug/trace, /debug/pprof\n", ln.Addr())
 	if ready != nil {

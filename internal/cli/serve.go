@@ -31,6 +31,9 @@ func AddAdmission(fs *FlagSet) *Admission {
 	}
 }
 
+// MaxActive is -max-active as given: 0 means GOMAXPROCS.
+func (a *Admission) MaxActive() int { return *a.maxActive }
+
 // Stack is -no-cache, -cache-ttl, -plan and -no-project: the response
 // cache and profiler a binary invokes through, and how its engine plans
 // and projects.
