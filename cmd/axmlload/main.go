@@ -18,7 +18,8 @@
 // both sides build the same world (or disable -verify).
 //
 // Under -self, the admission flags and -trace-out configure the
-// in-process server, which axmlserver's serving assembly builds. 429
+// in-process server, which axmlserver's serving assembly builds; without
+// -self each is a usage error. 429
 // answers are retried up to -shed-retries times, honouring the server's
 // Retry-After; every 429 counts toward the shed rate. The exit status is
 // 0 only if no request errored and no answer diverged from the oracle, 2
@@ -143,8 +144,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "axmlload: need exactly one of -url or -self")
 		return 2
 	}
-	if trace.On() && !*self {
-		fmt.Fprintln(stderr, "axmlload: -trace-out needs -self (a live server has its own -trace-out)")
+	// A live server has its own tracing and admission; these flags set
+	// up the in-process one.
+	if name := fs.Given("trace-out", "max-active", "max-queued", "retry-after", "invoke-limit"); name != "" && !*self {
+		fmt.Fprintf(stderr, "axmlload: -%s needs -self (a live server has its own -%s)\n", name, name)
 		return 2
 	}
 	if *clients < 1 || *requests < 1 || *tenants < 1 {

@@ -243,3 +243,18 @@ func TestLoadTraceOutNeedsSelf(t *testing.T) {
 		t.Fatalf("exit %d, want 2: %s", code, stderr.String())
 	}
 }
+
+// TestAdmissionFlagsNeedSelf: the admission flags configure the
+// in-process server, so against a remote URL each is a usage error that
+// names it rather than a flag silently ignored.
+func TestAdmissionFlagsNeedSelf(t *testing.T) {
+	for _, c := range []struct{ flag, value string }{
+		{"-max-active", "2"}, {"-max-queued", "4"}, {"-retry-after", "1s"}, {"-invoke-limit", "4"},
+	} {
+		var stdout, stderr bytes.Buffer
+		code := run([]string{"-url", "http://127.0.0.1:1", "-requests", "1", c.flag, c.value}, &stdout, &stderr)
+		if code != 2 || !strings.Contains(stderr.String(), c.flag+" needs -self") {
+			t.Errorf("%s %s without -self: exit %d, stderr %q; want exit 2 naming the flag", c.flag, c.value, code, stderr.String())
+		}
+	}
+}

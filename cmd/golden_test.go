@@ -93,6 +93,7 @@ func vectors() []vector {
 		q("axmlload", "both-targets", "-self", "-url", "http://127.0.0.1:1"),
 		q("axmlload", "zero-clients", "-self", "-clients", "0"),
 		q("axmlload", "trace-out-needs-self", "-url", "http://127.0.0.1:1", "-trace-out", "$DIR/trace.jsonl"),
+		q("axmlload", "admission-needs-self", "-url", "http://127.0.0.1:1", "-max-active", "2"),
 
 		q("axmlrepo", "help", "-h"),
 		q("axmlrepo", "put-flags-first", "-dir", "$REPO", "-schema", "$SCHEMA", "put", "demo", "$DOC"),

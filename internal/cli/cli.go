@@ -78,6 +78,18 @@ func (fs *FlagSet) Parse(args []string) error {
 // Args returns the positional arguments, in order.
 func (fs *FlagSet) Args() []string { return fs.args }
 
+// Given returns the first of names that the command line set, or "".
+func (fs *FlagSet) Given(names ...string) string {
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, name := range names {
+		if set[name] {
+			return name
+		}
+	}
+	return ""
+}
+
 // Trace is -trace-out: a file the finished spans of a tracer stream to.
 type Trace struct{ path *string }
 

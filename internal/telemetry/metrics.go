@@ -96,8 +96,7 @@ const (
 	// differs from static document-order striping; WidthTrims counts
 	// batches run below the requested pool width; PushVetoes counts
 	// calls whose subquery was withheld from a provably push-ignoring
-	// service; Deferred counts speculative calls pushed to a later
-	// round by the latency budget. Seconds is planning time itself.
+	// service. Seconds is planning time itself.
 	MetricPlanBatches    = "axml_plan_batches_total"
 	MetricPlanReorders   = "axml_plan_reorders_total"
 	MetricPlanWidthTrims = "axml_plan_width_trims_total"
