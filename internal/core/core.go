@@ -141,14 +141,13 @@ type Options struct {
 	// switch it off are one-shot evaluations and the differentials.
 	UseGuide bool
 	// Guide, when set together with UseGuide, supplies a pre-built
-	// F-guide for the document — typically one decoded from a
-	// repository's persisted index (internal/repo) or kept warm by the
-	// session layer across evaluations. The engine adopts it when it
-	// describes this document and has incorporated every mutation
-	// (fguide.Synced); otherwise it falls back to building one. The
-	// engine maintains the adopted guide in place as calls expand, so
-	// the caller's guide stays synced and can be re-used or persisted
-	// after the run.
+	// F-guide for the document — typically the one a repository open
+	// built (internal/repo) or one kept warm by the session layer across
+	// evaluations. The engine adopts it when it describes this document
+	// and has incorporated every mutation (fguide.Synced); otherwise it
+	// falls back to building one. The engine maintains the adopted guide
+	// in place as calls expand, so the caller's guide stays synced and
+	// can be re-used after the run.
 	Guide *fguide.Guide
 	// Incremental makes each relevance query's pattern evaluator live as
 	// long as the query object instead of being built afresh for every

@@ -117,10 +117,10 @@ func (e *engine) run() (*Outcome, error) {
 		e.stats.AnalysisTime += e.p.bill()
 	}
 	if g := e.opt.Guide; e.opt.UseGuide && g != nil && g.Doc() == e.doc && fguide.Synced(g) {
-		// Warm path: adopt the caller's guide (decoded from a repository's
-		// persisted index, or kept in sync by the session layer) instead of
-		// building one. Whatever the strategy, the engine maintains it in
-		// place as it splices, so it stays synced for the caller.
+		// Warm path: adopt the caller's guide (built by a repository open,
+		// or kept in sync by the session layer) instead of building one.
+		// Whatever the strategy, the engine maintains it in place as it
+		// splices, so it stays synced for the caller.
 		e.guide = g
 		e.met.guideWarm.Inc()
 	}

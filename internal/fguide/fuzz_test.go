@@ -9,18 +9,16 @@ import (
 
 // FuzzGuideCodecRoundTrip drives the guide codec from both ends: any
 // parseable document must round-trip its guide bit-stably through
-// Encode/Decode against a fresh parse of the same bytes (the repository
-// reopen path), and arbitrary bytes fed to Decode must be rejected
-// cleanly, never crash.
+// Encode/Decode against a fresh parse of the same bytes, and arbitrary
+// bytes fed to Decode must be rejected cleanly, never crash.
 func FuzzGuideCodecRoundTrip(f *testing.F) {
 	f.Add([]byte(`<hotels><hotel><rating><axml:call service="getRating"/></rating></hotel><axml:call service="getHotels"/></hotels>`), []byte("AXFG1\n"))
 	f.Add([]byte(`<r><a><axml:call service="s"/></a><a><b><axml:call service="s"/></b></a></r>`), []byte{})
 	f.Add([]byte(`<r>text<axml:call service="s"><axml:call service="nested"/></axml:call></r>`), []byte("AXFG1\n\x05\x01\x01"))
 	f.Fuzz(func(t *testing.T, xml, raw []byte) {
 		if d, err := tree.Unmarshal(xml); err == nil {
-			// Parse the document's canonical form twice, as a repository
-			// does across a close/open cycle: the guide is encoded against
-			// one parse and decoded against the other.
+			// Parse the document's canonical form twice: the guide is
+			// encoded against one parse and decoded against the other.
 			canon, err := tree.Marshal(d.Root)
 			if err != nil {
 				t.Skip()

@@ -15,8 +15,9 @@ import (
 // beyond a checksum; whatever it says, Get must return the stored
 // document, the stored schema or none, and a synced guide; it may report
 // Warm only when the manifest is at the current format and stamps the
-// document, return the schema only when the manifest stamps it, and
-// must leave the entry to open warm the next time.
+// document (and then must return the schema the manifest stamps),
+// return the schema only when the manifest stamps it, and must leave the
+// entry to open warm the next time.
 func FuzzManifest(f *testing.F) {
 	w := workload.Hotels(workload.HotelSpec{Hotels: 3, TargetEvery: 2, FiveStarEvery: 1, RestosPerCall: 1})
 	stored := NewMemBackend()
@@ -74,6 +75,9 @@ func FuzzManifest(f *testing.F) {
 		trusted := json.Unmarshal(manifest, &man) == nil && man.Doc == docStamp
 		if o.Warm && (!trusted || man.Format != FormatVersion) {
 			t.Fatalf("Warm over a manifest that is not current or does not stamp the document: %q", manifest)
+		}
+		if o.Warm && man.Schema != nil && o.Schema == nil {
+			t.Fatalf("Warm over a manifest whose schema stamp was not honoured: %q", manifest)
 		}
 		if o.Schema != nil {
 			if !trusted || man.Schema == nil || *man.Schema != schemaStamp {

@@ -1,5 +1,5 @@
 // Package store holds the file-level persistence discipline every
-// on-disk layer of an ActiveXML peer shares (the indexed repository of
+// on-disk layer of an ActiveXML peer shares (the document repository of
 // internal/repo, the statistics profiles, the benchmark's scratch
 // files): writes are atomic (temp file + rename) and, when asked,
 // durable (fsync of the file and its directory), and document names are
