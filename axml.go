@@ -288,7 +288,8 @@ func RecursivePush(reg *Registry, maxCalls, workers int) *Registry {
 // Document repository (see internal/repo).
 type (
 	// Repo is a file-backed repository of AXML documents, each persisted
-	// with its F-guide index through atomic, durable writes.
+	// with its schema and a manifest through atomic, durable writes; an
+	// open builds the document's F-guide.
 	Repo = repo.Repo
 )
 
