@@ -78,8 +78,6 @@ type Manifest struct {
 	Name   string     `json:"name"`
 	Doc    FileStamp  `json:"doc"`
 	Schema *FileStamp `json:"schema,omitempty"`
-	// Nodes is the document's total tree node count.
-	Nodes int `json:"nodes"`
 }
 
 // Opened is the result of Get: the document with everything persisted
@@ -198,7 +196,7 @@ func (r *Repo) Put(name string, doc *tree.Document, opts PutOptions) error {
 		return fmt.Errorf("repo: marshal %s: %w", name, err)
 	}
 	docData = append(docData, '\n')
-	man := &Manifest{Format: FormatVersion, Name: name, Doc: stamp(docData), Nodes: doc.Size()}
+	man := &Manifest{Format: FormatVersion, Name: name, Doc: stamp(docData)}
 
 	var schemaData []byte
 	if opts.Schema != nil {
@@ -280,7 +278,7 @@ func (r *Repo) Get(name string) (*Opened, error) {
 	if reason != "" {
 		r.logf("get %s: %s; rewriting the manifest", name, reason)
 	}
-	if err := r.repair(name, docData, doc, schemaStamp); err != nil {
+	if err := r.repair(name, docData, schemaStamp); err != nil {
 		r.logf("get %s: repair failed: %v", name, err)
 	} else {
 		r.repairs.Inc()
@@ -342,30 +340,35 @@ func (r *Repo) loadSchema(name string, man *Manifest) *schema.Schema {
 	if man.Schema == nil {
 		return nil
 	}
-	data, err := r.b.ReadFile(name + SchemaExt)
+	s, err := r.readSchema(name, *man.Schema)
 	if err != nil {
 		r.corruptions.Inc()
-		r.logf("get %s: schema sidecar unreadable (%v); typed pruning lost", name, err)
-		return nil
+		r.logf("get %s: schema sidecar %v; typed pruning lost", name, err)
 	}
-	if got := stamp(data); *man.Schema != got {
-		r.corruptions.Inc()
-		r.logf("get %s: schema sidecar checksum mismatch; typed pruning lost", name)
-		return nil
+	return s
+}
+
+// readSchema reads and parses the schema sidecar, checking it against
+// its manifest stamp.
+func (r *Repo) readSchema(name string, want FileStamp) (*schema.Schema, error) {
+	data, err := r.b.ReadFile(name + SchemaExt)
+	if err != nil {
+		return nil, fmt.Errorf("unreadable (%v)", err)
+	}
+	if stamp(data) != want {
+		return nil, errors.New("checksum mismatch")
 	}
 	s, err := schema.Parse(string(data))
 	if err != nil {
-		r.corruptions.Inc()
-		r.logf("get %s: schema sidecar unparseable (%v); typed pruning lost", name, err)
-		return nil
+		return nil, fmt.Errorf("unparseable (%v)", err)
 	}
-	return s
+	return s, nil
 }
 
 // repair rewrites an entry's manifest over the document bytes already
 // on disk, stamping the schema sidecar only when the open adopted it
 // (schemaStamp), after removing a format-1 guide file. Caller holds mu.
-func (r *Repo) repair(name string, docData []byte, doc *tree.Document, schemaStamp *FileStamp) error {
+func (r *Repo) repair(name string, docData []byte, schemaStamp *FileStamp) error {
 	if err := r.b.Remove(name + guideExt); err != nil {
 		return err
 	}
@@ -374,7 +377,6 @@ func (r *Repo) repair(name string, docData []byte, doc *tree.Document, schemaSta
 		Name:   name,
 		Doc:    stamp(docData),
 		Schema: schemaStamp,
-		Nodes:  doc.Size(),
 	})
 }
 
@@ -467,12 +469,8 @@ func (r *Repo) Verify(name string) (*VerifyReport, error) {
 			problem("document checksum mismatch (manifest is stale)")
 		}
 		if man.Schema != nil {
-			if data, err := r.b.ReadFile(name + SchemaExt); err != nil {
-				problem("schema: %v", err)
-			} else if got := stamp(data); *man.Schema != got {
-				problem("schema checksum mismatch")
-			} else if _, err := schema.Parse(string(data)); err != nil {
-				problem("schema: %v", err)
+			if _, err := r.readSchema(name, *man.Schema); err != nil {
+				problem("schema sidecar %v", err)
 			}
 		}
 	}
