@@ -154,6 +154,8 @@ type (
 	FaultSpec = service.FaultSpec
 	// Faults is a seeded fault injector wrapping a registry.
 	Faults = service.Faults
+	// FaultStats counts what a Faults injector did (Faults.Stats).
+	FaultStats = service.FaultStats
 )
 
 // Error classes.

@@ -8,7 +8,7 @@ import (
 	"testing"
 
 	"github.com/activexml/axml/internal/bench"
-	"github.com/activexml/axml/internal/telemetry"
+	"github.com/activexml/axml/internal/telemetry/spantest"
 )
 
 func TestList(t *testing.T) {
@@ -127,7 +127,7 @@ func TestProfileAndTraceFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	decoded, err := telemetry.DecodeJSONL(f)
+	decoded, err := spantest.DecodeJSONL(f)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 
 	"github.com/activexml/axml/internal/profile"
 	"github.com/activexml/axml/internal/session"
-	"github.com/activexml/axml/internal/telemetry"
+	"github.com/activexml/axml/internal/telemetry/spantest"
 )
 
 // TestLoadSelfSmoke replays a small mixed workload against an
@@ -207,7 +207,7 @@ func TestLoadObservabilitySinks(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	spans, err := telemetry.DecodeJSONL(f)
+	spans, err := spantest.DecodeJSONL(f)
 	if err != nil {
 		t.Fatalf("trace JSONL must parse cleanly after the run: %v", err)
 	}

@@ -15,7 +15,7 @@ import (
 	"github.com/activexml/axml/internal/core"
 	"github.com/activexml/axml/internal/service"
 	"github.com/activexml/axml/internal/soap"
-	"github.com/activexml/axml/internal/telemetry"
+	"github.com/activexml/axml/internal/telemetry/spantest"
 	"github.com/activexml/axml/internal/tree"
 	"github.com/activexml/axml/internal/workload"
 )
@@ -534,7 +534,7 @@ func TestTraceOutStreamsJSONL(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	spans, err := telemetry.DecodeJSONL(f)
+	spans, err := spantest.DecodeJSONL(f)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,6 +73,9 @@ func E1(s Scale) (Table, error) {
 			switch opt.Strategy {
 			case core.NaiveFixpoint:
 				naive = out.Stats.VirtualTime
+				if total := workload.TotalCalls(spec); out.Stats.CallsInvoked != total {
+					return t, fmt.Errorf("hotels=%d: naive invoked %d calls, want all %d", hotels, out.Stats.CallsInvoked, total)
+				}
 			case core.LazyNFQTyped:
 				best = out.Stats.VirtualTime
 			}

@@ -55,15 +55,6 @@ func ParseTemplate(src string) (*Template, error) {
 	return t, nil
 }
 
-// MustParseTemplate is ParseTemplate panicking on error, for literals.
-func MustParseTemplate(src string) *Template {
-	t, err := ParseTemplate(src)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // Variables returns the placeholder names the template references,
 // sorted.
 func (t *Template) Variables() []string {

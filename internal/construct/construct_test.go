@@ -17,7 +17,7 @@ func results(bindings ...map[string]string) []pattern.Result {
 }
 
 func TestParseAndVariables(t *testing.T) {
-	tmpl := MustParseTemplate(`<venue><name>{$X}</name><where>{$Y} ({$X})</where></venue>`)
+	tmpl := mustParseTemplate(`<venue><name>{$X}</name><where>{$Y} ({$X})</where></venue>`)
 	vars := tmpl.Variables()
 	if len(vars) != 2 || vars[0] != "X" || vars[1] != "Y" {
 		t.Fatalf("Variables = %v", vars)
@@ -25,7 +25,7 @@ func TestParseAndVariables(t *testing.T) {
 }
 
 func TestInstantiate(t *testing.T) {
-	tmpl := MustParseTemplate(`<venue><name>{$X}</name><where>{$Y}</where></venue>`)
+	tmpl := mustParseTemplate(`<venue><name>{$X}</name><where>{$Y}</where></venue>`)
 	forest, err := tmpl.Instantiate(pattern.Result{Values: map[string]string{"X": "Mama", "Y": "2nd Av."}})
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +48,7 @@ func TestInstantiate(t *testing.T) {
 }
 
 func TestMixedTextAndRepeats(t *testing.T) {
-	tmpl := MustParseTemplate(`<line>{$A} and {$A} near {$B}!</line>`)
+	tmpl := mustParseTemplate(`<line>{$A} and {$A} near {$B}!</line>`)
 	forest, err := tmpl.Instantiate(pattern.Result{Values: map[string]string{"A": "x", "B": "y"}})
 	if err != nil {
 		t.Fatal(err)
@@ -59,14 +59,14 @@ func TestMixedTextAndRepeats(t *testing.T) {
 }
 
 func TestMissingBinding(t *testing.T) {
-	tmpl := MustParseTemplate(`<v>{$X}</v>`)
+	tmpl := mustParseTemplate(`<v>{$X}</v>`)
 	if _, err := tmpl.Instantiate(pattern.Result{Values: map[string]string{}}); err == nil {
 		t.Fatal("missing binding must error")
 	}
 }
 
 func TestBuildAndDocument(t *testing.T) {
-	tmpl := MustParseTemplate(`<r><n>{$X}</n></r>`)
+	tmpl := mustParseTemplate(`<r><n>{$X}</n></r>`)
 	rs := results(
 		map[string]string{"X": "a"},
 		map[string]string{"X": "b"},
@@ -94,7 +94,7 @@ func TestBuildAndDocument(t *testing.T) {
 func TestTemplateWithEmbeddedCall(t *testing.T) {
 	// Constructed documents can be intensional: templates may embed
 	// calls whose parameters come from bindings.
-	tmpl := MustParseTemplate(
+	tmpl := mustParseTemplate(
 		`<city><name>{$C}</name><axml:call service="getWeather">{$C}</axml:call></city>`)
 	forest, err := tmpl.Instantiate(pattern.Result{Values: map[string]string{"C": "Paris"}})
 	if err != nil {
@@ -120,18 +120,9 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-func TestMustParsePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	MustParseTemplate("<<<")
-}
-
 func TestLiteralBracesSurvive(t *testing.T) {
 	// Text that merely looks brace-y but is not a placeholder stays.
-	tmpl := MustParseTemplate(`<v>{not-a-var} {$X}</v>`)
+	tmpl := mustParseTemplate(`<v>{not-a-var} {$X}</v>`)
 	forest, err := tmpl.Instantiate(pattern.Result{Values: map[string]string{"X": "ok"}})
 	if err != nil {
 		t.Fatal(err)
@@ -139,4 +130,12 @@ func TestLiteralBracesSurvive(t *testing.T) {
 	if got := forest[0].Text(); !strings.Contains(got, "{not-a-var}") || !strings.Contains(got, "ok") {
 		t.Fatalf("literal braces mangled: %q", got)
 	}
+}
+
+func mustParseTemplate(src string) *Template {
+	t, err := ParseTemplate(src)
+	if err != nil {
+		panic(err)
+	}
+	return t
 }

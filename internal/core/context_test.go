@@ -12,6 +12,7 @@ import (
 	"github.com/activexml/axml/internal/pattern"
 	"github.com/activexml/axml/internal/service"
 	"github.com/activexml/axml/internal/telemetry"
+	"github.com/activexml/axml/internal/telemetry/spantest"
 	"github.com/activexml/axml/internal/tree"
 	"github.com/activexml/axml/internal/workload"
 )
@@ -82,7 +83,7 @@ func TestRunHonoursContext(t *testing.T) {
 			sizes.SetSink(func(s telemetry.Span) {
 				if s.Name == "invoke" {
 					total++
-					if b, _ := strconv.Atoi(s.Attr("batch")); b > widest {
+					if b, _ := strconv.Atoi(spantest.Attr(s, "batch")); b > widest {
 						widest = b
 					}
 				}

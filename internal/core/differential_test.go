@@ -8,6 +8,7 @@ import (
 	"github.com/activexml/axml/internal/schema"
 	"github.com/activexml/axml/internal/service"
 	"github.com/activexml/axml/internal/telemetry"
+	"github.com/activexml/axml/internal/telemetry/spantest"
 	"github.com/activexml/axml/internal/workload"
 )
 
@@ -259,11 +260,11 @@ func TestFilteredGuideDifferentialSweep(t *testing.T) {
 					seed, noProject, got, want, spec)
 			}
 			outcomes[i] = out
-			for _, s := range tr.Spans(tr.Len()) {
+			for _, s := range tr.Spans(0) {
 				if s.Name != "guide-build" {
 					continue
 				}
-				if s.Attr("filtered") == "1" {
+				if spantest.Attr(s, "filtered") == "1" {
 					if noProject {
 						t.Fatalf("seed %d: NoProject run still built a filtered guide", seed)
 					}

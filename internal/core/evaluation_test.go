@@ -11,6 +11,7 @@ import (
 	"github.com/activexml/axml/internal/pattern"
 	"github.com/activexml/axml/internal/service"
 	"github.com/activexml/axml/internal/telemetry"
+	"github.com/activexml/axml/internal/telemetry/spantest"
 	"github.com/activexml/axml/internal/tree"
 	"github.com/activexml/axml/internal/workload"
 )
@@ -21,7 +22,7 @@ func invoked(calls *[]string) *telemetry.Tracer {
 	tr := telemetry.NewTracer(0)
 	tr.SetSink(func(s telemetry.Span) {
 		if s.Name == "invoke" {
-			*calls = append(*calls, s.Attr("service")+" "+s.Attr("path"))
+			*calls = append(*calls, spantest.Attr(s, "service")+" "+spantest.Attr(s, "path"))
 		}
 	})
 	return tr

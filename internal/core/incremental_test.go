@@ -78,7 +78,7 @@ func TestIncrementalCutsPerRoundWork(t *testing.T) {
 func invokedSequence(spans []telemetry.Span) []string {
 	var seq []string
 	for _, s := range spansNamed(spans, "invoke") {
-		seq = append(seq, s.Attr("path"))
+		seq = append(seq, spantest.Attr(s, "path"))
 	}
 	return seq
 }

@@ -160,7 +160,7 @@ func TestInvokePoolWorkerSpans(t *testing.T) {
 			if s.Worker > maxWorker {
 				maxWorker = s.Worker
 			}
-			keys = append(keys, spanKey{s.Name, s.Worker, s.Virtual, s.Attr("service"), s.Attr("round")})
+			keys = append(keys, spanKey{s.Name, s.Worker, s.Virtual, spantest.Attr(s, "service"), spantest.Attr(s, "round")})
 		}
 		return keys, maxWorker
 	}

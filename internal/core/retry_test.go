@@ -8,6 +8,7 @@ import (
 
 	"github.com/activexml/axml/internal/pattern"
 	"github.com/activexml/axml/internal/service"
+	"github.com/activexml/axml/internal/telemetry/spantest"
 	"github.com/activexml/axml/internal/tree"
 	"github.com/activexml/axml/internal/workload"
 )
@@ -230,11 +231,11 @@ func TestRetryAndGiveUpTraces(t *testing.T) {
 	if len(invokes) != 1 || len(out.Results) != 1 {
 		t.Fatalf("invoke spans=%d results=%d", len(invokes), len(out.Results))
 	}
-	if inv := invokes[0]; inv.Attr("attempts") != "2" || inv.Attr("service") != "getItems" || inv.Attr("error") != "" {
+	if inv := invokes[0]; spantest.Attr(inv, "attempts") != "2" || spantest.Attr(inv, "service") != "getItems" || spantest.Attr(inv, "error") != "" {
 		t.Errorf("retried invoke span = %+v", inv)
 	}
 	attempts := spansNamed(spans, "attempt")
-	if len(attempts) != 2 || attempts[0].Attr("status") == "ok" || attempts[1].Attr("status") != "ok" {
+	if len(attempts) != 2 || spantest.Attr(attempts[0], "status") == "ok" || spantest.Attr(attempts[1], "status") != "ok" {
 		t.Errorf("attempt spans = %+v", attempts)
 	}
 	for _, a := range attempts {
@@ -257,9 +258,9 @@ func TestRetryAndGiveUpTraces(t *testing.T) {
 	}
 	giveups := 0
 	for _, inv := range spansNamed(spans2, "invoke") {
-		if inv.Attr("error") != "" {
+		if spantest.Attr(inv, "error") != "" {
 			giveups++
-			if inv.Attr("attempts") != "2" {
+			if spantest.Attr(inv, "attempts") != "2" {
 				t.Errorf("give-up invoke span = %+v", inv)
 			}
 		}

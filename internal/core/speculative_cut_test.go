@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/activexml/axml/internal/rewrite"
+	"github.com/activexml/axml/internal/telemetry/spantest"
 	"github.com/activexml/axml/internal/tree"
 	"github.com/activexml/axml/internal/workload"
 )
@@ -54,7 +55,7 @@ func TestSpeculativeBudgetCutsInDocOrder(t *testing.T) {
 	}
 	firstBatch := 0
 	if invokes := spansNamed(refSpans, "invoke"); len(invokes) > 0 {
-		firstBatch, _ = strconv.Atoi(invokes[0].Attr("batch"))
+		firstBatch, _ = strconv.Atoi(spantest.Attr(invokes[0], "batch"))
 	}
 	if firstBatch < 2 {
 		t.Fatalf("first speculative batch too small to cut: %d", firstBatch)

@@ -44,7 +44,7 @@ func TestParallelTraceDeterminism(t *testing.T) {
 	}
 	sharded := false
 	for _, s := range spansNamed(a, "detect") {
-		round, _ := strconv.Atoi(s.Attr("round"))
+		round, _ := strconv.Atoi(spantest.Attr(s, "round"))
 		if s.Parent == last.layer && (round < last.round ||
 			(round == last.round && s.Shard <= last.shard && s.Shard != 0)) {
 			t.Errorf("detect order violated: layer span %d round %d shard %d after round %d shard %d",
@@ -91,13 +91,13 @@ func TestEngineSpansBatched(t *testing.T) {
 	var pushed int
 	batchOf := map[string]int{} // round → members seen
 	for _, s := range invokes {
-		if s.Attr("service") == "" || s.Attr("path") == "" {
+		if spantest.Attr(s, "service") == "" || spantest.Attr(s, "path") == "" {
 			t.Errorf("invoke span incomplete: %+v", s)
 		}
-		if s.Attr("pushed") == "true" {
+		if spantest.Attr(s, "pushed") == "true" {
 			pushed++
 		}
-		batchOf[s.Attr("round")]++
+		batchOf[spantest.Attr(s, "round")]++
 	}
 	if pushed != out.Stats.PushedCalls {
 		t.Errorf("pushed spans %d vs stat %d", pushed, out.Stats.PushedCalls)
@@ -108,12 +108,12 @@ func TestEngineSpansBatched(t *testing.T) {
 	batched := false
 	for _, s := range invokes {
 		want := ""
-		if n := batchOf[s.Attr("round")]; n > 1 {
+		if n := batchOf[spantest.Attr(s, "round")]; n > 1 {
 			want = strconv.Itoa(n)
 			batched = true
 		}
-		if got := s.Attr("batch"); got != want {
-			t.Errorf("round %s: batch attr %q, want %q", s.Attr("round"), got, want)
+		if got := spantest.Attr(s, "batch"); got != want {
+			t.Errorf("round %s: batch attr %q, want %q", spantest.Attr(s, "round"), got, want)
 		}
 	}
 	if !batched {
@@ -135,7 +135,7 @@ func TestTraceSequentialAndNaive(t *testing.T) {
 		t.Fatalf("traced %d of %d invocations", len(invokes), out.Stats.CallsInvoked)
 	}
 	for _, s := range invokes {
-		if s.Attr("target") != "" || s.Attr("batch") != "" || s.Worker != 0 {
+		if spantest.Attr(s, "target") != "" || spantest.Attr(s, "batch") != "" || s.Worker != 0 {
 			t.Errorf("sequential naive invocation traced as %+v", s)
 		}
 	}
@@ -174,7 +174,7 @@ func TestSingleCallRoundRunsInline(t *testing.T) {
 		t.Fatal(err)
 	}
 	invokes := spansNamed(spans, "invoke")
-	if len(invokes) != 1 || invokes[0].Worker != 0 || invokes[0].Attr("batch") != "" {
+	if len(invokes) != 1 || invokes[0].Worker != 0 || spantest.Attr(invokes[0], "batch") != "" {
 		t.Errorf("invoke spans = %+v", invokes)
 	}
 	if plans := spansNamed(spans, "plan"); len(plans) != 0 {
@@ -207,12 +207,12 @@ func TestEngineSpans(t *testing.T) {
 		t.Fatalf("want a single evaluate root, got %+v", roots)
 	}
 	eval := roots[0]
-	if got := eval.Span.Attr("calls_invoked"); got != strconv.Itoa(out.Stats.CallsInvoked) {
+	if got := spantest.Attr(eval.Span, "calls_invoked"); got != strconv.Itoa(out.Stats.CallsInvoked) {
 		t.Errorf("calls_invoked attr = %q, stats say %d", got, out.Stats.CallsInvoked)
 	}
-	pruned, _ := strconv.Atoi(eval.Span.Attr("calls_pruned"))
+	pruned, _ := strconv.Atoi(spantest.Attr(eval.Span, "calls_pruned"))
 	if pruned <= 0 {
-		t.Errorf("lazy evaluation pruned nothing? attr=%q", eval.Span.Attr("calls_pruned"))
+		t.Errorf("lazy evaluation pruned nothing? attr=%q", spantest.Attr(eval.Span, "calls_pruned"))
 	}
 
 	var names = map[string]int{}
@@ -227,7 +227,7 @@ func TestEngineSpans(t *testing.T) {
 			detects++
 		case "invoke":
 			invokes++
-			if n.Span.Attr("service") == "" {
+			if spantest.Attr(n.Span, "service") == "" {
 				t.Errorf("invoke span misses service: %+v", n.Span)
 			}
 		}

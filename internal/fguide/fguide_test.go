@@ -100,11 +100,7 @@ func TestGuideAgreesWithLPQsOnDocument(t *testing.T) {
 	d := doc(t, sample)
 	g := Build(d)
 	q := pattern.MustParse(`/hotels/hotel[name="Best Western"][rating="*****"]/nearby//restaurant[rating="*****"][name=$X][address=$Y] -> $X, $Y`)
-	lpqs, err := rewrite.LPQs(q, rewrite.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, l := range lpqs {
+	for _, l := range lpqSet(t, q) {
 		onDoc := pattern.MatchedCalls(d, l.Query, l.Out)
 		onGuide := g.Candidates(l.Lin, l.DescTail)
 		if len(onDoc) != len(onGuide) {
@@ -317,7 +313,7 @@ func TestGuideEquivalenceProperty(t *testing.T) {
 // scanCalls is the reference implementation: walk the document and test
 // each call's parent path against the lin steps (NFA-style).
 func scanCalls(d *tree.Document, lin []regex.PathStep, descTail bool) []*tree.Node {
-	nfa := regex.CompilePath(lin)
+	nfa := (&rewrite.NFQ{Lin: lin}).PositionNFA()
 	var out []*tree.Node
 	d.Root.Walk(func(n *tree.Node) bool {
 		if n.Kind != tree.Call {
@@ -403,11 +399,7 @@ func TestToDocumentIsQueryable(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := pattern.MustParse(`/hotels/hotel[name="Best Western"][rating="*****"]/nearby//restaurant[rating="*****"][name=$X][address=$Y] -> $X, $Y`)
-	lpqs, err := rewrite.LPQs(q, rewrite.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, l := range lpqs {
+	for _, l := range lpqSet(t, q) {
 		onOriginal := pattern.MatchedCalls(d, l.Query, l.Out)
 		onGuideDoc := pattern.MatchedCalls(gd, l.Query, l.Out)
 		if (len(onOriginal) > 0) != (len(onGuideDoc) > 0) {
@@ -434,4 +426,19 @@ func TestToDocumentEmptyGuide(t *testing.T) {
 	if gd.Root.Label != "fguide" || len(gd.Root.Children) != 0 {
 		t.Fatalf("empty guide document = %s", gd.Root)
 	}
+}
+
+// lpqSet builds the LPQ of every non-anchor node, as the engine's LPQ
+// strategy does.
+func lpqSet(t *testing.T, q *pattern.Pattern) []*rewrite.NFQ {
+	t.Helper()
+	var out []*rewrite.NFQ
+	for _, v := range q.Nodes()[1:] {
+		l, err := rewrite.LPQ(q, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, l)
+	}
+	return out
 }

@@ -31,9 +31,8 @@ type Layer struct {
 
 // Analysis holds the precomputed influence structure for a set of NFQs.
 type Analysis struct {
-	nfqs []*rewrite.NFQ
 	pos  []*regex.NFA // position language automaton per NFQ
-	may  [][]bool     // may[i][j]: nfqs[i] may influence nfqs[j]
+	may  [][]bool     // may[i][j]: nfqs[i] may influence nfqs[j] (Proposition 3)
 	lt   [][]bool     // transitive closure of may
 	comp []int        // NFQ index → layer number (topological position)
 
@@ -43,9 +42,9 @@ type Analysis struct {
 // New runs the influence analysis over the given NFQs.
 func New(nfqs []*rewrite.NFQ) *Analysis {
 	n := len(nfqs)
-	a := &Analysis{nfqs: nfqs, pos: make([]*regex.NFA, n)}
+	a := &Analysis{pos: make([]*regex.NFA, n)}
 	for i, q := range nfqs {
-		a.pos[i] = positionNFA(q)
+		a.pos[i] = q.PositionNFA()
 	}
 	a.may = make([][]bool, n)
 	prefixes := make([]*regex.NFA, n)
@@ -63,26 +62,10 @@ func New(nfqs []*rewrite.NFQ) *Analysis {
 	return a
 }
 
-// positionNFA compiles the position language P_v of an NFQ: L(lin_v), with
-// a trailing σ* when the target has a descendant edge.
-func positionNFA(q *rewrite.NFQ) *regex.NFA {
-	parts := make([]regex.Expr, 0, 2*len(q.Lin)+1)
-	for _, s := range q.Lin {
-		if s.AnyDepth {
-			parts = append(parts, regex.Star(regex.Sym(regex.Any)))
-		}
-		parts = append(parts, regex.Sym(s.Label))
-	}
-	if q.DescTail {
-		parts = append(parts, regex.Star(regex.Sym(regex.Any)))
-	}
-	return regex.Compile(regex.Concat(parts...))
-}
-
 // closure computes the reachability closure of the may relation
 // (Floyd–Warshall on booleans; NFQ counts are small).
 func (a *Analysis) closure() {
-	n := len(a.nfqs)
+	n := len(a.may)
 	a.lt = make([][]bool, n)
 	for i := range a.lt {
 		a.lt[i] = make([]bool, n)
@@ -108,7 +91,7 @@ func (a *Analysis) closure() {
 // induced partial order, breaking ties by smallest member index so the
 // result is deterministic.
 func (a *Analysis) computeLayers() {
-	n := len(a.nfqs)
+	n := len(a.may)
 	a.comp = make([]int, n)
 	for i := range a.comp {
 		a.comp[i] = -1
@@ -181,20 +164,10 @@ func (a *Analysis) computeLayers() {
 	}
 }
 
-// NFQs returns the analysed NFQ set (the indices used throughout).
-func (a *Analysis) NFQs() []*rewrite.NFQ { return a.nfqs }
-
-// MayInfluence reports whether nfqs[i] may influence nfqs[j]
-// (Proposition 3).
-func (a *Analysis) MayInfluence(i, j int) bool { return a.may[i][j] }
-
 // Layers returns the NFQ layers in processing order (Section 4.3): if
 // some NFQ of layer p may (transitively) influence some NFQ of layer q≠p,
 // then p comes before q.
 func (a *Analysis) Layers() []Layer { return a.layers }
-
-// LayerOf returns the position of the layer containing nfqs[i].
-func (a *Analysis) LayerOf(i int) int { return a.comp[i] }
 
 // Independent reports the (✶) condition of Section 4.4 for nfqs[i]: its
 // position language is disjoint from every *other* same-layer NFQ's, so
@@ -211,9 +184,6 @@ func (a *Analysis) Independent(i int) bool {
 	}
 	return true
 }
-
-// SameLayer reports whether two NFQs belong to the same layer.
-func (a *Analysis) SameLayer(i, j int) bool { return a.comp[i] == a.comp[j] }
 
 // SortedMembers returns the layer's member indices in ascending order
 // (a defensive copy).

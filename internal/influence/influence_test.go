@@ -49,31 +49,31 @@ func TestMayInfluenceRunningExample(t *testing.T) {
 
 	// Figure 6(a) may influence 6(b) and 6(c): a getHotels result can
 	// contain calls at the restaurant or rating positions.
-	if !a.MayInfluence(hotel, restaurant) {
+	if !a.may[hotel][restaurant] {
 		t.Error("hotel NFQ must influence restaurant NFQ")
 	}
-	if !a.MayInfluence(hotel, ratingLeaf) {
+	if !a.may[hotel][ratingLeaf] {
 		t.Error("hotel NFQ must influence rating NFQ")
 	}
 	// The reverse is false: a call below rating cannot create calls at
 	// the hotel position (results only go downwards).
-	if a.MayInfluence(ratingLeaf, hotel) {
+	if a.may[ratingLeaf][hotel] {
 		t.Error("rating NFQ must not influence hotel NFQ")
 	}
-	if a.MayInfluence(restaurant, hotel) {
+	if a.may[restaurant][hotel] {
 		t.Error("restaurant NFQ must not influence hotel NFQ")
 	}
 	// The hotel-level rating NFQ and the restaurant NFQ are incomparable.
-	if a.MayInfluence(ratingLeaf, restaurant) {
+	if a.may[ratingLeaf][restaurant] {
 		t.Error("hotel-rating NFQ must not influence restaurant NFQ")
 	}
-	if a.MayInfluence(restaurant, ratingLeaf) {
+	if a.may[restaurant][ratingLeaf] {
 		t.Error("restaurant NFQ must not influence hotel-rating NFQ")
 	}
 	// Self-influence holds (a retrieved call may return new calls at a
 	// position the same NFQ retrieves) whenever the position language is
 	// non-trivial; for descendant targets in particular.
-	if !a.MayInfluence(restaurant, restaurant) {
+	if !a.may[restaurant][restaurant] {
 		t.Error("descendant-edge NFQ must self-influence")
 	}
 }
@@ -86,10 +86,10 @@ func TestDescendantTailInfluence(t *testing.T) {
 	a, ix := analysisFor(t, figure4)
 	rRating := ix["hotels/hotel/nearby/restaurant/rating/*****"]
 	rName := ix["hotels/hotel/nearby/restaurant/name/$X"]
-	if !a.MayInfluence(rRating, rName) || !a.MayInfluence(rName, rRating) {
+	if !a.may[rRating][rName] || !a.may[rName][rRating] {
 		t.Error("descendant-subtree leaf NFQs must mutually influence")
 	}
-	if !a.SameLayer(rRating, rName) {
+	if a.comp[rRating] != a.comp[rName] {
 		t.Error("mutually influencing NFQs must share a layer")
 	}
 }
@@ -99,10 +99,10 @@ func TestLayerOrderRespectsInfluence(t *testing.T) {
 	hotel := ix["hotels/hotel"]
 	restaurant := ix["hotels/hotel/nearby/restaurant"]
 	ratingLeaf := ix["hotels/hotel/rating/*****"]
-	if a.LayerOf(hotel) >= a.LayerOf(restaurant) {
+	if a.comp[hotel] >= a.comp[restaurant] {
 		t.Error("hotel layer must precede restaurant layer")
 	}
-	if a.LayerOf(hotel) >= a.LayerOf(ratingLeaf) {
+	if a.comp[hotel] >= a.comp[ratingLeaf] {
 		t.Error("hotel layer must precede rating layer")
 	}
 	// Layers partition the NFQ set.
@@ -117,14 +117,14 @@ func TestLayerOrderRespectsInfluence(t *testing.T) {
 			total++
 		}
 	}
-	if total != len(a.NFQs()) {
-		t.Fatalf("layers cover %d of %d NFQs", total, len(a.NFQs()))
+	if total != len(a.may) {
+		t.Fatalf("layers cover %d of %d NFQs", total, len(a.may))
 	}
 	// And the order is consistent with transitive influence.
-	for i := range a.NFQs() {
-		for j := range a.NFQs() {
-			if a.MayInfluence(i, j) && !a.SameLayer(i, j) && a.LayerOf(i) > a.LayerOf(j) {
-				t.Errorf("influence %d→%d but layer order %d>%d", i, j, a.LayerOf(i), a.LayerOf(j))
+	for i := range a.may {
+		for j := range a.may {
+			if a.may[i][j] && a.comp[i] > a.comp[j] {
+				t.Errorf("influence %d→%d but layer order %d>%d", i, j, a.comp[i], a.comp[j])
 			}
 		}
 	}
@@ -137,7 +137,7 @@ func TestSameLayerSiblingsWithEqualLin(t *testing.T) {
 	name := ix["hotels/hotel/name"]
 	rating := ix["hotels/hotel/rating"]
 	nearby := ix["hotels/hotel/nearby"]
-	if !a.SameLayer(name, rating) || !a.SameLayer(rating, nearby) {
+	if a.comp[name] != a.comp[rating] || a.comp[rating] != a.comp[nearby] {
 		t.Error("sibling NFQs with equal lin must share a layer")
 	}
 }
@@ -163,7 +163,7 @@ func TestIndependence(t *testing.T) {
 		t.Fatalf("want 2 NFQs, got %d", len(pair))
 	}
 	a := New(pair)
-	if !a.SameLayer(0, 1) {
+	if a.comp[0] != a.comp[1] {
 		t.Fatal("//a and //b NFQs must share a layer")
 	}
 	if !a.Independent(0) || !a.Independent(1) {
@@ -188,7 +188,7 @@ func TestNotIndependentWhenPositionsOverlap(t *testing.T) {
 	a, ix := analysisFor(t, `/r[//item/x]//item/y`)
 	xNFQ := ix["r/item/x"]
 	yNFQ := ix["r/item/y"]
-	if !a.SameLayer(xNFQ, yNFQ) {
+	if a.comp[xNFQ] != a.comp[yNFQ] {
 		t.Fatal("expected same layer")
 	}
 	if a.Independent(xNFQ) || a.Independent(yNFQ) {
@@ -200,8 +200,8 @@ func TestSingletonLayerIsIndependent(t *testing.T) {
 	// Each layer of the chain query has one NFQ: trivially independent
 	// (the paper's running-example observation).
 	a, _ := analysisFor(t, `/a/b/c`)
-	for i := range a.NFQs() {
-		if len(a.Layers()[a.LayerOf(i)].Members) == 1 && !a.Independent(i) {
+	for i := range a.may {
+		if len(a.Layers()[a.comp[i]].Members) == 1 && !a.Independent(i) {
 			t.Errorf("singleton layer NFQ %d must be independent", i)
 		}
 	}
@@ -212,18 +212,18 @@ func TestRootNFQInfluencesEverything(t *testing.T) {
 	// every word: it precedes everything else.
 	a, ix := analysisFor(t, figure4)
 	root := ix["hotels"]
-	for i := range a.NFQs() {
+	for i := range a.may {
 		if i == root {
 			continue
 		}
-		if !a.MayInfluence(root, i) {
+		if !a.may[root][i] {
 			t.Errorf("root NFQ must influence NFQ %d", i)
 		}
-		if a.MayInfluence(i, root) {
+		if a.may[i][root] {
 			t.Errorf("NFQ %d must not influence the root NFQ", i)
 		}
 	}
-	if a.LayerOf(root) != 0 {
+	if a.comp[root] != 0 {
 		t.Error("root NFQ must be in the first layer")
 	}
 }
@@ -244,9 +244,13 @@ func TestSortedMembersIsACopy(t *testing.T) {
 func TestLayersWithLPQs(t *testing.T) {
 	// The sequencing machinery also runs over LPQs (Section 6.1).
 	q := pattern.MustParse(figure4)
-	lpqs, err := rewrite.LPQs(q, rewrite.Options{})
-	if err != nil {
-		t.Fatal(err)
+	var lpqs []*rewrite.NFQ
+	for _, v := range q.Nodes()[1:] {
+		l, err := rewrite.LPQ(q, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lpqs = append(lpqs, l)
 	}
 	a := New(lpqs)
 	if len(a.Layers()) < 3 {

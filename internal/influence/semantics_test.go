@@ -1,9 +1,8 @@
-package core
+package influence
 
 import (
 	"testing"
 
-	"github.com/activexml/axml/internal/influence"
 	"github.com/activexml/axml/internal/pattern"
 	"github.com/activexml/axml/internal/rewrite"
 	"github.com/activexml/axml/internal/tree"
@@ -34,7 +33,7 @@ func TestMayInfluenceIsSemanticallySound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		analysis := influence.New(nfqs)
+		analysis := New(nfqs)
 
 		retrievedSet := func(doc *tree.Document, k int) map[uint64]string {
 			out := map[uint64]string{}
@@ -56,7 +55,7 @@ func TestMayInfluenceIsSemanticallySound(t *testing.T) {
 			invokedID := call.ID
 			before := make([]map[uint64]string, len(nfqs))
 			for j := range nfqs {
-				if !analysis.MayInfluence(i, j) {
+				if !analysis.may[i][j] {
 					before[j] = retrievedSet(doc, j)
 				}
 			}
@@ -66,7 +65,7 @@ func TestMayInfluenceIsSemanticallySound(t *testing.T) {
 			}
 			doc.ReplaceCall(call, resp.Forest)
 			for j := range nfqs {
-				if analysis.MayInfluence(i, j) {
+				if analysis.may[i][j] {
 					continue
 				}
 				after := retrievedSet(doc, j)

@@ -112,22 +112,13 @@ type Stats struct {
 	// type-based projection predicate during descendant enumeration.
 	// Zero when no Projector is installed.
 	SubtreesPruned int
-	// Validated counts the candidate verdicts MatchedCandidates computed —
-	// the MatchCall runs it could not read off its view.
+	// Validated counts the candidate verdicts MatchedCandidates computed
+	// rather than read off its view.
 	Validated int
 	// Revalidated counts the verdicts among Validated that had been
 	// computed before and were checked again because a splice touched
 	// their dependency root.
 	Revalidated int
-}
-
-// Add accumulates other into s.
-func (s *Stats) Add(other Stats) {
-	s.NodesVisited += other.NodesVisited
-	s.MemoHits += other.MemoHits
-	s.SubtreesPruned += other.SubtreesPruned
-	s.Validated += other.Validated
-	s.Revalidated += other.Revalidated
 }
 
 // Projector is the type-based document-projection predicate (Benzaken,
@@ -434,8 +425,8 @@ func (ev *IncrementalEvaluator) streamChildren(v *Node, scope rootScope, yield f
 }
 
 // streamJoin is the join pipeline behind streamChildren, over an explicit
-// requirement list and extending a given partial solution: MatchCall
-// joins only a spine node's off-spine branches, and threads the bindings
+// requirement list and extending a given partial solution: candidate
+// validation joins only a spine node's off-spine branches, and threads the bindings
 // collected higher up the spine through them.
 func (ev *IncrementalEvaluator) streamJoin(reqs []*Node, anchor bool, scope rootScope, from solution, yield func(solution) bool) bool {
 	if len(reqs) == 0 {

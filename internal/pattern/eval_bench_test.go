@@ -94,8 +94,8 @@ func BenchmarkIncrementalRound(b *testing.B) {
 
 // BenchmarkViewRound measures one guided detection round: replace a call,
 // Invalidate, answer. "view" asks the maintained view, offering it only
-// the call the splice inserted; "enumerate" asks MatchCall about every
-// call on the same kept evaluator, as guided detection did before the
+// the call the splice inserted; "enumerate" validates every call on the
+// same kept evaluator, as guided detection did before the
 // view; "fresh" does that on a new evaluator per round — the lifetime
 // core.Options.Incremental=false chooses. The F-guide's extent for this
 // query is every call of the document; they are tracked outside the loop
@@ -129,7 +129,7 @@ func BenchmarkViewRound(b *testing.B) {
 						continue
 					}
 					for _, c := range calls {
-						ie.MatchCall(doc, out, c)
+						matchOne(ie, doc, out, c)
 					}
 				}
 			})

@@ -10,7 +10,7 @@ import (
 // the memo table of (query node, document node) matches, the projection
 // predicate and the per-query caches, and answers both whole-document
 // evaluation (EvalIncremental, MatchedCallsIncremental) and per-candidate
-// validation (MatchCall) off that same table. Used once and dropped it is
+// validation (MatchedCandidates) off that same table. Used once and dropped it is
 // the from-scratch evaluation behind Eval and MatchedCalls; kept alive it
 // evaluates one pattern repeatedly over a document that changes a little
 // between evaluations — the shape of the engine's NFQA loop, where every
@@ -43,7 +43,7 @@ import (
 //
 // The verdicts of MatchedCandidates follow the same locality one level up.
 // A verdict is decided by the target's ancestor labels, which never
-// change, and by the off-spine joins MatchCall ran at some of those
+// change, and by the off-spine joins its validation ran at some of those
 // ancestors; a join at ancestor a reads only memo entries inside a's
 // subtree. The verdict's dependency root is the shallowest ancestor at
 // which a non-empty join ran — the root element when the anchor itself has
@@ -66,15 +66,14 @@ type IncrementalEvaluator struct {
 	memo   map[memoKey]*memoEntry
 	fps    map[int]string       // query node ID → pushed-subquery fingerprint
 	order  map[int][]*Node      // query node ID → cost-ordered children
-	spines map[*Node]*spinePath // output node → its anchor→output spine (MatchCall)
+	spines map[*Node]*spinePath // output node → its anchor→output spine (MatchedCandidates)
 	proj   Projector            // nil: no document projection
 
 	view *resultView // the answer of EvalIncremental; nil until the first
 
 	work      Stats // match work since the last takeStats
 	consulted int   // matchChain: shallowest ancestor position a join ran at so far
-	evictions int
-	rows      int // rows the memo keeps (memoEntry.size, summed)
+	rows      int   // rows the memo keeps (memoEntry.size, summed)
 }
 
 // NewIncrementalProjected returns an evaluator for q under a document
@@ -162,10 +161,6 @@ func (ev *IncrementalEvaluator) Invalidate(parent, removed *tree.Node) {
 	}
 }
 
-// Evictions returns the total number of document nodes whose memo entries
-// were evicted or marked stale, for accounting.
-func (ev *IncrementalEvaluator) Evictions() int { return ev.evictions }
-
 // Rows returns the number of rows the evaluator's memo keeps: a rowed
 // entry's rows, one for any other entry with solutions. It is the measure of
 // what a kept evaluator holds.
@@ -174,7 +169,6 @@ func (ev *IncrementalEvaluator) Rows() int { return ev.rows }
 // evict drops n's memo entries, except that with stale set the rowed ones
 // stay and get their row for the child stale marked.
 func (ev *IncrementalEvaluator) evict(n, stale *tree.Node) {
-	ev.evictions++
 	for _, v := range ev.q.nodes {
 		k := memoKey{qnode: v.ID, dnode: n}
 		e, ok := ev.memo[k]

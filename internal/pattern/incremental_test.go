@@ -13,7 +13,7 @@ import (
 // replays randomised call-replacement sequences (the shape of the engine's
 // NFQA rounds), and checks after every mutation that the persistent
 // IncrementalEvaluator and a fresh one agree on the matched calls — by
-// whole-query evaluation and by per-call MatchCall alike — while the
+// whole-query evaluation and by per-call validation alike — while the
 // incremental side never computes more matches than a fresh evaluation
 // would.
 
@@ -100,8 +100,8 @@ func diffIDs(a, b []uint64) bool {
 // TestIncrementalDifferential replays 50 random replacement sequences and
 // checks, after every single mutation, that incremental and from-scratch
 // evaluation retrieve the same calls, with the incremental side doing no
-// more match work than a fresh evaluator, and that MatchCall on the
-// persistent evaluator decides every call of the document the same way.
+// more match work than a fresh evaluator, and that per-call validation on
+// the persistent evaluator decides every call of the document the same way.
 func TestIncrementalDifferential(t *testing.T) {
 	var totalHits, totalVisitedIncr, totalVisitedScratch int
 	for seed := int64(0); seed < 50; seed++ {
@@ -143,8 +143,8 @@ func TestIncrementalDifferential(t *testing.T) {
 					matched[c] = true
 				}
 				for _, c := range doc.Calls() {
-					if ok, _ := tr.ie.MatchCall(doc, tr.out, c); ok != matched[c] {
-						t.Fatalf("seed %d round %d query %q call %d: MatchCall=%v, in the from-scratch matched set=%v",
+					if ok := matchOne(tr.ie, doc, tr.out, c); ok != matched[c] {
+						t.Fatalf("seed %d round %d query %q call %d: validated %v, in the from-scratch matched set=%v",
 							seed, round, incrQueries[i], c.ID, ok, matched[c])
 					}
 				}
@@ -271,13 +271,14 @@ func TestIncrementalStaleWithoutInvalidate(t *testing.T) {
 	if len(stale) == 0 {
 		t.Skip("memo happened not to cover the mutated region")
 	}
+	held := len(ie.memo)
 	ie.Invalidate(parent, call)
+	if len(ie.memo) >= held {
+		t.Fatal("Invalidate evicted nothing")
+	}
 	fresh, _ := ie.MatchedCallsIncremental(doc, q.ResultNodes()[0])
 	if len(fresh) != 0 {
 		t.Fatalf("after Invalidate: got %d calls, want 0", len(fresh))
-	}
-	if ie.Evictions() == 0 {
-		t.Fatal("Invalidate evicted nothing")
 	}
 }
 
@@ -298,12 +299,24 @@ func TestIncrementalEvictionsBounded(t *testing.T) {
 	ie := NewIncrementalProjected(q, nil)
 	ie.MatchedCallsIncremental(doc, q.ResultNodes()[0])
 
+	// The spine is category+root plus the removed call: every memo entry
+	// of the document's other ~60 nodes must survive.
 	parent := call.Parent
+	spine := map[*tree.Node]bool{root: true, parent: true, call: true}
+	var off []memoKey
+	for k := range ie.memo {
+		if !spine[k.dnode] {
+			off = append(off, k)
+		}
+	}
+	if len(off) == 0 {
+		t.Fatal("the memo holds nothing off the spine")
+	}
 	doc.ReplaceCall(call, []*tree.Node{tree.NewText("done")})
 	ie.Invalidate(parent, call)
-	// Spine is category+root (2) plus the removed call and its params (1):
-	// far fewer than the document's ~60 nodes.
-	if got, max := ie.Evictions(), 8; got > max {
-		t.Fatalf("evicted %d nodes, want ≤ %d (spine + removed subtree only)", got, max)
+	for _, k := range off {
+		if _, ok := ie.memo[k]; !ok {
+			t.Fatalf("Invalidate evicted node %d off the spine", k.dnode.ID)
+		}
 	}
 }

@@ -108,9 +108,6 @@ func (n *Node) clone() *Node {
 	return c
 }
 
-// IsFuncStar reports whether the node is a star function node.
-func (n *Node) IsFuncStar() bool { return n.Kind == Func && n.Label == AnyFunc }
-
 // Pattern is a tree-pattern query: a Root-anchored node tree plus the
 // bookkeeping to address nodes by ID. Obtain one with Parse or NewPattern
 // and call Reindex after structural modifications.

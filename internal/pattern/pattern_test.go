@@ -436,7 +436,7 @@ func TestVariablesAndFuncNodes(t *testing.T) {
 		t.Fatalf("Variables = %v", vars)
 	}
 	fns := q.FuncNodes()
-	if len(fns) != 2 || !fns[0].IsFuncStar() || fns[1].Label != "f" {
+	if len(fns) != 2 || (fns[0].Kind != Func || fns[0].Label != AnyFunc) || fns[1].Label != "f" {
 		t.Fatalf("FuncNodes = %v", fns)
 	}
 }

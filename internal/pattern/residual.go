@@ -64,16 +64,21 @@ func (ev *IncrementalEvaluator) spine(out *Node) *spinePath {
 	return sp
 }
 
-// MatchCall reports whether the query has an embedding mapping the output
-// node out to the target call, i.e. whether target is a member of
-// MatchedCallsIncremental(doc, out) — decided from the target upwards
-// instead of by evaluating the whole query. This is the "NFQ filtering"
-// of Section 6.2 of the paper ("the remaining query to evaluate checks
-// for the conditions in q_v that don't appear in q_v^lin ... starting
-// from the set of function calls returned"): candidates typically come
-// from an F-guide, so their ancestor paths already match the linear part;
-// MatchCall nevertheless re-verifies labels and edges, making it safe for
-// arbitrary targets.
+// MatchedCandidates decides, for call targets, whether the query has an
+// embedding mapping the output node out to them — decided from each target
+// upwards instead of by evaluating the whole query — and keeps the verdicts
+// as a maintained view. This is the "NFQ filtering" of Section 6.2 of the
+// paper ("the remaining query to evaluate checks for the conditions in
+// q_v that don't appear in q_v^lin ... starting from the set of function
+// calls returned"). The targets offered to it — more, and the more of
+// every earlier call on this evaluator — are its candidates, and it
+// returns, in ascending ID order, those of them that out matches and that
+// are still in the document. Offer each target once; the typical feed is
+// an F-guide: its candidates for the linear part on the first call,
+// afterwards the calls each expansion added to the index. Their ancestor
+// paths already match the linear part, but the labels and edges are
+// re-verified, so any target is safe: one that does not lie on the
+// query's linear path is ignored.
 //
 // Re-evaluating the whole query per candidate would make the guide
 // pointless (every candidate would pay a document-wide pass). Instead the
@@ -82,26 +87,7 @@ func (ev *IncrementalEvaluator) spine(out *Node) *spinePath {
 // *relative to that ancestor* — so a condition on hotel i's name is only
 // searched inside hotel i. The checks read and fill the evaluator's one
 // memo table: conditions shared between candidates are computed once,
-// and on a kept evaluator they survive from round to round under the
-// Invalidate rule. Stats cover this call only.
-func (ev *IncrementalEvaluator) MatchCall(doc *tree.Document, out *Node, target *tree.Node) (bool, Stats) {
-	sp := ev.spine(out)
-	anc := sp.chain(doc, target)
-	ok := anc != nil
-	if ok {
-		ok, _ = ev.matchChain(doc, sp, anc)
-	}
-	return ok, ev.takeStats()
-}
-
-// MatchedCandidates is MatchCall kept as a maintained view. The targets
-// offered to it — more, and the more of every earlier call on this
-// evaluator — are its candidates, and it returns, in ascending ID order,
-// those of them that out matches and that are still in the document. Offer
-// each target once; the typical feed is an F-guide: its candidates for the
-// linear part on the first call, afterwards the calls each expansion added
-// to the index. Targets that do not lie on the query's linear path are
-// ignored.
+// and they survive from call to call under the Invalidate rule.
 //
 // A call validates only the new targets and the verdicts that the splices
 // reported through Invalidate since the last call can have changed (the

@@ -1,19 +1,27 @@
 package pattern
 
 import (
+	"sort"
 	"testing"
 
 	"github.com/activexml/axml/internal/tree"
 )
 
-// residual binds a fresh evaluator's MatchCall to one output node, the
-// shape the per-candidate cases below exercise.
+// residual binds a fresh evaluator's candidate validation to one output
+// node, the shape the per-candidate cases below exercise.
 func residual(q *Pattern, out *Node) func(*tree.Document, *tree.Node) bool {
 	ev := NewIncrementalProjected(q, nil)
 	return func(d *tree.Document, target *tree.Node) bool {
-		ok, _ := ev.MatchCall(d, out, target)
-		return ok
+		return matchOne(ev, d, out, target)
 	}
+}
+
+// matchOne is MatchedCandidates offered one target: whether out matches
+// it, on ev's memo.
+func matchOne(ev *IncrementalEvaluator, doc *tree.Document, out *Node, target *tree.Node) bool {
+	view, _ := ev.MatchedCandidates(doc, out, []*tree.Node{target})
+	i := sort.Search(len(view), func(i int) bool { return view[i].ID >= target.ID })
+	return i < len(view) && view[i] == target
 }
 
 func TestResidualMatcherBasics(t *testing.T) {
@@ -125,8 +133,8 @@ func TestResidualMatcherPanicsOnBadSpine(t *testing.T) {
 	residual(q, f)(tree.NewDocument(tree.NewElement("a")), tree.NewCall("g"))
 }
 
-// TestResidualAgreesWithPinnedEvaluation cross-validates MatchCall,
-// which validates one pinned candidate call at a time, against
+// TestResidualAgreesWithPinnedEvaluation cross-validates candidate
+// validation, offered one pinned candidate call at a time, against
 // membership in the evaluator's matched-call set on generated NFQs over
 // generated documents.
 func TestResidualAgreesWithPinnedEvaluation(t *testing.T) {

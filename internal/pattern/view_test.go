@@ -42,7 +42,7 @@ var viewQueries = []struct {
 // TestCallViewDifferential replays 50 random replacement sequences and
 // checks after every Invalidate that the maintained view, seeded with the
 // document's calls and fed only the calls each splice inserted, answers
-// exactly what enumerating every call and asking MatchCall on a fresh
+// exactly what enumerating every call and validating it alone on a fresh
 // evaluator answers — for each shape a verdict's dependency can take.
 func TestCallViewDifferential(t *testing.T) {
 	type tracked struct {
@@ -72,7 +72,7 @@ func TestCallViewDifferential(t *testing.T) {
 				fresh := NewIncrementalProjected(tr.q, nil)
 				var matched []*tree.Node
 				for _, c := range calls {
-					if ok, _ := fresh.MatchCall(doc, tr.out, c); ok {
+					if matchOne(fresh, doc, tr.out, c) {
 						matched = append(matched, c)
 					}
 				}
@@ -86,12 +86,13 @@ func TestCallViewDifferential(t *testing.T) {
 					}
 				}
 				if diffIDs(ids, want) {
-					t.Fatalf("seed %d round %d %s: view %v, enumerate-and-MatchCall %v", seed, round, tr.name, ids, want)
+					t.Fatalf("seed %d round %d %s: view %v, enumerate-and-validate %v", seed, round, tr.name, ids, want)
 				}
 				if st.Revalidated > st.Validated {
 					t.Fatalf("seed %d round %d %s: %d revalidated of %d validated", seed, round, tr.name, st.Revalidated, st.Validated)
 				}
-				tr.work.Add(st)
+				tr.work.Validated += st.Validated
+				tr.work.Revalidated += st.Revalidated
 				tr.asked += len(calls)
 			}
 		}

@@ -118,16 +118,18 @@ func warmPlanner(t *testing.T, w *workload.World, opt core.Options) *CostPlanner
 // spans dropped and workers stripped, everything else exact.
 func tracedRun(t *testing.T, w *workload.World, reg *service.Registry, opt core.Options) (*core.Outcome, []telemetry.Span) {
 	t.Helper()
-	tr := telemetry.NewTracer(1 << 16)
+	const ring = 1 << 16
+	tr := telemetry.NewTracer(ring)
 	opt.Tracer = tr
 	out, err := core.Evaluate(w.Doc.Clone(), w.Query, reg, opt)
 	if err != nil {
 		t.Fatalf("width %d planned=%v: %v", opt.InvokeWorkers, opt.Planner != nil, err)
 	}
-	if tr.Dropped() != 0 {
-		t.Fatalf("span ring wrapped (%d dropped): the stream is incomplete", tr.Dropped())
+	spans := tr.Spans(0)
+	if len(spans) == ring {
+		t.Fatal("span ring full: the stream may be incomplete")
 	}
-	return out, spantest.Normalize(tr.Spans(0), true, "plan")
+	return out, spantest.Normalize(spans, true, "plan")
 }
 
 // TestPlannedDifferentialAcrossSeeds is the planner's acceptance net:

@@ -30,24 +30,6 @@ func Compile(e Expr) *NFA {
 	return b.finish(start, end)
 }
 
-// CompilePath builds the NFA of a linear path language: steps is a
-// sequence of (label, anyDepth) pairs where anyDepth means the step is
-// reached through a descendant edge (so any number of intermediate labels
-// may occur before it). Labels may be Any for wildcard steps.
-//
-// For example /a/*/b//c is CompilePath({"a",false},{"*",false},
-// {"b",false},{"c",true}) and denotes a·σ·b·σ*·c.
-func CompilePath(steps []PathStep) *NFA {
-	parts := make([]Expr, 0, 2*len(steps))
-	for _, s := range steps {
-		if s.AnyDepth {
-			parts = append(parts, Star(Sym(Any)))
-		}
-		parts = append(parts, Sym(s.Label))
-	}
-	return Compile(Concat(parts...))
-}
-
 // PathStep is one step of a linear path: the label it matches (possibly
 // Any) and whether it is reached through a descendant edge.
 type PathStep struct {
@@ -186,9 +168,6 @@ func dedupeEdges(es []Edge) []Edge {
 	}
 	return out
 }
-
-// NumStates returns the number of states of the automaton.
-func (a *NFA) NumStates() int { return len(a.trans) }
 
 // Accepting reports whether state s is accepting.
 func (a *NFA) Accepting(s int) bool { return a.accept[s] }
@@ -341,13 +320,6 @@ func (a *NFA) Intersect(b *NFA) *NFA {
 
 // Intersects reports whether L(a) ∩ L(b) is non-empty.
 func (a *NFA) Intersects(b *NFA) bool { return !a.Intersect(b).IsEmpty() }
-
-// SomeWordIsPrefixOf reports whether some word of L(a) is a prefix of some
-// word of L(b) — the test of Proposition 3 of the paper, deciding whether
-// the NFQ with linear part a may influence the NFQ with linear part b.
-func (a *NFA) SomeWordIsPrefixOf(b *NFA) bool {
-	return a.Intersects(b.PrefixClosure())
-}
 
 // UsefulSymbols returns the concrete symbols that occur in at least one
 // accepted word, i.e. symbols on a path from the start state to an

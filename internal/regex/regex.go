@@ -158,15 +158,6 @@ func Parse(s string) (Expr, error) {
 	return e, nil
 }
 
-// MustParse is Parse panicking on error; for tests and literals.
-func MustParse(s string) Expr {
-	e, err := Parse(s)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
 type parser struct {
 	input string
 	pos   int

@@ -60,9 +60,6 @@ func Subset(a, b *NFA) bool {
 	return true
 }
 
-// Equivalent reports L(a) = L(b).
-func Equivalent(a, b *NFA) bool { return Subset(a, b) && Subset(b, a) }
-
 // otherSymbol stands for every label outside the effective alphabet of a
 // containment check. A leading space cannot occur in an XML name, so it
 // never collides with a real label.

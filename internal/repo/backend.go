@@ -47,9 +47,6 @@ func OpenDir(dir string) (*DirBackend, error) {
 	return &DirBackend{dir: dir, Sync: true}, nil
 }
 
-// Dir returns the backing directory.
-func (b *DirBackend) Dir() string { return b.dir }
-
 func (b *DirBackend) ReadFile(name string) ([]byte, error) {
 	return os.ReadFile(filepath.Join(b.dir, name))
 }

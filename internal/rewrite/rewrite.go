@@ -225,33 +225,6 @@ func (n *NFQ) SatisfiesOut(an *schema.Analyzer, service string) bool {
 	return an.FunctionSatisfies(service, n.For)
 }
 
-// LPQs builds the linear path queries of Section 3.1: for every non-anchor
-// node v, the linear root-to-v path with v's step replaced by a star
-// function node. Duplicates (nodes sharing a parent and an edge kind)
-// are merged. The result is returned as NFQ values whose Query has no
-// filtering branches; Lin is populated the same way as for NFQs, so the
-// sequencing machinery applies unchanged (Section 6.1).
-func LPQs(q *pattern.Pattern, opt Options) ([]*NFQ, error) {
-	if err := Validate(q); err != nil {
-		return nil, err
-	}
-	seen := map[string]bool{}
-	var out []*NFQ
-	for _, v := range q.Nodes() {
-		if v.Kind == pattern.Root || opt.Done[v.ID] {
-			continue
-		}
-		l := buildLPQ(q, v)
-		key := l.Query.String()
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		out = append(out, l)
-	}
-	return out, nil
-}
-
 // Minimize removes relevance queries whose *position language* is
 // contained in another's: for union-style retrieval the subsumed query
 // can never contribute a call its subsumer misses. This is the
@@ -266,7 +239,7 @@ func Minimize(lpqs []*NFQ) []*NFQ {
 	}
 	langs := make([]posLang, len(lpqs))
 	for i, l := range lpqs {
-		langs[i] = posLang{nfa: positionNFA(l)}
+		langs[i] = posLang{nfa: l.PositionNFA()}
 	}
 	for i := range lpqs {
 		if langs[i].dead {
@@ -296,10 +269,10 @@ func Minimize(lpqs []*NFQ) []*NFQ {
 	return out
 }
 
-// positionNFA compiles the language of parent paths under which the
-// query retrieves calls: Lin, plus a trailing wildcard closure for
-// descendant-edge targets.
-func positionNFA(q *NFQ) *regex.NFA {
+// PositionNFA compiles the query's position language P_v (Section 4.3):
+// the parent paths under which it retrieves calls — Lin, plus a trailing
+// wildcard closure for descendant-edge targets.
+func (q *NFQ) PositionNFA() *regex.NFA {
 	parts := make([]regex.Expr, 0, 2*len(q.Lin)+1)
 	for _, s := range q.Lin {
 		if s.AnyDepth {

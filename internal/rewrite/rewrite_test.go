@@ -159,10 +159,7 @@ func TestNFQRefinedRelevance(t *testing.T) {
 func TestLPQRelevanceIsCoarser(t *testing.T) {
 	doc, calls := figure1()
 	q := pattern.MustParse(figure4)
-	lpqs, err := LPQs(q, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	lpqs := lpqSet(t, q)
 	got := retrieved(t, doc, lpqs, calls, nil)
 	// Section 3.1: LPQs only check positions, so even hotel C's calls
 	// come back (the paper's "Pennsylvania" observation).
@@ -174,10 +171,7 @@ func TestLPQRelevanceIsCoarser(t *testing.T) {
 
 func TestLPQShapes(t *testing.T) {
 	q := pattern.MustParse(figure4)
-	lpqs, err := LPQs(q, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	lpqs := lpqSet(t, q)
 	forms := map[string]bool{}
 	for _, l := range lpqs {
 		forms[l.Query.String()] = true
@@ -376,8 +370,8 @@ func TestValidateRejectsExtendedQueries(t *testing.T) {
 		if _, err := BuildAll(q, Options{}); err == nil {
 			t.Errorf("BuildAll(%s): expected validation error", in)
 		}
-		if _, err := LPQs(q, Options{}); err == nil {
-			t.Errorf("LPQs(%s): expected validation error", in)
+		if _, err := LPQ(q, q.Nodes()[1]); err == nil {
+			t.Errorf("LPQ(%s): expected validation error", in)
 		}
 	}
 	q := pattern.MustParse(`/a/b`)
@@ -413,10 +407,7 @@ func TestBuildAllCount(t *testing.T) {
 
 func TestMinimize(t *testing.T) {
 	q := pattern.MustParse(figure4)
-	lpqs, err := LPQs(q, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	lpqs := lpqSet(t, q)
 	minimized := Minimize(lpqs)
 	if len(minimized) >= len(lpqs) {
 		t.Fatalf("nothing minimized: %d vs %d", len(minimized), len(lpqs))
@@ -440,10 +431,7 @@ func TestMinimize(t *testing.T) {
 
 func TestMinimizeKeepsIncomparable(t *testing.T) {
 	q := pattern.MustParse(`/a[b/x]/c/y`)
-	lpqs, err := LPQs(q, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	lpqs := lpqSet(t, q)
 	minimized := Minimize(lpqs)
 	// /a/b/() and /a/c/() are incomparable; both must survive.
 	forms := map[string]bool{}
@@ -453,4 +441,19 @@ func TestMinimizeKeepsIncomparable(t *testing.T) {
 	if !forms["/a/b/()!"] || !forms["/a/c/()!"] {
 		t.Fatalf("incomparable LPQs dropped: %v", forms)
 	}
+}
+
+// lpqSet builds the LPQ of every non-anchor node, as the engine's LPQ
+// strategy does (core's Prepared.lpqSet).
+func lpqSet(t *testing.T, q *pattern.Pattern) []*NFQ {
+	t.Helper()
+	var out []*NFQ
+	for _, v := range q.Nodes()[1:] {
+		l, err := LPQ(q, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, l)
+	}
+	return out
 }

@@ -1,10 +1,6 @@
 package schema
 
-import (
-	"sort"
-
-	"github.com/activexml/axml/internal/pattern"
-)
+import "github.com/activexml/axml/internal/pattern"
 
 // Projection is the type-based document-projection predicate of
 // Benzaken, Castagna, Colazzo & Nguyễn, specialised to the paper's
@@ -107,35 +103,3 @@ func (p *Projection) CanMatchAnyBelow(label string) bool {
 // Callers use it to skip the per-node predicate on schemas too loose to
 // help.
 func (p *Projection) Trivial() bool { return p.trivial }
-
-// PrunedPair names one (element label, query node) combination the
-// projection skips.
-type PrunedPair struct {
-	Label  string
-	NodeID int
-}
-
-// PrunedPairs lists the (element label, query node ID) pairs the
-// projection would skip, sorted, for tests and explain tooling.
-func (p *Projection) PrunedPairs() []PrunedPair {
-	var out []PrunedPair
-	syms := make([]string, 0, len(p.an.symIndex))
-	for sym := range p.an.symIndex {
-		if p.an.schema.IsElement(sym) {
-			syms = append(syms, sym)
-		}
-	}
-	sort.Strings(syms)
-	for _, sym := range syms {
-		si := p.an.symIndex[sym]
-		for _, v := range p.an.q.Nodes() {
-			if v.Kind == pattern.Root {
-				continue
-			}
-			if !p.an.desc[si][v.ID] {
-				out = append(out, PrunedPair{Label: sym, NodeID: v.ID})
-			}
-		}
-	}
-	return out
-}

@@ -137,9 +137,6 @@ func TestProjectionPredicate(t *testing.T) {
 		if proj.Trivial() {
 			t.Errorf("mode %d: projection with prunable pairs reported trivial", mode)
 		}
-		if len(proj.PrunedPairs()) == 0 {
-			t.Errorf("mode %d: expected non-empty pruned pairs", mode)
-		}
 	}
 }
 
@@ -149,7 +146,7 @@ func TestProjectionTrivialWhenNothingPrunable(t *testing.T) {
 	// bare-variable query can never skip anything.
 	q := pattern.MustParse(`//$V -> $V`)
 	if proj := NewProjection(s, q, Exact); !proj.Trivial() {
-		t.Fatalf("expected trivial projection, pruned pairs: %v", proj.PrunedPairs())
+		t.Fatal("expected trivial projection")
 	}
 }
 

@@ -320,21 +320,3 @@ func (a *Analyzer) FunctionSatisfies(fn string, v *pattern.Node) bool {
 	}
 	return a.satOf(fn, v)
 }
-
-// FunctionsSatisfying returns the declared services whose output can
-// contribute to the subquery rooted at v, sorted by name.
-func (a *Analyzer) FunctionsSatisfying(v *pattern.Node) []string {
-	var out []string
-	for _, fn := range a.schema.FunctionNames() {
-		if a.FunctionSatisfies(fn, v) {
-			out = append(out, fn)
-		}
-	}
-	return out
-}
-
-// ElementSatisfies reports sat(element, v); exported for tests and for
-// tooling that inspects the analysis.
-func (a *Analyzer) ElementSatisfies(element string, v *pattern.Node) bool {
-	return a.satOf(element, v)
-}

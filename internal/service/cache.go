@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -18,12 +17,9 @@ type CacheSpec struct {
 	// forever. AXML service results are quasi-static between evaluations
 	// (the paper's repositories re-fetch on a validity horizon), so the
 	// default is aggressive reuse; deployments fronting live providers
-	// set a TTL.
+	// set a TTL. It is the cache's one policy: no count bounds the
+	// table.
 	TTL time.Duration
-	// MaxEntries bounds the number of cached responses; 0 means
-	// unbounded. Eviction is FIFO — the workload repeats identical calls
-	// in bursts, so recency tracking buys little over insertion order.
-	MaxEntries int
 	// Now overrides the time source for TTL decisions; nil means
 	// time.Now. Tests use it to age entries deterministically.
 	Now func() time.Time
@@ -42,8 +38,6 @@ type CacheStats struct {
 	Coalesced int
 	// Expired counts entries dropped because their TTL lapsed.
 	Expired int
-	// Evictions counts entries dropped to respect MaxEntries.
-	Evictions int
 }
 
 // HitRate returns the fraction of lookups served locally (hits plus
@@ -84,7 +78,6 @@ type Cache struct {
 
 	mu       sync.Mutex
 	entries  map[string]*cacheEntry
-	order    []string // insertion order, for FIFO eviction
 	inflight map[string]*flight
 	stats    CacheStats
 	met      cacheMetrics
@@ -108,7 +101,6 @@ type cacheMetrics struct {
 	hits        *telemetry.Counter
 	misses      *telemetry.Counter
 	coalesced   *telemetry.Counter
-	evictions   *telemetry.Counter
 	expirations *telemetry.Counter
 	entries     *telemetry.Gauge
 }
@@ -137,8 +129,8 @@ func NewCache(spec CacheSpec) *Cache {
 }
 
 // Instrument routes the cache's counters through a telemetry registry in
-// addition to CacheStats: axml_cache_{hits,misses,coalesced,evictions,
-// expirations}_total plus the axml_cache_entries gauge. Call it before
+// addition to CacheStats: axml_cache_{hits,misses,coalesced,expirations}_total
+// plus the axml_cache_entries gauge. Call it before
 // the cache serves traffic; a nil registry is a no-op.
 func (c *Cache) Instrument(reg *telemetry.Registry) {
 	if reg == nil {
@@ -150,7 +142,6 @@ func (c *Cache) Instrument(reg *telemetry.Registry) {
 		hits:        reg.Counter(telemetry.MetricCacheHits),
 		misses:      reg.Counter(telemetry.MetricCacheMisses),
 		coalesced:   reg.Counter(telemetry.MetricCacheCoalesced),
-		evictions:   reg.Counter(telemetry.MetricCacheEvictions),
 		expirations: reg.Counter(telemetry.MetricCacheExpirations),
 		entries:     reg.Gauge(telemetry.MetricCacheEntries),
 	}
@@ -172,25 +163,6 @@ func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats
-}
-
-// Reset drops every entry and zeroes the counters. In-flight invocations
-// are unaffected (their waiters still get the shared response; it is just
-// not stored).
-func (c *Cache) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries = map[string]*cacheEntry{}
-	c.order = nil
-	c.stats = CacheStats{}
-	c.met.entries.Set(0)
-}
-
-// Len returns the number of stored responses.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
 }
 
 // Wrap returns a registry proxying reg through the cache. The wrapped
@@ -297,7 +269,7 @@ func (c *Cache) invoke(ctx context.Context, next Invoker, name string, params []
 				return Response{}, f.err
 			}
 			// The leader stored the response (success path); loop to
-			// serve it from the table. If it was evicted in between — or
+			// serve it from the table. If it expired in between — or
 			// the leader's caller hung up on it — the retry becomes a
 			// fresh leader: still correct, just rarer.
 			continue
@@ -335,30 +307,15 @@ func (c *Cache) invoke(ctx context.Context, next Invoker, name string, params []
 	}
 }
 
-// storeLocked inserts a master copy and enforces MaxEntries FIFO.
+// storeLocked inserts a master copy.
 func (c *Cache) storeLocked(key string, resp Response) {
-	if _, exists := c.entries[key]; !exists {
-		c.order = append(c.order, key)
-	}
 	c.entries[key] = &cacheEntry{resp: resp, storedAt: c.now()}
-	for c.spec.MaxEntries > 0 && len(c.entries) > c.spec.MaxEntries {
-		oldest := c.order[0]
-		c.dropLocked(oldest)
-		c.stats.Evictions++
-		c.met.evictions.Inc()
-	}
 	c.met.entries.Set(int64(len(c.entries)))
 }
 
-// dropLocked removes one key from the table and the FIFO order.
+// dropLocked removes one key from the table.
 func (c *Cache) dropLocked(key string) {
 	delete(c.entries, key)
-	for i, k := range c.order {
-		if k == key {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			break
-		}
-	}
 	c.met.entries.Set(int64(len(c.entries)))
 }
 
@@ -368,16 +325,4 @@ func (c *Cache) dropLocked(key string) {
 func cloneResponse(r Response) Response {
 	r.Forest = tree.CloneForest(r.Forest)
 	return r
-}
-
-// Keys returns the stored keys, sorted, for tests and tooling.
-func (c *Cache) Keys() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.entries))
-	for k := range c.entries {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

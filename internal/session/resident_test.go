@@ -20,6 +20,7 @@ import (
 	"github.com/activexml/axml/internal/schema"
 	"github.com/activexml/axml/internal/service"
 	"github.com/activexml/axml/internal/telemetry"
+	"github.com/activexml/axml/internal/telemetry/spantest"
 	"github.com/activexml/axml/internal/tree"
 	"github.com/activexml/axml/internal/workload"
 )
@@ -35,7 +36,7 @@ func newInvokeLog() *invokeLog {
 	l := &invokeLog{tracer: telemetry.NewTracer(0)}
 	l.tracer.SetSink(func(s telemetry.Span) {
 		if s.Name == "invoke" {
-			l.calls = append(l.calls, s.Attr("service")+" "+s.Attr("path"))
+			l.calls = append(l.calls, spantest.Attr(s, "service")+" "+spantest.Attr(s, "path"))
 		}
 	})
 	return l

@@ -15,6 +15,7 @@ import (
 	"github.com/activexml/axml/internal/pattern"
 	"github.com/activexml/axml/internal/service"
 	"github.com/activexml/axml/internal/telemetry"
+	"github.com/activexml/axml/internal/telemetry/spantest"
 	"github.com/activexml/axml/internal/tree"
 )
 
@@ -170,7 +171,7 @@ func TestHTTPErrorMapping(t *testing.T) {
 		t.Fatalf("%s = %d, want 2 (the expired run and the abandoned one)", telemetry.MetricSessionsCancelled, n)
 	}
 	spans := tracer.Spans(0)
-	if last := spans[len(spans)-1]; last.Name != "evaluate" || last.Attr("error") != context.Canceled.Error() {
+	if last := spans[len(spans)-1]; last.Name != "evaluate" || spantest.Attr(last, "error") != context.Canceled.Error() {
 		t.Fatalf("the abandoned run's evaluate span does not say why: %+v", last)
 	}
 	if st := m.Stats(); st.Active != 0 {

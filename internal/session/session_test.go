@@ -91,7 +91,7 @@ func newSuiteManager(t *testing.T, cfg Config, spec workload.HotelSpec) (*Manage
 	if cfg.Metrics == nil {
 		cfg.Metrics = telemetry.NewRegistry()
 	}
-	cfg.Registry = ServingRegistry(reg, service.NewCache(service.CacheSpec{MaxEntries: 4096}), profile.New(0, nil), 16, cfg.Metrics)
+	cfg.Registry = ServingRegistry(reg, service.NewCache(service.CacheSpec{}), profile.New(0, nil), 16, cfg.Metrics)
 	m := NewManager(cfg)
 	for _, sc := range scenarios {
 		if err := m.AddDocument(sc.Name, sc.Doc.Clone(), sc.Schema); err != nil {

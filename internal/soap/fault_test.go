@@ -15,51 +15,22 @@ import (
 	"github.com/activexml/axml/internal/tree"
 )
 
-// flakyServer exposes one service whose handler fails the first n
-// invocations with the given error, then answers normally.
-func flakyServer(t *testing.T, n int, failWith error) (*httptest.Server, *atomic.Int64) {
-	t.Helper()
+// TestClientDoesNotRetryPermanentFaults: a permanent fault (the default
+// class for plain errors) surfaces with its class after the one request
+// the client makes; retrying is the engine's RetryPolicy's job.
+func TestClientDoesNotRetryPermanentFaults(t *testing.T) {
 	var calls atomic.Int64
 	reg := service.NewRegistry()
 	reg.Register(&service.Service{
 		Name: "flaky",
 		Handler: func([]*tree.Node) ([]*tree.Node, error) {
-			if calls.Add(1) <= int64(n) {
-				return nil, failWith
-			}
-			return []*tree.Node{tree.NewText("ok")}, nil
+			calls.Add(1)
+			return nil, fmt.Errorf("schema violation")
 		},
 	})
 	srv := httptest.NewServer(NewServer(reg, false))
-	t.Cleanup(srv.Close)
-	return srv, &calls
-}
-
-// TestClientRetriesTransientFaults checks the client-side retry loop:
-// two transient failures followed by a success must be absorbed inside
-// one Invoke call when MaxAttempts allows it.
-func TestClientRetriesTransientFaults(t *testing.T) {
-	transient := &service.Fault{Service: "flaky", Class: service.Transient, Msg: "blip"}
-	srv, calls := flakyServer(t, 2, transient)
-	c := &Client{BaseURL: srv.URL, MaxAttempts: 4, Backoff: time.Millisecond}
-	resp, err := c.InvokeContext(context.Background(), "flaky", nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Forest) != 1 || resp.Forest[0].Label != "ok" {
-		t.Fatalf("resp = %+v", resp)
-	}
-	if got := calls.Load(); got != 3 {
-		t.Fatalf("server saw %d attempts, want 3", got)
-	}
-}
-
-// TestClientDoesNotRetryPermanentFaults: a permanent fault (the default
-// class for plain errors) must be surfaced after a single attempt even
-// when retries are configured.
-func TestClientDoesNotRetryPermanentFaults(t *testing.T) {
-	srv, calls := flakyServer(t, 100, fmt.Errorf("schema violation"))
-	c := &Client{BaseURL: srv.URL, MaxAttempts: 5, Backoff: time.Millisecond}
+	defer srv.Close()
+	c := &Client{BaseURL: srv.URL}
 	_, err := c.InvokeContext(context.Background(), "flaky", nil, nil)
 	if err == nil || !strings.Contains(err.Error(), "schema violation") {
 		t.Fatalf("err = %v", err)
@@ -161,27 +132,42 @@ func TestClientTimeout(t *testing.T) {
 	}
 }
 
-// TestInvokeContextCancellation: cancelling the caller's context stops
-// both the in-flight request and any pending retries.
+// TestInvokeContextCancellation: cancelling the caller's context aborts
+// the in-flight request, which surfaces as a timeout-classed fault after
+// the one request the client makes.
 func TestInvokeContextCancellation(t *testing.T) {
-	transient := &service.Fault{Service: "flaky", Class: service.Transient, Msg: "blip"}
-	srv, calls := flakyServer(t, 100, transient)
-	c := &Client{BaseURL: srv.URL, MaxAttempts: 50, Backoff: 10 * time.Millisecond}
+	var calls atomic.Int64
+	mux := http.NewServeMux()
+	release := make(chan struct{})
+	mux.HandleFunc("/services/slow", func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		select {
+		case <-release:
+		case <-r.Context().Done():
+		}
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	defer close(release) // LIFO: unblock the handler before Close waits on it
+	c := &Client{BaseURL: srv.URL}
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(25 * time.Millisecond)
 		cancel()
 	}()
 	start := time.Now()
-	_, err := c.InvokeContext(ctx, "flaky", nil, nil)
+	_, err := c.InvokeContext(ctx, "slow", nil, nil)
 	if err == nil {
 		t.Fatal("cancelled invoke succeeded")
 	}
 	if time.Since(start) > 2*time.Second {
-		t.Fatal("cancellation did not cut the retry loop")
+		t.Fatal("cancellation did not cut the request")
 	}
-	if got := calls.Load(); got >= 50 {
-		t.Fatalf("retries ran to exhaustion (%d attempts) despite cancellation", got)
+	if service.ClassOf(err) != service.Timeout {
+		t.Fatalf("class = %v, want timeout (err %v)", service.ClassOf(err), err)
+	}
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("server saw %d requests, want 1", got)
 	}
 }
 

@@ -502,22 +502,13 @@ func invokeAttrs(body []byte) (svc, query string, tc telemetry.TraceContext, err
 type Client struct {
 	// BaseURL is the provider root, e.g. "http://host:8080".
 	BaseURL string
-	// HTTPClient defaults to http.DefaultClient.
+	// HTTPClient defaults to a transport all Clients share.
 	HTTPClient *http.Client
 	// Timeout bounds each HTTP request; an expired request surfaces as
 	// a timeout-classed fault. 0 means no client-side timeout.
 	Timeout time.Duration
-	// MaxAttempts retries transient and timeout faults (network errors,
-	// 5xx answers, expired requests) with exponential backoff before
-	// giving up; values below 2 mean a single attempt. Permanent faults
-	// (4xx, bad envelopes) never retry.
-	MaxAttempts int
-	// Backoff is the real-time pause before the second attempt,
-	// doubling per further attempt; 0 means DefaultBackoff.
-	Backoff time.Duration
-	// Metrics, when set, observes per-attempt wire latency
-	// (axml_http_client_seconds) and counts retried attempts
-	// (axml_http_client_retries_total). Nil disables.
+	// Metrics, when set, observes each request's wire latency
+	// (axml_http_client_seconds). Nil disables.
 	Metrics *telemetry.Registry
 	// MaxPayloadBytes bounds one response body; 0 means
 	// DefaultMaxPayloadBytes (symmetric with the server's request
@@ -525,9 +516,6 @@ type Client struct {
 	// "payload too large" fault instead of a truncated-XML parse error.
 	MaxPayloadBytes int64
 }
-
-// DefaultBackoff is the client's initial retry pause when Backoff is 0.
-const DefaultBackoff = 50 * time.Millisecond
 
 // sharedHTTPClient is the transport clients fall back to when
 // HTTPClient is unset. http.DefaultClient's transport keeps only 2 idle
@@ -558,12 +546,13 @@ func (c *Client) httpClient() *http.Client {
 }
 
 // InvokeContext calls the named remote service under the caller's context:
-// cancellation aborts the in-flight request and any remaining retries. The
-// returned response reports the on-the-wire size of the result payload and
-// whether the provider applied the pushed query. Transient and timeout
-// faults are retried per the client's retry configuration; the error
-// returned after the last attempt carries a service.Fault so engine-side
-// retry policies (and callers) can classify it.
+// cancellation aborts the request. The returned response reports the
+// on-the-wire size of the result payload and whether the provider applied
+// the pushed query. The client makes one request and never retries;
+// every failure maps onto a classed service.Fault, so the engine's retry
+// policy (core.Options.Retry) and callers can classify it: network errors
+// are transient, expired requests are timeouts, non-2xx answers carry the
+// server's class (or one derived from the status code).
 func (c *Client) InvokeContext(ctx context.Context, name string, params []*tree.Node, pushed *pattern.Pattern) (service.Response, error) {
 	tc, _ := telemetry.TraceFrom(ctx)
 	body, err := EncodeInvokeTrace(name, params, pushed, tc)
@@ -571,36 +560,6 @@ func (c *Client) InvokeContext(ctx context.Context, name string, params []*tree.
 		return service.Response{}, err
 	}
 	url := strings.TrimSuffix(c.BaseURL, "/") + "/services/" + name
-	attempts := c.MaxAttempts
-	if attempts < 2 {
-		attempts = 1
-	}
-	backoff := c.Backoff
-	if backoff <= 0 {
-		backoff = DefaultBackoff
-	}
-	for attempt := 1; ; attempt++ {
-		resp, err := c.post(ctx, url, name, body, tc)
-		if err == nil {
-			return resp, nil
-		}
-		if attempt >= attempts || !service.Retryable(err) {
-			return service.Response{}, err
-		}
-		c.Metrics.Counter(telemetry.MetricHTTPClientRetries).Inc()
-		select {
-		case <-ctx.Done():
-			return service.Response{}, err
-		case <-time.After(backoff << uint(attempt-1)):
-		}
-	}
-}
-
-// post performs one HTTP attempt and maps every failure onto a classed
-// service.Fault: network errors are transient, expired requests are
-// timeouts, non-2xx answers carry the server's class (or one derived
-// from the status code).
-func (c *Client) post(ctx context.Context, url, name string, body []byte, tc telemetry.TraceContext) (service.Response, error) {
 	start := time.Now()
 	defer func() {
 		c.Metrics.Histogram(telemetry.MetricHTTPClientSeconds).Observe(time.Since(start))

@@ -193,7 +193,7 @@ func TestRecursivePushSpansNested(t *testing.T) {
 		if want := []string{"evaluate", "service", "http-invoke", "invoke"}; !reflect.DeepEqual(up[:4], want) {
 			t.Fatalf("provider-side invoke nests under %v, want %v…", up, want)
 		}
-		if s.Attr("round") == "" || s.Attr("service") == "" || s.Attr("path") == "" {
+		if spantest.Attr(s, "round") == "" || spantest.Attr(s, "service") == "" || spantest.Attr(s, "path") == "" {
 			t.Fatalf("provider-side invoke lacks the engine's attrs: %+v", s)
 		}
 	}
@@ -258,7 +258,7 @@ func shapes(spans []telemetry.Span) []traceShape {
 	for _, s := range spans {
 		sh := traceShape{
 			name: s.Name, trace: s.Trace, virtual: s.Virtual,
-			service: s.Attr("service"), status: s.Attr("status"), attempt: s.Attr("attempt"),
+			service: spantest.Attr(s, "service"), status: spantest.Attr(s, "status"), attempt: spantest.Attr(s, "attempt"),
 		}
 		if p, ok := byID[s.Parent]; ok {
 			sh.parent = p.Name
@@ -311,8 +311,8 @@ func TestTracePropagationUnderFaultsRetries(t *testing.T) {
 		switch s.Name {
 		case "invoke":
 			invokes++
-			if s.Attr("attempts") != "3" {
-				t.Fatalf("invoke span attempts = %q, want 3: %+v", s.Attr("attempts"), s)
+			if spantest.Attr(s, "attempts") != "3" {
+				t.Fatalf("invoke span attempts = %q, want 3: %+v", spantest.Attr(s, "attempts"), s)
 			}
 		case "attempt":
 			attemptsPerInvoke[s.Parent] = append(attemptsPerInvoke[s.Parent], s)
@@ -340,7 +340,7 @@ func TestTracePropagationUnderFaultsRetries(t *testing.T) {
 			if i == 2 {
 				want = "ok"
 			}
-			if a.Attr("attempt") != fmt.Sprint(i+1) || a.Attr("status") != want {
+			if spantest.Attr(a, "attempt") != fmt.Sprint(i+1) || spantest.Attr(a, "status") != want {
 				t.Fatalf("attempt %d: %+v", i, a)
 			}
 		}

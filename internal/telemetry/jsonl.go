@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -11,8 +10,7 @@ import (
 
 // jsonSpan is the JSONL wire form of a Span. Durations travel as
 // microseconds, attributes as an object (their emission order is not
-// preserved across a round trip; DecodeJSONL restores them sorted by
-// key).
+// preserved across a round trip; decoding restores them sorted by key).
 type jsonSpan struct {
 	ID     uint64            `json:"id"`
 	Parent uint64            `json:"parent,omitempty"`
@@ -76,52 +74,6 @@ func fromJSONSpan(js jsonSpan) Span {
 		}
 	}
 	return s
-}
-
-// EncodeJSONL writes the spans as one JSON object per line.
-func EncodeJSONL(w io.Writer, spans []Span) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, s := range spans {
-		if err := enc.Encode(toJSONSpan(s)); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// CorruptTraceError reports a span stream that ended mid-record or held
-// a malformed record — a crashed writer tears the final line, for
-// example. DecodeJSONL returns it together with the well-formed prefix,
-// so readers can keep every span recorded before the corruption.
-type CorruptTraceError struct {
-	// Record is the 1-based index of the first bad record.
-	Record int
-	// Err is the underlying decode error.
-	Err error
-}
-
-func (e *CorruptTraceError) Error() string {
-	return fmt.Sprintf("telemetry: bad span record %d: %v", e.Record, e.Err)
-}
-
-func (e *CorruptTraceError) Unwrap() error { return e.Err }
-
-// DecodeJSONL parses a JSONL span stream (blank lines are skipped). On
-// a truncated or corrupt stream it returns the decoded prefix together
-// with a *CorruptTraceError — callers keep everything before the tear.
-func DecodeJSONL(r io.Reader) ([]Span, error) {
-	var out []Span
-	dec := json.NewDecoder(r)
-	for {
-		var js jsonSpan
-		if err := dec.Decode(&js); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return out, &CorruptTraceError{Record: len(out) + 1, Err: err}
-		}
-		out = append(out, fromJSONSpan(js))
-	}
 }
 
 // SinkJSONL adapts an io.Writer into a tracer sink that streams each

@@ -46,7 +46,6 @@ const (
 	MetricCacheHits        = "axml_cache_hits_total"
 	MetricCacheMisses      = "axml_cache_misses_total"
 	MetricCacheCoalesced   = "axml_cache_coalesced_total"
-	MetricCacheEvictions   = "axml_cache_evictions_total"
 	MetricCacheExpirations = "axml_cache_expirations_total"
 	MetricCacheEntries     = "axml_cache_entries"
 
@@ -89,7 +88,6 @@ const (
 	MetricHTTPFaults         = "axml_http_faults_total"
 	MetricHTTPHandlerSeconds = "axml_http_handler_seconds"
 	MetricHTTPClientSeconds  = "axml_http_client_seconds"
-	MetricHTTPClientRetries  = "axml_http_client_retries_total"
 
 	// Cost-based invocation planner (internal/plan). Batches counts
 	// batches planned; Reorders counts batches whose execution schedule

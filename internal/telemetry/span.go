@@ -58,16 +58,6 @@ type Span struct {
 	Attrs []Attr
 }
 
-// Attr returns the value of the named attribute, or "".
-func (s Span) Attr(key string) string {
-	for _, a := range s.Attrs {
-		if a.Key == key {
-			return a.Value
-		}
-	}
-	return ""
-}
-
 // DefaultSpanCapacity bounds the tracer ring buffer when NewTracer is
 // given a non-positive capacity.
 const DefaultSpanCapacity = 4096
@@ -85,7 +75,6 @@ type Tracer struct {
 	ring    []Span
 	ringCap int // retention bound; the ring grows lazily up to it
 	next    int // next write position once the ring is full
-	count   int // total spans ever recorded
 	sink    func(Span)
 	trace   string // trace ID stamped on spans emitted without one
 	dropped uint64 // spans overwritten after the ring wrapped
@@ -155,17 +144,6 @@ func (t *Tracer) InstrumentDrops(reg *Registry) {
 	t.mu.Unlock()
 }
 
-// Dropped returns how many spans the ring has overwritten since the
-// tracer was created.
-func (t *Tracer) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
-
 // Start opens a span under the given parent (0 for a root). The
 // returned ActiveSpan is owned by one goroutine until End.
 func (t *Tracer) Start(name string, parent SpanID) *ActiveSpan {
@@ -216,7 +194,6 @@ func (t *Tracer) record(s Span) {
 				t.ringCap, MetricSpansDropped)
 		})
 	}
-	t.count++
 	sink := t.sink
 	if sink != nil {
 		sink(s)
@@ -264,17 +241,6 @@ func DeriveTraceID(parts ...string) string {
 	}
 	sum := h.Sum(nil)
 	return hex.EncodeToString(sum[:16])
-}
-
-// Len returns the total number of spans recorded (including ones the
-// ring has since dropped).
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.count
 }
 
 // Spans returns up to the last n retained spans in record order
@@ -329,14 +295,6 @@ func (a *ActiveSpan) SetInt(key string, v int64) {
 		return
 	}
 	a.SetAttr(key, strconv.FormatInt(v, 10))
-}
-
-// SetShard stamps the detection shard identity.
-func (a *ActiveSpan) SetShard(shard int) {
-	if a == nil {
-		return
-	}
-	a.s.Shard = shard
 }
 
 // AddVirtual charges simulated time to the span.

@@ -1,5 +1,7 @@
-// Package spantest holds the one normalisation every differential test
-// applies before comparing two evaluations' span streams.
+// Package spantest is the tests' support for span streams: the one
+// normalisation every differential test applies before comparing two
+// evaluations' streams, attribute lookup, and the decoder of what
+// telemetry.SinkJSONL writes.
 package spantest
 
 import (

@@ -1,10 +1,9 @@
 package telemetry
 
 import (
-	"errors"
+	"reflect"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestDeriveTraceID(t *testing.T) {
@@ -114,8 +113,8 @@ func TestRingDropAccounting(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tr.Emit(Span{Name: "s"})
 	}
-	if got := tr.Dropped(); got != 6 {
-		t.Fatalf("Dropped = %d, want 6", got)
+	if tr.dropped != 6 {
+		t.Fatalf("dropped = %d, want 6", tr.dropped)
 	}
 	if got := reg.Snapshot().Counters[MetricSpansDropped]; got != 6 {
 		t.Fatalf("%s = %d, want 6", MetricSpansDropped, got)
@@ -140,39 +139,6 @@ func TestInstrumentDropsBackfill(t *testing.T) {
 	}
 }
 
-// TestDecodeJSONLTornTail: a torn final line (the crash shape for a
-// streamed sink) yields the decoded prefix plus a typed error naming
-// the bad record.
-func TestDecodeJSONLTornTail(t *testing.T) {
-	tr := NewTracer(8)
-	tr.Emit(Span{Name: "a", Wall: time.Millisecond})
-	tr.Emit(Span{Name: "b"})
-	var sb strings.Builder
-	if err := EncodeJSONL(&sb, tr.Spans(0)); err != nil {
-		t.Fatal(err)
-	}
-	whole := sb.String()
-	torn := whole[:len(whole)-7] // cut mid-way through the final record
-
-	spans, err := DecodeJSONL(strings.NewReader(torn))
-	if err == nil {
-		t.Fatal("torn tail must error")
-	}
-	var ce *CorruptTraceError
-	if !errors.As(err, &ce) {
-		t.Fatalf("want *CorruptTraceError, got %T: %v", err, err)
-	}
-	if ce.Record != 2 {
-		t.Fatalf("bad record index %d, want 2", ce.Record)
-	}
-	if len(spans) != 1 || spans[0].Name != "a" {
-		t.Fatalf("intact prefix must be returned: %+v", spans)
-	}
-	if !strings.Contains(err.Error(), "record 2") {
-		t.Fatalf("error must name the record: %v", err)
-	}
-}
-
 func TestUnmarshalSpansJSON(t *testing.T) {
 	tr := NewTracer(8)
 	root := tr.Start("http-invoke", 0)
@@ -186,7 +152,7 @@ func TestUnmarshalSpansJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(spans) != 1 || spans[0].Name != "http-invoke" || spans[0].Attr("service") != "getRating" {
+	if len(spans) != 1 || spans[0].Name != "http-invoke" || !reflect.DeepEqual(spans[0].Attrs, []Attr{{Key: "service", Value: "getRating"}}) {
 		t.Fatalf("round trip: %+v", spans)
 	}
 	if _, err := UnmarshalSpansJSON([]byte("{")); err == nil {
