@@ -19,7 +19,9 @@ vet:
 
 # reach fails on an internal package that no binary and no benchmark
 # workload imports — code only its own tests or an example keep alive.
-# internal/telemetry/spantest is the one test helper.
+# internal/telemetry/spantest is the one test helper. Then it runs the
+# same check one level down (reach_test.go): an exported function or
+# method under internal/ that no non-test file of the module calls.
 reach:
 	@deps=$$($(GO) list -deps ./cmd/... ./benchmark/...) || exit 1; \
 	for p in $$($(GO) list ./internal/...); do \
@@ -28,6 +30,7 @@ reach:
 	done; \
 	if [ -n "$$bad" ]; then exit 1; fi; \
 	echo "reach: ok, every internal package is reached from ./cmd/... or ./benchmark/..."
+	$(GO) test -count=1 -run '^TestExportedFunctionsReached$$' .
 
 # ctxcheck keeps the context chain unbroken: non-test code under internal/
 # and cmd/ takes its context from its caller, so a request that is cancelled
@@ -58,6 +61,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCodecRoundTrip -fuzztime $(FUZZTIME) ./internal/tree/
 	$(GO) test -run '^$$' -fuzz FuzzScanMatchesDecode -fuzztime $(FUZZTIME) ./internal/tree/
 	$(GO) test -run '^$$' -fuzz FuzzProject -fuzztime $(FUZZTIME) ./internal/schema/
+	$(GO) test -run '^$$' -fuzz FuzzSchemaParse -fuzztime $(FUZZTIME) ./internal/schema/
 	$(GO) test -run '^$$' -fuzz FuzzGuideCodecRoundTrip -fuzztime $(FUZZTIME) ./internal/fguide/
 	$(GO) test -run '^$$' -fuzz FuzzManifest -fuzztime $(FUZZTIME) ./internal/repo/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeInvoke -fuzztime $(FUZZTIME) ./internal/soap/

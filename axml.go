@@ -264,7 +264,9 @@ func BuildFGuide(doc *Document) *FGuide { return fguide.Build(doc) }
 type (
 	// HTTPServer serves a registry over HTTP with an XML envelope.
 	HTTPServer = soap.Server
-	// HTTPClient invokes remote AXML service providers.
+	// HTTPClient invokes remote AXML service providers, one HTTP request
+	// per invocation: it classifies faults but never retries them
+	// (Options.Retry is the retry layer).
 	HTTPClient = soap.Client
 	// ServiceInfo describes one remote service.
 	ServiceInfo = soap.ServiceInfo

@@ -183,8 +183,9 @@ type Options struct {
 	// whichever member reaches it first is the miss, so which invoke
 	// span carries the call's virtual cost, and whether a later member
 	// counts as a cache hit or as coalesced, depend on scheduling. The
-	// results, CallsInvoked and VirtualTime still do not. 1 runs batch members sequentially on the
-	// calling goroutine; 0 is unbounded (one worker per batch member).
+	// results, CallsInvoked and VirtualTime still do not. 1 runs batch
+	// members sequentially on the calling goroutine; 0 is unbounded (one
+	// worker per batch member).
 	// A round with a single relevant call always runs inline, whatever
 	// the width. Virtual-clock accounting is unaffected: a batch is
 	// always charged the max, not the sum, of its members' costs.
@@ -192,10 +193,10 @@ type Options struct {
 	// Planner, when set, decides per round how invocation batches
 	// execute: member-to-worker assignment, effective pool width (up to
 	// InvokeWorkers) and whether to ship pushable subqueries per
-	// service. Only batches of two or more calls are shown to it. A planner may only reorder and
-	// resize work — results are identical with and without one (see
-	// internal/plan). Nil keeps the static striped schedule documented
-	// on InvokeWorkers.
+	// service. Only batches of two or more calls are shown to it. A
+	// planner may only reorder and resize work — results are identical
+	// with and without one (see internal/plan). Nil keeps the static
+	// striped schedule documented on InvokeWorkers.
 	Planner InvocationPlanner
 	// RelaxJoins uses the join-free relaxed NFQs of Section 6.1.
 	RelaxJoins bool

@@ -165,7 +165,8 @@ func asProjector(p *schema.Projection) pattern.Projector {
 // of this evaluation could match inside elements carrying it (the
 // disjunction of the per-NFQ projections — the guide serves every NFQ,
 // so only a region dead for all of them may go unindexed; a call the
-// filter drops could never survive retrieve's MatchedCandidates validation).
+// filter drops could never survive retrieve's MatchedCandidates
+// validation).
 // Returns nil (index everything) without typed projection, or when any
 // query's projection is absent or trivial and filtering could lose
 // candidates or buy nothing. base is the first layer's query set under the

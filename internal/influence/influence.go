@@ -32,7 +32,7 @@ type Layer struct {
 // Analysis holds the precomputed influence structure for a set of NFQs.
 type Analysis struct {
 	pos  []*regex.NFA // position language automaton per NFQ
-	may  [][]bool     // may[i][j]: nfqs[i] may influence nfqs[j] (Proposition 3)
+	may  [][]bool     // may[i][j]: NFQ i may influence NFQ j (Proposition 3)
 	lt   [][]bool     // transitive closure of may
 	comp []int        // NFQ index → layer number (topological position)
 

@@ -426,8 +426,8 @@ func (ev *IncrementalEvaluator) streamChildren(v *Node, scope rootScope, yield f
 
 // streamJoin is the join pipeline behind streamChildren, over an explicit
 // requirement list and extending a given partial solution: candidate
-// validation joins only a spine node's off-spine branches, and threads the bindings
-// collected higher up the spine through them.
+// validation joins only a spine node's off-spine branches, and threads
+// the bindings collected higher up the spine through them.
 func (ev *IncrementalEvaluator) streamJoin(reqs []*Node, anchor bool, scope rootScope, from solution, yield func(solution) bool) bool {
 	if len(reqs) == 0 {
 		return yield(from)

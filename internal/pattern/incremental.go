@@ -10,12 +10,12 @@ import (
 // the memo table of (query node, document node) matches, the projection
 // predicate and the per-query caches, and answers both whole-document
 // evaluation (EvalIncremental, MatchedCallsIncremental) and per-candidate
-// validation (MatchedCandidates) off that same table. Used once and dropped it is
-// the from-scratch evaluation behind Eval and MatchedCalls; kept alive it
-// evaluates one pattern repeatedly over a document that changes a little
-// between evaluations — the shape of the engine's NFQA loop, where every
-// round replaces a single call by its result and then re-asks every
-// relevance query. A fresh evaluator recomputes every match each round,
+// validation (MatchedCandidates) off that same table. Used once and
+// dropped it is the from-scratch evaluation behind Eval and MatchedCalls;
+// kept alive it evaluates one pattern repeatedly over a document that
+// changes a little between evaluations — the shape of the engine's NFQA
+// loop, where every round replaces a single call by its result and then
+// re-asks every relevance query. A fresh evaluator recomputes every match each round,
 // so the cost of a round grows with the document; a kept one, on each
 // replacement, redoes only what the mutation can have changed.
 //

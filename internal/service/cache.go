@@ -129,8 +129,8 @@ func NewCache(spec CacheSpec) *Cache {
 }
 
 // Instrument routes the cache's counters through a telemetry registry in
-// addition to CacheStats: axml_cache_{hits,misses,coalesced,expirations}_total
-// plus the axml_cache_entries gauge. Call it before
+// addition to CacheStats: axml_cache_{hits,misses,coalesced,
+// expirations}_total plus the axml_cache_entries gauge. Call it before
 // the cache serves traffic; a nil registry is a no-op.
 func (c *Cache) Instrument(reg *telemetry.Registry) {
 	if reg == nil {

@@ -22,7 +22,7 @@ import (
 // tests reach on purpose, each with its reason. A package path allows
 // every function it declares.
 var reachAllowed = map[string]string{
-	"internal/telemetry/spantest": "test support: span-tree assertions shared by the packages' tests",
+	"internal/telemetry/spantest": "test support: the span-stream helpers the packages' tests share",
 	"internal/repo.NewMemBackend": "the in-memory Backend fake the repository's and the session's tests run on",
 }
 
@@ -40,7 +40,7 @@ func TestExportedFunctionsReached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var module string
+	var module string // the root package's path, the shortest in the module
 	exports := map[string]string{}
 	for _, p := range pkgs {
 		if p.Standard {
