@@ -99,12 +99,13 @@ clismoke:
 
 # loadsmoke replays a small oracle-verified mixed workload through an
 # in-process session server — the serving-layer gate in `make check` —
+# every 10th request a never-seen point query that splices a master,
 # streaming the distributed span trace as JSONL and snapshotting the
 # per-service statistics profiles (both are CI artifacts). Outputs land
 # in the ignored out/ directory, never the repo root.
 loadsmoke:
 	mkdir -p out
-	$(GO) run ./cmd/axmlload -self -clients 8 -requests 160 \
+	$(GO) run ./cmd/axmlload -self -clients 8 -requests 160 -write-every 10 \
 		-trace-out out/loadsmoke_trace.jsonl -stats-out out/loadsmoke_stats.json
 
 # benchsmoke runs every workload of the repo's benchmark (BENCHMARK.json)

@@ -10,12 +10,21 @@
 //	axmlload -self                      # in-process server over loopback
 //	axmlload -url http://host:8080      # a live axmlserver
 //	axmlload -self -clients 500 -requests 5000 -json out/load.json
+//	axmlload -self -write-every 10      # every 10th request a write
 //
 // The oracle is the workload suite evaluated serially by the naive
 // fixpoint on private clones: by completeness invariance (Definition 3)
 // every concurrent shared-evaluator answer must carry the same binding
 // multiset. Against a remote server, pass the server's -hotels value so
 // both sides build the same world (or disable -verify).
+//
+// With -write-every n, every n-th request is a write: a point query never
+// sent before on one of the two hotel documents, asking for the restaurants
+// near one hotel no suite query materialises, so its engine run invokes that
+// hotel's call and splices the master. Each write is verified against one
+// grouped oracle — the naive fixpoint's fully materialised world, its
+// restaurants grouped by hotel — and the writes get their own latency
+// quantiles. Once every such hotel has been asked for, the rest are reads.
 //
 // Under -self, the admission flags and -trace-out configure the
 // in-process server, which axmlserver's serving assembly builds; without
@@ -46,6 +55,7 @@ import (
 	"github.com/activexml/axml/internal/cli"
 	"github.com/activexml/axml/internal/core"
 	"github.com/activexml/axml/internal/pattern"
+	"github.com/activexml/axml/internal/service"
 	"github.com/activexml/axml/internal/session"
 	"github.com/activexml/axml/internal/telemetry"
 	"github.com/activexml/axml/internal/workload"
@@ -68,7 +78,17 @@ type report struct {
 	Config    reportConfig       `json:"config"`
 	Totals    reportTotals       `json:"totals"`
 	Latency   reportLatency      `json:"latency"`
+	Writes    *reportWrites      `json:"writes,omitempty"`
 	Scenarios map[string]*counts `json:"scenarios"`
+}
+
+// reportWrites is what -write-every adds: the writes sent, those answered,
+// and their own latency quantiles.
+type reportWrites struct {
+	Requests int64   `json:"requests"`
+	OK       int64   `json:"ok"`
+	P50Ms    float64 `json:"p50Ms"`
+	P99Ms    float64 `json:"p99Ms"`
 }
 
 type reportConfig struct {
@@ -82,6 +102,7 @@ type reportConfig struct {
 	Verify      bool   `json:"verify"`
 	ShedRetries int    `json:"shedRetries"`
 	Seed        int64  `json:"seed"`
+	WriteEvery  int    `json:"writeEvery,omitempty"`
 }
 
 type reportTotals struct {
@@ -133,6 +154,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		jsonPath  = fs.String("json", "", "write the report as JSON to this file")
 		seed      = fs.Int64("seed", 1, "workload shuffle seed")
 		statsOut  = fs.String("stats-out", "", "write the per-service statistics profile snapshot to this file after the run (self server or a live server's /stats/services)")
+		every     = fs.Int("write-every", 0, "make every n-th request a never-seen point query on a hotel document (0: none)")
 		world     = cli.AddWorld(fs)
 		admission = cli.AddAdmission(fs)
 		trace     = cli.AddTrace(fs)
@@ -193,6 +215,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
+	writes, err := writeJobs(*every, *verify, spec, reg, scenarios, *seed)
+	if err != nil {
+		return fail("%v", err)
+	}
+
 	base := *url
 	var srv *cli.Server
 	closeTrace := func() error { return nil }
@@ -218,6 +245,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	metrics := telemetry.NewRegistry()
 	hist := metrics.Histogram("axmlload_request_seconds")
+	writeHist := metrics.Histogram("axmlload_write_seconds")
 	client := &http.Client{Transport: &http.Transport{
 		MaxIdleConns:        *clients * 2,
 		MaxIdleConnsPerHost: *clients * 2,
@@ -225,6 +253,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	var (
 		next, attempts, ok, shed, gaveUp, errs, verifyFails, memo atomic.Int64
+		writesSent, writesOK                                      atomic.Int64
 		mismatches                                                sync.Mutex
 		mismatchMsgs                                              []string
 	)
@@ -239,13 +268,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		go func() {
 			defer wg.Done()
 			for {
-				if next.Add(1) > int64(*requests) {
+				i := next.Add(1)
+				if i > int64(*requests) {
 					return
 				}
 				j := jobs[rng.Intn(len(jobs))]
 				tenant := "t" + strconv.Itoa(rng.Intn(*tenants))
-				sc := perScenario[j.scenario]
-				sc.Requests.Add(1)
+				var sc *counts
+				write := *every > 0 && i%int64(*every) == 0 && i/int64(*every) <= int64(len(writes))
+				if write {
+					j = writes[i/int64(*every)-1]
+					writesSent.Add(1)
+				} else {
+					sc = perScenario[j.scenario]
+					sc.Requests.Add(1)
+				}
 
 				var resp session.QueryResponse
 				status, err := 0, error(nil)
@@ -258,6 +295,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 					})
 					if status == http.StatusOK {
 						hist.Observe(time.Since(t0))
+						if write {
+							writeHist.Observe(time.Since(t0))
+						}
 						break
 					}
 					if status != http.StatusTooManyRequests {
@@ -278,11 +318,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 					errs.Add(1)
 				case status == http.StatusOK:
 					ok.Add(1)
-					sc.OK.Add(1)
+					if write {
+						writesOK.Add(1)
+					} else {
+						sc.OK.Add(1)
+					}
 					if resp.Memo {
 						memo.Add(1)
 					}
-					if j.oracle != "" && (!resp.Complete || canon(resp.Bindings) != j.oracle) {
+					if *verify && (!resp.Complete || canon(resp.Bindings) != j.oracle) {
 						verifyFails.Add(1)
 						mismatches.Lock()
 						if len(mismatchMsgs) < 5 {
@@ -305,7 +349,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Config: reportConfig{
 			URL: base, SelfHosted: *self, Clients: *clients, Requests: *requests,
 			Tenants: *tenants, Hotels: spec.Hotels, Isolated: *isolated, Verify: *verify,
-			ShedRetries: *retries, Seed: *seed,
+			ShedRetries: *retries, Seed: *seed, WriteEvery: *every,
 		},
 		Totals: reportTotals{
 			Requests: int64(*requests), Attempts: attempts.Load(), OK: ok.Load(),
@@ -323,6 +367,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if rep.Totals.Attempts > 0 {
 		rep.Totals.ShedRate = float64(rep.Totals.Shed) / float64(rep.Totals.Attempts)
 	}
+	if *every > 0 {
+		ws := metrics.Snapshot().Histograms["axmlload_write_seconds"]
+		rep.Writes = &reportWrites{Requests: writesSent.Load(), OK: writesOK.Load(),
+			P50Ms: ms(ws.Quantile(0.50)), P99Ms: ms(ws.Quantile(0.99))}
+	}
 	for _, sc := range perScenario {
 		sc.RequestsOut = sc.Requests.Load()
 		sc.OKOut = sc.OK.Load()
@@ -336,6 +385,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for _, n := range cli.SortedKeys(perScenario) {
 		sc := perScenario[n]
 		fmt.Fprintf(stdout, "  %-12s %6d requests  %6d ok\n", n, sc.RequestsOut, sc.OKOut)
+	}
+	if w := rep.Writes; w != nil {
+		fmt.Fprintf(stdout, "  %-12s %6d requests  %6d ok\n", "writes", w.Requests, w.OK)
+		fmt.Fprintf(stdout, "  writes latency: p50 %.2fms  p99 %.2fms\n", w.P50Ms, w.P99Ms)
 	}
 
 	if *jsonPath != "" {
@@ -373,6 +426,43 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail("%d requests failed", rep.Totals.Errors)
 	}
 	return 0
+}
+
+// writeJobs lists the writes -write-every sends, in a seeded order: per
+// hotel document, the point query of every odd hotel — no suite query
+// materialises those (Best Western is every 4th hotel, the join's matches
+// are even) — each with its answer in the grouped oracle when verifying.
+func writeJobs(every int, verify bool, spec workload.HotelSpec, reg *service.Registry, scenarios []workload.Scenario, seed int64) ([]job, error) {
+	if every == 0 {
+		return nil, nil
+	}
+	var grouped map[string][]map[string]string
+	if verify {
+		// travel and distributed are the same world: one oracle serves both.
+		full := scenarios[0].Doc.Clone()
+		if _, err := core.Evaluate(full, pattern.MustParse(`/hotels`), reg, core.Options{Strategy: core.NaiveFixpoint}); err != nil {
+			return nil, fmt.Errorf("write oracle: %w", err)
+		}
+		grouped = map[string][]map[string]string{}
+		rs, _ := pattern.Eval(full, pattern.MustParse(`/hotels/hotel[name=$N]/nearby//restaurant[name=$X][rating=$R] -> $N, $X, $R`))
+		for _, r := range rs {
+			n := r.Values["N"]
+			grouped[n] = append(grouped[n], map[string]string{"X": r.Values["X"], "R": r.Values["R"]})
+		}
+	}
+	var out []job
+	for _, doc := range []string{"travel", "distributed"} {
+		for k := 1; k < spec.Hotels; k += 2 {
+			j := job{scenario: "writes", document: doc,
+				query: fmt.Sprintf(`/hotels/hotel[name="Hotel-%d"]/nearby//restaurant[name=$X][rating=$R] -> $X, $R`, k)}
+			if verify {
+				j.oracle = canon(grouped[fmt.Sprintf("Hotel-%d", k)])
+			}
+			out = append(out, j)
+		}
+	}
+	rand.New(rand.NewSource(seed)).Shuffle(len(out), func(a, b int) { out[a], out[b] = out[b], out[a] })
+	return out, nil
 }
 
 // writeStats saves the per-service profile snapshot the server — the

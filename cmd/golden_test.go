@@ -87,6 +87,8 @@ func vectors() []vector {
 		q("axmlload", "self-all-flags", "-self", "-clients", "1", "-requests", "20", "-tenants", "2", "-hotels", "6",
 			"-seed", "3", "-json", "$DIR/load.json", "-stats-out", "$DIR/stats.json", "-trace-out", "$DIR/trace.jsonl",
 			"-max-active", "2", "-max-queued", "4", "-invoke-limit", "4", "-retry-after", "1s"),
+		q("axmlload", "write-every", "-self", "-clients", "1", "-requests", "30", "-tenants", "2", "-hotels", "6",
+			"-seed", "3", "-write-every", "5", "-json", "$DIR/load.json"),
 		q("axmlload", "url", "-url", "$STUB", "-clients", "1", "-requests", "6", "-isolated", "-verify=false",
 			"-shed-retries", "1"),
 		q("axmlload", "no-target"),

@@ -29,7 +29,9 @@
 //
 // An evaluation has two halves. Prepare does what depends on the query, the
 // schema and the options alone — validation, satisfiability analysis,
-// relevance-query generation, layering — once per query. An Evaluation is
+// relevance-query generation, layering — once per query shape: Shape lifts
+// the leaf data constants a schema's analysis cannot tell apart, and Bind
+// gives each text of the shape the shared analysis. An Evaluation is
 // a prepared query's engine state over one document: Run evaluates, for as
 // long as its caller's context lasts, and a run that leaves the document
 // complete keeps what it learnt, so the next Run pays only for what was

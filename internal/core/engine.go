@@ -90,7 +90,7 @@ func Evaluate(doc *tree.Document, q *pattern.Pattern, reg *service.Registry, opt
 func (ev *Evaluation) Run(ctx context.Context, reg *service.Registry, opt Options) (*Outcome, error) {
 	opt = normalise(opt)
 	if ev.p != nil {
-		opt = ev.p.bind(opt)
+		opt = ev.p.pin(opt)
 	}
 	e := &engine{Evaluation: ev, ctx: ctx, reg: reg, opt: opt,
 		failed: map[*tree.Node]bool{}, met: resolveMetrics(opt.Metrics)}

@@ -24,9 +24,29 @@ import (
 // for refined NFQs, the service names known to occur. One Prepared serves
 // any number of evaluations, over any documents, concurrently.
 //
+// None of it depends on a leaf data constant that is not an element label of
+// the schema (the satisfiability analysis compares a constant with element
+// labels only), so the analysis is done once per shape (Shape): the
+// Prepared of a shape, bound to one text's constants (Bind), shares the
+// shape's analysis, its memoised sets and their projections — a projection
+// is a predicate over query-node IDs, which binding keeps — and instantiates
+// each set it is asked for once, by substitution, keeping the instance so
+// that the evaluators kept for its query objects keep answering.
+//
 // It reads the Strategy, Schema, SchemaMode, NoProject, Layering,
 // RelaxJoins and Push options; the rest of Options belongs to a run.
 type Prepared struct {
+	*shape
+	q    *pattern.Pattern // the text's query: the shape's own, or the shape bound to args
+	args []string         // the text's lifted constants; nil when q is the shape's own query
+
+	imu  sync.Mutex
+	inst map[setKey][]*rewrite.NFQ     // the shape's sets instantiated, by the shape's key; unused when args is nil
+	from map[*rewrite.NFQ]*rewrite.NFQ // an instantiated query object → the shape's it was made from
+}
+
+// shape is the analysis a Prepared shares with every text bound to it.
+type shape struct {
 	q   *pattern.Pattern
 	opt Options // normalised; only the fields listed above are read
 
@@ -88,12 +108,34 @@ func normalise(opt Options) Options {
 	return opt
 }
 
+// Shape returns the shape of q under sch and the constants it lifted
+// (pattern.Lift): every leaf data constant that is not an element label of
+// sch is a parameter. Prepare(shape).Bind(args) evaluates like Prepare(q).
+// Without a schema q is its own shape.
+func Shape(q *pattern.Pattern, sch *schema.Schema) (shape *pattern.Pattern, args []string) {
+	if sch == nil {
+		return q, nil
+	}
+	return q.Lift(func(label string) bool { return !sch.IsElement(label) })
+}
+
+// Bind returns the prepared text of p's shape whose lifted constants are
+// args (Shape): it shares p's analysis, and a Prepare of the text would
+// evaluate exactly like it. With no args it is p.
+func (p *Prepared) Bind(args []string) *Prepared {
+	if len(args) == 0 {
+		return p
+	}
+	return &Prepared{shape: p.shape, q: p.shape.q.Bind(args), args: args,
+		inst: map[setKey][]*rewrite.NFQ{}, from: map[*rewrite.NFQ]*rewrite.NFQ{}}
+}
+
 func prepare(q *pattern.Pattern, opt Options) (*Prepared, error) {
-	p := &Prepared{q: q, opt: opt,
+	p := &shape{q: q, opt: opt,
 		sets: map[setKey][]*rewrite.NFQ{}, projs: map[*rewrite.NFQ]*schema.Projection{}}
 	switch opt.Strategy {
 	case NaiveFixpoint:
-		return p, nil
+		return &Prepared{shape: p, q: q}, nil
 	case TopDownEager, LazyLPQ, LazyNFQ:
 	case LazyNFQTyped:
 		if opt.Schema == nil {
@@ -135,12 +177,12 @@ func prepare(q *pattern.Pattern, opt Options) (*Prepared, error) {
 			done[p.skeleton[m].For.ID] = true
 		}
 	}
-	return p, nil
+	return &Prepared{shape: p, q: q}, nil
 }
 
 // lpqBased reports that relevance is positional only: the query objects
 // depend on nothing but the user query.
-func (p *Prepared) lpqBased() bool {
+func (p *shape) lpqBased() bool {
 	return p.opt.Strategy == TopDownEager || p.opt.Strategy == LazyLPQ
 }
 
@@ -150,12 +192,35 @@ func (p *Prepared) lpqBased() bool {
 // member index, so the layers' indices stay valid across regenerations.
 // Done positions are only used to simplify OR/() branches inside the
 // queries (Section 4.3): queries for done nodes are still present but
-// belong to finished layers and are never evaluated again.
+// belong to finished layers and are never evaluated again. A bound text
+// gets the shape's set instantiated, once, and the same objects after.
 func (p *Prepared) queries(li int, known map[string]bool) (set []*rewrite.NFQ, built time.Duration, err error) {
-	if p.lpqBased() {
-		return p.skeleton, 0, nil
+	set, key, built, err := p.shape.queries(li, known)
+	if err != nil || p.args == nil {
+		return set, built, err
 	}
-	key := setKey{layer: li}
+	p.imu.Lock()
+	defer p.imu.Unlock()
+	if inst, ok := p.inst[key]; ok {
+		return inst, built, nil
+	}
+	t0 := time.Now()
+	inst := make([]*rewrite.NFQ, len(set))
+	for i, nfq := range set {
+		inst[i] = nfq.Bind(p.q, p.args)
+		p.from[inst[i]] = nfq
+	}
+	p.inst[key] = inst
+	return inst, built + time.Since(t0), nil
+}
+
+// queries returns the shape's set for layer li and the names known, and the
+// key it is memoised under.
+func (p *shape) queries(li int, known map[string]bool) (set []*rewrite.NFQ, key setKey, built time.Duration, err error) {
+	if p.lpqBased() {
+		return p.skeleton, setKey{layer: -1}, 0, nil
+	}
+	key.layer = li
 	var names []string
 	if p.an != nil {
 		names = sortedNames(known)
@@ -164,18 +229,18 @@ func (p *Prepared) queries(li int, known map[string]bool) (set []*rewrite.NFQ, b
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if set, ok := p.sets[key]; ok {
-		return set, 0, nil
+		return set, key, 0, nil
 	}
 	t0 := time.Now()
 	if set, err = p.build(p.done[li], names); err != nil {
-		return nil, 0, err
+		return nil, key, 0, err
 	}
 	p.sets[key] = set
-	return set, time.Since(t0), nil
+	return set, key, time.Since(t0), nil
 }
 
 // build generates one relevance-query set.
-func (p *Prepared) build(done map[int]bool, names []string) ([]*rewrite.NFQ, error) {
+func (p *shape) build(done map[int]bool, names []string) ([]*rewrite.NFQ, error) {
 	if p.lpqBased() {
 		return p.lpqSet()
 	}
@@ -207,7 +272,7 @@ func (p *Prepared) build(done map[int]bool, names []string) ([]*rewrite.NFQ, err
 // lpqSet builds the minimized LPQ family. Minimization (containment-based
 // redundancy elimination, Section 4.1) is skipped when pushing, since the
 // subsumed finer queries carry more precise subqueries to push.
-func (p *Prepared) lpqSet() ([]*rewrite.NFQ, error) {
+func (p *shape) lpqSet() ([]*rewrite.NFQ, error) {
 	var out []*rewrite.NFQ
 	for _, v := range p.q.Nodes() {
 		if v.Kind == pattern.Root {
@@ -229,10 +294,15 @@ func (p *Prepared) lpqSet() ([]*rewrite.NFQ, error) {
 // predicate for one relevance query, or nil when the evaluation does not
 // project. Construction runs the per-query satisfiability fixpoint; built
 // reports its cost, 0 on a memo hit. The predicate lives as long as the
-// query object it was derived from.
+// shape's query object it was derived from, and serves its instances.
 func (p *Prepared) projection(nfq *rewrite.NFQ) (proj *schema.Projection, built time.Duration) {
 	if p.userProj == nil {
 		return nil, 0
+	}
+	if p.args != nil {
+		p.imu.Lock()
+		nfq = p.from[nfq]
+		p.imu.Unlock()
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -247,7 +317,7 @@ func (p *Prepared) projection(nfq *rewrite.NFQ) (proj *schema.Projection, built 
 }
 
 // bill returns Prepare's cost the first time it is asked.
-func (p *Prepared) bill() time.Duration {
+func (p *shape) bill() time.Duration {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	d := p.unbilled
@@ -255,8 +325,8 @@ func (p *Prepared) bill() time.Duration {
 	return d
 }
 
-// bind makes a run's options agree with the ones p was prepared under.
-func (p *Prepared) bind(opt Options) Options {
+// pin makes a run's options agree with the ones p was prepared under.
+func (p *shape) pin(opt Options) Options {
 	opt.Strategy, opt.Schema, opt.SchemaMode, opt.NoProject = p.opt.Strategy, p.opt.Schema, p.opt.SchemaMode, p.opt.NoProject
 	opt.Layering, opt.RelaxJoins, opt.Push = p.opt.Layering, p.opt.RelaxJoins, p.opt.Push
 	return opt

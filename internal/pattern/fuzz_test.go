@@ -11,6 +11,8 @@ import (
 //  2. Rendering is canonical: String of a parsed pattern re-parses (via
 //     ParseExact, the wire entry point), and re-rendering is a fixed
 //     point. Pushed-subquery fingerprints rely on exactly this identity.
+//  3. A shape binds back to the pattern it was lifted from (Lift, Bind),
+//     whichever constants are lifted.
 func FuzzParse(f *testing.F) {
 	for _, seed := range []string{
 		// Figure 4 of the paper, as doc/QUERYLANG.md writes it.
@@ -43,6 +45,11 @@ func FuzzParse(f *testing.F) {
 		if again := q.String(); again != canon {
 			t.Fatalf("rendering is not a fixed point:\n input %q\n canon %q\n again %q",
 				input, canon, again)
+		}
+		shape, args := p.Lift(func(label string) bool { return len(label)%2 == 0 })
+		if got := shape.Bind(args).String(); got != canon {
+			t.Fatalf("a shape does not bind back:\n input %q\n canon %q\n shape %q %q\n bound %q",
+				input, canon, shape.String(), args, got)
 		}
 		// The exact parser must agree with itself as well.
 		if _, err := ParseExact(input); err == nil {

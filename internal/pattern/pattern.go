@@ -13,6 +13,7 @@ package pattern
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"github.com/activexml/axml/internal/regex"
@@ -101,9 +102,15 @@ func (n *Node) Add(child *Node) *Node {
 
 // clone deep-copies the subtree rooted at n; the copy is detached.
 func (n *Node) clone() *Node {
-	c := &Node{Kind: n.Kind, Label: n.Label, Edge: n.Edge, Result: n.Result}
+	return n.relabelled(func(n *Node) string { return n.Label })
+}
+
+// relabelled deep-copies the subtree rooted at n with each node's label
+// given by label; the copy is detached.
+func (n *Node) relabelled(label func(*Node) string) *Node {
+	c := &Node{Kind: n.Kind, Label: label(n), Edge: n.Edge, Result: n.Result}
 	for _, ch := range n.Children {
-		c.Add(ch.clone())
+		c.Add(ch.relabelled(label))
 	}
 	return c
 }
@@ -154,6 +161,73 @@ func (p *Pattern) Reindex() {
 // Clone returns an independent deep copy of the pattern.
 func (p *Pattern) Clone() *Pattern {
 	return NewPattern(p.root.clone())
+}
+
+// paramPrefix begins the label of a shape's parameter (see Lift); no label
+// a shape keeps begins with it.
+const paramPrefix = "\x00"
+
+// param returns the index of the parameter a Const label stands for.
+func param(label string) (int, bool) {
+	rest, ok := strings.CutPrefix(label, paramPrefix)
+	if !ok {
+		return 0, false
+	}
+	i, err := strconv.Atoi(rest)
+	return i, err == nil
+}
+
+// Lift returns the shape of p and the constants it lifted: a copy in which
+// every leaf Const node whose label lift accepts is a positional parameter,
+// args[i] being parameter i's label. Equal labels share one parameter, so
+// the shape also fixes which of its constants are equal. The copy keeps
+// every node ID. A pattern lifts nothing, and is its own shape, when one of
+// the labels it keeps begins like a parameter's or lift refuses a
+// parameter's own label.
+func (p *Pattern) Lift(lift func(label string) bool) (shape *Pattern, args []string) {
+	index := map[string]int{}
+	for _, n := range p.nodes {
+		if n.Kind != Const {
+			continue
+		}
+		if len(n.Children) == 0 && lift(n.Label) {
+			if _, ok := index[n.Label]; !ok {
+				index[n.Label] = len(args)
+				args = append(args, n.Label)
+			}
+		} else if strings.HasPrefix(n.Label, paramPrefix) {
+			return p, nil
+		}
+	}
+	if len(args) == 0 {
+		return p, nil
+	}
+	for i := range args {
+		if !lift(paramPrefix + strconv.Itoa(i)) {
+			return p, nil
+		}
+	}
+	return NewPattern(p.root.relabelled(func(n *Node) string {
+		if n.Kind == Const && len(n.Children) == 0 {
+			if i, ok := index[n.Label]; ok {
+				return paramPrefix + strconv.Itoa(i)
+			}
+		}
+		return n.Label
+	})), args
+}
+
+// Bind returns a copy of p, a shape (see Lift) or a query generated from
+// one, with parameter i replaced by args[i]. The copy keeps every node ID.
+func (p *Pattern) Bind(args []string) *Pattern {
+	return NewPattern(p.root.relabelled(func(n *Node) string {
+		if n.Kind == Const {
+			if i, ok := param(n.Label); ok && i < len(args) {
+				return args[i]
+			}
+		}
+		return n.Label
+	}))
 }
 
 // ResultNodes returns the result nodes of the pattern, in pre-order.

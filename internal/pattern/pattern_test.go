@@ -554,3 +554,51 @@ func randomPattern(seed int64) *Pattern {
 	root.Add(build(2, edge))
 	return NewPattern(root)
 }
+
+// TestLiftAndBind pins the shape of a query: Lift turns the leaf constants
+// it is allowed to into parameters — one per distinct label, so equal
+// constants share one — keeps every other label and every node ID, and Bind
+// gives back the query it was lifted from. A query that keeps a label
+// beginning like a parameter's, or whose parameters' own labels lift would
+// keep, lifts nothing.
+func TestLiftAndBind(t *testing.T) {
+	elements := map[string]bool{"hotels": true, "hotel": true, "name": true, "rating": true}
+	lift := func(label string) bool { return !elements[label] }
+	q := MustParse(figure4)
+	shape, args := q.Lift(lift)
+	if want := []string{"Best Western", "*****"}; strings.Join(args, "|") != strings.Join(want, "|") {
+		t.Fatalf("lifted %q, want %q", args, want)
+	}
+	if shape == q || len(shape.Nodes()) != len(q.Nodes()) {
+		t.Fatalf("shape %s of %s", shape, q)
+	}
+	for i, n := range shape.Nodes() {
+		if orig := q.Node(i); n.Kind != orig.Kind || n.Edge != orig.Edge || n.Result != orig.Result {
+			t.Fatalf("node %d changed: %+v from %+v", i, n, orig)
+		}
+	}
+	if got := shape.Bind(args).String(); got != q.String() {
+		t.Fatalf("Bind(Lift(q)) = %s, want %s", got, q)
+	}
+	other := MustParse(`/hotels/hotel[name="Ibis"][rating="**"]/nearby//restaurant[rating="**"][name=$X][address=$Y] -> $X, $Y`)
+	if s, a := other.Lift(lift); s.String() != shape.String() || strings.Join(a, "|") != "Ibis|**" {
+		t.Fatalf("a query of the same shape lifts to %s %q", s, a)
+	}
+	differ := MustParse(`/hotels/hotel[name="Ibis"][rating="**"]/nearby//restaurant[rating="***"][name=$X][address=$Y] -> $X, $Y`)
+	if s, _ := differ.Lift(lift); s.String() == shape.String() {
+		t.Fatalf("constants that differ share the shape of equal ones: %s", s)
+	}
+	if s, a := MustParse(`/hotels/hotel[name="name"]/rating/$R -> $R`).Lift(lift); len(a) != 0 || !strings.Contains(s.String(), `[name/name]`) {
+		t.Fatalf("an element label lifted: %s %q", s, a)
+	}
+	for _, src := range []string{"/hotels/hotel[\"\x001\"/name]/rating[\"x\"]", `/hotels/hotel[name="x"]`} {
+		q := MustParse(src)
+		refuse := lift
+		if !strings.Contains(src, "\x00") {
+			refuse = func(label string) bool { return !strings.HasPrefix(label, paramPrefix) }
+		}
+		if s, a := q.Lift(refuse); s != q || a != nil {
+			t.Fatalf("%q lifted to %s %q, want itself", src, s, a)
+		}
+	}
+}

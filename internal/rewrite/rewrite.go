@@ -215,6 +215,16 @@ func relaxLabel(n *pattern.Node, opt Options) string {
 	return n.Label
 }
 
+// Bind instantiates an NFQ generated from a shape (pattern.Lift) for the
+// query q = shape.Bind(args): the generated query with its parameters
+// replaced by args, targeting q's node of the same ID. Node IDs are kept,
+// so whatever was derived from n by node ID — its projection, its layer,
+// its output-side pruning — holds for the result too.
+func (n *NFQ) Bind(q *pattern.Pattern, args []string) *NFQ {
+	query := n.Query.Bind(args)
+	return &NFQ{For: q.Node(n.For.ID), Query: query, Out: query.Node(n.Out.ID), Lin: n.Lin, DescTail: n.DescTail}
+}
+
 // SatisfiesOut reports whether a call to the named service can actually
 // produce data matched by the subquery this NFQ stands for — the
 // output-side pruning of Section 5. Untyped NFQs accept everything.

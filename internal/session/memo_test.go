@@ -333,7 +333,8 @@ func flatWorld() *tree.Document {
 }
 
 // TestHotQueryStateIsBounded sends a document more distinct query texts
-// than it may remember: the map stays within maxHotQueries, a hot query
+// than it may remember — each a shape of its own, the document having no
+// schema: the map and the manager's shapes stay within maxHotQueries, a hot query
 // asked throughout keeps being answered from its stored answer, a text
 // that finds every remembered answer hot is answered without displacing
 // one, and once the master changes the stale texts are the first to go.
@@ -357,6 +358,9 @@ func TestHotQueryStateIsBounded(t *testing.T) {
 		ask(fmt.Sprintf(`/r/k%d/$V -> $V`, i))
 		if n := len(remembered(e)); n > maxHotQueries {
 			t.Fatalf("after %d distinct queries the document remembers %d texts, cap %d", i+1, n, maxHotQueries)
+		}
+		if n := m.Stats().Shapes; n > maxHotQueries {
+			t.Fatalf("after %d distinct shapes the manager keeps %d, cap %d", i+1, n, maxHotQueries)
 		}
 		if i%50 == 0 {
 			if res := ask(hot); !res.Memo || len(res.Bindings) != 1 {
@@ -383,6 +387,9 @@ func TestHotQueryStateIsBounded(t *testing.T) {
 	ask(`/r/after/$V -> $V`)
 	if n := len(remembered(e)); n != 1 {
 		t.Fatalf("a full map of stale answers kept %d texts beside the new one, want 1 in all", n)
+	}
+	if n := m.Stats().Shapes; n != 1 {
+		t.Fatalf("the sweep left one text and %d shapes, want 1", n)
 	}
 }
 

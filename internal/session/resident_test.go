@@ -778,3 +778,64 @@ func TestStatsResidentRows(t *testing.T) {
 		t.Fatalf("%d resident rows once the resident texts are evicted", n)
 	}
 }
+
+// TestShapeSharedWritesMatchOracle runs 200 point-query writes — never-seen
+// texts of one shape, on the two hotel documents that share a schema, so
+// all but the first are bound to the shape's shared analysis — each
+// followed by a hot read of a suite query. Every write must invoke a call
+// and answer what one grouped evaluation over the fully materialised world
+// says of its hotel; every read must answer what the serial oracle says.
+func TestShapeSharedWritesMatchOracle(t *testing.T) {
+	spec := suiteSpec()
+	spec.Hotels, spec.HiddenHotels = 200, 40
+	engine := core.Options{Strategy: core.LazyNFQ, Incremental: true}
+	metrics := telemetry.NewRegistry()
+	m, scenarios, reg := newSuiteManager(t, Config{Engine: engine, Metrics: metrics}, spec)
+	oracle := serialOracle(t, reg, scenarios, engine)
+
+	full := scenarios[0].Doc.Clone()
+	if _, err := core.Evaluate(full, pattern.MustParse(`/hotels`), reg, core.Options{Strategy: core.NaiveFixpoint}); err != nil {
+		t.Fatal(err)
+	}
+	grouped := map[string][]tree.Binding{}
+	rs, _ := pattern.Eval(full, pattern.MustParse(`/hotels/hotel[name=$N]/nearby//restaurant[name=$X][rating=$R] -> $N, $X, $R`))
+	for _, r := range rs {
+		n := r.Values["N"]
+		grouped[n] = append(grouped[n], tree.Binding{"X": r.Values["X"], "R": r.Values["R"]})
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	ask := func(doc, q string) *Result {
+		t.Helper()
+		res, err := m.Query(context.Background(), Request{Document: doc, Query: q})
+		if err != nil {
+			t.Fatalf("%s %q: %v", doc, q, err)
+		}
+		if !res.Complete {
+			t.Fatalf("%s %q: incomplete", doc, q)
+		}
+		return res
+	}
+	writes := 0
+	for k := 1; writes < 200; k += 2 { // odd hotels: no hot query materialises them
+		for _, doc := range []string{"travel", "distributed"} {
+			res := ask(doc, pointQuery(k))
+			if want := canon(grouped[fmt.Sprintf("Hotel-%d", k)]); res.Stats.CallsInvoked == 0 || canon(res.Bindings) != want {
+				t.Fatalf("write %d (%s, Hotel-%d): %d calls invoked, answer\n %s\nwant\n %s",
+					writes, doc, k, res.Stats.CallsInvoked, canon(res.Bindings), want)
+			}
+			writes++
+			sc := scenarios[rng.Intn(len(scenarios))]
+			q := sc.Queries[rng.Intn(len(sc.Queries))]
+			if got, want := canon(ask(sc.Name, q).Bindings), oracle[sc.Name+"|"+q]; got != want {
+				t.Fatalf("after write %d, %s %q:\n got %s\nwant %s", writes, sc.Name, q, got, want)
+			}
+		}
+	}
+	if n := metrics.Counter(telemetry.MetricSessionsShapeReused).Value(); n < int64(writes-1) {
+		t.Fatalf("%d writes of one shape, %s = %d", writes, telemetry.MetricSessionsShapeReused, n)
+	}
+	if n := m.Stats().Shapes; n > 1+len(oracle) {
+		t.Fatalf("%d shapes for one write shape and %d suite texts", n, len(oracle))
+	}
+}

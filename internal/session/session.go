@@ -23,7 +23,11 @@
 // When the master does change, what a hot query pays is the change. Every
 // resident master keeps a synced F-guide and every shared-mode run detects
 // through it, so relevance detection costs the candidates, not the
-// document. A text's analysis (core.Prepare) is done once. And a text whose
+// document. The static analysis (core.Prepare) is done once per query shape
+// (core.Shape: the text with its leaf data constants lifted to parameters),
+// shared by every text of that shape on every document with the same schema
+// and bound to each text's constants — so a never-seen point query, a write,
+// analyses nothing that an earlier one of its form did. And a text whose
 // stored answer has been read is resident: the engine state of its last
 // complete run (core.Evaluation) stays with it, and its next engine run
 // reads the splices other queries made since from the master's own splice
@@ -177,8 +181,9 @@ type Result struct {
 	// Queued is the time spent waiting for admission.
 	Queued time.Duration
 	// Elapsed is the time from admission to the answer: the document's
-	// lookup (a repository load on first use), the text's analysis on first
-	// sight, any wait for the entry lock, and the evaluation.
+	// lookup (a repository load on first use), the text's parse and binding on
+	// first sight (and its shape's analysis, when no remembered text has it),
+	// any wait for the entry lock, and the evaluation.
 	Elapsed time.Duration
 
 	// answer is the stored answer Bindings came from — a memo answer's, or
@@ -205,6 +210,9 @@ type Stats struct {
 	// answer is replaced or evicted. An engine run whose answer is, row for
 	// row, the one stored before it keeps that encoding: it is counted once.
 	AnswerBytes int64
+	// Shapes counts the query shapes whose analysis the manager keeps
+	// (core.Shape): one per (schema, shape) that some remembered text uses.
+	Shapes int
 	// ResidentRows counts the rows the resident evaluations of hot texts
 	// keep in their pattern evaluators' memos, as of the end of each text's
 	// last engine run; ResidentBytes estimates their size at 128 bytes a
@@ -240,6 +248,7 @@ type Manager struct {
 	mu      sync.Mutex // guards entries and tenants maps
 	entries map[string]*entry
 	tenants map[string]*TenantStats
+	shapes  *shapes
 
 	served  atomic.Int64
 	memo    atomic.Int64
@@ -319,15 +328,84 @@ func (a *answer) drop() {
 	}
 }
 
+// shapeKey names one shared analysis: a query shape (core.Shape) under a
+// schema.
+type shapeKey struct {
+	schema *schema.Schema
+	shape  string // the shape's canonical text
+}
+
+// shape is one query shape analysed under the engine template, shared by
+// every remembered text of that shape on every document with its schema.
+type shape struct {
+	key      shapeKey
+	prepared *core.Prepared
+	refs     int // the texts using it; guarded by shapes.mu
+}
+
+// shapes is the manager's table of shared analyses. A shape stays while a
+// remembered text uses it: the sweep that forgets the last such text drops
+// it, so the table is bounded by the texts the documents remember.
+type shapes struct {
+	mu     sync.Mutex // taken after an entry's locks
+	byKey  map[shapeKey]*shape
+	reused *telemetry.Counter
+}
+
+// acquire returns the shape of q, a shape under sch, counting one more text
+// that uses it. The first text of a shape analyses it, outside the lock.
+func (t *shapes) acquire(q *pattern.Pattern, sch *schema.Schema, opt core.Options) (*shape, error) {
+	k := shapeKey{sch, q.String()}
+	t.mu.Lock()
+	s := t.byKey[k]
+	if s != nil {
+		s.refs++
+	}
+	t.mu.Unlock()
+	if s != nil {
+		t.reused.Inc()
+		return s, nil
+	}
+	p, err := core.Prepare(q, opt)
+	if err != nil {
+		return nil, err
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if s = t.byKey[k]; s == nil { // else another first sight of the shape won
+		s = &shape{key: k, prepared: p}
+		t.byKey[k] = s
+	}
+	s.refs++
+	return s, nil
+}
+
+// release counts one text fewer using s, and drops s when none is left.
+func (t *shapes) release(s *shape) {
+	t.mu.Lock()
+	if s.refs--; s.refs == 0 {
+		delete(t.byKey, s.key)
+	}
+	t.mu.Unlock()
+}
+
+// len returns the number of shapes kept.
+func (t *shapes) len() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.byKey)
+}
+
 // hotQuery is what a document keeps per query text: the query parsed and
-// analysed (immutable, one instance serves every session, shared and
-// isolated), the stored answer (read without a lock, replaced under the
-// entry's write lock; nil while none is), whether a query has read that
-// answer since the last eviction sweep, and — for a text that has — the
-// engine state of its last complete run.
+// bound to its shape's analysis (immutable, one instance serves every
+// session, shared and isolated), the stored answer (read without a lock,
+// replaced under the entry's write lock; nil while none is), whether a query
+// has read that answer since the last eviction sweep, and — for a text that
+// has — the engine state of its last complete run.
 type hotQuery struct {
 	prepared *core.Prepared
-	kept     bool // remembered in the entry's queries; a text that is not stores no answer
+	shape    *shape // whose refs count the text while it is remembered
+	kept     bool   // remembered in the entry's queries; a text that is not stores no answer
 	answer   atomic.Pointer[answer]
 	used     atomic.Bool
 	// resident is the evaluation the next engine run of this text resumes
@@ -345,6 +423,7 @@ type hotQuery struct {
 type entry struct {
 	name   string
 	schema *schema.Schema
+	shapes *shapes // the manager's
 
 	mu     sync.RWMutex // write: engine run on the master; read: clone for isolated mode, Drain
 	master *tree.Document
@@ -365,8 +444,8 @@ type entry struct {
 	residentRows atomic.Int64
 }
 
-func newEntry(name string, doc *tree.Document, sch *schema.Schema, guide *fguide.Guide) *entry {
-	return &entry{name: name, schema: sch, master: doc, guide: guide, queries: map[string]*hotQuery{}}
+func (m *Manager) newEntry(name string, doc *tree.Document, sch *schema.Schema, guide *fguide.Guide) *entry {
+	return &entry{name: name, schema: sch, shapes: m.shapes, master: doc, guide: guide, queries: map[string]*hotQuery{}}
 }
 
 // NewManager builds a Manager. The registry is used as given — compose
@@ -399,6 +478,7 @@ func NewManager(cfg Config) *Manager {
 		abort:   abort,
 		entries: map[string]*entry{},
 		tenants: map[string]*TenantStats{},
+		shapes:  &shapes{byKey: map[shapeKey]*shape{}, reused: cfg.Metrics.Counter(telemetry.MetricSessionsShapeReused)},
 
 		mSessions:  cfg.Metrics.Counter(telemetry.MetricSessionsTotal),
 		mActive:    cfg.Metrics.Gauge(telemetry.MetricSessionsActive),
@@ -427,7 +507,7 @@ func (m *Manager) AddDocument(name string, doc *tree.Document, sch *schema.Schem
 	// Build the master's guide once at registration; every shared run
 	// then opens warm and keeps it patched, so the engine never rebuilds
 	// it.
-	e := newEntry(name, doc, sch, fguide.Build(doc))
+	e := m.newEntry(name, doc, sch, fguide.Build(doc))
 	m.cfg.Metrics.Counter(telemetry.MetricGuideBuilds).Inc()
 	m.mu.Lock()
 	m.entries[name] = e
@@ -480,7 +560,7 @@ func (m *Manager) lookup(name string) (*entry, error) {
 	if again := m.entries[name]; again != nil { // lost the load race
 		return again, nil
 	}
-	e = newEntry(name, o.Doc, o.Schema, o.Guide)
+	e = m.newEntry(name, o.Doc, o.Schema, o.Guide)
 	m.entries[name] = e
 	return e, nil
 }
@@ -551,10 +631,11 @@ func (m *Manager) Query(ctx context.Context, req Request) (*Result, error) {
 	return res, nil
 }
 
-// hot returns document e's state for query text src, parsing it,
-// analysing it for evaluation under the engine template and remembering it
-// on first sight: analysis is paid once per text. It waits for an engine
-// run only when the map is full: evict reads resident state, which runs own.
+// hot returns document e's state for query text src, parsing it, binding
+// it to its shape's analysis under the engine template and remembering it
+// on first sight: analysis is paid once per shape, by the first text of it
+// any document with e's schema sees. It waits for an engine run only when
+// the map is full: evict reads resident state, which runs own.
 func (m *Manager) hot(e *entry, src string) (*hotQuery, error) {
 	e.qmu.Lock()
 	h := e.queries[src]
@@ -566,10 +647,12 @@ func (m *Manager) hot(e *entry, src string) (*hotQuery, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := core.Prepare(q, m.cfg.Engine.WithSchema(e.schema))
+	sq, args := core.Shape(q, e.schema)
+	s, err := e.shapes.acquire(sq, e.schema, m.cfg.Engine.WithSchema(e.schema))
 	if err != nil {
 		return nil, err
 	}
+	h = &hotQuery{prepared: s.prepared.Bind(args), shape: s}
 	e.qmu.Lock()
 	if len(e.queries) >= maxHotQueries {
 		e.qmu.Unlock()
@@ -578,22 +661,24 @@ func (m *Manager) hot(e *entry, src string) (*hotQuery, error) {
 		e.qmu.Lock()
 	}
 	defer e.qmu.Unlock()
-	if h := e.queries[src]; h != nil {
-		return h, nil
+	if again := e.queries[src]; again != nil {
+		e.shapes.release(s)
+		return again, nil
 	}
 	if len(e.queries) >= maxHotQueries { // then e.mu is held: the map cannot grow under qmu alone
 		e.evict()
 	}
-	h = &hotQuery{prepared: p}
 	if len(e.queries) < maxHotQueries { // else every remembered text is hot, and this one is not kept
 		e.queries[src] = h
 		h.kept = true
+	} else {
+		e.shapes.release(s)
 	}
 	return h, nil
 }
 
 // evict makes room in a full e.queries, cheapest loss first: a stale or
-// absent answer without resident state costs a parse and an analysis to see
+// absent answer without resident state costs a parse and a binding to see
 // again, a fresh one no query has read since the last sweep an engine run
 // that invokes nothing. Answers read since then stay, whatever arrives.
 // Resident state goes with its text. Caller holds e.mu for writing and e.qmu.
@@ -613,13 +698,15 @@ func (e *entry) evict() {
 	}
 }
 
-// forget drops text src and its stored answer. Caller holds e.mu for
-// writing and e.qmu. A reader that loaded the answer before may still send it.
+// forget drops text src, its stored answer and its use of its shape. Caller
+// holds e.mu for writing and e.qmu. A reader that loaded the answer before
+// may still send it.
 func (e *entry) forget(src string, h *hotQuery) {
 	if a := h.answer.Load(); a != nil {
 		a.drop()
 	}
 	e.residentRows.Add(-h.rows)
+	e.shapes.release(h.shape)
 	delete(e.queries, src)
 }
 
@@ -829,6 +916,7 @@ func (m *Manager) Stats() Stats {
 		Shed:          m.shed.Load(),
 		Memo:          m.memo.Load(),
 		Resumed:       m.resumed.Load(),
+		Shapes:        m.shapes.len(),
 		AnswerBytes:   held,
 		ResidentRows:  rows,
 		ResidentBytes: rows * residentRowBytes,

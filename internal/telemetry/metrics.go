@@ -59,6 +59,7 @@ const (
 	MetricSessionsShed        = "axml_sessions_shed_total"
 	MetricSessionsMemo        = "axml_sessions_memo_total"
 	MetricSessionsResumed     = "axml_sessions_resumed_total"
+	MetricSessionsShapeReused = "axml_sessions_shape_reused_total"
 	MetricSessionsCancelled   = "axml_sessions_cancelled_total"
 	MetricSessionSeconds      = "axml_session_seconds"
 	MetricSessionQueueSeconds = "axml_session_queue_seconds"
