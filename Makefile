@@ -67,6 +67,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeInvoke -fuzztime $(FUZZTIME) ./internal/soap/
 	$(GO) test -run '^$$' -fuzz FuzzSplitTrailingTrace -fuzztime $(FUZZTIME) ./internal/soap/
 	$(GO) test -run '^$$' -fuzz FuzzQueryResponseWire -fuzztime $(FUZZTIME) ./internal/session/
+	$(GO) test -run '^$$' -fuzz FuzzQueryRequest -fuzztime $(FUZZTIME) ./internal/session/
 
 # bench rewrites the tracked perf record, BENCH_WORKLOADS.json: what a
 # request costs end to end and layer by layer, the five BENCHMARK.json

@@ -25,7 +25,10 @@
 // strategy's rule (every pending call, the first relevant member's, or the
 // union of a layer's members'), plan applies the one budget rule and
 // schedules the batch, invoke runs the calls from data of their own, and
-// apply splices the responses in member order and does the accounting.
+// apply splices the responses in member order and does the accounting. A
+// run holds its document's lock (Shared) for reading from detect to plan
+// and for its result, not at all while it invokes, and exclusively in
+// apply, so the runs of several evaluations over one document overlap.
 //
 // An evaluation has two halves. Prepare does what depends on the query, the
 // schema and the options alone — validation, satisfiability analysis,
@@ -464,4 +467,8 @@ type Outcome struct {
 	Failures []CallFailure
 	// Stats is the evaluation accounting.
 	Stats Stats
+	// Version is the document's version in the hold the result was
+	// evaluated in: Results is the full result of the document at that
+	// version (see Shared).
+	Version uint64
 }

@@ -87,10 +87,18 @@ func Evaluate(doc *tree.Document, q *pattern.Pattern, reg *service.Registry, opt
 // returns ctx.Err() — never retried, never a CallFailure, never an
 // incomplete Outcome. When ctx carries opt's tracer (the soap server's
 // per-request one) the evaluate span nests under the span it names.
+//
+// The run holds the document through the evaluation's Shared: for reading
+// while it detects, plans and evaluates its result, not at all while it
+// invokes, exclusively while it applies. Runs of other evaluations handed
+// the same Shared go on beside it.
 func (ev *Evaluation) Run(ctx context.Context, reg *service.Registry, opt Options) (*Outcome, error) {
 	opt = normalise(opt)
 	if ev.p != nil {
 		opt = ev.p.pin(opt)
+	}
+	if ev.sh == nil {
+		ev.sh = &Shared{}
 	}
 	e := &engine{Evaluation: ev, ctx: ctx, reg: reg, opt: opt,
 		failed: map[*tree.Node]bool{}, met: resolveMetrics(opt.Metrics)}
@@ -109,10 +117,13 @@ func (e *engine) run() (*Outcome, error) {
 	}
 	e.spanEval = e.opt.Tracer.Start("evaluate", parent)
 	e.spanEval.SetAttr("strategy", e.opt.Strategy.String())
+	e.hold(holdRead)
+	defer e.letGo()
 	resumed := e.live && e.follow()
 	if !resumed {
 		e.seed()
 	}
+	e.started = true
 	if e.p != nil {
 		e.stats.AnalysisTime += e.p.bill()
 	}
@@ -170,7 +181,7 @@ func (e *engine) run() (*Outcome, error) {
 	e.met.pushed.Add(int64(e.stats.PushedCalls))
 	e.met.evalSecs.Observe(time.Since(evalStart))
 	return &Outcome{Results: results, Complete: complete, Resumed: resumed, Unchanged: e.result.iev.Unchanged(),
-		Failures: e.failures, Stats: e.stats}, nil
+		Failures: e.failures, Stats: e.stats, Version: e.doc.Version()}, nil
 }
 
 // engine is one run of an Evaluation.
@@ -196,6 +207,18 @@ type engine struct {
 	// round is the round counter, stamped onto detect, plan and invoke
 	// spans (1-based within an evaluation).
 	round int
+	// held is what of the document's lock the run holds; started, that it
+	// has learnt the document, so a hold it takes catches up first.
+	held    hold
+	started bool
+	// dirty[li] marks a layer whose detection is due again before the run
+	// may end: splices landed since it last found nothing — another run's,
+	// or this run's from an earlier layer.
+	dirty []bool
+	// claimed are the calls of the current round this run has claimed, and
+	// claimCh the channel that releasing them closes (see Shared).
+	claimed []*tree.Node
+	claimCh chan struct{}
 	// met holds the pre-resolved telemetry instruments (all nil when
 	// metrics are off).
 	met coreMetrics
@@ -225,27 +248,46 @@ func (e *engine) evaluate() (bool, error) {
 	if e.opt.Strategy == NaiveFixpoint {
 		return e.loop(-1, nil)
 	}
-	for li, members := range e.p.layers {
-		e.spanLayer = e.opt.Tracer.Start("layer", e.spanEval.ID())
-		e.spanLayer.SetInt("layer", int64(li))
-		e.spanLayer.SetInt("members", int64(len(members)))
-		invokedBefore, virtBefore := e.stats.CallsInvoked, e.opt.Clock.Elapsed()
-		complete, err := e.loop(li, members)
-		// Per-layer pruned-vs-invoked accounting: invoked is the layer's
-		// delta; skipped is what stayed pending when the layer settled —
-		// calls visible to this layer's relevance analysis that it did
-		// not invoke (a later layer may still take them; whatever is
-		// left at the end of the evaluation was pruned outright).
-		e.spanLayer.SetInt("invoked", int64(e.stats.CallsInvoked-invokedBefore))
-		e.spanLayer.SetInt("skipped", int64(e.pendingCount()))
-		e.spanLayer.AddVirtual(e.opt.Clock.Elapsed() - virtBefore)
-		e.spanLayer.End()
-		e.spanLayer = nil
-		if err != nil || !complete {
+	e.dirty = make([]bool, len(e.p.layers))
+	for i := range e.dirty {
+		e.dirty[i] = true
+	}
+	// Layer by layer, then again every layer that splices landed in after it
+	// settled — other runs', made while this one held nothing, or this one's
+	// from an earlier layer run again — until a read hold finds nothing in
+	// any. A run nobody else splices beside never goes round a second time:
+	// its own splices only mark the layers after theirs, which run anyway.
+	for li := 0; li < len(e.dirty); li++ {
+		if !e.dirty[li] {
+			continue
+		}
+		if complete, err := e.layer(li); err != nil || !complete {
 			return false, err
 		}
+		li = -1
 	}
 	return true, nil
+}
+
+// layer runs the round loop over layer li under its span.
+func (e *engine) layer(li int) (bool, error) {
+	members := e.p.layers[li]
+	e.spanLayer = e.opt.Tracer.Start("layer", e.spanEval.ID())
+	e.spanLayer.SetInt("layer", int64(li))
+	e.spanLayer.SetInt("members", int64(len(members)))
+	invokedBefore, virtBefore := e.stats.CallsInvoked, e.opt.Clock.Elapsed()
+	complete, err := e.loop(li, members)
+	// Per-layer pruned-vs-invoked accounting: invoked is the layer's
+	// delta; skipped is what stayed pending when the layer settled —
+	// calls visible to this layer's relevance analysis that it did
+	// not invoke (a later layer may still take them; whatever is
+	// left at the end of the evaluation was pruned outright).
+	e.spanLayer.SetInt("invoked", int64(e.stats.CallsInvoked-invokedBefore))
+	e.spanLayer.SetInt("skipped", int64(e.pendingCount()))
+	e.spanLayer.AddVirtual(e.opt.Clock.Elapsed() - virtBefore)
+	e.spanLayer.End()
+	e.spanLayer = nil
+	return complete, err
 }
 
 // analyse prepares the query unless an earlier run did. A lazy run then
@@ -304,6 +346,11 @@ func (e *engine) analyse() error {
 // that is not one batch is invoked one call at a time, each call charged in
 // full. The loop ends when detect finds nothing to invoke, the fixpoint
 // (true), or plan finds the budget spent with calls left to invoke (false).
+//
+// The run holds the document for reading from detect to schedule, nothing
+// while it invokes, and the document exclusively while it applies (see
+// Shared); the loop starts and ends in a read hold. A round another run has
+// a call of claimed is detected again once that run has let go of it.
 func (e *engine) loop(li int, members []int) (bool, error) {
 	for {
 		if err := e.ctx.Err(); err != nil {
@@ -315,10 +362,16 @@ func (e *engine) loop(li int, members []int) (bool, error) {
 			return false, err
 		}
 		if len(r.calls) == 0 {
+			if li >= 0 {
+				e.dirty[li] = false
+			}
 			return true, nil
 		}
 		if !e.plan(&r) {
 			return false, nil
+		}
+		if !e.claim(r.calls) {
+			continue
 		}
 		n := 1
 		if r.batch {
@@ -327,9 +380,18 @@ func (e *engine) loop(li int, members []int) (bool, error) {
 		for i := 0; i < len(r.calls); i += n {
 			calls, nfqs := r.calls[i:i+n], r.nfqs[i:i+n]
 			inv := e.schedule(calls, nfqs)
-			if err := e.apply(calls, nfqs, inv, e.invoke(inv)); err != nil {
+			e.hold(holdNone)
+			outs := e.invoke(inv)
+			e.hold(holdExcl)
+			err := e.apply(calls, nfqs, inv, outs)
+			e.hold(holdRead)
+			if err != nil {
 				return false, err
 			}
+		}
+		e.unclaim()
+		for l := li + 1; l < len(e.dirty); l++ {
+			e.dirty[l] = true
 		}
 	}
 }

@@ -26,12 +26,16 @@ import (
 // splices than the document keeps) sends its holder — the evaluation, or
 // one evaluator — back to the document.
 //
-// An Evaluation is not safe for concurrent use, and Run must not overlap
-// with anything else that mutates the document.
+// An Evaluation is not safe for concurrent use. Its runs may overlap with
+// the runs of other evaluations that share its document's Shared
+// (Prepared.OverShared): a run holds the document only to read or splice
+// it, and reads the others' splices when it next holds it. Anything else
+// that mutates the document holds the Shared's lock for writing.
 type Evaluation struct {
 	q   *pattern.Pattern
 	p   *Prepared // nil until the first run prepares the query
 	doc *tree.Document
+	sh  *Shared // doc's lock and claims; the first run makes one when none was handed over
 
 	// live reports that the fields below describe doc as of version at.
 	live bool
@@ -81,7 +85,7 @@ func (ev *Evaluation) Rows() int {
 
 // seed learns the document from scratch, in one walk.
 func (ev *Evaluation) seed() {
-	*ev = Evaluation{q: ev.q, p: ev.p, doc: ev.doc, live: true, at: ev.doc.Version(),
+	*ev = Evaluation{q: ev.q, p: ev.p, doc: ev.doc, sh: ev.sh, live: true, at: ev.doc.Version(),
 		names: map[string]bool{}, relevance: map[*rewrite.NFQ]*liveQuery{}}
 	ev.doc.Root.Walk(func(n *tree.Node) bool {
 		ev.size++
@@ -95,7 +99,7 @@ func (ev *Evaluation) seed() {
 
 // drop forgets everything but the query.
 func (ev *Evaluation) drop() {
-	*ev = Evaluation{q: ev.q, p: ev.p, doc: ev.doc}
+	*ev = Evaluation{q: ev.q, p: ev.p, doc: ev.doc, sh: ev.sh}
 }
 
 // follow brings counts and names up to the document's version from the

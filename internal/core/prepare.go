@@ -338,6 +338,13 @@ func (p *Prepared) Over(doc *tree.Document) *Evaluation {
 	return &Evaluation{q: p.q, p: p, doc: doc}
 }
 
+// OverShared returns an evaluation of the prepared query over doc, a
+// document other evaluations run over at once, each handed sh, its lock and
+// claim table.
+func (p *Prepared) OverShared(doc *tree.Document, sh *Shared) *Evaluation {
+	return &Evaluation{q: p.q, p: p, doc: doc, sh: sh}
+}
+
 // sortedNames renders a name set as the sorted list the rewriting takes.
 func sortedNames(names map[string]bool) []string {
 	out := make([]string, 0, len(names))

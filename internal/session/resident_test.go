@@ -51,15 +51,15 @@ func (l *invokeLog) take() []string {
 
 // residents counts the document's texts that hold resident engine state.
 func residents(e *entry) (n int, texts []string) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
 	e.qmu.Lock()
 	defer e.qmu.Unlock()
 	for src, h := range e.queries {
+		h.run.Lock()
 		if h.resident != nil {
 			n++
 			texts = append(texts, src)
 		}
+		h.run.Unlock()
 	}
 	return n, texts
 }
@@ -287,7 +287,7 @@ func forgeMuseum(t *testing.T, e *entry, rng *rand.Rand) bool {
 
 // TestCancelledWriterLeavesResidentsSound: a write whose client hangs up
 // after its first response was spliced ends with the context's error, gives
-// back the entry's write lock and its admission token, and leaves the
+// back its holds, its claims and its admission token, and leaves the
 // splice it did make in the master's records — the hot query's next run
 // resumes and is, bit for bit, the fresh evaluation of the master as the
 // cancelled write left it (TestResumedMatchesFresh's comparison).

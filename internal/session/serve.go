@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -68,7 +69,8 @@ type errorBody struct {
 //
 // Admission failures map to transport semantics: shed → 429 with a
 // Retry-After header (whole seconds, rounded up), draining → 503,
-// unknown document → 404, bad query → 400, a body over 1 MiB → 413, an
+// unknown document → 404, bad query or a body that is not one JSON value
+// (trailing bytes included) → 400, a body over 1 MiB → 413, an
 // evaluation its request's context ended → 504 (deadline) or 499 (client
 // gone), one an expired drain ended → 503.
 func Handler(m *Manager) http.Handler {
@@ -85,8 +87,8 @@ func Mount(mux *http.ServeMux, m *Manager) {
 			writeError(w, http.StatusMethodNotAllowed, errors.New("session: POST only"))
 			return
 		}
-		var qr QueryRequest
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBody)).Decode(&qr); err != nil {
+		qr, err := decodeQueryRequest(http.MaxBytesReader(w, r.Body, maxQueryBody))
+		if err != nil {
 			status := http.StatusBadRequest
 			var tooLarge *http.MaxBytesError
 			if errors.As(err, &tooLarge) {
@@ -123,6 +125,24 @@ func Mount(mux *http.ServeMux, m *Manager) {
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, m.Stats())
 	})
+}
+
+// decodeQueryRequest reads a POST /query body: one JSON value and nothing
+// after it but white space.
+func decodeQueryRequest(body io.Reader) (QueryRequest, error) {
+	var qr QueryRequest
+	dec := json.NewDecoder(body)
+	if err := dec.Decode(&qr); err != nil {
+		return qr, err
+	}
+	switch _, err := dec.Token(); {
+	case err == io.EOF:
+		return qr, nil
+	case err != nil:
+		return qr, fmt.Errorf("after the request: %w", err)
+	default:
+		return qr, errors.New("trailing data after the request")
+	}
 }
 
 // errStatus maps a Query error to its HTTP status and Retry-After hint.

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -17,6 +18,7 @@ import (
 	"github.com/activexml/axml/internal/telemetry"
 	"github.com/activexml/axml/internal/telemetry/spantest"
 	"github.com/activexml/axml/internal/tree"
+	"github.com/activexml/axml/internal/workload"
 )
 
 func postQuery(t *testing.T, url string, req QueryRequest) (*http.Response, []byte) {
@@ -154,6 +156,8 @@ func TestHTTPErrorMapping(t *testing.T) {
 		status int
 	}{
 		{"oversized body", `{"query":"` + strings.Repeat("x", maxQueryBody) + `"}`, context.WithCancel, http.StatusRequestEntityTooLarge},
+		{"trailing bytes", gatedBody("d") + ` trailing {garbage`, context.WithCancel, http.StatusBadRequest},
+		{"a second value", gatedBody("d") + gatedBody("d"), context.WithCancel, http.StatusBadRequest},
 		{"deadline expired", gatedBody("d"), expiring, http.StatusGatewayTimeout},
 		{"client left", gatedBody("left"), context.WithCancel, statusClientClosedRequest},
 	} {
@@ -304,4 +308,63 @@ func TestHTTPIsolatedFlag(t *testing.T) {
 	if qr.Memo || qr.CallsInvoked != 1 {
 		t.Fatalf("isolated query leaked into the master: %+v", qr)
 	}
+}
+
+// FuzzQueryRequest sends fuzzed POST /query bodies to the handler of a
+// manager serving the suite's documents. The handler never panics and
+// answers 2xx or 4xx only; a body it accepts re-encodes to one it accepts
+// the same way: the same status, document, bindings and completeness. The
+// seeds are the bodies the wire tests send, a body with trailing bytes, and
+// bodies that are not objects.
+func FuzzQueryRequest(f *testing.F) {
+	reg, scenarios := workload.Suite(suiteSpec())
+	m := NewManager(Config{Registry: reg, Engine: core.Options{Strategy: core.LazyNFQ, Incremental: true}})
+	for _, sc := range scenarios {
+		if err := m.AddDocument(sc.Name, sc.Doc.Clone(), sc.Schema); err != nil {
+			f.Fatal(err)
+		}
+		for _, q := range sc.Queries {
+			body, _ := json.Marshal(QueryRequest{Document: sc.Name, Query: q})
+			f.Add(body)
+		}
+	}
+	body, _ := json.Marshal(QueryRequest{Tenant: "t", Document: scenarios[0].Name, Query: scenarios[0].Queries[0], Weight: 3, Isolated: true})
+	f.Add(body)
+	f.Add([]byte(`{"document":"travel","query":"/hotels/hotel/name/$N -> $N"} trailing {garbage`))
+	f.Add([]byte(`{"document":"nowhere","query":"/a -> $X"}`))
+	f.Add([]byte(`null`))
+	f.Add([]byte(`[]`))
+	f.Add([]byte(`{"weight":-7,"document":"travel","query":"/hotels"}`))
+	handler := Handler(m)
+	send := func(body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body)))
+		return rec
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := send(body)
+		if rec.Code < 200 || rec.Code >= 500 || (rec.Code >= 300 && rec.Code < 400) {
+			t.Fatalf("%q: status %d: %s", body, rec.Code, rec.Body)
+		}
+		if rec.Code >= 300 {
+			return
+		}
+		qr, err := decodeQueryRequest(bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("%q was accepted, yet does not decode: %v", body, err)
+		}
+		again, _ := json.Marshal(qr)
+		if back, err := decodeQueryRequest(bytes.NewReader(again)); err != nil || back != qr {
+			t.Fatalf("%q re-encodes to %q, which decodes to %+v (%v), not %+v", body, again, back, err, qr)
+		}
+		rec2 := send(again)
+		var first, second QueryResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &first); err != nil {
+			t.Fatalf("%q: the answer does not decode: %v", body, err)
+		}
+		if rec2.Code != rec.Code || json.Unmarshal(rec2.Body.Bytes(), &second) != nil ||
+			first.Document != second.Document || first.Complete != second.Complete || !reflect.DeepEqual(first.Bindings, second.Bindings) {
+			t.Fatalf("%q and its re-encoding %q are answered differently:\n%d %s\n%d %s", body, again, rec.Code, rec.Body, rec2.Code, rec2.Body)
+		}
+	})
 }

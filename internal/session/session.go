@@ -45,20 +45,27 @@
 // Concurrency control is two-level. A weighted FIFO admission semaphore
 // bounds the queries executing at once and sheds load (ShedError → HTTP
 // 429) when its bounded wait queue overflows — backpressure, never
-// unbounded buffering. Within a document, engine runs in shared mode
-// serialise on the entry's write lock (the engine mutates the master in
-// place), and isolated-mode queries take the read lock to clone the master
-// and evaluate the clone in parallel, paying materialisation cost for
-// isolation. A memo answer takes no lock at all: it compares its stored
-// answer's version with the master's atomic one, and every splice bumps
-// that version as its last step. A reader that still sees the version its
-// answer was stored at is served before the first splice of whatever run
-// holds the write lock, so it never waits for a writer — nor for one that
-// is itself only waiting for the lock. The query texts a document
-// remembers have a lock of their own, never held across an engine run, so
-// a text seen for the first time waits for no run either, unless the map
-// is full and must evict. Every wait for an entry lock is timed
-// (axml_session_lock_wait_seconds).
+// unbounded buffering. Within a document, engine runs in shared mode hold
+// the master only to read or splice it (core.Shared, the entry's): the
+// entry lock for reading while they detect, plan and evaluate their result,
+// nothing while they invoke, and the lock exclusively while they splice.
+// So a stale reader waits for a write's splice, not for the rest of the
+// write, and two writes invoke at once. A call being invoked is claimed in
+// the entry's table; a run that detects it waits for the splice and never
+// invokes it again. One run of a text goes at a time (the text's own run
+// lock, which also guards its resident state). Isolated-mode queries take
+// the read lock to clone the master and evaluate the clone in parallel,
+// paying materialisation cost for isolation. A memo answer takes no lock at
+// all: it compares its stored answer's version with the master's atomic
+// one, and every splice bumps that version as its last step. A reader that
+// still sees the version its answer was stored at is served before any
+// splice after it, so it never waits for a writer. The query texts a
+// document remembers have a lock of their own, never held across an engine
+// run, and eviction skips a text whose run is in flight, so a text seen for
+// the first time waits for no run at all. The lock order is a text's run
+// lock, then the entry lock, then the claim table's; a run waits for a
+// claim holding only its text's run lock. Every wait for an entry hold or a
+// claim is timed (axml_session_lock_wait_seconds).
 package session
 
 import (
@@ -183,7 +190,8 @@ type Result struct {
 	// Elapsed is the time from admission to the answer: the document's
 	// lookup (a repository load on first use), the text's parse and binding on
 	// first sight (and its shape's analysis, when no remembered text has it),
-	// any wait for the entry lock, and the evaluation.
+	// any wait for its text's run, the entry's holds and the claims of
+	// other runs, and the evaluation.
 	Elapsed time.Duration
 
 	// answer is the stored answer Bindings came from — a memo answer's, or
@@ -275,10 +283,10 @@ const maxHotQueries = 1024
 // answer is the result of an engine run that ended Complete. While the
 // master's Version still equals at, it is the query's full result. It is
 // immutable once stored, but for its JSON, which is made at most once,
-// outside the entry lock, by the first request that sends it; every later
+// outside any lock, by the first request that sends it; every later
 // one sends the same bytes.
 type answer struct {
-	at       uint64         // master version the run ended at
+	at       uint64         // master version the run evaluated its result at
 	bindings []tree.Binding // handed out as is: read-only
 	held     *atomic.Int64  // the entry's answerBytes
 
@@ -308,8 +316,8 @@ func (a *answer) encoded() []byte {
 // inherit makes a the successor of prev, an answer with the same bindings
 // stored at an earlier version: a takes over prev's encoding, if prev has
 // made one, and its place in the held bytes, which prev gives up when it is
-// dropped. Caller holds the entry lock for writing; prev's encoding may be
-// under way outside it, in which case a makes its own.
+// dropped. Caller holds the text's run lock; prev's encoding may be under
+// way outside it, in which case a makes its own.
 func (a *answer) inherit(prev *answer) {
 	n := prev.acct.Load() // set after prev.wire, so the load makes prev.wire safe to read
 	if n <= 0 {
@@ -399,22 +407,29 @@ func (t *shapes) len() int {
 // hotQuery is what a document keeps per query text: the query parsed and
 // bound to its shape's analysis (immutable, one instance serves every
 // session, shared and isolated), the stored answer (read without a lock,
-// replaced under the entry's write lock; nil while none is), whether a query
+// replaced under the text's run lock; nil while none is), whether a query
 // has read that answer since the last eviction sweep, and — for a text that
 // has — the engine state of its last complete run.
 type hotQuery struct {
 	prepared *core.Prepared
 	shape    *shape // whose refs count the text while it is remembered
-	kept     bool   // remembered in the entry's queries; a text that is not stores no answer
 	answer   atomic.Pointer[answer]
 	used     atomic.Bool
-	// resident is the evaluation the next engine run of this text resumes
-	// (guarded by the entry write lock); nil when it has to start from the
-	// master. The splices other queries make while it waits are read from
-	// the master's splice records when it next runs.
+
+	// run lets one shared-mode engine run of the text go at a time, and
+	// guards the fields below; eviction only tries it, so it skips a text
+	// whose run is in flight.
+	run sync.Mutex
+	// kept reports the text is remembered in the entry's queries; a text
+	// that is not stores no answer and keeps no state.
+	kept bool
+	// resident is the evaluation the next engine run of this text resumes;
+	// nil when it has to start from the master. The splices other queries
+	// make while it waits are read from the master's splice records when it
+	// next runs.
 	resident *core.Evaluation
 	// rows is resident's part of the entry's residentRows, as counted when
-	// its run ended (guarded by the entry write lock).
+	// its run ended.
 	rows int64
 }
 
@@ -425,7 +440,11 @@ type entry struct {
 	schema *schema.Schema
 	shapes *shapes // the manager's
 
-	mu     sync.RWMutex // write: engine run on the master; read: clone for isolated mode, Drain
+	// mu is the master's lock and claim table, handed to every shared-mode
+	// run: read while a run detects, plans and evaluates its result, and
+	// while a query clones the master or Drain persists it; write while a
+	// run splices, or the guide is rebuilt.
+	mu     *core.Shared
 	master *tree.Document
 	// guide is the master's F-guide, built by the repository open or
 	// once at registration. Every shared-mode run adopts it and detects
@@ -433,8 +452,8 @@ type entry struct {
 	// is always synced.
 	guide *fguide.Guide
 
-	// qmu guards queries; it is never held across an engine run. Whoever
-	// holds both took mu first.
+	// qmu guards queries; it is never held across an engine run, nor while
+	// waiting for anything.
 	qmu     sync.Mutex
 	queries map[string]*hotQuery // by query text, at most maxHotQueries
 	// answerBytes sums the encoded size of the stored answers in queries,
@@ -445,7 +464,8 @@ type entry struct {
 }
 
 func (m *Manager) newEntry(name string, doc *tree.Document, sch *schema.Schema, guide *fguide.Guide) *entry {
-	return &entry{name: name, schema: sch, shapes: m.shapes, master: doc, guide: guide, queries: map[string]*hotQuery{}}
+	return &entry{name: name, schema: sch, shapes: m.shapes, mu: &core.Shared{Waits: m.mLockWait}, master: doc, guide: guide,
+		queries: map[string]*hotQuery{}}
 }
 
 // NewManager builds a Manager. The registry is used as given — compose
@@ -634,8 +654,7 @@ func (m *Manager) Query(ctx context.Context, req Request) (*Result, error) {
 // hot returns document e's state for query text src, parsing it, binding
 // it to its shape's analysis under the engine template and remembering it
 // on first sight: analysis is paid once per shape, by the first text of it
-// any document with e's schema sees. It waits for an engine run only when
-// the map is full: evict reads resident state, which runs own.
+// any document with e's schema sees. It waits for no engine run.
 func (m *Manager) hot(e *entry, src string) (*hotQuery, error) {
 	e.qmu.Lock()
 	h := e.queries[src]
@@ -654,18 +673,12 @@ func (m *Manager) hot(e *entry, src string) (*hotQuery, error) {
 	}
 	h = &hotQuery{prepared: s.prepared.Bind(args), shape: s}
 	e.qmu.Lock()
-	if len(e.queries) >= maxHotQueries {
-		e.qmu.Unlock()
-		m.wait(&e.mu)
-		defer e.mu.Unlock()
-		e.qmu.Lock()
-	}
 	defer e.qmu.Unlock()
 	if again := e.queries[src]; again != nil {
 		e.shapes.release(s)
 		return again, nil
 	}
-	if len(e.queries) >= maxHotQueries { // then e.mu is held: the map cannot grow under qmu alone
+	if len(e.queries) >= maxHotQueries {
 		e.evict()
 	}
 	if len(e.queries) < maxHotQueries { // else every remembered text is hot, and this one is not kept
@@ -681,31 +694,39 @@ func (m *Manager) hot(e *entry, src string) (*hotQuery, error) {
 // absent answer without resident state costs a parse and a binding to see
 // again, a fresh one no query has read since the last sweep an engine run
 // that invokes nothing. Answers read since then stay, whatever arrives.
-// Resident state goes with its text. Caller holds e.mu for writing and e.qmu.
+// Resident state goes with its text. A text whose run is in flight is
+// skipped: it is not forgotten while its run may store into it. Caller holds
+// e.qmu.
 func (e *entry) evict() {
-	for src, h := range e.queries {
-		if a := h.answer.Load(); (a == nil || a.at != e.master.Version()) && h.resident == nil {
-			e.forget(src, h)
+	sweep := func(drop func(h *hotQuery) bool) {
+		for src, h := range e.queries {
+			if h.run.TryLock() {
+				if drop(h) {
+					e.forget(src, h)
+				}
+				h.run.Unlock()
+			}
 		}
 	}
-	if len(e.queries) < maxHotQueries {
-		return
-	}
-	for src, h := range e.queries {
-		if !h.used.Swap(false) {
-			e.forget(src, h)
-		}
+	sweep(func(h *hotQuery) bool {
+		a := h.answer.Load()
+		return (a == nil || a.at != e.master.Version()) && h.resident == nil
+	})
+	if len(e.queries) >= maxHotQueries {
+		sweep(func(h *hotQuery) bool { return !h.used.Swap(false) })
 	}
 }
 
-// forget drops text src, its stored answer and its use of its shape. Caller
-// holds e.mu for writing and e.qmu. A reader that loaded the answer before
-// may still send it.
+// forget drops text src, its stored answer, its resident state and its use
+// of its shape. Caller holds e.qmu and h's run lock. A reader that loaded the
+// answer before may still send it; a query that found h before may still
+// run it, one-shot.
 func (e *entry) forget(src string, h *hotQuery) {
 	if a := h.answer.Load(); a != nil {
 		a.drop()
 	}
 	e.residentRows.Add(-h.rows)
+	h.kept, h.resident, h.rows = false, nil, 0
 	e.shapes.release(h.shape)
 	delete(e.queries, src)
 }
@@ -727,8 +748,9 @@ func (e *entry) stored(h *hotQuery) *Result {
 
 // queryShared answers from the shared master: with the stored answer,
 // taking no lock, while the master has not changed since the engine run
-// that stored it; otherwise with an engine run under the write lock, whose
-// answer is stored when it ends complete. A text whose stored answer has
+// that stored it; otherwise with an engine run that holds the master only
+// to read or splice it, whose answer is stored when it ends complete, at
+// the version its result was evaluated at. A text whose stored answer has
 // been read is hot: its run's engine state stays resident, and its next run
 // — after a write made the answer stale — resumes from it. A text nobody
 // came back for runs one-shot and leaves nothing behind.
@@ -736,20 +758,20 @@ func (m *Manager) queryShared(ctx context.Context, e *entry, h *hotQuery) (*Resu
 	if res := e.stored(h); res != nil {
 		return res, nil
 	}
-	m.wait(&e.mu)
-	defer e.mu.Unlock()
-	// Re-check: the run this query waited behind may have been its own.
+	h.run.Lock()
+	defer h.run.Unlock()
+	// Re-check: the run this query waited behind was its own text's.
 	if res := e.stored(h); res != nil {
 		return res, nil
 	}
 	ev := h.resident
 	if ev == nil {
-		ev = h.prepared.Over(e.master)
+		ev = h.prepared.OverShared(e.master, e.mu)
 	}
 	h.resident = nil
 	out, err := m.run(ctx, ev, m.options(e, true))
 	rows := int64(0)
-	if h.used.Load() && ev.Live() { // a run that failed is not live
+	if h.kept && h.used.Load() && ev.Live() { // a run that failed is not live
 		h.resident = ev
 		rows = int64(ev.Rows())
 	}
@@ -774,7 +796,7 @@ func (m *Manager) queryShared(ctx context.Context, e *entry, h *hotQuery) (*Resu
 		res.Bindings = cloneBindings(out.Results)
 	}
 	if out.Complete && h.kept {
-		next := &answer{at: e.master.Version(), bindings: res.Bindings, held: &e.answerBytes}
+		next := &answer{at: out.Version, bindings: res.Bindings, held: &e.answerBytes}
 		if prev != nil {
 			next.inherit(prev)
 		}
@@ -790,7 +812,9 @@ func (m *Manager) queryShared(ctx context.Context, e *entry, h *hotQuery) (*Resu
 // clone privately — parallel across sessions, no shared materialisation,
 // nothing kept but the text's analysis, which it shares.
 func (m *Manager) queryIsolated(ctx context.Context, e *entry, h *hotQuery) (*Result, error) {
-	m.wait(e.mu.RLocker())
+	t := time.Now()
+	e.mu.RLock()
+	m.mLockWait.Observe(time.Since(t))
 	doc := e.master.Clone()
 	e.mu.RUnlock()
 
@@ -799,14 +823,6 @@ func (m *Manager) queryIsolated(ctx context.Context, e *entry, h *hotQuery) (*Re
 		return nil, err
 	}
 	return &Result{Bindings: cloneBindings(out.Results), Complete: out.Complete, Stats: out.Stats}, nil
-}
-
-// wait takes l, an entry lock, and observes how long that took in
-// axml_session_lock_wait_seconds.
-func (m *Manager) wait(l sync.Locker) {
-	t := time.Now()
-	l.Lock()
-	m.mLockWait.Observe(time.Since(t))
 }
 
 // run is one engine run under ctx joined to the manager's base context —
@@ -829,11 +845,11 @@ func (m *Manager) run(ctx context.Context, ev *core.Evaluation, opts core.Option
 }
 
 // options instantiates the engine template for one run: fresh clock,
-// shared telemetry, the entry's schema. A shared-mode run (e.mu held for
-// writing) detects through the entry's guide whatever the template's
-// UseGuide says — the master's guide is the index of arriving calls that
-// makes detection cost the candidates, not the document — and the engine
-// patches it as it splices. Nothing else needs telling of a splice: the
+// shared telemetry, the entry's schema. A shared-mode run detects through
+// the entry's guide whatever the template's UseGuide says — the master's
+// guide is the index of arriving calls that makes detection cost the
+// candidates, not the document — and every run patches it as it splices,
+// under the exclusive hold. Nothing else needs telling of a splice: the
 // resident queries read the master's splice records when they next run,
 // and stored answers are checked against the master's own Version, which
 // the splice moved. A clone has no shared state to maintain and the
@@ -848,20 +864,31 @@ func (m *Manager) options(e *entry, shared bool) core.Options {
 	if !shared {
 		return opts
 	}
-	if e.guide == nil || e.guide.Doc() != e.master || !fguide.Synced(e.guide) {
-		// Something other than an adopting engine changed the master (a
-		// strategy that does not detect spliced it): rebuild into the
-		// entry, once, rather than privately on every run.
-		e.guide = fguide.Build(e.master)
-		m.cfg.Metrics.Counter(telemetry.MetricGuideBuilds).Inc()
+	t := time.Now()
+	e.mu.RLock()
+	m.mLockWait.Observe(time.Since(t))
+	g := e.guide
+	synced := g != nil && g.Doc() == e.master && fguide.Synced(g)
+	e.mu.RUnlock()
+	if !synced {
+		// Something other than a run changed the master: rebuild into the
+		// entry, once, under the exclusive hold, rather than privately on
+		// every run.
+		e.mu.Lock()
+		if g = e.guide; g == nil || g.Doc() != e.master || !fguide.Synced(g) {
+			g = fguide.Build(e.master)
+			e.guide = g
+			m.cfg.Metrics.Counter(telemetry.MetricGuideBuilds).Inc()
+		}
+		e.mu.Unlock()
 	}
-	opts.UseGuide, opts.Guide = true, e.guide
+	opts.UseGuide, opts.Guide = true, g
 	return opts
 }
 
 // cloneBindings projects evaluation results onto immutable variable
 // bindings. Node captures reference live master nodes and are not safe
-// to hand across the entry lock, so only values cross the boundary.
+// to hand out of the run's hold, so only values cross the boundary.
 func cloneBindings(rs []pattern.Result) []tree.Binding {
 	out := make([]tree.Binding, len(rs))
 	for i, r := range rs {

@@ -128,14 +128,14 @@ func naiveOracle(t *testing.T, reg *service.Registry, doc *tree.Document, qsrc s
 // other), while writer goroutines splice the masters with never-seen
 // point queries and isolated-mode goroutines evaluate private clones of
 // the same entries — under -race. The hot queries are resident, so their
-// re-runs read every write's splices from the master's records under the
-// entry's write lock and resume; the isolated runs share each text's prepared query with
-// the shared ones and nothing else. Every write is held at its first
-// invocation — in its engine run, under the write lock, before it splices —
-// until a reader of its document has been served a memo answer, or 100 ms
-// have passed: memo reads run during writes, and some must. Every single
-// answer, memo or not, must equal the serial oracle — correctness, not just
-// survival.
+// re-runs read every write's splices from the master's records and resume;
+// the isolated runs share each text's prepared query with the shared ones
+// and nothing else. Every invocation of a write is held — inside its
+// invocation, its run holding nothing of the master — until a reader of its
+// document has been served, or 100 ms have passed: memo reads and engine
+// runs of stale readers go on during writes, and some of each must. Every
+// single answer, memo or not, must equal the serial oracle — correctness,
+// not just survival.
 func TestHammerSharedMaster(t *testing.T) {
 	engine := core.Options{Strategy: core.LazyNFQ, Incremental: true}
 	m, scenarios, reg := newSuiteManager(t, Config{
@@ -166,32 +166,32 @@ func TestHammerSharedMaster(t *testing.T) {
 	}
 
 	// Per document: the queries begun, the number begun when the write held
-	// now began its hold (0 while none is), and the memo answers to queries
-	// begun during a hold that returned before it ended. One write of a
-	// document holds at a time: the hold is inside its engine run.
-	type holds struct{ begun, heldAt, during atomic.Int64 }
+	// now began its hold (0 while none is), and the memo answers and engine
+	// runs of queries begun during a hold that returned before it ended. One
+	// write of a document is held at a time: each writer goroutine writes
+	// its own document.
+	type holds struct{ begun, heldAt, memo, engine atomic.Int64 }
 	byDoc := map[string]*holds{}
 	for _, sc := range scenarios {
 		byDoc[sc.Name] = new(holds)
 	}
-	type heldWrite struct {
-		doc  string
-		held atomic.Bool
-	}
 	type writeKey struct{}
-	var readDuringWrite atomic.Int64 // writes during whose hold a memo answer of their document was served
+	var memoDuringWrite, engineDuringWrite atomic.Int64 // holds during which a reader of the document was served so
 	m.cfg.Registry = m.cfg.Registry.Proxy(func(_ *service.Service, next service.Invoker) service.Invoker {
 		return func(ctx context.Context, params []*tree.Node, pushed *pattern.Pattern) (service.Response, error) {
-			if w, ok := ctx.Value(writeKey{}).(*heldWrite); ok && !w.held.Swap(true) {
-				d := byDoc[w.doc]
-				seen := d.during.Load()
+			if doc, ok := ctx.Value(writeKey{}).(string); ok {
+				d := byDoc[doc]
+				memo, engine := d.memo.Load(), d.engine.Load()
 				d.heldAt.Store(d.begun.Load())
-				for deadline := time.Now().Add(100 * time.Millisecond); d.during.Load() == seen && time.Now().Before(deadline); {
+				for deadline := time.Now().Add(100 * time.Millisecond); d.memo.Load() == memo && d.engine.Load() == engine && time.Now().Before(deadline); {
 					time.Sleep(100 * time.Microsecond)
 				}
 				d.heldAt.Store(0)
-				if d.during.Load() != seen {
-					readDuringWrite.Add(1)
+				if d.memo.Load() != memo {
+					memoDuringWrite.Add(1)
+				}
+				if d.engine.Load() != engine {
+					engineDuringWrite.Add(1)
 				}
 			}
 			return next(ctx, params, pushed)
@@ -215,8 +215,12 @@ func TestHammerSharedMaster(t *testing.T) {
 		if err != nil {
 			return fmt.Errorf("goroutine %d: %s %q: %w", g, j.doc, j.query, err)
 		}
-		if h := d.heldAt.Load(); res.Memo && h != 0 && seq > h {
-			d.during.Add(1)
+		if h := d.heldAt.Load(); h != 0 && seq > h && ctx.Value(writeKey{}) == nil {
+			if res.Memo {
+				d.memo.Add(1)
+			} else {
+				d.engine.Add(1)
+			}
 		}
 		if !res.Complete {
 			return fmt.Errorf("goroutine %d: %s %q incomplete", g, j.doc, j.query)
@@ -243,7 +247,7 @@ func TestHammerSharedMaster(t *testing.T) {
 	errs := make(chan error, goroutines+writers+isolated)
 	var wg, writing sync.WaitGroup
 	var writesDone atomic.Bool
-	var reads atomic.Int64
+	var reads, reasked atomic.Int64
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -265,19 +269,29 @@ func TestHammerSharedMaster(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			defer writing.Done()
-			for i := w; i < len(writes); i += writers {
-				write := context.WithValue(bg, writeKey{}, &heldWrite{doc: writes[i].doc})
-				if err := run(write, goroutines+w, writes[i]); err != nil {
+			n := 0
+			for _, wr := range writes {
+				if wr.doc != scenarios[w].Name {
+					continue
+				}
+				if err := run(context.WithValue(bg, writeKey{}, wr.doc), goroutines+w, wr); err != nil {
 					errs <- err
 					return
 				}
-				// Re-ask the written document's hot queries, so that by the
-				// next write each has been through the engine since this
-				// one, whatever the readers happen to pick.
+				if n++; n%2 == 1 {
+					continue
+				}
+				// After every second write, re-ask the written document's
+				// hot queries, so that by the next write each has been
+				// through the engine since this one, whatever the readers
+				// happen to pick: the writes held alternate between a
+				// document whose hot answers are fresh and one whose
+				// answers the write before made stale.
 				for _, j := range jobs {
-					if j.doc != writes[i].doc {
+					if j.doc != wr.doc {
 						continue
 					}
+					reasked.Add(1)
 					if err := run(bg, goroutines+w, j); err != nil {
 						errs <- err
 						return
@@ -308,18 +322,20 @@ func TestHammerSharedMaster(t *testing.T) {
 	}
 
 	st := m.Stats()
-	// Two warm-up passes; the readers; each write and its document's two
-	// hot queries; the isolated runs.
-	if want := int64(2*len(jobs)) + reads.Load() + int64(3*len(writes)+isolated*perIsolated); st.Served != want {
+	// Two warm-up passes; the readers; each write, and the hot queries
+	// re-asked after every second one; the isolated runs.
+	if want := int64(2*len(jobs)) + reads.Load() + int64(len(writes)) + reasked.Load() + int64(isolated*perIsolated); st.Served != want {
 		t.Fatalf("served %d queries, want %d", st.Served, want)
 	}
 	if st.Resumed == 0 {
 		t.Fatal("no engine run resumed resident state: the writes' splices were never read from the records")
 	}
-	if readDuringWrite.Load() == 0 {
-		t.Fatalf("no reader was served a memo answer while one of %d writes of its document was held: readers wait for writers", len(writes))
+	if memoDuringWrite.Load() == 0 || engineDuringWrite.Load() == 0 {
+		t.Fatalf("while %d writes were held inside their invocations, %d holds saw a memo answer of their document served and %d an engine run: readers wait for writers",
+			len(writes), memoDuringWrite.Load(), engineDuringWrite.Load())
 	}
-	t.Logf("%d of %d writes had a memo answer of their document served while they were held", readDuringWrite.Load(), len(writes))
+	t.Logf("of the invocations of %d writes, %d were held while a memo answer of their document was served, %d while an engine run was",
+		len(writes), memoDuringWrite.Load(), engineDuringWrite.Load())
 	// Sharing must have paid: once a document is complete for a query,
 	// repeats are memo answers until a write splices it. With at least 400
 	// reads over 8 query kinds and 24 writes the majority are stored answers.

@@ -15,8 +15,9 @@
 # in its own tree, and the side that goes first alternates from pair to
 # pair. Each side's runs are merged into one result set with jq
 # (parent.json and change.json in PAIRS_DIR). Printed: the per-pair table of
-# op_ms_p50, the pairs the change won, both medians, the parent's
-# interquartile range, and the verdict of
+# op_ms_p50 with each side's samples (the timed ops behind it: a change that
+# moves how many ops are timed shows here), the pairs the change won, both
+# medians, the parent's interquartile range, and the verdict of
 #
 #   bash benchmark/run.sh --compare parent.json change.json
 #
@@ -89,9 +90,10 @@ jq -rn --arg m op_ms_p50 --slurpfile p "$dir/parent.json" --slurpfile c "$dir/ch
     | ($c[0].runs | map(.metrics[$m].value)) as $cv
     | [range(0; $pv | length)] as $ix
     | ([$ix[] | select($cv[.] < $pv[.])] | length) as $wins
-    | "pair\tseed\tparent\tchange\tdelta",
+    | "pair\tseed\tparent\tchange\tdelta\tsamples parent\tsamples change",
       ($ix[] | "\(. + 1)\t\($p[0].runs[.].seed)\t\($pv[.] | r)\t\($cv[.] | r)\t"
-          + (if $pv[.] == 0 then "-" else "\(($cv[.] / $pv[.] - 1) * 100 | r)%" end)),
+          + (if $pv[.] == 0 then "-" else "\(($cv[.] / $pv[.] - 1) * 100 | r)%" end)
+          + "\t\($p[0].runs[.].samples)\t\($c[0].runs[.].samples)"),
       "\($m) (lower is better): the change is better in \($wins) of \($pv | length) pairs",
       "median: parent \($pv | q(0.5) | r), change \($cv | q(0.5) | r)",
       "parent IQR: \(($pv | q(0.75)) - ($pv | q(0.25)) | r) (q1 \($pv | q(0.25) | r), q3 \($pv | q(0.75) | r))"'
