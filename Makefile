@@ -68,6 +68,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSplitTrailingTrace -fuzztime $(FUZZTIME) ./internal/soap/
 	$(GO) test -run '^$$' -fuzz FuzzQueryResponseWire -fuzztime $(FUZZTIME) ./internal/session/
 	$(GO) test -run '^$$' -fuzz FuzzQueryRequest -fuzztime $(FUZZTIME) ./internal/session/
+	$(GO) test -run '^$$' -fuzz FuzzProfileUnmarshal -fuzztime $(FUZZTIME) ./internal/profile/
 
 # bench rewrites the tracked perf record, BENCH_WORKLOADS.json: what a
 # request costs end to end and layer by layer, the five BENCHMARK.json
@@ -86,11 +87,13 @@ benchdiff:
 
 # pairs runs BASE against CHANGE (default HEAD) on one WORKLOAD, one pair
 # per seed in SEEDS with the side that goes first alternating, and prints
-# the per-pair table, wins, medians, the parent's IQR and the --compare
+# METRIC's per-pair table (default op_ms_p50; wins counted in the direction
+# BENCHMARK.json gives it), wins, medians, the parent's IQR and the --compare
 # verdict (scripts/pairs.sh; PAIRS_DIR names the scratch directory).
 CHANGE ?= HEAD
+METRIC ?= op_ms_p50
 pairs:
-	bash scripts/pairs.sh "$(BASE)" "$(CHANGE)" "$(WORKLOAD)" $(SEEDS)
+	METRIC="$(METRIC)" bash scripts/pairs.sh "$(BASE)" "$(CHANGE)" "$(WORKLOAD)" $(SEEDS)
 
 # clismoke runs the Usage lines of the binaries' package comments end to
 # end in a temporary directory (scripts/clismoke.sh), so documented usage
@@ -120,7 +123,7 @@ microbench:
 	$(GO) test -bench . -benchmem ./internal/pattern/
 	$(GO) test -run TestResumedRunIsOChange -bench 'ReevalAfterWrite' -benchmem ./internal/session/
 	$(GO) test -run TestUnmarshalAllocationCeiling -bench 'Unmarshal/' -benchmem ./internal/tree/
-	$(GO) test -run 'TestMemoAnswerHTTPAllocationCeiling|TestMemoAnswerDuringEngineRun' -bench 'MemoAnswer|ReevalAfterWrite|WriteWithResidents' -benchmem ./internal/session/
+	$(GO) test -run 'TestMemoAnswerHTTPAllocationCeiling|TestMemoAnswerDuringEngineRun|TestWarmWriteAllocationCeiling' -bench 'MemoAnswer|ReevalAfterWrite|WriteWithResidents' -benchmem ./internal/session/
 	$(GO) test -bench TelemetryOverhead -benchmem .
 	$(GO) test -run TestE13AllocationRegression -count=1 -v ./internal/pattern/
 

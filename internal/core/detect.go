@@ -125,9 +125,20 @@ func (e *engine) queries(li int) ([]*rewrite.NFQ, error) {
 }
 
 // newLiveQuery returns a fresh evaluator for q over the document as it
-// stands: there is nothing in it for the recorded splices to evict.
-func (e *engine) newLiveQuery(q *pattern.Pattern, proj *schema.Projection) *liveQuery {
-	return &liveQuery{iev: pattern.NewIncrementalProjected(q, asProjector(proj)), seen: e.doc.Version()}
+// stands, on table t: there is nothing in it for the recorded splices to
+// evict.
+func (e *engine) newLiveQuery(q *pattern.Pattern, proj *schema.Projection, t pattern.Table) *liveQuery {
+	return &liveQuery{iev: pattern.NewIncrementalOn(q, asProjector(proj), t), seen: e.doc.Version()}
+}
+
+// spare takes the table the shape keeps for nfq's query object (nil: the
+// user query), counting it; the zero Table when it keeps none.
+func (e *engine) spare(nfq *rewrite.NFQ) pattern.Table {
+	t, ok := e.p.spare(nfq)
+	if ok {
+		e.met.reused.Inc()
+	}
+	return t
 }
 
 // evaluator returns the pattern evaluator that answers one relevance
@@ -143,10 +154,11 @@ func (e *engine) evaluator(nfq *rewrite.NFQ) *liveQuery {
 	}
 	proj, built := e.p.projection(nfq)
 	e.stats.AnalysisTime += built
-	lq := e.newLiveQuery(nfq.Query, proj)
-	if e.opt.Incremental {
-		e.relevance[nfq] = lq
+	if !e.opt.Incremental {
+		return e.newLiveQuery(nfq.Query, proj, pattern.Table{})
 	}
+	lq := e.newLiveQuery(nfq.Query, proj, e.spare(nfq))
+	e.relevance[nfq] = lq
 	return lq
 }
 

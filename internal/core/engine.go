@@ -26,6 +26,7 @@ type coreMetrics struct {
 	guideBuilds *telemetry.Counter
 	guideWarm   *telemetry.Counter
 	guidePatch  *telemetry.Counter
+	reused      *telemetry.Counter
 	evalSecs    *telemetry.Histogram
 	detectSecs  *telemetry.Histogram
 	invokeWall  *telemetry.Histogram
@@ -46,6 +47,7 @@ func resolveMetrics(reg *telemetry.Registry) coreMetrics {
 		guideBuilds: reg.Counter(telemetry.MetricGuideBuilds),
 		guideWarm:   reg.Counter(telemetry.MetricGuideWarm),
 		guidePatch:  reg.Counter(telemetry.MetricGuidePatches),
+		reused:      reg.Counter(telemetry.MetricMemoTablesReused),
 		evalSecs:    reg.Histogram(telemetry.MetricEvalSeconds),
 		detectSecs:  reg.Histogram(telemetry.MetricDetectSeconds),
 		invokeWall:  reg.Histogram(telemetry.MetricInvokeWallSeconds),
@@ -104,7 +106,7 @@ func (ev *Evaluation) Run(ctx context.Context, reg *service.Registry, opt Option
 		failed: map[*tree.Node]bool{}, met: resolveMetrics(opt.Metrics)}
 	out, err := e.run()
 	if err != nil || !out.Complete || len(out.Failures) > 0 {
-		ev.drop()
+		ev.Release()
 	}
 	return out, err
 }
@@ -154,7 +156,7 @@ func (e *engine) run() (*Outcome, error) {
 	}
 	resultSpan := e.opt.Tracer.Start("result-eval", e.spanEval.ID())
 	if e.result == nil || !e.follows(e.result) {
-		e.result = e.newLiveQuery(e.q, e.p.userProj)
+		e.result = e.newLiveQuery(e.q, e.p.userProj, e.spare(nil))
 	}
 	e.absorb(e.result)
 	results, st := e.result.iev.EvalIncremental(e.doc)

@@ -83,12 +83,39 @@ type IncrementalEvaluator struct {
 // and pruning decisions stay consistent across rounds. proj == nil
 // disables projection.
 func NewIncrementalProjected(q *Pattern, proj Projector) *IncrementalEvaluator {
+	return NewIncrementalOn(q, proj, Table{})
+}
+
+// Table is the memo table an evaluator gave up (Release): empty, but with
+// the room it had grown to. An evaluator made over it (NewIncrementalOn)
+// fills that room instead of growing a table of its own. The zero Table is
+// no table.
+type Table struct{ m map[memoKey]*memoEntry }
+
+// NewIncrementalOn is NewIncrementalProjected starting on t, a table
+// another evaluator gave up; with the zero Table it grows its own. The
+// evaluator owns t from here on: no other may be made over it.
+func NewIncrementalOn(q *Pattern, proj Projector, t Table) *IncrementalEvaluator {
+	if t.m == nil {
+		t.m = map[memoKey]*memoEntry{}
+	}
 	return &IncrementalEvaluator{
 		q:    q,
-		memo: map[memoKey]*memoEntry{},
+		memo: t.m,
 		fps:  map[int]string{},
 		proj: proj,
 	}
+}
+
+// Release gives up the evaluator's memo table, cleared: its keys hold
+// document nodes and query-node IDs another evaluator of the same shape
+// would read as its own, and its entries hold the subtrees they matched.
+// The evaluator must not be used again.
+func (ev *IncrementalEvaluator) Release() Table {
+	m := ev.memo
+	clear(m)
+	*ev = IncrementalEvaluator{}
+	return Table{m}
 }
 
 // takeStats returns and resets the work counters, so every exported entry

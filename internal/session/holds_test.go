@@ -287,3 +287,47 @@ func TestEvictionSkipsRunInFlight(t *testing.T) {
 		t.Fatalf("the text's repeat: memo=%v, %d bindings; want its stored answer", res.Memo, len(res.Bindings))
 	}
 }
+
+// TestConcurrentWritesShareNoTable: four writers at once, each a series of
+// never-seen point queries of one shape on one master, every one answering
+// what the naive fixpoint does. Each write's evaluators start on the tables
+// the shape's last writes handed back, when it keeps one: a table taken is
+// the taker's alone, so under -race two writes filling one table at once
+// would be a reported race.
+func TestConcurrentWritesShareNoTable(t *testing.T) {
+	spec := suiteSpec()
+	spec.Hotels, spec.HiddenHotels = 48, 8
+	metrics := telemetry.NewRegistry()
+	m, scenarios, reg := newSuiteManager(t, Config{Metrics: metrics, MaxActive: 4,
+		Engine: core.Options{Strategy: core.LazyNFQ, Incremental: true}}, spec)
+	sc := scenarios[0]
+	const writers = 4
+	var texts [writers][]string
+	want := map[string]string{}
+	for k := 1; k < spec.Hotels+spec.HiddenHotels; k += 2 { // odd hotels: no hot text materialises them
+		q := pointQuery(k)
+		texts[k/2%writers] = append(texts[k/2%writers], q)
+		want[q] = naiveOracle(t, reg, sc.Doc, q)
+	}
+	var wg sync.WaitGroup
+	for _, mine := range texts {
+		wg.Add(1)
+		go func(mine []string) {
+			defer wg.Done()
+			for _, q := range mine {
+				res, err := m.Query(context.Background(), Request{Document: sc.Name, Query: q})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !res.Complete || canon(res.Bindings) != want[q] {
+					t.Errorf("%s: complete=%v, answer %s; want %s", q, res.Complete, canon(res.Bindings), want[q])
+				}
+			}
+		}(mine)
+	}
+	wg.Wait()
+	if n := metrics.Counter(telemetry.MetricMemoTablesReused).Value(); n == 0 || m.Stats().SpareTables == 0 {
+		t.Fatalf("%d evaluators started on a handed-back table, %d tables kept", n, m.Stats().SpareTables)
+	}
+}

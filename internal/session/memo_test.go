@@ -335,10 +335,12 @@ func flatWorld() *tree.Document {
 
 // TestHotQueryStateIsBounded sends a document more distinct query texts
 // than it may remember — each a shape of its own, the document having no
-// schema: the map and the manager's shapes stay within maxHotQueries, a hot query
+// schema: the map and the manager's shapes stay within maxHotQueries, the
+// memo tables the shapes keep within one per query object of each, a hot query
 // asked throughout keeps being answered from its stored answer, a text
 // that finds every remembered answer hot is answered without displacing
-// one, and once the master changes the stale texts are the first to go.
+// one, and once the master changes the stale texts are the first to go,
+// their shapes with them, and the tables those kept.
 func TestHotQueryStateIsBounded(t *testing.T) {
 	m := NewManager(Config{Registry: service.NewRegistry(), Engine: core.Options{Strategy: core.LazyNFQ}})
 	if err := m.AddDocument("d", flatWorld(), nil); err != nil {
@@ -354,14 +356,25 @@ func TestHotQueryStateIsBounded(t *testing.T) {
 		return res
 	}
 	const hot = `/r/v/$V -> $V`
+	// Every text has as many query objects as the hot one: one relevance
+	// query per node but the root, and the text itself.
+	objects := len(pattern.MustParse(hot).Nodes())
 	ask(hot)
+	e.qmu.Lock()
+	hotShape := e.queries[hot].shape.prepared
+	e.qmu.Unlock()
 	for i := 0; i < 2*maxHotQueries+100; i++ {
 		ask(fmt.Sprintf(`/r/k%d/$V -> $V`, i))
 		if n := len(remembered(e)); n > maxHotQueries {
 			t.Fatalf("after %d distinct queries the document remembers %d texts, cap %d", i+1, n, maxHotQueries)
 		}
-		if n := m.Stats().Shapes; n > maxHotQueries {
-			t.Fatalf("after %d distinct shapes the manager keeps %d, cap %d", i+1, n, maxHotQueries)
+		st := m.Stats()
+		if st.Shapes > maxHotQueries {
+			t.Fatalf("after %d distinct shapes the manager keeps %d, cap %d", i+1, st.Shapes, maxHotQueries)
+		}
+		if st.SpareTables > st.Shapes*objects || st.SpareTables == 0 {
+			t.Fatalf("after %d distinct shapes the %d kept keep %d spare tables, bound %d×%d",
+				i+1, st.Shapes, st.SpareTables, st.Shapes, objects)
 		}
 		if i%50 == 0 {
 			if res := ask(hot); !res.Memo || len(res.Bindings) != 1 {
@@ -382,6 +395,9 @@ func TestHotQueryStateIsBounded(t *testing.T) {
 		t.Fatalf("a text arriving at %d hot ones: %d bindings, %d texts remembered; want it answered and not kept",
 			maxHotQueries, len(res.Bindings), len(texts))
 	}
+	if hotShape.Spares() == 0 {
+		t.Fatal("the hot text's shape keeps no table before the sweep")
+	}
 	e.mu.Lock()
 	e.master.Adopt(e.master.Root.Append(tree.NewElement("w"))) // a mutation no engine reports
 	e.mu.Unlock()
@@ -389,8 +405,12 @@ func TestHotQueryStateIsBounded(t *testing.T) {
 	if n := len(remembered(e)); n != 1 {
 		t.Fatalf("a full map of stale answers kept %d texts beside the new one, want 1 in all", n)
 	}
-	if n := m.Stats().Shapes; n != 1 {
-		t.Fatalf("the sweep left one text and %d shapes, want 1", n)
+	if st := m.Stats(); st.Shapes != 1 || st.SpareTables > objects {
+		t.Fatalf("the sweep left one text, %d shapes and %d spare tables; want 1 shape and at most %d tables",
+			st.Shapes, st.SpareTables, objects)
+	}
+	if n := hotShape.Spares(); n != 0 {
+		t.Fatalf("the hot text's shape, dropped by the sweep, keeps %d tables", n)
 	}
 }
 

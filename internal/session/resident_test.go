@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -576,63 +577,103 @@ func BenchmarkWriteWithResidents(b *testing.B) {
 }
 
 func writeWithResidents(b *testing.B, n int) {
-	spec := workload.DefaultSpec()
-	spec.Hotels, spec.HiddenHotels = 500, 100
-	var targets []int // the hotels whose point query is a write
-	for k := 0; k < spec.Hotels+spec.HiddenHotels; k++ {
-		if k%spec.TargetEvery != 0 {
-			targets = append(targets, k)
-		}
-	}
-	var m *Manager
-	var doc string
-	next := 0 // index of the next write target
-	ask := func(q string) *Result {
-		res, err := m.Query(context.Background(), Request{Document: doc, Query: q})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return res
-	}
-	fill := func() {
-		reg, scenarios := workload.Suite(spec)
-		m = NewManager(Config{Registry: reg, Engine: core.Options{Strategy: core.LazyNFQ, Incremental: true}})
-		sc := scenarios[0]
-		if err := m.AddDocument(sc.Name, sc.Doc, sc.Schema); err != nil {
-			b.Fatal(err)
-		}
-		doc = sc.Name
-		texts := make([]string, n)
-		for i := range texts {
-			texts[i] = fmt.Sprintf(`/hotels/hotel[name="Hotel-%d"]/name/$X -> $X`, i)
-			ask(texts[i])
-			ask(texts[i]) // read: the text is hot from here
-		}
-		if ask(pointQuery(targets[0])).Stats.CallsInvoked == 0 { // a write: every stored answer is stale
-			b.Fatal("the first write invoked no call")
-		}
-		for _, q := range texts {
-			ask(q) // an engine run whose state stays resident
-		}
-		if got, _ := residents(resident(b, m, doc)); got != n {
-			b.Fatalf("%d resident texts, want %d", got, n)
-		}
-		next = 1
-	}
-	fill()
+	m, doc, writes := writesWithResidents(b, n, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if next == len(targets) {
+		if len(writes) == 0 {
 			b.StopTimer()
-			fill()
+			m, doc, writes = writesWithResidents(b, n, nil)
 			b.StartTimer()
 		}
-		w := ask(pointQuery(targets[next]))
-		next++
-		if w.Stats.CallsInvoked == 0 {
-			b.Fatalf("write %d invoked no call", targets[next-1])
+		w, err := m.Query(context.Background(), Request{Document: doc, Query: writes[0]})
+		if err != nil {
+			b.Fatal(err)
 		}
+		if w.Stats.CallsInvoked == 0 {
+			b.Fatalf("%q invoked no call", writes[0])
+		}
+		writes = writes[1:]
+	}
+}
+
+// writesWithResidents builds a manager over the 500-hotel travel master
+// with n texts resident and one point query written, and returns the
+// never-seen point queries left to write, each a write of the shape that one
+// ran: a warm shape on a warm master. metrics, when set, receives the
+// manager's counters.
+func writesWithResidents(tb testing.TB, n int, metrics *telemetry.Registry) (m *Manager, doc string, writes []string) {
+	spec := workload.DefaultSpec()
+	spec.Hotels, spec.HiddenHotels = 500, 100
+	for k := 0; k < spec.Hotels+spec.HiddenHotels; k++ {
+		if k%spec.TargetEvery != 0 { // a hotel no hot text materialises
+			writes = append(writes, pointQuery(k))
+		}
+	}
+	ask := func(q string) *Result {
+		res, err := m.Query(context.Background(), Request{Document: doc, Query: q})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return res
+	}
+	reg, scenarios := workload.Suite(spec)
+	m = NewManager(Config{Registry: reg, Metrics: metrics, Engine: core.Options{Strategy: core.LazyNFQ, Incremental: true}})
+	sc := scenarios[0]
+	if err := m.AddDocument(sc.Name, sc.Doc, sc.Schema); err != nil {
+		tb.Fatal(err)
+	}
+	doc = sc.Name
+	texts := make([]string, n)
+	for i := range texts {
+		texts[i] = fmt.Sprintf(`/hotels/hotel[name="Hotel-%d"]/name/$X -> $X`, i)
+		ask(texts[i])
+		ask(texts[i]) // read: the text is hot from here
+	}
+	if ask(writes[0]).Stats.CallsInvoked == 0 { // a write: every stored answer is stale
+		tb.Fatal("the first write invoked no call")
+	}
+	for _, q := range texts {
+		ask(q) // an engine run whose state stays resident
+	}
+	if got, _ := residents(resident(tb, m, doc)); got != n {
+		tb.Fatalf("%d resident texts, want %d", got, n)
+	}
+	return m, doc, writes[1:]
+}
+
+// warmWriteBytes bounds what one point-query write allocates on the
+// 500-hotel travel master once its shape has been written: 1.57 MB when
+// every evaluator grew its memo table from empty, about 0.74 MB on the
+// tables the last write of the shape handed back.
+const warmWriteBytes = 1 << 20
+
+// TestWarmWriteAllocationCeiling pins the handed-back tables: ten writes of
+// a warm shape, beside one resident text, allocate at most warmWriteBytes
+// each on average, and every one starts evaluators on handed-back tables.
+func TestWarmWriteAllocationCeiling(t *testing.T) {
+	metrics := telemetry.NewRegistry()
+	m, doc, writes := writesWithResidents(t, 1, metrics)
+	reused := metrics.Counter(telemetry.MetricMemoTablesReused)
+	const n = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, q := range writes[:n] {
+		was := reused.Value()
+		res, err := m.Query(context.Background(), Request{Document: doc, Query: q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.CallsInvoked == 0 || reused.Value() == was {
+			t.Fatalf("%q: %d calls invoked, %d evaluators on handed-back tables; want a write on them",
+				q, res.Stats.CallsInvoked, reused.Value()-was)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / n
+	t.Logf("%d bytes allocated per warm write; %d spare tables kept", per, m.Stats().SpareTables)
+	if per > warmWriteBytes {
+		t.Fatalf("a warm write allocates %d bytes, ceiling %d", per, warmWriteBytes)
 	}
 }
 

@@ -77,6 +77,10 @@ const (
 	MetricGuideWarm    = "axml_fguide_warm_total"
 	MetricGuidePatches = "axml_fguide_patches_total"
 
+	// Memo tables (internal/core): evaluators that started on the table an
+	// earlier evaluation of their query shape handed back, not a new one.
+	MetricMemoTablesReused = "axml_memo_tables_reused_total"
+
 	// Persistent repository (internal/repo). WarmOpens counts opens
 	// that rewrote nothing, Repairs the manifests rewritten by the
 	// others, Corruptions the damaged parts found.
