@@ -58,6 +58,7 @@ race:
 
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/pattern/
+	$(GO) test -run '^$$' -fuzz FuzzAnchorProbe -fuzztime $(FUZZTIME) ./internal/pattern/
 	$(GO) test -run '^$$' -fuzz FuzzCodecRoundTrip -fuzztime $(FUZZTIME) ./internal/tree/
 	$(GO) test -run '^$$' -fuzz FuzzScanMatchesDecode -fuzztime $(FUZZTIME) ./internal/tree/
 	$(GO) test -run '^$$' -fuzz FuzzProject -fuzztime $(FUZZTIME) ./internal/schema/

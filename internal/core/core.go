@@ -397,9 +397,10 @@ type Stats struct {
 	RelevanceQueries int
 	// GuideCandidates counts the F-guide candidates validated against a
 	// relevance query's remaining conditions — a work counter like
-	// NodesVisited: every candidate of every detection on a fresh
-	// evaluator, under Options.Incremental only the new ones and those
-	// counted by Revalidated.
+	// NodesVisited: the candidates offered to a fresh evaluator (every one
+	// of the guide's, or, on an adopted guide, those below the anchors the
+	// probe keeps), and under Options.Incremental then only the calls the
+	// splices brought in and the verdicts counted by Revalidated.
 	GuideCandidates int
 	// Revalidated counts, among GuideCandidates, the verdicts that were
 	// checked again because a splice touched their dependency root (see

@@ -216,25 +216,33 @@ func (e *engine) guideKeep(base []*rewrite.NFQ) func(string) bool {
 // against the remaining conditions (Section 6.2; each check only explores
 // the candidate's own ancestors' subtrees, and the evaluator's memo shares
 // condition checks across candidates). The guided answer is a maintained
-// view: the evaluator is offered the guide's candidates once and after
-// that only the calls the splices since brought in, and re-checks
-// nothing a splice cannot have changed — on a fresh evaluator that is
-// every candidate, every detection. Type pruning on the output side
-// (Section 5) and parked calls filter the answer as it is read, and both
-// paths charge their match work to the stats. queried reports whether a
-// relevance query actually ran (the guide can rule every candidate out
-// first).
-func (e *engine) retrieve(nfq *rewrite.NFQ, lq *liveQuery) (calls []*tree.Node, queried bool) {
+// view: the evaluator is offered candidates once and after that only the
+// calls the splices since brought in, and re-checks nothing a splice
+// cannot have changed — on a fresh evaluator that is every candidate
+// offered, every detection. On a guide the run adopted, the first offer is
+// probed (pattern.IncrementalEvaluator.Anchored): only the candidates below
+// the anchors whose ground conditions can still hold. Type pruning on the
+// output side (Section 5) and parked calls filter the answer as it is
+// read, and both paths charge their match work to the stats. queried
+// reports whether a relevance query actually ran (the guide can rule every
+// candidate out first); anchors, what a probed first offer kept.
+func (e *engine) retrieve(nfq *rewrite.NFQ, lq *liveQuery) (calls []*tree.Node, queried bool, anchors probed) {
 	var matched []*tree.Node
 	var work pattern.Stats
 	e.absorb(lq)
 	if e.guide != nil {
 		if !e.guide.HasCandidates(nfq.Lin, nfq.DescTail) {
-			return nil, false
+			return nil, false, anchors
 		}
 		var more []*tree.Node
 		if !lq.seeded {
-			more = e.guide.Candidates(nfq.Lin, nfq.DescTail)
+			ok := false
+			if e.guide == e.opt.Guide { // adopted guides only: DESIGN.md §4b
+				more, anchors.kept, anchors.of, ok = lq.iev.Anchored(e.doc, nfq.Out)
+			}
+			if !ok {
+				more = e.guide.Candidates(nfq.Lin, nfq.DescTail)
+			}
 		} else {
 			ss, _ := e.doc.SplicesSince(lq.offered) // evaluator() saw to it
 			for _, s := range ss {
@@ -256,8 +264,12 @@ func (e *engine) retrieve(nfq *rewrite.NFQ, lq *liveQuery) (calls []*tree.Node, 
 	e.stats.SubtreesPruned += work.SubtreesPruned
 	e.stats.GuideCandidates += work.Validated
 	e.stats.Revalidated += work.Revalidated
-	return calls, true
+	return calls, true, anchors
 }
+
+// probed counts what a probed first offer kept: kept of the of anchors.
+// of is 0 when no probe ran.
+type probed struct{ kept, of int }
 
 // relevantCalls runs one relevance detection: it charges detection time,
 // counts the query and emits the detect span. shard is the member's slot
@@ -267,7 +279,7 @@ func (e *engine) relevantCalls(nfq *rewrite.NFQ, shard int) []*tree.Node {
 	// work, so it happens outside the detection-time window.
 	lq := e.evaluator(nfq)
 	t0 := time.Now()
-	calls, queried := e.retrieve(nfq, lq)
+	calls, queried, anchors := e.retrieve(nfq, lq)
 	elapsed := time.Since(t0)
 	e.stats.DetectTime += elapsed
 	if !queried {
@@ -276,17 +288,21 @@ func (e *engine) relevantCalls(nfq *rewrite.NFQ, shard int) []*tree.Node {
 	e.stats.RelevanceQueries++
 	e.met.detectSecs.Observe(elapsed)
 	if e.opt.Tracer != nil {
+		attrs := []telemetry.Attr{
+			{Key: "round", Value: strconv.Itoa(e.round)},
+			{Key: "target", Value: traceTarget(nfq)},
+			{Key: "calls", Value: strconv.Itoa(len(calls))},
+		}
+		if anchors.of > 0 {
+			attrs = append(attrs, telemetry.Attr{Key: "anchors", Value: strconv.Itoa(anchors.kept) + "/" + strconv.Itoa(anchors.of)})
+		}
 		e.opt.Tracer.Emit(telemetry.Span{
 			Parent: e.spanParent(),
 			Name:   "detect",
 			Shard:  shard,
 			Start:  t0,
 			Wall:   elapsed,
-			Attrs: []telemetry.Attr{
-				{Key: "round", Value: strconv.Itoa(e.round)},
-				{Key: "target", Value: traceTarget(nfq)},
-				{Key: "calls", Value: strconv.Itoa(len(calls))},
-			},
+			Attrs:  attrs,
 		})
 	}
 	return calls

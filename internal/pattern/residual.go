@@ -1,6 +1,8 @@
 package pattern
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"github.com/activexml/axml/internal/tree"
@@ -277,4 +279,158 @@ func (ev *IncrementalEvaluator) align(sp *spinePath, i, prevJ int, anc []*tree.N
 		}
 	}
 	return false
+}
+
+// anchor returns the index in sp.nodes of the spine's anchor — the
+// shallowest node the root reaches through child-edge constants that
+// carries a ground off-spine branch — and its ground branches; -1 when
+// there is none.
+func (sp *spinePath) anchor() (int, []*Node) {
+	for i, s := range sp.nodes {
+		if s.Kind != Const || s.Edge != Child {
+			break
+		}
+		var branches []*Node
+		for _, b := range sp.off[i+1] {
+			if b.Edge == Child && ground(b) {
+				branches = append(branches, b)
+			}
+		}
+		if len(branches) > 0 {
+			return i, branches
+		}
+	}
+	return -1, nil
+}
+
+// ground reports whether b is ground below a child edge: constants, stars,
+// ORs and function alternatives on child edges only, with no variable and
+// no result mark. An OR's alternatives take its position, and their own
+// edge is ignored.
+func ground(b *Node) bool {
+	if b.Result || b.Kind == Var || b.Kind == Root {
+		return false
+	}
+	for _, c := range b.Children {
+		if (b.Kind != Or && c.Edge != Child) || !ground(c) {
+			return false
+		}
+	}
+	return true
+}
+
+// Anchored is the first offer of candidates for out's spine on a fresh
+// evaluator, read off the document instead of an F-guide: the calls
+// Guide.Candidates would return for the spine's linear path, minus those
+// below an anchor the probe rejects. The anchor is the shallowest spine
+// node the root reaches through child-edge constants that carries a ground
+// off-spine branch; every document node at its position is probed, and
+// only the calls on the rest of the linear path below a kept one are
+// offered, in ascending ID order. ok is false when the spine has no
+// anchor: offer the guide's candidates then.
+//
+// The probe keeps an anchor unless a ground branch fails there with no
+// call and no pushed result at any position the branch reads. A rejected
+// anchor stays rejected: the document changes only by replacing calls, so
+// what the branch reads never changes, and every candidate below it would
+// have been validated false now and after every later splice. Calls that
+// later splices bring in below it are offered as usual, and fail.
+func (ev *IncrementalEvaluator) Anchored(doc *tree.Document, out *Node) (targets []*tree.Node, kept, probed int, ok bool) {
+	sp := ev.spine(out)
+	k, branches := sp.anchor()
+	if k < 0 {
+		return nil, 0, 0, false
+	}
+	var at func(n *tree.Node, i int)
+	at = func(n *tree.Node, i int) {
+		if n.Kind != tree.Element || n.Label != sp.nodes[i].Label {
+			return
+		}
+		if i < k {
+			for _, c := range n.Children {
+				at(c, i+1)
+			}
+			return
+		}
+		probed++
+		for _, b := range branches {
+			if !mayHold(b, n) {
+				return
+			}
+		}
+		kept++
+		targets = sp.below(n, k+1, targets)
+	}
+	at(doc.Root, 0)
+	slices.SortFunc(targets, func(a, b *tree.Node) int { return cmp.Compare(a.ID, b.ID) })
+	return slices.Compact(targets), kept, probed, true
+}
+
+// mayHold reports whether the ground requirement b may match at a child of
+// a: it does, or a call or a pushed result sits among those children.
+func mayHold(b *Node, a *tree.Node) bool {
+	for _, n := range a.Children {
+		if n.Kind == tree.Call || n.Kind == tree.Tuples || mayMatch(b, n) {
+			return true
+		}
+	}
+	return false
+}
+
+// mayMatch reports whether ground node b may match data node n.
+func mayMatch(b *Node, n *tree.Node) bool {
+	if b.Kind == Or {
+		for _, alt := range b.Children {
+			if mayMatch(alt, n) {
+				return true
+			}
+		}
+		return false
+	}
+	if !admits(b, n) {
+		return false
+	}
+	for _, c := range b.Children {
+		if !mayHold(c, n) {
+			return false
+		}
+	}
+	return true
+}
+
+// below appends the calls on the spine's linear path from nodes[i] on,
+// below n: the path's element steps, then the calls among the children of
+// its end, or anywhere below it for a descendant output edge — the calls
+// an F-guide indexes there.
+func (sp *spinePath) below(n *tree.Node, i int, out []*tree.Node) []*tree.Node {
+	if i == len(sp.nodes) {
+		return calls(n, sp.out.Edge == Desc, out)
+	}
+	s := sp.nodes[i]
+	for _, c := range n.Children {
+		if c.Kind != tree.Element {
+			continue
+		}
+		if s.Kind != Const || s.Label == c.Label {
+			out = sp.below(c, i+1, out)
+		}
+		if s.Edge == Desc {
+			out = sp.below(c, i, out) // nodes[i] deeper down
+		}
+	}
+	return out
+}
+
+// calls appends the calls among n's children and, when deep, those below
+// its element children.
+func calls(n *tree.Node, deep bool, out []*tree.Node) []*tree.Node {
+	for _, c := range n.Children {
+		switch {
+		case c.Kind == tree.Call:
+			out = append(out, c)
+		case deep && c.Kind == tree.Element:
+			out = calls(c, true, out)
+		}
+	}
+	return out
 }

@@ -645,8 +645,9 @@ func writesWithResidents(tb testing.TB, n int, metrics *telemetry.Registry) (m *
 // warmWriteBytes bounds what one point-query write allocates on the
 // 500-hotel travel master once its shape has been written: 1.57 MB when
 // every evaluator grew its memo table from empty, about 0.74 MB on the
-// tables the last write of the shape handed back.
-const warmWriteBytes = 1 << 20
+// tables the last write of the shape handed back, about 0.26 MB once the
+// first offer of guide candidates is probed at the hotel the write names.
+const warmWriteBytes = 512 << 10
 
 // TestWarmWriteAllocationCeiling pins the handed-back tables: ten writes of
 // a warm shape, beside one resident text, allocate at most warmWriteBytes
@@ -674,6 +675,41 @@ func TestWarmWriteAllocationCeiling(t *testing.T) {
 	t.Logf("%d bytes allocated per warm write; %d spare tables kept", per, m.Stats().SpareTables)
 	if per > warmWriteBytes {
 		t.Fatalf("a warm write allocates %d bytes, ceiling %d", per, warmWriteBytes)
+	}
+}
+
+// TestWarmWriteProbesNamedAnchor pins the probed first offer: a warm write
+// on the 500-hotel master validates only the guide candidates below the
+// hotel its constant names — at most 8, where offering every candidate
+// validated 1 200 — while the same text on a copy of the master, in a run
+// that builds its own guide, still validates at least 1 000: the probe runs
+// on adopted guides only.
+func TestWarmWriteProbesNamedAnchor(t *testing.T) {
+	m, doc, writes := writesWithResidents(t, 1, nil)
+	q := writes[0]
+	e := resident(t, m, doc)
+	e.mu.Lock()
+	twin := e.master.Clone()
+	e.mu.Unlock()
+	res, err := m.Query(context.Background(), Request{Document: doc, Query: q})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := m.cfg.Engine.WithSchema(e.schema)
+	opt.UseGuide = true
+	own, err := core.Evaluate(twin, pattern.MustParse(q), m.cfg.Registry, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%q: %d candidates validated on the adopted guide, %d on a guide of its own", q, res.Stats.GuideCandidates, own.Stats.GuideCandidates)
+	if res.Stats.CallsInvoked == 0 || own.Stats.CallsInvoked != res.Stats.CallsInvoked {
+		t.Fatalf("%d calls invoked on the adopted guide, %d on a guide of its own; want the same write", res.Stats.CallsInvoked, own.Stats.CallsInvoked)
+	}
+	if res.Stats.GuideCandidates > 8 {
+		t.Fatalf("a warm write validates %d guide candidates, want at most 8", res.Stats.GuideCandidates)
+	}
+	if own.Stats.GuideCandidates < 1000 {
+		t.Fatalf("a run building its own guide validates %d candidates, want at least 1000: no probe there", own.Stats.GuideCandidates)
 	}
 }
 
