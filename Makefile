@@ -81,8 +81,12 @@ bench:
 
 # benchdiff measures the working tree the same way and compares it with
 # the record, against the bounds BENCHMARK.json fixes: one row per
-# (workload, end-to-end metric), non-zero exit on any "worse".
+# (workload, end-to-end metric), non-zero exit on any "worse". It first
+# prints the record's age: the commit it was stamped at and how many
+# commits HEAD is ahead of it (needs jq).
 benchdiff:
+	@stamp=$$(jq -r .stamp.commit BENCH_WORKLOADS.json); \
+	echo "record: BENCH_WORKLOADS.json stamped at $$stamp, $$(git rev-list --count $$stamp..HEAD 2>/dev/null || echo '?') commits behind HEAD"
 	bash benchmark/run.sh --workload all --runs 3 --set out/bench/head.json
 	bash benchmark/run.sh --compare BENCH_WORKLOADS.json out/bench/head.json
 

@@ -125,21 +125,14 @@ func (e *engine) queries(li int) ([]*rewrite.NFQ, error) {
 }
 
 // newLiveQuery returns a fresh evaluator for q over the document as it
-// stands, on table t: there is nothing in it for the recorded splices to
-// evict.
-func (e *engine) newLiveQuery(q *pattern.Pattern, proj *schema.Projection, t pattern.Table) *liveQuery {
-	return &liveQuery{iev: pattern.NewIncrementalOn(q, asProjector(proj), t), seen: e.doc.Version()}
+// stands: there is nothing in it for the recorded splices to evict.
+func (e *engine) newLiveQuery(q *pattern.Pattern, proj *schema.Projection) *liveQuery {
+	return &liveQuery{iev: pattern.NewIncrementalProjected(q, asProjector(proj)), seen: e.doc.Version()}
 }
 
-// spare takes the table the shape keeps for nfq's query object (nil: the
-// user query), counting it; the zero Table when it keeps none.
-func (e *engine) spare(nfq *rewrite.NFQ) pattern.Table {
-	t, ok := e.p.spare(nfq)
-	if ok {
-		e.met.reused.Inc()
-	}
-	return t
-}
+// adopted reports whether the run adopted the caller's guide: the runs
+// that probe anchors (DESIGN.md §4b).
+func (e *engine) adopted() bool { return e.guide != nil && e.guide == e.opt.Guide }
 
 // evaluator returns the pattern evaluator that answers one relevance
 // query — the only place the engine obtains one. Under
@@ -154,11 +147,10 @@ func (e *engine) evaluator(nfq *rewrite.NFQ) *liveQuery {
 	}
 	proj, built := e.p.projection(nfq)
 	e.stats.AnalysisTime += built
-	if !e.opt.Incremental {
-		return e.newLiveQuery(nfq.Query, proj, pattern.Table{})
+	lq := e.newLiveQuery(nfq.Query, proj)
+	if e.opt.Incremental {
+		e.relevance[nfq] = lq
 	}
-	lq := e.newLiveQuery(nfq.Query, proj, e.spare(nfq))
-	e.relevance[nfq] = lq
 	return lq
 }
 
@@ -237,7 +229,7 @@ func (e *engine) retrieve(nfq *rewrite.NFQ, lq *liveQuery) (calls []*tree.Node, 
 		var more []*tree.Node
 		if !lq.seeded {
 			ok := false
-			if e.guide == e.opt.Guide { // adopted guides only: DESIGN.md §4b
+			if e.adopted() {
 				more, anchors.kept, anchors.of, ok = lq.iev.Anchored(e.doc, nfq.Out)
 			}
 			if !ok {
@@ -267,9 +259,12 @@ func (e *engine) retrieve(nfq *rewrite.NFQ, lq *liveQuery) (calls []*tree.Node, 
 	return calls, true, anchors
 }
 
-// probed counts what a probed first offer kept: kept of the of anchors.
-// of is 0 when no probe ran.
+// probed counts what a probe kept: kept of the of anchors. of is 0 when no
+// probe ran.
 type probed struct{ kept, of int }
+
+// String is the anchors attribute of a span: "<kept>/<of>".
+func (p probed) String() string { return strconv.Itoa(p.kept) + "/" + strconv.Itoa(p.of) }
 
 // relevantCalls runs one relevance detection: it charges detection time,
 // counts the query and emits the detect span. shard is the member's slot
@@ -294,7 +289,7 @@ func (e *engine) relevantCalls(nfq *rewrite.NFQ, shard int) []*tree.Node {
 			{Key: "calls", Value: strconv.Itoa(len(calls))},
 		}
 		if anchors.of > 0 {
-			attrs = append(attrs, telemetry.Attr{Key: "anchors", Value: strconv.Itoa(anchors.kept) + "/" + strconv.Itoa(anchors.of)})
+			attrs = append(attrs, telemetry.Attr{Key: "anchors", Value: anchors.String()})
 		}
 		e.opt.Tracer.Emit(telemetry.Span{
 			Parent: e.spanParent(),

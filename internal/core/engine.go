@@ -26,7 +26,6 @@ type coreMetrics struct {
 	guideBuilds *telemetry.Counter
 	guideWarm   *telemetry.Counter
 	guidePatch  *telemetry.Counter
-	reused      *telemetry.Counter
 	evalSecs    *telemetry.Histogram
 	detectSecs  *telemetry.Histogram
 	invokeWall  *telemetry.Histogram
@@ -47,7 +46,6 @@ func resolveMetrics(reg *telemetry.Registry) coreMetrics {
 		guideBuilds: reg.Counter(telemetry.MetricGuideBuilds),
 		guideWarm:   reg.Counter(telemetry.MetricGuideWarm),
 		guidePatch:  reg.Counter(telemetry.MetricGuidePatches),
-		reused:      reg.Counter(telemetry.MetricMemoTablesReused),
 		evalSecs:    reg.Histogram(telemetry.MetricEvalSeconds),
 		detectSecs:  reg.Histogram(telemetry.MetricDetectSeconds),
 		invokeWall:  reg.Histogram(telemetry.MetricInvokeWallSeconds),
@@ -106,7 +104,7 @@ func (ev *Evaluation) Run(ctx context.Context, reg *service.Registry, opt Option
 		failed: map[*tree.Node]bool{}, met: resolveMetrics(opt.Metrics)}
 	out, err := e.run()
 	if err != nil || !out.Complete || len(out.Failures) > 0 {
-		ev.Release()
+		ev.drop()
 	}
 	return out, err
 }
@@ -156,11 +154,17 @@ func (e *engine) run() (*Outcome, error) {
 	}
 	resultSpan := e.opt.Tracer.Start("result-eval", e.spanEval.ID())
 	if e.result == nil || !e.follows(e.result) {
-		e.result = e.newLiveQuery(e.q, e.p.userProj, e.spare(nil))
+		e.result = e.newLiveQuery(e.q, e.p.userProj)
+		if e.adopted() {
+			e.result.iev.AnchorAnswer()
+		}
 	}
 	e.absorb(e.result)
 	results, st := e.result.iev.EvalIncremental(e.doc)
 	resultSpan.SetInt("results", int64(len(results)))
+	if st.Probed > 0 {
+		resultSpan.SetAttr("anchors", probed{st.Kept, st.Probed}.String())
+	}
 	resultSpan.End()
 	e.stats.NodesVisited += st.NodesVisited
 	e.stats.SubtreesPruned += st.SubtreesPruned

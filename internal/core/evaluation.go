@@ -21,16 +21,10 @@ import (
 // invariant of doc/PERF.md §1 holds for it: an evaluator never outlives the
 // query object it answers for — a new service name regenerates the refined
 // NFQs and drops their evaluators, here as inside a run. A run that fails,
-// gives up on a call or ends incomplete releases everything; a cursor the
+// gives up on a call or ends incomplete drops everything; a cursor the
 // records no longer reach back to (a mutation other than a splice, or more
 // splices than the document keeps) sends its holder — the evaluation, or
 // one evaluator — back to the document.
-//
-// Its evaluators own their memo tables only while it keeps them. When it
-// lets go of them — Release, a failed or incomplete run, a run that starts
-// from the document again, a new service name — each table goes back,
-// cleared, to the shape of the prepared query it was filled under, for the
-// next evaluator of the same query object to start on (Prepared).
 //
 // An Evaluation is not safe for concurrent use. Its runs may overlap with
 // the runs of other evaluations that share its document's Shared
@@ -89,10 +83,8 @@ func (ev *Evaluation) Rows() int {
 	return n
 }
 
-// seed learns the document from scratch, in one walk. The evaluators of
-// the state it replaces hand their tables back.
+// seed learns the document from scratch, in one walk.
 func (ev *Evaluation) seed() {
-	ev.handBack()
 	*ev = Evaluation{q: ev.q, p: ev.p, doc: ev.doc, sh: ev.sh, live: true, at: ev.doc.Version(),
 		names: map[string]bool{}, relevance: map[*rewrite.NFQ]*liveQuery{}}
 	ev.doc.Root.Walk(func(n *tree.Node) bool {
@@ -105,33 +97,9 @@ func (ev *Evaluation) seed() {
 	})
 }
 
-// Release lets go of the evaluation's state: each of its evaluators hands
-// its memo table back, cleared, to the shape of the query it was filled
-// under (Prepared), and everything but the query is forgotten — a next Run
-// starts from the document. A run that fails, gives up on a call or ends
-// incomplete releases it itself; a caller that will not run it again
-// releases it, so that the next evaluation of the shape starts on its
-// tables instead of growing new ones.
-func (ev *Evaluation) Release() {
-	ev.handBack()
+// drop forgets everything but the query.
+func (ev *Evaluation) drop() {
 	*ev = Evaluation{q: ev.q, p: ev.p, doc: ev.doc, sh: ev.sh}
-}
-
-// handBack gives the tables of the evaluation's evaluators back to its
-// prepared query's shape; the evaluators are not used again.
-func (ev *Evaluation) handBack() {
-	if ev.result != nil {
-		ev.p.handBack(nil, ev.result.iev)
-	}
-	ev.handBackRelevance()
-}
-
-// handBackRelevance gives the tables of the relevance queries' evaluators
-// back to the shape; the evaluators are not used again.
-func (ev *Evaluation) handBackRelevance() {
-	for nfq, lq := range ev.relevance {
-		ev.p.handBack(nfq, lq.iev)
-	}
 }
 
 // follow brings counts and names up to the document's version from the
@@ -164,7 +132,6 @@ func (ev *Evaluation) noteService(name string) {
 		ev.names[name] = true
 		ev.nameVersion++
 		if ev.p.an != nil {
-			ev.handBackRelevance()
 			ev.relevance = map[*rewrite.NFQ]*liveQuery{}
 		}
 	}

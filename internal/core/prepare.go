@@ -33,13 +33,6 @@ import (
 // each set it is asked for once, by substitution, keeping the instance so
 // that the evaluators kept for its query objects keep answering.
 //
-// The memo tables of the shape's evaluators are the shape's too: an
-// evaluator owns its table while an evaluation keeps it, and when the
-// evaluation is let go of (Evaluation.Release) the table comes back to the
-// shape, cleared, for the next evaluator of the same query object, of any
-// text bound to the shape, to start on. The shape keeps one table per query
-// object at most, until it is retired (Retire); Evaluate's keeps none.
-//
 // It reads the Strategy, Schema, SchemaMode, NoProject, Layering,
 // RelaxJoins and Push options; the rest of Options belongs to a run.
 type Prepared struct {
@@ -71,11 +64,6 @@ type shape struct {
 	unbilled time.Duration // Prepare's own cost, charged to the first run
 	sets     map[setKey][]*rewrite.NFQ
 	projs    map[*rewrite.NFQ]*schema.Projection
-	// spares holds, per query object of the shape — a member of one of its
-	// sets, or nil for the user query — the memo table that an evaluation
-	// of it last handed back (Evaluation.Release), cleared: at most one
-	// each. nil when the shape keeps none: Evaluate's own, or a retired one.
-	spares map[*rewrite.NFQ]pattern.Table
 }
 
 // setKey identifies one generation of the relevance queries.
@@ -96,7 +84,6 @@ func Prepare(q *pattern.Pattern, opt Options) (*Prepared, error) {
 		return nil, err
 	}
 	p.unbilled = time.Since(t0)
-	p.spares = map[*rewrite.NFQ]pattern.Table{}
 	return p, nil
 }
 
@@ -312,7 +299,11 @@ func (p *Prepared) projection(nfq *rewrite.NFQ) (proj *schema.Projection, built 
 	if p.userProj == nil {
 		return nil, 0
 	}
-	nfq = p.shapeObject(nfq)
+	if p.args != nil {
+		p.imu.Lock()
+		nfq = p.from[nfq]
+		p.imu.Unlock()
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	proj, ok := p.projs[nfq]
@@ -323,58 +314,6 @@ func (p *Prepared) projection(nfq *rewrite.NFQ) (proj *schema.Projection, built 
 		p.projs[nfq] = proj
 	}
 	return proj, built
-}
-
-// shapeObject returns the shape's query object nfq was instantiated from:
-// nfq itself for the shape's own text, and nil for nil (the user query).
-func (p *Prepared) shapeObject(nfq *rewrite.NFQ) *rewrite.NFQ {
-	if p.args == nil || nfq == nil {
-		return nfq
-	}
-	p.imu.Lock()
-	defer p.imu.Unlock()
-	return p.from[nfq]
-}
-
-// spare takes the table the shape keeps for nfq's query object (nil: the
-// user query), reporting whether it kept one: no other evaluator gets it.
-func (p *Prepared) spare(nfq *rewrite.NFQ) (pattern.Table, bool) {
-	nfq = p.shapeObject(nfq)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	t, ok := p.spares[nfq]
-	if ok {
-		delete(p.spares, nfq)
-	}
-	return t, ok
-}
-
-// handBack takes iev's table back for nfq's query object (nil: the user
-// query), cleared, unless the shape already keeps one for it or keeps none
-// at all; iev is not used again.
-func (p *Prepared) handBack(nfq *rewrite.NFQ, iev *pattern.IncrementalEvaluator) {
-	nfq = p.shapeObject(nfq)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, full := p.spares[nfq]; p.spares != nil && !full {
-		p.spares[nfq] = iev.Release()
-	}
-}
-
-// Spares returns the number of memo tables the shape keeps for its
-// evaluators to start on: one per query object at most.
-func (p *Prepared) Spares() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.spares)
-}
-
-// Retire drops the tables the shape keeps, and every one handed back after:
-// its owner will bind no more texts to it.
-func (p *Prepared) Retire() {
-	p.mu.Lock()
-	p.spares = nil
-	p.mu.Unlock()
 }
 
 // bill returns Prepare's cost the first time it is asked.

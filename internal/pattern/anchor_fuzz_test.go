@@ -1,6 +1,7 @@
 package pattern
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/activexml/axml/internal/tree"
@@ -16,6 +17,12 @@ import (
 //  2. After any call of the document is replaced by a random forest, the
 //     probe still rejects a, and the match is still empty: a "no" is
 //     permanent.
+//  3. On a document whose root element r holds several such elements among
+//     calls and pushed results, some pushed the fingerprint of a node of the
+//     query, an evaluator whose answer is anchored (AnchorAnswer) at a in
+//     /r/a[branch]/*, kept while each call of the document is replaced by a
+//     random forest, answers what an evaluation from scratch does after
+//     each replacement.
 func FuzzAnchorProbe(f *testing.F) {
 	for _, seed := range [][]byte{
 		{},
@@ -27,6 +34,7 @@ func FuzzAnchorProbe(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		answersAlike(t, &fuzzBytes{data: data})
 		in := &fuzzBytes{data: data}
 		root := NewNode(Root, "", Child)
 		a := root.Add(NewNode(Const, "a", Child))
@@ -65,6 +73,51 @@ func FuzzAnchorProbe(f *testing.F) {
 			empty("after a replacement")
 		}
 	})
+}
+
+// answersAlike is property 3 of FuzzAnchorProbe.
+func answersAlike(t *testing.T, in *fuzzBytes) {
+	root := NewNode(Root, "", Child)
+	a := root.Add(NewNode(Const, "r", Child)).Add(NewNode(Const, "a", Child))
+	a.Add(in.branch(0))
+	a.Add(NewNode(Star, "", Child)).Result = true
+	q := NewPattern(root)
+	r := tree.NewElement("r")
+	for c := in.next()%6 + 1; c > 0; c-- {
+		switch in.next() % 4 {
+		case 0:
+			r.Append(tree.NewCall([]string{"f", "g"}[in.next()%2]))
+		case 1:
+			r.Append(tree.NewTuples(q.Fingerprint(a), []tree.Binding{{"v": in.label()}}))
+		default:
+			r.Append(in.tree("a", 0, q))
+		}
+	}
+	doc := tree.NewDocument(r)
+	ev := NewIncrementalProjected(q, nil)
+	ev.AnchorAnswer()
+	alike := func(when string) {
+		got, st := ev.EvalIncremental(doc)
+		want, _ := Eval(doc, q)
+		if !slices.EqualFunc(got, want, func(a, b Result) bool { return a.Key() == b.Key() }) {
+			t.Fatalf("%s: the anchored answer differs from a fresh one (%d of %d anchors kept):\n query %s\n doc %s\n got %v\nwant %v",
+				when, st.Kept, st.Probed, q, render(doc), got, want)
+		}
+	}
+	alike("as built")
+	for _, c := range doc.Calls() {
+		if c.Parent == nil {
+			continue // taken away by an earlier replacement
+		}
+		var forest []*tree.Node
+		for n := in.next() % 3; n > 0; n-- {
+			forest = append(forest, in.tree([]string{"a", "a", "b"}[in.next()%3], 1, q))
+		}
+		parent := c.Parent
+		doc.ReplaceCall(c, forest)
+		ev.Invalidate(parent, c)
+		alike("after a replacement")
+	}
 }
 
 // fuzzBytes reads a fuzz input as a stream of choices, 0 once it runs out.

@@ -16,7 +16,9 @@ import (
 // row per child of the root element (a hotel, say), kept by the memo as
 // described on memoEntry. A row whose solutions are the very slice the view
 // made its Results from is reused; any other is restricted afresh. Any
-// other anchor is read as one piece, made afresh every time.
+// other anchor is read as one piece, made afresh every time. An anchored
+// answer (AnchorAnswer) joins only the rows of the children the probe
+// keeps; the others are empty, so the rows are the same.
 //
 // Deduplication across rows follows memoEntry's: count holds, per result
 // key, the rows holding it, so the answer is the rows' Results in order
@@ -77,6 +79,69 @@ func (ev *IncrementalEvaluator) answerRows(scope rootScope) []row {
 	})
 	vw.one[0] = row{sols: sols}
 	return vw.one[:]
+}
+
+// answerAnchor is the probe AnchorAnswer puts on the answer's top entry:
+// the nodes of the spine to the query's first result node — the first, a
+// child of the root on a child edge, is matched at the root element only —
+// the anchor's position k among them and its ground branches.
+type answerAnchor struct {
+	spine    []*Node
+	k        int
+	branches []*Node
+}
+
+// AnchorAnswer makes the evaluator join the rows of the answer's top entry
+// only for the root-element children below which the anchor probe of
+// Anchored keeps an anchor, on the spine to the query's first result node:
+// a point query's answer then costs the hotel its constant names, not every
+// hotel of the master. Stats.Probed and Stats.Kept count the anchors
+// probed. Without a result node or an anchor below the root element it does
+// nothing.
+//
+// The answer stays the same. A child the probe rules out has no call and
+// no pushed result at any position the anchor's ground branches read, so
+// its row is empty now and at every later version. A splice below a child
+// marks its row stale, and the row is probed again when it is re-joined; a
+// splice directly under the root element evicts the entry, and every row
+// is probed again.
+func (ev *IncrementalEvaluator) AnchorAnswer() {
+	out := ev.q.ResultNodes()
+	if len(out) == 0 {
+		return
+	}
+	sp := ev.path(out[0])
+	if k, branches := sp.anchor(); k > 0 {
+		ev.anchor = &answerAnchor{spine: sp.nodes, k: k, branches: branches}
+	}
+}
+
+// leads reports whether document node n, at position i ≤ k of the
+// answer's spine, may lead to an embedding: it is an anchor the probe
+// keeps, or it lies above the anchor and one of its children leads. A call
+// or a pushed result may: what it becomes, or the tuples it holds, is not
+// read.
+func (ev *IncrementalEvaluator) leads(n *tree.Node, i int) bool {
+	a := ev.anchor
+	switch {
+	case n.Kind == tree.Call || n.Kind == tree.Tuples:
+		return true
+	case !admits(a.spine[i], n):
+		return false
+	case i < a.k:
+		for _, c := range n.Children {
+			if ev.leads(c, i+1) {
+				return true
+			}
+		}
+		return false
+	}
+	ev.work.Probed++
+	if !holds(a.branches, n) {
+		return false
+	}
+	ev.work.Kept++
+	return true
 }
 
 // Unchanged reports whether the last EvalIncremental (or

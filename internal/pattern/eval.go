@@ -119,6 +119,9 @@ type Stats struct {
 	// computed before and were checked again because a splice touched
 	// their dependency root.
 	Revalidated int
+	// Probed counts the anchors the answer's probe read (AnchorAnswer), and
+	// Kept those among them whose ground branches can still hold.
+	Probed, Kept int
 }
 
 // Projector is the type-based document-projection predicate (Benzaken,

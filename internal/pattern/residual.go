@@ -37,6 +37,22 @@ func (ev *IncrementalEvaluator) spine(out *Node) *spinePath {
 	if sp, ok := ev.spines[out]; ok {
 		return sp
 	}
+	sp := ev.path(out)
+	for _, s := range sp.nodes {
+		if s.Kind != Const && s.Kind != Star && s.Kind != Var {
+			panic("pattern: residual matching requires a plain data spine")
+		}
+	}
+	if ev.spines == nil {
+		ev.spines = map[*Node]*spinePath{}
+	}
+	ev.spines[out] = sp
+	return sp
+}
+
+// path returns the root→out path of any query node out as a spine with an
+// empty view: its nodes and their branches off it.
+func (ev *IncrementalEvaluator) path(out *Node) *spinePath {
 	var path []*Node // anchor first, out last
 	for x := out; x != nil; x = x.Parent {
 		path = append(path, x)
@@ -45,11 +61,6 @@ func (ev *IncrementalEvaluator) spine(out *Node) *spinePath {
 		path[i], path[j] = path[j], path[i]
 	}
 	sp := &spinePath{out: out, nodes: path[1 : len(path)-1]}
-	for _, s := range sp.nodes {
-		if s.Kind != Const && s.Kind != Star && s.Kind != Var {
-			panic("pattern: residual matching requires a plain data spine")
-		}
-	}
 	for i, s := range path[:len(path)-1] {
 		var off []*Node
 		for _, c := range ev.ordered(s) {
@@ -59,10 +70,6 @@ func (ev *IncrementalEvaluator) spine(out *Node) *spinePath {
 		}
 		sp.off = append(sp.off, off)
 	}
-	if ev.spines == nil {
-		ev.spines = map[*Node]*spinePath{}
-	}
-	ev.spines[out] = sp
 	return sp
 }
 
@@ -353,10 +360,8 @@ func (ev *IncrementalEvaluator) Anchored(doc *tree.Document, out *Node) (targets
 			return
 		}
 		probed++
-		for _, b := range branches {
-			if !mayHold(b, n) {
-				return
-			}
+		if !holds(branches, n) {
+			return
 		}
 		kept++
 		targets = sp.below(n, k+1, targets)
@@ -364,6 +369,16 @@ func (ev *IncrementalEvaluator) Anchored(doc *tree.Document, out *Node) (targets
 	at(doc.Root, 0)
 	slices.SortFunc(targets, func(a, b *tree.Node) int { return cmp.Compare(a.ID, b.ID) })
 	return slices.Compact(targets), kept, probed, true
+}
+
+// holds is the probe of one anchor: every ground branch may hold at n.
+func holds(branches []*Node, n *tree.Node) bool {
+	for _, b := range branches {
+		if !mayHold(b, n) {
+			return false
+		}
+	}
+	return true
 }
 
 // mayHold reports whether the ground requirement b may match at a child of

@@ -281,6 +281,9 @@ type gathered struct {
 // a fresh evaluation draws from ch, with the same match calls in the same
 // order.
 func (ev *IncrementalEvaluator) rowOf(v, c *Node, n, ch *tree.Node) row {
+	if a := ev.anchor; a != nil && v == a.spine[0] && !ev.leads(ch, 1) {
+		return row{cand: ch} // empty: the probe rules it out (AnchorAnswer)
+	}
 	var g gathered
 	if c.Edge == Child {
 		ev.gather(c, ch, &g)

@@ -290,15 +290,14 @@ func TestEvictionSkipsRunInFlight(t *testing.T) {
 
 // TestConcurrentWritesShareNoTable: four writers at once, each a series of
 // never-seen point queries of one shape on one master, every one answering
-// what the naive fixpoint does. Each write's evaluators start on the tables
-// the shape's last writes handed back, when it keeps one: a table taken is
-// the taker's alone, so under -race two writes filling one table at once
+// what the naive fixpoint does. The writes share the shape's analysis and
+// the master, and each fills memo tables of its own, its answer's anchored
+// at the hotel it names: under -race two writes filling one table at once
 // would be a reported race.
 func TestConcurrentWritesShareNoTable(t *testing.T) {
 	spec := suiteSpec()
 	spec.Hotels, spec.HiddenHotels = 48, 8
-	metrics := telemetry.NewRegistry()
-	m, scenarios, reg := newSuiteManager(t, Config{Metrics: metrics, MaxActive: 4,
+	m, scenarios, reg := newSuiteManager(t, Config{MaxActive: 4,
 		Engine: core.Options{Strategy: core.LazyNFQ, Incremental: true}}, spec)
 	sc := scenarios[0]
 	const writers = 4
@@ -327,7 +326,4 @@ func TestConcurrentWritesShareNoTable(t *testing.T) {
 		}(mine)
 	}
 	wg.Wait()
-	if n := metrics.Counter(telemetry.MetricMemoTablesReused).Value(); n == 0 || m.Stats().SpareTables == 0 {
-		t.Fatalf("%d evaluators started on a handed-back table, %d tables kept", n, m.Stats().SpareTables)
-	}
 }

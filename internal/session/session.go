@@ -40,9 +40,7 @@
 // one an evaluation from scratch would give; when no row of it changed
 // (core.Outcome.Unchanged) it is stored again as the bindings and the JSON
 // the previous answer already had. A text nobody came back for — every
-// one-off point query — runs one-shot and leaves nothing behind but its
-// evaluators' memo tables, cleared, with its shape: the next write of its
-// form fills them instead of growing its own.
+// one-off point query — runs one-shot and leaves nothing behind.
 //
 // Concurrency control is two-level. A weighted FIFO admission semaphore
 // bounds the queries executing at once and sheds load (ShedError → HTTP
@@ -222,10 +220,7 @@ type Stats struct {
 	AnswerBytes int64
 	// Shapes counts the query shapes whose analysis the manager keeps
 	// (core.Shape): one per (schema, shape) that some remembered text uses.
-	// SpareTables counts the memo tables they keep, cleared, for the next
-	// evaluation of the shape to start on: one per query object of a shape
-	// at most — its relevance queries and the text's own.
-	Shapes, SpareTables int
+	Shapes int
 	// ResidentRows counts the rows the resident evaluations of hot texts
 	// keep in their pattern evaluators' memos, as of the end of each text's
 	// last engine run; ResidentBytes estimates their size at 128 bytes a
@@ -393,25 +388,20 @@ func (t *shapes) acquire(q *pattern.Pattern, sch *schema.Schema, opt core.Option
 	return s, nil
 }
 
-// release counts one text fewer using s, and drops s, with the tables it
-// keeps, when none is left.
+// release counts one text fewer using s, and drops s when none is left.
 func (t *shapes) release(s *shape) {
 	t.mu.Lock()
 	if s.refs--; s.refs == 0 {
 		delete(t.byKey, s.key)
-		s.prepared.Retire()
 	}
 	t.mu.Unlock()
 }
 
-// count returns the number of shapes kept and of the tables they keep.
-func (t *shapes) count() (shapes, spares int) {
+// len returns the number of shapes kept.
+func (t *shapes) len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, s := range t.byKey {
-		spares += s.prepared.Spares()
-	}
-	return len(t.byKey), spares
+	return len(t.byKey)
 }
 
 // hotQuery is what a document keeps per query text: the query parsed and
@@ -727,16 +717,13 @@ func (e *entry) evict() {
 	}
 }
 
-// forget drops text src, its stored answer, its resident state — whose
-// tables go back to the shape — and its use of its shape. Caller holds e.qmu
-// and h's run lock. A reader that loaded the answer before may still send
-// it; a query that found h before may still run it, one-shot.
+// forget drops text src, its stored answer, its resident state and its use
+// of its shape. Caller holds e.qmu and h's run lock. A reader that loaded the
+// answer before may still send it; a query that found h before may still
+// run it, one-shot.
 func (e *entry) forget(src string, h *hotQuery) {
 	if a := h.answer.Load(); a != nil {
 		a.drop()
-	}
-	if h.resident != nil {
-		h.resident.Release()
 	}
 	e.residentRows.Add(-h.rows)
 	h.kept, h.resident, h.rows = false, nil, 0
@@ -766,8 +753,7 @@ func (e *entry) stored(h *hotQuery) *Result {
 // the version its result was evaluated at. A text whose stored answer has
 // been read is hot: its run's engine state stays resident, and its next run
 // — after a write made the answer stale — resumes from it. A text nobody
-// came back for runs one-shot and leaves nothing behind: its evaluation's
-// tables go back to its shape for the next text of it.
+// came back for runs one-shot and leaves nothing behind.
 func (m *Manager) queryShared(ctx context.Context, e *entry, h *hotQuery) (*Result, error) {
 	if res := e.stored(h); res != nil {
 		return res, nil
@@ -788,8 +774,6 @@ func (m *Manager) queryShared(ctx context.Context, e *entry, h *hotQuery) (*Resu
 	if h.kept && h.used.Load() && ev.Live() { // a run that failed is not live
 		h.resident = ev
 		rows = int64(ev.Rows())
-	} else {
-		ev.Release()
 	}
 	e.residentRows.Add(rows - h.rows)
 	h.rows = rows
@@ -826,8 +810,7 @@ func (m *Manager) queryShared(ctx context.Context, e *entry, h *hotQuery) (*Resu
 
 // queryIsolated clones the master under a read lock and evaluates the
 // clone privately — parallel across sessions, no shared materialisation,
-// nothing kept but the text's analysis, which it shares, and the
-// evaluation's tables, which go back to it.
+// nothing kept but the text's analysis, which it shares.
 func (m *Manager) queryIsolated(ctx context.Context, e *entry, h *hotQuery) (*Result, error) {
 	t := time.Now()
 	e.mu.RLock()
@@ -835,9 +818,7 @@ func (m *Manager) queryIsolated(ctx context.Context, e *entry, h *hotQuery) (*Re
 	doc := e.master.Clone()
 	e.mu.RUnlock()
 
-	ev := h.prepared.Over(doc)
-	out, err := m.run(ctx, ev, m.options(e, false))
-	ev.Release()
+	out, err := m.run(ctx, h.prepared.Over(doc), m.options(e, false))
 	if err != nil {
 		return nil, err
 	}
@@ -954,7 +935,6 @@ func (m *Manager) Stats() Stats {
 		rows += e.residentRows.Load()
 	}
 	m.mu.Unlock()
-	shapes, spares := m.shapes.count()
 	return Stats{
 		Documents:     docs,
 		Active:        m.adm.active(),
@@ -963,8 +943,7 @@ func (m *Manager) Stats() Stats {
 		Shed:          m.shed.Load(),
 		Memo:          m.memo.Load(),
 		Resumed:       m.resumed.Load(),
-		Shapes:        shapes,
-		SpareTables:   spares,
+		Shapes:        m.shapes.len(),
 		AnswerBytes:   held,
 		ResidentRows:  rows,
 		ResidentBytes: rows * residentRowBytes,
