@@ -2,14 +2,14 @@
 # clean build, the reachability and context-chain gates, the whole suite
 # under the race detector, a short fuzz smoke of every fuzz target (seed corpora under
 # testdata/fuzz always run as plain tests), the binaries' documented usage,
-# the load-replay smoke and the benchmark smoke.
+# the load-replay smoke, the benchmark smoke and the pair-record check.
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check build vet reach ctxcheck test race fuzz bench benchdiff pairs microbench telemetry profile clismoke loadsmoke benchsmoke
+.PHONY: check build vet reach ctxcheck test race fuzz bench benchdiff pairs pairscheck microbench telemetry profile clismoke loadsmoke benchsmoke
 
-check: vet build reach ctxcheck telemetry race fuzz clismoke loadsmoke benchsmoke
+check: vet build reach ctxcheck telemetry race fuzz clismoke loadsmoke benchsmoke pairscheck
 
 build:
 	$(GO) build ./...
@@ -74,8 +74,9 @@ fuzz:
 # bench rewrites the tracked perf record, BENCH_WORKLOADS.json: what a
 # request costs end to end and layer by layer, the five BENCHMARK.json
 # workloads, three runs each at full scale (about five minutes), as one
-# stamped result set — git history of that file is the trajectory. It is
-# the only tracked record; the paper's tables are `go run ./cmd/axmlbench`.
+# stamped result set — git history of that file is the trajectory. Beside
+# it, BENCH_PAIRS.json keeps the paired runs of claims (`make pairs
+# RECORD=1`); the paper's tables are `go run ./cmd/axmlbench`.
 bench:
 	bash benchmark/run.sh --workload all --runs 3 --set BENCH_WORKLOADS.json
 
@@ -94,11 +95,19 @@ benchdiff:
 # per seed in SEEDS with the side that goes first alternating, and prints
 # METRIC's per-pair table (default op_ms_p50; wins counted in the direction
 # BENCHMARK.json gives it), wins, medians, the parent's IQR and the --compare
-# verdict (scripts/pairs.sh; PAIRS_DIR names the scratch directory).
+# verdict (scripts/pairs.sh; PAIRS_DIR names the scratch directory). With
+# RECORD=1 the pair set is appended to the tracked BENCH_PAIRS.json.
 CHANGE ?= HEAD
 METRIC ?= op_ms_p50
 pairs:
-	METRIC="$(METRIC)" bash scripts/pairs.sh "$(BASE)" "$(CHANGE)" "$(WORKLOAD)" $(SEEDS)
+	METRIC="$(METRIC)" bash scripts/pairs.sh $(if $(RECORD),--record BENCH_PAIRS.json) "$(BASE)" "$(CHANGE)" "$(WORKLOAD)" $(SEEDS)
+
+# pairscheck reads a recorded pair set back (pairs.sh --table <file>, no
+# benchmark run): it must print the table its pairs printed when they were
+# recorded, so BENCH_PAIRS.json stays readable as the script changes.
+pairscheck:
+	bash scripts/pairs.sh --table scripts/testdata/pairs.json | diff -u scripts/testdata/pairs.table -
+	@echo "pairscheck: ok, the recorded pair set prints its table"
 
 # clismoke runs the Usage lines of the binaries' package comments end to
 # end in a temporary directory (scripts/clismoke.sh), so documented usage

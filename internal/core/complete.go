@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"github.com/activexml/axml/internal/pattern"
@@ -31,18 +32,11 @@ func Relevant(doc *tree.Document, q *pattern.Pattern, sch *schema.Schema, mode s
 	var an *schema.Analyzer
 	if sch != nil {
 		an = schema.NewAnalyzer(sch, q, mode)
-		names := map[string]bool{}
-		for _, n := range sch.FunctionNames() {
-			names[n] = true
-		}
-		for _, c := range doc.Calls() {
-			names[c.Label] = true
-		}
 		opt.Analyzer = an
-		for n := range names {
-			opt.Names = append(opt.Names, n)
-		}
-		sort.Strings(opt.Names)
+		opt.Names = sch.FunctionNames()
+		doc.EachService(func(name string) { opt.Names = append(opt.Names, name) })
+		slices.Sort(opt.Names)
+		opt.Names = slices.Compact(opt.Names)
 	}
 	nfqs, err := rewrite.BuildAll(q, opt)
 	if err != nil {

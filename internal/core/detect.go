@@ -104,9 +104,9 @@ func (e *engine) pendingCalls() []*tree.Node {
 	return out
 }
 
-// pendingCount is len(pendingCalls()), from the maintained count: calls
+// pendingCount is len(pendingCalls()), from the document's count: calls
 // given up on stay in the document.
-func (e *engine) pendingCount() int { return e.pending - len(e.failed) }
+func (e *engine) pendingCount() int { return e.doc.Pending() - len(e.failed) }
 
 // queries returns the relevance queries for layer li under the names known
 // now: the prepared query's memoised objects, so the evaluators kept for

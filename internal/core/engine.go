@@ -169,7 +169,7 @@ func (e *engine) run() (*Outcome, error) {
 	e.stats.NodesVisited += st.NodesVisited
 	e.stats.SubtreesPruned += st.SubtreesPruned
 	e.stats.VirtualTime = e.opt.Clock.Elapsed()
-	e.stats.FinalSize = e.size
+	e.stats.FinalSize = e.doc.Size()
 	// Calls still pending in the final document were never deemed
 	// relevant: they are the calls laziness pruned (the paper's headline
 	// savings metric).
@@ -457,7 +457,7 @@ func (e *engine) giveUp(call *tree.Node, path string, meta callMeta) error {
 // splice replaces a call by its response in the document — the document
 // itself, which records the splice for every evaluation over it, and the
 // guide, done once, by the engine that invoked the call — brings this
-// evaluation's counts and names up to date, and updates accounting.
+// evaluation's names up to date, and updates accounting.
 func (e *engine) splice(call *tree.Node, resp service.Response, wasPushed bool) {
 	s := e.doc.ReplaceCall(call, resp.Forest)
 	if e.guide != nil {

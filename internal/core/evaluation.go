@@ -12,12 +12,13 @@ import (
 // stays, and the next Run resumes from it instead of starting from the
 // document.
 //
-// What is kept: the known service names, the pending-call count and the
-// document size, and the persistent evaluator of every live relevance query
-// with its memo and call view (Options.Incremental) plus one for the user
-// query itself. The evaluation and each evaluator hold a cursor into the
-// document's splice records (tree.Document.SplicesSince) and read the
-// records past it when next asked, whoever made the splices. The lifetime
+// What is kept: the known service names, and the persistent evaluator of
+// every live relevance query with its memo and call view
+// (Options.Incremental) plus one for the user query itself; the node and
+// call counts are the document's (tree.Document.Size, Pending). The
+// evaluation and each evaluator hold a cursor into the document's splice
+// records (tree.Document.SplicesSince) and read the records past it when
+// next asked, whoever made the splices. The lifetime
 // invariant of doc/PERF.md §1 holds for it: an evaluator never outlives the
 // query object it answers for — a new service name regenerates the refined
 // NFQs and drops their evaluators, here as inside a run. A run that fails,
@@ -47,8 +48,6 @@ type Evaluation struct {
 	// the enriched name list (Section 5, "the refined NFQs are enriched
 	// accordingly").
 	nameVersion int
-	pending     int // function nodes in the document, parameters included
-	size        int // nodes in the document
 
 	// relevance holds the persistent evaluator of each live relevance query
 	// (Options.Incremental; empty otherwise), result the user query's.
@@ -83,18 +82,12 @@ func (ev *Evaluation) Rows() int {
 	return n
 }
 
-// seed learns the document from scratch, in one walk.
+// seed learns the document from scratch: the service names its calls name
+// now, which the document counts.
 func (ev *Evaluation) seed() {
 	*ev = Evaluation{q: ev.q, p: ev.p, doc: ev.doc, sh: ev.sh, live: true, at: ev.doc.Version(),
 		names: map[string]bool{}, relevance: map[*rewrite.NFQ]*liveQuery{}}
-	ev.doc.Root.Walk(func(n *tree.Node) bool {
-		ev.size++
-		if n.Kind == tree.Call {
-			ev.pending++
-			ev.names[n.Label] = true
-		}
-		return true
-	})
+	ev.doc.EachService(func(name string) { ev.names[name] = true })
 }
 
 // drop forgets everything but the query.
@@ -102,8 +95,8 @@ func (ev *Evaluation) drop() {
 	*ev = Evaluation{q: ev.q, p: ev.p, doc: ev.doc, sh: ev.sh}
 }
 
-// follow brings counts and names up to the document's version from the
-// splice records since at, costing the records' length. It reports false,
+// follow brings the names up to the document's version from the splice
+// records since at, costing the records' length. It reports false,
 // changing nothing, when the document cannot say what happened since at.
 func (ev *Evaluation) follow() bool {
 	ss, ok := ev.doc.SplicesSince(ev.at)
@@ -111,8 +104,6 @@ func (ev *Evaluation) follow() bool {
 		return false
 	}
 	for _, s := range ss {
-		ev.size += s.Nodes
-		ev.pending += s.Pending
 		for _, c := range s.Calls {
 			ev.noteService(c.Label)
 		}

@@ -88,7 +88,7 @@ func (e *engine) hold(h hold) {
 }
 
 // catchUp reads the splices other runs made since this one last held the
-// lock: counts and names from their records, or the document again when it
+// lock: names from their records, or from the document's counts when it
 // no longer keeps them. A guide of the run's own is patched with them, as
 // their runs patched the one they adopted. Every layer may have new calls
 // from them, so every layer is due another detection before the run may

@@ -23,6 +23,8 @@ import (
 //     /r/a[branch]/*, kept while each call of the document is replaced by a
 //     random forest, answers what an evaluation from scratch does after
 //     each replacement.
+//  4. After each replacement, the document's node, call and service counts
+//     are the ones a walk of it finds.
 func FuzzAnchorProbe(f *testing.F) {
 	for _, seed := range [][]byte{
 		{},
@@ -66,6 +68,7 @@ func FuzzAnchorProbe(f *testing.F) {
 				forest = append(forest, in.tree(in.label(), 1, q))
 			}
 			doc.ReplaceCall(c, forest)
+			countsExact(t, doc)
 			ev := NewIncrementalProjected(qs, nil)
 			if _, kept, _, _ := ev.Anchored(doc, out); kept != 0 {
 				t.Fatalf("the probe rejected a, and keeps it once a call is replaced:\n query %s\n doc %s", q, render(doc))
@@ -115,8 +118,27 @@ func answersAlike(t *testing.T, in *fuzzBytes) {
 		}
 		parent := c.Parent
 		doc.ReplaceCall(c, forest)
+		countsExact(t, doc)
 		ev.Invalidate(parent, c)
 		alike("after a replacement")
+	}
+}
+
+// countsExact is property 4 of FuzzAnchorProbe.
+func countsExact(t *testing.T, doc *tree.Document) {
+	t.Helper()
+	var services []string
+	for _, c := range doc.Calls() {
+		services = append(services, c.Label)
+	}
+	slices.Sort(services)
+	services = slices.Compact(services)
+	var counted []string
+	doc.EachService(func(name string) { counted = append(counted, name) })
+	slices.Sort(counted)
+	if doc.Size() != doc.Root.Size() || doc.Pending() != len(doc.Calls()) || !slices.Equal(counted, services) {
+		t.Fatalf("the document counts %d nodes, %d calls of %v; a walk finds %d, %d of %v:\n doc %s",
+			doc.Size(), doc.Pending(), counted, doc.Root.Size(), len(doc.Calls()), services, render(doc))
 	}
 }
 

@@ -3,6 +3,9 @@ package pattern
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
+
+	"github.com/activexml/axml/internal/tree"
 )
 
 // Parse reads a tree-pattern query from its textual form. The language is
@@ -338,8 +341,7 @@ func (p *qparser) quoted() (string, error) {
 	p.pos++
 	var sb strings.Builder
 	for p.pos < len(p.in) {
-		c := p.in[p.pos]
-		switch c {
+		switch p.in[p.pos] {
 		case '"':
 			p.pos++
 			return sb.String(), nil
@@ -348,12 +350,14 @@ func (p *qparser) quoted() (string, error) {
 			if p.pos >= len(p.in) {
 				return "", p.errf("dangling escape")
 			}
-			sb.WriteByte(p.in[p.pos])
-			p.pos++
-		default:
-			sb.WriteByte(c)
-			p.pos++
 		}
+		// Document text came from XML: a constant XML cannot hold never matches.
+		r, n := utf8.DecodeRuneInString(p.in[p.pos:])
+		if r == utf8.RuneError && n == 1 || !tree.IsXMLChar(r) {
+			return "", p.errf("string holds %q, which is not an XML character", p.in[p.pos:p.pos+n])
+		}
+		sb.WriteString(p.in[p.pos : p.pos+n])
+		p.pos += n
 	}
 	return "", p.errf("unterminated string")
 }

@@ -136,6 +136,14 @@ func TestParseErrors(t *testing.T) {
 			t.Errorf("Parse(%q): expected error", in)
 		}
 	}
+	// A constant no XML text can hold — a control character, bytes that
+	// are not UTF-8 — is refused where it stands.
+	for in, at := range map[string]int{"/A[\"\x1a\"]": 4, "/A[\"\xff\"]": 4, "/A[\"ok\\\x1a\"]": 7, "/A[\"\uFFFE\"]": 4} {
+		_, err := ParseExact(in)
+		if err == nil || !strings.Contains(err.Error(), "at offset "+strconv.Itoa(at)+" ") {
+			t.Errorf("ParseExact(%q) = %v; want an error at offset %d", in, err, at)
+		}
+	}
 }
 
 func TestEvalFigure4(t *testing.T) {
@@ -591,14 +599,21 @@ func TestLiftAndBind(t *testing.T) {
 	if s, a := MustParse(`/hotels/hotel[name="name"]/rating/$R -> $R`).Lift(lift); len(a) != 0 || !strings.Contains(s.String(), `[name/name]`) {
 		t.Fatalf("an element label lifted: %s %q", s, a)
 	}
-	for _, src := range []string{"/hotels/hotel[\"\x001\"/name]/rating[\"x\"]", `/hotels/hotel[name="x"]`} {
-		q := MustParse(src)
+	// A label that begins like a parameter's cannot be parsed (no XML text
+	// holds "\x00"), only built.
+	kept := MustParse(`/hotels/hotel["p"/name]/rating["x"]`)
+	for _, n := range kept.Nodes() {
+		if n.Label == "p" {
+			n.Label = paramPrefix + "1"
+		}
+	}
+	for _, q := range []*Pattern{kept, MustParse(`/hotels/hotel[name="x"]`)} {
 		refuse := lift
-		if !strings.Contains(src, "\x00") {
+		if q != kept {
 			refuse = func(label string) bool { return !strings.HasPrefix(label, paramPrefix) }
 		}
 		if s, a := q.Lift(refuse); s != q || a != nil {
-			t.Fatalf("%q lifted to %s %q, want itself", src, s, a)
+			t.Fatalf("%q lifted to %s %q, want itself", q, s, a)
 		}
 	}
 }

@@ -132,7 +132,7 @@ func sortedKeys(b Binding) []string {
 // attribute) become function nodes; "tuples" elements become pushed-result
 // nodes. Whitespace-only character data between elements is dropped.
 func Unmarshal(data []byte) (*Document, error) {
-	roots, ids, err := parseForest(data, true)
+	roots, err := UnmarshalForest(data)
 	if err != nil {
 		return nil, err
 	}
@@ -142,38 +142,24 @@ func Unmarshal(data []byte) (*Document, error) {
 	if roots[0].Kind != Element {
 		return nil, fmt.Errorf("tree: document root must be a data element, got %v", roots[0].Kind)
 	}
-	if ids == 0 {
-		return NewDocument(roots[0]), nil
-	}
-	// The scanner numbered the nodes as NewDocument's walk would.
-	d := &Document{Root: roots[0], nextID: ids + 1}
-	d.version.Store(1)
-	return d, nil
+	return NewDocument(roots[0]), nil
 }
 
 // UnmarshalForest parses a sequence of sibling AXML trees (e.g. a service
-// result forest). The returned nodes are detached and carry zero IDs.
+// result forest). The returned nodes are detached and carry zero IDs. It is
+// the one way in: input in the wire subset — all that Marshal writes — is
+// scanned; anything else, malformed input included, goes to the encoding/xml
+// decoder, which defines the result. The choice is made from the input alone.
 func UnmarshalForest(data []byte) ([]*Node, error) {
-	roots, _, err := parseForest(data, false)
-	return roots, err
-}
-
-// parseForest is the one way in: input in the wire subset — all that
-// Marshal writes — is scanned; anything else, malformed input included,
-// goes to the encoding/xml decoder, which defines the result. The choice
-// is made from the input alone. ids is non-zero when the nodes already
-// carry document IDs 1..ids (only the scanner, only when asked).
-func parseForest(data []byte, withIDs bool) (roots []*Node, ids uint64, err error) {
-	if roots, ids, ok := scanForest(data, withIDs); ok {
-		return roots, ids, nil
+	if roots, ok := scanForest(data); ok {
+		return roots, nil
 	}
-	roots, err = decodeForest(data)
-	return roots, 0, err
+	return decodeForest(data)
 }
 
 // decodeForest parses any XML encoding/xml accepts: prologs, comments,
 // CDATA, foreign namespaces and attributes (dropped), hand-written
-// spacing. It is the fallback of parseForest and the reference the
+// spacing. It is the fallback of UnmarshalForest and the reference the
 // scanner is tested against.
 func decodeForest(data []byte) ([]*Node, error) {
 	dec := xml.NewDecoder(strings.NewReader(string(data)))

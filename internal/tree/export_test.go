@@ -1,5 +1,7 @@
 package tree
 
+import "sort"
+
 // The two parsers behind UnmarshalForest and the shared test inputs, for
 // the external differential tests (which need packages that import tree).
 var (
@@ -15,4 +17,12 @@ func NearMissInputs() []string {
 		in = append(in, c.in)
 	}
 	return in
+}
+
+// ServiceNames returns what EachService hands out, sorted.
+func ServiceNames(d *Document) []string {
+	var names []string
+	d.EachService(func(name string) { names = append(names, name) })
+	sort.Strings(names)
+	return names
 }

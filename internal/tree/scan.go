@@ -12,13 +12,10 @@ import (
 // the forest the decoder would build, node for node, or ok == false
 // without having produced anything: every construct outside the subset
 // and every malformation is left to decodeForest, which then defines
-// the result or the error. When in doubt it says no.
-//
-// With withIDs set, nodes are numbered 1..ids in document order, skipping
-// the content of <tuples> payloads (liftTuples drops it) — the numbering
-// NewDocument would give the finished forest. Otherwise IDs stay zero.
-func scanForest(data []byte, withIDs bool) (roots []*Node, ids uint64, ok bool) {
-	s := scanner{data: data, withIDs: withIDs}
+// the result or the error. When in doubt it says no. The nodes carry zero
+// IDs.
+func scanForest(data []byte) (roots []*Node, ok bool) {
+	s := scanner{data: data}
 	for i := 0; i < len(data); {
 		if data[i] != '<' {
 			i = s.charData(i)
@@ -28,13 +25,13 @@ func scanForest(data []byte, withIDs bool) (roots []*Node, ids uint64, ok bool) 
 			i = s.startTag(i + 1)
 		}
 		if i < 0 {
-			return nil, 0, false
+			return nil, false
 		}
 	}
 	if len(s.open) != 0 {
-		return nil, 0, false
+		return nil, false
 	}
-	return append(roots, s.pending...), s.ids, true
+	return append(roots, s.pending...), true
 }
 
 // scanner is the state of one scanForest run. Nodes, child slices and
@@ -42,9 +39,6 @@ func scanForest(data []byte, withIDs bool) (roots []*Node, ids uint64, ok bool) 
 // per slab, not several per node.
 type scanner struct {
 	data    []byte
-	withIDs bool
-	ids     uint64
-
 	open    []frame // open elements, outermost first
 	pending []*Node // roots, then the children so far of each open element
 	tuples  int     // open Tuples frames; inside one every element is plain data
@@ -121,14 +115,10 @@ func slabLen(bytesLeft, bytesPerItem, max int) int {
 }
 
 // attach makes n the next child of the innermost open element (or the
-// next root) and numbers it.
+// next root).
 func (s *scanner) attach(n *Node) {
 	if len(s.open) > 0 {
 		n.Parent = s.open[len(s.open)-1].node
-	}
-	if s.withIDs && s.tuples == 0 {
-		s.ids++
-		n.ID = s.ids
 	}
 	s.pending = append(s.pending, n)
 }
@@ -430,7 +420,7 @@ func entity(p []byte) (rune, int) {
 		d := rune(p[i])
 		switch {
 		case d == ';':
-			if i == digits || !inCharacterRange(r) {
+			if i == digits || !IsXMLChar(r) {
 				return 0, 0
 			}
 			return r, i + 1
@@ -454,15 +444,15 @@ func entity(p []byte) (rune, int) {
 // it encodes a character XML allows, else 0.
 func wireRune(p []byte) int {
 	r, n := utf8.DecodeRune(p)
-	if r == utf8.RuneError && n == 1 || !inCharacterRange(r) {
+	if r == utf8.RuneError && n == 1 || !IsXMLChar(r) {
 		return 0
 	}
 	return n
 }
 
-// inCharacterRange is the XML Char production, as encoding/xml applies
-// it to unescaped text.
-func inCharacterRange(r rune) bool {
+// IsXMLChar is the XML Char production, as encoding/xml applies it to
+// unescaped text: no document text holds a character outside it.
+func IsXMLChar(r rune) bool {
 	return r == 0x9 || r == 0xA || r == 0xD ||
 		0x20 <= r && r <= 0xD7FF ||
 		0xE000 <= r && r <= 0xFFFD ||

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -180,17 +181,18 @@ func sameForest(a, b []*tree.Node) string {
 // input: it either declines, or yields exactly the decoder's forest —
 // and through the public entry points the result (forest, document IDs,
 // Version, the next ID handed out) or the failure is the decoder's
-// either way. It reports whether the scanner took the input.
+// either way, and so are the document's node, call and service counts.
+// It reports whether the scanner took the input.
 func checkScanMatchesDecode(t *testing.T, data []byte) bool {
 	t.Helper()
 	want, wantErr := tree.DecodeForest(data)
-	got, ids, scanned := tree.ScanForest(data, false)
+	got, scanned := tree.ScanForest(data)
 	if scanned {
 		if wantErr != nil {
 			t.Fatalf("scanner accepted what the decoder rejects (%v): %q", wantErr, data)
 		}
-		if d := sameForest(got, want); d != "" || ids != 0 {
-			t.Fatalf("scanner and decoder disagree (%s; ids %d): %q", d, ids, data)
+		if d := sameForest(got, want); d != "" {
+			t.Fatalf("scanner and decoder disagree (%s): %q", d, data)
 		}
 	}
 	forest, err := tree.UnmarshalForest(data)
@@ -215,6 +217,10 @@ func checkScanMatchesDecode(t *testing.T, data []byte) bool {
 	if d := sameTree(doc.Root, ref.Root); d != "" || doc.Version() != ref.Version() {
 		t.Fatalf("Unmarshal differs from NewDocument(decoded) (%s; version %d vs %d): %q",
 			d, doc.Version(), ref.Version(), data)
+	}
+	if doc.Size() != ref.Size() || doc.Pending() != ref.Pending() || !slices.Equal(tree.ServiceNames(doc), tree.ServiceNames(ref)) {
+		t.Fatalf("Unmarshal counts %d nodes, %d calls of %v; NewDocument(decoded) %d, %d of %v: %q",
+			doc.Size(), doc.Pending(), tree.ServiceNames(doc), ref.Size(), ref.Pending(), tree.ServiceNames(ref), data)
 	}
 	a, b := tree.NewElement("next"), tree.NewElement("next")
 	doc.Adopt(a)
@@ -304,7 +310,7 @@ func FuzzScanMatchesDecode(f *testing.F) {
 		if !checkScanMatchesDecode(t, data) {
 			return
 		}
-		scanned, _, _ := tree.ScanForest(data, true)
+		scanned, _ := tree.ScanForest(data)
 		decoded, _ := tree.DecodeForest(data)
 		var a, b bytes.Buffer
 		for i := range scanned {

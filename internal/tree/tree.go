@@ -297,7 +297,8 @@ func (n *Node) Child(name string) *Node {
 // Document owns an AXML tree and assigns document-unique node identifiers.
 // A Document tracks a version counter, bumped on every mutation, that
 // access structures use to detect staleness, and records its latest splices
-// (SplicesSince), from which they catch up.
+// (SplicesSince), from which they catch up. It counts its nodes and calls in
+// the walks its mutations make anyway: Size, Pending and EachService walk none.
 //
 // A Document is not safe for concurrent use, with one exception: Version
 // may be read while the tree is being mutated. Each mutation bumps it as its
@@ -313,6 +314,9 @@ type Document struct {
 	// splices records the latest ReplaceCalls, oldest first, the last one
 	// to version. Adopt empties it.
 	splices []Splice
+
+	size, pending int            // nodes, and function nodes (parameters included)
+	services      map[string]int // function nodes per service name; no zero entries
 }
 
 // MaxSplices bounds the splice records a Document keeps. Once it holds that
@@ -324,16 +328,14 @@ const MaxSplices = 4096
 // was detached from Parent and a forest spliced in its place. Calls are the
 // forest's function nodes outside other calls' parameters, in document
 // order — the ones a relevance query can retrieve and an F-guide indexes —
-// and Nested those inside; Nodes and Pending are the changes to the
-// document's node and function-node counts.
+// and Nested those inside.
 type Splice struct {
 	Parent, Removed *Node
 	Calls, Nested   []*Node
-	Nodes, Pending  int
 }
 
-// NewDocument wraps root into a Document and assigns IDs to every node of
-// the tree.
+// NewDocument wraps root into a Document and, in one walk, assigns IDs to
+// every node of the tree and counts them.
 func NewDocument(root *Node) *Document {
 	d := &Document{Root: root, nextID: 1}
 	d.Adopt(root)
@@ -347,31 +349,52 @@ func NewDocument(root *Node) *Document {
 func (d *Document) Version() uint64 { return d.version.Load() }
 
 // Adopt assigns fresh IDs to every node of the given subtree that does not
-// have one yet. It must be called for subtrees attached to the document
-// outside of ReplaceCall. Such a mutation leaves no splice record:
-// SplicesSince cannot describe it, nor anything before it.
+// have one yet, and counts the document again from Root. It must be called
+// for subtrees attached to the document outside of ReplaceCall. Such a
+// mutation leaves no splice record: SplicesSince cannot describe it, nor
+// anything before it.
 func (d *Document) Adopt(n *Node) {
-	n.Walk(func(x *Node) bool {
-		d.identify(x)
+	if n != d.Root {
+		n.Walk(d.identify)
+	}
+	d.size, d.pending, d.services = 0, 0, map[string]int{}
+	d.Root.Walk(func(x *Node) bool {
+		if n == d.Root {
+			d.identify(x)
+		}
+		d.count(x, 1)
 		return true
 	})
 	d.splices = nil
 	d.version.Add(1)
 }
 
-// identify gives x a fresh ID unless it has one.
-func (d *Document) identify(x *Node) {
+// count adds x to the document's counts (by = 1) or takes it out (by = -1).
+func (d *Document) count(x *Node, by int) {
+	d.size += by
+	if x.Kind == Call {
+		d.pending += by
+		if d.services[x.Label] += by; d.services[x.Label] == 0 {
+			delete(d.services, x.Label)
+		}
+	}
+}
+
+// identify gives x a fresh ID unless it has one; it walks on.
+func (d *Document) identify(x *Node) bool {
 	if x.ID == 0 {
 		x.ID = d.nextID
 		d.nextID++
 	}
+	return true
 }
 
 // ReplaceCall implements the rewriting step of Definition 2: the function
 // node call (and the subtree rooted at it, i.e. its parameters) is deleted
 // and the trees of the result forest are plugged in its place, preserving
-// document order. In one walk of the forest its nodes are adopted (assigned
-// fresh IDs) and the splice recorded; ReplaceCall returns the record.
+// document order. The removed subtree is walked once to take it out of the
+// counts; in one walk of the forest its nodes are adopted (assigned fresh
+// IDs), counted and the splice recorded. ReplaceCall returns the record.
 //
 // It panics if call is not a function node, if it is detached, or if it is
 // the document root (AXML documents have a data root).
@@ -389,18 +412,14 @@ func (d *Document) ReplaceCall(call *Node, forest []*Node) Splice {
 	}
 	s := Splice{Parent: p, Removed: call}
 	call.Walk(func(x *Node) bool {
-		s.Nodes--
-		if x.Kind == Call {
-			s.Pending--
-		}
+		d.count(x, -1)
 		return true
 	})
 	var walk func(x *Node, param bool)
 	walk = func(x *Node, param bool) {
 		d.identify(x)
-		s.Nodes++
+		d.count(x, 1)
 		if x.Kind == Call {
-			s.Pending++
 			if param {
 				s.Nested = append(s.Nested, x)
 			} else {
@@ -457,7 +476,18 @@ func (d *Document) Calls() []*Node {
 }
 
 // Size returns the number of nodes in the document.
-func (d *Document) Size() int { return d.Root.Size() }
+func (d *Document) Size() int { return d.size }
+
+// Pending returns the number of function nodes in the document.
+func (d *Document) Pending() int { return d.pending }
+
+// EachService calls fn once with each service name the document's calls
+// name, in no particular order.
+func (d *Document) EachService(fn func(name string)) {
+	for name := range d.services {
+		fn(name)
+	}
+}
 
 // Clone returns an independent deep copy of the document. Node IDs are
 // reassigned in the copy; structural equality is preserved.

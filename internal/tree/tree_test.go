@@ -1,6 +1,7 @@
 package tree
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -163,15 +164,28 @@ func TestReplaceCallPanics(t *testing.T) {
 	}
 }
 
+// checkCounts fails unless the document's node, call and service counts
+// are the ones a walk of it finds, and the ones expected.
+func checkCounts(t *testing.T, d *Document, size, pending int, services ...string) {
+	t.Helper()
+	if d.Size() != d.Root.Size() || len(d.Calls()) != d.Pending() {
+		t.Fatalf("counts %d nodes, %d calls; a walk finds %d, %d", d.Size(), d.Pending(), d.Root.Size(), len(d.Calls()))
+	}
+	if d.Size() != size || d.Pending() != pending || !slices.Equal(ServiceNames(d), services) {
+		t.Fatalf("counts %d nodes, %d calls of %v; want %d, %d of %v", d.Size(), d.Pending(), ServiceNames(d), size, pending, services)
+	}
+}
+
 // TestSpliceRecords: ReplaceCall records each splice — parent, removed call,
-// the inserted calls outside other calls' parameters and those inside, the
-// node and call deltas — and SplicesSince hands out the records past a
-// version, until a mutation that is not a splice makes the document unable
-// to say what happened before it.
+// the inserted calls outside other calls' parameters and those inside —
+// and keeps the document's counts, and SplicesSince hands out the records
+// past a version, until a mutation that is not a splice makes the document
+// unable to say what happened before it.
 func TestSpliceRecords(t *testing.T) {
 	root := NewElement("r")
 	call := root.Append(NewCall("f", NewText("p")))
 	d := NewDocument(root)
+	checkCounts(t, d, 3, 1, "f")
 	v0 := d.Version()
 	if ss, ok := d.SplicesSince(v0); !ok || len(ss) != 0 {
 		t.Fatalf("SplicesSince(now) = %v, %v; want none, true", ss, ok)
@@ -185,9 +199,10 @@ func TestSpliceRecords(t *testing.T) {
 	}
 	s := ss[0]
 	if s.Parent != root || s.Removed != call || len(s.Calls) != 1 || s.Calls[0] != g ||
-		len(s.Nested) != 1 || s.Nested[0] != inner || s.Nodes != 3-2 || s.Pending != 2-1 {
-		t.Fatalf("record %+v: want parent r, removed f, calls [g], nested [h], +1 node, +1 call", s)
+		len(s.Nested) != 1 || s.Nested[0] != inner {
+		t.Fatalf("record %+v: want parent r, removed f, calls [g], nested [h]", s)
 	}
+	checkCounts(t, d, 4, 2, "g", "h")
 	if ss, ok := d.SplicesSince(d.Version() + 1); ok || ss != nil {
 		t.Fatal("SplicesSince a future version answered")
 	}
@@ -196,7 +211,10 @@ func TestSpliceRecords(t *testing.T) {
 	if ss, ok := d.SplicesSince(v0); !ok || len(ss) != 2 || ss[1].Removed != g {
 		t.Fatalf("SplicesSince after two splices: %v, %v", ss, ok)
 	}
+	checkCounts(t, d, 2, 0)
 	d.Adopt(root.Append(NewElement("b")))
+	d.Adopt(root.Append(NewCall("k", NewCall("k"))))
+	checkCounts(t, d, 5, 2, "k")
 	if _, ok := d.SplicesSince(v1); ok {
 		t.Fatal("SplicesSince reached back across Adopt")
 	}

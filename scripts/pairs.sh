@@ -2,8 +2,8 @@
 # Paired benchmark runs of two revisions: the evidence a gain or a
 # no-regression claim stands on.
 #
-#   make pairs BASE=<rev> [CHANGE=<rev>] WORKLOAD=<name> SEEDS="<seed> ..." [METRIC=<name>]
-#   [METRIC=<name>] bash scripts/pairs.sh <base-rev> <change-rev> <workload> <seed>...
+#   make pairs BASE=<rev> [CHANGE=<rev>] WORKLOAD=<name> SEEDS="<seed> ..." [METRIC=<name>] [RECORD=1]
+#   [METRIC=<name>] bash scripts/pairs.sh [--record <file>] <base-rev> <change-rev> <workload> <seed>...
 #
 # Both revisions are exported from git (git archive) into two sibling
 # directories of one scratch directory, PAIRS_DIR (default
@@ -26,11 +26,52 @@
 # whose exit status is the script's. A run that fails or answers wrongly
 # stops the script; its log is kept in PAIRS_DIR. Needs git, tar and jq.
 #
-#   METRIC=<name> bash scripts/pairs.sh --table
+# With --record, the finished pair set is also appended to <file>, a JSON
+# array (make pairs RECORD=1: the tracked BENCH_PAIRS.json), as one object:
+# base and change commits, workload, metric, seeds, per-pair values and
+# samples, wins, medians, the parent's IQR, the verdict's text and status,
+# and the host the pairs ran on.
+#
+#   METRIC=<name> bash scripts/pairs.sh [--record <file>] --table
 #
 # prints the table and the verdict again, for METRIC, from the runs already
 # in PAIRS_DIR: another metric of the same pairs, without running them again.
+#
+#   bash scripts/pairs.sh --table <file> [<index>]
+#
+# prints the table of a recorded pair set (default the last) as it was
+# printed when it was recorded, running nothing.
 set -euo pipefail
+
+# show prints the table of one recorded pair set, read from stdin.
+show() {
+    jq -r '
+        def r: . * 10000 | round / 10000;
+        "pair\tseed\tparent\tchange\tdelta\tsamples parent\tsamples change",
+        (.pairs | to_entries[] | .key as $i | .value
+            | "\($i + 1)\t\(.seed)\t\(.parent | r)\t\(.change | r)\t"
+              + (if .parent == 0 then "-" else "\((.change / .parent - 1) * 100 | r)%" end)
+              + "\t\(.samples_parent)\t\(.samples_change)"),
+        "\(.metric) (\(.better) is better): the change is better in \(.wins) of \(.pairs | length) pairs",
+        "median: parent \(.median.parent | r), change \(.median.change | r)",
+        "parent IQR: \(.parent_iqr.iqr | r) (q1 \(.parent_iqr.q1 | r), q3 \(.parent_iqr.q3 | r))",
+        .verdict.text'
+}
+
+if [ "${1:-}" = --table ] && [ $# -ge 2 ]; then
+    jq --argjson i "${3:--1}" '.[$i] // error("no pair set \($i)")' "$2" | show
+    exit
+fi
+
+record=
+if [ "${1:-}" = --record ]; then
+    if [ $# -lt 2 ]; then
+        echo "pairs.sh: --record needs a file" >&2
+        exit 2
+    fi
+    record=$(realpath -m "$2")
+    shift 2
+fi
 
 metric=${METRIC:-op_ms_p50}
 repo=$(git rev-parse --show-toplevel)
@@ -42,26 +83,36 @@ if [ "$better" != lower ] && [ "$better" != higher ]; then
 fi
 
 # report prints METRIC's per-pair table and the --compare verdict of the
-# merged runs in PAIRS_DIR; the verdict's status is its own.
+# merged runs in PAIRS_DIR, records them with --record, and returns the
+# verdict's status.
 report() {
-    jq -rn --arg m "$metric" --arg better "$better" --slurpfile p "$dir/parent.json" --slurpfile c "$dir/change.json" \
-        '
+    local status=0 verdict set
+    verdict=$(cd "$dir/change" && bash benchmark/run.sh --compare "$dir/parent.json" "$dir/change.json" 2>&1) || status=$?
+    set=$(jq -n --arg m "$metric" --arg better "$better" --argjson status "$status" --arg verdict "$verdict" \
+        --slurpfile p "$dir/parent.json" --slurpfile c "$dir/change.json" '
         def q($f): sort as $s | ((($s | length) - 1) * $f) as $h | ($h | floor) as $i
             | $s[$i] + ($h - $i) * ($s[[$i + 1, ($s | length) - 1] | min] - $s[$i]);
-        def r: . * 10000 | round / 10000;
-        ($p[0].runs | map(.metrics[$m].value)) as $pv
-        | ($c[0].runs | map(.metrics[$m].value)) as $cv
-        | [range(0; $pv | length)] as $ix
-        | ([$ix[] | select(if $better == "higher" then $cv[.] > $pv[.] else $cv[.] < $pv[.] end)] | length) as $wins
-        | "pair\tseed\tparent\tchange\tdelta\tsamples parent\tsamples change",
-          ($ix[] | "\(. + 1)\t\($p[0].runs[.].seed)\t\($pv[.] | r)\t\($cv[.] | r)\t"
-              + (if $pv[.] == 0 then "-" else "\(($cv[.] / $pv[.] - 1) * 100 | r)%" end)
-              + "\t\($p[0].runs[.].samples)\t\($c[0].runs[.].samples)"),
-          "\($m) (\($better) is better): the change is better in \($wins) of \($pv | length) pairs",
-          "median: parent \($pv | q(0.5) | r), change \($cv | q(0.5) | r)",
-          "parent IQR: \(($pv | q(0.75)) - ($pv | q(0.25)) | r) (q1 \($pv | q(0.25) | r), q3 \($pv | q(0.75) | r))"'
-    cd "$dir/change"
-    bash benchmark/run.sh --compare "$dir/parent.json" "$dir/change.json"
+        $p[0].runs as $pr | $c[0].runs as $cr
+        | ($pr | map(.metrics[$m].value)) as $pv
+        | ($cr | map(.metrics[$m].value)) as $cv
+        | {base: $p[0].stamp.commit, change: $c[0].stamp.commit, workload: $pr[0].workload,
+           metric: $m, better: $better, seeds: [$pr[].seed],
+           pairs: [range(0; $pv | length) as $i
+               | {seed: $pr[$i].seed, parent: $pv[$i], change: $cv[$i],
+                  samples_parent: $pr[$i].samples, samples_change: $cr[$i].samples}],
+           wins: ([range(0; $pv | length) | select(if $better == "higher" then $cv[.] > $pv[.] else $cv[.] < $pv[.] end)] | length),
+           median: {parent: ($pv | q(0.5)), change: ($cv | q(0.5))},
+           parent_iqr: {q1: ($pv | q(0.25)), q3: ($pv | q(0.75)), iqr: (($pv | q(0.75)) - ($pv | q(0.25)))},
+           verdict: {status: $status, text: $verdict},
+           host: ($c[0].stamp | {cpu, nproc, gomaxprocs, go, when})}')
+    show <<<"$set"
+    if [ -n "$record" ]; then
+        if [ ! -f "$record" ]; then echo '[]' >"$record"; fi
+        jq --argjson set "$set" '. + [$set]' "$record" >"$record.tmp"
+        mv "$record.tmp" "$record"
+        echo "pairs: recorded in $record" >&2
+    fi
+    return "$status"
 }
 
 if [ "${1:-}" = --table ]; then
@@ -73,7 +124,7 @@ if [ "${1:-}" = --table ]; then
     exit
 fi
 if [ $# -lt 4 ]; then
-    echo "usage: pairs.sh <base-rev> <change-rev> <workload> <seed>... | pairs.sh --table" >&2
+    echo "usage: pairs.sh [--record <file>] <base-rev> <change-rev> <workload> <seed>... | pairs.sh [--record <file>] --table | pairs.sh --table <file> [<index>]" >&2
     exit 2
 fi
 base=$1 change=$2 workload=$3
