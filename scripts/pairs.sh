@@ -88,6 +88,7 @@ fi
 report() {
     local status=0 verdict set
     verdict=$(cd "$dir/change" && bash benchmark/run.sh --compare "$dir/parent.json" "$dir/change.json" 2>&1) || status=$?
+    verdict=${verdict//"$dir/"/} # the record names the result sets, not the scratch directory
     set=$(jq -n --arg m "$metric" --arg better "$better" --argjson status "$status" --arg verdict "$verdict" \
         --slurpfile p "$dir/parent.json" --slurpfile c "$dir/change.json" '
         def q($f): sort as $s | ((($s | length) - 1) * $f) as $h | ($h | floor) as $i
