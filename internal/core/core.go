@@ -40,8 +40,10 @@
 // complete keeps what it learnt, so the next Run pays only for what was
 // spliced in between — whoever spliced it: the document records its own
 // splices (tree.Document.SplicesSince), and every evaluation over it reads
-// them when it next runs. Evaluate is the two in one call, for a query asked
-// once by a caller who waits for the answer.
+// them when it next runs. A guide the caller keeps of the document is
+// adopted by every run it describes, which patches it as it splices.
+// Evaluate is the two in one call, for a query asked once by a caller who
+// waits for the answer.
 package core
 
 import (
@@ -140,19 +142,15 @@ type Options struct {
 	// conditions. Together with Incremental the guide is also what makes
 	// detection a maintained view — its candidates seed the view once and
 	// afterwards the view is fed the calls each splice brought in, read from
-	// the document's splice records (tree.Splice.Calls). The session
-	// layer sets it on every shared-mode run, whatever its template says
-	// (the resident master's guide is the delta index); what is left to
-	// switch it off are one-shot evaluations and the differentials.
+	// the document's splice records (tree.Splice.Calls). It asks the run
+	// to build a guide of its own when it adopts none (Guide).
 	UseGuide bool
-	// Guide, when set together with UseGuide, supplies a pre-built
-	// F-guide for the document — typically the one a repository open
-	// built (internal/repo) or one kept warm by the session layer across
-	// evaluations. The engine adopts it when it describes this document
-	// and has incorporated every mutation (fguide.Synced); otherwise it
-	// falls back to building one. The engine maintains the adopted guide
-	// in place as calls expand, so the caller's guide stays synced and
-	// can be re-used after the run.
+	// Guide supplies a pre-built F-guide for the document — the one a
+	// repository open built (internal/repo), or a session master's. The
+	// run adopts it, whatever UseGuide says, when it describes the run's
+	// document and has incorporated every mutation (fguide.Synced), and
+	// maintains it in place as calls expand, so it stays synced and can be
+	// re-used after the run; otherwise it is ignored.
 	Guide *fguide.Guide
 	// Incremental makes each relevance query's pattern evaluator live as
 	// long as the query object instead of being built afresh for every

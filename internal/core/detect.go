@@ -130,10 +130,6 @@ func (e *engine) newLiveQuery(q *pattern.Pattern, proj *schema.Projection) *live
 	return &liveQuery{iev: pattern.NewIncrementalProjected(q, asProjector(proj)), seen: e.doc.Version()}
 }
 
-// adopted reports whether the run adopted the caller's guide: the runs
-// that probe anchors (DESIGN.md §4b).
-func (e *engine) adopted() bool { return e.guide != nil && e.guide == e.opt.Guide }
-
 // evaluator returns the pattern evaluator that answers one relevance
 // query — the only place the engine obtains one. Under
 // Options.Incremental it lives as long as the query object, its memo and
@@ -142,7 +138,8 @@ func (e *engine) adopted() bool { return e.guide != nil && e.guide == e.opt.Guid
 // gets a fresh one, the from-scratch reference the differentials compare
 // against. Building its projection predicate is charged to analysis time.
 func (e *engine) evaluator(nfq *rewrite.NFQ) *liveQuery {
-	if lq := e.relevance[nfq]; lq != nil && e.follows(lq) {
+	// Only guided detections feed a seeded view: a guideless run starts afresh.
+	if lq := e.relevance[nfq]; lq != nil && e.follows(lq) && (e.guide != nil || !lq.seeded) {
 		return lq
 	}
 	proj, built := e.p.projection(nfq)
@@ -209,7 +206,7 @@ func (e *engine) guideKeep(base []*rewrite.NFQ) func(string) bool {
 // the candidate's own ancestors' subtrees, and the evaluator's memo shares
 // condition checks across candidates). The guided answer is a maintained
 // view: the evaluator is offered candidates once and after that only the
-// calls the splices since brought in, and re-checks nothing a splice
+// calls the splices it absorbs brought in, and re-checks nothing a splice
 // cannot have changed — on a fresh evaluator that is every candidate
 // offered, every detection. On a guide the run adopted, the first offer is
 // probed (pattern.IncrementalEvaluator.Anchored): only the candidates below
@@ -221,27 +218,23 @@ func (e *engine) guideKeep(base []*rewrite.NFQ) func(string) bool {
 func (e *engine) retrieve(nfq *rewrite.NFQ, lq *liveQuery) (calls []*tree.Node, queried bool, anchors probed) {
 	var matched []*tree.Node
 	var work pattern.Stats
-	e.absorb(lq)
+	more := e.absorb(lq)
 	if e.guide != nil {
 		if !e.guide.HasCandidates(nfq.Lin, nfq.DescTail) {
+			// No call lies on the linear path, the calls just absorbed
+			// included, nor ever will: a fresh view gets none of them either.
 			return nil, false, anchors
 		}
-		var more []*tree.Node
 		if !lq.seeded {
 			ok := false
-			if e.adopted() {
+			if e.adopted {
 				more, anchors.kept, anchors.of, ok = lq.iev.Anchored(e.doc, nfq.Out)
 			}
 			if !ok {
 				more = e.guide.Candidates(nfq.Lin, nfq.DescTail)
 			}
-		} else {
-			ss, _ := e.doc.SplicesSince(lq.offered) // evaluator() saw to it
-			for _, s := range ss {
-				more = append(more, s.Calls...)
-			}
+			lq.seeded = true
 		}
-		lq.offered, lq.seeded = e.doc.Version(), true
 		matched, work = lq.iev.MatchedCandidates(e.doc, nfq.Out, more)
 	} else {
 		matched, work = lq.iev.MatchedCallsIncremental(e.doc, nfq.Out)

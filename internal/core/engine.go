@@ -127,12 +127,12 @@ func (e *engine) run() (*Outcome, error) {
 	if e.p != nil {
 		e.stats.AnalysisTime += e.p.bill()
 	}
-	if g := e.opt.Guide; e.opt.UseGuide && g != nil && g.Doc() == e.doc && fguide.Synced(g) {
+	if g := e.opt.Guide; g != nil && g.Doc() == e.doc && fguide.Synced(g) {
 		// Warm path: adopt the caller's guide (built by a repository open,
-		// or kept in sync by the session layer) instead of building one.
-		// Whatever the strategy, the engine maintains it in place as it
-		// splices, so it stays synced for the caller.
-		e.guide = g
+		// or the session's master's) instead of building one. Whatever the
+		// strategy, the engine maintains it in place as it splices, so it
+		// stays synced for the caller.
+		e.guide, e.adopted = g, true
 		e.met.guideWarm.Inc()
 	}
 	complete, err := e.evaluate()
@@ -155,7 +155,7 @@ func (e *engine) run() (*Outcome, error) {
 	resultSpan := e.opt.Tracer.Start("result-eval", e.spanEval.ID())
 	if e.result == nil || !e.follows(e.result) {
 		e.result = e.newLiveQuery(e.q, e.p.userProj)
-		if e.adopted() {
+		if e.adopted {
 			e.result.iev.AnchorAnswer()
 		}
 	}
@@ -199,7 +199,8 @@ type engine struct {
 
 	stats Stats
 
-	guide *fguide.Guide
+	guide   *fguide.Guide
+	adopted bool // guide is the caller's (Options.Guide): patched for it, probed for anchors (DESIGN.md §4b)
 	// failed marks calls given up on under BestEffort; detect skips them
 	// so the evaluation can terminate around them.
 	failed   map[*tree.Node]bool
@@ -464,7 +465,7 @@ func (e *engine) splice(call *tree.Node, resp service.Response, wasPushed bool) 
 		// The guide swaps the expanded call for the calls of the inserted
 		// forest. An adopted guide is the caller's persistent index.
 		e.guide.ApplyExpansion(s)
-		if e.guide == e.opt.Guide {
+		if e.adopted {
 			e.met.guidePatch.Inc()
 		}
 	}

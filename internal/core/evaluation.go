@@ -56,13 +56,13 @@ type Evaluation struct {
 }
 
 // liveQuery is a pattern evaluator over the evaluation's document with its
-// cursors: the version up to which it has absorbed the splices (seen), and
-// the one up to which its call view, once seeded with the guide's
-// candidates, has been offered the calls they brought in (offered).
+// cursor: the version up to which it has absorbed the splices (seen). Once
+// its call view is seeded with the guide's candidates, the same splices feed
+// it the calls they brought in.
 type liveQuery struct {
-	iev           *pattern.IncrementalEvaluator
-	seen, offered uint64
-	seeded        bool
+	iev    *pattern.IncrementalEvaluator
+	seen   uint64
+	seeded bool
 }
 
 // Live reports whether the evaluation holds state a next Run would resume
@@ -129,12 +129,10 @@ func (ev *Evaluation) noteService(name string) {
 }
 
 // follows reports whether the document still keeps every splice lq has not
-// absorbed and, once its call view is seeded, every call it has not been
-// offered. An evaluator that fell further behind is replaced by a fresh one.
+// absorbed. An evaluator that fell further behind is replaced by a fresh one.
 func (ev *Evaluation) follows(lq *liveQuery) bool {
-	_, seen := ev.doc.SplicesSince(lq.seen)
-	_, offered := ev.doc.SplicesSince(lq.offered)
-	return seen && (offered || !lq.seeded)
+	_, ok := ev.doc.SplicesSince(lq.seen)
+	return ok
 }
 
 // absorb brings one evaluator that follows the document up to date: every
@@ -142,11 +140,16 @@ func (ev *Evaluation) follows(lq *liveQuery) bool {
 // memo entries of the removed call subtree and of the root-to-parent spine,
 // the removed call's place in the view and the verdicts that hang on that
 // spine — and keeps everything off the spine (solutions depend only on the
-// keyed node's subtree).
-func (ev *Evaluation) absorb(lq *liveQuery) {
+// keyed node's subtree). A seeded call view is owed the calls those splices
+// brought in: absorb returns them, and nothing for any other evaluator.
+func (ev *Evaluation) absorb(lq *liveQuery) (arrived []*tree.Node) {
 	ss, _ := ev.doc.SplicesSince(lq.seen)
 	for _, s := range ss {
 		lq.iev.Invalidate(s.Parent, s.Removed)
+		if lq.seeded {
+			arrived = append(arrived, s.Calls...)
+		}
 	}
 	lq.seen = ev.doc.Version()
+	return arrived
 }

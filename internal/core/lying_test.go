@@ -36,6 +36,19 @@ func lyingMuseums(reg *service.Registry) *service.Registry {
 	})
 }
 
+// counting wraps reg so that every invocation is counted per service name.
+func counting(reg *service.Registry) (*service.Registry, map[string]*atomic.Int32) {
+	counts := map[string]*atomic.Int32{} // filled by Proxy, read-only after
+	return reg.Proxy(func(inner *service.Service, next service.Invoker) service.Invoker {
+		n := new(atomic.Int32)
+		counts[inner.Name] = n
+		return func(ctx context.Context, params []*tree.Node, pushed *pattern.Pattern) (service.Response, error) {
+			n.Add(1)
+			return next(ctx, params, pushed)
+		}
+	}), counts
+}
+
 // TestLyingServiceAnswersWrongly pins the hole of ROADMAP item 1 as it
 // stands: nothing checks a response forest against its call's declared out
 // type before it is spliced. On the default hotel world, with
@@ -45,9 +58,12 @@ func lyingMuseums(reg *service.Registry) *service.Registry {
 // every lazy mechanism on as the lazy-hotels benchmark runs it — prunes the
 // museum calls by their signature and answers 24 with Complete=true.
 //
-// Item 1 flips the assertion: once response forests are validated at
-// splice time, the typed runs must answer the naive fixpoint's 36 results,
-// or Complete=false.
+// The typed runs never invoke getNearbyMuseums (getHotels once,
+// getNearbyRestos 12 times, getRating 4 times), so they never receive the
+// lie: checking response forests at splice time leaves their answer at 24.
+// That the lie goes unseen is the signature-conformance assumption typed
+// pruning rests on, which no check at a trust boundary can see; a
+// splice-time check is tested with liars the typed runs do invoke.
 func TestLyingServiceAnswersWrongly(t *testing.T) {
 	w := workload.Hotels(workload.DefaultSpec())
 	for _, c := range []struct {
@@ -62,7 +78,8 @@ func TestLyingServiceAnswersWrongly(t *testing.T) {
 			Layering: true, Parallel: true, UseGuide: true, Incremental: true}, 24, 17},
 	} {
 		c.opt.Clock = &service.SimClock{}
-		out, err := Evaluate(w.Doc.Clone(), w.Query, lyingMuseums(w.Registry), c.opt)
+		reg, counts := counting(lyingMuseums(w.Registry))
+		out, err := Evaluate(w.Doc.Clone(), w.Query, reg, c.opt)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -70,6 +87,9 @@ func TestLyingServiceAnswersWrongly(t *testing.T) {
 		if len(out.Results) != c.results || !out.Complete || out.Stats.CallsInvoked != c.invoked {
 			t.Errorf("%s: %d results, complete=%v, %d calls invoked; want %d, complete, %d",
 				c.name, len(out.Results), out.Complete, out.Stats.CallsInvoked, c.results, c.invoked)
+		}
+		if n := counts["getNearbyMuseums"].Load(); c.opt.Strategy == LazyNFQTyped && n != 0 {
+			t.Errorf("%s: getNearbyMuseums invoked %d times; a typed run prunes it by its signature", c.name, n)
 		}
 	}
 }

@@ -101,7 +101,7 @@ func (e *engine) catchUp() {
 		e.dirty[i] = true
 	}
 	ss, ok := e.doc.SplicesSince(e.at)
-	if g := e.guide; g != nil && g != e.opt.Guide {
+	if g := e.guide; g != nil && !e.adopted {
 		if !ok {
 			g = fguide.Build(e.doc)
 		}

@@ -21,9 +21,10 @@
 // result stays the full result for as long as the document is unchanged.
 //
 // When the master does change, what a hot query pays is the change. Every
-// resident master keeps a synced F-guide and every shared-mode run detects
-// through it, so relevance detection costs the candidates, not the
-// document. The static analysis (core.Prepare) is done once per query shape
+// resident master has an F-guide, built once, that every shared-mode run
+// is handed: the engine adopts it, detects through it and patches it as it
+// splices, so relevance detection costs the candidates, not the document.
+// The static analysis (core.Prepare) is done once per query shape
 // (core.Shape: the text with its leaf data constants lifted to parameters),
 // shared by every text of that shape on every document with the same schema
 // and bound to each text's constants — so a never-seen point query, a write,
@@ -124,8 +125,9 @@ type Config struct {
 	// Tracer receives the engine's evaluation spans; nil disables.
 	Tracer *telemetry.Tracer
 	// Engine is the evaluation template: strategy, layering, parallelism,
-	// retry and failure policy for every query. Per-query fields (Clock,
-	// Metrics, Tracer, Guide, Schema) are overridden by the manager.
+	// retry and failure policy for every query. The manager overrides only
+	// Clock, Metrics, Tracer and Guide, per query; the schema's fields come
+	// from the document's, through the query's analysis.
 	// Engine.Planner is copied through verbatim, so one shared planner
 	// (plan.CostPlanner is safe for concurrent use) schedules every
 	// session's batches from the same learned profile.
@@ -443,13 +445,14 @@ type entry struct {
 	// mu is the master's lock and claim table, handed to every shared-mode
 	// run: read while a run detects, plans and evaluates its result, and
 	// while a query clones the master or Drain persists it; write while a
-	// run splices, or the guide is rebuilt.
+	// run splices.
 	mu     *core.Shared
 	master *tree.Document
 	// guide is the master's F-guide, built by the repository open or
-	// once at registration. Every shared-mode run adopts it and detects
-	// through it, and the adopting engine patches it as it splices, so it
-	// is always synced.
+	// once at registration, and never replaced. Only runs splice the
+	// master, and each adopts the guide (the engine's test: it describes
+	// the run's document and is synced) and patches it as it splices, so
+	// it stays synced.
 	guide *fguide.Guide
 
 	// qmu guards queries; it is never held across an engine run, nor while
@@ -525,8 +528,7 @@ func (m *Manager) AddDocument(name string, doc *tree.Document, sch *schema.Schem
 		return errors.New("session: nil document")
 	}
 	// Build the master's guide once at registration; every shared run
-	// then opens warm and keeps it patched, so the engine never rebuilds
-	// it.
+	// then adopts it and keeps it patched, so it is never rebuilt.
 	e := m.newEntry(name, doc, sch, fguide.Build(doc))
 	m.cfg.Metrics.Counter(telemetry.MetricGuideBuilds).Inc()
 	m.mu.Lock()
@@ -769,7 +771,7 @@ func (m *Manager) queryShared(ctx context.Context, e *entry, h *hotQuery) (*Resu
 		ev = h.prepared.OverShared(e.master, e.mu)
 	}
 	h.resident = nil
-	out, err := m.run(ctx, ev, m.options(e, true))
+	out, err := m.run(ctx, ev, m.options(e))
 	rows := int64(0)
 	if h.kept && h.used.Load() && ev.Live() { // a run that failed is not live
 		h.resident = ev
@@ -818,7 +820,7 @@ func (m *Manager) queryIsolated(ctx context.Context, e *entry, h *hotQuery) (*Re
 	doc := e.master.Clone()
 	e.mu.RUnlock()
 
-	out, err := m.run(ctx, h.prepared.Over(doc), m.options(e, false))
+	out, err := m.run(ctx, h.prepared.Over(doc), m.options(e))
 	if err != nil {
 		return nil, err
 	}
@@ -845,44 +847,19 @@ func (m *Manager) run(ctx context.Context, ev *core.Evaluation, opts core.Option
 }
 
 // options instantiates the engine template for one run: fresh clock,
-// shared telemetry, the entry's schema. A shared-mode run detects through
-// the entry's guide whatever the template's UseGuide says — the master's
-// guide is the index of arriving calls that makes detection cost the
-// candidates, not the document — and every run patches it as it splices,
-// under the exclusive hold. Nothing else needs telling of a splice: the
-// resident queries read the master's splice records when they next run,
-// and stored answers are checked against the master's own Version, which
-// the splice moved. A clone has no shared state to maintain and the
-// entry's guide does not describe it: an isolated run keeps the template's
-// behaviour.
-func (m *Manager) options(e *entry, shared bool) core.Options {
-	opts := m.cfg.Engine.WithSchema(e.schema)
+// shared telemetry, and the entry's guide. The engine adopts the guide for a
+// shared-mode run, whose document is the master it describes, and patches it
+// as it splices, under the exclusive hold; it rejects it for an isolated
+// run, whose clone it does not describe, and that run keeps the template's
+// behaviour. Nothing else needs telling of a splice: the resident queries
+// read the master's splice records when they next run, and stored answers
+// are checked against the master's own Version, which the splice moved.
+func (m *Manager) options(e *entry) core.Options {
+	opts := m.cfg.Engine
 	opts.Clock = m.cfg.Clock()
 	opts.Metrics = m.cfg.Metrics
 	opts.Tracer = m.cfg.Tracer
-	opts.Guide = nil
-	if !shared {
-		return opts
-	}
-	t := time.Now()
-	e.mu.RLock()
-	m.mLockWait.Observe(time.Since(t))
-	g := e.guide
-	synced := g != nil && g.Doc() == e.master && fguide.Synced(g)
-	e.mu.RUnlock()
-	if !synced {
-		// Something other than a run changed the master: rebuild into the
-		// entry, once, under the exclusive hold, rather than privately on
-		// every run.
-		e.mu.Lock()
-		if g = e.guide; g == nil || g.Doc() != e.master || !fguide.Synced(g) {
-			g = fguide.Build(e.master)
-			e.guide = g
-			m.cfg.Metrics.Counter(telemetry.MetricGuideBuilds).Inc()
-		}
-		e.mu.Unlock()
-	}
-	opts.UseGuide, opts.Guide = true, g
+	opts.Guide = e.guide
 	return opts
 }
 

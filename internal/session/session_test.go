@@ -135,7 +135,9 @@ func naiveOracle(t *testing.T, reg *service.Registry, doc *tree.Document, qsrc s
 // document has been served, or 100 ms have passed: memo reads and engine
 // runs of stale readers go on during writes, and some of each must. Every
 // single answer, memo or not, must equal the serial oracle — correctness,
-// not just survival.
+// not just survival. And every shared-mode engine run adopted its master's
+// guide (axml_fguide_warm_total counts one per run), none built one of its
+// own, and each written master's guide still equals a fresh build.
 func TestHammerSharedMaster(t *testing.T) {
 	engine := core.Options{Strategy: core.LazyNFQ, Incremental: true}
 	m, scenarios, reg := newSuiteManager(t, Config{
@@ -177,6 +179,7 @@ func TestHammerSharedMaster(t *testing.T) {
 	}
 	type writeKey struct{}
 	var memoDuringWrite, engineDuringWrite atomic.Int64 // holds during which a reader of the document was served so
+	var sharedRuns atomic.Int64                         // engine runs on a master: neither memo answers nor isolated
 	m.cfg.Registry = m.cfg.Registry.Proxy(func(_ *service.Service, next service.Invoker) service.Invoker {
 		return func(ctx context.Context, params []*tree.Node, pushed *pattern.Pattern) (service.Response, error) {
 			if doc, ok := ctx.Value(writeKey{}).(string); ok {
@@ -206,14 +209,18 @@ func TestHammerSharedMaster(t *testing.T) {
 	run := func(ctx context.Context, g int, j job) error {
 		d := byDoc[j.doc]
 		seq := d.begun.Add(1)
+		isolated := g >= goroutines+writers
 		res, err := m.Query(ctx, Request{
 			Tenant:   fmt.Sprintf("tenant-%d", g),
 			Document: j.doc,
 			Query:    j.query,
-			Isolated: g >= goroutines+writers,
+			Isolated: isolated,
 		})
 		if err != nil {
 			return fmt.Errorf("goroutine %d: %s %q: %w", g, j.doc, j.query, err)
+		}
+		if !res.Memo && !isolated {
+			sharedRuns.Add(1)
 		}
 		if h := d.heldAt.Load(); h != 0 && seq > h && ctx.Value(writeKey{}) == nil {
 			if res.Memo {
@@ -349,6 +356,18 @@ func TestHammerSharedMaster(t *testing.T) {
 	}
 	if total != st.Served {
 		t.Fatalf("tenant accounting %d != served %d", total, st.Served)
+	}
+
+	// The engine alone judges a master's guide: every shared-mode run
+	// adopted it, and the only builds are the registrations'.
+	if warm := m.cfg.Metrics.Counter(telemetry.MetricGuideWarm).Value(); warm != sharedRuns.Load() {
+		t.Fatalf("%d shared-mode engine runs adopted their master's guide, want all %d", warm, sharedRuns.Load())
+	}
+	if builds := m.cfg.Metrics.Counter(telemetry.MetricGuideBuilds).Value(); builds != int64(len(scenarios)) {
+		t.Fatalf("%d guides built, want the %d registrations' only", builds, len(scenarios))
+	}
+	for _, sc := range scenarios[:writers] {
+		guideTracksMaster(t, m, sc.Name)
 	}
 }
 
