@@ -1,7 +1,9 @@
 package repo
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -21,8 +23,10 @@ type Backend interface {
 	// ReadFile returns the content of a file, or an error wrapping
 	// fs.ErrNotExist when it is absent.
 	ReadFile(name string) ([]byte, error)
-	// WriteFile atomically creates or replaces a file.
-	WriteFile(name string, data []byte) error
+	// WriteFile atomically creates or replaces a file with what write
+	// writes. If write fails, the file keeps its old content (or stays
+	// absent) and WriteFile returns write's error.
+	WriteFile(name string, write func(io.Writer) error) error
 	// Remove deletes a file; a missing file is a no-op.
 	Remove(name string) error
 	// List returns every file name in the namespace, sorted.
@@ -30,11 +34,11 @@ type Backend interface {
 }
 
 // DirBackend stores files in one directory with the atomic temp-file +
-// rename + fsync discipline of store.WriteFileAtomic.
+// rename + fsync discipline of store.WriteAtomic.
 type DirBackend struct {
 	dir string
 	// Sync makes writes durable (fsync file and directory); see
-	// store.WriteFileAtomic. OpenDir sets it.
+	// store.WriteAtomic. OpenDir sets it.
 	Sync bool
 }
 
@@ -51,8 +55,8 @@ func (b *DirBackend) ReadFile(name string) ([]byte, error) {
 	return os.ReadFile(filepath.Join(b.dir, name))
 }
 
-func (b *DirBackend) WriteFile(name string, data []byte) error {
-	return store.WriteFileAtomic(b.dir, name, data, b.Sync)
+func (b *DirBackend) WriteFile(name string, write func(io.Writer) error) error {
+	return store.WriteAtomic(b.dir, name, write, b.Sync)
 }
 
 func (b *DirBackend) Remove(name string) error {
@@ -103,12 +107,15 @@ func (b *MemBackend) ReadFile(name string) ([]byte, error) {
 	return out, nil
 }
 
-func (b *MemBackend) WriteFile(name string, data []byte) error {
+// WriteFile keeps the buffer write fills as the file's content.
+func (b *MemBackend) WriteFile(name string, write func(io.Writer) error) error {
+	var buf bytes.Buffer
+	if err := write(&buf); err != nil {
+		return err
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	b.files[name] = cp
+	b.files[name] = buf.Bytes()
 	return nil
 }
 

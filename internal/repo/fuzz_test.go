@@ -52,9 +52,9 @@ func FuzzManifest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, manifest []byte) {
 		b := NewMemBackend()
 		for ext, data := range files {
-			b.WriteFile("w"+ext, data)
+			b.WriteFile("w"+ext, writeBytes(data))
 		}
-		b.WriteFile("w"+ManifestExt, manifest)
+		b.WriteFile("w"+ManifestExt, writeBytes(manifest))
 		r, err := New(b)
 		if err != nil {
 			t.Fatal(err)

@@ -26,6 +26,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash"
+	"io"
 	"io/fs"
 	"log"
 	"os"
@@ -68,6 +70,24 @@ type FileStamp struct {
 func stamp(data []byte) FileStamp {
 	sum := sha256.Sum256(data)
 	return FileStamp{Bytes: len(data), SHA256: hex.EncodeToString(sum[:])}
+}
+
+// stampWriter passes writes on to w and stamps the bytes w took.
+type stampWriter struct {
+	w io.Writer
+	h hash.Hash
+	n int
+}
+
+func (s *stampWriter) Write(p []byte) (int, error) {
+	n, err := s.w.Write(p)
+	s.h.Write(p[:n])
+	s.n += n
+	return n, err
+}
+
+func (s *stampWriter) stamp() FileStamp {
+	return FileStamp{Bytes: s.n, SHA256: hex.EncodeToString(s.h.Sum(nil))}
 }
 
 // Manifest describes one repository entry: which parts exist and their
@@ -185,19 +205,16 @@ func (r *Repo) sweep() error {
 }
 
 // Put persists the document and its schema under the given name,
-// atomically replacing any previous entry. The manifest is written
-// last, committing the entry.
+// atomically replacing any previous entry. The document is encoded
+// straight into its file, in the compact form tree.Marshal returns plus
+// a newline, and stamped as it is written. The manifest is written
+// last, committing the entry; a failed write leaves the previous entry
+// as it was.
 func (r *Repo) Put(name string, doc *tree.Document, opts PutOptions) error {
 	if err := store.ValidName(name); err != nil {
 		return err
 	}
-	docData, err := tree.MarshalIndent(doc.Root)
-	if err != nil {
-		return fmt.Errorf("repo: marshal %s: %w", name, err)
-	}
-	docData = append(docData, '\n')
-	man := &Manifest{Format: FormatVersion, Name: name, Doc: stamp(docData)}
-
+	man := &Manifest{Format: FormatVersion, Name: name}
 	var schemaData []byte
 	if opts.Schema != nil {
 		schemaData = []byte(opts.Schema.String())
@@ -207,11 +224,21 @@ func (r *Repo) Put(name string, doc *tree.Document, opts PutOptions) error {
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if err := r.b.WriteFile(name+DocExt, docData); err != nil {
+	if err := r.b.WriteFile(name+DocExt, func(w io.Writer) error {
+		sw := &stampWriter{w: w, h: sha256.New()}
+		if err := tree.Encode(sw, doc.Root, false); err != nil {
+			return err
+		}
+		if _, err := sw.Write([]byte{'\n'}); err != nil {
+			return err
+		}
+		man.Doc = sw.stamp()
+		return nil
+	}); err != nil {
 		return fmt.Errorf("repo: put %s: %w", name, err)
 	}
 	if opts.Schema != nil {
-		if err := r.b.WriteFile(name+SchemaExt, schemaData); err != nil {
+		if err := r.b.WriteFile(name+SchemaExt, writeBytes(schemaData)); err != nil {
 			return fmt.Errorf("repo: put %s: %w", name, err)
 		}
 	} else if err := r.b.Remove(name + SchemaExt); err != nil {
@@ -229,10 +256,19 @@ func (r *Repo) writeManifest(name string, man *Manifest) error {
 		return fmt.Errorf("repo: manifest %s: %w", name, err)
 	}
 	data = append(data, '\n')
-	if err := r.b.WriteFile(name+ManifestExt, data); err != nil {
+	if err := r.b.WriteFile(name+ManifestExt, writeBytes(data)); err != nil {
 		return fmt.Errorf("repo: manifest %s: %w", name, err)
 	}
 	return nil
+}
+
+// writeBytes is the Backend.WriteFile callback of content already in
+// memory.
+func writeBytes(data []byte) func(io.Writer) error {
+	return func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	}
 }
 
 // Get opens an entry and builds its F-guide. The document is

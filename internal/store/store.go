@@ -9,6 +9,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -38,20 +39,29 @@ func ValidName(name string) error {
 	return nil
 }
 
-// WriteFileAtomic writes data to dir/filename through a temp file and a
-// rename, so readers only ever see the old or the new content. With sync
-// set the write is also durable: rename alone only orders the directory
-// entry, not the data — after a crash the new name can point at an empty
-// or partial file — so the temp file is fsynced before it becomes
-// reachable and the directory after, putting the rename itself on stable
-// storage.
+// WriteFileAtomic writes data to dir/filename with WriteAtomic.
 func WriteFileAtomic(dir, filename string, data []byte, sync bool) error {
+	return WriteAtomic(dir, filename, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	}, sync)
+}
+
+// WriteAtomic writes to dir/filename what write writes, through a temp
+// file and a rename, so readers only ever see the old or the new content:
+// if write fails, the temp file is removed and the old content stays.
+// With sync set the write is also durable: rename alone only orders the
+// directory entry, not the data — after a crash the new name can point
+// at an empty or partial file — so the temp file is fsynced before it
+// becomes reachable and the directory after, putting the rename itself
+// on stable storage.
+func WriteAtomic(dir, filename string, write func(io.Writer) error, sync bool) error {
 	tmp, err := os.CreateTemp(dir, "."+filename+".tmp-*")
 	if err != nil {
 		return err
 	}
 	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
+	if err := write(tmp); err != nil {
 		tmp.Close()
 		os.Remove(tmpName)
 		return err

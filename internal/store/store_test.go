@@ -2,6 +2,8 @@ package store
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -60,6 +62,33 @@ func TestOverwriteIsAtomicReplace(t *testing.T) {
 		t.Fatalf("overwrite lost: %q", back)
 	}
 	noTempFiles(t, dir)
+}
+
+// TestFailedWriteKeepsOldContent: a write callback that fails after
+// writing part of its content leaves the previous file as it was and no
+// temp file, synced or not.
+func TestFailedWriteKeepsOldContent(t *testing.T) {
+	dir := t.TempDir()
+	if err := WriteFileAtomic(dir, "d"+Extension, []byte("<old/>"), true); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	for _, sync := range []bool{true, false} {
+		err := WriteAtomic(dir, "d"+Extension, func(w io.Writer) error {
+			if _, err := w.Write(bytes.Repeat([]byte("x"), 1<<16)); err != nil {
+				return err
+			}
+			return boom
+		}, sync)
+		if !errors.Is(err, boom) {
+			t.Fatalf("sync=%v: err = %v, want the callback's", sync, err)
+		}
+		back, err := os.ReadFile(filepath.Join(dir, "d"+Extension))
+		if err != nil || string(back) != "<old/>" {
+			t.Fatalf("sync=%v: old content lost: %q, %v", sync, back, err)
+		}
+		noTempFiles(t, dir)
+	}
 }
 
 func TestNameValidation(t *testing.T) {

@@ -1,6 +1,7 @@
 package tree
 
 import (
+	"bytes"
 	"encoding/xml"
 	"fmt"
 	"io"
@@ -23,30 +24,32 @@ const (
 // Marshal serialises the subtree rooted at n as XML. Function nodes become
 // <axml:call service="name"> elements in CallNamespace; pushed-result nodes
 // become <axml:tuples query="..."><tuple><X>v</X>...</tuple>...</axml:tuples>.
-func Marshal(n *Node) ([]byte, error) {
-	var sb strings.Builder
-	enc := xml.NewEncoder(&sb)
-	if err := encodeNode(enc, n); err != nil {
-		return nil, err
-	}
-	if err := enc.Flush(); err != nil {
-		return nil, err
-	}
-	return []byte(sb.String()), nil
-}
+func Marshal(n *Node) ([]byte, error) { return marshal(n, false) }
 
 // MarshalIndent is Marshal with two-space indentation, for humans.
-func MarshalIndent(n *Node) ([]byte, error) {
-	var sb strings.Builder
-	enc := xml.NewEncoder(&sb)
-	enc.Indent("", "  ")
+func MarshalIndent(n *Node) ([]byte, error) { return marshal(n, true) }
+
+func marshal(n *Node, indent bool) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := Encode(&buf, n, indent); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// Encode writes the subtree rooted at n to w in the form Marshal returns,
+// or with indent set the form MarshalIndent returns. It writes as it
+// walks: when it fails — w's error, or a node that cannot be marshalled —
+// part of the subtree may already be in w.
+func Encode(w io.Writer, n *Node, indent bool) error {
+	enc := xml.NewEncoder(w)
+	if indent {
+		enc.Indent("", "  ")
+	}
 	if err := encodeNode(enc, n); err != nil {
-		return nil, err
+		return err
 	}
-	if err := enc.Flush(); err != nil {
-		return nil, err
-	}
-	return []byte(sb.String()), nil
+	return enc.Flush()
 }
 
 func encodeNode(enc *xml.Encoder, n *Node) error {

@@ -329,17 +329,18 @@ func FuzzScanMatchesDecode(f *testing.F) {
 }
 
 // hotelsDocument is the 1000+200-hotel document of the benchmark's
-// open-query-persist workload, as repo.Put stores it.
+// open-query-persist workload, as repo.Put stores it: tree.Marshal's
+// bytes and a newline.
 func hotelsDocument(tb testing.TB) (data []byte, nodes int) {
 	tb.Helper()
 	spec := workload.DefaultSpec()
 	spec.Hotels, spec.HiddenHotels = 1000, 200
 	doc := workload.Hotels(spec).Doc
-	data, err := tree.MarshalIndent(doc.Root)
+	data, err := tree.Marshal(doc.Root)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return data, doc.Size()
+	return append(data, '\n'), doc.Size()
 }
 
 // TestUnmarshalAllocationCeiling pins what the slab and intern design

@@ -1,6 +1,7 @@
 package tree
 
 import (
+	"errors"
 	"slices"
 	"strings"
 	"testing"
@@ -379,6 +380,43 @@ func TestMarshalIndentParsesBack(t *testing.T) {
 	}
 	if !d.Root.Equal(d2.Root) {
 		t.Fatal("indented round trip mismatch")
+	}
+}
+
+// failWriter takes k bytes, then fails every write.
+type failWriter struct{ k int }
+
+var errWriter = errors.New("writer failed")
+
+func (w *failWriter) Write(p []byte) (int, error) {
+	if len(p) <= w.k {
+		w.k -= len(p)
+		return len(p), nil
+	}
+	n := w.k
+	w.k = 0
+	return n, errWriter
+}
+
+// TestEncodeReturnsWriterError: whichever byte the writer fails at, the
+// encoder returns the writer's error — a stored document cut short can
+// never be reported as written.
+func TestEncodeReturnsWriterError(t *testing.T) {
+	root := hotelDoc().Root
+	root.Append(NewTuples("//restaurant", []Binding{{"X": "In Delis", "Y": "2nd Ave."}}))
+	for _, indent := range []bool{false, true} {
+		full, err := marshal(root, indent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < len(full); k++ {
+			if err := Encode(&failWriter{k: k}, root, indent); !errors.Is(err, errWriter) {
+				t.Fatalf("indent=%v: writer failing at byte %d of %d: err = %v", indent, k, len(full), err)
+			}
+		}
+		if err := Encode(&failWriter{k: len(full)}, root, indent); err != nil {
+			t.Fatalf("indent=%v: writer taking all %d bytes: %v", indent, len(full), err)
+		}
 	}
 }
 
