@@ -938,62 +938,70 @@ func TestShapeSharedWritesMatchOracle(t *testing.T) {
 // the four documents of the 500-hotel suite with every query hot, then
 // nine hot reads per never-seen point-query write to an odd hotel of
 // travel or distributed. One op is one request; a write's splice sends
-// the hot queries of its document through the engine once more.
+// the hot queries of its document through the engine once more. The
+// timed requests carry a profile label, so a CPU profile can leave the
+// set-up out: go tool pprof -tagfocus phase=churn.
 func BenchmarkChurnMix(b *testing.B) {
+	labelled := pprof.WithLabels(context.Background(), pprof.Labels("phase", "churn"))
+	defer pprof.SetGoroutineLabels(context.Background())
+	m, hot, writes := churnMix(b)
+	pprof.SetGoroutineLabels(labelled)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req := hot[(i-i/10)%len(hot)]
+		if i%10 == 9 {
+			if len(writes) == 0 { // every target written: a fresh suite
+				b.StopTimer()
+				pprof.SetGoroutineLabels(context.Background())
+				m, hot, writes = churnMix(b)
+				pprof.SetGoroutineLabels(labelled)
+				b.StartTimer()
+			}
+			req, writes = writes[0], writes[1:]
+		}
+		if _, err := m.Query(context.Background(), req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// churnMix builds BenchmarkChurnMix's manager with every hot query
+// answered from the memo, and returns the hot queries and the writes.
+func churnMix(tb testing.TB) (m *Manager, hot, writes []Request) {
 	spec := workload.DefaultSpec()
 	spec.Hotels, spec.HiddenHotels = 500, 100
 	reg, scenarios := workload.Suite(spec)
-	m := NewManager(Config{Registry: reg, Engine: core.Options{Strategy: core.LazyNFQ, Incremental: true}})
-	var hot []Request
+	m = NewManager(Config{Registry: reg, Engine: core.Options{Strategy: core.LazyNFQ, Incremental: true}})
 	for _, sc := range scenarios {
 		if err := m.AddDocument(sc.Name, sc.Doc, sc.Schema); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		for _, q := range sc.Queries {
 			hot = append(hot, Request{Document: sc.Name, Query: q})
 		}
 	}
-	var writes []Request
 	for k := 1; k < spec.Hotels; k += 2 {
 		for _, doc := range []string{"travel", "distributed"} {
 			writes = append(writes, Request{Document: doc, Query: pointQuery(k)})
 		}
 	}
-	ask := func(req Request) *Result {
-		res, err := m.Query(context.Background(), req)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return res
-	}
-	for round := 0; ; round++ { // warm: every hot query answered from the memo
+	for round := 0; ; round++ {
 		memo := 0
 		for _, req := range hot {
-			if ask(req).Memo {
+			res, err := m.Query(context.Background(), req)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			if res.Memo {
 				memo++
 			}
 		}
 		if memo == len(hot) {
-			break
+			return m, hot, writes
 		}
 		if round == 8 {
-			b.Fatal("masters not complete after 8 rounds")
+			tb.Fatal("masters not complete after 8 rounds")
 		}
-	}
-	if b.N/10 > len(writes) {
-		b.Fatalf("%d requests need %d writes; %d targets", b.N, b.N/10, len(writes))
-	}
-	// The timed requests carry a profile label, so a CPU profile can
-	// leave the warm-up out: go tool pprof -tagfocus phase=churn.
-	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), pprof.Labels("phase", "churn")))
-	defer pprof.SetGoroutineLabels(context.Background())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i%10 == 9 {
-			ask(writes[i/10])
-			continue
-		}
-		ask(hot[(i-i/10)%len(hot)])
 	}
 }
