@@ -124,10 +124,11 @@ func (e *engine) queries(li int) ([]*rewrite.NFQ, error) {
 	return e.cur.set, nil
 }
 
-// newLiveQuery returns a fresh evaluator for q over the document as it
-// stands: there is nothing in it for the recorded splices to evict.
-func (e *engine) newLiveQuery(q *pattern.Pattern, proj *schema.Projection) *liveQuery {
-	return &liveQuery{iev: pattern.NewIncrementalProjected(q, asProjector(proj)), seen: e.doc.Version()}
+// newLiveQuery returns a fresh evaluator for q, its parameters bound to
+// args, over the document as it stands: there is nothing in it for the
+// recorded splices to evict.
+func (e *engine) newLiveQuery(q *pattern.Pattern, args []string, proj *schema.Projection) *liveQuery {
+	return &liveQuery{iev: pattern.NewIncrementalBound(q, args, asProjector(proj)), seen: e.doc.Version()}
 }
 
 // evaluator returns the pattern evaluator that answers one relevance
@@ -136,7 +137,9 @@ func (e *engine) newLiveQuery(q *pattern.Pattern, proj *schema.Projection) *live
 // call view kept sound by the document's splice records, unless it falls
 // further behind than the document keeps records; otherwise every detection
 // gets a fresh one, the from-scratch reference the differentials compare
-// against. Building its projection predicate is charged to analysis time.
+// against. The query object is the shape's: the evaluator reads its
+// parameters as the text's arguments. Building its projection predicate is
+// charged to analysis time.
 func (e *engine) evaluator(nfq *rewrite.NFQ) *liveQuery {
 	// Only guided detections feed a seeded view: a guideless run starts afresh.
 	if lq := e.relevance[nfq]; lq != nil && e.follows(lq) && (e.guide != nil || !lq.seeded) {
@@ -144,7 +147,7 @@ func (e *engine) evaluator(nfq *rewrite.NFQ) *liveQuery {
 	}
 	proj, built := e.p.projection(nfq)
 	e.stats.AnalysisTime += built
-	lq := e.newLiveQuery(nfq.Query, proj)
+	lq := e.newLiveQuery(nfq.Query, e.p.args, proj)
 	if e.opt.Incremental {
 		e.relevance[nfq] = lq
 	}
@@ -278,7 +281,7 @@ func (e *engine) relevantCalls(nfq *rewrite.NFQ, shard int) []*tree.Node {
 	if e.opt.Tracer != nil {
 		attrs := []telemetry.Attr{
 			{Key: "round", Value: strconv.Itoa(e.round)},
-			{Key: "target", Value: traceTarget(nfq)},
+			{Key: "target", Value: e.traceTarget(nfq)},
 			{Key: "calls", Value: strconv.Itoa(len(calls))},
 		}
 		if anchors.of > 0 {
@@ -296,10 +299,10 @@ func (e *engine) relevantCalls(nfq *rewrite.NFQ, shard int) []*tree.Node {
 	return calls
 }
 
-// traceTarget labels the node an NFQ was generated for.
-func traceTarget(nfq *rewrite.NFQ) string {
+// traceTarget labels the text's node an NFQ was generated for.
+func (e *engine) traceTarget(nfq *rewrite.NFQ) string {
 	if nfq == nil {
 		return ""
 	}
-	return nfq.TargetLabel()
+	return nfq.TargetLabel(e.q)
 }

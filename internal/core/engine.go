@@ -154,7 +154,7 @@ func (e *engine) run() (*Outcome, error) {
 	}
 	resultSpan := e.opt.Tracer.Start("result-eval", e.spanEval.ID())
 	if e.result == nil || !e.follows(e.result) {
-		e.result = e.newLiveQuery(e.q, e.p.userProj)
+		e.result = e.newLiveQuery(e.q, nil, e.p.userProj)
 		if e.adopted {
 			e.result.iev.AnchorAnswer()
 		}

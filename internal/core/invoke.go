@@ -199,7 +199,7 @@ func (e *engine) emitInvokeSpan(r request, nfq *rewrite.NFQ, o outcome, batch in
 			{Key: "path", Value: r.path},
 		},
 	}
-	if t := traceTarget(nfq); t != "" {
+	if t := e.traceTarget(nfq); t != "" {
 		s.Attrs = append(s.Attrs, telemetry.Attr{Key: "target", Value: t})
 	}
 	if batch > 1 {

@@ -168,7 +168,8 @@ func (e *engine) pushFor(nfq *rewrite.NFQ, svc string) *pattern.Pattern {
 
 // pushedQuery returns the subquery to ship with a call retrieved for nfq,
 // or nil when pushing is off, impossible, or unsafe. The subquery is
-// sub_v, v's subtree (Section 7); it is only pushed when the binding
+// sub_v, the subtree of the text's node v (Section 7) — its constants, not
+// the shape's parameters; it is only pushed when the binding
 // tuples it returns can stand in for a full match: every result node is a
 // variable and every variable of the subtree is a result variable (a
 // variable shared with the rest of the query but absent from the tuples
@@ -177,7 +178,7 @@ func (e *engine) pushedQuery(nfq *rewrite.NFQ) *pattern.Pattern {
 	if !e.opt.Push || nfq == nil {
 		return nil
 	}
-	sub := e.q.Sub(nfq.For)
+	sub := e.q.Sub(e.q.Node(nfq.For.ID))
 	resultVars := map[string]bool{}
 	for _, r := range sub.ResultNodes() {
 		if r.Kind != pattern.Var {

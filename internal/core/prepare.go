@@ -26,12 +26,13 @@ import (
 //
 // None of it depends on a leaf data constant that is not an element label of
 // the schema (the satisfiability analysis compares a constant with element
-// labels only), so the analysis is done once per shape (Shape): the
-// Prepared of a shape, bound to one text's constants (Bind), shares the
-// shape's analysis, its memoised sets and their projections — a projection
-// is a predicate over query-node IDs, which binding keeps — and instantiates
-// each set it is asked for once, by substitution, keeping the instance so
-// that the evaluators kept for its query objects keep answering.
+// labels only), so the analysis is done once per shape (Shape), and a text
+// is its shape plus its arguments: the Prepared of a shape, bound to one
+// text's constants (Bind), runs the shape's own relevance queries — its
+// memoised sets and their projections, predicates over query-node IDs —
+// on evaluators that read each parameter as the text's argument. It keeps
+// one copy of its own, the text's query, for the result, completeness and
+// pushed subqueries.
 //
 // It reads the Strategy, Schema, SchemaMode, NoProject, Layering,
 // RelaxJoins and Push options; the rest of Options belongs to a run.
@@ -39,10 +40,6 @@ type Prepared struct {
 	*shape
 	q    *pattern.Pattern // the text's query: the shape's own, or the shape bound to args
 	args []string         // the text's lifted constants; nil when q is the shape's own query
-
-	imu  sync.Mutex
-	inst map[setKey][]*rewrite.NFQ     // the shape's sets instantiated, by the shape's key; unused when args is nil
-	from map[*rewrite.NFQ]*rewrite.NFQ // an instantiated query object → the shape's it was made from
 }
 
 // shape is the analysis a Prepared shares with every text bound to it.
@@ -126,8 +123,7 @@ func (p *Prepared) Bind(args []string) *Prepared {
 	if len(args) == 0 {
 		return p
 	}
-	return &Prepared{shape: p.shape, q: p.shape.q.Bind(args), args: args,
-		inst: map[setKey][]*rewrite.NFQ{}, from: map[*rewrite.NFQ]*rewrite.NFQ{}}
+	return &Prepared{shape: p.shape, q: p.shape.q.Bind(args), args: args}
 }
 
 func prepare(q *pattern.Pattern, opt Options) (*Prepared, error) {
@@ -192,35 +188,13 @@ func (p *shape) lpqBased() bool {
 // member index, so the layers' indices stay valid across regenerations.
 // Done positions are only used to simplify OR/() branches inside the
 // queries (Section 4.3): queries for done nodes are still present but
-// belong to finished layers and are never evaluated again. A bound text
-// gets the shape's set instantiated, once, and the same objects after.
-func (p *Prepared) queries(li int, known map[string]bool) (set []*rewrite.NFQ, built time.Duration, err error) {
-	set, key, built, err := p.shape.queries(li, known)
-	if err != nil || p.args == nil {
-		return set, built, err
-	}
-	p.imu.Lock()
-	defer p.imu.Unlock()
-	if inst, ok := p.inst[key]; ok {
-		return inst, built, nil
-	}
-	t0 := time.Now()
-	inst := make([]*rewrite.NFQ, len(set))
-	for i, nfq := range set {
-		inst[i] = nfq.Bind(p.q, p.args)
-		p.from[inst[i]] = nfq
-	}
-	p.inst[key] = inst
-	return inst, built + time.Since(t0), nil
-}
-
-// queries returns the shape's set for layer li and the names known, and the
-// key it is memoised under.
-func (p *shape) queries(li int, known map[string]bool) (set []*rewrite.NFQ, key setKey, built time.Duration, err error) {
+// belong to finished layers and are never evaluated again. Every text bound
+// to the shape gets the same objects.
+func (p *shape) queries(li int, known map[string]bool) (set []*rewrite.NFQ, built time.Duration, err error) {
 	if p.lpqBased() {
-		return p.skeleton, setKey{layer: -1}, 0, nil
+		return p.skeleton, 0, nil
 	}
-	key.layer = li
+	key := setKey{layer: li}
 	var names []string
 	if p.an != nil {
 		names = sortedNames(known)
@@ -229,14 +203,14 @@ func (p *shape) queries(li int, known map[string]bool) (set []*rewrite.NFQ, key 
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if set, ok := p.sets[key]; ok {
-		return set, key, 0, nil
+		return set, 0, nil
 	}
 	t0 := time.Now()
 	if set, err = p.build(p.done[li], names); err != nil {
-		return nil, key, 0, err
+		return nil, 0, err
 	}
 	p.sets[key] = set
-	return set, key, time.Since(t0), nil
+	return set, time.Since(t0), nil
 }
 
 // build generates one relevance-query set.
@@ -294,15 +268,10 @@ func (p *shape) lpqSet() ([]*rewrite.NFQ, error) {
 // predicate for one relevance query, or nil when the evaluation does not
 // project. Construction runs the per-query satisfiability fixpoint; built
 // reports its cost, 0 on a memo hit. The predicate lives as long as the
-// shape's query object it was derived from, and serves its instances.
-func (p *Prepared) projection(nfq *rewrite.NFQ) (proj *schema.Projection, built time.Duration) {
+// shape's query object it was derived from.
+func (p *shape) projection(nfq *rewrite.NFQ) (proj *schema.Projection, built time.Duration) {
 	if p.userProj == nil {
 		return nil, 0
-	}
-	if p.args != nil {
-		p.imu.Lock()
-		nfq = p.from[nfq]
-		p.imu.Unlock()
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -5,12 +5,16 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/activexml/axml/internal/fguide"
 	"github.com/activexml/axml/internal/pattern"
+	"github.com/activexml/axml/internal/rewrite"
 	"github.com/activexml/axml/internal/schema"
 	"github.com/activexml/axml/internal/service"
+	"github.com/activexml/axml/internal/telemetry"
+	"github.com/activexml/axml/internal/telemetry/spantest"
 	"github.com/activexml/axml/internal/tree"
 	"github.com/activexml/axml/internal/workload"
 )
@@ -45,8 +49,9 @@ func variantTexts(q *pattern.Pattern, sch *schema.Schema, pool []string, n int, 
 // constant is an element label (name="name") and one whose two constants are
 // equal beside one where they differ — the text bound to its shape's shared
 // Prepared (Shape, Bind) answers exactly like the text prepared on its own:
-// the same results, completeness, invoked calls in order and Stats but for
-// their wall-clock fields. Checked on a master every text of a scenario
+// the same results, completeness, invoked calls in order, span streams and
+// Stats but for their wall-clock fields, and no parameter label reaches a
+// span. Checked on a master every text of a scenario
 // materialises in turn, its evaluations kept and resumed after the others'
 // splices, and under Evaluate on a pristine clone; across typed detection
 // through a guide, layering with pushing, LPQs and lenient speculation. One
@@ -86,10 +91,10 @@ func TestShapeSharedMatchesPerText(t *testing.T) {
 				run := func(at string, pair [2]*Evaluation) {
 					t.Helper()
 					var outs [2]*Outcome
-					var calls [2][]string
+					var traces [2]trace
 					for side, ev := range pair {
 						o := opt
-						o.Clock, o.Tracer = &service.SimClock{}, invoked(&calls[side])
+						o.Clock, o.Tracer = &service.SimClock{}, traces[side].tracer()
 						if o.UseGuide {
 							o.Guide = guides[side]
 						}
@@ -99,7 +104,7 @@ func TestShapeSharedMatchesPerText(t *testing.T) {
 						}
 						outs[side] = out
 					}
-					same(t, at, outs[0], outs[1], calls[0], calls[1])
+					same(t, at, outs[0], outs[1], &traces[0], &traces[1])
 				}
 				queries := sc.Queries
 				if sc.Name == "travel" {
@@ -142,20 +147,20 @@ func TestShapeSharedMatchesPerText(t *testing.T) {
 						run(fmt.Sprintf("%s resuming text %d", at, k), evs[k])
 
 						// Under Evaluate, from the pristine document.
-						var calls [2][]string
+						var traces [2]trace
 						o := opt
-						o.Clock, o.Tracer = &service.SimClock{}, invoked(&calls[0])
+						o.Clock, o.Tracer = &service.SimClock{}, traces[0].tracer()
 						o.UseGuide = false
 						got, err := bound.Over(sc.Doc.Clone()).Run(context.Background(), reg, o)
 						if err != nil {
 							t.Fatalf("%s: %v", at, err)
 						}
-						o.Clock, o.Tracer = &service.SimClock{}, invoked(&calls[1])
+						o.Clock, o.Tracer = &service.SimClock{}, traces[1].tracer()
 						want, err := Evaluate(sc.Doc.Clone(), q, reg, o)
 						if err != nil {
 							t.Fatalf("%s: Evaluate: %v", at, err)
 						}
-						same(t, at+" against Evaluate", got, want, calls[0], calls[1])
+						same(t, at+" against Evaluate", got, want, &traces[0], &traces[1])
 					}
 				}
 			}
@@ -166,9 +171,27 @@ func TestShapeSharedMatchesPerText(t *testing.T) {
 	}
 }
 
-// same fails the test unless two outcomes agree on everything but the
-// wall-clock Stats fields.
-func same(t *testing.T, at string, got, want *Outcome, gotCalls, wantCalls []string) {
+// trace is what a run's tracer records: every span, and the calls invoked.
+type trace struct {
+	calls []string
+	spans []telemetry.Span
+}
+
+func (tc *trace) tracer() *telemetry.Tracer {
+	tr := telemetry.NewTracer(0)
+	tr.SetSink(func(s telemetry.Span) {
+		tc.spans = append(tc.spans, s)
+		if s.Name == "invoke" {
+			tc.calls = append(tc.calls, spantest.Attr(s, "service")+" "+spantest.Attr(s, "path"))
+		}
+	})
+	return tr
+}
+
+// same fails the test unless two runs agree on their outcomes and span
+// streams but for the wall-clock fields, and neither stream carries a
+// parameter label.
+func same(t *testing.T, at string, got, want *Outcome, gotTrace, wantTrace *trace) {
 	t.Helper()
 	if !reflect.DeepEqual(values(got.Results), values(want.Results)) || !reflect.DeepEqual(keys(got.Results), keys(want.Results)) {
 		t.Fatalf("%s: results\n got %v\nwant %v", at, values(got.Results), values(want.Results))
@@ -177,8 +200,20 @@ func same(t *testing.T, at string, got, want *Outcome, gotCalls, wantCalls []str
 		t.Fatalf("%s: complete/resumed/unchanged %v %v %v, want %v %v %v", at,
 			got.Complete, got.Resumed, got.Unchanged, want.Complete, want.Resumed, want.Unchanged)
 	}
-	if !reflect.DeepEqual(gotCalls, wantCalls) {
-		t.Fatalf("%s: invoked %q, want %q", at, gotCalls, wantCalls)
+	if !reflect.DeepEqual(gotTrace.calls, wantTrace.calls) {
+		t.Fatalf("%s: invoked %q, want %q", at, gotTrace.calls, wantTrace.calls)
+	}
+	for _, tc := range []*trace{gotTrace, wantTrace} {
+		for _, s := range tc.spans {
+			for _, a := range s.Attrs {
+				if strings.Contains(a.Value, "\x00") {
+					t.Fatalf("%s: a %s span carries a parameter label: %s=%q", at, s.Name, a.Key, a.Value)
+				}
+			}
+		}
+	}
+	if g, w := spantest.Normalize(gotTrace.spans, false), spantest.Normalize(wantTrace.spans, false); !reflect.DeepEqual(g, w) {
+		t.Fatalf("%s: span streams differ\n got %+v\nwant %+v", at, g, w)
 	}
 	if g, w := normalizedStats(got), normalizedStats(want); g != w {
 		t.Fatalf("%s: stats\n got %+v\nwant %+v", at, g, w)
@@ -188,7 +223,7 @@ func same(t *testing.T, at string, got, want *Outcome, gotCalls, wantCalls []str
 // TestWarmShapeWriteAnalysesNothing pins the saving: a point-query write
 // whose shape an earlier write analysed — a never-seen text, bound to the
 // shared Prepared — generates no relevance-query set and builds no
-// projection. It only instantiates the sets it runs. The master is warm, as
+// projection. The master is warm, as
 // a served one is: a hot query has materialised what it needs, the hidden
 // hotels among it, so the writes see the same service names.
 func TestWarmShapeWriteAnalysesNothing(t *testing.T) {
@@ -235,14 +270,80 @@ func TestWarmShapeWriteAnalysesNothing(t *testing.T) {
 			t.Fatalf("the first write left %d sets and %d projections in the shape's memo", afterSets, afterProjs)
 		case i > 0 && (afterSets != sets || afterProjs != projs):
 			t.Fatalf("write %d of the shape built %d sets and %d projections", i+1, afterSets-sets, afterProjs-projs)
-		case len(bound.inst) == 0:
-			t.Fatalf("write %d instantiated no set", i+1)
 		}
-		for key, inst := range bound.inst {
-			for j, nfq := range inst {
-				if bound.from[nfq] != sp.sets[key][j] {
-					t.Fatalf("write %d ran a query object that is no instance of its shape's", i+1)
+	}
+}
+
+// TestBoundTextsShareShapeQueries guards the sharing itself: a text bound to
+// its shape is the shape plus its arguments. After a run of each of two
+// point-query texts of one shape, every relevance-query set their runs asked
+// for is handed to both texts as the shape's own objects, and every
+// evaluator their runs keep answers one of those objects: no text detects
+// through a copy.
+func TestBoundTextsShareShapeQueries(t *testing.T) {
+	spec := workload.DefaultSpec()
+	spec.Hotels, spec.HiddenHotels = 40, 8
+	w := workload.Hotels(spec)
+	opt := Options{Strategy: LazyNFQTyped, Schema: w.Schema, Incremental: true, UseGuide: true, Guide: fguide.Build(w.Doc)}
+	var sp *Prepared
+	var texts []*Prepared
+	var evs []*Evaluation
+	for _, k := range []int{1, 3} {
+		q := pattern.MustParse(fmt.Sprintf(`/hotels/hotel[name="Hotel-%d"]/nearby//restaurant[name=$X][rating=$R] -> $X, $R`, k))
+		sq, args := Shape(q, w.Schema)
+		if sp == nil {
+			var err error
+			if sp, err = Prepare(sq, opt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		bound := sp.Bind(args)
+		ev := bound.Over(w.Doc)
+		o := opt
+		o.Clock = &service.SimClock{}
+		out, err := ev.Run(context.Background(), w.Registry, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Stats.CallsInvoked == 0 || !out.Complete || len(ev.relevance) == 0 {
+			t.Fatalf("Hotel-%d's query invoked %d calls (complete=%v) and keeps %d evaluators", k, out.Stats.CallsInvoked, out.Complete, len(ev.relevance))
+		}
+		texts, evs = append(texts, bound), append(evs, ev)
+	}
+	sp.mu.Lock()
+	sets := make(map[setKey][]*rewrite.NFQ, len(sp.sets))
+	for key, set := range sp.sets {
+		sets[key] = set
+	}
+	sp.mu.Unlock()
+	own := map[*rewrite.NFQ]bool{}
+	for key, set := range sets {
+		known := map[string]bool{}
+		for _, name := range strings.Split(key.names, "\x00") {
+			known[name] = true
+		}
+		for i, text := range texts {
+			got, _, err := text.queries(key.layer, known)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(set) {
+				t.Fatalf("text %d is handed %d queries for set %v, its shape has %d", i+1, len(got), key.layer, len(set))
+			}
+			for j := range set {
+				if got[j] != set[j] {
+					t.Fatalf("text %d is handed a copy of its shape's query %d: %v", i+1, j, got[j])
 				}
+			}
+		}
+		for _, nfq := range set {
+			own[nfq] = true
+		}
+	}
+	for i, ev := range evs {
+		for nfq := range ev.relevance {
+			if !own[nfq] {
+				t.Fatalf("text %d detects through a query object its shape does not hold: %v", i+1, nfq)
 			}
 		}
 	}

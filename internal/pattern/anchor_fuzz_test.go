@@ -1,6 +1,7 @@
 package pattern
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -25,6 +26,12 @@ import (
 //     each replacement.
 //  4. After each replacement, the document's node, call and service counts
 //     are the ones a walk of it finds.
+//  5. With the branch's leaf constants lifted into parameters (Lift) and
+//     bound to random labels, an evaluator over the shape and the arguments
+//     gives what one over the Bind copy gives — Anchored's offer and counts,
+//     then MatchedCandidates' verdicts and Stats — on a document of such
+//     elements, some holding pushed results tagged with the copy's
+//     fingerprints, and again after each random replacement of a call.
 func FuzzAnchorProbe(f *testing.F) {
 	for _, seed := range [][]byte{
 		{},
@@ -32,11 +39,13 @@ func FuzzAnchorProbe(f *testing.F) {
 		{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15},
 		{3, 1, 0, 2, 0, 4, 1, 1, 2, 5, 0, 0, 3, 6, 2, 1, 0},
 		{2, 2, 9, 0, 1, 7, 3, 3, 0, 0, 8, 1, 4, 2, 6, 6, 6, 1, 0, 5},
+		[]byte("920000000000011"), // a branch whose lifted constant is bound to another label
 	} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		answersAlike(t, &fuzzBytes{data: data})
+		boundAlike(t, &fuzzBytes{data: data})
 		in := &fuzzBytes{data: data}
 		root := NewNode(Root, "", Child)
 		a := root.Add(NewNode(Const, "a", Child))
@@ -121,6 +130,87 @@ func answersAlike(t *testing.T, in *fuzzBytes) {
 		countsExact(t, doc)
 		ev.Invalidate(parent, c)
 		alike("after a replacement")
+	}
+}
+
+// boundAlike is property 5 of FuzzAnchorProbe.
+func boundAlike(t *testing.T, in *fuzzBytes) {
+	root := NewNode(Root, "", Child)
+	a := root.Add(NewNode(Const, "r", Child)).Add(NewNode(Const, "a", Child))
+	a.Add(in.branch(0))
+	o := a.Add(NewNode(Func, AnyFunc, Child))
+	o.Result = true
+	shape, args := NewPattern(root).Lift(func(string) bool { return true })
+	for i := range args {
+		args[i] = in.label()
+	}
+	twin := shape.Bind(args)
+	outs := [2]*Node{shape.Node(o.ID), twin.Node(o.ID)}
+	fresh := func() [2]*IncrementalEvaluator {
+		return [2]*IncrementalEvaluator{NewIncrementalBound(shape, args, nil), NewIncrementalProjected(twin, nil)}
+	}
+	r := tree.NewElement("r")
+	for c := in.next()%6 + 1; c > 0; c-- {
+		if in.next()%3 == 0 {
+			r.Append(tree.NewCall([]string{"f", "g"}[in.next()%2]))
+		} else {
+			r.Append(in.tree("a", 0, twin))
+		}
+	}
+	doc := tree.NewDocument(r)
+	// probe returns what the fresh evaluators' probes offer, alike.
+	probe := func(when string) [2][]*tree.Node {
+		var offers [2][]*tree.Node
+		var seen [2]string
+		for i, ev := range fresh() {
+			targets, kept, probed, ok := ev.Anchored(doc, outs[i])
+			seen[i] = fmt.Sprint(sortedCallIDs(targets), kept, probed, ok)
+			if offers[i] = targets; !ok {
+				offers[i] = doc.Calls()
+			}
+		}
+		if seen[0] != seen[1] {
+			t.Fatalf("%s: bound to %q, the shape's probe offers %s, the Bind copy's %s:\n shape %s\n doc %s",
+				when, args, seen[0], seen[1], twin, render(doc))
+		}
+		return offers
+	}
+	evs := fresh()
+	validate := func(when string, more [2][]*tree.Node) {
+		var got [2][]*tree.Node
+		var st [2]Stats
+		for i, ev := range evs {
+			got[i], st[i] = ev.MatchedCandidates(doc, outs[i], more[i])
+		}
+		if !slices.Equal(got[0], got[1]) || st[0] != st[1] {
+			t.Fatalf("%s: bound to %q, the shape validates %v (%+v), the Bind copy %v (%+v):\n shape %s\n doc %s",
+				when, args, sortedCallIDs(got[0]), st[0], sortedCallIDs(got[1]), st[1], twin, render(doc))
+		}
+	}
+	validate("as built", probe("as built"))
+	for _, c := range doc.Calls() {
+		if c.Parent == nil {
+			continue // taken away by an earlier replacement
+		}
+		var forest, arrived []*tree.Node
+		for n := in.next() % 3; n > 0; n-- {
+			forest = append(forest, in.tree([]string{"a", "a", "b"}[in.next()%3], 1, twin))
+		}
+		for _, n := range forest {
+			n.Walk(func(x *tree.Node) bool {
+				if x.Kind == tree.Call {
+					arrived = append(arrived, x)
+				}
+				return true
+			})
+		}
+		parent := c.Parent
+		doc.ReplaceCall(c, forest)
+		for _, ev := range evs {
+			ev.Invalidate(parent, c)
+		}
+		validate("after a replacement", [2][]*tree.Node{arrived, arrived})
+		probe("after a replacement")
 	}
 }
 

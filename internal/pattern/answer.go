@@ -126,7 +126,7 @@ func (ev *IncrementalEvaluator) leads(n *tree.Node, i int) bool {
 	switch {
 	case n.Kind == tree.Call || n.Kind == tree.Tuples:
 		return true
-	case !admits(a.spine[i], n):
+	case !ev.admits(a.spine[i], n):
 		return false
 	case i < a.k:
 		for _, c := range n.Children {
@@ -137,7 +137,7 @@ func (ev *IncrementalEvaluator) leads(n *tree.Node, i int) bool {
 		return false
 	}
 	ev.work.Probed++
-	if !holds(a.branches, n) {
+	if !ev.holds(a.branches, n) {
 		return false
 	}
 	ev.work.Kept++

@@ -341,20 +341,35 @@ func (ev *IncrementalEvaluator) fingerprint(v *Node) string {
 	if fp, ok := ev.fps[v.ID]; ok {
 		return fp
 	}
-	fp := ev.q.Fingerprint(v)
+	sub := ev.q.Sub(v)
+	if ev.args != nil {
+		sub = sub.Bind(ev.args)
+	}
+	fp := sub.String()
 	ev.fps[v.ID] = fp
 	return fp
+}
+
+// label is the label Const node v matches: the argument of a parameter,
+// v's own label otherwise.
+func (ev *IncrementalEvaluator) label(v *Node) string {
+	if ev.args != nil {
+		if i, ok := param(v.Label); ok && i < len(ev.args) {
+			return ev.args[i]
+		}
+	}
+	return v.Label
 }
 
 // admits is the test of mapping query node v to document node n by kind
 // and label alone, before any requirement below v is looked at. Root never
 // matches a concrete node; an OR is decided by its alternatives.
-func admits(v *Node, n *tree.Node) bool {
+func (ev *IncrementalEvaluator) admits(v *Node, n *tree.Node) bool {
 	switch v.Kind {
 	case Or:
 		return true
 	case Const:
-		return n.IsData() && n.Label == v.Label
+		return n.IsData() && n.Label == ev.label(v)
 	case Star, Var:
 		return n.IsData()
 	case Func:

@@ -63,6 +63,7 @@ import (
 // evaluator per relevance query.
 type IncrementalEvaluator struct {
 	q      *Pattern
+	args   []string // the labels of q's parameters (Lift); nil when q is read as it is
 	memo   map[memoKey]*memoEntry
 	fps    map[int]string       // query node ID → pushed-subquery fingerprint
 	order  map[int][]*Node      // query node ID → cost-ordered children
@@ -84,8 +85,19 @@ type IncrementalEvaluator struct {
 // and pruning decisions stay consistent across rounds. proj == nil
 // disables projection.
 func NewIncrementalProjected(q *Pattern, proj Projector) *IncrementalEvaluator {
+	return NewIncrementalBound(q, nil, proj)
+}
+
+// NewIncrementalBound returns an evaluator for q, a shape or a query
+// generated from one (Lift), with its parameters bound to args: it answers
+// exactly what an evaluator for q.Bind(args) does, over the same node IDs,
+// without the copy — a parameter matches the label args gives it, and so
+// does it in the fingerprints that pushed results are matched by. With nil
+// args it is NewIncrementalProjected.
+func NewIncrementalBound(q *Pattern, args []string, proj Projector) *IncrementalEvaluator {
 	return &IncrementalEvaluator{
 		q:    q,
+		args: args,
 		memo: map[memoKey]*memoEntry{},
 		fps:  map[int]string{},
 		proj: proj,

@@ -360,7 +360,7 @@ func (ev *IncrementalEvaluator) Anchored(doc *tree.Document, out *Node) (targets
 			return
 		}
 		probed++
-		if !holds(branches, n) {
+		if !ev.holds(branches, n) {
 			return
 		}
 		kept++
@@ -372,9 +372,9 @@ func (ev *IncrementalEvaluator) Anchored(doc *tree.Document, out *Node) (targets
 }
 
 // holds is the probe of one anchor: every ground branch may hold at n.
-func holds(branches []*Node, n *tree.Node) bool {
+func (ev *IncrementalEvaluator) holds(branches []*Node, n *tree.Node) bool {
 	for _, b := range branches {
-		if !mayHold(b, n) {
+		if !ev.mayHold(b, n) {
 			return false
 		}
 	}
@@ -383,9 +383,9 @@ func holds(branches []*Node, n *tree.Node) bool {
 
 // mayHold reports whether the ground requirement b may match at a child of
 // a: it does, or a call or a pushed result sits among those children.
-func mayHold(b *Node, a *tree.Node) bool {
+func (ev *IncrementalEvaluator) mayHold(b *Node, a *tree.Node) bool {
 	for _, n := range a.Children {
-		if n.Kind == tree.Call || n.Kind == tree.Tuples || mayMatch(b, n) {
+		if n.Kind == tree.Call || n.Kind == tree.Tuples || ev.mayMatch(b, n) {
 			return true
 		}
 	}
@@ -393,20 +393,20 @@ func mayHold(b *Node, a *tree.Node) bool {
 }
 
 // mayMatch reports whether ground node b may match data node n.
-func mayMatch(b *Node, n *tree.Node) bool {
+func (ev *IncrementalEvaluator) mayMatch(b *Node, n *tree.Node) bool {
 	if b.Kind == Or {
 		for _, alt := range b.Children {
-			if mayMatch(alt, n) {
+			if ev.mayMatch(alt, n) {
 				return true
 			}
 		}
 		return false
 	}
-	if !admits(b, n) {
+	if !ev.admits(b, n) {
 		return false
 	}
 	for _, c := range b.Children {
-		if !mayHold(c, n) {
+		if !ev.mayHold(c, n) {
 			return false
 		}
 	}

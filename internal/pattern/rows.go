@@ -93,7 +93,7 @@ func (ev *IncrementalEvaluator) entry(v *Node, n *tree.Node) *memoEntry {
 		return e
 	}
 	ev.work.NodesVisited++
-	if !admits(v, n) {
+	if !ev.admits(v, n) {
 		ev.memo[key] = unmatched
 		return unmatched
 	}

@@ -49,8 +49,10 @@ func (n *NFQ) String() string {
 	return fmt.Sprintf("NFQ(for=%s): %s", subLabel(n.For), n.Query)
 }
 
-// TargetLabel names the query node this NFQ targets, for traces.
-func (n *NFQ) TargetLabel() string { return subLabel(n.For) }
+// TargetLabel names, for traces, the node of q this NFQ targets: q is the
+// query the NFQ was generated from, or a text bound to that query's shape,
+// whose node of the same ID carries the text's own constant.
+func (n *NFQ) TargetLabel(q *pattern.Pattern) string { return subLabel(q.Node(n.For.ID)) }
 
 func subLabel(v *pattern.Node) string {
 	switch v.Kind {
@@ -213,16 +215,6 @@ func relaxLabel(n *pattern.Node, opt Options) string {
 		return ""
 	}
 	return n.Label
-}
-
-// Bind instantiates an NFQ generated from a shape (pattern.Lift) for the
-// query q = shape.Bind(args): the generated query with its parameters
-// replaced by args, targeting q's node of the same ID. Node IDs are kept,
-// so whatever was derived from n by node ID — its projection, its layer,
-// its output-side pruning — holds for the result too.
-func (n *NFQ) Bind(q *pattern.Pattern, args []string) *NFQ {
-	query := n.Query.Bind(args)
-	return &NFQ{For: q.Node(n.For.ID), Query: query, Out: query.Node(n.Out.ID), Lin: n.Lin, DescTail: n.DescTail}
 }
 
 // SatisfiesOut reports whether a call to the named service can actually

@@ -3,6 +3,8 @@ package session
 import (
 	"context"
 	"fmt"
+	"maps"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -110,7 +112,9 @@ func TestStaleReaderPassesHeldWrite(t *testing.T) {
 // gate lets neither go on until both have arrived — and both answer what
 // the naive fixpoint does. A first write has invoked the calls every point
 // query finds relevant (the hidden hotels), so each of the two has calls of
-// its own to invoke.
+// its own to invoke. Both detect through their shape's one relevance-query
+// set: the evaluators their runs keep answer the shape's own query objects,
+// which they read at once.
 func TestWritesInvokeAtOnce(t *testing.T) {
 	reg, scenarios := workload.Suite(suiteSpec())
 	var armed atomic.Bool
@@ -140,6 +144,17 @@ func TestWritesInvokeAtOnce(t *testing.T) {
 	if _, err := m.Query(context.Background(), Request{Document: sc.Name, Query: pointQuery(5)}); err != nil {
 		t.Fatal(err)
 	}
+	// Marked read, the two texts keep their runs' engine state.
+	e := resident(t, m, sc.Name)
+	var hs []*hotQuery
+	for _, k := range []int{1, 3} {
+		h, err := m.hot(e, pointQuery(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.used.Store(true)
+		hs = append(hs, h)
+	}
 	armed.Store(true)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -160,6 +175,48 @@ func TestWritesInvokeAtOnce(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	if hs[0].shape != hs[1].shape {
+		t.Fatal("the two point queries are bound to different shapes")
+	}
+	own := shapeQueries(hs[0].shape.prepared)
+	var through [2]map[uintptr]bool
+	for i, h := range hs {
+		if h.resident == nil {
+			t.Fatalf("write %d kept no engine state", i+1)
+		}
+		through[i] = detectedThrough(h.resident)
+		for nfq := range through[i] {
+			if !own[nfq] {
+				t.Fatalf("write %d detected through a query object its shape does not hold", i+1)
+			}
+		}
+	}
+	if !maps.Equal(through[0], through[1]) || len(through[0]) == 0 {
+		t.Fatalf("the writes detected through %d and %d query objects, not one set", len(through[0]), len(through[1]))
+	}
+}
+
+// detectedThrough returns the addresses of the relevance-query objects whose
+// evaluators ev keeps (core.Evaluation's relevance map).
+func detectedThrough(ev *core.Evaluation) map[uintptr]bool {
+	out := map[uintptr]bool{}
+	for _, k := range reflect.ValueOf(ev).Elem().FieldByName("relevance").MapKeys() {
+		out[k.Pointer()] = true
+	}
+	return out
+}
+
+// shapeQueries returns the addresses of the relevance-query objects the
+// shape of p memoises (core.Prepared's sets).
+func shapeQueries(p *core.Prepared) map[uintptr]bool {
+	out := map[uintptr]bool{}
+	sets := reflect.ValueOf(p).Elem().FieldByName("shape").Elem().FieldByName("sets").MapRange()
+	for sets.Next() {
+		for i := 0; i < sets.Value().Len(); i++ {
+			out[sets.Value().Index(i).Pointer()] = true
+		}
+	}
+	return out
 }
 
 // TestSharedCallInvokedOnce: two texts whose one relevant call is the same

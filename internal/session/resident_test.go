@@ -648,8 +648,9 @@ func writesWithResidents(tb testing.TB, n int, metrics *telemetry.Registry) (m *
 // every evaluator grew its memo table from empty and the answer joined
 // every hotel, about 0.69 MB once the first offer of guide candidates is
 // probed at the hotel the write names, about 0.07 MB once the answer is
-// too.
-const warmWriteBytes = 128 << 10
+// too. It measured 106 KB before a text ran its shape's own relevance
+// queries instead of a copy of each, and 88 KB after.
+const warmWriteBytes = 96 << 10
 
 // TestWarmWriteAllocationCeiling pins the anchored write: ten writes of a
 // warm shape, beside one resident text, allocate at most warmWriteBytes
