@@ -223,9 +223,9 @@ func same(t *testing.T, at string, got, want *Outcome, gotTrace, wantTrace *trac
 // TestWarmShapeWriteAnalysesNothing pins the saving: a point-query write
 // whose shape an earlier write analysed — a never-seen text, bound to the
 // shared Prepared — generates no relevance-query set and builds no
-// projection. The master is warm, as
-// a served one is: a hot query has materialised what it needs, the hidden
-// hotels among it, so the writes see the same service names.
+// projection. The master is warm, as a served one is: a hot query has
+// materialised what it needs, the hidden hotels among it, so the writes see
+// the same service names.
 func TestWarmShapeWriteAnalysesNothing(t *testing.T) {
 	spec := workload.DefaultSpec()
 	spec.Hotels, spec.HiddenHotels = 40, 8

@@ -89,11 +89,11 @@ func NewIncrementalProjected(q *Pattern, proj Projector) *IncrementalEvaluator {
 }
 
 // NewIncrementalBound returns an evaluator for q, a shape or a query
-// generated from one (Lift), with its parameters bound to args: it answers
-// exactly what an evaluator for q.Bind(args) does, over the same node IDs,
-// without the copy — a parameter matches the label args gives it, and so
-// does it in the fingerprints that pushed results are matched by. With nil
-// args it is NewIncrementalProjected.
+// generated from one (Lift), with parameter i read as args[i]: it answers
+// what an evaluator for q.Bind(args) answers, over the same node IDs,
+// without copying q. A parameter is a leaf, so no spine holds one: only the
+// label test of a node (admits) and the fingerprints pushed results are
+// matched by read it. With nil args it is NewIncrementalProjected.
 func NewIncrementalBound(q *Pattern, args []string, proj Projector) *IncrementalEvaluator {
 	return &IncrementalEvaluator{
 		q:    q,
