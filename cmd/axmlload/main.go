@@ -98,7 +98,6 @@ type reportConfig struct {
 	Requests    int    `json:"requests"`
 	Tenants     int    `json:"tenants"`
 	Hotels      int    `json:"hotels"`
-	Isolated    bool   `json:"isolated"`
 	Verify      bool   `json:"verify"`
 	ShedRetries int    `json:"shedRetries"`
 	Seed        int64  `json:"seed"`
@@ -148,7 +147,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		clients   = fs.Int("clients", 64, "concurrent client goroutines")
 		requests  = fs.Int("requests", 1000, "total queries to replay across all clients")
 		tenants   = fs.Int("tenants", 8, "distinct tenant identities to spread requests over")
-		isolated  = fs.Bool("isolated", false, "request private-clone evaluation instead of the shared master")
 		verify    = fs.Bool("verify", true, "check every answer against the serial oracle")
 		retries   = fs.Int("shed-retries", 3, "retries per request after a 429, honouring Retry-After")
 		jsonPath  = fs.String("json", "", "write the report as JSON to this file")
@@ -291,7 +289,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 					t0 := time.Now()
 					var ra int
 					status, ra, resp, err = postQuery(client, base, session.QueryRequest{
-						Tenant: tenant, Document: j.document, Query: j.query, Isolated: *isolated,
+						Tenant: tenant, Document: j.document, Query: j.query,
 					})
 					if status == http.StatusOK {
 						hist.Observe(time.Since(t0))
@@ -348,7 +346,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	rep := report{
 		Config: reportConfig{
 			URL: base, SelfHosted: *self, Clients: *clients, Requests: *requests,
-			Tenants: *tenants, Hotels: spec.Hotels, Isolated: *isolated, Verify: *verify,
+			Tenants: *tenants, Hotels: spec.Hotels, Verify: *verify,
 			ShedRetries: *retries, Seed: *seed, WriteEvery: *every,
 		},
 		Totals: reportTotals{

@@ -75,7 +75,6 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, stop <-ch
 		invokeWork   = fs.Int("invoke-workers", 0, "invoke a session round's independent calls — and a recursive materialisation round's embedded calls — on this many concurrent workers (0/1 = sequential)")
 		dump         = fs.String("dump-doc", "", "write the demo client document to this file and exit")
 		drainTimeout = fs.Duration("drain-timeout", 10*time.Second, "graceful shutdown budget for active sessions")
-		isolated     = fs.Bool("isolated", false, "evaluate every session on a private document clone (no shared materialisation)")
 		docsDir      = fs.String("docs", "", "persist materialised documents to this directory across restarts")
 		world        = cli.AddWorld(fs)
 		admission    = cli.AddAdmission(fs)
@@ -124,7 +123,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, stop <-ch
 		engine.Layering, engine.Parallel, engine.InvokeWorkers = true, true, *invokeWork
 	}
 	suiteReg, scenarios := workload.Suite(spec)
-	srv, err := cli.NewServer(suiteReg, scenarios, session.Config{Repo: rp, Engine: engine, Isolated: *isolated, Clock: clock}, admission, stack)
+	srv, err := cli.NewServer(suiteReg, scenarios, session.Config{Repo: rp, Engine: engine, Clock: clock}, admission, stack)
 	if err != nil {
 		return fail("%v", err)
 	}
@@ -158,8 +157,8 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string, stop <-ch
 	}
 	fmt.Fprintf(stdout, "axmlserver: serving %d services on %s (push=%t, sleep=%t, recursive=%t)\n",
 		len(reg.Names()), ln.Addr(), *push, *sleep, *recursive)
-	fmt.Fprintf(stdout, "  sessions:   POST http://%s/query over %d documents (max-active=%d, isolated=%t)\n",
-		ln.Addr(), len(scenarios), admission.MaxActive(), *isolated)
+	fmt.Fprintf(stdout, "  sessions:   POST http://%s/query over %d documents (max-active=%d)\n",
+		ln.Addr(), len(scenarios), admission.MaxActive())
 	fmt.Fprintf(stdout, "  descriptor: GET http://%s/services\n", ln.Addr())
 	fmt.Fprintf(stdout, "  telemetry:  GET http://%s/metrics, /debug/trace, /debug/pprof\n", ln.Addr())
 	if ready != nil {

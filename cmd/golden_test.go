@@ -76,7 +76,7 @@ func vectors() []vector {
 		s("serve-all-flags", "-addr", "127.0.0.1:0", "-hotels", "5", "-latency", "1ms", "-push=false", "-sleep",
 			"-deadline", "1s", "-recursive", "-invoke-workers", "2", "-no-cache", "-cache-ttl", "1m",
 			"-max-active", "2", "-max-queued", "-1", "-retry-after", "1s", "-invoke-limit", "4",
-			"-drain-timeout", "5s", "-isolated", "-plan", "cost", "-no-project",
+			"-drain-timeout", "5s", "-plan", "cost", "-no-project",
 			"-docs", "$DIR/docs", "-trace-out", "$DIR/trace.jsonl"),
 		q("axmlserver", "bad-plan", "-plan", "bogus", "-trace-out", "$DIR/trace.jsonl", "-docs", "$DIR/docs"),
 		q("axmlserver", "bad-addr", "-addr", "999.999.999.999:-1"),
@@ -89,7 +89,7 @@ func vectors() []vector {
 			"-max-active", "2", "-max-queued", "4", "-invoke-limit", "4", "-retry-after", "1s"),
 		q("axmlload", "write-every", "-self", "-clients", "1", "-requests", "30", "-tenants", "2", "-hotels", "6",
 			"-seed", "3", "-write-every", "5", "-json", "$DIR/load.json"),
-		q("axmlload", "url", "-url", "$STUB", "-clients", "1", "-requests", "6", "-isolated", "-verify=false",
+		q("axmlload", "url", "-url", "$STUB", "-clients", "1", "-requests", "6", "-verify=false",
 			"-shed-retries", "1"),
 		q("axmlload", "no-target"),
 		q("axmlload", "both-targets", "-self", "-url", "http://127.0.0.1:1"),

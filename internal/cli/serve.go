@@ -95,7 +95,7 @@ type Server struct {
 }
 
 // NewServer assembles the server over reg and the scenarios' documents:
-// cfg carries what the binary decides itself (Repo, Isolated, Clock, the
+// cfg carries what the binary decides itself (Repo, Clock, the
 // engine's pool), adm the admission and pool width, st (nil: defaults) the
 // session cache's TTL, projection and planner. The engine is lazy and
 // incremental. Documents in cfg.Repo are restored from it, the others

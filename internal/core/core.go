@@ -71,7 +71,13 @@ const (
 	// LazyNFQ runs NFQA over node-focused queries (positions and
 	// conditions, untyped).
 	LazyNFQ
-	// LazyNFQTyped runs NFQA over type-refined node-focused queries.
+	// LazyNFQTyped runs NFQA over type-refined node-focused queries. Its
+	// pruning assumes every service answers within its signature: a call
+	// whose signature rules out a match is never invoked, so a service
+	// that breaks its signature there is never seen to, and the answer can
+	// miss results while it reads Complete (TestLyingServiceAnswersWrongly:
+	// 24 of 36 results, the lying getNearbyMuseums never invoked). Nothing
+	// checks the assumption.
 	LazyNFQTyped
 )
 
@@ -98,7 +104,9 @@ type Options struct {
 	// Strategy is the invocation policy; the zero value is NaiveFixpoint.
 	Strategy Strategy
 	// Schema supplies service signatures for LazyNFQTyped; it may be nil
-	// for the other strategies.
+	// for the other strategies. Typed pruning and projection trust it: the
+	// document is assumed to conform to it and every service to answer
+	// within its signature (see LazyNFQTyped).
 	Schema *schema.Schema
 	// SchemaMode selects exact or lenient satisfiability (Section 6.1).
 	SchemaMode schema.Mode

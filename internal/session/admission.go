@@ -20,9 +20,9 @@ func (e *ShedError) Error() string {
 	return fmt.Sprintf("session: admission queue full, retry after %v", e.RetryAfter)
 }
 
-// admission is a weighted FIFO semaphore with a bounded wait queue — the
-// server's only backpressure point. A query acquires weight tokens before
-// touching any document; when no tokens are free it waits in strict FIFO
+// admission is a FIFO counting semaphore with a bounded wait queue — the
+// server's only backpressure point. A query acquires a slot before
+// touching any document; when no slot is free it waits in strict FIFO
 // order, and when the queue itself is full the acquire fails immediately
 // with ShedError (load shedding, never unbounded buffering). Draining
 // wakes every queued waiter with ErrDraining and lets active queries
@@ -34,17 +34,14 @@ func (e *ShedError) Error() string {
 // guarantees admission in arrival order.
 type admission struct {
 	mu       sync.Mutex
-	capacity int64 // total tokens
-	used     int64 // tokens held by active queries
+	capacity int64 // total slots
+	used     int64 // slots held by active queries
 	maxQueue int   // waiters allowed before shedding
-	waiters  []*waiter
+	// waiters holds each queued query's ready channel, buffered(1): a grant
+	// (nil), ErrDraining, or nothing if abandoned.
+	waiters  []chan error
 	draining bool
 	idle     chan struct{} // closed when draining and used == 0
-}
-
-type waiter struct {
-	weight int64
-	ready  chan error // buffered(1): grant (nil), ErrDraining, or nothing if abandoned
 }
 
 func newAdmission(capacity int64, maxQueue int) *admission {
@@ -57,25 +54,18 @@ func newAdmission(capacity int64, maxQueue int) *admission {
 	return &admission{capacity: capacity, maxQueue: maxQueue}
 }
 
-// acquire obtains weight tokens, waiting in FIFO order behind earlier
-// arrivals. It fails fast with ShedError when the wait queue is at budget,
-// with ErrDraining when the server is shutting down, and with ctx.Err()
-// when the caller gives up first. Weights above the total capacity are
-// clamped so oversized requests remain admissible (they just run alone).
-func (a *admission) acquire(ctx context.Context, weight int64, retryAfter time.Duration) error {
-	if weight < 1 {
-		weight = 1
-	}
-	if weight > a.capacity {
-		weight = a.capacity
-	}
+// acquire obtains a slot, waiting in FIFO order behind earlier arrivals.
+// It fails fast with ShedError when the wait queue is at budget, with
+// ErrDraining when the server is shutting down, and with ctx.Err() when
+// the caller gives up first.
+func (a *admission) acquire(ctx context.Context, retryAfter time.Duration) error {
 	a.mu.Lock()
 	if a.draining {
 		a.mu.Unlock()
 		return ErrDraining
 	}
-	if len(a.waiters) == 0 && a.capacity-a.used >= weight {
-		a.used += weight
+	if len(a.waiters) == 0 && a.used < a.capacity {
+		a.used++
 		a.mu.Unlock()
 		return nil
 	}
@@ -83,67 +73,50 @@ func (a *admission) acquire(ctx context.Context, weight int64, retryAfter time.D
 		a.mu.Unlock()
 		return &ShedError{RetryAfter: retryAfter}
 	}
-	w := &waiter{weight: weight, ready: make(chan error, 1)}
-	a.waiters = append(a.waiters, w)
+	ready := make(chan error, 1)
+	a.waiters = append(a.waiters, ready)
 	a.mu.Unlock()
 
 	select {
-	case err := <-w.ready:
+	case err := <-ready:
 		return err
 	case <-ctx.Done():
 		a.mu.Lock()
-		for i, x := range a.waiters {
-			if x == w {
+		for i, w := range a.waiters {
+			if w == ready {
 				a.waiters = append(a.waiters[:i], a.waiters[i+1:]...)
 				a.mu.Unlock()
 				return ctx.Err()
 			}
 		}
 		a.mu.Unlock()
-		// Already granted between ctx firing and the lock: the tokens are
-		// ours, so hand them straight back.
-		if err := <-w.ready; err == nil {
-			a.release(weight)
+		// Already granted between ctx firing and the lock: the slot is
+		// ours, so hand it straight back.
+		if err := <-ready; err == nil {
+			a.release()
 		}
 		return ctx.Err()
 	}
 }
 
-// release returns weight tokens and grants as many queued waiters as now
-// fit, in FIFO order.
-func (a *admission) release(weight int64) {
-	if weight < 1 {
-		weight = 1
-	}
-	if weight > a.capacity {
-		weight = a.capacity
-	}
+// release returns a slot and grants as many queued waiters as now fit, in
+// FIFO order.
+func (a *admission) release() {
 	a.mu.Lock()
-	a.used -= weight
+	a.used--
 	if a.used < 0 {
 		a.used = 0
 	}
-	a.grantLocked()
+	for len(a.waiters) > 0 && !a.draining && a.used < a.capacity {
+		a.used++
+		a.waiters[0] <- nil
+		a.waiters = a.waiters[1:]
+	}
 	if a.draining && a.used == 0 && a.idle != nil {
 		close(a.idle)
 		a.idle = nil
 	}
 	a.mu.Unlock()
-}
-
-// grantLocked admits the longest-waiting queries that fit the free
-// capacity. It stops at the first waiter that does not fit — skipping
-// ahead would let a stream of light queries starve a heavy one.
-func (a *admission) grantLocked() {
-	for len(a.waiters) > 0 && !a.draining {
-		w := a.waiters[0]
-		if a.capacity-a.used < w.weight {
-			return
-		}
-		a.used += w.weight
-		a.waiters = a.waiters[1:]
-		w.ready <- nil
-	}
 }
 
 // queued reports the current wait-queue length.
@@ -153,7 +126,7 @@ func (a *admission) queued() int {
 	return len(a.waiters)
 }
 
-// active reports the tokens currently held.
+// active reports the slots currently held.
 func (a *admission) active() int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -162,13 +135,13 @@ func (a *admission) active() int64 {
 
 // drain switches the semaphore into shutdown: queued waiters are refused
 // with ErrDraining, new acquires fail the same way, and the call blocks
-// until every active query has released its tokens or ctx expires.
+// until every active query has released its slot or ctx expires.
 // Draining is idempotent; concurrent drains all wait for idleness.
 func (a *admission) drain(ctx context.Context) error {
 	a.mu.Lock()
 	a.draining = true
 	for _, w := range a.waiters {
-		w.ready <- ErrDraining
+		w <- ErrDraining
 	}
 	a.waiters = nil
 	if a.used == 0 {

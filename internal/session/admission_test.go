@@ -16,7 +16,7 @@ import (
 // starvation.
 func TestAdmissionFIFOFairness(t *testing.T) {
 	a := newAdmission(1, 64)
-	if err := a.acquire(context.Background(), 1, time.Second); err != nil {
+	if err := a.acquire(context.Background(), time.Second); err != nil {
 		t.Fatal(err)
 	}
 
@@ -28,19 +28,19 @@ func TestAdmissionFIFOFairness(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := a.acquire(context.Background(), 1, time.Second); err != nil {
+			if err := a.acquire(context.Background(), time.Second); err != nil {
 				t.Errorf("waiter %d: %v", i, err)
 				return
 			}
 			order <- i
-			a.release(1)
+			a.release()
 		}()
 		// Serialise enqueue order: wait until this goroutine is queued
 		// before starting the next.
 		waitFor(t, func() bool { return a.queued() == i+1 })
 	}
 
-	a.release(1)
+	a.release()
 	wg.Wait()
 	close(order)
 	prev := -1
@@ -52,65 +52,23 @@ func TestAdmissionFIFOFairness(t *testing.T) {
 	}
 }
 
-// TestAdmissionWeightedNoStarvation checks a heavy waiter at the queue
-// head blocks later light arrivals (FIFO, not best-fit): skipping ahead
-// would starve the heavy query under a stream of light ones.
-func TestAdmissionWeightedNoStarvation(t *testing.T) {
-	a := newAdmission(4, 64)
-	if err := a.acquire(context.Background(), 3, time.Second); err != nil {
-		t.Fatal(err)
-	}
-
-	heavy := make(chan struct{})
-	go func() {
-		if err := a.acquire(context.Background(), 4, time.Second); err == nil {
-			close(heavy)
-		}
-	}()
-	waitFor(t, func() bool { return a.queued() == 1 })
-
-	light := make(chan struct{})
-	go func() {
-		if err := a.acquire(context.Background(), 1, time.Second); err == nil {
-			close(light)
-		}
-	}()
-	waitFor(t, func() bool { return a.queued() == 2 })
-
-	// One free token: the light waiter would fit, but the heavy one is
-	// first in line — neither may be admitted yet.
-	select {
-	case <-heavy:
-		t.Fatal("heavy admitted with insufficient capacity")
-	case <-light:
-		t.Fatal("light waiter barged past the queued heavy waiter")
-	case <-time.After(30 * time.Millisecond):
-	}
-
-	a.release(3)
-	<-heavy // 4 tokens free: heavy admitted first
-	a.release(4)
-	<-light
-	a.release(1)
-}
-
 // TestAdmissionShedsPastQueueBudget checks the bounded queue: waiters
 // past the budget fail fast with ShedError instead of queueing.
 func TestAdmissionShedsPastQueueBudget(t *testing.T) {
 	a := newAdmission(1, 2)
-	if err := a.acquire(context.Background(), 1, time.Second); err != nil {
+	if err := a.acquire(context.Background(), time.Second); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
 		go func() {
-			if err := a.acquire(context.Background(), 1, time.Second); err == nil {
-				a.release(1)
+			if err := a.acquire(context.Background(), time.Second); err == nil {
+				a.release()
 			}
 		}()
 	}
 	waitFor(t, func() bool { return a.queued() == 2 })
 
-	err := a.acquire(context.Background(), 1, 250*time.Millisecond)
+	err := a.acquire(context.Background(), 250*time.Millisecond)
 	var shed *ShedError
 	if !errors.As(err, &shed) {
 		t.Fatalf("got %v, want ShedError", err)
@@ -118,22 +76,22 @@ func TestAdmissionShedsPastQueueBudget(t *testing.T) {
 	if shed.RetryAfter != 250*time.Millisecond {
 		t.Fatalf("RetryAfter = %v, want 250ms", shed.RetryAfter)
 	}
-	a.release(1)
+	a.release()
 }
 
 // TestAdmissionZeroQueueShedsWhenSaturated checks maxQueue 0: saturation
 // sheds immediately, nothing ever waits.
 func TestAdmissionZeroQueueShedsWhenSaturated(t *testing.T) {
 	a := newAdmission(1, 0)
-	if err := a.acquire(context.Background(), 1, time.Second); err != nil {
+	if err := a.acquire(context.Background(), time.Second); err != nil {
 		t.Fatal(err)
 	}
 	var shed *ShedError
-	if err := a.acquire(context.Background(), 1, time.Second); !errors.As(err, &shed) {
+	if err := a.acquire(context.Background(), time.Second); !errors.As(err, &shed) {
 		t.Fatalf("got %v, want ShedError", err)
 	}
-	a.release(1)
-	if err := a.acquire(context.Background(), 1, time.Second); err != nil {
+	a.release()
+	if err := a.acquire(context.Background(), time.Second); err != nil {
 		t.Fatalf("post-release acquire: %v", err)
 	}
 }
@@ -142,12 +100,12 @@ func TestAdmissionZeroQueueShedsWhenSaturated(t *testing.T) {
 // queue without leaking its slot or corrupting FIFO order.
 func TestAdmissionContextCancel(t *testing.T) {
 	a := newAdmission(1, 8)
-	if err := a.acquire(context.Background(), 1, time.Second); err != nil {
+	if err := a.acquire(context.Background(), time.Second); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- a.acquire(ctx, 1, time.Second) }()
+	go func() { done <- a.acquire(ctx, time.Second) }()
 	waitFor(t, func() bool { return a.queued() == 1 })
 	cancel()
 	if err := <-done; !errors.Is(err, context.Canceled) {
@@ -156,25 +114,9 @@ func TestAdmissionContextCancel(t *testing.T) {
 	if a.queued() != 0 {
 		t.Fatalf("cancelled waiter still queued")
 	}
-	a.release(1)
-	if err := a.acquire(context.Background(), 1, time.Second); err != nil {
+	a.release()
+	if err := a.acquire(context.Background(), time.Second); err != nil {
 		t.Fatalf("slot leaked by cancelled waiter: %v", err)
-	}
-}
-
-// TestAdmissionOversizedWeightClamped checks a weight above capacity is
-// admissible (clamped) rather than deadlocking forever.
-func TestAdmissionOversizedWeightClamped(t *testing.T) {
-	a := newAdmission(2, 8)
-	if err := a.acquire(context.Background(), 100, time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if got := a.active(); got != 2 {
-		t.Fatalf("active = %d, want clamped 2", got)
-	}
-	a.release(100)
-	if got := a.active(); got != 0 {
-		t.Fatalf("active = %d after release, want 0", got)
 	}
 }
 

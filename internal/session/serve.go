@@ -21,10 +21,6 @@ type QueryRequest struct {
 	Document string `json:"document"`
 	// Query is the tree-pattern source.
 	Query string `json:"query"`
-	// Weight is the admission cost (optional, default 1).
-	Weight int `json:"weight,omitempty"`
-	// Isolated requests a private document clone (optional).
-	Isolated bool `json:"isolated,omitempty"`
 }
 
 // QueryResponse is the POST /query JSON answer.
@@ -101,8 +97,6 @@ func Mount(mux *http.ServeMux, m *Manager) {
 			Tenant:   qr.Tenant,
 			Document: qr.Document,
 			Query:    qr.Query,
-			Weight:   qr.Weight,
-			Isolated: qr.Isolated,
 		})
 		if err != nil {
 			status, retryAfter := errStatus(err)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -263,50 +264,50 @@ func TestHTTPExpiredDrainAnswers503(t *testing.T) {
 	}
 }
 
-// TestHTTPIsolatedFlag checks the per-request isolation flag crosses the
-// JSON boundary: an isolated query leaves the master unmaterialised.
-func TestHTTPIsolatedFlag(t *testing.T) {
-	reg := service.NewRegistry()
-	reg.Register(&service.Service{
-		Name: "get",
-		Handler: func([]*tree.Node) ([]*tree.Node, error) {
-			n := tree.NewElement("v")
-			n.Append(tree.NewText("x"))
-			return []*tree.Node{n}, nil
-		},
-	})
-	root := tree.NewElement("r")
-	root.Append(tree.NewCall("get"))
-	m := NewManager(Config{Registry: reg, Engine: core.Options{Strategy: core.LazyNFQ}})
-	if err := m.AddDocument("d", tree.NewDocument(root), nil); err != nil {
-		t.Fatal(err)
-	}
+// legacyBody is a POST /query body that also carries the "weight" and
+// "isolated" fields older clients sent, which the server no longer has.
+func legacyBody(document, query string) []byte {
+	d, _ := json.Marshal(document)
+	q, _ := json.Marshal(query)
+	return []byte(fmt.Sprintf(`{"document":%s,"query":%s,"weight":3,"isolated":true}`, d, q))
+}
+
+// TestHTTPLegacyFieldsIgnored checks a body with the retired "weight" and
+// "isolated" fields is served like any other: 200 with the serial oracle's
+// bindings, evaluated on the shared master, whose stored answer the next
+// plain request of the text is handed.
+func TestHTTPLegacyFieldsIgnored(t *testing.T) {
+	engine := core.Options{Strategy: core.LazyNFQ}
+	m, scenarios, reg := newSuiteManager(t, Config{Engine: engine}, suiteSpec())
 	srv := httptest.NewServer(Handler(m))
 	defer srv.Close()
+	sc := scenarios[0]
+	want := serialOracle(t, reg, scenarios[:1], engine)[sc.Name+"|"+sc.Queries[0]]
 
-	resp, body := postQuery(t, srv.URL, QueryRequest{Document: "d", Query: `/r/v/$V -> $V`, Isolated: true})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	resp, err := http.Post(srv.URL+"/query", "application/json", bytes.NewReader(legacyBody(sc.Name, sc.Queries[0])))
+	if err != nil {
+		t.Fatal(err)
 	}
 	var qr QueryResponse
-	if err := json.Unmarshal(body, &qr); err != nil {
-		t.Fatal(err)
+	err = json.NewDecoder(resp.Body).Decode(&qr)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || err != nil {
+		t.Fatalf("status %d (%v), want 200", resp.StatusCode, err)
 	}
-	if len(qr.Bindings) != 1 || qr.Bindings[0]["V"] != "x" {
-		t.Fatalf("bindings = %v", qr.Bindings)
+	got := make([]tree.Binding, len(qr.Bindings))
+	for i, b := range qr.Bindings {
+		got[i] = b
+	}
+	if canon(got) != want {
+		t.Fatalf("bindings diverge from the serial oracle:\n got %s\nwant %s", canon(got), want)
 	}
 
-	// The shared master still embeds the call: a shared repeat must not
-	// be a memo answer and must invoke the service.
-	resp, body = postQuery(t, srv.URL, QueryRequest{Document: "d", Query: `/r/v/$V -> $V`})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	resp, body := postQuery(t, srv.URL, QueryRequest{Document: sc.Name, Query: sc.Queries[0]})
+	if err := json.Unmarshal(body, &qr); resp.StatusCode != http.StatusOK || err != nil {
+		t.Fatalf("status %d (%v): %s", resp.StatusCode, err, body)
 	}
-	if err := json.Unmarshal(body, &qr); err != nil {
-		t.Fatal(err)
-	}
-	if qr.Memo || qr.CallsInvoked != 1 {
-		t.Fatalf("isolated query leaked into the master: %+v", qr)
+	if !qr.Memo || qr.CallsInvoked != 0 {
+		t.Fatalf("the plain repeat is not a memo answer: %+v", qr)
 	}
 }
 
@@ -328,8 +329,7 @@ func FuzzQueryRequest(f *testing.F) {
 			f.Add(body)
 		}
 	}
-	body, _ := json.Marshal(QueryRequest{Tenant: "t", Document: scenarios[0].Name, Query: scenarios[0].Queries[0], Weight: 3, Isolated: true})
-	f.Add(body)
+	f.Add(legacyBody(scenarios[0].Name, scenarios[0].Queries[0]))
 	f.Add([]byte(`{"document":"travel","query":"/hotels/hotel/name/$N -> $N"} trailing {garbage`))
 	f.Add([]byte(`{"document":"nowhere","query":"/a -> $X"}`))
 	f.Add([]byte(`null`))

@@ -21,7 +21,7 @@
 // result stays the full result for as long as the document is unchanged.
 //
 // When the master does change, what a hot query pays is the change. Every
-// resident master has an F-guide, built once, that every shared-mode run
+// resident master has an F-guide, built once, that every engine run
 // is handed: the engine adopts it, detects through it and patches it as it
 // splices, so relevance detection costs the candidates, not the document.
 // The static analysis (core.Prepare) is done once per query shape
@@ -43,30 +43,28 @@
 // the previous answer already had. A text nobody came back for — every
 // one-off point query — runs one-shot and leaves nothing behind.
 //
-// Concurrency control is two-level. A weighted FIFO admission semaphore
-// bounds the queries executing at once and sheds load (ShedError → HTTP
-// 429) when its bounded wait queue overflows — backpressure, never
-// unbounded buffering. Within a document, engine runs in shared mode hold
-// the master only to read or splice it (core.Shared, the entry's): the
-// entry lock for reading while they detect, plan and evaluate their result,
-// nothing while they invoke, and the lock exclusively while they splice.
-// So a stale reader waits for a write's splice, not for the rest of the
-// write, and two writes invoke at once. A call being invoked is claimed in
-// the entry's table; a run that detects it waits for the splice and never
-// invokes it again. One run of a text goes at a time (the text's own run
-// lock, which also guards its resident state). Isolated-mode queries take
-// the read lock to clone the master and evaluate the clone in parallel,
-// paying materialisation cost for isolation. A memo answer takes no lock at
-// all: it compares its stored answer's version with the master's atomic
-// one, and every splice bumps that version as its last step. A reader that
-// still sees the version its answer was stored at is served before any
-// splice after it, so it never waits for a writer. The query texts a
-// document remembers have a lock of their own, never held across an engine
-// run, and eviction skips a text whose run is in flight, so a text seen for
-// the first time waits for no run at all. The lock order is a text's run
-// lock, then the entry lock, then the claim table's; a run waits for a
-// claim holding only its text's run lock. Every wait for an entry hold or a
-// claim is timed (axml_session_lock_wait_seconds).
+// Concurrency control is two-level. A FIFO admission semaphore bounds the
+// queries executing at once and sheds load (ShedError → HTTP 429) when its
+// bounded wait queue overflows — backpressure, never unbounded buffering.
+// Within a document, engine runs hold the master only to read or splice it
+// (core.Shared, the entry's): the entry lock for reading while they detect,
+// plan and evaluate their result, nothing while they invoke, and the lock
+// exclusively while they splice. So a stale reader waits for a write's
+// splice, not for the rest of the write, and two writes invoke at once. A
+// call being invoked is claimed in the entry's table; a run that detects it
+// waits for the splice and never invokes it again. One run of a text goes
+// at a time (the text's own run lock, which also guards its resident
+// state). A memo answer takes no lock at all: it compares its stored
+// answer's version with the master's atomic one, and every splice bumps
+// that version as its last step. A reader that still sees the version its
+// answer was stored at is served before any splice after it, so it never
+// waits for a writer. The query texts a document remembers have a lock of
+// their own, never held across an engine run, and eviction skips a text
+// whose run is in flight, so a text seen for the first time waits for no
+// run at all. The lock order is a text's run lock, then the entry lock,
+// then the claim table's; a run waits for a claim holding only its text's
+// run lock. Every wait for an entry hold or a claim is timed
+// (axml_session_lock_wait_seconds).
 package session
 
 import (
@@ -132,7 +130,7 @@ type Config struct {
 	// (plan.CostPlanner is safe for concurrent use) schedules every
 	// session's batches from the same learned profile.
 	Engine core.Options
-	// MaxActive bounds concurrently executing queries (admission tokens);
+	// MaxActive bounds concurrently executing queries (admission slots);
 	// 0 means GOMAXPROCS.
 	MaxActive int
 	// MaxQueued bounds the admission wait queue; past it queries are shed
@@ -142,11 +140,6 @@ type Config struct {
 	// RetryAfter is the backoff hint attached to shed responses; 0 means
 	// 500ms.
 	RetryAfter time.Duration
-	// Isolated, when true, evaluates every query on a private clone of
-	// the master document instead of materialising the shared master —
-	// full isolation, no cross-tenant amortisation. Requests can also
-	// opt in individually.
-	Isolated bool
 	// Clock supplies a fresh virtual clock per query; nil means a new
 	// SimClock each time (simulated latency, no real sleeping).
 	Clock func() service.Clock
@@ -161,12 +154,6 @@ type Request struct {
 	Document string
 	// Query is the tree-pattern query source.
 	Query string
-	// Weight is the admission cost (heavier queries may take more than
-	// one execution token); values below 1 mean 1.
-	Weight int
-	// Isolated requests a private clone for this query even when the
-	// manager default is shared.
-	Isolated bool
 }
 
 // Result is one query's answer.
@@ -206,7 +193,7 @@ type Result struct {
 type Stats struct {
 	// Documents is the number of resident documents.
 	Documents int
-	// Active is the number of executing queries (admission tokens held).
+	// Active is the number of executing queries (admission slots held).
 	Active int64
 	// Queued is the admission wait-queue length.
 	Queued int
@@ -408,7 +395,7 @@ func (t *shapes) len() int {
 
 // hotQuery is what a document keeps per query text: the query parsed and
 // bound to its shape's analysis (immutable, one instance serves every
-// session, shared and isolated), the stored answer (read without a lock,
+// session), the stored answer (read without a lock,
 // replaced under the text's run lock; nil while none is), whether a query
 // has read that answer since the last eviction sweep, and — for a text that
 // has — the engine state of its last complete run.
@@ -418,7 +405,7 @@ type hotQuery struct {
 	answer   atomic.Pointer[answer]
 	used     atomic.Bool
 
-	// run lets one shared-mode engine run of the text go at a time, and
+	// run lets one engine run of the text go at a time, and
 	// guards the fields below; eviction only tries it, so it skips a text
 	// whose run is in flight.
 	run sync.Mutex
@@ -442,10 +429,9 @@ type entry struct {
 	schema *schema.Schema
 	shapes *shapes // the manager's
 
-	// mu is the master's lock and claim table, handed to every shared-mode
+	// mu is the master's lock and claim table, handed to every engine
 	// run: read while a run detects, plans and evaluates its result, and
-	// while a query clones the master or Drain persists it; write while a
-	// run splices.
+	// while Drain persists it; write while a run splices.
 	mu     *core.Shared
 	master *tree.Document
 	// guide is the master's F-guide, built by the repository open or
@@ -518,7 +504,7 @@ func NewManager(cfg Config) *Manager {
 }
 
 // AddDocument registers (or replaces) a named document. The manager owns
-// doc from here on: shared-mode queries materialise it in place. sch may
+// doc from here on: queries materialise it in place. sch may
 // be nil; with a schema, typed strategies refine relevance per document.
 func (m *Manager) AddDocument(name string, doc *tree.Document, sch *schema.Schema) error {
 	if name == "" {
@@ -587,19 +573,15 @@ func (m *Manager) lookup(name string) (*entry, error) {
 	return e, nil
 }
 
-// Query runs one request to completion: admission, then shared or
-// isolated evaluation. It returns ShedError/ErrDraining/ctx errors from
+// Query runs one request to completion: admission, then evaluation on the
+// shared master. It returns ShedError/ErrDraining/ctx errors from
 // admission, UnknownDocumentError or BadQueryError for bad requests, and
 // the engine's error otherwise — ctx.Err() when ctx ended the evaluation,
 // which stops at its next round; the master keeps what had arrived.
 func (m *Manager) Query(ctx context.Context, req Request) (*Result, error) {
-	weight := int64(req.Weight)
-	if weight < 1 {
-		weight = 1
-	}
 	t0 := time.Now()
 	m.mQueued.Add(1)
-	err := m.adm.acquire(ctx, weight, m.cfg.RetryAfter)
+	err := m.adm.acquire(ctx, m.cfg.RetryAfter)
 	m.mQueued.Add(-1)
 	t1 := time.Now()
 	queued := t1.Sub(t0)
@@ -615,7 +597,7 @@ func (m *Manager) Query(ctx context.Context, req Request) (*Result, error) {
 	m.mActive.Add(1)
 	defer func() {
 		m.mActive.Add(-1)
-		m.adm.release(weight)
+		m.adm.release()
 	}()
 	m.mQueueSecs.Observe(queued)
 
@@ -627,12 +609,7 @@ func (m *Manager) Query(ctx context.Context, req Request) (*Result, error) {
 	if err != nil {
 		return nil, &BadQueryError{Err: err}
 	}
-	var res *Result
-	if m.cfg.Isolated || req.Isolated {
-		res, err = m.queryIsolated(ctx, e, h)
-	} else {
-		res, err = m.queryShared(ctx, e, h)
-	}
+	res, err := m.queryShared(ctx, e, h)
 	if err != nil {
 		return nil, err
 	}
@@ -810,23 +787,6 @@ func (m *Manager) queryShared(ctx context.Context, e *entry, h *hotQuery) (*Resu
 	return res, nil
 }
 
-// queryIsolated clones the master under a read lock and evaluates the
-// clone privately — parallel across sessions, no shared materialisation,
-// nothing kept but the text's analysis, which it shares.
-func (m *Manager) queryIsolated(ctx context.Context, e *entry, h *hotQuery) (*Result, error) {
-	t := time.Now()
-	e.mu.RLock()
-	m.mLockWait.Observe(time.Since(t))
-	doc := e.master.Clone()
-	e.mu.RUnlock()
-
-	out, err := m.run(ctx, h.prepared.Over(doc), m.options(e))
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Bindings: cloneBindings(out.Results), Complete: out.Complete, Stats: out.Stats}, nil
-}
-
 // run is one engine run under ctx joined to the manager's base context —
 // Drain's expired budget ends it like a client hanging up — counted if so
 // ended. A run Drain ended while its client was still there also reports
@@ -847,11 +807,9 @@ func (m *Manager) run(ctx context.Context, ev *core.Evaluation, opts core.Option
 }
 
 // options instantiates the engine template for one run: fresh clock,
-// shared telemetry, and the entry's guide. The engine adopts the guide for a
-// shared-mode run, whose document is the master it describes, and patches it
-// as it splices, under the exclusive hold; it rejects it for an isolated
-// run, whose clone it does not describe, and that run keeps the template's
-// behaviour. Nothing else needs telling of a splice: the resident queries
+// shared telemetry, and the entry's guide. The engine adopts the guide, whose
+// document is the master the run evaluates, and patches it as it splices,
+// under the exclusive hold. Nothing else needs telling of a splice: the resident queries
 // read the master's splice records when they next run, and stored answers
 // are checked against the master's own Version, which the splice moved.
 func (m *Manager) options(e *entry) core.Options {

@@ -115,10 +115,9 @@ func awkwardWorld() (*tree.Document, *service.Registry) {
 
 // TestQueryResponseWireIdentical is the differential of the three-piece
 // writer against the legacy one: for every suite scenario query — its
-// engine answer, its memo answer, its isolated answer — and for an
-// incomplete answer, empty answers stored and not, and a document name and
-// binding values that need escaping, the body is the legacy body of the
-// same Result.
+// engine answer, its memo answer — and for an incomplete answer, a stored
+// empty answer, nil bindings, and a document name and binding values that
+// need escaping, the body is the legacy body of the same Result.
 func TestQueryResponseWireIdentical(t *testing.T) {
 	m, scenarios, _ := newSuiteManager(t, Config{Engine: core.Options{Strategy: core.LazyNFQ, Incremental: true}}, suiteSpec())
 	ask := func(req Request) *Result {
@@ -142,12 +141,6 @@ func TestQueryResponseWireIdentical(t *testing.T) {
 			} else {
 				sameWire(t, "memo answer "+q, sc.Name, res)
 			}
-			req.Isolated = true
-			if res := ask(req); res.answer != nil {
-				t.Fatalf("%s %q: an isolated answer was stored", sc.Name, q)
-			} else {
-				sameWire(t, "isolated answer "+q, sc.Name, res)
-			}
 		}
 	}
 
@@ -159,21 +152,19 @@ func TestQueryResponseWireIdentical(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		query                  string
-		isolated               bool
 		bindings               int
 		complete, memo, stored bool
 	}{
-		{`/r/v/$V -> $V`, false, 6, true, false, true},
-		{`/r/v/$V -> $V`, false, 6, true, true, true},
-		{`/r/bad/v/$V -> $V`, false, 1, false, false, false},
-		{`/r/none/$V -> $V`, false, 0, true, false, true},
-		{`/r/none/$V -> $V`, false, 0, true, true, true},
-		{`/r/none/$V -> $V`, true, 0, true, false, false},
+		{`/r/v/$V -> $V`, 6, true, false, true},
+		{`/r/v/$V -> $V`, 6, true, true, true},
+		{`/r/bad/v/$V -> $V`, 1, false, false, false},
+		{`/r/none/$V -> $V`, 0, true, false, true},
+		{`/r/none/$V -> $V`, 0, true, true, true},
 	} {
-		res := ask(Request{Document: name, Query: tc.query, Isolated: tc.isolated})
+		res := ask(Request{Document: name, Query: tc.query})
 		if len(res.Bindings) != tc.bindings || res.Complete != tc.complete || res.Memo != tc.memo || (res.answer != nil) != tc.stored {
-			t.Fatalf("%q isolated=%v: %d bindings, complete=%v memo=%v stored=%v; want %d, %v, %v, %v",
-				tc.query, tc.isolated, len(res.Bindings), res.Complete, res.Memo, res.answer != nil, tc.bindings, tc.complete, tc.memo, tc.stored)
+			t.Fatalf("%q: %d bindings, complete=%v memo=%v stored=%v; want %d, %v, %v, %v",
+				tc.query, len(res.Bindings), res.Complete, res.Memo, res.answer != nil, tc.bindings, tc.complete, tc.memo, tc.stored)
 		}
 		res.Queued, res.Elapsed = 1234567*time.Nanosecond, 3*time.Second+7
 		sameWire(t, tc.query, name, res)
