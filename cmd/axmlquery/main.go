@@ -15,7 +15,7 @@
 // -max-calls, -no-cache, -cache-ttl, -no-incremental; doc/PERF.md, and
 // -plan cost, doc/PLANNER.md — results are identical either way), fault
 // handling (-retries, -timeout, -best-effort; doc/FAULTS.md) and what is
-// observed (-stats, -explain, -trace-out, -remote-spans, -serve-debug;
+// observed (-stats, -explain, -trace-out, -serve-debug;
 // doc/OBSERVABILITY.md).
 //
 // Exit status: 0 on success, an incomplete best-effort answer included
@@ -69,7 +69,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		invokeWork = fs.Int("invoke-workers", 0, "invoke up to this many independent calls of a round concurrently (implies -parallel; 0 = unbounded batches under -parallel, 1 = sequential)")
 		noIncr     = fs.Bool("no-incremental", false, "re-evaluate relevance queries from scratch each round")
 		stats      = fs.Bool("stats", false, "print evaluation statistics")
-		remoteSpan = fs.Int("remote-spans", 512, "remote span subtree budget per invocation when tracing over -provider (0 = propagate the trace ID only)")
 		serveDebug = fs.String("serve-debug", "", "serve /metrics, /debug/trace and /debug/pprof on this address (e.g. :8090) while evaluating")
 		tmplText   = fs.String("template", "", "render results through an XML template with {$X} placeholders")
 		outPath    = fs.String("out", "", "write the materialised document here")
@@ -160,7 +159,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		tracer.SetTrace(telemetry.DeriveTraceID(*queryText, *docPath))
 		tracer.InstrumentDrops(metrics)
 		opt.Tracer = tracer
-		opt.RemoteSpans = *remoteSpan
 	}
 	// The planner learns from the profiler under the response cache, whose
 	// entries age on the evaluation's clock: later rounds are planned from

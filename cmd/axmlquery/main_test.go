@@ -139,7 +139,7 @@ func TestNegativeValuesRejected(t *testing.T) {
 	doc := writeWorldDoc(t)
 	for _, c := range []struct{ flag, value string }{
 		{"-max-calls", "-1"}, {"-retries", "-1"}, {"-invoke-workers", "-2"},
-		{"-timeout", "-1s"}, {"-cache-ttl", "-1m"}, {"-remote-spans", "-1"},
+		{"-timeout", "-1s"}, {"-cache-ttl", "-1m"},
 	} {
 		dir := t.TempDir()
 		var out, errOut strings.Builder

@@ -62,7 +62,7 @@ func vectors() []vector {
 		withDoc("budget-no-cache", "-strategy", "naive", "-no-cache", "-no-incremental", "-max-calls", "2", "-stats"),
 		withDoc("cache-ttl", "-cache-ttl", "1m", "-stats"),
 		withDoc("provider", "-provider", "$PROVIDER", "-retries", "2", "-timeout", "2s", "-best-effort",
-			"-remote-spans", "16", "-trace-out", "$DIR/trace.jsonl"),
+			"-trace-out", "$DIR/trace.jsonl"),
 		withDoc("template-serve-debug", "-template", "<pick>{$X}</pick>", "-serve-debug", "127.0.0.1:0"),
 		q("axmlquery", "missing-args"),
 		withDoc("bad-strategy", "-strategy", "bogus", "-trace-out", "$DIR/trace.jsonl"),

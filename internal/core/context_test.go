@@ -148,3 +148,48 @@ func TestRunHonoursContext(t *testing.T) {
 		})
 	}
 }
+
+// TestRemoteSpanBudget: a traced run asks every invocation for
+// telemetry.MaxRemoteSpans remote spans, unless its context continues a
+// trace into the run's own tracer (a soap server's recursive push); then
+// it passes that trace's budget on, so a chain of peers keeps its first
+// caller's. A trace context naming another tracer is not continued.
+func TestRemoteSpanBudget(t *testing.T) {
+	spec := workload.DefaultSpec()
+	spec.Hotels, spec.HiddenHotels = 4, 1
+	tracer := telemetry.NewTracer(telemetry.DefaultSpanCapacity)
+	tracer.SetTrace(telemetry.DeriveTraceID("budget", "test"))
+	for _, c := range []struct {
+		name string
+		ctx  context.Context
+		want int
+	}{
+		{"own trace", context.Background(), telemetry.MaxRemoteSpans},
+		{"continued", telemetry.WithTrace(context.Background(), telemetry.TraceContext{
+			TraceID: tracer.Trace(), Parent: 1, MaxSpans: 7, Tracer: tracer}), 7},
+		{"other tracer", telemetry.WithTrace(context.Background(), telemetry.TraceContext{
+			TraceID: tracer.Trace(), Parent: 1, MaxSpans: 7, Tracer: telemetry.NewTracer(16)}), telemetry.MaxRemoteSpans},
+	} {
+		w := workload.Hotels(spec)
+		var calls atomic.Int32
+		reg := w.Registry.Proxy(func(_ *service.Service, next service.Invoker) service.Invoker {
+			return func(ctx context.Context, params []*tree.Node, pushed *pattern.Pattern) (service.Response, error) {
+				calls.Add(1)
+				if tc, _ := telemetry.TraceFrom(ctx); tc.MaxSpans != c.want {
+					t.Errorf("%s: invocation asked for %d remote spans, want %d", c.name, tc.MaxSpans, c.want)
+				}
+				return next(ctx, params, pushed)
+			}
+		})
+		prep, err := Prepare(w.Query, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := prep.Over(w.Doc).Run(c.ctx, reg, Options{Tracer: tracer}); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if calls.Load() == 0 {
+			t.Fatalf("%s: no invocation", c.name)
+		}
+	}
+}

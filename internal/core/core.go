@@ -235,14 +235,6 @@ type Options struct {
 	// up to wall-clock fields. Nil disables span collection at the cost
 	// of one pointer test per instrumentation point.
 	Tracer *telemetry.Tracer
-	// RemoteSpans bounds the span subtree a remote provider may return
-	// per invocation for cross-process trace stitching (see
-	// soap.MaxRemoteSpans for the server-side cap). It only takes effect
-	// when Tracer carries a trace ID (telemetry.Tracer.SetTrace): the
-	// trace context then propagates on the wire and returned remote spans
-	// are grafted under the call's invoke span. 0 propagates the trace ID
-	// without requesting spans back.
-	RemoteSpans int
 	// Metrics, when set, receives the engine's counters and log-scale
 	// latency histograms (metric names in doc/OBSERVABILITY.md:
 	// axml_evaluations_total, axml_detect_seconds, …). Instruments are

@@ -112,8 +112,11 @@ func (ev *Evaluation) Run(ctx context.Context, reg *service.Registry, opt Option
 func (e *engine) run() (*Outcome, error) {
 	evalStart := time.Now()
 	var parent telemetry.SpanID
+	e.remoteSpans = telemetry.MaxRemoteSpans
 	if tc, _ := telemetry.TraceFrom(e.ctx); tc.Tracer != nil && tc.Tracer == e.opt.Tracer {
-		parent = tc.Parent
+		// A trace continued from a caller (the soap server's): nest under
+		// the caller's span and keep the caller's span budget.
+		parent, e.remoteSpans = tc.Parent, tc.MaxSpans
 	}
 	e.spanEval = e.opt.Tracer.Start("evaluate", parent)
 	e.spanEval.SetAttr("strategy", e.opt.Strategy.String())
@@ -233,6 +236,8 @@ type engine struct {
 	// invoke spans parent under (nil when tracing is off).
 	spanEval  *telemetry.ActiveSpan
 	spanLayer *telemetry.ActiveSpan
+	// remoteSpans is the span budget a traced run asks each provider for.
+	remoteSpans int
 }
 
 // spanParent is the enclosing span for detect/invoke spans: the current

@@ -110,8 +110,8 @@ func (e *engine) invokeAttempts(r request) (service.Response, callMeta) {
 		meta.attemptLog = append(meta.attemptLog, attemptRec{cost: cost, class: class})
 	}
 	// Propagate the trace downstream: remote providers continue the trace
-	// under the enclosing layer/evaluate span and may return their span
-	// subtree (Options.RemoteSpans). With no trace ID set the context
+	// under the enclosing layer/evaluate span and may return up to
+	// remoteSpans spans of their subtree. With no trace ID set the context
 	// is the run's own and the wire envelope is byte-identical to untraced
 	// runs.
 	ctx := e.ctx
@@ -119,7 +119,7 @@ func (e *engine) invokeAttempts(r request) (service.Response, callMeta) {
 		ctx = telemetry.WithTrace(ctx, telemetry.TraceContext{
 			TraceID:  id,
 			Parent:   e.spanParent(),
-			MaxSpans: e.opt.RemoteSpans,
+			MaxSpans: e.remoteSpans,
 		})
 	}
 	for {

@@ -13,15 +13,8 @@ import (
 	"github.com/activexml/axml/internal/tree"
 )
 
-// QueryRequest is the POST /query JSON body.
-type QueryRequest struct {
-	// Tenant identifies the client (optional).
-	Tenant string `json:"tenant,omitempty"`
-	// Document names the target document.
-	Document string `json:"document"`
-	// Query is the tree-pattern source.
-	Query string `json:"query"`
-}
+// QueryRequest is the POST /query JSON body: a Request.
+type QueryRequest = Request
 
 // QueryResponse is the POST /query JSON answer.
 type QueryResponse struct {
@@ -93,11 +86,7 @@ func Mount(mux *http.ServeMux, m *Manager) {
 			writeError(w, status, fmt.Errorf("session: bad request body: %w", err))
 			return
 		}
-		res, err := m.Query(r.Context(), Request{
-			Tenant:   qr.Tenant,
-			Document: qr.Document,
-			Query:    qr.Query,
-		})
+		res, err := m.Query(r.Context(), qr)
 		if err != nil {
 			status, retryAfter := errStatus(err)
 			if retryAfter > 0 {

@@ -145,15 +145,16 @@ type Config struct {
 	Clock func() service.Clock
 }
 
-// Request is one query against one named document.
+// Request is one query against one named document, and the POST /query
+// JSON body.
 type Request struct {
 	// Tenant identifies the client for per-tenant accounting; empty is
 	// the anonymous tenant.
-	Tenant string
+	Tenant string `json:"tenant,omitempty"`
 	// Document names the target document in the repository.
-	Document string
+	Document string `json:"document"`
 	// Query is the tree-pattern query source.
-	Query string
+	Query string `json:"query"`
 }
 
 // Result is one query's answer.

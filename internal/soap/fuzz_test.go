@@ -3,6 +3,8 @@ package soap
 import (
 	"bytes"
 	"encoding/xml"
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -35,11 +37,88 @@ func marshalForest(t *testing.T, forest []*tree.Node) string {
 	return sb.String()
 }
 
+// referenceDecodeInvoke is the whole-envelope decoder decodeInvoke
+// replaced: the full body through tree.UnmarshalForest (the encoding/xml
+// fallback, since the start tag carries attributes), then the start tag
+// decoded a second time for those attributes.
+func referenceDecodeInvoke(body []byte, urlName string) ([]*tree.Node, *pattern.Pattern, telemetry.TraceContext, error) {
+	var tc telemetry.TraceContext
+	roots, err := tree.UnmarshalForest(body)
+	if err != nil {
+		return nil, nil, tc, fmt.Errorf("bad envelope: %w", err)
+	}
+	if len(roots) != 1 || roots[0].Label != "invoke" {
+		return nil, nil, tc, fmt.Errorf("bad envelope: expected a single <invoke> element")
+	}
+	svcName, queryText, tc, err := invokeAttrs(body)
+	if err != nil {
+		return nil, nil, tc, err
+	}
+	if svcName != "" && svcName != urlName {
+		return nil, nil, tc, fmt.Errorf("envelope service %q does not match endpoint %q", svcName, urlName)
+	}
+	var pushed *pattern.Pattern
+	if queryText != "" {
+		pushed, err = pattern.ParseExact(queryText)
+		if err != nil {
+			return nil, nil, tc, fmt.Errorf("bad pushed query: %w", err)
+		}
+	}
+	var params []*tree.Node
+	if p := roots[0].Child("params"); p != nil {
+		params = append(params, p.Children...)
+		for _, c := range params {
+			c.Parent = nil
+		}
+	}
+	return params, pushed, tc, nil
+}
+
+// invokeAttrs extracts the service, query and trace-propagation
+// attributes of the top-level invoke element.
+func invokeAttrs(body []byte) (svc, query string, tc telemetry.TraceContext, err error) {
+	dec := xml.NewDecoder(bytes.NewReader(body))
+	for {
+		tok, err := dec.Token()
+		if err != nil {
+			return "", "", tc, fmt.Errorf("bad envelope: %w", err)
+		}
+		if se, ok := tok.(xml.StartElement); ok {
+			for _, a := range se.Attr {
+				switch a.Name.Local {
+				case "service":
+					svc = a.Value
+				case "query":
+					query = a.Value
+				case "trace":
+					tc.TraceID = a.Value
+				case "span":
+					if v, err := strconv.ParseUint(a.Value, 10, 64); err == nil {
+						tc.Parent = telemetry.SpanID(v)
+					}
+				case "spans":
+					if v, err := strconv.Atoi(a.Value); err == nil && v > 0 {
+						tc.MaxSpans = v
+					}
+				}
+			}
+			return svc, query, tc, nil
+		}
+	}
+}
+
 // FuzzDecodeInvoke feeds the provider's request decoder — the first code
 // a network peer's bytes reach — arbitrary envelopes (it may reject them,
 // never panic), and checks that whatever EncodeInvokeTrace can be asked
 // to send comes back from decodeInvoke as it went in: service, pushed
 // query, parameter forest and trace context.
+//
+// Whatever decodeInvoke accepts, referenceDecodeInvoke accepts too, with
+// equal params, pushed query and trace context. Only the reference
+// accepts what lies outside the envelopes EncodeInvokeTrace writes: a
+// prolog, comments or processing instructions before the start tag or
+// after the end tag, a self-closing envelope, a prefixed envelope name
+// and namespace declarations on the envelope.
 func FuzzDecodeInvoke(f *testing.F) {
 	// The envelopes soap_test.go and trace_test.go build or post.
 	plain, _ := EncodeInvoke("getRating", nil, nil)
@@ -53,8 +132,26 @@ func FuzzDecodeInvoke(f *testing.F) {
 	f.Add([]byte("<nonsense"), "", "", "", uint64(0), 0)
 	f.Add([]byte(`<a><axml:call service="s">x</axml:call></a><b/>`), "a\tb", "//x", "00ff", ^uint64(0), 1)
 
+	f.Add([]byte(`<invoke service="s"><params><a>x</a></params></invoke><!-- after -->`), "s", "", "", uint64(0), 0)
+	f.Add([]byte(`<invoke service="s"/>`), "s", "", "", uint64(0), 0)
+	f.Add([]byte(`<invoke xmlns:axml="http://activexml.net/2004/calls"><params><axml:call service="s"/></params></invoke>`), "", "", "", uint64(0), 0)
+
 	f.Fuzz(func(t *testing.T, body []byte, svc, query, trace string, span uint64, budget int) {
-		decodeInvoke(body, svc)
+		if params, pushed, tc, err := decodeInvoke(body, svc); err == nil {
+			refParams, refPushed, refTC, err := referenceDecodeInvoke(body, svc)
+			if err != nil {
+				t.Fatalf("accepted, the reference refused: %v\n%q", err, body)
+			}
+			if len(params) != len(refParams) || (pushed == nil) != (refPushed == nil) ||
+				pushed != nil && pushed.String() != refPushed.String() || tc != refTC {
+				t.Fatalf("decoded differently from the reference\n%q", body)
+			}
+			for i, p := range params {
+				if !p.Equal(refParams[i]) {
+					t.Fatalf("param %d differs from the reference\n%q", i, body)
+				}
+			}
+		}
 
 		if !wireSafe(svc) || !wireSafe(trace) {
 			return

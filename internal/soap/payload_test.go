@@ -13,13 +13,21 @@ import (
 	"github.com/activexml/axml/internal/workload"
 )
 
+// limitPayload lowers the envelope bound to n bytes for the rest of the
+// test. No soap test runs in parallel, so the package variable is the
+// test's own.
+func limitPayload(t *testing.T, n int64) {
+	old := maxPayloadBytes
+	maxPayloadBytes = n
+	t.Cleanup(func() { maxPayloadBytes = old })
+}
+
 // An oversized request must be rejected with an explicit 413
 // permanent-classed fault, not silently truncated into a parse error.
 func TestServerRejectsOversizedRequest(t *testing.T) {
 	w := workload.Hotels(workload.DefaultSpec())
-	s := NewServer(w.Registry, false)
-	s.MaxPayloadBytes = 1 << 10
-	srv := httptest.NewServer(s)
+	limitPayload(t, 1<<10)
+	srv := httptest.NewServer(NewServer(w.Registry, false))
 	defer srv.Close()
 
 	c := &Client{BaseURL: srv.URL}
@@ -47,13 +55,12 @@ func TestServerRejectsOversizedRequest(t *testing.T) {
 // limit detection reads one byte past the bound, it does not shrink it.
 func TestServerAcceptsRequestAtLimit(t *testing.T) {
 	w := workload.Hotels(workload.DefaultSpec())
-	s := NewServer(w.Registry, false)
 	body, err := EncodeInvoke("getNearbyRestos", []*tree.Node{tree.NewText("addr-7")}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.MaxPayloadBytes = int64(len(body))
-	srv := httptest.NewServer(s)
+	limitPayload(t, int64(len(body)))
+	srv := httptest.NewServer(NewServer(w.Registry, false))
 	defer srv.Close()
 
 	resp, err := http.Post(srv.URL+"/services/getNearbyRestos", "application/xml", strings.NewReader(string(body)))
@@ -75,7 +82,8 @@ func TestClientRejectsOversizedResponse(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c := &Client{BaseURL: srv.URL, MaxPayloadBytes: 1 << 10}
+	limitPayload(t, 1<<10)
+	c := &Client{BaseURL: srv.URL}
 	_, err := c.InvokeContext(context.Background(), "getNearbyRestos", nil, nil)
 	if err == nil {
 		t.Fatal("oversized response accepted")
@@ -92,10 +100,10 @@ func TestClientRejectsOversizedResponse(t *testing.T) {
 	}
 }
 
-// The default limits are symmetric, and small payloads are unaffected.
+// The bound is 64 MiB, and small payloads are unaffected.
 func TestPayloadDefaultsSymmetric(t *testing.T) {
-	if DefaultMaxPayloadBytes != 64<<20 {
-		t.Fatalf("DefaultMaxPayloadBytes = %d", DefaultMaxPayloadBytes)
+	if maxPayloadBytes != 64<<20 {
+		t.Fatalf("maxPayloadBytes = %d", maxPayloadBytes)
 	}
 	w := workload.Hotels(workload.DefaultSpec())
 	srv := httptest.NewServer(NewServer(w.Registry, false))

@@ -50,7 +50,7 @@ func RecursivePush(reg *service.Registry, maxCalls, workers int) *service.Regist
 			tc, _ := telemetry.TraceFrom(ctx)
 			run, err := fixpoint.Over(tree.NewDocument(root)).Run(ctx, reg, core.Options{
 				Strategy: core.NaiveFixpoint, Parallel: true, InvokeWorkers: workers, MaxCalls: maxCalls,
-				Tracer: tc.Tracer, RemoteSpans: tc.MaxSpans,
+				Tracer: tc.Tracer,
 			})
 			if err != nil {
 				return service.Response{}, err

@@ -78,23 +78,14 @@ type Server struct {
 	// Tracer, when set, records one "http-invoke" span per invocation
 	// with service and status attributes. Nil disables.
 	Tracer *telemetry.Tracer
-	// MaxPayloadBytes bounds one request body; 0 means
-	// DefaultMaxPayloadBytes. An oversized request is rejected with an
-	// explicit 413 permanent-classed "payload too large" fault rather
-	// than silently truncated into a confusing parse error.
-	MaxPayloadBytes int64
 }
 
-// DefaultMaxPayloadBytes is the payload bound applied symmetrically by
-// Server (request bodies) and Client (response bodies) when their
-// MaxPayloadBytes is 0.
-const DefaultMaxPayloadBytes = 64 << 20
-
-// MaxRemoteSpans caps how many spans a server returns in one response
-// envelope, whatever the request's spans attribute asks for — remote
-// span return is a debugging aid, and its payload cost must stay
-// bounded.
-const MaxRemoteSpans = 512
+// maxPayloadBytes bounds one envelope, symmetrically: the server's
+// request bodies and the client's response bodies. An oversized one is
+// rejected with an explicit permanent-classed "payload too large" fault
+// (413 from the server) rather than truncated into a confusing parse
+// error. A variable so the package's tests can lower it.
+var maxPayloadBytes int64 = 64 << 20
 
 // serverTraceCapacity bounds the per-request tracer a traced invocation
 // records into. It is deliberately small: one invocation's subtree, not
@@ -204,18 +195,14 @@ func (s *Server) invoke(w http.ResponseWriter, r *http.Request, name string) {
 			})
 		}
 	}()
-	limit := s.MaxPayloadBytes
-	if limit <= 0 {
-		limit = DefaultMaxPayloadBytes
-	}
-	body, over, err := readLimited(r.Body, limit)
+	body, over, err := readLimited(r.Body, maxPayloadBytes)
 	if err != nil {
 		fail(http.StatusBadRequest, service.Transient, "unreadable body: "+err.Error())
 		return
 	}
 	if over {
 		fail(http.StatusRequestEntityTooLarge, service.Permanent,
-			fmt.Sprintf("payload too large: request body exceeds %d bytes", limit))
+			fmt.Sprintf("payload too large: request body exceeds %d bytes", maxPayloadBytes))
 		return
 	}
 	params, pushed, tc, err := decodeInvoke(body, name)
@@ -230,9 +217,7 @@ func (s *Server) invoke(w http.ResponseWriter, r *http.Request, name string) {
 	}
 	ctx := r.Context()
 	if tc.TraceID != "" {
-		if tc.MaxSpans > MaxRemoteSpans {
-			tc.MaxSpans = MaxRemoteSpans
-		}
+		tc.MaxSpans = min(tc.MaxSpans, telemetry.MaxRemoteSpans)
 		rt = telemetry.NewTracer(serverTraceCapacity)
 		rt.SetTrace(tc.TraceID)
 		root = rt.Start("http-invoke", 0)
@@ -429,23 +414,38 @@ func EncodeInvokeTrace(serviceName string, params []*tree.Node, pushed *pattern.
 
 // decodeInvoke parses the request envelope. The name in the URL must
 // match the envelope's service attribute when present. The returned
-// TraceContext is zero when the caller did not propagate a trace.
+// TraceContext is zero when the caller did not propagate a trace;
+// malformed trace attributes are ignored rather than failing the call —
+// propagation is advisory.
 func decodeInvoke(body []byte, urlName string) ([]*tree.Node, *pattern.Pattern, telemetry.TraceContext, error) {
 	var tc telemetry.TraceContext
-	roots, err := tree.UnmarshalForest(body)
+	se, forest, err := readEnvelope(body)
 	if err != nil {
 		return nil, nil, tc, fmt.Errorf("bad envelope: %w", err)
 	}
-	if len(roots) != 1 || roots[0].Label != "invoke" {
-		return nil, nil, tc, fmt.Errorf("bad envelope: expected a single <invoke> element")
+	if se.Name.Local != "invoke" {
+		return nil, nil, tc, fmt.Errorf("bad envelope: expected an <invoke> element")
 	}
-	// tree.UnmarshalForest drops attributes, so re-decode them here.
-	svcName, queryText, tc, err := invokeAttrs(body)
-	if err != nil {
-		return nil, nil, tc, err
-	}
-	if svcName != "" && svcName != urlName {
-		return nil, nil, tc, fmt.Errorf("envelope service %q does not match endpoint %q", svcName, urlName)
+	var queryText string
+	for _, a := range se.Attr {
+		switch a.Name.Local {
+		case "service":
+			if a.Value != "" && a.Value != urlName {
+				return nil, nil, tc, fmt.Errorf("envelope service %q does not match endpoint %q", a.Value, urlName)
+			}
+		case "query":
+			queryText = a.Value
+		case "trace":
+			tc.TraceID = a.Value
+		case "span":
+			if v, err := strconv.ParseUint(a.Value, 10, 64); err == nil {
+				tc.Parent = telemetry.SpanID(v)
+			}
+		case "spans":
+			if v, err := strconv.Atoi(a.Value); err == nil && v > 0 {
+				tc.MaxSpans = v
+			}
+		}
 	}
 	var pushed *pattern.Pattern
 	if queryText != "" {
@@ -455,76 +455,77 @@ func decodeInvoke(body []byte, urlName string) ([]*tree.Node, *pattern.Pattern, 
 		}
 	}
 	var params []*tree.Node
-	if p := roots[0].Child("params"); p != nil {
-		params = append(params, p.Children...)
-		for _, c := range params {
-			c.Parent = nil
+	for _, n := range forest {
+		if n.Kind == tree.Element && n.Label == "params" {
+			params = n.Children
+			for _, c := range params {
+				c.Parent = nil
+			}
+			break
 		}
 	}
 	return params, pushed, tc, nil
 }
 
-// invokeAttrs extracts the service, query and trace-propagation
-// attributes of the top-level invoke element. Malformed trace attributes
-// are ignored rather than failing the call — propagation is advisory.
-func invokeAttrs(body []byte) (svc, query string, tc telemetry.TraceContext, err error) {
-	dec := xml.NewDecoder(bytes.NewReader(body))
-	for {
-		tok, err := dec.Token()
-		if err != nil {
-			return "", "", tc, fmt.Errorf("bad envelope: %w", err)
-		}
-		if se, ok := tok.(xml.StartElement); ok {
-			for _, a := range se.Attr {
-				switch a.Name.Local {
-				case "service":
-					svc = a.Value
-				case "query":
-					query = a.Value
-				case "trace":
-					tc.TraceID = a.Value
-				case "span":
-					if v, err := strconv.ParseUint(a.Value, 10, 64); err == nil {
-						tc.Parent = telemetry.SpanID(v)
-					}
-				case "spans":
-					if v, err := strconv.Atoi(a.Value); err == nil && v > 0 {
-						tc.MaxSpans = v
-					}
-				}
-			}
-			return svc, query, tc, nil
+// readEnvelope reads an envelope's start tag, whose attributes are outside
+// the wire subset, as one encoding/xml token, and the content between it
+// and the end tag that closes the payload (trailing white space aside)
+// with tree.UnmarshalForest: every forest this package writes takes the
+// wire scanner. The content is parsed on its own, so an envelope may not
+// declare namespaces; a self-closing one has no end tag to match.
+func readEnvelope(payload []byte) (xml.StartElement, []*tree.Node, error) {
+	dec := xml.NewDecoder(bytes.NewReader(payload))
+	tok, err := dec.RawToken()
+	if err != nil {
+		return xml.StartElement{}, nil, err
+	}
+	se, ok := tok.(xml.StartElement)
+	if !ok || se.Name.Space != "" {
+		return xml.StartElement{}, nil, errors.New("expected an unprefixed start tag first")
+	}
+	for _, a := range se.Attr {
+		if a.Name.Space == "xmlns" || a.Name.Space == "" && a.Name.Local == "xmlns" {
+			return xml.StartElement{}, nil, errors.New("namespace declaration on the envelope")
 		}
 	}
+	start := int(dec.InputOffset())
+	rest := bytes.TrimRight(payload[start:], " \t\r\n")
+	content, ok := bytes.CutSuffix(rest, []byte("</"+se.Name.Local+">"))
+	if !ok || payload[start-2] == '/' {
+		return xml.StartElement{}, nil, fmt.Errorf("no </%s> end tag closes the payload", se.Name.Local)
+	}
+	forest, err := tree.UnmarshalForest(content)
+	return se, forest, err
+}
+
+// attr returns the value of se's attribute local, "" when absent.
+func attr(se xml.StartElement, local string) string {
+	for _, a := range se.Attr {
+		if a.Name.Local == local {
+			return a.Value
+		}
+	}
+	return ""
 }
 
 // Client invokes services of one remote provider.
 type Client struct {
 	// BaseURL is the provider root, e.g. "http://host:8080".
 	BaseURL string
-	// HTTPClient defaults to a transport all Clients share.
-	HTTPClient *http.Client
 	// Timeout bounds each HTTP request; an expired request surfaces as
 	// a timeout-classed fault. 0 means no client-side timeout.
 	Timeout time.Duration
 	// Metrics, when set, observes each request's wire latency
 	// (axml_http_client_seconds). Nil disables.
 	Metrics *telemetry.Registry
-	// MaxPayloadBytes bounds one response body; 0 means
-	// DefaultMaxPayloadBytes (symmetric with the server's request
-	// bound). An oversized response surfaces as a permanent-classed
-	// "payload too large" fault instead of a truncated-XML parse error.
-	MaxPayloadBytes int64
 }
 
-// sharedHTTPClient is the transport clients fall back to when
-// HTTPClient is unset. http.DefaultClient's transport keeps only 2 idle
-// connections per host, so a bounded invocation pool hammering one
-// provider would open (and TIME_WAIT-churn) a fresh TCP connection for
-// most requests; raising MaxIdleConnsPerHost lets every pool worker
-// reuse a warm connection. All soap.Clients share the one transport —
-// connection pools are per-transport, and one per process is the
-// useful granularity.
+// sharedHTTPClient is the transport every Client uses. http.DefaultClient's
+// transport keeps only 2 idle connections per host, so a bounded
+// invocation pool hammering one provider would open (and TIME_WAIT-churn)
+// a fresh TCP connection for most requests; raising MaxIdleConnsPerHost
+// lets every pool worker reuse a warm connection. Connection pools are
+// per-transport, and one per process is the useful granularity.
 var sharedHTTPClient = newSharedHTTPClient()
 
 func newSharedHTTPClient() *http.Client {
@@ -536,13 +537,6 @@ func newSharedHTTPClient() *http.Client {
 	t.MaxIdleConns = 256
 	t.MaxIdleConnsPerHost = 64
 	return &http.Client{Transport: t}
-}
-
-func (c *Client) httpClient() *http.Client {
-	if c.HTTPClient != nil {
-		return c.HTTPClient
-	}
-	return sharedHTTPClient
 }
 
 // InvokeContext calls the named remote service under the caller's context:
@@ -574,7 +568,7 @@ func (c *Client) InvokeContext(ctx context.Context, name string, params []*tree.
 		return service.Response{}, fmt.Errorf("soap: build request: %w", err)
 	}
 	req.Header.Set("Content-Type", "application/xml")
-	httpResp, err := c.httpClient().Do(req)
+	httpResp, err := sharedHTTPClient.Do(req)
 	if err != nil {
 		class := service.Transient
 		if errors.Is(err, context.DeadlineExceeded) || ctx.Err() != nil {
@@ -586,11 +580,7 @@ func (c *Client) InvokeContext(ctx context.Context, name string, params []*tree.
 		}
 	}
 	defer httpResp.Body.Close()
-	limit := c.MaxPayloadBytes
-	if limit <= 0 {
-		limit = DefaultMaxPayloadBytes
-	}
-	payload, over, err := readLimited(httpResp.Body, limit)
+	payload, over, err := readLimited(httpResp.Body, maxPayloadBytes)
 	if err != nil {
 		return service.Response{}, &service.Fault{
 			Service: name, Class: service.Transient, Latency: time.Since(start),
@@ -600,15 +590,11 @@ func (c *Client) InvokeContext(ctx context.Context, name string, params []*tree.
 	if over {
 		return service.Response{}, &service.Fault{
 			Service: name, Class: service.Permanent, Latency: time.Since(start),
-			Msg: fmt.Sprintf("payload too large: response body exceeds %d bytes", limit),
+			Msg: fmt.Sprintf("payload too large: response body exceeds %d bytes", maxPayloadBytes),
 		}
 	}
 	if httpResp.StatusCode != http.StatusOK {
-		return service.Response{}, &service.Fault{
-			Service: name, Class: faultClass(payload, httpResp.StatusCode),
-			Latency: time.Since(start),
-			Msg:     fmt.Sprintf("%s: %s: %s", url, httpResp.Status, faultMessage(payload)),
-		}
+		return service.Response{}, fault(name, url, httpResp, payload, time.Since(start))
 	}
 	totalBytes := len(payload)
 	var remote []telemetry.Span
@@ -623,25 +609,20 @@ func (c *Client) InvokeContext(ctx context.Context, name string, params []*tree.
 		// service result that legitimately ends with the label keeps it.
 		payload, remote = splitTrailingTrace(payload, tc.TraceID)
 	}
-	roots, err := tree.UnmarshalForest(payload)
+	se, forest, err := readEnvelope(payload)
 	if err != nil {
 		return service.Response{}, fmt.Errorf("soap: bad response envelope: %w", err)
 	}
-	if len(roots) != 1 || roots[0].Label != "response" {
-		return service.Response{}, fmt.Errorf("soap: expected a single <response> element")
+	if se.Name.Local != "response" {
+		return service.Response{}, fmt.Errorf("soap: expected a <response> element")
 	}
-	wasPushed, err := responsePushedAttr(payload)
-	if err != nil {
-		return service.Response{}, err
-	}
-	forest := roots[0].Children
 	for _, n := range forest {
 		n.Parent = nil
 	}
 	return service.Response{
 		Forest:      forest,
 		Bytes:       totalBytes,
-		Pushed:      wasPushed,
+		Pushed:      attr(se, "pushed") == "true",
 		RemoteTrace: remote,
 	}, nil
 }
@@ -709,71 +690,34 @@ func unescapeCharData(b []byte) []byte {
 	return out
 }
 
-// faultClass reads the fault envelope's class attribute; when absent it
-// derives one from the HTTP status: 504 is a timeout, other 5xx are
-// transient, everything else permanent.
-func faultClass(payload []byte, status int) service.ErrorClass {
-	dec := xml.NewDecoder(bytes.NewReader(payload))
-	for {
-		tok, err := dec.Token()
-		if err != nil {
-			break
-		}
-		if se, ok := tok.(xml.StartElement); ok {
-			if se.Name.Local != "fault" {
-				break
-			}
-			for _, a := range se.Attr {
-				if a.Name.Local == "class" {
-					return service.ParseErrorClass(a.Value)
-				}
-			}
-			break
-		}
+// fault maps a non-2xx answer onto a classed service.Fault. The class is
+// the fault envelope's class attribute; without one it derives from the
+// HTTP status: 504 is a timeout, other 5xx are transient, everything else
+// permanent. The message is the envelope's text, or the raw payload when
+// the answer is no fault envelope.
+func fault(name, url string, resp *http.Response, payload []byte, latency time.Duration) *service.Fault {
+	class := service.Permanent
+	if resp.StatusCode == http.StatusGatewayTimeout {
+		class = service.Timeout
+	} else if resp.StatusCode >= 500 {
+		class = service.Transient
 	}
-	switch {
-	case status == http.StatusGatewayTimeout:
-		return service.Timeout
-	case status >= 500:
-		return service.Transient
-	default:
-		return service.Permanent
-	}
-}
-
-// responsePushedAttr reads the pushed attribute of the top-level response
-// element.
-func responsePushedAttr(payload []byte) (bool, error) {
-	dec := xml.NewDecoder(bytes.NewReader(payload))
-	for {
-		tok, err := dec.Token()
-		if err != nil {
-			return false, fmt.Errorf("soap: bad response envelope: %w", err)
+	msg := strings.TrimSpace(string(payload))
+	if se, forest, err := readEnvelope(payload); err == nil && se.Name.Local == "fault" {
+		if v := attr(se, "class"); v != "" {
+			class = service.ParseErrorClass(v)
 		}
-		if se, ok := tok.(xml.StartElement); ok {
-			for _, a := range se.Attr {
-				if a.Name.Local == "pushed" {
-					return a.Value == "true", nil
-				}
-			}
-			return false, nil
-		}
+		msg = (&tree.Node{Children: forest}).Text()
 	}
-}
-
-func faultMessage(payload []byte) string {
-	roots, err := tree.UnmarshalForest(payload)
-	if err == nil && len(roots) == 1 && roots[0].Label == "fault" {
-		return roots[0].Text()
-	}
-	return strings.TrimSpace(string(payload))
+	return &service.Fault{Service: name, Class: class, Latency: latency,
+		Msg: fmt.Sprintf("%s: %s: %s", url, resp.Status, msg)}
 }
 
 // Describe fetches the provider's service descriptor: names, push
 // capability and advertised latency.
 func (c *Client) Describe() ([]ServiceInfo, error) {
 	url := strings.TrimSuffix(c.BaseURL, "/") + "/services"
-	httpResp, err := c.httpClient().Get(url)
+	httpResp, err := sharedHTTPClient.Get(url)
 	if err != nil {
 		return nil, fmt.Errorf("soap: GET %s: %w", url, err)
 	}

@@ -70,7 +70,7 @@ func TestTracePropagationOverHTTP(t *testing.T) {
 	traceID := telemetry.DeriveTraceID("/root/item", "trace_test")
 	tracer.SetTrace(traceID)
 	out, err := core.Evaluate(doc, q, remoteReg, core.Options{
-		Strategy: core.LazyNFQ, Tracer: tracer, RemoteSpans: 512,
+		Strategy: core.LazyNFQ, Tracer: tracer,
 		Clock: service.NewWallClock(false),
 	})
 	if err != nil {
@@ -131,7 +131,7 @@ func TestNoTraceNoRemoteSpans(t *testing.T) {
 	remoteReg, _ := tracedServer(t, reg)
 	tracer := telemetry.NewTracer(telemetry.DefaultSpanCapacity)
 	_, err := core.Evaluate(doc, q, remoteReg, core.Options{
-		Strategy: core.LazyNFQ, Tracer: tracer, RemoteSpans: 512,
+		Strategy: core.LazyNFQ, Tracer: tracer,
 		Clock: service.NewWallClock(false),
 	})
 	if err != nil {
@@ -163,7 +163,7 @@ func TestRecursivePushSpansNested(t *testing.T) {
 	tracer := telemetry.NewTracer(telemetry.DefaultSpanCapacity)
 	tracer.SetTrace(telemetry.DeriveTraceID("recursive"))
 	out, err := core.Evaluate(w.Doc.Clone(), w.Query, remoteReg, core.Options{
-		Strategy: core.LazyNFQ, Push: true, Tracer: tracer, RemoteSpans: 512,
+		Strategy: core.LazyNFQ, Push: true, Tracer: tracer,
 		Clock: service.NewWallClock(false),
 	})
 	if err != nil {
@@ -218,7 +218,7 @@ func TestExplainByteIdenticalOverHTTP(t *testing.T) {
 		// evaluate spans' virtual totals.
 		_, err := core.Evaluate(doc, q, remoteReg, core.Options{
 			Strategy: core.LazyNFQ, Parallel: true, InvokeWorkers: 3,
-			Tracer: tracer, RemoteSpans: 512, Clock: &service.SimClock{},
+			Tracer: tracer, Clock: &service.SimClock{},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -290,9 +290,9 @@ func TestTracePropagationUnderFaultsRetries(t *testing.T) {
 		tracer.SetTrace(traceID)
 		_, err := core.Evaluate(doc, q, flaky, core.Options{
 			Strategy: core.LazyNFQ, Parallel: true, InvokeWorkers: width,
-			Tracer: tracer, RemoteSpans: 512,
-			Retry: core.RetryPolicy{MaxAttempts: 3, Backoff: time.Millisecond},
-			Clock: &service.SimClock{},
+			Tracer: tracer,
+			Retry:  core.RetryPolicy{MaxAttempts: 3, Backoff: time.Millisecond},
+			Clock:  &service.SimClock{},
 		})
 		if err != nil {
 			t.Fatalf("width %d: %v", width, err)

@@ -25,6 +25,12 @@ type TraceContext struct {
 	Tracer *Tracer
 }
 
+// MaxRemoteSpans is the span budget a traced run asks each provider for,
+// and the cap a soap server puts on what any request asks for: remote
+// span return is a debugging aid, and its payload cost must stay
+// bounded.
+const MaxRemoteSpans = 512
+
 type traceCtxKey struct{}
 
 // WithTrace attaches the trace context to ctx (nil means Background).

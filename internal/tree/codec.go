@@ -189,6 +189,9 @@ func decodeForest(data []byte) ([]*Node, error) {
 		}
 		switch t := tok.(type) {
 		case xml.StartElement:
+			if t.Name.Space != "" && !unprefixedName(t.Name.Local) {
+				return nil, fmt.Errorf("tree: element name %q is no name without its prefix", t.Name.Local)
+			}
 			isAXML := t.Name.Space == CallNamespace || t.Name.Space == "axml"
 			n := new(Node)
 			if err := initNode(n, tuples > 0, isAXML, t.Name.Local, attrValue(t, serviceAttr), attrValue(t, queryAttribute)); err != nil {
@@ -279,6 +282,17 @@ func liftTuples(n *Node) error {
 	}
 	n.Children = nil
 	return nil
+}
+
+// unprefixedName reports whether local, the part of a prefixed element
+// name after its colon ("0" in <a:0>), is a name on its own: Marshal
+// writes it without the prefix, and what it writes must read back.
+func unprefixedName(local string) bool {
+	if c := local[0]; c < 0x80 {
+		return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || c == '_'
+	}
+	_, err := xml.NewDecoder(strings.NewReader("<" + local + ">")).RawToken()
+	return err == nil
 }
 
 func attrValue(t xml.StartElement, name string) string {

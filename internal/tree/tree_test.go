@@ -453,6 +453,8 @@ func TestUnmarshalErrors(t *testing.T) {
 		"call w/o service": `<x><call xmlns="http://activexml.net/2004/calls"/></x>`,
 
 		"malformed":      "<a><b></a>",
+		"prefixed digit": `<a><p:0/></a>`,
+		"prefixed mark":  "<a><p:\u02d0/></a>",
 		"junk in tuples": `<x><tuples xmlns="http://activexml.net/2004/calls"><y/></tuples></x>`,
 		"empty":          "",
 	} {
