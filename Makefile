@@ -138,6 +138,7 @@ microbench:
 	$(GO) test -run TestResumedRunIsOChange -bench 'ReevalAfterWrite' -benchmem ./internal/session/
 	$(GO) test -run TestUnmarshalAllocationCeiling -bench 'Unmarshal/' -benchmem ./internal/tree/
 	$(GO) test -run TestPutAllocationCeiling -bench Put -benchtime 20x -benchmem ./internal/repo/
+	$(GO) test -run TestInvokeAllocationCeiling -v ./internal/service/
 	$(GO) test -run 'TestMemoAnswerHTTPAllocationCeiling|TestMemoAnswerDuringEngineRun|TestWarmWriteAllocationCeiling' -bench 'MemoAnswer|ReevalAfterWrite|WriteWithResidents' -benchmem ./internal/session/
 	$(GO) test -bench TelemetryOverhead -benchmem .
 	$(GO) test -run TestE13AllocationRegression -count=1 -v ./internal/pattern/

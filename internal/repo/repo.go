@@ -226,7 +226,7 @@ func (r *Repo) Put(name string, doc *tree.Document, opts PutOptions) error {
 	defer r.mu.Unlock()
 	if err := r.b.WriteFile(name+DocExt, func(w io.Writer) error {
 		sw := &stampWriter{w: w, h: sha256.New()}
-		if err := tree.Encode(sw, doc.Root, false); err != nil {
+		if err := tree.Encode(sw, []*tree.Node{doc.Root}, false); err != nil {
 			return err
 		}
 		if _, err := sw.Write([]byte{'\n'}); err != nil {

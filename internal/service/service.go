@@ -130,7 +130,8 @@ type Response struct {
 	// bindings.
 	Forest []*tree.Node
 	// Bytes is the serialised size of Forest — what would travel over
-	// the wire.
+	// the wire. It is counted (tree.EncodedLen), not built: a local
+	// invocation serialises nothing.
 	Bytes int
 	// Latency is the simulated cost of this invocation. The engine
 	// charges it to its clock (sequential: sum; parallel batch: max).
@@ -263,11 +264,11 @@ func (r *Registry) invoke(ctx context.Context, svc *Service, params []*tree.Node
 			resp.Pushed = true
 		}
 		for _, n := range resp.Forest {
-			b, err := tree.Marshal(n)
+			size, err := tree.EncodedLen(n)
 			if err != nil {
 				return Response{}, fmt.Errorf("marshal result: %w", err)
 			}
-			resp.Bytes += len(b)
+			resp.Bytes += size
 		}
 	}
 	r.mu.Lock()

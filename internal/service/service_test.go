@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -312,4 +313,42 @@ func TestHandlerDoesNotOutliveItsCaller(t *testing.T) {
 	if st := r.Stats(); st.Invocations != 0 || st.Bytes != 0 {
 		t.Fatalf("the dropped result was counted: %+v", st)
 	}
+}
+
+// TestInvokeAllocationCeiling pins how a local invocation counts its
+// result's bytes: by walking it (tree.EncodedLen), not by marshalling
+// every root through an encoder of its own. Over a prebuilt forest of
+// 200 hotels the marshalling count made 2 800 allocations; the walk
+// makes none.
+func TestInvokeAllocationCeiling(t *testing.T) {
+	forest := make([]*tree.Node, 200)
+	want := 0
+	for i := range forest {
+		h := tree.NewElement("hotel")
+		h.Append(tree.NewElement("name")).Append(tree.NewText(fmt.Sprintf("Hotel-%d", i)))
+		h.Append(tree.NewCall("getNearbyRestos")).
+			Append(tree.NewElement("address")).Append(tree.NewText("addr & co"))
+		forest[i] = h
+		b, err := tree.Marshal(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += len(b)
+	}
+	r := NewRegistry()
+	r.Register(&Service{Name: "getHotels", Handler: func([]*tree.Node) ([]*tree.Node, error) { return forest, nil }})
+	var resp Response
+	allocs := testing.AllocsPerRun(20, func() {
+		var err error
+		if resp, err = r.Invoke("getHotels", nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if resp.Bytes != want {
+		t.Fatalf("resp.Bytes = %d, the roots' Marshal bytes sum to %d", resp.Bytes, want)
+	}
+	if allocs > 2 {
+		t.Fatalf("Invoke made %.0f allocations, ceiling 2", allocs)
+	}
+	t.Logf("Invoke made %.0f allocations for %d result bytes", allocs, resp.Bytes)
 }

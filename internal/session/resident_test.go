@@ -649,8 +649,9 @@ func writesWithResidents(tb testing.TB, n int, metrics *telemetry.Registry) (m *
 // every hotel, about 0.69 MB once the first offer of guide candidates is
 // probed at the hotel the write names, about 0.07 MB once the answer is
 // too. It measured 106 KB before a text ran its shape's own relevance
-// queries instead of a copy of each, and 88 KB after.
-const warmWriteBytes = 96 << 10
+// queries instead of a copy of each, and 88 KB after; 65 KB once a local
+// invocation counts its result's bytes instead of marshalling them.
+const warmWriteBytes = 72 << 10
 
 // TestWarmWriteAllocationCeiling pins the anchored write: ten writes of a
 // warm shape, beside one resident text, allocate at most warmWriteBytes

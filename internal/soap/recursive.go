@@ -59,11 +59,11 @@ func RecursivePush(reg *service.Registry, maxCalls, workers int) *service.Regist
 				return service.Response{}, fmt.Errorf("soap: recursive push exceeded %d call budget", maxCalls)
 			}
 			tu := service.EvalPushed(root.Children, pushed)
-			data, err := tree.Marshal(tu)
+			size, err := tree.EncodedLen(tu)
 			if err != nil {
 				return service.Response{}, err
 			}
-			return service.Response{Forest: []*tree.Node{tu}, Bytes: len(data), Latency: inner.Latency, Pushed: true}, nil
+			return service.Response{Forest: []*tree.Node{tu}, Bytes: size, Latency: inner.Latency, Pushed: true}, nil
 		}
 	})
 	for _, name := range out.Names() {

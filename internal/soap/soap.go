@@ -284,13 +284,9 @@ func (s *Server) invoke(w http.ResponseWriter, r *http.Request, name string) {
 	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, `<response pushed="%t">`, res.resp.Pushed)
-	for _, n := range res.resp.Forest {
-		b, err := tree.Marshal(n)
-		if err != nil {
-			fail(http.StatusInternalServerError, service.Permanent, "marshal: "+err.Error())
-			return
-		}
-		sb.Write(b)
+	if err := tree.Encode(&sb, res.resp.Forest, false); err != nil {
+		fail(http.StatusInternalServerError, service.Permanent, "marshal: "+err.Error())
+		return
 	}
 	spans := finishTrace()
 	if tc.MaxSpans > 0 && len(spans) > 0 {
@@ -401,12 +397,8 @@ func EncodeInvokeTrace(serviceName string, params []*tree.Node, pushed *pattern.
 		}
 	}
 	sb.WriteString("><params>")
-	for _, p := range params {
-		b, err := tree.Marshal(p)
-		if err != nil {
-			return nil, err
-		}
-		sb.Write(b)
+	if err := tree.Encode(&sb, params, false); err != nil {
+		return nil, err
 	}
 	sb.WriteString("</params></invoke>")
 	return []byte(sb.String()), nil

@@ -3,9 +3,11 @@ package tree
 import (
 	"bytes"
 	"encoding/xml"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
+	"unicode/utf8"
 )
 
 // CallNamespace is the XML namespace used to mark function nodes, in the
@@ -31,32 +33,44 @@ func MarshalIndent(n *Node) ([]byte, error) { return marshal(n, true) }
 
 func marshal(n *Node, indent bool) ([]byte, error) {
 	var buf bytes.Buffer
-	if err := Encode(&buf, n, indent); err != nil {
+	if err := Encode(&buf, []*Node{n}, indent); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
 }
 
-// Encode writes the subtree rooted at n to w in the form Marshal returns,
-// or with indent set the form MarshalIndent returns. It writes as it
-// walks: when it fails — w's error, or a node that cannot be marshalled —
-// part of the subtree may already be in w.
-func Encode(w io.Writer, n *Node, indent bool) error {
+// Encode writes the trees of forest to w, one encoder for them all: the
+// concatenation of their Marshal forms, or with indent set of their
+// MarshalIndent forms, each on its own line. It writes as it walks: when
+// it fails — w's error, or a node that cannot be marshalled — part of the
+// forest may already be in w.
+func Encode(w io.Writer, forest []*Node, indent bool) error {
 	enc := xml.NewEncoder(w)
 	if indent {
 		enc.Indent("", "  ")
 	}
-	if err := encodeNode(enc, n); err != nil {
-		return err
+	for _, n := range forest {
+		if err := encodeNode(enc, n); err != nil {
+			return err
+		}
 	}
 	return enc.Flush()
 }
+
+// errNoName is what Marshal and EncodedLen return for an element or a
+// binding variable with an empty name: it has no start tag to write.
+var errNoName = errors.New("tree: cannot marshal an element with no name")
+
+func errKind(k Kind) error { return fmt.Errorf("tree: cannot marshal node of kind %v", k) }
 
 func encodeNode(enc *xml.Encoder, n *Node) error {
 	switch n.Kind {
 	case Text:
 		return enc.EncodeToken(xml.CharData(n.Label))
 	case Element:
+		if n.Label == "" {
+			return errNoName
+		}
 		start := xml.StartElement{Name: xml.Name{Local: n.Label}}
 		if err := enc.EncodeToken(start); err != nil {
 			return err
@@ -95,6 +109,9 @@ func encodeNode(enc *xml.Encoder, n *Node) error {
 				return err
 			}
 			for _, k := range sortedKeys(b) {
+				if k == "" {
+					return errNoName
+				}
 				vs := xml.StartElement{Name: xml.Name{Local: k}}
 				if err := enc.EncodeToken(vs); err != nil {
 					return err
@@ -112,8 +129,92 @@ func encodeNode(enc *xml.Encoder, n *Node) error {
 		}
 		return enc.EncodeToken(start.End())
 	default:
-		return fmt.Errorf("tree: cannot marshal node of kind %v", n.Kind)
+		return errKind(n.Kind)
 	}
+}
+
+// The fixed markup of the compact form, as encodeNode's encoder writes it.
+const (
+	callLen    = len(`<call xmlns="`+CallNamespace+`" service="">`) + len(`</call>`)
+	tuplesLen  = len(`<tuples xmlns="`+CallNamespace+`" query="">`) + len(`</tuples>`)
+	tupleLen   = len(`<tuple xmlns="`+CallNamespace+`">`) + len(`</tuple>`)
+	elementLen = len(`<></>`) // plus the name twice
+)
+
+// EncodedLen returns len(Marshal(n)) and builds nothing: where a result is
+// only counted, its size is walked, not written. It fails where Marshal
+// fails, with the same error.
+func EncodedLen(n *Node) (int, error) {
+	switch n.Kind {
+	case Text:
+		return escapedLen(n.Label, false), nil
+	case Element:
+		if n.Label == "" {
+			return 0, errNoName
+		}
+		return childrenLen(n, elementLen+2*len(n.Label))
+	case Call:
+		return childrenLen(n, callLen+escapedLen(n.Label, true))
+	case Tuples:
+		size := tuplesLen + escapedLen(n.PushedQuery, true)
+		for _, b := range n.PushedBindings {
+			size += tupleLen
+			for k, v := range b {
+				if k == "" {
+					return 0, errNoName
+				}
+				size += elementLen + 2*len(k) + escapedLen(v, false)
+			}
+		}
+		return size, nil
+	default:
+		return 0, errKind(n.Kind)
+	}
+}
+
+// childrenLen adds the EncodedLen of n's children to size.
+func childrenLen(n *Node, size int) (int, error) {
+	for _, c := range n.Children {
+		cl, err := EncodedLen(c)
+		if err != nil {
+			return 0, err
+		}
+		size += cl
+	}
+	return size, nil
+}
+
+// escapedLen is the length of s as encoding/xml escapes it: character
+// data (attr false) keeps its newlines, an attribute value escapes them,
+// and a rune outside XML's character range or an invalid byte becomes
+// U+FFFD.
+func escapedLen(s string, attr bool) int {
+	size := len(s)
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			i++
+			switch {
+			case c == '"' || c == '\'' || c == '&' || c == '\t' || c == '\r':
+				size += 4 // &#34; &#39; &amp; &#x9; &#xD;
+			case c == '<' || c == '>':
+				size += 3 // &lt; &gt;
+			case c == '\n':
+				if attr {
+					size += 4 // &#xA;
+				}
+			case c < 0x20:
+				size += 2 // U+FFFD
+			}
+			continue
+		}
+		r, w := utf8.DecodeRuneInString(s[i:])
+		i += w
+		if r == utf8.RuneError && w == 1 || r == 0xFFFE || r == 0xFFFF {
+			size += len("\uFFFD") - w
+		}
+	}
+	return size
 }
 
 func sortedKeys(b Binding) []string {

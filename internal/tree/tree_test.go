@@ -410,11 +410,11 @@ func TestEncodeReturnsWriterError(t *testing.T) {
 			t.Fatal(err)
 		}
 		for k := 0; k < len(full); k++ {
-			if err := Encode(&failWriter{k: k}, root, indent); !errors.Is(err, errWriter) {
+			if err := Encode(&failWriter{k: k}, []*Node{root}, indent); !errors.Is(err, errWriter) {
 				t.Fatalf("indent=%v: writer failing at byte %d of %d: err = %v", indent, k, len(full), err)
 			}
 		}
-		if err := Encode(&failWriter{k: len(full)}, root, indent); err != nil {
+		if err := Encode(&failWriter{k: len(full)}, []*Node{root}, indent); err != nil {
 			t.Fatalf("indent=%v: writer taking all %d bytes: %v", indent, len(full), err)
 		}
 	}
