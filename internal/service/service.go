@@ -130,8 +130,8 @@ type Response struct {
 	// bindings.
 	Forest []*tree.Node
 	// Bytes is the serialised size of Forest — what would travel over
-	// the wire. It is counted (tree.EncodedLen), not built: a local
-	// invocation serialises nothing.
+	// the wire. A local invocation counts it (tree.EncodedLen) and
+	// serialises nothing.
 	Bytes int
 	// Latency is the simulated cost of this invocation. The engine
 	// charges it to its clock (sequential: sum; parallel batch: max).

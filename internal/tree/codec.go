@@ -208,10 +208,13 @@ func escapedLen(s string, attr bool) int {
 			}
 			continue
 		}
+		// Past ASCII only an invalid byte changes length: U+FFFE and
+		// U+FFFF, the other runes outside Char, are three bytes like the
+		// U+FFFD they become.
 		r, w := utf8.DecodeRuneInString(s[i:])
 		i += w
-		if r == utf8.RuneError && w == 1 || r == 0xFFFE || r == 0xFFFF {
-			size += len("\uFFFD") - w
+		if r == utf8.RuneError && w == 1 {
+			size += 2
 		}
 	}
 	return size
