@@ -145,6 +145,7 @@ const (
 // only counted, its size is walked, not written. It fails where Marshal
 // fails, with the same error.
 func EncodedLen(n *Node) (int, error) {
+	var size int
 	switch n.Kind {
 	case Text:
 		return escapedLen(n.Label, false), nil
@@ -152,11 +153,11 @@ func EncodedLen(n *Node) (int, error) {
 		if n.Label == "" {
 			return 0, errNoName
 		}
-		return childrenLen(n, elementLen+2*len(n.Label))
+		size = elementLen + 2*len(n.Label)
 	case Call:
-		return childrenLen(n, callLen+escapedLen(n.Label, true))
+		size = callLen + escapedLen(n.Label, true)
 	case Tuples:
-		size := tuplesLen + escapedLen(n.PushedQuery, true)
+		size = tuplesLen + escapedLen(n.PushedQuery, true)
 		for _, b := range n.PushedBindings {
 			size += tupleLen
 			for k, v := range b {
@@ -170,10 +171,6 @@ func EncodedLen(n *Node) (int, error) {
 	default:
 		return 0, errKind(n.Kind)
 	}
-}
-
-// childrenLen adds the EncodedLen of n's children to size.
-func childrenLen(n *Node, size int) (int, error) {
 	for _, c := range n.Children {
 		cl, err := EncodedLen(c)
 		if err != nil {
@@ -195,15 +192,11 @@ func escapedLen(s string, attr bool) int {
 		if c < utf8.RuneSelf {
 			i++
 			switch {
-			case c == '"' || c == '\'' || c == '&' || c == '\t' || c == '\r':
-				size += 4 // &#34; &#39; &amp; &#x9; &#xD;
+			case c == '"' || c == '\'' || c == '&' || c == '\t' || c == '\r' || c == '\n' && attr:
+				size += 4 // &#34; &#39; &amp; &#x9; &#xD; &#xA;
 			case c == '<' || c == '>':
 				size += 3 // &lt; &gt;
-			case c == '\n':
-				if attr {
-					size += 4 // &#xA;
-				}
-			case c < 0x20:
+			case c < 0x20 && c != '\n':
 				size += 2 // U+FFFD
 			}
 			continue

@@ -123,6 +123,19 @@ type Node struct {
 // NewElement returns a detached element node with the given name.
 func NewElement(name string) *Node { return &Node{Kind: Element, Label: name} }
 
+// NewLeaf returns a detached element holding one text leaf — the
+// <label>value</label> shape Value reads — in one allocation.
+func NewLeaf(label, value string) *Node {
+	p := new(struct {
+		el, text Node
+		kids     [1]*Node
+	})
+	p.kids[0] = &p.text
+	p.el = Node{Kind: Element, Label: label, Children: p.kids[:]}
+	p.text = Node{Kind: Text, Label: value, Parent: &p.el}
+	return &p.el
+}
+
 // NewText returns a detached text leaf carrying the given data value.
 func NewText(value string) *Node { return &Node{Kind: Text, Label: value} }
 

@@ -44,6 +44,25 @@ func TestConstructorsAndKinds(t *testing.T) {
 	}
 }
 
+func TestNewLeaf(t *testing.T) {
+	want := NewElement("name")
+	want.Append(NewText("a & b"))
+	got := NewLeaf("name", "a & b")
+	if !got.Equal(want) || got.Value() != "a & b" || got.Children[0].Parent != got || got.Parent != nil {
+		t.Fatalf("NewLeaf: got %+v", got)
+	}
+	// The leaf's child slice is full: appending to it reallocates and
+	// leaves the text node where it was.
+	text := got.Children[0]
+	got.Append(NewText("!"))
+	if got.Children[0] != text || got.Text() != "a & b!" {
+		t.Fatalf("Append after NewLeaf: got %+v", got)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { NewLeaf("name", "v") }); allocs > 1 {
+		t.Fatalf("NewLeaf: %v allocations, want 1", allocs)
+	}
+}
+
 func TestKindString(t *testing.T) {
 	cases := map[Kind]string{Element: "element", Text: "text", Call: "call", Tuples: "tuples", Kind(9): "kind(9)"}
 	for k, want := range cases {

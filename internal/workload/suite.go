@@ -158,8 +158,8 @@ elements:
 func registerGuideServices(reg *service.Registry, latency time.Duration) {
 	mkShow := func(title, at string) *tree.Node {
 		s := tree.NewElement("show")
-		s.Append(tree.NewElement("title")).Append(tree.NewText(title))
-		s.Append(tree.NewElement("schedule")).Append(tree.NewText(at))
+		s.Append(tree.NewLeaf("title", title))
+		s.Append(tree.NewLeaf("schedule", at))
 		return s
 	}
 	reg.Register(&service.Service{
@@ -175,8 +175,8 @@ func registerGuideServices(reg *service.Registry, latency time.Duration) {
 		Name: "getReviews", Latency: latency,
 		Handler: func([]*tree.Node) ([]*tree.Node, error) {
 			r := tree.NewElement("review")
-			r.Append(tree.NewElement("title")).Append(tree.NewText("The Hours"))
-			r.Append(tree.NewElement("stars")).Append(tree.NewText("4"))
+			r.Append(tree.NewLeaf("title", "The Hours"))
+			r.Append(tree.NewLeaf("stars", "4"))
 			return []*tree.Node{r}, nil
 		},
 	})
@@ -188,8 +188,8 @@ func registerGuideServices(reg *service.Registry, latency time.Duration) {
 				area = params[0].Text()
 			}
 			r := tree.NewElement("restaurant")
-			r.Append(tree.NewElement("name")).Append(tree.NewText("In Delis (" + area + ")"))
-			r.Append(tree.NewElement("address")).Append(tree.NewText("2nd Ave."))
+			r.Append(tree.NewLeaf("name", "In Delis ("+area+")"))
+			r.Append(tree.NewLeaf("address", "2nd Ave."))
 			return []*tree.Node{r}, nil
 		},
 	})

@@ -166,7 +166,7 @@ func hotelRating(spec HotelSpec, i int) string {
 	return "***"
 }
 
-func hotelAddress(i int) string { return fmt.Sprintf("addr-%d", i) }
+func hotelAddress(i int) string { return "addr-" + strconv.Itoa(i) }
 
 func intensionalRating(spec HotelSpec, i int) bool {
 	return spec.IntensionalRatingEvery > 0 && i%spec.IntensionalRatingEvery == 0
@@ -202,15 +202,15 @@ func buildDoc(spec HotelSpec) *tree.Document {
 // hotelTree builds hotel i with its intensional parts.
 func hotelTree(spec HotelSpec, i int) *tree.Node {
 	h := tree.NewElement("hotel")
-	h.Append(tree.NewElement("name")).Append(tree.NewText(hotelName(spec, i)))
+	h.Append(tree.NewLeaf("name", hotelName(spec, i)))
 	if spec.TagJoinEvery > 0 {
 		tag := hotelName(spec, i)
 		if i%spec.TagJoinEvery != 0 {
 			tag = fmt.Sprintf("tag-%d", i)
 		}
-		h.Append(tree.NewElement("tag")).Append(tree.NewText(tag))
+		h.Append(tree.NewLeaf("tag", tag))
 	}
-	h.Append(tree.NewElement("address")).Append(tree.NewText(hotelAddress(i)))
+	h.Append(tree.NewLeaf("address", hotelAddress(i)))
 	rating := h.Append(tree.NewElement("rating"))
 	if intensionalRating(spec, i) {
 		rating.Append(tree.NewCall("getRating", tree.NewText(ratingParam(spec.RatingChainDepth, hotelRating(spec, i)))))
@@ -239,10 +239,10 @@ func hotelTree(spec HotelSpec, i int) *tree.Node {
 }
 
 func restaurantTree(name, addr, rating string) *tree.Node {
-	r := tree.NewElement("restaurant")
-	r.Append(tree.NewElement("name")).Append(tree.NewText(name))
-	r.Append(tree.NewElement("address")).Append(tree.NewText(addr))
-	r.Append(tree.NewElement("rating")).Append(tree.NewText(rating))
+	r := &tree.Node{Kind: tree.Element, Label: "restaurant", Children: make([]*tree.Node, 0, 3)}
+	r.Append(tree.NewLeaf("name", name))
+	r.Append(tree.NewLeaf("address", addr))
+	r.Append(tree.NewLeaf("rating", rating))
 	return r
 }
 
@@ -329,14 +329,14 @@ func buildRegistry(spec HotelSpec) *service.Registry {
 
 	addExt("getNearbyRestos", func(params []*tree.Node) ([]*tree.Node, error) {
 		i := addrIndex(paramText(params))
-		out := make([]*tree.Node, 0, spec.RestosPerCall)
-		for j := 0; j < spec.RestosPerCall; j++ {
+		addr, prefix := hotelAddress(i), "Resto-"+strconv.Itoa(i)+"-"
+		out := make([]*tree.Node, spec.RestosPerCall)
+		for j := range out {
 			rating := "***"
 			if j < spec.FiveStarRestos {
 				rating = FiveStars
 			}
-			out = append(out, restaurantTree(
-				fmt.Sprintf("Resto-%d-%d", i, j), hotelAddress(i), rating))
+			out[j] = restaurantTree(prefix+strconv.Itoa(j), addr, rating)
 		}
 		return out, nil
 	})
@@ -346,8 +346,8 @@ func buildRegistry(spec HotelSpec) *service.Registry {
 		out := make([]*tree.Node, 0, spec.MuseumsPerCall)
 		for j := 0; j < spec.MuseumsPerCall; j++ {
 			m := tree.NewElement("museum")
-			m.Append(tree.NewElement("name")).Append(tree.NewText(fmt.Sprintf("Museum-%d-%d", i, j)))
-			m.Append(tree.NewElement("address")).Append(tree.NewText(hotelAddress(i)))
+			m.Append(tree.NewLeaf("name", fmt.Sprintf("Museum-%d-%d", i, j)))
+			m.Append(tree.NewLeaf("address", hotelAddress(i)))
 			out = append(out, m)
 		}
 		return out, nil
@@ -381,7 +381,7 @@ func buildRegistry(spec HotelSpec) *service.Registry {
 			// A teaser carries a name or a rating, never both: it can
 			// never satisfy a [name][rating] pattern.
 			tz := tree.NewElement("teaser")
-			tz.Append(tree.NewElement("name")).Append(tree.NewText("Teaser"))
+			tz.Append(tree.NewLeaf("name", "Teaser"))
 			return []*tree.Node{tz}, nil
 		})
 	}
