@@ -58,7 +58,7 @@ func TestNewLeaf(t *testing.T) {
 	if got.Children[0] != text || got.Text() != "a & b!" {
 		t.Fatalf("Append after NewLeaf: got %+v", got)
 	}
-	if allocs := testing.AllocsPerRun(20, func() { NewLeaf("name", "v") }); allocs > 1 {
+	if allocs := testing.AllocsPerRun(20, func() { got = NewLeaf("name", "v") }); allocs > 1 {
 		t.Fatalf("NewLeaf: %v allocations, want 1", allocs)
 	}
 }
